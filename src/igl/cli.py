@@ -12,8 +12,9 @@ Commands::
 ``<path>`` is a UTF-8 JSON instance file (schema version ``"v": 1``) or a
 directory of them.  Exit codes: 2 for parse/schema errors (with a line
 diagnostic when the file does not even parse), 3 for precondition
-violations, 0 otherwise -- an ``Unknown`` verdict is a result, not an
-error.
+violations, 1 when ``verify`` has a failing check or the ``selftest``
+corpus is not green, 0 otherwise -- an ``Unknown`` verdict is a result,
+not an error.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
     _expect(isinstance(labels_rec, dict), "field 'labels': must map strata to slot lists")
     labels: dict[int, valgroup.ValueTower] = {}
     for key, slots in labels_rec.items():
-        _expect(key.isdigit(), f"labels key {key!r}: must be a decimal stratum index")
+        _expect(key.isascii() and key.isdigit(),
+                f"labels key {key!r}: must be a decimal stratum index")
         _expect(isinstance(slots, list) and slots,
                 f"labels[{key}]: must be a nonempty slot list")
         labels[int(key)] = valgroup.ValueTower.from_names(slots)
@@ -515,13 +517,23 @@ def verify_payload(payload: dict, name: str) -> list[tuple[str, bool, str]]:
         run("rank-consistent", rank_check)
 
         def monotone_check():
+            # replays the definition, so it also checks the closed forms
+            # that decide uses: the k-th derivative's isolated points are
+            # stratum k, and the walk has cb_rank steps
             cur = space
             prev = set(cur.occupied_strata())
+            steps = 0
             while not cur.is_empty():
+                assert scattered.stratum_multiplicity(cur, 0) == \
+                    scattered.stratum_multiplicity(space, steps), \
+                    f"stratum {steps} size differs from its closed form"
                 cur = scattered.cb_derivative(cur)
+                steps += 1
                 now = {k + 1 for k in cur.occupied_strata()}
                 assert now <= prev, "strata grew under the derivative"
                 prev = set(cur.occupied_strata())
+            assert steps == scattered.cb_rank(space).as_int(), \
+                "derived sequence length differs from the rank"
             return "strata shrink along the derived sequence"
         run("derived-sequence-monotone", monotone_check)
         return checks
@@ -609,7 +621,7 @@ def cmd_verify(args) -> int:
             print(f"instance: {n}")
             for c, ok, d in cs:
                 print(f"  {'pass' if ok else 'FAIL'}  {c}: {d}")
-    return 0
+    return 0 if all(ok for _, cs in all_results for _, ok, _ in cs) else 1
 
 
 def cmd_selftest(args) -> int:

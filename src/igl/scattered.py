@@ -12,7 +12,9 @@ ideals with the same local value group.
 * ``cb_derivative`` removes the isolated points: what is left of
   ``[0, a]`` is order-isomorphic to another ordinal interval, computed by
   digit surgery on the normal form, and the labels shift down a stratum.
-* ``cb_rank`` iterates to emptiness, which always happens here.
+* ``cb_rank`` and ``stratum_multiplicity`` read the rank and the size of
+  every stratum straight off the normal-form digits of the bound; the
+  derivative stays the definition they are tested against.
 * ``decide_scattered`` uses the derived sequence to decide what the group
   of invertible ideals of a modeled one-dimensional domain looks like:
   scattered means the transfinite removal of locally-free stages
@@ -258,31 +260,46 @@ def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
 
 
 def cb_rank(s: ScatteredSpace) -> Ordinal:
-    """The least number of derivatives after which nothing is left.  For
-    intervals below ``w^w`` this is the leading exponent plus one (plus
-    zero for the empty space)."""
-    count = 0
-    cur = s
-    while not cur.is_empty():
-        cur = cb_derivative(cur)
-        count += 1
-    return Ordinal.from_int(count)
+    """The least number of derivatives after which nothing is left.
+
+    In closed form: for ``[0, a]`` with ``a = w^e1*c1 + ... + w^en*cn``
+    this is ``e1 + 1``, and ``0`` for the empty space.  ``cb_derivative``
+    stays the definition; iterating it to emptiness takes exactly this
+    many steps."""
+    if s.bound is None:
+        return Ordinal.zero()
+    return Ordinal.from_int(s.bound.leading_exponent() + 1)
 
 
 def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
     """How many points of rank ``k`` the space has: the isolated points of
     the ``k``-th derivative.  Finite counts are integers; infinite counts
     are reported as the ordinal bound of that derivative (there are
-    ``b``-many isolated points in ``[0, b]`` for infinite ``b``)."""
-    cur = s
-    for _ in range(k):
-        cur = cb_derivative(cur)
-    if cur.is_empty():
+    ``b``-many isolated points in ``[0, b]`` for infinite ``b``).
+
+    In closed form, read off the normal form ``a = w^e1*c1 + ... +
+    w^en*cn`` of the bound, with ``K = e1``:
+
+    * ``0`` for the empty space and for ``k > K``;
+    * ``n + 1`` for a finite bound ``n`` (so ``1`` for ``[0, 0]``);
+    * ``c1`` for ``k == K >= 1``: the ``K``-th derivative is
+      ``[0, c1 - 1]``;
+    * for ``k < K``, the ``k``-th derivative is ``[0, b]`` with ``b`` the
+      terms ``w^(e-k)*c`` of ``a`` with ``e >= k``, and ``b`` is reported.
+
+    Each value costs a pass over the terms of ``a``, not ``k``
+    derivatives."""
+    if k < 0:
+        raise ValueError("strata are indexed from 0")
+    a = s.bound
+    if a is None or k > a.leading_exponent():
         return 0
-    assert cur.bound is not None
-    if cur.bound.is_finite():
-        return cur.bound.as_int() + 1
-    return cur.bound.render()
+    if a.is_finite():
+        return a.as_int() + 1
+    lead, coeff = a.terms[0]
+    if k == lead:
+        return coeff
+    return Ordinal(tuple((e - k, c) for e, c in a.terms if e >= k)).render()
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +344,11 @@ def decide_scattered(s: ScatteredSpace) -> ScatteredDecision:
                           "trivial group"),))
     lab = s.label_map()
     strata = s.occupied_strata()
-    parts = []
-    for k in strata:
-        mult = stratum_multiplicity(s, k)
-        parts.append(Repeated(lab[k].to_expr(), mult))
-    expr = direct_sum(*parts)
-    label_verdicts = {k: freeness_verdict(lab[k].to_expr()).verdict for k in strata}
+    expr = direct_sum(*(Repeated(lab[k].to_expr(), stratum_multiplicity(s, k))
+                        for k in strata))
+    tower_verdicts = {t: freeness_verdict(t.to_expr()).verdict
+                      for t in {lab[k] for k in strata}}
+    label_verdicts = {k: tower_verdicts[lab[k]] for k in strata}
     sum_step = CertStep.make(
         "scattered-sharp-sum",
         "the space is scattered, so the derived sequence exhausts the "

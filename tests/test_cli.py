@@ -148,6 +148,23 @@ def test_verify_noeth_crosscheck(tmp_path, capsys):
     assert "amalgam-crosscheck" in out and "FAIL" not in out
 
 
+def test_verify_failing_check_exits_1(tmp_path, capsys):
+    payload = {"v": 1, "kind": "group_diagram", "check": "group",
+               "group": {"generators": "x"}}
+    rc = main(["verify", str(write(tmp_path, payload)), "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert [c["ok"] for c in out["checks"]] == [False]
+
+
+def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):
+    path = str(write(tmp_path, {"v": 1, "kind": "scattered_space", "bound": "3",
+                                "labels": {"²": ["Z"]}}))
+    for cmd in ("decide", "verify"):
+        assert main([cmd, path]) == 2
+        assert "labels key" in capsys.readouterr().err
+
+
 def test_decide_snake_diagram(tmp_path, capsys):
     payload = {"v": 1, "kind": "group_diagram", "check": "snake",
                "snake": {

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import igl.scattered
+from igl.cli import decide_payload
 from igl.errors import MalformedTraceError, SchemaError
 from igl.scattered import (Ordinal, ScatteredSpace, cb_derivative, cb_rank,
                            escape_index, parse_ordinal, decide_scattered,
@@ -136,6 +138,55 @@ def test_point_rank_and_multiplicity():
     assert stratum_multiplicity(s, 0) == "w^2"
     assert stratum_multiplicity(s, 1) == "w"
     assert stratum_multiplicity(s, 2) == 1
+
+
+def _oracle_strata(bound):
+    """The bounds of the successive derivatives of ``[0, bound]`` up to
+    the last nonempty one, iterating the derived-bound oracle."""
+    seq = []
+    cur = bound
+    while cur is not None:
+        seq.append(cur)
+        cur = derived_bound_oracle(cur)
+    return seq
+
+
+def test_closed_form_matches_iterated_oracle():
+    cases = [(ScatteredSpace.empty(), [])]
+    for bound in ordinal_grid(3, 3):
+        labels = {i: zt("Z") for i in range(bound.leading_exponent() + 1)}
+        cases.append((space(bound, labels), _oracle_strata(bound)))
+    assert any(s.bound == fin(0) for s, _ in cases)
+    for s, seq in cases:
+        assert cb_rank(s) == fin(len(seq))
+        lead = s.bound.leading_exponent() if s.bound is not None else 0
+        for k in range(lead + 3):
+            if k >= len(seq):
+                expected = 0
+            elif seq[k].is_finite():
+                expected = seq[k].as_int() + 1
+            else:
+                expected = seq[k].render()
+            assert stratum_multiplicity(s, k) == expected, (s.bound, k)
+
+
+@pytest.mark.parametrize("bound", ["w^1000*2+w^3+5", "w^2000"])
+def test_decide_makes_no_derivative_calls(bound, monkeypatch):
+    calls = {"cb_derivative": 0, "freeness_verdict": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(igl.scattered, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(igl.scattered, name, counting)
+    lead = parse_ordinal(bound).leading_exponent()
+    payload = {"v": 1, "kind": "scattered_space", "bound": bound,
+               "labels": {str(i): ["Z"] for i in range(lead + 1)}}
+    report = decide_payload(payload, "big")
+    # no derivative, and one freeness verdict for the one distinct label
+    assert calls == {"cb_derivative": 0, "freeness_verdict": 1}
+    assert report.verdict == Verdict.DIRECT_SUM_FREE.value
+    assert report.metadata["cb_rank"] == str(lead + 1)
+    assert report.expr.startswith(f"Z^({bound}) ⊕ Z^(")
 
 
 def test_missing_label_rejected():
