@@ -72,6 +72,16 @@ def _expect(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false are Python bools, a subclass of int; the schema's
+    # integers never accept them
+    return type(x) is int
+
+
+def _is_int_vector(v, n: int) -> bool:
+    return isinstance(v, list) and len(v) == n and all(type(x) is int for x in v)
+
+
 def load_payload(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
@@ -82,12 +92,17 @@ def load_payload(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # a number past the int-from-str digit limit
+        raise SchemaError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: nested too deeply for the JSON decoder") from exc
     _expect(isinstance(payload, dict), f"{path}: the instance must be a JSON object")
     return payload
 
 
 def validate_envelope(payload: dict) -> str:
-    _expect(payload.get("v") == 1, "field 'v': schema version must be 1")
+    _expect(_is_int(payload.get("v")) and payload["v"] == 1,
+            "field 'v': schema version must be 1")
     kind = payload.get("kind")
     _expect(kind in KINDS, f"field 'kind': expected one of {', '.join(KINDS)}")
     return kind
@@ -97,16 +112,19 @@ def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
     _expect(isinstance(rec, dict), f"{where}: must be an object")
     if "finite" in rec:
         f = rec["finite"]
-        _expect(isinstance(f, dict) and isinstance(f.get("p"), int),
+        _expect(isinstance(f, dict) and _is_int(f.get("p")),
                 f"{where}.finite: needs integer 'p'")
-        return noeth.FiniteField(f["p"], int(f.get("r", 1)))
+        _expect(_is_int(f.get("r", 1)), f"{where}.finite.r: must be an integer")
+        return noeth.FiniteField(f["p"], f.get("r", 1))
     if "opaque" in rec:
         o = rec["opaque"]
         _expect(isinstance(o, dict) and isinstance(o.get("label"), str),
                 f"{where}.opaque: needs string 'label'")
+        _expect(_is_int(o.get("characteristic", 0)),
+                f"{where}.opaque.characteristic: must be an integer")
         return noeth.OpaqueField(
             label=o["label"],
-            characteristic=int(o.get("characteristic", 0)),
+            characteristic=o.get("characteristic", 0),
             unit_free=o.get("unit_free"),
             quotient_free=o.get("quotient_free"),
             summand=o.get("summand"))
@@ -115,14 +133,13 @@ def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
 
 def parse_group(rec: dict, where: str) -> abelian.FgGroup:
     _expect(isinstance(rec, dict), f"{where}: must be an object")
-    _expect(isinstance(rec.get("generators"), int) and rec["generators"] >= 0,
+    _expect(_is_int(rec.get("generators")) and rec["generators"] >= 0,
             f"{where}.generators: must be a nonnegative integer")
     n = rec["generators"]
     relators = rec.get("relators", [])
     _expect(isinstance(relators, list), f"{where}.relators: must be a list of vectors")
     for i, r in enumerate(relators):
-        _expect(isinstance(r, list) and len(r) == n
-                and all(isinstance(x, int) for x in r),
+        _expect(_is_int_vector(r, n),
                 f"{where}.relators[{i}]: must be an integer vector of length {n}")
     mat = IntMatrix.from_cols([list(r) for r in relators], rows=n)
     return abelian.FgGroup(n, mat)
@@ -132,8 +149,7 @@ def parse_matrix(rec, rows: int, cols: int, where: str) -> IntMatrix:
     _expect(isinstance(rec, list) and len(rec) == rows,
             f"{where}: must be a matrix with {rows} rows")
     for i, row in enumerate(rec):
-        _expect(isinstance(row, list) and len(row) == cols
-                and all(isinstance(x, int) for x in row),
+        _expect(_is_int_vector(row, cols),
                 f"{where}[{i}]: must be an integer row of length {cols}")
     return IntMatrix.from_rows([list(r) for r in rec], cols=cols)
 
@@ -163,7 +179,8 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
                 f"labels key {key!r}: must be a decimal stratum index")
         _expect(isinstance(slots, list) and slots,
                 f"labels[{key}]: must be a nonempty slot list")
-        labels[int(key)] = valgroup.ValueTower.from_names(slots)
+        labels[scattered.parse_digits(key, f"labels key {key[:20]!r}")] = \
+            valgroup.ValueTower.from_names(slots)
     return scattered.ScatteredSpace.interval(bound, labels)
 
 
@@ -177,7 +194,7 @@ def parse_noeth(payload: dict) -> noeth.NoethInstance:
     for i, b in enumerate(branches_rec):
         _expect(isinstance(b, dict) and "L" in b, f"branches[{i}]: needs 'L'")
         e = b.get("e", 1)
-        _expect(isinstance(e, int), f"branches[{i}].e: must be an integer")
+        _expect(_is_int(e), f"branches[{i}].e: must be an integer")
         branches.append(noeth.Branch(parse_field_desc(b["L"], f"branches[{i}].L"), e))
     return noeth.NoethInstance(
         residue=k, branches=tuple(branches),
@@ -349,6 +366,7 @@ def _decide_diagram(payload: dict):
     _expect(isinstance(raw_parts, list) and raw_parts,
             "amalgam.parts: must be a nonempty list")
     for i, p in enumerate(raw_parts):
+        _expect(isinstance(p, dict), f"amalgam.parts[{i}]: must be an object")
         grp = parse_group(p.get("group"), f"amalgam.parts[{i}].group")
         comp = parse_group(p.get("complement"), f"amalgam.parts[{i}].complement")
         emb = abelian.FgHom(g, grp, parse_matrix(

@@ -34,15 +34,45 @@ from .valgroup import (CertStep, Certificate, Cyclic, GroupExpr, Opaque,
                        Repeated, TRIVIAL, Verdict, direct_sum, normalize)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Characteristics must lie below this bound: Miller-Rabin with the prime
+# bases up to 41 is exact for every n below it (Sorenson and Webster 2015;
+# the bound itself is the least strong pseudoprime to all thirteen bases).
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for ``n < PRIME_BOUND``: deterministic Miller-Rabin."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+# Finite field orders p^r are capped too, so that every unit order stays
+# small enough to compute with and to print.
+MAX_ORDER_BITS = 4096
+
+
+def _check_characteristic(p: int) -> None:
+    if p >= PRIME_BOUND:
+        raise SchemaError(f"characteristic is not below the supported bound {PRIME_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +84,16 @@ class FiniteField:
     r: int = 1
 
     def __post_init__(self) -> None:
+        _check_characteristic(self.p)
         if not _is_prime(self.p):
             raise SchemaError(f"{self.p} is not prime")
         if self.r < 1:
             raise SchemaError("field degree must be >= 1")
+        # a degree above the cap already exceeds it; testing it first
+        # spares computing p**r for a huge r
+        if self.r > MAX_ORDER_BITS or self.order.bit_length() > MAX_ORDER_BITS:
+            raise SchemaError(f"field order p^{self.r} has more than "
+                              f"{MAX_ORDER_BITS} bits")
 
     @property
     def characteristic(self) -> int:
@@ -93,6 +129,7 @@ class OpaqueField:
     summand: bool | None = None
 
     def __post_init__(self) -> None:
+        _check_characteristic(self.characteristic)
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise SchemaError("characteristic must be 0 or a prime")
 

@@ -30,7 +30,7 @@ from functools import cached_property
 from .errors import SchemaError
 from .valgroup import (CertStep, Certificate, GroupExpr, IntegersZ, R, TRIVIAL,
                        UNKNOWN, ValueTower, Verdict, direct_sum,
-                       freeness_verdict, render_expr)
+                       freeness_verdict, normal_sum, normalize, render_expr)
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,11 @@ class PrimeNode:
 
 @dataclass(frozen=True)
 class SpecTree:
+    """A validated spectral tree.  It indexes itself once, on first use:
+    the pre-order node tuple, the id lookup and the parent map are cached
+    properties, and every walk below is a loop, so tree depth costs no
+    Python frames."""
+
     root: PrimeNode
     locally_finite: bool = True
 
@@ -63,52 +68,40 @@ class SpecTree:
             if node is not self.root and (node.label is None or len(node.label) == 0):
                 raise SchemaError(f"node {node.node_id!r} needs a nonempty edge label")
 
-    def nodes(self) -> list[PrimeNode]:
+    @cached_property
+    def preorder(self) -> tuple[PrimeNode, ...]:
         out: list[PrimeNode] = []
         stack = [self.root]
         while stack:
             n = stack.pop()
             out.append(n)
             stack.extend(reversed(n.children))
+        return tuple(out)
+
+    @cached_property
+    def by_id(self) -> dict[str, PrimeNode]:
+        return {n.node_id: n for n in self.preorder}
+
+    @cached_property
+    def parents(self) -> dict[str, PrimeNode | None]:
+        out: dict[str, PrimeNode | None] = {self.root.node_id: None}
+        for n in self.preorder:
+            for c in n.children:
+                out[c.node_id] = n
         return out
+
+    def nodes(self) -> tuple[PrimeNode, ...]:
+        return self.preorder
 
     def leaves(self) -> list[PrimeNode]:
         """The maximal ideals: leaf nodes other than a bare root."""
         return [n for n in self.nodes() if n.is_maximal and n is not self.root]
 
     def node(self, node_id: str) -> PrimeNode:
-        for n in self.nodes():
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    @cached_property
-    def parents(self) -> dict[str, PrimeNode | None]:
-        out: dict[str, PrimeNode | None] = {self.root.node_id: None}
-        for n in self.nodes():
-            for c in n.children:
-                out[c.node_id] = n
-        return out
-
-    @property
-    def dimension(self) -> int:
-        def depth(n: PrimeNode) -> int:
-            return 1 + max((depth(c) for c in n.children), default=-1)
-        return depth(self.root)
-
-    def edge_count(self) -> int:
-        return len(self.nodes()) - 1
+        return self.by_id[node_id]
 
     def total_slots(self) -> int:
         return sum(len(n.label) for n in self.nodes() if n.label is not None)
-
-    def is_chain(self) -> bool:
-        node = self.root
-        while node.children:
-            if len(node.children) > 1:
-                return False
-            node = node.children[0]
-        return True
 
     def all_slots_z(self) -> bool:
         return all(n.label.all_slots_z() for n in self.nodes() if n.label is not None)
@@ -116,9 +109,14 @@ class SpecTree:
 
 def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
     """Build a tree from the nested instance format
-    ``{id, label: [slot,...], children: [...]}`` (root label omitted)."""
-
-    def build(rec: dict, is_root: bool) -> PrimeNode:
+    ``{id, label: [slot,...], children: [...]}`` (root label omitted).
+    Records are checked in pre-order, so the first bad record in document
+    order is the one reported."""
+    # pre-order pass: check each record and parse its label
+    order: list[tuple[dict, ValueTower | None, list]] = []
+    stack: list[tuple[object, bool]] = [(payload, True)]
+    while stack:
+        rec, is_root = stack.pop()
         if not isinstance(rec, dict):
             raise SchemaError("tree nodes must be objects")
         if "id" not in rec:
@@ -129,16 +127,40 @@ def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
             if not isinstance(raw, list) or not raw:
                 raise SchemaError(f"node {rec['id']!r}: 'label' must be a nonempty list of slots")
             label = ValueTower.from_names(raw)
-        children = tuple(build(c, False) for c in rec.get("children", []))
-        return PrimeNode(str(rec["id"]), label, children,
-                         branched=bool(rec.get("branched", True)))
-
-    return SpecTree(build(payload, True), locally_finite=locally_finite)
+        children = rec.get("children", [])
+        if not isinstance(children, list):
+            raise SchemaError(f"node {rec['id']!r}: 'children' must be a list of nodes")
+        order.append((rec, label, children))
+        stack.extend((c, False) for c in reversed(children))
+    # reverse pre-order meets every child before its parent: the last
+    # child's node is on top of ``built`` when the parent is reached
+    built: list[PrimeNode] = []
+    for rec, label, children in reversed(order):
+        cut = len(built) - len(children)
+        kids = tuple(reversed(built[cut:]))
+        del built[cut:]
+        built.append(PrimeNode(str(rec["id"]), label, kids,
+                               branched=bool(rec.get("branched", True))))
+    return SpecTree(built[0], locally_finite=locally_finite)
 
 
 # ---------------------------------------------------------------------------
 # Tree geometry
 # ---------------------------------------------------------------------------
+
+def _tower_below(tree: SpecTree, node: PrimeNode, top: PrimeNode) -> ValueTower:
+    """The edge labels from ``node`` up to ``top`` (exclusive), ``node``'s
+    own step on top: the value group of the localization at ``node`` in
+    the domain whose spectrum is the subtree at ``top``."""
+    slots: list = []
+    branched: list[bool] = []
+    cur = node
+    while cur is not top:
+        slots.extend(cur.label.slots)
+        branched.extend(cur.label.branched)
+        cur = tree.parents[cur.node_id]
+    return ValueTower(tuple(slots), tuple(branched))
+
 
 def gamma_at(tree: SpecTree, node: PrimeNode | str) -> ValueTower:
     """The value group of the localization at a prime: the edge labels
@@ -146,24 +168,18 @@ def gamma_at(tree: SpecTree, node: PrimeNode | str) -> ValueTower:
     top.  The root has the trivial value group."""
     if isinstance(node, str):
         node = tree.node(node)
-    slots: list = []
-    branched: list[bool] = []
-    cur: PrimeNode | None = node
-    while cur is not None and cur.label is not None:
-        slots.extend(cur.label.slots)
-        branched.extend(cur.label.branched)
-        cur = tree.parents[cur.node_id]
-    return ValueTower(tuple(slots), tuple(branched))
+    return _tower_below(tree, node, tree.root)
 
 
 def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode | str) -> bool:
     """Is the maximal ideal finitely generated?  Detected structurally: the
-    top slot of its composed value tower is discrete."""
+    top slot of its composed value tower, which is the top slot of its own
+    edge label, is discrete."""
     if isinstance(leaf, str):
         leaf = tree.node(leaf)
     if not leaf.is_maximal or leaf is tree.root:
         raise SchemaError(f"{leaf.node_id!r} is not a maximal ideal")
-    return isinstance(gamma_at(tree, leaf).slots[0], IntegersZ)
+    return isinstance(leaf.label.slots[0], IntegersZ)
 
 
 def branching_points(tree: SpecTree) -> list[PrimeNode]:
@@ -180,23 +196,27 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
     the result is finite by construction."""
     keep = {tree.root.node_id} | {n.node_id for n in tree.leaves()} \
         | {n.node_id for n in branching_points(tree)}
-
-    def contract(node: PrimeNode) -> PrimeNode:
-        new_children = []
+    # pre-order pass over the kept nodes: each with its composed label and
+    # its kept children
+    order: list[tuple[PrimeNode, ValueTower | None, list[PrimeNode]]] = []
+    stack: list[tuple[PrimeNode, ValueTower | None]] = [(tree.root, None)]
+    while stack:
+        node, label = stack.pop()
+        hops: list[tuple[PrimeNode, ValueTower]] = []
         for child in node.children:
             hop = child
-            tower = hop.label
             while hop.node_id not in keep:
                 # a skipped node has exactly one child (not a leaf, not branching)
-                nxt = hop.children[0]
-                tower = nxt.label.concat(tower)
-                hop = nxt
-            sub = contract(hop)
-            new_children.append(PrimeNode(sub.node_id, tower, sub.children, sub.branched))
-        return PrimeNode(node.node_id, None if node is tree.root else node.label,
-                         tuple(new_children), node.branched)
-
-    return SpecTree(contract(tree.root), locally_finite=tree.locally_finite)
+                hop = hop.children[0]
+            hops.append((hop, _tower_below(tree, hop, node)))
+        order.append((node, label, [h for h, _ in hops]))
+        stack.extend(reversed(hops))
+    built: dict[str, PrimeNode] = {}
+    for node, label, kids in reversed(order):
+        built[node.node_id] = PrimeNode(node.node_id, label,
+                                        tuple(built.pop(k.node_id) for k in kids),
+                                        node.branched)
+    return SpecTree(built[tree.root.node_id], locally_finite=tree.locally_finite)
 
 
 def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
@@ -210,13 +230,6 @@ def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
         fresh_root = PrimeNode(tree.root.node_id, None, (child,))
         out.append(SpecTree(fresh_root, locally_finite=tree.locally_finite))
     return out
-
-
-def _quotient_tree(tree: SpecTree, p: PrimeNode) -> SpecTree:
-    """The spectrum of the quotient modulo a divided prime: the subtree at
-    ``p`` re-rooted, dropping ``p``'s own edge label."""
-    return SpecTree(PrimeNode(p.node_id, None, p.children, p.branched),
-                    locally_finite=tree.locally_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -262,52 +275,80 @@ def _internal_gate(tree: SpecTree) -> tuple[bool, Certificate]:
 
 
 def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
-    root = tree.root
-    if not root.children:
-        return TRIVIAL, [CertStep.make(
-            "field-trivial", "a field has trivial ideal groups")], []
-    classes = standard_decomposition(tree)
-    if len(classes) > 1:
-        exprs, steps, cuts = [], [], []
+    """The cut-and-sum recursion, run with an explicit stack on the nodes
+    of ``tree`` itself.  A subproblem is a sub-root with the children it
+    keeps: the whole tree, one dependency class (``standard_decomposition``)
+    or the quotient tree at a divided prime.  Value groups are measured
+    from the sub-root through the tree's parent map.  Steps and cuts come
+    out in pre-order; expressions are combined afterwards, children first."""
+    steps: list[CertStep] = []
+    cuts: list[DividedCut | None] = []
+    # per subproblem: (expression or None, child subproblems, pending cut)
+    frames: list[tuple[GroupExpr | None, list[int], tuple | None]] = []
+    todo: list[tuple[PrimeNode, tuple[PrimeNode, ...], int]] = [
+        (tree.root, tree.root.children, -1)]
+    while todo:
+        sub_root, kids, parent = todo.pop()
+        me = len(frames)
+        if parent >= 0:
+            frames[parent][1].append(me)
+        if not kids:
+            steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
+            frames.append((TRIVIAL, [], None))
+            continue
+        if len(kids) > 1:
+            steps.append(CertStep.make(
+                "class-sum",
+                "dependency classes of maximal ideals are complete, independent "
+                "and locally finite, so the invertible group is the direct sum "
+                "over the classes",
+                classes=len(kids)))
+            frames.append((None, [], None))
+            todo.extend((sub_root, (c,), me) for c in reversed(kids))
+            continue
+        # one class: walk down the unique-child spine; it ends at the only
+        # maximal ideal (a chain) or at the infimum of the maximal
+        # ideals, a divided prime
+        node = kids[0]
+        while len(node.children) == 1:
+            node = node.children[0]
+        tower_expr = _tower_below(tree, node, sub_root).to_expr()
+        if node.is_maximal:
+            steps.append(CertStep.make(
+                "valuation-inv-iso",
+                "every invertible ideal of a valuation ring is principal, and "
+                "principal ideals correspond to values: the invertible group is "
+                "the value group",
+                maximal=node.node_id, value_group=render_expr(tower_expr)))
+            frames.append((tower_expr, [], None))
+            continue
         steps.append(CertStep.make(
-            "class-sum",
-            "dependency classes of maximal ideals are complete, independent "
-            "and locally finite, so the invertible group is the direct sum "
-            "over the classes",
-            classes=len(classes)))
-        for sub in classes:
-            e, st, cu = _decompose(sub)
-            exprs.append(e)
-            steps.extend(st)
-            cuts.extend(cu)
-        return direct_sum(*exprs), steps, cuts
-    if tree.is_chain():
-        leaf = tree.leaves()[0]
-        tower = gamma_at(tree, leaf)
-        return tower.to_expr(), [CertStep.make(
-            "valuation-inv-iso",
-            "every invertible ideal of a valuation ring is principal, and "
-            "principal ideals correspond to values: the invertible group is "
-            "the value group",
-            maximal=leaf.node_id, value_group=render_expr(tower.to_expr()))], []
-    # single class, not a chain: walk down the unique-child spine to the
-    # infimum of the maximal ideals, a divided prime
-    node = root
-    while len(node.children) == 1:
-        node = node.children[0]
-    p = node
-    tower = gamma_at(tree, p)
-    quotient = _quotient_tree(tree, p)
-    q_expr, q_steps, q_cuts = _decompose(quotient)
-    total = direct_sum(q_expr, tower.to_expr())
-    cut = DividedCut(p.node_id, q_expr, tower.to_expr(), total)
-    step = CertStep.make(
-        "divided-cut",
-        "the infimum of the maximal ideals is a divided prime; its free "
-        "value group splits off: the invertible group is the quotient "
-        "domain's group plus that value group",
-        prime=p.node_id, value_group=render_expr(tower.to_expr()))
-    return total, [step] + q_steps, [cut] + q_cuts
+            "divided-cut",
+            "the infimum of the maximal ideals is a divided prime; its free "
+            "value group splits off: the invertible group is the quotient "
+            "domain's group plus that value group",
+            prime=node.node_id, value_group=render_expr(tower_expr)))
+        cuts.append(None)
+        frames.append((None, [], (node.node_id, tower_expr, len(cuts) - 1)))
+        todo.append((node, node.children, me))
+    # children come after their parent in pre-order, so a reverse sweep
+    # meets every child subproblem first; sums are taken of normal forms,
+    # so that no expression is normalized twice
+    normal: list[GroupExpr | None] = [None] * len(frames)
+    for i in range(len(frames) - 1, -1, -1):
+        expr, kids, cut = frames[i]
+        if expr is not None:
+            normal[i] = normalize(expr)
+        elif cut is None:
+            normal[i] = normal_sum(normal[k] for k in kids)
+        else:
+            prime_id, step_expr, slot = cut
+            quotient = normal[kids[0]]
+            normal[i] = normal_sum((quotient, normalize(step_expr)))
+            cuts[slot] = DividedCut(prime_id, quotient, step_expr, normal[i])
+    # a field or a valuation ring keeps its group as built
+    top = frames[0][0]
+    return (normal[0] if top is None else top), steps, cuts
 
 
 def decide_inv_free(tree: SpecTree) -> InvDecision:
@@ -384,10 +425,10 @@ def decide_div_free(tree: SpecTree) -> DivDecision:
     if not ok:
         return DivDecision(Verdict.UNKNOWN, gate_cert)
     steps: list[CertStep] = []
-    for leaf in tree.leaves():
-        tower = gamma_at(tree, leaf)
+    leaves = tree.leaves()
+    for leaf in leaves:
         if not finitely_generated_maximal(tree, leaf):
-            below = tower.root_segment(1).to_expr()
+            below = gamma_at(tree, leaf).root_segment(1).to_expr()
             witness_expr = direct_sum(R, below)
             return DivDecision(Verdict.NOT_FREE, tuple(steps) + (
                 CertStep.make("nonprincipal-maximal-div",
@@ -403,7 +444,7 @@ def decide_div_free(tree: SpecTree) -> DivDecision:
         "every maximal ideal has a discrete top slot, so it is finitely "
         "generated and each local divisorial group equals the (free) value "
         "group; the cut-and-sum recursion makes the whole group free",
-        leaves=len(tree.leaves())))
+        leaves=len(leaves)))
     return DivDecision(Verdict.FREE, tuple(steps))
 
 

@@ -161,6 +161,16 @@ class Ordinal:
 
 _ORD_TERM = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
 
+# integers in ordinal strings and stratum keys: at most this many digits
+MAX_DIGITS = 1000
+
+
+def parse_digits(digits: str, where: str) -> int:
+    """A decimal integer of at most ``MAX_DIGITS`` digits."""
+    if len(digits) > MAX_DIGITS:
+        raise SchemaError(f"{where}: more than {MAX_DIGITS} digits")
+    return int(digits)
+
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the ordinal grammar used by instance files: terms ``w^k*m``,
@@ -174,11 +184,12 @@ def parse_ordinal(text: str) -> Ordinal:
         m = _ORD_TERM.match(chunk)
         if not m:
             raise SchemaError(f"cannot parse ordinal term {chunk!r}")
+        where = f"ordinal term {chunk[:20]!r}"
         if m.group(3) is not None:
-            terms.append((0, int(m.group(3))))
+            terms.append((0, parse_digits(m.group(3), where)))
         else:
-            e = int(m.group(1)) if m.group(1) else 1
-            c = int(m.group(2)) if m.group(2) else 1
+            e = parse_digits(m.group(1), where) if m.group(1) else 1
+            c = parse_digits(m.group(2), where) if m.group(2) else 1
             terms.append((e, c))
     try:
         return Ordinal(tuple(terms))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import PreconditionError, SchemaError
 
@@ -212,9 +213,12 @@ def normalize(e: GroupExpr) -> GroupExpr:
     """Canonical form: sums flattened, trivial parts dropped, finitely
     generated atoms expanded into cyclic and infinite-cyclic summands,
     runs of equal adjacent summands collapsed into ``Repeated`` nodes.
-    The order of summands is preserved (it usually records a derivation)."""
+    The order of summands is preserved (it usually records a derivation).
+
+    Every subterm of a normal form is its own normal form, so code that
+    has normalized an expression once walks its subterms as they are."""
     if isinstance(e, FgAtom):
-        return normalize(DirectSum(tuple(_expand_fg(e.invariants))))
+        return normal_sum(_expand_fg(e.invariants))
     if isinstance(e, Cyclic):
         return TRIVIAL if e.order == 1 else e
     if isinstance(e, Repeated):
@@ -235,31 +239,37 @@ def normalize(e: GroupExpr) -> GroupExpr:
             return levels[0]
         return LexTower(tuple(levels))
     if isinstance(e, DirectSum):
-        flat: list[GroupExpr] = []
-        for p in e.parts:
-            p = normalize(p)
-            if isinstance(p, TrivialGroup):
-                continue
-            if isinstance(p, DirectSum):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        merged: list[GroupExpr] = []
-        for p in flat:
-            if merged:
-                prev = merged[-1]
-                pb, pt = (prev.base, prev.times) if isinstance(prev, Repeated) else (prev, 1)
-                cb, ct = (p.base, p.times) if isinstance(p, Repeated) else (p, 1)
-                if pb == cb and isinstance(pt, int) and isinstance(ct, int):
-                    merged[-1] = Repeated(pb, pt + ct) if pt + ct > 1 else pb
-                    continue
-            merged.append(p)
-        if not merged:
-            return TRIVIAL
-        if len(merged) == 1:
-            return merged[0]
-        return DirectSum(tuple(merged))
+        return normal_sum(normalize(p) for p in e.parts)
     return e
+
+
+def normal_sum(parts) -> GroupExpr:
+    """The normal form of the direct sum of ``parts``, each of which must
+    already be a normal form: the sum is flattened and merged without
+    normalizing the parts again."""
+    flat: list[GroupExpr] = []
+    for p in parts:
+        if isinstance(p, TrivialGroup):
+            continue
+        if isinstance(p, DirectSum):
+            flat.extend(p.parts)
+        else:
+            flat.append(p)
+    merged: list[GroupExpr] = []
+    for p in flat:
+        if merged:
+            prev = merged[-1]
+            pb, pt = (prev.base, prev.times) if isinstance(prev, Repeated) else (prev, 1)
+            cb, ct = (p.base, p.times) if isinstance(p, Repeated) else (p, 1)
+            if pb == cb and isinstance(pt, int) and isinstance(ct, int):
+                merged[-1] = Repeated(pb, pt + ct) if pt + ct > 1 else pb
+                continue
+        merged.append(p)
+    if not merged:
+        return TRIVIAL
+    if len(merged) == 1:
+        return merged[0]
+    return DirectSum(tuple(merged))
 
 
 def direct_sum(*parts: GroupExpr) -> GroupExpr:
@@ -270,39 +280,19 @@ def direct_sum(*parts: GroupExpr) -> GroupExpr:
 # Invariant factors of finitely generated expressions
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def canonical_invariants(orders: list[int]) -> tuple[int, ...]:
     """Canonical invariant factors of ``⊕ Z/d`` over the list ``orders``
-    (0 meaning an infinite cyclic summand): torsion chain then zeros."""
+    (0 meaning an infinite cyclic summand): torsion chain then zeros.
+
+    ``Z/a ⊕ Z/b ≅ Z/gcd ⊕ Z/lcm``, so pairwise gcd/lcm sweeps reach the
+    divisibility chain without factoring any order."""
     rank = sum(1 for d in orders if d == 0)
-    primary: dict[int, list[int]] = {}
-    for d in orders:
-        if d > 1:
-            for p, e in _factorize(d).items():
-                primary.setdefault(p, []).append(e)
-    for es in primary.values():
-        es.sort(reverse=True)
-    depth = max((len(es) for es in primary.values()), default=0)
-    torsion = []
-    for i in range(depth - 1, -1, -1):
-        f = 1
-        for p, es in primary.items():
-            if i < len(es):
-                f *= p ** es[i]
-        torsion.append(f)
-    return tuple(torsion) + (0,) * rank
+    chain = [d for d in orders if d > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(d for d in chain if d > 1) + (0,) * rank
 
 
 def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
@@ -311,7 +301,6 @@ def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
     orders: list[int] = []
 
     def walk(x: GroupExpr, mult: int) -> bool:
-        x = normalize(x)
         if isinstance(x, TrivialGroup):
             return True
         if isinstance(x, IntegersZ):
@@ -330,7 +319,7 @@ def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
             return walk(x.base, mult * x.times)
         return False
 
-    if not walk(e, 1):
+    if not walk(normalize(e), 1):
         return None
     return canonical_invariants(orders)
 
@@ -362,13 +351,15 @@ def _tri_or(values) -> bool | None:
 def has_torsion(e: GroupExpr) -> bool | None:
     """Three-valued: does the group contain a nonzero torsion element?
     Torsion elements survive in direct summands and lex factors."""
-    e = normalize(e)
+    return _torsion(normalize(e))
+
+
+def _torsion(e: GroupExpr) -> bool | None:
+    # ``e`` is a normal form: no FgAtom, no zero multiplicity
     if isinstance(e, (TrivialGroup, IntegersZ, RationalsQ, RealsR, InfiniteProductZ)):
         return _FALSE
     if isinstance(e, Cyclic):
         return _TRUE
-    if isinstance(e, FgAtom):
-        return _TRUE if any(d > 1 for d in e.invariants) else _FALSE
     if isinstance(e, Opaque):
         if e.is_torsionfree is None:
             return _FALSE if e.is_free else _MAYBE
@@ -376,24 +367,26 @@ def has_torsion(e: GroupExpr) -> bool | None:
     if isinstance(e, UnknownGroup):
         return _MAYBE
     if isinstance(e, DirectSum):
-        return _tri_or(has_torsion(p) for p in e.parts)
+        return _tri_or(_torsion(p) for p in e.parts)
     if isinstance(e, LexTower):
-        return _tri_or(has_torsion(l) for l in e.levels)
+        return _tri_or(_torsion(l) for l in e.levels)
     if isinstance(e, Repeated):
-        return _FALSE if e.times == 0 else has_torsion(e.base)
+        return _torsion(e.base)
     raise TypeError(f"unhandled expression {e!r}")
 
 
 def has_divisible(e: GroupExpr) -> bool | None:
     """Three-valued: does the group contain a nonzero element divisible by
     every positive integer?  Such elements survive in direct summands."""
-    e = normalize(e)
+    return _divisible(normalize(e))
+
+
+def _divisible(e: GroupExpr) -> bool | None:
+    # ``e`` is a normal form: no FgAtom, no zero multiplicity
     if isinstance(e, (TrivialGroup, IntegersZ, Cyclic, InfiniteProductZ)):
         return _FALSE
     if isinstance(e, (RationalsQ, RealsR)):
         return _TRUE
-    if isinstance(e, FgAtom):
-        return _FALSE
     if isinstance(e, Opaque):
         if e.has_divisible is None:
             return _FALSE if e.is_free else _MAYBE
@@ -401,11 +394,11 @@ def has_divisible(e: GroupExpr) -> bool | None:
     if isinstance(e, UnknownGroup):
         return _MAYBE
     if isinstance(e, DirectSum):
-        return _tri_or(has_divisible(p) for p in e.parts)
+        return _tri_or(_divisible(p) for p in e.parts)
     if isinstance(e, LexTower):
-        return _tri_or(has_divisible(l) for l in e.levels)
+        return _tri_or(_divisible(l) for l in e.levels)
     if isinstance(e, Repeated):
-        return _FALSE if e.times == 0 else has_divisible(e.base)
+        return _divisible(e.base)
     raise TypeError(f"unhandled expression {e!r}")
 
 
@@ -418,59 +411,56 @@ class FreenessResult:
         return self.verdict is Verdict.FREE
 
 
+# The witnesses and the derivation below take normal forms.
+
 def _torsion_witness(e: GroupExpr) -> str:
-    e = normalize(e)
     if isinstance(e, Cyclic):
         return f"Z/{e.order}"
     if isinstance(e, Opaque):
         return e.label
     if isinstance(e, DirectSum):
         for p in e.parts:
-            if has_torsion(p) is _TRUE:
+            if _torsion(p) is _TRUE:
                 return _torsion_witness(p)
     if isinstance(e, LexTower):
         for l in e.levels:
-            if has_torsion(l) is _TRUE:
+            if _torsion(l) is _TRUE:
                 return _torsion_witness(l)
     if isinstance(e, Repeated):
         return _torsion_witness(e.base)
-    return render_expr(e)
+    return _render(e)
 
 
 def _divisible_witness(e: GroupExpr) -> str:
-    e = normalize(e)
     if isinstance(e, (RationalsQ, RealsR)):
-        return render_expr(e)
+        return _render(e)
     if isinstance(e, Opaque):
         return e.label
     if isinstance(e, DirectSum):
         for p in e.parts:
-            if has_divisible(p) is _TRUE:
+            if _divisible(p) is _TRUE:
                 return _divisible_witness(p)
     if isinstance(e, LexTower):
         for l in e.levels:
-            if has_divisible(l) is _TRUE:
+            if _divisible(l) is _TRUE:
                 return _divisible_witness(l)
     if isinstance(e, Repeated):
         return _divisible_witness(e.base)
-    return render_expr(e)
+    return _render(e)
 
 
 def _derivably_free(e: GroupExpr) -> bool:
     """Is there a structural derivation that the group is free?"""
-    e = normalize(e)
     if isinstance(e, (TrivialGroup, IntegersZ)):
         return True
     if isinstance(e, Opaque):
         return e.is_free is True
-    if isinstance(e, FgAtom):
-        return all(d == 0 for d in e.invariants)
     if isinstance(e, DirectSum):
         return all(_derivably_free(p) for p in e.parts)
     if isinstance(e, LexTower):
         return all(_derivably_free(l) for l in e.levels)
     if isinstance(e, Repeated):
-        return e.times == 0 or _derivably_free(e.base)
+        return _derivably_free(e.base)
     return False
 
 
@@ -489,15 +479,15 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
         return FreenessResult(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
-                          group=render_expr(e)),))
-    t = has_torsion(e)
+                          group=_render(e)),))
+    t = _torsion(e)
     if t is _TRUE:
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("torsion-witness",
                           "a nonzero torsion element survives in every direct-sum "
                           "decomposition, and free groups are torsionfree",
                           witness=_torsion_witness(e)),))
-    d = has_divisible(e)
+    d = _divisible(e)
     if d is _TRUE:
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("divisible-witness",
@@ -516,7 +506,7 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
     return FreenessResult(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",
-                      group=render_expr(e)),))
+                      group=_render(e)),))
 
 
 # ---------------------------------------------------------------------------
@@ -553,28 +543,30 @@ def _render_item(e: GroupExpr) -> str:
     if isinstance(e, Opaque):
         return _render_flags(e)
     if isinstance(e, LexTower):
-        return "lex(" + ";".join(render_expr(l) for l in e.levels) + ")"
+        return "lex(" + ";".join(_render(l) for l in e.levels) + ")"
     if isinstance(e, Repeated):
         base = e.base
         if isinstance(base, (DirectSum, Repeated, Cyclic)):
-            base_txt = "(" + render_expr(base) + ")"
+            base_txt = "(" + _render(base) + ")"
         else:
             base_txt = _render_item(base)
         mult = str(e.times) if isinstance(e.times, int) else f"({e.times})"
         return f"{base_txt}^{mult}"
     if isinstance(e, DirectSum):
-        return "(" + render_expr(e) + ")"
-    if isinstance(e, FgAtom):
-        return _render_item(normalize(e))
+        return "(" + _render(e) + ")"
     raise TypeError(f"cannot render {e!r}")
+
+
+def _render(e: GroupExpr) -> str:
+    # ``e`` is a normal form
+    if isinstance(e, DirectSum):
+        return " ⊕ ".join(_render_item(p) for p in e.parts)
+    return _render_item(e)
 
 
 def render_expr(e: GroupExpr) -> str:
     """Canonical text of a group expression, e.g. ``Z ⊕ lex(Z;Q) ⊕ R``."""
-    e = normalize(e)
-    if isinstance(e, DirectSum):
-        return " ⊕ ".join(_render_item(p) for p in e.parts)
-    return _render_item(e)
+    return _render(normalize(e))
 
 
 _TOKEN_RE = re.compile(

@@ -212,3 +212,65 @@ def test_selftest_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["green"] is True
+
+
+# ---------------------------------------------------------------------------
+# bounded input handling: every input ends in a report or exit 2
+# ---------------------------------------------------------------------------
+
+def assert_schema_exit(tmp_path, capsys, payload_or_text, needle):
+    p = tmp_path / "inst.json"
+    text = payload_or_text if isinstance(payload_or_text, str) else json.dumps(payload_or_text)
+    p.write_text(text, encoding="utf-8")
+    for cmd in ("decide", "verify"):
+        assert main([cmd, str(p)]) == 2
+        assert needle in capsys.readouterr().err
+
+
+def test_deeply_nested_tree_exits_2(tmp_path, capsys):
+    # a caterpillar whose nested "children" lists are far deeper than any
+    # JSON decoder recursion allows
+    spine = 50_000
+    head = '{"v": 1, "kind": "prufer_tree", "root": {"id": "0", "children": ['
+    levels = "".join('{"id": "s%d", "label": ["Z"], "children": [{"id": "l%d", "label": ["Z"]}, '
+                     % (i, i) for i in range(spine))
+    text = head + levels + '{"id": "end", "label": ["Z"]}' + "]}" * spine + "]}}"
+    assert_schema_exit(tmp_path, capsys, text, "nested too deeply")
+
+
+def test_oversized_integers_exit_2(tmp_path, capsys):
+    digits = "1" * 5000
+    scattered = {"v": 1, "kind": "scattered_space", "labels": {"0": ["Z"]}}
+    assert_schema_exit(tmp_path, capsys, dict(scattered, bound=f"w^{digits}"),
+                       "more than 1000 digits")
+    assert_schema_exit(tmp_path, capsys, dict(scattered, bound="3", labels={digits: ["Z"]}),
+                       "more than 1000 digits")
+    # a JSON number past the interpreter's int-from-str limit
+    assert_schema_exit(tmp_path, capsys,
+                       '{"v": 1, "kind": "krull", "n": %s}' % digits, "digits")
+
+
+def test_non_integer_extension_degree_exits_2(tmp_path, capsys):
+    payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": "x"}},
+               "branches": [{"L": {"finite": {"p": 2}}}]}
+    assert_schema_exit(tmp_path, capsys, payload, "finite.r")
+
+
+def test_boolean_is_not_an_integer(tmp_path, capsys):
+    payload = {"v": 1, "kind": "group_diagram", "check": "group",
+               "group": {"generators": True, "relators": []}}
+    rc = main(["decide", str(write(tmp_path, payload))])
+    assert rc == 2
+    assert "generators" in capsys.readouterr().err
+    for bad in ({"v": True, "kind": "krull"},
+                {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2}},
+                 "branches": [{"L": {"finite": {"p": 2}}, "e": True}]}):
+        assert main(["decide", str(write(tmp_path, bad))]) == 2
+        capsys.readouterr()
+
+
+def test_malformed_amalgam_part_exits_2(tmp_path, capsys):
+    payload = {"v": 1, "kind": "group_diagram", "check": "amalgam",
+               "amalgam": {"g": {"generators": 1, "relators": []}, "parts": [5]}}
+    assert main(["decide", str(write(tmp_path, payload))]) == 2
+    assert "amalgam.parts[0]" in capsys.readouterr().err

@@ -235,3 +235,59 @@ def test_krull_verdicts():
         assert rep.basis == "height-one primes"
     with pytest.raises(SchemaError):
         krull_verdict("noetherian")
+
+
+# ---------------------------------------------------------------------------
+# bounded primality
+# ---------------------------------------------------------------------------
+
+def trial_division_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    from igl.noeth import _is_prime
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if trial_division_prime(n)]
+
+
+def test_miller_rabin_on_large_inputs():
+    from igl.noeth import _is_prime
+    assert _is_prime(2**61 - 1) and _is_prime(1000000007)
+    # strong pseudoprimes to the prime bases up to 23 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert not _is_prime(561) and not _is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_characteristic_cap():
+    from igl.noeth import PRIME_BOUND
+    with pytest.raises(SchemaError, match="bound"):
+        FiniteField(PRIME_BOUND)
+    with pytest.raises(SchemaError, match="bound"):
+        OpaqueField("K", characteristic=2**127 - 1)
+    with pytest.raises(SchemaError, match="4096 bits"):
+        FiniteField(1000000007, 1000)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_mersenne_characteristic_decides_and_verifies(r, tmp_path, capsys):
+    import json
+    from igl.cli import main
+    p = 2**61 - 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "v": 1, "kind": "noeth_local", "k": {"finite": {"p": p}},
+        "branches": [{"L": {"finite": {"p": p, "r": r}}}]}), encoding="utf-8")
+    started = time.perf_counter()
+    assert main(["decide", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - started < 5
+    assert "FAIL" not in capsys.readouterr().out

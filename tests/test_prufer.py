@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -220,3 +221,66 @@ def test_tree_payload_parsing():
         tree_from_payload({"id": "0", "children": [{"id": "P", "label": []}]})
     with pytest.raises(SchemaError):
         tree_from_payload({"id": "0", "children": [{"id": "0", "label": ["Z"]}]})
+    with pytest.raises(SchemaError, match="'children' must be a list"):
+        tree_from_payload({"id": "0", "children": 5})
+    # records are checked in document order: the first bad one is reported
+    with pytest.raises(SchemaError, match="'X'"):
+        tree_from_payload({"id": "0", "children": [
+            {"id": "A", "label": ["X"], "children": [{"id": "A1"}]},
+            {"id": "B"}]})
+
+
+# ---------------------------------------------------------------------------
+# deep trees: every walk is a loop
+# ---------------------------------------------------------------------------
+
+def caterpillar(spine):
+    """Spine nodes s1..s<spine>, each but the last with one leaf; built
+    bottom-up, so building it needs no recursion either."""
+    z = zt("Z")
+    node = PrimeNode(f"s{spine}", z)
+    for i in range(spine - 1, 0, -1):
+        node = PrimeNode(f"s{i}", z, (PrimeNode(f"l{i}", z), node))
+    return SpecTree(PrimeNode("0", None, (node,)))
+
+
+def shape(tree):
+    return [(n.node_id, n.label.slot_names() if n.label else None, len(n.children))
+            for n in tree.nodes()]
+
+
+def test_deep_caterpillar_decides_under_the_default_recursion_limit():
+    spine = 700
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        t = caterpillar(spine)
+        inv = decide_inv_free(t)
+        div = decide_div_free(t)
+        rank = expr_rank(inv.expr)
+        hi = contracted_spectrum(t)
+        payload = {"id": "0", "children": []}
+        level = payload["children"]
+        for i in range(1, spine):
+            rec = {"id": f"s{i}", "label": ["Z"], "children": [{"id": f"l{i}", "label": ["Z"]}]}
+            level.append(rec)
+            level = rec["children"]
+        level.append({"id": f"s{spine}", "label": ["Z"]})
+        parsed = tree_from_payload(payload)
+    finally:
+        sys.setrecursionlimit(old)
+    assert inv.verdict is Verdict.FREE and div.verdict is Verdict.FREE
+    assert rank == t.total_slots() == 2 * spine - 1
+    assert len(inv.cuts) == spine - 1
+    assert [c.prime_id for c in inv.cuts] == [f"s{i}" for i in range(1, spine)]
+    assert shape(hi) == shape(t)
+    assert shape(parsed) == shape(t)
+
+
+def test_index_lookups():
+    t = caterpillar(5)
+    assert [n.node_id for n in t.nodes()][:4] == ["0", "s1", "l1", "s2"]
+    assert t.node("s3") is t.nodes()[5]
+    assert t.parents["l2"] is t.node("s2")
+    with pytest.raises(KeyError):
+        t.node("nope")

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from igl.errors import PreconditionError, SchemaError
 from igl.valgroup import (Cyclic, DirectSum, FgAtom, LexTower, Opaque, Q, R,
                           Repeated, TRIVIAL, UNKNOWN, ValueTower, Verdict, Z,
-                          ZPROD, convex_subgroup, div_of_valuation,
+                          ZPROD, canonical_invariants, convex_subgroup,
+                          div_of_valuation,
                           direct_sum, expr_invariant_factors, expr_rank,
                           freeness_verdict, has_divisible, has_torsion,
                           inv_of_valuation, normalize, parse_expr,
@@ -216,3 +217,63 @@ def test_tower_slot_validation():
         ValueTower.from_names(["X"])
     with pytest.raises(SchemaError):
         ValueTower((Cyclic(2),))  # torsion slots are not value groups
+
+
+# ---------------------------------------------------------------------------
+# normal forms: one normalization per public call is enough
+# ---------------------------------------------------------------------------
+
+raw_atoms = st.one_of(
+    atoms,
+    st.integers(1, 12).map(Cyclic),
+    st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]), max_size=4)
+      .map(lambda orders: FgAtom(canonical_invariants(orders))),
+    st.sampled_from([Opaque("u", has_divisible=True), Opaque("v", is_free=False),
+                     Opaque("x", is_torsionfree=True)]),
+)
+
+# unnormalized expressions: trivial parts, multiplicities 0 and 1, nested
+# sums and towers, finitely generated atoms
+raw_exprs = st.recursive(
+    raw_atoms,
+    lambda sub: st.one_of(
+        st.lists(sub, max_size=4).map(lambda xs: DirectSum(tuple(xs))),
+        st.lists(sub, min_size=1, max_size=3).map(lambda xs: LexTower(tuple(xs))),
+        st.tuples(sub, st.one_of(st.integers(0, 3), st.sampled_from(["w", "w*2+1"])))
+          .map(lambda t: Repeated(*t)),
+    ),
+    max_leaves=12)
+
+
+def subterms(e):
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, DirectSum):
+            stack.extend(x.parts)
+        elif isinstance(x, LexTower):
+            stack.extend(x.levels)
+        elif isinstance(x, Repeated):
+            stack.append(x.base)
+
+
+@given(raw_exprs)
+@settings(max_examples=400, deadline=None)
+def test_every_subterm_of_a_normal_form_is_normal(e):
+    n = normalize(e)
+    for s in subterms(n):
+        assert normalize(s) == s
+    assert freeness_verdict(e) == freeness_verdict(n)
+    assert has_torsion(e) == has_torsion(n)
+    assert has_divisible(e) == has_divisible(n)
+    assert render_expr(e) == render_expr(n)
+    assert expr_invariant_factors(e) == expr_invariant_factors(n)
+
+
+@given(st.lists(st.integers(0, 400), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_canonical_invariants_match_the_exact_engine(orders):
+    from igl.abelian import FgGroup
+    expected = FgGroup.from_invariants(*orders).invariant_factors if orders else ()
+    assert canonical_invariants(orders) == tuple(expected)
