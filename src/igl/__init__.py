@@ -2,8 +2,8 @@
 domains, over symbolic instance descriptions."""
 
 from .abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, SnakeResult,
-                      amalgam_quotient, cokernel, divisible_elements, image,
-                      is_free, kernel, snake, split_test, three_by_three_split)
+                      amalgam_quotient, cokernel, image, is_free, kernel, snake,
+                      split_test, three_by_three_split)
 from .matrices import IntMatrix, snf
 from .valgroup import (GroupExpr, ValueTower, Verdict, freeness_verdict,
                        parse_expr, render_expr)

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DiagramError, PreconditionError
 from .matrices import (IntMatrix, block_diag, column_hnf, hstack, kernel_basis,
                        lattice_equal, lattice_solve, snf, solve, vstack)
-from .valgroup import (CertStep, Certificate, FgAtom, GroupExpr, UNKNOWN,
+from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
                        Verdict, direct_sum as expr_direct_sum,
                        freeness_verdict, normalize, render_expr)
 
@@ -275,16 +274,12 @@ def kernel_with_inclusion(h: FgHom) -> tuple[FgGroup, FgHom]:
     return _sublattice_group(h.source, kernel_lattice(h))
 
 
-def image_with_inclusion(h: FgHom) -> tuple[FgGroup, FgHom]:
-    return _sublattice_group(h.target, image_lattice(h))
-
-
 def kernel(h: FgHom) -> FgGroup:
     return kernel_with_inclusion(h)[0]
 
 
 def image(h: FgHom) -> FgGroup:
-    return image_with_inclusion(h)[0]
+    return _sublattice_group(h.target, image_lattice(h))[0]
 
 
 def cokernel(h: FgHom) -> FgGroup:
@@ -635,42 +630,6 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
 
 
 # ---------------------------------------------------------------------------
-# Divisible elements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DivisibleElements:
-    """Divisible elements of a finitely generated group, in the canonical
-    torsion coordinates ``⊕ Z/d_i`` (free coordinates are omitted: an
-    element with a nonzero free coordinate is never divisible)."""
-
-    torsion_factors: tuple[int, ...]
-    elements: tuple[tuple[int, ...], ...]
-
-    def is_trivial(self) -> bool:
-        return all(all(c == 0 for c in e) for e in self.elements)
-
-
-def divisible_elements(g: FgGroup) -> DivisibleElements:
-    """All elements divisible by every positive integer, computed exactly.
-
-    An element ``x`` of the torsion part is divisible by ``n`` iff each
-    canonical coordinate satisfies ``gcd(n, d_i) | x_i``; ranging ``n``
-    over the divisors of the exponent covers all integers.  For finitely
-    generated groups the result is always just the identity, but it is
-    computed, not assumed.
-    """
-    tf = g.torsion_factors
-    exp = g.exponent
-    divisors = [n for n in range(1, exp + 1) if exp % n == 0]
-    found = []
-    for coords in product(*[range(d) for d in tf]):
-        if all((x % gcd(n, d)) == 0 for n in divisors for x, d in zip(coords, tf)):
-            found.append(coords)
-    return DivisibleElements(tf, tuple(sorted(found)))
-
-
-# ---------------------------------------------------------------------------
 # The three-by-three splitting rule
 # ---------------------------------------------------------------------------
 
@@ -686,18 +645,11 @@ class GridRow:
     witness: ShortExactSeq | None = None
 
 
-@dataclass(frozen=True)
-class ThreeByThreeResult:
-    verdict: Verdict
-    expr: GroupExpr
-    certificate: Certificate
-
-
 def three_by_three_split(principal_row: GridRow, invertible_row: GridRow,
                          picard_row: GridRow, *,
                          quot_units_free: bool | None,
                          locpic_free: bool | None,
-                         base_inv_free: bool | None = None) -> ThreeByThreeResult:
+                         base_inv_free: bool | None = None) -> Decision:
     """Resolve the middle term of a nine-term grid with exact rows and
     columns, given freeness flags for the right column.
 
@@ -712,14 +664,13 @@ def three_by_three_split(principal_row: GridRow, invertible_row: GridRow,
     missing = [name for name, flag in (("top-right", quot_units_free),
                                        ("bottom-right", locpic_free)) if flag is not True]
     if missing:
-        return ThreeByThreeResult(Verdict.UNKNOWN, UNKNOWN, (
+        return Decision(Verdict.UNKNOWN, (
             CertStep.make("missing-freeness-flag",
                           "the grid rule needs the right column's outer terms "
                           "declared free; refusing to guess",
-                          missing=", ".join(missing)),))
+                          missing=", ".join(missing)),), UNKNOWN)
 
     def upgraded(e: GroupExpr, declared: bool | None) -> GroupExpr:
-        from .valgroup import Opaque  # local import keeps the namespace tidy
         if declared and freeness_verdict(e).verdict is not Verdict.FREE:
             return Opaque(render_expr(e) + " [declared free]", is_free=True)
         return e
@@ -739,4 +690,4 @@ def three_by_three_split(principal_row: GridRow, invertible_row: GridRow,
                       "middle group is the left term plus that quotient",
                       result=render_expr(expr)),
     ) + fv.trace
-    return ThreeByThreeResult(fv.verdict, expr, cert)
+    return Decision(fv.verdict, cert, expr)

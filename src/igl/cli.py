@@ -1,6 +1,7 @@
-"""Batch front end: parse instance files, dispatch to the deciders,
-render verdicts with certificate traces, verify finitely generated
-sub-claims, and run the built-in corpus.
+"""Batch front end: parse instance files, dispatch each instance kind
+through one table to its decider and its replay, render verdicts with
+certificate traces, verify finitely generated sub-claims, and run the
+built-in corpus.
 
 Commands::
 
@@ -11,10 +12,10 @@ Commands::
 
 ``<path>`` is a UTF-8 JSON instance file (schema version ``"v": 1``) or a
 directory of them.  Exit codes: 2 for parse/schema errors (with a line
-diagnostic when the file does not even parse), 3 for precondition
-violations, 1 when ``verify`` has a failing check or the ``selftest``
-corpus is not green, 0 otherwise -- an ``Unknown`` verdict is a result,
-not an error.
+diagnostic when the file does not even parse; ``verify`` too exits 2 on
+a malformed instance of any kind), 3 for precondition violations, 1 when
+``verify`` has a failing check or the ``selftest`` corpus is not green,
+0 otherwise -- an ``Unknown`` verdict is a result, not an error.
 """
 
 from __future__ import annotations
@@ -23,17 +24,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import gcd
 from pathlib import Path
 
 from . import abelian, noeth, prufer, scattered, valgroup
 from .corpus import CASES
 from .errors import IglError, PreconditionError, SchemaError
 from .matrices import IntMatrix
-from .valgroup import CertStep, Verdict
-
-KINDS = ("prufer_tree", "noeth_local", "scattered_space", "valuation",
-         "group_diagram", "krull")
+from .valgroup import CertStep, Decision, Verdict
 
 
 @dataclass
@@ -154,6 +153,11 @@ def parse_matrix(rec, rows: int, cols: int, where: str) -> IntMatrix:
     return IntMatrix.from_rows([list(r) for r in rec], cols=cols)
 
 
+def _parse_hom(rec, src: abelian.FgGroup, tgt: abelian.FgGroup,
+               where: str) -> abelian.FgHom:
+    return abelian.FgHom(src, tgt, parse_matrix(rec, tgt.generators, src.generators, where))
+
+
 def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
     _expect(isinstance(rec, dict), f"{where}: must be an object")
     for key in ("left", "mid", "right", "inj", "surj"):
@@ -161,10 +165,8 @@ def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
     left = parse_group(rec["left"], f"{where}.left")
     mid = parse_group(rec["mid"], f"{where}.mid")
     right = parse_group(rec["right"], f"{where}.right")
-    inj = abelian.FgHom(left, mid, parse_matrix(
-        rec["inj"], mid.generators, left.generators, f"{where}.inj"))
-    surj = abelian.FgHom(mid, right, parse_matrix(
-        rec["surj"], right.generators, mid.generators, f"{where}.surj"))
+    inj = _parse_hom(rec["inj"], left, mid, f"{where}.inj")
+    surj = _parse_hom(rec["surj"], mid, right, f"{where}.surj")
     return abelian.ShortExactSeq(left, mid, right, inj, surj)
 
 
@@ -230,133 +232,103 @@ def parse_prufer(payload: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Deciding
+# Deciding: one entry per kind, each returning a ``Decision``
 # ---------------------------------------------------------------------------
 
-def decide_payload(payload: dict, name: str) -> Report:
-    kind = validate_envelope(payload)
-    started = time.perf_counter()
-    meta: dict = {}
-    if "source" in payload:
-        meta["source"] = payload["source"]
+def _decide_valuation(payload: dict) -> Decision:
+    v = parse_valuation(payload)
+    if v["group"] == "div":
+        return valgroup.div_of_valuation(v["tower"], v["maximal_principal"],
+                                         v["maximal_branched"])
+    expr = valgroup.inv_of_valuation(v["tower"])
+    fv = valgroup.freeness_verdict(expr)
+    return Decision(fv.verdict, (CertStep.make(
+        "valuation-inv-iso",
+        "every invertible ideal of a valuation ring is principal; the "
+        "invertible group is the value group"),) + fv.trace, expr)
 
-    if kind == "valuation":
-        v = parse_valuation(payload)
-        if v["group"] == "inv":
-            expr = valgroup.inv_of_valuation(v["tower"])
-            fv = valgroup.freeness_verdict(expr)
-            cert = [CertStep.make(
-                "valuation-inv-iso",
-                "every invertible ideal of a valuation ring is principal; the "
-                "invertible group is the value group")] + list(fv.trace)
-            verdict, expr_txt = fv.verdict.value, valgroup.render_expr(expr)
-        else:
-            res = valgroup.div_of_valuation(v["tower"], v["maximal_principal"],
-                                            v["maximal_branched"])
-            cert = list(res.certificate)
-            verdict = res.verdict.value
-            expr_txt = valgroup.render_expr(res.expr) if res.expr is not None else None
-    elif kind == "prufer_tree":
-        p = parse_prufer(payload)
+
+def _decide_prufer(payload: dict) -> Decision:
+    p = parse_prufer(payload)
+    if p["question"] == "div":
+        d = prufer.decide_div_free(p["tree"])
+    elif p["question"] == "strongly_discrete":
+        d = prufer.strongly_discrete_decide(p["tree"], p["codim_finite"])
+    else:
+        d = prufer.decide_inv_free(p["tree"])
         if p["t_finite_character"]:
-            meta["t_finite_character"] = True
-        if p["question"] == "inv":
-            res = prufer.decide_inv_free(p["tree"])
-            cert = list(res.certificate)
-            verdict, expr_txt = res.verdict.value, valgroup.render_expr(res.expr)
-            if p["t_finite_character"]:
-                cert.append(CertStep.make(
-                    "t-coincides-with-d",
-                    "on these trees the t-closure is the identity closure, so "
-                    "the verdict applies verbatim to t-invertible ideals"))
-        elif p["question"] == "div":
-            res = prufer.decide_div_free(p["tree"])
-            cert = list(res.certificate)
-            verdict, expr_txt = res.verdict.value, None
-            if res.witness_leaf:
-                meta["witness_leaf"] = res.witness_leaf
-        else:
-            res = prufer.strongly_discrete_decide(p["tree"], p["codim_finite"])
-            cert = list(res.certificate)
-            verdict, expr_txt = res.verdict.value, None
-    elif kind == "noeth_local":
-        inst = parse_noeth(payload)
-        res = noeth.decide_noeth(inst)
-        seq = noeth.unit_quotient_seq(inst) if inst.conductor_nonzero else None
-        cert = list(res.certificate)
-        verdict = res.verdict.value
-        expr_txt = valgroup.render_expr(seq.decomposition) if seq else None
-        meta["case"] = res.case
-        meta["target_group"] = res.target_group
-    elif kind == "scattered_space":
-        space = parse_scattered(payload)
-        res = scattered.decide_scattered(space)
-        cert = list(res.certificate)
-        verdict, expr_txt = res.verdict.value, valgroup.render_expr(res.expr)
-        meta["cb_rank"] = scattered.cb_rank(space).render()
-    elif kind == "krull":
-        variant = payload.get("variant", "krull")
-        res = noeth.krull_verdict(variant)
-        cert = list(res.certificate)
-        verdict, expr_txt = Verdict.FREE.value, None
-        meta["groups"] = {g: v.value for g, v in res.verdicts}
-        meta["basis"] = res.basis
-    else:  # group_diagram
-        verdict, expr_txt, cert, extra = _decide_diagram(payload)
-        meta.update(extra)
-
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return Report(name=name, kind=kind, verdict=verdict, expr=expr_txt,
-                  certificate=list(cert), metadata=meta,
-                  elapsed_ms=round(elapsed, 3))
+            d = replace(d, certificate=d.certificate + (CertStep.make(
+                "t-coincides-with-d",
+                "on these trees the t-closure is the identity closure, so "
+                "the verdict applies verbatim to t-invertible ideals"),))
+    if p["t_finite_character"]:
+        d = replace(d, metadata={"t_finite_character": True, **d.metadata})
+    return d
 
 
-def _decide_diagram(payload: dict):
+def _decide_noeth(payload: dict) -> Decision:
+    inst = parse_noeth(payload)
+    d = noeth.decide_noeth(inst)
+    return replace(d, expr=noeth.unit_quotient_seq(inst).decomposition)
+
+
+def _decide_scattered(payload: dict) -> Decision:
+    return scattered.decide_scattered(parse_scattered(payload))
+
+
+def _decide_krull(payload: dict) -> Decision:
+    return noeth.krull_verdict(payload.get("variant", "krull"))
+
+
+def _diagram_check(payload: dict) -> str:
     check = payload.get("check")
-    _expect(check in ("group", "ses", "snake", "amalgam"),
+    _expect(check in _DIAGRAM_REPLAYS,
             "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
+    return check
+
+
+def _verdict(free: bool) -> Verdict:
+    return Verdict.FREE if free else Verdict.NOT_FREE
+
+
+def _decide_diagram(payload: dict) -> Decision:
+    check = _diagram_check(payload)
     if check == "group":
         g = parse_group(payload.get("group"), "group")
-        free = abelian.is_free(g)
-        cert = [CertStep.make(
+        cert = (CertStep.make(
             "invariant-factors",
             "the canonical invariant factors decide freeness: free means no "
             "torsion factor",
-            invariants=g.invariant_factors)]
-        return (Verdict.FREE.value if free else Verdict.NOT_FREE.value,
-                g.describe(), cert, {"invariants": list(g.invariant_factors)})
+            invariants=g.invariant_factors),)
+        return Decision(_verdict(abelian.is_free(g)), cert, g.to_expr(),
+                        {"invariants": list(g.invariant_factors)})
     if check == "ses":
         s = parse_ses(payload.get("ses"), "ses")
         split = abelian.split_test(s)
-        free = abelian.is_free(s.mid)
-        cert = [CertStep.make("exactness-verified",
+        cert = (CertStep.make("exactness-verified",
                               "the three-term sequence is exact as stated"),
                 CertStep.make("split-test",
                               "an integer solve searched for an explicit section",
-                              splits=split.splits)]
-        return (Verdict.FREE.value if free else Verdict.NOT_FREE.value,
-                s.mid.describe(), cert, {"splits": split.splits})
+                              splits=split.splits))
+        return Decision(_verdict(abelian.is_free(s.mid)), cert, s.mid.to_expr(),
+                        {"splits": split.splits})
     if check == "snake":
         rec = payload.get("snake")
         _expect(isinstance(rec, dict), "field 'snake': must be an object")
         top = parse_ses(rec.get("top"), "snake.top")
         bottom = parse_ses(rec.get("bottom"), "snake.bottom")
-        f = abelian.FgHom(top.left, bottom.left, parse_matrix(
-            rec.get("f"), bottom.left.generators, top.left.generators, "snake.f"))
-        g = abelian.FgHom(top.mid, bottom.mid, parse_matrix(
-            rec.get("g"), bottom.mid.generators, top.mid.generators, "snake.g"))
-        h = abelian.FgHom(top.right, bottom.right, parse_matrix(
-            rec.get("h"), bottom.right.generators, top.right.generators, "snake.h"))
+        f = _parse_hom(rec.get("f"), top.left, bottom.left, "snake.f")
+        g = _parse_hom(rec.get("g"), top.mid, bottom.mid, "snake.g")
+        h = _parse_hom(rec.get("h"), top.right, bottom.right, "snake.h")
         res = abelian.snake(top, bottom, f, g, h)
         terms = [grp.describe() for grp in res.groups()]
-        cert = [CertStep.make(
+        cert = (CertStep.make(
             "six-term-exact",
             "the kernel-cokernel sequence of the ladder is exact at every "
             "position",
-            terms=" | ".join(terms))]
+            terms=" | ".join(terms)),)
         free = all(abelian.is_free(grp) for grp in res.groups())
-        return (Verdict.FREE.value if free else Verdict.NOT_FREE.value,
-                None, cert, {"six_terms": terms})
+        return Decision(_verdict(free), cert, metadata={"six_terms": terms})
     # amalgam
     rec = payload.get("amalgam")
     _expect(isinstance(rec, dict), "field 'amalgam': must be an object")
@@ -369,199 +341,227 @@ def _decide_diagram(payload: dict):
         _expect(isinstance(p, dict), f"amalgam.parts[{i}]: must be an object")
         grp = parse_group(p.get("group"), f"amalgam.parts[{i}].group")
         comp = parse_group(p.get("complement"), f"amalgam.parts[{i}].complement")
-        emb = abelian.FgHom(g, grp, parse_matrix(
-            p.get("emb"), grp.generators, g.generators, f"amalgam.parts[{i}].emb"))
-        proj = abelian.FgHom(grp, comp, parse_matrix(
-            p.get("proj"), comp.generators, grp.generators, f"amalgam.parts[{i}].proj"))
-        retract = abelian.FgHom(grp, g, parse_matrix(
-            p.get("retract"), g.generators, grp.generators, f"amalgam.parts[{i}].retract"))
+        emb = _parse_hom(p.get("emb"), g, grp, f"amalgam.parts[{i}].emb")
+        proj = _parse_hom(p.get("proj"), grp, comp, f"amalgam.parts[{i}].proj")
+        retract = _parse_hom(p.get("retract"), grp, g, f"amalgam.parts[{i}].retract")
         parts.append(abelian.AmalgamPart(grp, emb, comp, proj, retract))
     res = abelian.amalgam_quotient(g, parts)
-    cert = [CertStep.make(
+    cert = (CertStep.make(
         "units-amalgam",
         "the quotient of the sum by the diagonal copy is isomorphic to the "
         "complements plus one fewer copies of the diagonal group; the "
         "isomorphism was constructed and verified",
         quotient=res.quotient.describe(),
-        standard_form=res.standard_form.describe())]
-    free = abelian.is_free(res.quotient)
-    return (Verdict.FREE.value if free else Verdict.NOT_FREE.value,
-            res.quotient.describe(), cert, {})
+        standard_form=res.standard_form.describe()),)
+    return Decision(_verdict(abelian.is_free(res.quotient)), cert, res.quotient.to_expr())
 
 
-# ---------------------------------------------------------------------------
-# Verification of finitely generated sub-claims
-# ---------------------------------------------------------------------------
-
-def verify_payload(payload: dict, name: str) -> list[tuple[str, bool, str]]:
+def decide_payload(payload: dict, name: str) -> Report:
     kind = validate_envelope(payload)
-    checks: list[tuple[str, bool, str]] = []
+    started = time.perf_counter()
+    d = KINDS[kind][0](payload)
+    meta = {"source": payload["source"]} if "source" in payload else {}
+    meta.update(d.metadata)
+    expr = valgroup.render_expr(d.expr) if d.expr is not None else None
+    elapsed = (time.perf_counter() - started) * 1000.0
+    return Report(name=name, kind=kind, verdict=d.verdict.value, expr=expr,
+                  certificate=list(d.certificate), metadata=meta,
+                  elapsed_ms=round(elapsed, 3))
 
-    def run(label: str, fn) -> None:
-        try:
-            detail = fn()
-            checks.append((label, True, detail or "ok"))
-        except IglError as exc:
-            checks.append((label, False, str(exc)))
-        except AssertionError as exc:
-            checks.append((label, False, f"assertion failed: {exc}"))
 
-    if kind == "group_diagram":
-        check = payload.get("check")
-        if check == "group":
-            run("group-well-formed", lambda: parse_group(payload.get("group"), "group").describe())
-        elif check == "ses":
-            def ses_checks():
-                s = parse_ses(payload.get("ses"), "ses")
-                split = abelian.split_test(s)
-                return f"exact; splits={split.splits}"
-            run("sequence-exact-and-split-tested", ses_checks)
-        elif check == "snake":
-            def snake_checks():
-                rep = _decide_diagram(payload)
-                return rep[3]["six_terms"] and "six-term sequence exact"
-            run("ladder-and-six-term", snake_checks)
-        elif check == "amalgam":
-            def amalgam_checks():
-                _decide_diagram(payload)
-                return "kernel and surjectivity verified"
-            run("amalgam-isomorphism", amalgam_checks)
-        else:
-            raise SchemaError("field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
-        return checks
+# ---------------------------------------------------------------------------
+# Verification of finitely generated sub-claims: one replay per kind
+# ---------------------------------------------------------------------------
 
-    if kind == "prufer_tree":
-        p = parse_prufer(payload)
-        decision = prufer.decide_inv_free(p["tree"])
-        checks.append(("decision-computed", True, decision.verdict.value))
-        for cut in decision.cuts:
-            q_inv = valgroup.expr_invariant_factors(cut.quotient_expr)
-            s_inv = valgroup.expr_invariant_factors(cut.step_expr)
-            t_inv = valgroup.expr_invariant_factors(cut.total_expr)
-            label = f"cut-at-{cut.prime_id}"
-            if q_inv is None or s_inv is None or t_inv is None:
-                checks.append((label, True, "skipped: not finitely generated"))
-                continue
+Check = tuple[str, bool, str]
 
-            def replay(qi=q_inv, si=s_inv, ti=t_inv):
-                left = abelian.FgGroup.from_invariants(*qi)
-                right = abelian.FgGroup.from_invariants(*si)
-                s = abelian.ShortExactSeq.of_direct_sum(left, right)
-                assert s.mid.invariant_factors == ti, "middle term mismatch"
-                assert abelian.split_test(s).splits, "cut sequence does not split"
-                return "exact and split on finitely generated stand-ins"
-            run(label, replay)
-        if p["tree"].all_slots_z():
-            def rank_check():
-                rank = valgroup.expr_rank(decision.expr)
-                assert rank == p["tree"].total_slots(), \
-                    f"rank {rank} != slot count {p['tree'].total_slots()}"
-                return f"rank {rank} matches the slot count"
-            run("rank-matches-slots", rank_check)
-        return checks
 
-    if kind == "valuation":
-        v = parse_valuation(payload)
-        if v["tower"].all_slots_z():
-            def val_check():
-                n = len(v["tower"])
-                g = abelian.FgGroup.free(n)
-                assert abelian.is_free(g) and g.rank == n
-                return f"Z^{n} cross-checked through the exact engine"
-            run("tower-crosscheck", val_check)
-        else:
-            checks.append(("tower-crosscheck", True, "skipped: tower not discrete"))
-        return checks
+def _check(label: str, replay, *args) -> Check:
+    """Run one replay.  An engine error or a failed assertion is a failing
+    check; a schema error is not a check at all and propagates, so that a
+    malformed instance of any kind exits 2."""
+    try:
+        return label, True, replay(*args) or "ok"
+    except SchemaError:
+        raise
+    except IglError as exc:
+        return label, False, str(exc)
+    except AssertionError as exc:
+        return label, False, f"assertion failed: {exc}"
 
-    if kind == "noeth_local":
-        inst = parse_noeth(payload)
-        seq = noeth.unit_quotient_seq(inst)
-        checks.append(("sequence-computed", True, f"case {seq.case}"))
-        fin = isinstance(inst.residue, noeth.FiniteField) and all(
-            isinstance(b.field, noeth.FiniteField) for b in inst.branches)
-        if fin and seq.case == "c":
-            def amalgam_crosscheck():
-                m = inst.residue.unit_order
-                orders = [b.field.unit_order for b in inst.branches]
-                from math import gcd as _gcd
-                if any(_gcd(m, n // m) != 1 for n in orders):
-                    return "skipped: residue units are not a summand here"
-                g = abelian.FgGroup.cyclic(m)
-                parts = []
-                for n in orders:
-                    grp = abelian.FgGroup.from_invariants(n // m, m) \
-                        if n > m else abelian.FgGroup.cyclic(m)
-                    # use the internal decomposition Z/n = Z/(n/m) ⊕ Z/m
-                    comp = abelian.FgGroup.cyclic(n // m)
-                    emb = abelian.FgHom(g, grp, IntMatrix.from_rows(
-                        [[0], [1]] if n > m else [[1]], cols=1))
-                    proj = abelian.FgHom(grp, comp, IntMatrix.from_rows(
-                        [[1, 0]] if n > m else [[0]], cols=grp.generators))
-                    retract = abelian.FgHom(grp, g, IntMatrix.from_rows(
-                        [[0, 1]] if n > m else [[1]], cols=grp.generators))
-                    parts.append(abelian.AmalgamPart(grp, emb, comp, proj, retract))
-                res = abelian.amalgam_quotient(g, parts)
-                expected = valgroup.expr_invariant_factors(seq.left)
-                assert expected is not None
-                assert res.quotient.invariant_factors == expected, \
-                    f"{res.quotient.invariant_factors} != {expected}"
-                return "matches the amalgamated-quotient computation"
-            run("amalgam-crosscheck", amalgam_crosscheck)
-        elif fin and seq.case == "b":
-            def cyclic_crosscheck():
-                m = inst.residue.unit_order
-                n = inst.branches[0].field.unit_order
-                g = abelian.FgGroup.cyclic(m)
-                big = abelian.FgGroup.cyclic(n)
-                emb = abelian.FgHom(g, big, IntMatrix.from_rows([[n // m]], cols=1))
-                quot = abelian.cokernel(emb)
-                expected = valgroup.expr_invariant_factors(seq.left)
-                assert expected is not None and quot.invariant_factors == expected
-                return "residue unit quotient cross-checked"
-            run("quotient-crosscheck", cyclic_crosscheck)
-        else:
-            checks.append(("unit-crosscheck", True,
-                           "skipped: opaque declarations are trusted inputs"))
-        return checks
 
-    if kind == "scattered_space":
-        space = parse_scattered(payload)
+def _replay_ses(payload: dict) -> str:
+    s = parse_ses(payload.get("ses"), "ses")
+    return f"exact; splits={abelian.split_test(s).splits}"
 
+
+def _rerun_diagram(detail: str):
+    # the engine calls of the decision verify the diagram
+    def replay(payload: dict) -> str:
+        _decide_diagram(payload)
+        return detail
+    return replay
+
+
+# check -> (label, replay)
+_DIAGRAM_REPLAYS = {
+    "group": ("group-well-formed",
+              lambda payload: parse_group(payload.get("group"), "group").describe()),
+    "ses": ("sequence-exact-and-split-tested", _replay_ses),
+    "snake": ("ladder-and-six-term", _rerun_diagram("six-term sequence exact")),
+    "amalgam": ("amalgam-isomorphism", _rerun_diagram("kernel and surjectivity verified")),
+}
+
+
+def _replay_diagram(payload: dict) -> list[Check]:
+    label, replay = _DIAGRAM_REPLAYS[_diagram_check(payload)]
+    return [_check(label, replay, payload)]
+
+
+def _replay_cut(cut: prufer.DividedCut) -> str:
+    qi, si, ti = (valgroup.expr_invariant_factors(e)
+                  for e in (cut.quotient_expr, cut.step_expr, cut.total_expr))
+    if qi is None or si is None or ti is None:
+        return "skipped: not finitely generated"
+    left = abelian.FgGroup.from_invariants(*qi)
+    right = abelian.FgGroup.from_invariants(*si)
+    s = abelian.ShortExactSeq.of_direct_sum(left, right)
+    assert s.mid.invariant_factors == ti, "middle term mismatch"
+    assert abelian.split_test(s).splits, "cut sequence does not split"
+    return "exact and split on finitely generated stand-ins"
+
+
+def _replay_prufer(payload: dict) -> list[Check]:
+    tree = parse_prufer(payload)["tree"]
+    decision = prufer.decide_inv_free(tree)
+    checks = [("decision-computed", True, decision.verdict.value)]
+    checks.extend(_check(f"cut-at-{cut.prime_id}", _replay_cut, cut) for cut in decision.cuts)
+    if tree.all_slots_z():
         def rank_check():
-            rank = scattered.cb_rank(space)
-            lead = space.bound.leading_exponent() if space.bound else -1
-            assert rank.as_int() == lead + 1
-            return f"rank {rank.render()} = leading exponent + 1"
-        run("rank-consistent", rank_check)
+            rank = valgroup.expr_rank(decision.expr)
+            assert rank == tree.total_slots(), \
+                f"rank {rank} != slot count {tree.total_slots()}"
+            return f"rank {rank} matches the slot count"
+        checks.append(_check("rank-matches-slots", rank_check))
+    return checks
 
-        def monotone_check():
-            # replays the definition, so it also checks the closed forms
-            # that decide uses: the k-th derivative's isolated points are
-            # stratum k, and the walk has cb_rank steps
-            cur = space
+
+def _replay_valuation(payload: dict) -> list[Check]:
+    tower = parse_valuation(payload)["tower"]
+    if not tower.all_slots_z():
+        return [("tower-crosscheck", True, "skipped: tower not discrete")]
+
+    def val_check():
+        n = len(tower)
+        g = abelian.FgGroup.free(n)
+        assert abelian.is_free(g) and g.rank == n
+        return f"Z^{n} cross-checked through the exact engine"
+    return [_check("tower-crosscheck", val_check)]
+
+
+def _replay_noeth(payload: dict) -> list[Check]:
+    # the case-b and case-c checks recompute the unit quotient through the
+    # integer engine independently of ``unit_quotient_seq``
+    inst = parse_noeth(payload)
+    seq = noeth.unit_quotient_seq(inst)
+    checks = [("sequence-computed", True, f"case {seq.case}")]
+    fin = isinstance(inst.residue, noeth.FiniteField) and all(
+        isinstance(b.field, noeth.FiniteField) for b in inst.branches)
+    if fin and seq.case == "c":
+        def amalgam_crosscheck():
+            m = inst.residue.unit_order
+            orders = [b.field.unit_order for b in inst.branches]
+            if any(gcd(m, n // m) != 1 for n in orders):
+                return "skipped: residue units are not a summand here"
+            g = abelian.FgGroup.cyclic(m)
+            parts = []
+            for n in orders:
+                grp = abelian.FgGroup.from_invariants(n // m, m) \
+                    if n > m else abelian.FgGroup.cyclic(m)
+                # use the internal decomposition Z/n = Z/(n/m) ⊕ Z/m
+                comp = abelian.FgGroup.cyclic(n // m)
+                emb = abelian.FgHom(g, grp, IntMatrix.from_rows(
+                    [[0], [1]] if n > m else [[1]], cols=1))
+                proj = abelian.FgHom(grp, comp, IntMatrix.from_rows(
+                    [[1, 0]] if n > m else [[0]], cols=grp.generators))
+                retract = abelian.FgHom(grp, g, IntMatrix.from_rows(
+                    [[0, 1]] if n > m else [[1]], cols=grp.generators))
+                parts.append(abelian.AmalgamPart(grp, emb, comp, proj, retract))
+            res = abelian.amalgam_quotient(g, parts)
+            expected = valgroup.expr_invariant_factors(seq.left)
+            assert expected is not None
+            assert res.quotient.invariant_factors == expected, \
+                f"{res.quotient.invariant_factors} != {expected}"
+            return "matches the amalgamated-quotient computation"
+        checks.append(_check("amalgam-crosscheck", amalgam_crosscheck))
+    elif fin and seq.case == "b":
+        def cyclic_crosscheck():
+            m = inst.residue.unit_order
+            n = inst.branches[0].field.unit_order
+            g = abelian.FgGroup.cyclic(m)
+            big = abelian.FgGroup.cyclic(n)
+            emb = abelian.FgHom(g, big, IntMatrix.from_rows([[n // m]], cols=1))
+            quot = abelian.cokernel(emb)
+            expected = valgroup.expr_invariant_factors(seq.left)
+            assert expected is not None and quot.invariant_factors == expected
+            return "residue unit quotient cross-checked"
+        checks.append(_check("quotient-crosscheck", cyclic_crosscheck))
+    else:
+        checks.append(("unit-crosscheck", True,
+                       "skipped: opaque declarations are trusted inputs"))
+    return checks
+
+
+def _replay_scattered(payload: dict) -> list[Check]:
+    space = parse_scattered(payload)
+
+    def rank_check():
+        rank = scattered.cb_rank(space)
+        lead = space.bound.leading_exponent() if space.bound else -1
+        assert rank.as_int() == lead + 1
+        return f"rank {rank.render()} = leading exponent + 1"
+
+    def monotone_check():
+        # replays the definition, so it also checks the closed forms
+        # that decide uses: the k-th derivative's isolated points are
+        # stratum k, and the walk has cb_rank steps
+        cur = space
+        prev = set(cur.occupied_strata())
+        steps = 0
+        while not cur.is_empty():
+            assert scattered.stratum_multiplicity(cur, 0) == \
+                scattered.stratum_multiplicity(space, steps), \
+                f"stratum {steps} size differs from its closed form"
+            cur = scattered.cb_derivative(cur)
+            steps += 1
+            now = {k + 1 for k in cur.occupied_strata()}
+            assert now <= prev, "strata grew under the derivative"
             prev = set(cur.occupied_strata())
-            steps = 0
-            while not cur.is_empty():
-                assert scattered.stratum_multiplicity(cur, 0) == \
-                    scattered.stratum_multiplicity(space, steps), \
-                    f"stratum {steps} size differs from its closed form"
-                cur = scattered.cb_derivative(cur)
-                steps += 1
-                now = {k + 1 for k in cur.occupied_strata()}
-                assert now <= prev, "strata grew under the derivative"
-                prev = set(cur.occupied_strata())
-            assert steps == scattered.cb_rank(space).as_int(), \
-                "derived sequence length differs from the rank"
-            return "strata shrink along the derived sequence"
-        run("derived-sequence-monotone", monotone_check)
-        return checks
+        assert steps == scattered.cb_rank(space).as_int(), \
+            "derived sequence length differs from the rank"
+        return "strata shrink along the derived sequence"
+    return [_check("rank-consistent", rank_check),
+            _check("derived-sequence-monotone", monotone_check)]
 
-    if kind == "krull":
-        noeth.krull_verdict(payload.get("variant", "krull"))
-        checks.append(("all-groups-free", True, "height-one basis"))
-        return checks
 
-    raise SchemaError(f"verify does not handle kind {kind!r}")
+def _replay_krull(payload: dict) -> list[Check]:
+    _decide_krull(payload)
+    return [("all-groups-free", True, "height-one basis")]
+
+
+def verify_payload(payload: dict, name: str) -> list[Check]:
+    return KINDS[validate_envelope(payload)][1](payload)
+
+
+# kind -> (decide, replay), in the order the schema error lists the kinds
+KINDS = {
+    "prufer_tree": (_decide_prufer, _replay_prufer),
+    "noeth_local": (_decide_noeth, _replay_noeth),
+    "scattered_space": (_decide_scattered, _replay_scattered),
+    "valuation": (_decide_valuation, _replay_valuation),
+    "group_diagram": (_decide_diagram, _replay_diagram),
+    "krull": (_decide_krull, _replay_krull),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +585,16 @@ def render_report_human(r: Report, trace_full: bool) -> str:
     return "\n".join(lines)
 
 
-def _instance_files(path: Path) -> list[Path]:
-    if path.is_dir():
-        files = sorted(path.glob("*.json"))
-        if not files:
-            raise SchemaError(f"{path}: directory contains no .json instances")
-        return files
-    return [path]
+def _instances(path_arg: str):
+    """``(name, payload)`` of the instance file at the path, or of each
+    ``.json`` file of a directory in name order, loaded one at a time."""
+    path = Path(path_arg)
+    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    if not files:
+        raise SchemaError(f"{path}: directory contains no .json instances")
+    for f in files:
+        payload = load_payload(f)
+        yield payload.get("name", f.stem), payload
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +602,7 @@ def _instance_files(path: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def cmd_decide(args) -> int:
-    reports = []
-    for f in _instance_files(Path(args.path)):
-        payload = load_payload(f)
-        reports.append(decide_payload(payload, payload.get("name", f.stem)))
+    reports = [decide_payload(payload, name) for name, payload in _instances(args.path)]
     trace_full = args.trace == "full"
     if args.format == "json":
         if len(reports) == 1:
@@ -615,20 +615,15 @@ def cmd_decide(args) -> int:
 
 
 def cmd_expr(args) -> int:
-    for f in _instance_files(Path(args.path)):
-        payload = load_payload(f)
-        report = decide_payload(payload, payload.get("name", f.stem))
+    for name, payload in _instances(args.path):
+        report = decide_payload(payload, name)
         print(report.expr if report.expr is not None else "(none)")
     return 0
 
 
 def cmd_verify(args) -> int:
-    all_results = []
-    for f in _instance_files(Path(args.path)):
-        payload = load_payload(f)
-        name = payload.get("name", f.stem)
-        checks = verify_payload(payload, name)
-        all_results.append((name, checks))
+    all_results = [(name, verify_payload(payload, name))
+                   for name, payload in _instances(args.path)]
     if args.format == "json":
         out = [{"name": n,
                 "checks": [{"check": c, "ok": ok, "detail": d} for c, ok, d in cs]}
@@ -642,28 +637,24 @@ def cmd_verify(args) -> int:
     return 0 if all(ok for _, cs in all_results for _, ok, _ in cs) else 1
 
 
-def cmd_selftest(args) -> int:
-    results = []
-    for case in CASES:
+def _run_case(case) -> tuple[bool, str]:
+    """Whether a corpus case meets its expectation, and what it gave; an
+    error never does."""
+    try:
         if case.direct is not None:
-            try:
-                got = case.direct()
-            except IglError as exc:
-                got = f"error: {exc}"
-            ok = got == case.expected
-            results.append((case.name, ok, got, case.expected))
-            continue
-        try:
-            report = decide_payload(case.payload, case.name)
-            got = report.verdict
-            ok = got == case.expected
-            if ok and case.expected_expr is not None:
-                ok = report.expr == case.expected_expr
-                if not ok:
-                    got = f"{got} [{report.expr}]"
-        except IglError as exc:
-            got, ok = f"error: {exc}", False
-        results.append((case.name, ok, got, case.expected))
+            got = case.direct()
+            return got == case.expected, got
+        report = decide_payload(case.payload, case.name)
+    except IglError as exc:
+        return False, f"error: {exc}"
+    ok = report.verdict == case.expected
+    if ok and case.expected_expr is not None and report.expr != case.expected_expr:
+        return False, f"{report.verdict} [{report.expr}]"
+    return ok, report.verdict
+
+
+def cmd_selftest(args) -> int:
+    results = [(case.name, *_run_case(case), case.expected) for case in CASES]
     green = all(ok for _, ok, _, _ in results)
     if args.format == "json":
         print(canonical_json({

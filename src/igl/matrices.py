@@ -20,7 +20,6 @@ column HNFs coincide, which is how all lattice comparisons are done.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -85,9 +84,6 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))
@@ -122,10 +118,6 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
-
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(c * a for a in row) for row in self.entries))
 
     def det(self) -> int:
         """Determinant by the Bareiss fraction-free algorithm (exact)."""
@@ -322,12 +314,6 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return um, sm, vm
 
 
-def invariant_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """The diagonal of the Smith form of ``m`` (nonnegative chain)."""
-    _, s, _ = snf(m)
-    return s.diagonal()
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (column style) and lattice computations
 # ---------------------------------------------------------------------------
@@ -413,10 +399,6 @@ def lattice_solve(h: IntMatrix, vec: tuple[int, ...] | list[int]) -> tuple[int, 
     if any(x != 0 for x in res):
         return None
     return tuple(coords)
-
-
-def lattice_contains(h: IntMatrix, vec) -> bool:
-    return lattice_solve(h, vec) is not None
 
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:

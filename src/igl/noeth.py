@@ -30,7 +30,7 @@ from math import gcd
 
 from . import abelian
 from .errors import PreconditionError, SchemaError
-from .valgroup import (CertStep, Certificate, Cyclic, GroupExpr, Opaque,
+from .valgroup import (CertStep, Certificate, Cyclic, Decision, GroupExpr, Opaque,
                        Repeated, TRIVIAL, Verdict, direct_sum, normalize)
 
 
@@ -240,17 +240,11 @@ def _summand(k: FieldDesc, L: FieldDesc) -> tuple[bool | None, str]:
 # The main decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoethDecision:
-    verdict: Verdict
-    certificate: Certificate
-    case: str
-    target_group: str  # "Inv" for local instances, "Princ" otherwise
-
-
-def decide_noeth(inst: NoethInstance) -> NoethDecision:
+def decide_noeth(inst: NoethInstance) -> Decision:
     """Decide freeness of the invertible-ideal group (principal-ideal
-    group when the instance is not local) from conductor data."""
+    group when the instance is not local) from conductor data.  The
+    conductor case and the group decided (``Inv`` for local instances,
+    ``Princ`` otherwise) go into ``metadata``."""
     if not inst.conductor_nonzero:
         raise PreconditionError(
             "zero conductor (analytically ramified): outside this decision's hypotheses")
@@ -263,13 +257,17 @@ def decide_noeth(inst: NoethInstance) -> NoethDecision:
             "unit-quotient verdict; the invertible group may differ"))
     case = inst.case()
 
+    def decided(verdict: Verdict) -> Decision:
+        return Decision(verdict, tuple(steps),
+                        metadata={"case": case, "target_group": target})
+
     if case == "integrally-closed":
-        kr = krull_verdict("krull")
         steps.append(CertStep.make(
             "integrally-closed",
             "an integrally closed one-dimensional local Noetherian domain is a "
             "discrete valuation ring, hence Krull; all its ideal groups are free"))
-        return NoethDecision(Verdict.FREE, tuple(steps) + kr.certificate, case, target)
+        steps.extend(krull_verdict("krull").certificate)
+        return decided(Verdict.FREE)
 
     if case == "a":
         exps = [b.e for b in inst.branches]
@@ -280,7 +278,7 @@ def decide_noeth(inst: NoethInstance) -> NoethDecision:
             "group of a field has no nonzero free quotients, so the group "
             "is not free",
             exponents=exps))
-        return NoethDecision(Verdict.NOT_FREE, tuple(steps), case, target)
+        return decided(Verdict.NOT_FREE)
 
     if case == "b":
         L = inst.branches[0].field
@@ -292,10 +290,10 @@ def decide_noeth(inst: NoethInstance) -> NoethDecision:
             "U(L)/U(k) is free",
             detail=why))
         if free is True:
-            return NoethDecision(Verdict.FREE, tuple(steps), case, target)
+            return decided(Verdict.FREE)
         if free is False:
-            return NoethDecision(Verdict.NOT_FREE, tuple(steps), case, target)
-        return NoethDecision(Verdict.UNKNOWN, tuple(steps), case, target)
+            return decided(Verdict.NOT_FREE)
+        return decided(Verdict.UNKNOWN)
 
     # case "c": several branches, radical conductor
     if inst.characteristic != 2:
@@ -305,7 +303,7 @@ def decide_noeth(inst: NoethInstance) -> NoethDecision:
             "to be free, hence the residue characteristic to be 2; here it "
             "is not",
             characteristic=inst.characteristic))
-        return NoethDecision(Verdict.NOT_FREE, tuple(steps), case, target)
+        return decided(Verdict.NOT_FREE)
     verdicts: list[bool | None] = []
     for i, b in enumerate(inst.branches):
         uf, why_u = _unit_free(b.field)
@@ -322,10 +320,10 @@ def decide_noeth(inst: NoethInstance) -> NoethDecision:
         else:
             verdicts.append(None)
     if any(v is False for v in verdicts):
-        return NoethDecision(Verdict.NOT_FREE, tuple(steps), case, target)
+        return decided(Verdict.NOT_FREE)
     if all(v is True for v in verdicts):
-        return NoethDecision(Verdict.FREE, tuple(steps), case, target)
-    return NoethDecision(Verdict.UNKNOWN, tuple(steps), case, target)
+        return decided(Verdict.FREE)
+    return decided(Verdict.UNKNOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +431,10 @@ def unit_quotient_seq(inst: NoethInstance) -> SymbolicSeq:
 # Krull verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KrullReport:
-    kind: str
-    verdicts: tuple[tuple[str, Verdict], ...]
-    basis: str
-    certificate: Certificate
-
-
-def krull_verdict(kind: str) -> KrullReport:
+def krull_verdict(kind: str) -> Decision:
     """All three ideal groups of a Krull-type domain are free, with the
-    height-one primes as a basis of the divisorial group."""
+    height-one primes as a basis of the divisorial group; the per-group
+    verdicts and the basis go into ``metadata``."""
     if kind not in ("krull", "dedekind", "UFD"):
         raise SchemaError(f"unknown Krull variant {kind!r}")
     steps = [CertStep.make(
@@ -459,5 +450,7 @@ def krull_verdict(kind: str) -> KrullReport:
         steps.append(CertStep.make(
             "factorial-specialization",
             "in a factorial domain every height-one prime is principal"))
-    verdicts = (("Div", Verdict.FREE), ("Inv", Verdict.FREE), ("Princ", Verdict.FREE))
-    return KrullReport(kind, verdicts, "height-one primes", tuple(steps))
+    free = Verdict.FREE.value
+    return Decision(Verdict.FREE, tuple(steps), metadata={
+        "groups": {"Div": free, "Inv": free, "Princ": free},
+        "basis": "height-one primes"})

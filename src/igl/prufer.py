@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SchemaError
-from .valgroup import (CertStep, Certificate, GroupExpr, IntegersZ, R, TRIVIAL,
-                       UNKNOWN, ValueTower, Verdict, direct_sum,
+from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, R,
+                       TRIVIAL, UNKNOWN, ValueTower, Verdict, direct_sum,
                        freeness_verdict, normal_sum, normalize, render_expr)
 
 
@@ -248,10 +248,10 @@ class DividedCut:
 
 
 @dataclass(frozen=True)
-class InvDecision:
-    verdict: Verdict
-    expr: GroupExpr
-    certificate: Certificate
+class InvDecision(Decision):
+    """The invertible-group decision, with the split sequence of every
+    divided cut and the verdict of every maximal ideal's value group."""
+
     cuts: tuple[DividedCut, ...] = ()
     leaf_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
@@ -360,7 +360,7 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
     group is free."""
     ok, gate_cert = _internal_gate(tree)
     if not ok:
-        return InvDecision(Verdict.UNKNOWN, UNKNOWN, gate_cert)
+        return InvDecision(Verdict.UNKNOWN, gate_cert, UNKNOWN)
     leaf_fv = [(leaf.node_id, freeness_verdict(gamma_at(tree, leaf).to_expr()))
                for leaf in tree.leaves()]
     expr, steps, cuts = _decompose(tree)
@@ -388,49 +388,43 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
             "exhibits the invertible group as a direct sum of free groups",
             leaves=len(leaf_fv))]
         verdict = Verdict.FREE
-    return InvDecision(verdict, expr, tuple(steps), tuple(cuts),
-                       tuple((lid, fv.verdict) for lid, fv in leaf_fv))
+    return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts),
+                       leaf_verdicts=tuple((lid, fv.verdict) for lid, fv in leaf_fv))
 
 
 # ---------------------------------------------------------------------------
 # Divisorial-ideal decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivDecision:
-    verdict: Verdict
-    certificate: Certificate
-    witness_leaf: str | None = None
-
-
-def decide_div_free(tree: SpecTree) -> DivDecision:
+def decide_div_free(tree: SpecTree) -> Decision:
     """Decide freeness of the group of divisorial ideals.
 
     Requires every maximal ideal branched and the internal-gamma
     hypothesis; then the group is free exactly when every maximal ideal
     is finitely generated, detected as a discrete (Z) top slot of the
     composed tower.  A non-discrete top slot picks up a real summand in
-    the corresponding valuation ring and is returned as the witness."""
+    the corresponding valuation ring, and that leaf is returned as
+    ``metadata["witness_leaf"]``."""
     if not tree.root.children:
-        return DivDecision(Verdict.FREE, (
+        return Decision(Verdict.FREE, (
             CertStep.make("field-trivial", "a field has trivial ideal groups"),))
     unbranched = [l.node_id for l in tree.leaves() if not l.branched]
     if unbranched:
-        return DivDecision(Verdict.UNKNOWN, (
+        return Decision(Verdict.UNKNOWN, (
             CertStep.make("unbranched-maximal",
                           "the divisorial recursion handles only branched maximal "
                           "ideals; no verdict for this input",
                           maximal=unbranched[0]),))
     ok, gate_cert = _internal_gate(tree)
     if not ok:
-        return DivDecision(Verdict.UNKNOWN, gate_cert)
+        return Decision(Verdict.UNKNOWN, gate_cert)
     steps: list[CertStep] = []
     leaves = tree.leaves()
     for leaf in leaves:
         if not finitely_generated_maximal(tree, leaf):
             below = gamma_at(tree, leaf).root_segment(1).to_expr()
             witness_expr = direct_sum(R, below)
-            return DivDecision(Verdict.NOT_FREE, tuple(steps) + (
+            return Decision(Verdict.NOT_FREE, tuple(steps) + (
                 CertStep.make("nonprincipal-maximal-div",
                               "this maximal ideal is not finitely generated "
                               "(non-discrete top slot); its local divisorial group "
@@ -438,27 +432,21 @@ def decide_div_free(tree: SpecTree) -> DivDecision:
                               "free, and the recursion propagates that",
                               maximal=leaf.node_id,
                               local_div=render_expr(witness_expr)),),
-                witness_leaf=leaf.node_id)
+                metadata={"witness_leaf": leaf.node_id})
     steps.append(CertStep.make(
         "all-maximals-finitely-generated",
         "every maximal ideal has a discrete top slot, so it is finitely "
         "generated and each local divisorial group equals the (free) value "
         "group; the cut-and-sum recursion makes the whole group free",
         leaves=len(leaves)))
-    return DivDecision(Verdict.FREE, tuple(steps))
+    return Decision(Verdict.FREE, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
 # Strongly discrete trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SDDecision:
-    verdict: Verdict
-    certificate: Certificate
-
-
-def strongly_discrete_decide(tree: SpecTree, codim_finite: bool) -> SDDecision:
+def strongly_discrete_decide(tree: SpecTree, codim_finite: bool) -> Decision:
     """Freeness for strongly discrete trees (every slot discrete, i.e. no
     idempotent primes).
 
@@ -467,23 +455,23 @@ def strongly_discrete_decide(tree: SpecTree, codim_finite: bool) -> SDDecision:
     is ``Free``; otherwise the question is open and the verdict stays
     ``Unknown`` -- this procedure never answers ``NotFree``."""
     if not tree.all_slots_z():
-        return SDDecision(Verdict.UNKNOWN, (
+        return Decision(Verdict.UNKNOWN, (
             CertStep.make("not-strongly-discrete",
                           "a non-discrete slot means an idempotent prime; the "
                           "strongly discrete rule does not apply"),))
     if codim_finite:
-        return SDDecision(Verdict.FREE, (
+        return Decision(Verdict.FREE, (
             CertStep.make("strongly-discrete-finite-codim",
                           "with only finitely many primes below maximal height, "
                           "induction over divided cuts of discrete steps keeps "
                           "every piece free"),))
     if tree.locally_finite:
-        return SDDecision(Verdict.FREE, (
+        return Decision(Verdict.FREE, (
             CertStep.make("strongly-discrete-locally-finite",
                           "a locally finite strongly discrete domain has free "
                           "invertible group: every chain of discrete steps is a "
                           "free tower and the family is locally finite"),))
-    return SDDecision(Verdict.UNKNOWN, (
+    return Decision(Verdict.UNKNOWN, (
         CertStep.make("strongly-discrete-open",
                       "whether every strongly discrete domain of this kind has a "
                       "free invertible group is an open conjecture; no verdict"),))

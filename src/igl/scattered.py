@@ -30,9 +30,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import MalformedTraceError, PreconditionError, SchemaError
-from .valgroup import (CertStep, Certificate, GroupExpr, IntegersZ, RationalsQ,
-                       Repeated, TRIVIAL, ValueTower, Verdict, direct_sum,
-                       freeness_verdict, render_expr)
+from .valgroup import (CertStep, Decision, IntegersZ, RationalsQ, Repeated, TRIVIAL,
+                       ValueTower, Verdict, direct_sum, freeness_verdict,
+                       render_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +119,6 @@ class Ordinal:
         return Ordinal(tuple((e + 1, c) for e, c in self.terms))
 
     # -- order ----------------------------------------------------------------
-
-    def _key(self):
-        return self.terms
 
     def __lt__(self, other: "Ordinal") -> bool:
         for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
@@ -317,13 +314,6 @@ def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
 # The derived-sequence decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScatteredDecision:
-    verdict: Verdict
-    expr: GroupExpr
-    certificate: Certificate
-
-
 def _is_z_tower(t: ValueTower) -> bool:
     return len(t) == 1 and isinstance(t.slots[0], IntegersZ)
 
@@ -332,10 +322,11 @@ def _is_q_tower(t: ValueTower) -> bool:
     return len(t) == 1 and isinstance(t.slots[0], RationalsQ)
 
 
-def decide_scattered(s: ScatteredSpace) -> ScatteredDecision:
+def decide_scattered(s: ScatteredSpace) -> Decision:
     """Decide the shape of the invertible-ideal group of a one-dimensional
     domain whose maximal spectrum is this scattered space, each maximal
-    ideal carrying its stratum's value group.
+    ideal carrying its stratum's value group.  The Cantor-Bendixson rank
+    goes into ``metadata["cb_rank"]``.
 
     * every label free: the derived sequence removes locally free stages
       until nothing is left, so the group is the direct sum of the local
@@ -348,11 +339,13 @@ def decide_scattered(s: ScatteredSpace) -> ScatteredDecision:
       (``Obstructed``);
     * anything else: ``Unknown``.
     """
+    rank = cb_rank(s).render()
+    meta = {"cb_rank": rank}
     if s.is_empty():
-        return ScatteredDecision(Verdict.DIRECT_SUM_FREE, TRIVIAL, (
+        return Decision(Verdict.DIRECT_SUM_FREE, (
             CertStep.make("empty-family",
                           "no maximal ideals: the trivial decomposition of the "
-                          "trivial group"),))
+                          "trivial group"),), TRIVIAL, meta)
     lab = s.label_map()
     strata = s.occupied_strata()
     expr = direct_sum(*(Repeated(lab[k].to_expr(), stratum_multiplicity(s, k))
@@ -365,46 +358,43 @@ def decide_scattered(s: ScatteredSpace) -> ScatteredDecision:
         "the space is scattered, so the derived sequence exhausts the "
         "family; the candidate decomposition is the direct sum of the "
         "local value groups over the maximal ideals",
-        rank=cb_rank(s).render(), expr=render_expr(expr))
+        rank=rank, expr=render_expr(expr))
+
+    def decided(verdict: Verdict, step: CertStep) -> Decision:
+        return Decision(verdict, (sum_step, step), expr, meta)
 
     if all(v is Verdict.FREE for v in label_verdicts.values()):
-        return ScatteredDecision(Verdict.DIRECT_SUM_FREE, expr, (
-            sum_step,
-            CertStep.make("all-stage-groups-free",
-                          "every removed stage consists of maximal ideals with "
-                          "free value groups, so each stage splits off a free "
-                          "direct summand and the total group is free"),))
+        return decided(Verdict.DIRECT_SUM_FREE, CertStep.make(
+            "all-stage-groups-free",
+            "every removed stage consists of maximal ideals with free value "
+            "groups, so each stage splits off a free direct summand and the "
+            "total group is free"))
 
     assert s.bound is not None
     if s.bound.is_finite():
-        return ScatteredDecision(Verdict.DIRECT_SUM, expr, (
-            sum_step,
-            CertStep.make("finite-jaffard-sum",
-                          "a finite family of localizations is complete, "
-                          "independent and locally finite, so the decomposition "
-                          "holds regardless of freeness; the summand verdicts "
-                          "are recorded per stratum",
-                          strata={k: v.value for k, v in label_verdicts.items()}),))
+        return decided(Verdict.DIRECT_SUM, CertStep.make(
+            "finite-jaffard-sum",
+            "a finite family of localizations is complete, independent and "
+            "locally finite, so the decomposition holds regardless of "
+            "freeness; the summand verdicts are recorded per stratum",
+            strata={k: v.value for k, v in label_verdicts.items()}))
 
     q_limit = [k for k in strata if k >= 1 and _is_q_tower(lab[k])]
     isolated_discrete = _is_z_tower(lab[0])
     others_ok = all(_is_z_tower(lab[k]) for k in strata if k not in q_limit)
     if q_limit and isolated_discrete and others_ok:
-        return ScatteredDecision(Verdict.OBSTRUCTED, expr, (
-            sum_step,
-            CertStep.make("divisible-quotient-obstruction",
-                          "the removal sequence ends in a surjection onto the "
-                          "rationals, every element of which is divisible; but "
-                          "an invertible ideal has a nonzero value at some "
-                          "discrete isolated point, so the group has no nonzero "
-                          "divisible elements and the decomposition fails",
-                          limit_stratum=q_limit[0]),))
-    return ScatteredDecision(Verdict.UNKNOWN, expr, (
-        sum_step,
-        CertStep.make("stage-group-not-free",
-                      "some removed stage has a value group not certified "
-                      "free; the derived-sequence argument does not conclude",
-                      strata={k: v.value for k, v in label_verdicts.items()}),))
+        return decided(Verdict.OBSTRUCTED, CertStep.make(
+            "divisible-quotient-obstruction",
+            "the removal sequence ends in a surjection onto the rationals, "
+            "every element of which is divisible; but an invertible ideal has "
+            "a nonzero value at some discrete isolated point, so the group has "
+            "no nonzero divisible elements and the decomposition fails",
+            limit_stratum=q_limit[0]))
+    return decided(Verdict.UNKNOWN, CertStep.make(
+        "stage-group-not-free",
+        "some removed stage has a value group not certified free; the "
+        "derived-sequence argument does not conclude",
+        strata={k: v.value for k, v in label_verdicts.items()}))
 
 
 # ---------------------------------------------------------------------------

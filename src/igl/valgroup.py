@@ -78,6 +78,18 @@ class CertStep:
 Certificate = tuple[CertStep, ...]
 
 
+@dataclass(frozen=True)
+class Decision:
+    """What every decider returns: the verdict, the certificate behind it,
+    the group expression when the decider builds one, and the facts that
+    a report copies verbatim into its ``metadata``."""
+
+    verdict: Verdict
+    certificate: Certificate
+    expr: GroupExpr | None = None
+    metadata: dict = field(default_factory=dict)
+
+
 # ---------------------------------------------------------------------------
 # Expression atoms and nodes
 # ---------------------------------------------------------------------------
@@ -413,40 +425,22 @@ class FreenessResult:
 
 # The witnesses and the derivation below take normal forms.
 
-def _torsion_witness(e: GroupExpr) -> str:
-    if isinstance(e, Cyclic):
-        return f"Z/{e.order}"
-    if isinstance(e, Opaque):
-        return e.label
-    if isinstance(e, DirectSum):
-        for p in e.parts:
-            if _torsion(p) is _TRUE:
-                return _torsion_witness(p)
-    if isinstance(e, LexTower):
-        for l in e.levels:
-            if _torsion(l) is _TRUE:
-                return _torsion_witness(l)
-    if isinstance(e, Repeated):
-        return _torsion_witness(e.base)
-    return _render(e)
-
-
-def _divisible_witness(e: GroupExpr) -> str:
-    if isinstance(e, (RationalsQ, RealsR)):
-        return _render(e)
-    if isinstance(e, Opaque):
-        return e.label
-    if isinstance(e, DirectSum):
-        for p in e.parts:
-            if _divisible(p) is _TRUE:
-                return _divisible_witness(p)
-    if isinstance(e, LexTower):
-        for l in e.levels:
-            if _divisible(l) is _TRUE:
-                return _divisible_witness(l)
-    if isinstance(e, Repeated):
-        return _divisible_witness(e.base)
-    return _render(e)
+def _witness(e: GroupExpr, holds) -> str:
+    """Name what makes ``holds`` (``_torsion`` or ``_divisible``) true of
+    ``e``: follow the first summand or level where it holds down to a
+    declared label or an atom."""
+    while True:
+        if isinstance(e, Opaque):
+            return e.label
+        if isinstance(e, Repeated):
+            e = e.base
+            continue
+        parts = e.parts if isinstance(e, DirectSum) else \
+            e.levels if isinstance(e, LexTower) else ()
+        inner = next((p for p in parts if holds(p) is _TRUE), None)
+        if inner is None:
+            return _render(e)
+        e = inner
 
 
 def _derivably_free(e: GroupExpr) -> bool:
@@ -486,14 +480,14 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
             CertStep.make("torsion-witness",
                           "a nonzero torsion element survives in every direct-sum "
                           "decomposition, and free groups are torsionfree",
-                          witness=_torsion_witness(e)),))
+                          witness=_witness(e, _torsion)),))
     d = _divisible(e)
     if d is _TRUE:
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("divisible-witness",
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
-                          witness=_divisible_witness(e)),))
+                          witness=_witness(e, _divisible)),))
     if isinstance(e, InfiniteProductZ):
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
@@ -799,15 +793,8 @@ def inv_of_valuation(t: ValueTower) -> GroupExpr:
     return normalize(t.to_expr())
 
 
-@dataclass(frozen=True)
-class DivValResult:
-    verdict: Verdict
-    expr: GroupExpr | None
-    certificate: Certificate
-
-
 def div_of_valuation(t: ValueTower, maximal_principal: bool,
-                     maximal_branched: bool = True) -> DivValResult:
+                     maximal_branched: bool = True) -> Decision:
     """The group of divisorial ideals of a valuation ring.
 
     With a branched maximal ideal there are two cases: if the maximal
@@ -817,11 +804,12 @@ def div_of_valuation(t: ValueTower, maximal_principal: bool,
     outside this rule and is refused with an ``Unknown`` verdict.
     """
     if len(t) == 0:
-        return DivValResult(Verdict.FREE, TRIVIAL, (
+        return Decision(Verdict.FREE, (
             CertStep.make("trivial-field",
-                          "a field has no nonzero proper ideals; all ideal groups are trivial"),))
+                          "a field has no nonzero proper ideals; all ideal groups are trivial"),),
+            TRIVIAL)
     if not maximal_branched:
-        return DivValResult(Verdict.UNKNOWN, None, (
+        return Decision(Verdict.UNKNOWN, (
             CertStep.make("unbranched-maximal",
                           "the divisorial-group rule needs a branched maximal ideal; "
                           "no verdict is available for the unbranched case"),))
@@ -833,7 +821,7 @@ def div_of_valuation(t: ValueTower, maximal_principal: bool,
                               "of a valuation ring is principal, so the divisorial "
                               "group equals the value group",
                               value_group=render_expr(expr)),) + fv.trace
-        return DivValResult(fv.verdict, expr, cert)
+        return Decision(fv.verdict, cert, expr)
     below = t.root_segment(1).to_expr()
     expr = direct_sum(R, below)
     fv = freeness_verdict(expr)
@@ -842,17 +830,11 @@ def div_of_valuation(t: ValueTower, maximal_principal: bool,
                           "divisorial group is R plus the value group one prime down; "
                           "the real summand is divisible, so the group is not free",
                           result=render_expr(expr)),) + fv.trace
-    return DivValResult(fv.verdict, expr, cert)
-
-
-@dataclass(frozen=True)
-class UnbranchedResult:
-    verdict: Verdict
-    certificate: Certificate
+    return Decision(fv.verdict, cert, expr)
 
 
 def unbranched_valuation_verdict(step_quotients: list[GroupExpr],
-                           all_unbranched: bool) -> UnbranchedResult:
+                                 all_unbranched: bool) -> Decision:
     """Freeness from step data for a valuation ring with no branched primes.
 
     If every one-step value group between consecutive primes is free, the
@@ -863,16 +845,16 @@ def unbranched_valuation_verdict(step_quotients: list[GroupExpr],
     two entry points are deliberately kept apart.
     """
     if not all_unbranched:
-        return UnbranchedResult(Verdict.UNKNOWN, (
+        return Decision(Verdict.UNKNOWN, (
             CertStep.make("hypothesis-unbranched",
                           "this rule requires that no prime ideal is branched"),))
     verdicts = [freeness_verdict(q) for q in step_quotients]
     if all(v.verdict is Verdict.FREE for v in verdicts):
-        return UnbranchedResult(Verdict.FREE, (
+        return Decision(Verdict.FREE, (
             CertStep.make("unbranched-step-basis",
                           "every one-step value group is free, and their bases "
                           "assemble to a basis of the whole value group",
                           steps=len(step_quotients)),))
-    return UnbranchedResult(Verdict.UNKNOWN, (
+    return Decision(Verdict.UNKNOWN, (
         CertStep.make("step-not-certified-free",
                       "some one-step value group could not be certified free"),))

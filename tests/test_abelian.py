@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
                          amalgam_quotient, cokernel, cokernel_projection,
-                         divisible_elements, image, is_free, kernel,
-                         snake, split_test, sub_quotient_sequence,
-                         three_by_three_split)
+                         image, is_free, kernel, snake, split_test,
+                         sub_quotient_sequence, three_by_three_split)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix
-from igl.valgroup import FgAtom, Opaque, Verdict, expr_invariant_factors
+from igl.valgroup import (FgAtom, Opaque, Verdict, expr_invariant_factors,
+                          has_divisible)
 from oracles import (divisible_elements_brute, random_amalgam_instance,
                      random_matrix, random_snake_input)
 
@@ -186,17 +186,19 @@ def test_amalgam_random(seed, n_parts):
 
 
 def test_divisible_examples():
-    assert divisible_elements(FgGroup.free(2)).elements == ((),)
-    assert divisible_elements(FgGroup.cyclic(4)).elements == ((0,),)
-    assert divisible_elements(FgGroup.trivial()).elements == ((),)
+    for g in (FgGroup.free(2), FgGroup.cyclic(4), FgGroup.trivial()):
+        assert has_divisible(g.to_expr()) is False
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(2, 6), max_size=2))
 def test_divisible_matches_bruteforce(factors):
+    # the brute force finds only the identity, which is what the symbolic
+    # layer assumes of every finitely generated group
     g = FgGroup.from_invariants(*factors)
-    got = divisible_elements(g)
-    assert list(got.elements) == divisible_elements_brute(g.torsion_factors)
+    identity = (0,) * len(g.torsion_factors)
+    assert divisible_elements_brute(g.torsion_factors) == [identity]
+    assert has_divisible(g.to_expr()) is False
 
 
 @settings(max_examples=30, deadline=None)

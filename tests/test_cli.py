@@ -149,12 +149,17 @@ def test_verify_noeth_crosscheck(tmp_path, capsys):
 
 
 def test_verify_failing_check_exits_1(tmp_path, capsys):
-    payload = {"v": 1, "kind": "group_diagram", "check": "group",
-               "group": {"generators": "x"}}
+    # well-formed but not exact: the image 2Z of the inclusion is not the
+    # kernel 0 of the projection
+    z = {"generators": 1, "relators": []}
+    payload = {"v": 1, "kind": "group_diagram", "check": "ses",
+               "ses": {"left": z, "mid": z, "right": z, "inj": [[2]], "surj": [[1]]}}
     rc = main(["verify", str(write(tmp_path, payload)), "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
-    assert [c["ok"] for c in out["checks"]] == [False]
+    assert [(c["check"], c["ok"]) for c in out["checks"]] == \
+        [("sequence-exact-and-split-tested", False)]
+    assert "not exact" in out["checks"][0]["detail"]
 
 
 def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):
@@ -272,5 +277,16 @@ def test_boolean_is_not_an_integer(tmp_path, capsys):
 def test_malformed_amalgam_part_exits_2(tmp_path, capsys):
     payload = {"v": 1, "kind": "group_diagram", "check": "amalgam",
                "amalgam": {"g": {"generators": 1, "relators": []}, "parts": [5]}}
-    assert main(["decide", str(write(tmp_path, payload))]) == 2
-    assert "amalgam.parts[0]" in capsys.readouterr().err
+    assert_schema_exit(tmp_path, capsys, payload, "amalgam.parts[0]")
+
+
+def test_malformed_group_diagram_exits_2(tmp_path, capsys):
+    # verify reports a malformed diagram as a schema error, as decide does,
+    # not as a failing check
+    group = {"v": 1, "kind": "group_diagram", "check": "group",
+             "group": {"generators": "x"}}
+    assert_schema_exit(tmp_path, capsys, group, "group.generators")
+    ses = dict(SES, ses=dict(SES["ses"], inj=[[1]]))
+    assert_schema_exit(tmp_path, capsys, ses, "ses.inj")
+    snake = {"v": 1, "kind": "group_diagram", "check": "snake", "snake": 5}
+    assert_schema_exit(tmp_path, capsys, snake, "field 'snake'")

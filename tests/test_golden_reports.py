@@ -1,0 +1,86 @@
+"""Golden digests of the CLI reports.
+
+Each digest is the sha256 of the canonical JSON of one instance's
+``decide_payload`` report, rendered with the rule-only and the full
+trace, and of its ``verify_payload`` checks, with ``elapsed_ms`` set to 0.
+They cover every file of ``instances/`` and every payload of the built-in
+corpus.  The digests were recorded before the deciders moved to one
+decision record and the CLI to one dispatch table, so any change to a
+verdict, a certificate, a metadata field or a check shows up here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from igl import cli
+from igl.corpus import CASES
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
+
+def digest(payload: dict, name: str) -> str:
+    report = cli.decide_payload(payload, name)
+    report.elapsed_ms = 0
+    record = {"rules": report.to_dict(False), "full": report.to_dict(True),
+              "verify": cli.verify_payload(payload, name)}
+    return hashlib.sha256(cli.canonical_json(record).encode("utf-8")).hexdigest()
+
+
+# file name -> digest
+INSTANCE_DIGESTS = {
+    "amalgam_two_planes.json": "ed089aa1b82451dd745678c2b605ce5688bad28408f873ecf86c453adffca05c",
+    "dedekind.json": "665b169239a273f88d0867034eeb517d206092453dd9fb78ff9ee8699490c754",
+    "divisorial_nonprincipal.json": "3b92a840f503fff57670ec95104a1b747f90f9db3e380675fb606fb383a3ae7b",
+    "dvr.json": "3145b790f96d8a13e77a97a2f0309233ec9ca16394a5d1c475ecc77f687cd76f",
+    "f2_function_fields.json": "8efd53ad582e8979f32dd9500211b51d57d81a044316871c502f66ee240f56a7",
+    "monomial_curve.json": "90de9613b503327415d4f01c4df4a1818848b241130cf8dd997bd33d8559cbc2",
+    "pullback_totally_real.json": "aa3c3ce23539f0d6d489506ccfdb587d37ac36036c57bc5acf3cdb21c758a4f6",
+    "rank_two_valuation.json": "7caafb88456cedce9fcdb943621e0ebd8284f83f2c9fa4e3b3e9ff8fc7266cde",
+    "scattered_obstruction.json": "6c595c878bbe53b4eff10659014afa38ee085c3f1890e99665a6350ff0deb70c",
+    "scattered_omega.json": "265895e9e855786a6eab940368f3bb7cd710f6abba04eacf742d83b3674843ea",
+    "scattered_omega_squared.json": "7053c086686bce5482e5c89363e185caa464ddd5e7186b15fb6744fcd9edc187",
+    "snake_ladder.json": "a3c596428254b9a398617db7d75db341929061670720df455d17a87332ca644e",
+    "strongly_discrete_tree.json": "dbb578cca9a5755b888ee2ac6047c9c669e9cc37d8337462c9f45383420f5eea",
+    "torsion_group.json": "0d5a77a1a899a64337e02afe94e906195c343a4245276cfa5eea490f79fd1895",
+    "two_branches_char3.json": "f6f30bee9443d6976428fd50667c5f1720570afded692c1c4ccfaa7099ba56c3",
+    "y_tree.json": "fa1532ad08d6b94d4afa6874c8308e5e1ec44db0b2093bfd5bce772d08e2853a",
+    "y_tree_rational_trunk.json": "f14c20be2a145768e7497cebacf306caf5dce09ff434fc9add51ad2e7706c72c",
+}
+
+# corpus case name -> digest
+CORPUS_DIGESTS = {
+    "dvr": "bd93eb44739012b4d3eb7d108b76bb284d3ab2ca8ca3b53f66750449a64a8de7",
+    "rank-two-discrete-tower": "17640d884c150cdfc8b20d6d0b858c0d78be3f0579b6176d3467de9ee9e8636c",
+    "rational-value-group": "78b1a89534aa770bdff3a9fdea79d54b513fa8a031c0b6772fc87a75ff141906",
+    "divisorial-nonprincipal-maximal": "12759e6c631b51bfeb04cca56fbac082d866b4483c07c9cde4a5d4003265bc17",
+    "divisorial-principal-maximal": "688367a471d8c65ae5db5d2983e828c19c1408faf87fe293a6da604832da1ba1",
+    "y-tree-all-discrete": "df5aff895f254239672a90128be8402f677ad9134049ce2d28eb521cc140d245",
+    "y-tree-rational-trunk": "f14c20be2a145768e7497cebacf306caf5dce09ff434fc9add51ad2e7706c72c",
+    "chain-divisorial-rational-top": "cde8721e6d596eb9d3a0ab9fd328773a825f3f38f8236e04640afe0c69625292",
+    "strongly-discrete-chain": "a6ed7c6be02e3e3b01d687c207c00210e102b9aeda0e813116f05f502bb271c9",
+    "monomial-curve-cusp": "8792b20c9bd4f59edd7c95312e9e1becd5f1d75448761318b732b9b50ceaf297",
+    "pullback-totally-real-cubic": "df7c7f508aa5eeee3726d8391edc9473cd355dbad62a04da4fa6bfb4b9f872b5",
+    "function-field-square-pullback": "80cbecafa307b40024427094b16771f23819e3a54f928f685eb4da2fcd0216b0",
+    "two-branches-char-three": "2e16acae921a2d35f2d48a7b4eca41ad75009fab8c145d9679e8ad45c522f567",
+    "two-branches-all-f2": "7face63d65eaa481f1035d710064f27c5f266cbcfbc935a0b3b9243708102852",
+    "dedekind": "665b169239a273f88d0867034eeb517d206092453dd9fb78ff9ee8699490c754",
+    "omega-interval-all-discrete": "feeb1a1a5a77415dbf640b733861e3939b3105f7657fba4969a09dbc2c385e42",
+    "omega-interval-rational-limit": "e19336ccece790cffb812cacdfd6c2bdd4e23d9c509735571fe32f416f21a315",
+    "finite-family-with-torsion-label": "ced9e09b7b4825db3eefbd080d28d21ef614a29112cd53790f6839fe319d5d31",
+}
+
+
+@pytest.mark.parametrize("path", sorted(INSTANCES.glob("*.json")), ids=lambda p: p.name)
+def test_instance_reports_match_golden(path):
+    # a new instance file needs its digest recorded here
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert digest(payload, payload.get("name", path.stem)) == INSTANCE_DIGESTS[path.name]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.payload is not None],
+                         ids=lambda c: c.name)
+def test_corpus_reports_match_golden(case):
+    assert digest(case.payload, case.name) == CORPUS_DIGESTS[case.name]

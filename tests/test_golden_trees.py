@@ -40,7 +40,7 @@ def decision_record(tree) -> dict:
         "div": {
             "verdict": div.verdict.value,
             "certificate": [s.as_dict(True) for s in div.certificate],
-            "witness_leaf": div.witness_leaf,
+            "witness_leaf": div.metadata.get("witness_leaf"),
         },
     }
 

@@ -47,7 +47,7 @@ def test_case_a_monomial_curve():
     k = OpaqueField("K", characteristic=0)
     res = decide_noeth(inst(k, [(k, 2)]))
     assert res.verdict is Verdict.NOT_FREE
-    assert res.case == "a"
+    assert res.metadata["case"] == "a"
     assert any(s.rule == "conductor-not-radical" for s in res.certificate)
 
 
@@ -55,7 +55,7 @@ def test_case_b_pullback_free():
     k = OpaqueField("Q", characteristic=0)
     L = OpaqueField("Q(z7+1/z7)", characteristic=0, quotient_free=True)
     res = decide_noeth(inst(k, [(L, 1)]))
-    assert res.verdict is Verdict.FREE and res.case == "b"
+    assert res.verdict is Verdict.FREE and res.metadata["case"] == "b"
 
 
 def test_case_b_function_field_not_free():
@@ -73,7 +73,7 @@ def test_case_b_missing_declaration_unknown():
 
 def test_case_c_char_not_two():
     res = decide_noeth(inst(finite(3), [(finite(3, 2), 1), (finite(3, 2), 1)]))
-    assert res.verdict is Verdict.NOT_FREE and res.case == "c"
+    assert res.verdict is Verdict.NOT_FREE and res.metadata["case"] == "c"
     assert any(s.rule == "residue-char-not-two" for s in res.certificate)
 
 
@@ -90,7 +90,7 @@ def test_all_trivial_data_free():
 def test_integrally_closed_routes_to_krull():
     res = decide_noeth(inst(finite(5), [(finite(5), 1)], integrally_closed=True))
     assert res.verdict is Verdict.FREE
-    assert res.case == "integrally-closed"
+    assert res.metadata["case"] == "integrally-closed"
     assert any(s.rule == "krull-free-basis" for s in res.certificate)
 
 
@@ -101,7 +101,7 @@ def test_zero_conductor_rejected():
 
 def test_nonlocal_reports_principal_group():
     res = decide_noeth(inst(finite(2), [(finite(2), 2)], local=False))
-    assert res.target_group == "Princ"
+    assert res.metadata["target_group"] == "Princ"
     assert res.verdict is Verdict.NOT_FREE
 
 
@@ -230,9 +230,9 @@ def test_seq_case_c_opaque_shape():
 def test_krull_verdicts():
     for kind in ("krull", "dedekind", "UFD"):
         rep = krull_verdict(kind)
-        assert dict(rep.verdicts) == {"Div": Verdict.FREE, "Inv": Verdict.FREE,
-                                      "Princ": Verdict.FREE}
-        assert rep.basis == "height-one primes"
+        assert rep.verdict is Verdict.FREE
+        assert rep.metadata["groups"] == {"Div": "Free", "Inv": "Free", "Princ": "Free"}
+        assert rep.metadata["basis"] == "height-one primes"
     with pytest.raises(SchemaError):
         krull_verdict("noetherian")
 

@@ -158,7 +158,7 @@ def test_decide_div_cases():
     assert decide_div_free(y_tree()).verdict is Verdict.FREE
     res = decide_div_free(chain(("Z",), ("Q",)))
     assert res.verdict is Verdict.NOT_FREE
-    assert res.witness_leaf == "c2"
+    assert res.metadata["witness_leaf"] == "c2"
     field = SpecTree(PrimeNode("0", None, ()))
     assert decide_div_free(field).verdict is Verdict.FREE
     unbranched_leaf = SpecTree(PrimeNode("0", None, (
