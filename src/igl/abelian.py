@@ -289,10 +289,6 @@ def cokernel(h: FgHom) -> FgGroup:
     return FgGroup(h.target.generators, rel)
 
 
-def cokernel_projection(h: FgHom) -> FgHom:
-    return FgHom(h.target, cokernel(h), IntMatrix.identity(h.target.generators))
-
-
 def is_injective(h: FgHom) -> bool:
     return kernel(h).is_trivial()
 

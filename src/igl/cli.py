@@ -25,12 +25,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 from math import gcd
 from pathlib import Path
 
 from . import abelian, noeth, prufer, scattered, valgroup
 from .corpus import CASES
-from .errors import IglError, PreconditionError, SchemaError
+from .errors import IglError, PreconditionError, SchemaError, read_flag
 from .matrices import IntMatrix
 from .valgroup import CertStep, Decision, Verdict
 
@@ -71,6 +72,10 @@ def _expect(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _flag(payload: dict, key: str, default: bool | None) -> bool | None:
+    return read_flag(payload, key, default, f"field {key!r}")
+
+
 def _is_int(x) -> bool:
     # JSON true/false are Python bools, a subclass of int; the schema's
     # integers never accept them
@@ -103,7 +108,8 @@ def validate_envelope(payload: dict) -> str:
     _expect(_is_int(payload.get("v")) and payload["v"] == 1,
             "field 'v': schema version must be 1")
     kind = payload.get("kind")
-    _expect(kind in KINDS, f"field 'kind': expected one of {', '.join(KINDS)}")
+    _expect(isinstance(kind, str) and kind in KINDS,
+            f"field 'kind': expected one of {', '.join(KINDS)}")
     return kind
 
 
@@ -124,9 +130,8 @@ def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
         return noeth.OpaqueField(
             label=o["label"],
             characteristic=o.get("characteristic", 0),
-            unit_free=o.get("unit_free"),
-            quotient_free=o.get("quotient_free"),
-            summand=o.get("summand"))
+            **{key: read_flag(o, key, None, f"{where}.opaque.{key}")
+               for key in ("unit_free", "quotient_free", "summand")})
     raise SchemaError(f"{where}: expected a 'finite' or 'opaque' field description")
 
 
@@ -200,9 +205,9 @@ def parse_noeth(payload: dict) -> noeth.NoethInstance:
         branches.append(noeth.Branch(parse_field_desc(b["L"], f"branches[{i}].L"), e))
     return noeth.NoethInstance(
         residue=k, branches=tuple(branches),
-        integrally_closed=bool(payload.get("integrally_closed", False)),
-        conductor_nonzero=bool(payload.get("conductor_nonzero", True)),
-        local=bool(payload.get("local", True)))
+        integrally_closed=_flag(payload, "integrally_closed", False),
+        conductor_nonzero=_flag(payload, "conductor_nonzero", True),
+        local=_flag(payload, "local", True))
 
 
 def parse_valuation(payload: dict) -> dict:
@@ -211,24 +216,24 @@ def parse_valuation(payload: dict) -> dict:
     tower = valgroup.ValueTower.from_names(tower_rec)
     group = payload.get("group", "inv")
     _expect(group in ("inv", "div"), "field 'group': must be 'inv' or 'div'")
-    principal = payload.get("maximal_principal")
+    principal = _flag(payload, "maximal_principal", None)
     if principal is None:
         principal = bool(tower.slots) and isinstance(tower.slots[0], valgroup.IntegersZ)
     return {"tower": tower, "group": group,
-            "maximal_principal": bool(principal),
-            "maximal_branched": bool(payload.get("maximal_branched", True))}
+            "maximal_principal": principal,
+            "maximal_branched": _flag(payload, "maximal_branched", True)}
 
 
 def parse_prufer(payload: dict) -> dict:
     _expect(isinstance(payload.get("root"), dict), "field 'root': missing tree root")
     tree = prufer.tree_from_payload(payload["root"],
-                                    locally_finite=bool(payload.get("locally_finite", True)))
+                                    locally_finite=_flag(payload, "locally_finite", True))
     question = payload.get("question", "inv")
     _expect(question in ("inv", "div", "strongly_discrete"),
             "field 'question': must be 'inv', 'div' or 'strongly_discrete'")
     return {"tree": tree, "question": question,
-            "codim_finite": bool(payload.get("codim_finite", False)),
-            "t_finite_character": payload.get("t_finite_character")}
+            "codim_finite": _flag(payload, "codim_finite", False),
+            "t_finite_character": _flag(payload, "t_finite_character", None)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +287,7 @@ def _decide_krull(payload: dict) -> Decision:
 
 def _diagram_check(payload: dict) -> str:
     check = payload.get("check")
-    _expect(check in _DIAGRAM_REPLAYS,
+    _expect(isinstance(check, str) and check in _DIAGRAM_REPLAYS,
             "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
     return check
 
@@ -670,7 +675,10 @@ def cmd_selftest(args) -> int:
     return 0 if green else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than deciding a small instance."""
     parser = argparse.ArgumentParser(
         prog="igl",
         description="decide freeness of ideal groups from symbolic instances")
@@ -694,8 +702,11 @@ def main(argv: list[str] | None = None) -> int:
     p_self = sub.add_parser("selftest", help="run the built-in corpus")
     p_self.add_argument("--format", choices=("human", "json"), default="human")
     p_self.set_defaults(fn=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as exc:

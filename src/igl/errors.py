@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and the one reader
+of boolean instance fields.
 
 The CLI maps these onto exit codes: schema problems exit 2, precondition
 violations exit 3.
@@ -25,3 +26,15 @@ class DiagramError(PreconditionError):
 class MalformedTraceError(PreconditionError):
     """A survival trace is inconsistent: non-monotone, failing at stage
     zero, or claiming a first failure at a limit ordinal."""
+
+
+def read_flag(rec: dict, key: str, default: bool | None, where: str) -> bool | None:
+    """A boolean instance field: JSON ``true`` or ``false``.  An absent key
+    gives ``default``; so does ``null`` where the default is ``None``
+    (undeclared).  Anything else is a schema error: a string such as
+    ``"false"`` is not read by its truthiness."""
+    value = rec.get(key, default)
+    if type(value) is bool or (value is None and default is None):
+        return value
+    allowed = "true, false or null" if default is None else "true or false"
+    raise SchemaError(f"{where}: must be {allowed}")

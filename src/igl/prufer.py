@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SchemaError
+from .errors import SchemaError, read_flag
 from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, R,
                        TRIVIAL, UNKNOWN, ValueTower, Verdict, direct_sum,
                        freeness_verdict, normal_sum, normalize, render_expr)
@@ -113,7 +113,7 @@ def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
     Records are checked in pre-order, so the first bad record in document
     order is the one reported."""
     # pre-order pass: check each record and parse its label
-    order: list[tuple[dict, ValueTower | None, list]] = []
+    order: list[tuple[dict, ValueTower | None, bool, list]] = []
     stack: list[tuple[object, bool]] = [(payload, True)]
     while stack:
         rec, is_root = stack.pop()
@@ -130,17 +130,17 @@ def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
         children = rec.get("children", [])
         if not isinstance(children, list):
             raise SchemaError(f"node {rec['id']!r}: 'children' must be a list of nodes")
-        order.append((rec, label, children))
+        branched = read_flag(rec, "branched", True, f"node {rec['id']!r}: 'branched'")
+        order.append((rec, label, branched, children))
         stack.extend((c, False) for c in reversed(children))
     # reverse pre-order meets every child before its parent: the last
     # child's node is on top of ``built`` when the parent is reached
     built: list[PrimeNode] = []
-    for rec, label, children in reversed(order):
+    for rec, label, branched, children in reversed(order):
         cut = len(built) - len(children)
         kids = tuple(reversed(built[cut:]))
         del built[cut:]
-        built.append(PrimeNode(str(rec["id"]), label, kids,
-                               branched=bool(rec.get("branched", True))))
+        built.append(PrimeNode(str(rec["id"]), label, kids, branched))
     return SpecTree(built[0], locally_finite=locally_finite)
 
 
@@ -256,22 +256,34 @@ class InvDecision(Decision):
     leaf_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
-def _internal_gate(tree: SpecTree) -> tuple[bool, Certificate]:
-    """Check that every non-maximal, non-root node of the contraction has
-    a free value group; this is the hypothesis of both cut recursions."""
-    hi = contracted_spectrum(tree)
-    for node in hi.nodes():
-        if node is hi.root or node.is_maximal:
+def _free_at(tree: SpecTree) -> dict[str, bool]:
+    """Whether the value group at each prime is free, in one pre-order
+    pass: a prime's tower is its own edge on top of its parent's tower,
+    and a tower is free exactly when each of its segments is
+    (``ValueTower.is_free``)."""
+    free = {tree.root.node_id: True}
+    for node in tree.preorder:
+        for child in node.children:
+            free[child.node_id] = free[node.node_id] and child.label.is_free()
+    return free
+
+
+def _internal_gate(tree: SpecTree, free: dict[str, bool]) -> Certificate:
+    """Check that every non-root branching point -- every internal node of
+    the contraction -- has a free value group; this is the hypothesis of
+    both cut recursions.  The certificate is empty when it holds; only a
+    failing node's tower is built, for its verdict."""
+    for node in branching_points(tree):
+        if node is tree.root or free[node.node_id]:
             continue
-        fv = freeness_verdict(gamma_at(tree, tree.node(node.node_id)).to_expr())
-        if fv.verdict is not Verdict.FREE:
-            return False, (
-                CertStep.make("internal-gamma-not-free",
-                              "the recursion requires a free value group at every "
-                              "internal contraction node; the hypothesis fails here",
-                              prime=node.node_id,
-                              verdict=fv.verdict.value),)
-    return True, ()
+        fv = freeness_verdict(gamma_at(tree, node).to_expr())
+        return (
+            CertStep.make("internal-gamma-not-free",
+                          "the recursion requires a free value group at every "
+                          "internal contraction node; the hypothesis fails here",
+                          prime=node.node_id,
+                          verdict=fv.verdict.value),)
+    return ()
 
 
 def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
@@ -357,39 +369,36 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
 
     Under the internal-gamma hypothesis the decision reduces to the
     leaves: the group is free exactly when every maximal ideal's value
-    group is free."""
-    ok, gate_cert = _internal_gate(tree)
-    if not ok:
+    group is free.  Both are read off one pre-order pass (``_free_at``);
+    a value group is free or not free, never undecided."""
+    free = _free_at(tree)
+    gate_cert = _internal_gate(tree, free)
+    if gate_cert:
         return InvDecision(Verdict.UNKNOWN, gate_cert, UNKNOWN)
-    leaf_fv = [(leaf.node_id, freeness_verdict(gamma_at(tree, leaf).to_expr()))
-               for leaf in tree.leaves()]
+    leaves = tree.leaves()
     expr, steps, cuts = _decompose(tree)
-    bad = [(lid, fv) for lid, fv in leaf_fv if fv.verdict is Verdict.NOT_FREE]
-    unknown = [(lid, fv) for lid, fv in leaf_fv if fv.verdict is Verdict.UNKNOWN]
-    if bad:
-        lid, fv = bad[0]
+    bad = next((leaf for leaf in leaves if not free[leaf.node_id]), None)
+    if bad is not None:
+        # the one root path walked in full: the witness trace of the first
+        # maximal ideal whose value group is not free
+        fv = freeness_verdict(gamma_at(tree, bad).to_expr())
         steps = steps + [CertStep.make(
             "leaf-gamma-not-free",
             "the decomposition shows the invertible group is free exactly "
             "when all maximal value groups are; this one is not",
-            maximal=lid)] + list(fv.trace)
+            maximal=bad.node_id)] + list(fv.trace)
         verdict = Verdict.NOT_FREE
-    elif unknown:
-        lid, _ = unknown[0]
-        steps = steps + [CertStep.make(
-            "leaf-gamma-unknown",
-            "a maximal ideal's value group could not be classified; "
-            "no verdict follows", maximal=lid)]
-        verdict = Verdict.UNKNOWN
     else:
         steps = steps + [CertStep.make(
             "all-leaf-gammas-free",
             "every maximal ideal's value group is free, so the decomposition "
             "exhibits the invertible group as a direct sum of free groups",
-            leaves=len(leaf_fv))]
+            leaves=len(leaves))]
         verdict = Verdict.FREE
+    leaf_verdicts = tuple((leaf.node_id, Verdict.FREE if free[leaf.node_id]
+                           else Verdict.NOT_FREE) for leaf in leaves)
     return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts),
-                       leaf_verdicts=tuple((lid, fv.verdict) for lid, fv in leaf_fv))
+                       leaf_verdicts=leaf_verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +417,22 @@ def decide_div_free(tree: SpecTree) -> Decision:
     if not tree.root.children:
         return Decision(Verdict.FREE, (
             CertStep.make("field-trivial", "a field has trivial ideal groups"),))
-    unbranched = [l.node_id for l in tree.leaves() if not l.branched]
+    leaves = tree.leaves()
+    unbranched = [l.node_id for l in leaves if not l.branched]
     if unbranched:
         return Decision(Verdict.UNKNOWN, (
             CertStep.make("unbranched-maximal",
                           "the divisorial recursion handles only branched maximal "
                           "ideals; no verdict for this input",
                           maximal=unbranched[0]),))
-    ok, gate_cert = _internal_gate(tree)
-    if not ok:
+    gate_cert = _internal_gate(tree, _free_at(tree))
+    if gate_cert:
         return Decision(Verdict.UNKNOWN, gate_cert)
-    steps: list[CertStep] = []
-    leaves = tree.leaves()
     for leaf in leaves:
         if not finitely_generated_maximal(tree, leaf):
             below = gamma_at(tree, leaf).root_segment(1).to_expr()
             witness_expr = direct_sum(R, below)
-            return Decision(Verdict.NOT_FREE, tuple(steps) + (
+            return Decision(Verdict.NOT_FREE, (
                 CertStep.make("nonprincipal-maximal-div",
                               "this maximal ideal is not finitely generated "
                               "(non-discrete top slot); its local divisorial group "
@@ -433,13 +441,12 @@ def decide_div_free(tree: SpecTree) -> Decision:
                               maximal=leaf.node_id,
                               local_div=render_expr(witness_expr)),),
                 metadata={"witness_leaf": leaf.node_id})
-    steps.append(CertStep.make(
+    return Decision(Verdict.FREE, (CertStep.make(
         "all-maximals-finitely-generated",
         "every maximal ideal has a discrete top slot, so it is finitely "
         "generated and each local divisorial group equals the (free) value "
         "group; the cut-and-sum recursion makes the whole group free",
-        leaves=len(leaves)))
-    return Decision(Verdict.FREE, tuple(steps))
+        leaves=len(leaves)),))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedTraceError, PreconditionError, SchemaError
+from .errors import MalformedTraceError, SchemaError
 from .valgroup import (CertStep, Decision, IntegersZ, RationalsQ, Repeated, TRIVIAL,
                        ValueTower, Verdict, direct_sum, freeness_verdict,
                        render_expr)
@@ -96,14 +96,6 @@ class Ordinal:
             e, c = self.terms[-1]
             return Ordinal(self.terms[:-1] + ((0, c + 1),))
         return Ordinal(self.terms + ((0, 1),))
-
-    def predecessor(self) -> "Ordinal":
-        if not self.is_successor():
-            raise ValueError("only successors have predecessors")
-        e, c = self.terms[-1]
-        if c > 1:
-            return Ordinal(self.terms[:-1] + ((0, c - 1),))
-        return Ordinal(self.terms[:-1])
 
     def leading_exponent(self) -> int:
         return self.terms[0][0] if self.terms else 0
@@ -234,16 +226,6 @@ class ScatteredSpace:
         if self.bound is None:
             return []
         return list(range(self.bound.leading_exponent() + 1))
-
-    def point_rank(self, x: Ordinal) -> int:
-        """The Cantor-Bendixson rank of a point of the interval: the number
-        of derivatives that keep it, i.e. the least exponent in its normal
-        form (0 itself is isolated)."""
-        if self.bound is None or x > self.bound:
-            raise PreconditionError("point outside the space")
-        if x.is_zero():
-            return 0
-        return x.terms[-1][0]
 
 
 def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:

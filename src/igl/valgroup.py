@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import PreconditionError, SchemaError
+from .errors import SchemaError
 
 
 class Verdict(str, enum.Enum):
@@ -289,6 +289,32 @@ def direct_sum(*parts: GroupExpr) -> GroupExpr:
 
 
 # ---------------------------------------------------------------------------
+# Atoms
+# ---------------------------------------------------------------------------
+
+def _atoms(e: GroupExpr):
+    """The atoms of a normal form from left to right, each with its
+    multiplicity: the product of the enclosing integer ``Repeated``
+    counts, or ``None`` under a symbolic count.
+
+    Direct sums, lex towers (as plain groups, sums of their levels) and
+    repeats pass freeness, torsion and divisible elements through to
+    their atoms, so every property below is a rule on atoms."""
+    stack: list[tuple[GroupExpr, int | None]] = [(e, 1)]
+    while stack:
+        x, mult = stack.pop()
+        if isinstance(x, DirectSum):
+            stack.extend((p, mult) for p in reversed(x.parts))
+        elif isinstance(x, LexTower):
+            stack.extend((l, mult) for l in reversed(x.levels))
+        elif isinstance(x, Repeated):
+            symbolic = mult is None or not isinstance(x.times, int)
+            stack.append((x.base, None if symbolic else mult * x.times))
+        else:
+            yield x, mult
+
+
+# ---------------------------------------------------------------------------
 # Invariant factors of finitely generated expressions
 # ---------------------------------------------------------------------------
 
@@ -311,28 +337,15 @@ def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
     """Invariant factors of a finitely generated expression, or ``None``
     when the expression is not (visibly) finitely generated."""
     orders: list[int] = []
-
-    def walk(x: GroupExpr, mult: int) -> bool:
-        if isinstance(x, TrivialGroup):
-            return True
-        if isinstance(x, IntegersZ):
+    for atom, mult in _atoms(normalize(e)):
+        if mult is None:
+            return None
+        if isinstance(atom, IntegersZ):
             orders.extend([0] * mult)
-            return True
-        if isinstance(x, Cyclic):
-            orders.extend([x.order] * mult)
-            return True
-        if isinstance(x, (DirectSum,)):
-            return all(walk(p, mult) for p in x.parts)
-        if isinstance(x, LexTower):
-            return all(walk(l, mult) for l in x.levels)
-        if isinstance(x, Repeated):
-            if not isinstance(x.times, int):
-                return False
-            return walk(x.base, mult * x.times)
-        return False
-
-    if not walk(normalize(e), 1):
-        return None
+        elif isinstance(atom, Cyclic):
+            orders.extend([atom.order] * mult)
+        elif not isinstance(atom, TrivialGroup):
+            return None
     return canonical_invariants(orders)
 
 
@@ -347,115 +360,70 @@ def expr_rank(e: GroupExpr) -> int | None:
 # Freeness verdicts
 # ---------------------------------------------------------------------------
 
-_TRUE, _FALSE, _MAYBE = True, False, None
-
-
 def _tri_or(values) -> bool | None:
     saw_maybe = False
     for v in values:
-        if v is _TRUE:
-            return _TRUE
-        if v is _MAYBE:
+        if v is True:
+            return True
+        if v is None:
             saw_maybe = True
-    return _MAYBE if saw_maybe else _FALSE
+    return None if saw_maybe else False
+
+
+# The per-atom rules: the only place that knows what each atom answers.
+# A declared-free opaque group has neither torsion nor divisible elements.
+
+def _atom_free(a: GroupExpr) -> bool:
+    if isinstance(a, Opaque):
+        return a.is_free is True
+    return isinstance(a, (TrivialGroup, IntegersZ))
+
+
+def _atom_torsion(a: GroupExpr) -> bool | None:
+    if isinstance(a, Cyclic):
+        return True
+    if isinstance(a, Opaque):
+        if a.is_torsionfree is None:
+            return False if a.is_free else None
+        return not a.is_torsionfree
+    return None if isinstance(a, UnknownGroup) else False
+
+
+def _atom_divisible(a: GroupExpr) -> bool | None:
+    if isinstance(a, (RationalsQ, RealsR)):
+        return True
+    if isinstance(a, Opaque):
+        if a.has_divisible is None:
+            return False if a.is_free else None
+        return a.has_divisible
+    return None if isinstance(a, UnknownGroup) else False
 
 
 def has_torsion(e: GroupExpr) -> bool | None:
     """Three-valued: does the group contain a nonzero torsion element?
     Torsion elements survive in direct summands and lex factors."""
-    return _torsion(normalize(e))
-
-
-def _torsion(e: GroupExpr) -> bool | None:
-    # ``e`` is a normal form: no FgAtom, no zero multiplicity
-    if isinstance(e, (TrivialGroup, IntegersZ, RationalsQ, RealsR, InfiniteProductZ)):
-        return _FALSE
-    if isinstance(e, Cyclic):
-        return _TRUE
-    if isinstance(e, Opaque):
-        if e.is_torsionfree is None:
-            return _FALSE if e.is_free else _MAYBE
-        return not e.is_torsionfree
-    if isinstance(e, UnknownGroup):
-        return _MAYBE
-    if isinstance(e, DirectSum):
-        return _tri_or(_torsion(p) for p in e.parts)
-    if isinstance(e, LexTower):
-        return _tri_or(_torsion(l) for l in e.levels)
-    if isinstance(e, Repeated):
-        return _torsion(e.base)
-    raise TypeError(f"unhandled expression {e!r}")
+    return _tri_or(_atom_torsion(a) for a, _ in _atoms(normalize(e)))
 
 
 def has_divisible(e: GroupExpr) -> bool | None:
     """Three-valued: does the group contain a nonzero element divisible by
     every positive integer?  Such elements survive in direct summands."""
-    return _divisible(normalize(e))
+    return _tri_or(_atom_divisible(a) for a, _ in _atoms(normalize(e)))
 
 
-def _divisible(e: GroupExpr) -> bool | None:
-    # ``e`` is a normal form: no FgAtom, no zero multiplicity
-    if isinstance(e, (TrivialGroup, IntegersZ, Cyclic, InfiniteProductZ)):
-        return _FALSE
-    if isinstance(e, (RationalsQ, RealsR)):
-        return _TRUE
-    if isinstance(e, Opaque):
-        if e.has_divisible is None:
-            return _FALSE if e.is_free else _MAYBE
-        return e.has_divisible
-    if isinstance(e, UnknownGroup):
-        return _MAYBE
-    if isinstance(e, DirectSum):
-        return _tri_or(_divisible(p) for p in e.parts)
-    if isinstance(e, LexTower):
-        return _tri_or(_divisible(l) for l in e.levels)
-    if isinstance(e, Repeated):
-        return _divisible(e.base)
-    raise TypeError(f"unhandled expression {e!r}")
+def _witness(atoms: list[GroupExpr], rule) -> str | None:
+    """Name the first atom where ``rule`` holds -- its declared label, or
+    its rendering -- or ``None`` when it holds of none."""
+    atom = next((a for a in atoms if rule(a) is True), None)
+    if atom is None:
+        return None
+    return atom.label if isinstance(atom, Opaque) else _render(atom)
 
 
 @dataclass(frozen=True)
 class FreenessResult:
     verdict: Verdict
     trace: Certificate
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.verdict is Verdict.FREE
-
-
-# The witnesses and the derivation below take normal forms.
-
-def _witness(e: GroupExpr, holds) -> str:
-    """Name what makes ``holds`` (``_torsion`` or ``_divisible``) true of
-    ``e``: follow the first summand or level where it holds down to a
-    declared label or an atom."""
-    while True:
-        if isinstance(e, Opaque):
-            return e.label
-        if isinstance(e, Repeated):
-            e = e.base
-            continue
-        parts = e.parts if isinstance(e, DirectSum) else \
-            e.levels if isinstance(e, LexTower) else ()
-        inner = next((p for p in parts if holds(p) is _TRUE), None)
-        if inner is None:
-            return _render(e)
-        e = inner
-
-
-def _derivably_free(e: GroupExpr) -> bool:
-    """Is there a structural derivation that the group is free?"""
-    if isinstance(e, (TrivialGroup, IntegersZ)):
-        return True
-    if isinstance(e, Opaque):
-        return e.is_free is True
-    if isinstance(e, DirectSum):
-        return all(_derivably_free(p) for p in e.parts)
-    if isinstance(e, LexTower):
-        return all(_derivably_free(l) for l in e.levels)
-    if isinstance(e, Repeated):
-        return _derivably_free(e.base)
-    return False
 
 
 def freeness_verdict(e: GroupExpr) -> FreenessResult:
@@ -469,25 +437,28 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
     declaration.  Everything else is ``Unknown``.
     """
     e = normalize(e)
-    if _derivably_free(e):
+    atoms = [a for a, _ in _atoms(e)]
+    if all(_atom_free(a) for a in atoms):
         return FreenessResult(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
                           group=_render(e)),))
-    t = _torsion(e)
-    if t is _TRUE:
+    witness = _witness(atoms, _atom_torsion)
+    if witness is not None:
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("torsion-witness",
                           "a nonzero torsion element survives in every direct-sum "
                           "decomposition, and free groups are torsionfree",
-                          witness=_witness(e, _torsion)),))
-    d = _divisible(e)
-    if d is _TRUE:
+                          witness=witness),))
+    witness = _witness(atoms, _atom_divisible)
+    if witness is not None:
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("divisible-witness",
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
-                          witness=_witness(e, _divisible)),))
+                          witness=witness),))
+    # the two whole-group rules: neither an infinite product nor a
+    # declared-not-free group passes its unfreeness on to a sum
     if isinstance(e, InfiniteProductZ):
         return FreenessResult(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
@@ -719,31 +690,18 @@ class ValueTower:
         return len(self.slots)
 
     @classmethod
-    def of(cls, *slots: GroupExpr) -> "ValueTower":
-        return cls(tuple(slots))
-
-    @classmethod
     def from_names(cls, names: list[str]) -> "ValueTower":
         table = {"Z": Z, "Q": Q, "R": R}
         slots = []
         for n in names:
-            if n not in table:
+            if not isinstance(n, str) or n not in table:
                 raise SchemaError(f"unknown tower slot {n!r} (expected Z, Q or R)")
             slots.append(table[n])
         return cls(tuple(slots))
 
     def slot_names(self) -> list[str]:
-        out = []
-        for s in self.slots:
-            if isinstance(s, IntegersZ):
-                out.append("Z")
-            elif isinstance(s, RationalsQ):
-                out.append("Q")
-            elif isinstance(s, RealsR):
-                out.append("R")
-            else:
-                out.append(render_expr(s))
-        return out
+        # the canonical rendering of Z, Q and R is their schema name
+        return [render_expr(s) for s in self.slots]
 
     def to_expr(self) -> GroupExpr:
         if not self.slots:
@@ -752,38 +710,19 @@ class ValueTower:
             return self.slots[0]
         return LexTower(self.slots)
 
-    def concat(self, other: "ValueTower") -> "ValueTower":
-        return ValueTower(self.slots + other.slots, self.branched + other.branched)
-
-    def top_segment(self, depth: int) -> "ValueTower":
-        return ValueTower(self.slots[:depth], self.branched[:depth])
-
     def root_segment(self, depth: int) -> "ValueTower":
         return ValueTower(self.slots[depth:], self.branched[depth:])
 
     def all_slots_z(self) -> bool:
         return all(isinstance(s, IntegersZ) for s in self.slots)
 
-
-def quotient_by_convex(t: ValueTower, depth: int) -> ValueTower:
-    """The quotient tower consisting of the top ``depth`` slots.
-
-    This is pure tower surgery with the convention fixed by
-    :func:`convex_subgroup`: convex subgroups are suffixes of the slot
-    list, quotients are top prefixes, and concatenating the two pieces as
-    a lex tower reproduces the original.
-    """
-    if depth < 0 or depth > len(t):
-        raise PreconditionError(f"depth {depth} out of range for a tower of length {len(t)}")
-    return t.top_segment(depth)
-
-
-def convex_subgroup(t: ValueTower, depth: int) -> ValueTower:
-    """The convex subgroup complementary to :func:`quotient_by_convex`:
-    the suffix of the slot list after the top ``depth`` slots."""
-    if depth < 0 or depth > len(t):
-        raise PreconditionError(f"depth {depth} out of range for a tower of length {len(t)}")
-    return t.root_segment(depth)
+    def is_free(self) -> bool:
+        """The freeness verdict of the tower, read off its slots.  Every
+        slot is ``Z``, ``Q``, ``R`` or a free finitely generated group, so
+        the tower is free exactly when no slot is ``Q`` or ``R``; such a
+        slot is a divisible witness, so the verdict is ``Free`` or
+        ``NotFree``, never ``Unknown``."""
+        return not any(isinstance(s, (RationalsQ, RealsR)) for s in self.slots)
 
 
 def inv_of_valuation(t: ValueTower) -> GroupExpr:
@@ -848,8 +787,7 @@ def unbranched_valuation_verdict(step_quotients: list[GroupExpr],
         return Decision(Verdict.UNKNOWN, (
             CertStep.make("hypothesis-unbranched",
                           "this rule requires that no prime ideal is branched"),))
-    verdicts = [freeness_verdict(q) for q in step_quotients]
-    if all(v.verdict is Verdict.FREE for v in verdicts):
+    if all(freeness_verdict(q).verdict is Verdict.FREE for q in step_quotients):
         return Decision(Verdict.FREE, (
             CertStep.make("unbranched-step-basis",
                           "every one-step value group is free, and their bases "

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths it is used to check:
 determinants are cofactor expansions rather than Bareiss, invariant
 factors come from gcds of minors rather than Smith reduction, derived-set
 bounds come from a max-search over a candidate grid rather than normal
-form surgery, and tree ranks come from a direct structural recursion
-rather than the cut-and-sum decision procedure.
+form surgery, tree ranks come from a direct structural recursion
+rather than the cut-and-sum decision procedure, and the freeness rules
+of symbolic groups are replayed by structural recursion over a normal
+form rather than by the iterative atom walk.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from igl.abelian import (AmalgamPart, FgGroup, FgHom, direct_sum,
 from igl.matrices import IntMatrix, hstack
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
-from igl.valgroup import ValueTower
+from igl.valgroup import (CertStep, Cyclic, DirectSum, FreenessResult, GroupExpr,
+                          InfiniteProductZ, IntegersZ, LexTower, Opaque, RationalsQ,
+                          RealsR, Repeated, TrivialGroup, UnknownGroup, ValueTower,
+                          Verdict, canonical_invariants, normalize, render_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +93,142 @@ def divisible_elements_brute(torsion_factors: tuple[int, ...]) -> list[tuple[int
         if ok:
             out.append(x)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# Freeness rules by structural recursion over a normal form
+# ---------------------------------------------------------------------------
+
+def _tri_or(values) -> bool | None:
+    values = list(values)
+    if True in values:
+        return True
+    return None if None in values else False
+
+
+def torsion_ref(e: GroupExpr) -> bool | None:
+    if isinstance(e, (TrivialGroup, IntegersZ, RationalsQ, RealsR, InfiniteProductZ)):
+        return False
+    if isinstance(e, Cyclic):
+        return True
+    if isinstance(e, Opaque):
+        if e.is_torsionfree is None:
+            return False if e.is_free else None
+        return not e.is_torsionfree
+    if isinstance(e, UnknownGroup):
+        return None
+    if isinstance(e, DirectSum):
+        return _tri_or(torsion_ref(p) for p in e.parts)
+    if isinstance(e, LexTower):
+        return _tri_or(torsion_ref(l) for l in e.levels)
+    if isinstance(e, Repeated):
+        return torsion_ref(e.base)
+    raise TypeError(f"unhandled expression {e!r}")
+
+
+def divisible_ref(e: GroupExpr) -> bool | None:
+    if isinstance(e, (TrivialGroup, IntegersZ, Cyclic, InfiniteProductZ)):
+        return False
+    if isinstance(e, (RationalsQ, RealsR)):
+        return True
+    if isinstance(e, Opaque):
+        if e.has_divisible is None:
+            return False if e.is_free else None
+        return e.has_divisible
+    if isinstance(e, UnknownGroup):
+        return None
+    if isinstance(e, DirectSum):
+        return _tri_or(divisible_ref(p) for p in e.parts)
+    if isinstance(e, LexTower):
+        return _tri_or(divisible_ref(l) for l in e.levels)
+    if isinstance(e, Repeated):
+        return divisible_ref(e.base)
+    raise TypeError(f"unhandled expression {e!r}")
+
+
+def derivably_free_ref(e: GroupExpr) -> bool:
+    if isinstance(e, (TrivialGroup, IntegersZ)):
+        return True
+    if isinstance(e, Opaque):
+        return e.is_free is True
+    if isinstance(e, DirectSum):
+        return all(derivably_free_ref(p) for p in e.parts)
+    if isinstance(e, LexTower):
+        return all(derivably_free_ref(l) for l in e.levels)
+    if isinstance(e, Repeated):
+        return derivably_free_ref(e.base)
+    return False
+
+
+def witness_ref(e: GroupExpr, holds) -> str:
+    """Follow the first summand or level where ``holds`` is true down to
+    a declared label or an atom."""
+    if isinstance(e, Opaque):
+        return e.label
+    if isinstance(e, Repeated):
+        return witness_ref(e.base, holds)
+    parts = e.parts if isinstance(e, DirectSum) else \
+        e.levels if isinstance(e, LexTower) else ()
+    inner = next((p for p in parts if holds(p) is True), None)
+    return render_expr(e) if inner is None else witness_ref(inner, holds)
+
+
+def freeness_verdict_ref(e: GroupExpr) -> FreenessResult:
+    """The freeness rule system, rule by rule, on the recursive helpers."""
+    e = normalize(e)
+    if derivably_free_ref(e):
+        return FreenessResult(Verdict.FREE, (
+            CertStep.make("sum-of-free",
+                          "a direct sum of infinite cyclic and declared-free pieces is free",
+                          group=render_expr(e)),))
+    if torsion_ref(e) is True:
+        return FreenessResult(Verdict.NOT_FREE, (
+            CertStep.make("torsion-witness",
+                          "a nonzero torsion element survives in every direct-sum "
+                          "decomposition, and free groups are torsionfree",
+                          witness=witness_ref(e, torsion_ref)),))
+    if divisible_ref(e) is True:
+        return FreenessResult(Verdict.NOT_FREE, (
+            CertStep.make("divisible-witness",
+                          "a nonzero element divisible by every integer survives in "
+                          "direct summands, and free groups have none",
+                          witness=witness_ref(e, divisible_ref)),))
+    if isinstance(e, InfiniteProductZ):
+        return FreenessResult(Verdict.NOT_FREE, (
+            CertStep.make("infinite-product",
+                          "the direct product of infinitely many copies of Z is not free"),))
+    if isinstance(e, Opaque) and e.is_free is False:
+        return FreenessResult(Verdict.NOT_FREE, (
+            CertStep.make("declared-not-free",
+                          "the group was declared not free; the declaration is trusted input",
+                          label=e.label),))
+    return FreenessResult(Verdict.UNKNOWN, (
+        CertStep.make("no-rule",
+                      "no freeness derivation and no unfreeness witness applies",
+                      group=render_expr(e)),))
+
+
+def invariant_factors_ref(e: GroupExpr) -> tuple[int, ...] | None:
+    orders: list[int] = []
+
+    def walk(x: GroupExpr, mult: int) -> bool:
+        if isinstance(x, TrivialGroup):
+            return True
+        if isinstance(x, IntegersZ):
+            orders.extend([0] * mult)
+            return True
+        if isinstance(x, Cyclic):
+            orders.extend([x.order] * mult)
+            return True
+        if isinstance(x, DirectSum):
+            return all(walk(p, mult) for p in x.parts)
+        if isinstance(x, LexTower):
+            return all(walk(l, mult) for l in x.levels)
+        if isinstance(x, Repeated):
+            return isinstance(x.times, int) and walk(x.base, mult * x.times)
+        return False
+
+    return canonical_invariants(orders) if walk(normalize(e), 1) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from igl.cli import canonical_json, main
 
@@ -290,3 +291,99 @@ def test_malformed_group_diagram_exits_2(tmp_path, capsys):
     assert_schema_exit(tmp_path, capsys, ses, "ses.inj")
     snake = {"v": 1, "kind": "group_diagram", "check": "snake", "snake": 5}
     assert_schema_exit(tmp_path, capsys, snake, "field 'snake'")
+
+
+def test_unhashable_values_exit_2(tmp_path, capsys):
+    for bad in ([], {}):
+        assert_schema_exit(tmp_path, capsys, {"v": 1, "kind": bad}, "field 'kind'")
+        assert_schema_exit(tmp_path, capsys, dict(SES, check=bad), "field 'check'")
+        assert_schema_exit(tmp_path, capsys, dict(DVR, tower=["Z", bad]), "tower slot")
+        label = {"v": 1, "kind": "prufer_tree", "root": {"id": "0", "children": [
+            {"id": "M", "label": [bad]}]}}
+        assert_schema_exit(tmp_path, capsys, label, "tower slot")
+
+
+# one instance per family of boolean fields, with the key path of each field
+BOOL_FIELDS = [
+    (CURVE, [("integrally_closed",), ("conductor_nonzero",), ("local",)]),
+    (dict(YTREE, question="div"), [("locally_finite",), ("codim_finite",),
+                                   ("t_finite_character",),
+                                   ("root", "children", 0, "branched")]),
+    (DVR, [("maximal_principal",), ("maximal_branched",)]),
+    (CURVE, [("k", "opaque", "unit_free"), ("branches", 0, "L", "opaque", "quotient_free"),
+             ("branches", 0, "L", "opaque", "summand")]),
+]
+
+
+def mutated(payload, path, value):
+    out = json.loads(json.dumps(payload))
+    rec = out
+    for key in path[:-1]:
+        rec = rec[key]
+    rec[path[-1]] = value
+    return out
+
+
+def test_boolean_fields_accept_only_true_and_false(tmp_path, capsys):
+    for payload, paths in BOOL_FIELDS:
+        for path in paths:
+            for value in (True, False):
+                target = write(tmp_path, mutated(payload, path, value))
+                assert main(["decide", str(target)]) in (0, 3)
+                capsys.readouterr()
+            for bad in ("false", "yes", 0, 1, []):
+                assert_schema_exit(tmp_path, capsys, mutated(payload, path, bad), path[-1])
+    # "false" used to be read as true: a nonzero conductor, exit 0
+    assert_schema_exit(tmp_path, capsys, dict(CURVE, conductor_nonzero="false"),
+                       "field 'conductor_nonzero': must be true or false")
+
+
+def test_null_keeps_the_default_only_where_undeclared_is_allowed(tmp_path, capsys):
+    def decide_json(payload):
+        assert main(["decide", str(write(tmp_path, payload)), "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("elapsed_ms")
+        return out
+    opaque = ("branches", 0, "L", "opaque", "quotient_free")
+    assert decide_json(mutated(CURVE, opaque, None)) == decide_json(CURVE)
+    assert decide_json(dict(DVR, maximal_principal=None)) == decide_json(DVR)
+    assert decide_json(dict(YTREE, t_finite_character=None)) == decide_json(YTREE)
+    assert_schema_exit(tmp_path, capsys, dict(CURVE, conductor_nonzero=None),
+                       "must be true or false")
+
+
+def field_paths(x, prefix=()):
+    """Every key path of a JSON value, depth first."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def test_instance_mutation_sweep(tmp_path, capsys):
+    """Every field of every shipped instance, and every boolean field the
+    instance leaves out, replaced by values of each JSON type: no input
+    ends in a traceback or an undocumented exit code."""
+    instances = sorted(Path(__file__).resolve().parent.parent.glob("instances/*.json"))
+    assert instances
+    top_flags = {"noeth_local": ("integrally_closed", "conductor_nonzero", "local"),
+                 "prufer_tree": ("locally_finite", "codim_finite", "t_finite_character"),
+                 "valuation": ("maximal_principal", "maximal_branched")}
+    runs = 0
+    for f in instances:
+        payload = json.loads(f.read_text(encoding="utf-8"))
+        paths = list(field_paths(payload))
+        paths += [(k,) for k in top_flags.get(payload["kind"], ())]
+        # a tree node is a record with a label; an opaque field declares three flags
+        paths += [p[:-1] + ("branched",) for p in paths
+                  if p[-1] == "label" and payload["kind"] == "prufer_tree"]
+        paths += [p + (k,) for p in paths if p[-1] == "opaque"
+                  for k in ("unit_free", "quotient_free", "summand")]
+        for path in dict.fromkeys(paths):
+            for value in (None, True, -1, "x", [], {}):
+                target = write(tmp_path, mutated(payload, path, value))
+                assert main(["decide", str(target)]) in (0, 2, 3), (f.name, path, value)
+                assert main(["verify", str(target)]) in (0, 1, 2, 3), (f.name, path, value)
+                capsys.readouterr()
+                runs += 1
+    assert runs > 1000

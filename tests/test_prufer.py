@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igl import prufer
 from igl.errors import SchemaError
 from igl.prufer import (PrimeNode, SpecTree, branching_points, decide_div_free,
                         decide_inv_free, gamma_at, contracted_spectrum,
@@ -234,13 +235,15 @@ def test_tree_payload_parsing():
 # deep trees: every walk is a loop
 # ---------------------------------------------------------------------------
 
-def caterpillar(spine):
+def caterpillar(spine, first="Z", last="Z"):
     """Spine nodes s1..s<spine>, each but the last with one leaf; built
-    bottom-up, so building it needs no recursion either."""
+    bottom-up, so building it needs no recursion either.  The edge above
+    s1 is labelled ``first``, the one above the end leaf s<spine> ``last``,
+    every other edge Z."""
     z = zt("Z")
-    node = PrimeNode(f"s{spine}", z)
+    node = PrimeNode(f"s{spine}", zt(last))
     for i in range(spine - 1, 0, -1):
-        node = PrimeNode(f"s{i}", z, (PrimeNode(f"l{i}", z), node))
+        node = PrimeNode(f"s{i}", zt(first) if i == 1 else z, (PrimeNode(f"l{i}", z), node))
     return SpecTree(PrimeNode("0", None, (node,)))
 
 
@@ -284,3 +287,36 @@ def test_index_lookups():
     assert t.parents["l2"] is t.node("s2")
     with pytest.raises(KeyError):
         t.node("nope")
+
+
+# ---------------------------------------------------------------------------
+# one pre-order verdict pass
+# ---------------------------------------------------------------------------
+
+def test_pass_matches_the_verdict_of_every_value_group():
+    rng = random.Random(29)
+    for _ in range(200):
+        t = random_tree(rng, q_prob=0.3)
+        free = prufer._free_at(t)
+        for n in t.nodes():
+            v = freeness_verdict(gamma_at(t, n).to_expr()).verdict
+            assert v is (Verdict.FREE if free[n.node_id] else Verdict.NOT_FREE)
+
+
+@pytest.mark.parametrize("first, last, verdict", [
+    ("Z", "Z", Verdict.FREE), ("Q", "Z", Verdict.UNKNOWN), ("Z", "Q", Verdict.NOT_FREE)])
+def test_caterpillar_walks_at_most_two_root_paths(monkeypatch, first, last, verdict):
+    calls = {"freeness_verdict": 0, "gamma_at": 0}
+
+    def counted(name):
+        inner = getattr(prufer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(prufer, name, counted(name))
+    res = decide_inv_free(caterpillar(1500, first, last))
+    assert res.verdict is verdict
+    assert calls["freeness_verdict"] <= 2 and calls["gamma_at"] <= 2

@@ -61,13 +61,11 @@ def test_ordinal_order():
     assert not (w() < w())
 
 
-def test_successor_predecessor():
+def test_successor_and_limits():
     assert fin(0).successor() == fin(1)
-    assert w().successor().predecessor() == w()
+    assert w().successor() == Ordinal(((1, 1), (0, 1)))
     assert w().is_limit() and not w().is_successor()
     assert fin(5).is_successor()
-    with pytest.raises(ValueError):
-        w().predecessor()
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +126,8 @@ def test_strata_monotone_along_derivatives():
         prev = set(cur.occupied_strata())
 
 
-def test_point_rank_and_multiplicity():
+def test_stratum_multiplicity_examples():
     s = space(w(2), {0: zt("Z"), 1: zt("Z"), 2: zt("Z")})
-    assert s.point_rank(fin(0)) == 0
-    assert s.point_rank(fin(17)) == 0
-    assert s.point_rank(w()) == 1
-    assert s.point_rank(w(1, 3)) == 1
-    assert s.point_rank(w(2)) == 2
     assert stratum_multiplicity(s, 0) == "w^2"
     assert stratum_multiplicity(s, 1) == "w"
     assert stratum_multiplicity(s, 2) == 1

@@ -1,17 +1,19 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igl.errors import PreconditionError, SchemaError
+from igl.errors import SchemaError
 from igl.valgroup import (Cyclic, DirectSum, FgAtom, LexTower, Opaque, Q, R,
                           Repeated, TRIVIAL, UNKNOWN, ValueTower, Verdict, Z,
-                          ZPROD, canonical_invariants, convex_subgroup,
-                          div_of_valuation,
+                          ZPROD, canonical_invariants, div_of_valuation,
                           direct_sum, expr_invariant_factors, expr_rank,
                           freeness_verdict, has_divisible, has_torsion,
-                          inv_of_valuation, normalize, parse_expr,
-                          quotient_by_convex, render_expr,
+                          inv_of_valuation, normalize, parse_expr, render_expr,
                           unbranched_valuation_verdict)
+from oracles import (divisible_ref, freeness_verdict_ref, invariant_factors_ref,
+                     torsion_ref)
 
 
 def verdict(e):
@@ -143,35 +145,6 @@ def test_parse_rejects_junk():
 # value towers
 # ---------------------------------------------------------------------------
 
-slot_lists = st.lists(st.sampled_from(["Z", "Q", "R"]), max_size=5)
-
-
-@given(slot_lists, st.integers(0, 5))
-@settings(max_examples=300, deadline=None)
-def test_tower_concat_invariant(names, depth):
-    t = ValueTower.from_names(names)
-    if depth > len(t):
-        with pytest.raises(PreconditionError):
-            quotient_by_convex(t, depth)
-        return
-    q = quotient_by_convex(t, depth)
-    s = convex_subgroup(t, depth)
-    assert q.slots + s.slots == t.slots
-    assert q.concat(s).slots == t.slots
-
-
-def test_tower_quotient_examples():
-    t = ValueTower.from_names(["Z", "Z", "Z"])
-    assert quotient_by_convex(t, 1).slot_names() == ["Z"]
-    assert convex_subgroup(t, 1).slot_names() == ["Z", "Z"]
-    t2 = ValueTower.from_names(["Q", "Z"])
-    assert quotient_by_convex(t2, 2).slot_names() == ["Q", "Z"]
-    assert convex_subgroup(t2, 2).slot_names() == []
-    t3 = ValueTower.from_names(["Z", "Q", "Z"])
-    assert quotient_by_convex(t3, 2).slot_names() == ["Z", "Q"]
-    assert convex_subgroup(t3, 2).slot_names() == ["Z"]
-
-
 def test_inv_of_valuation():
     assert render_expr(inv_of_valuation(ValueTower.from_names(["Z"]))) == "Z"
     q = inv_of_valuation(ValueTower.from_names(["Q"]))
@@ -269,6 +242,25 @@ def test_every_subterm_of_a_normal_form_is_normal(e):
     assert has_divisible(e) == has_divisible(n)
     assert render_expr(e) == render_expr(n)
     assert expr_invariant_factors(e) == expr_invariant_factors(n)
+
+
+@given(raw_exprs)
+@settings(max_examples=400, deadline=None)
+def test_atom_walk_matches_the_recursive_rules(e):
+    n = normalize(e)
+    assert has_torsion(e) is torsion_ref(n)
+    assert has_divisible(e) is divisible_ref(n)
+    assert freeness_verdict(e) == freeness_verdict_ref(n)
+    assert expr_invariant_factors(e) == invariant_factors_ref(n)
+
+
+def test_tower_rule_matches_the_verdict():
+    slots = [Z, Q, R, FgAtom((0,)), FgAtom((0, 0)), FgAtom(())]
+    for n in range(5):
+        for combo in product(slots, repeat=n):
+            t = ValueTower(combo)
+            v = freeness_verdict(t.to_expr()).verdict
+            assert v is (Verdict.FREE if t.is_free() else Verdict.NOT_FREE), combo
 
 
 @given(st.lists(st.integers(0, 400), max_size=6))
