@@ -358,9 +358,7 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
             quotient = normal[kids[0]]
             normal[i] = normal_sum((quotient, normalize(step_expr)))
             cuts[slot] = DividedCut(prime_id, quotient, step_expr, normal[i])
-    # a field or a valuation ring keeps its group as built
-    top = frames[0][0]
-    return (normal[0] if top is None else top), steps, cuts
+    return normal[0], steps, cuts
 
 
 def decide_inv_free(tree: SpecTree) -> InvDecision:

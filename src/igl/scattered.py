@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .errors import MalformedTraceError, SchemaError
 from .valgroup import (CertStep, Decision, IntegersZ, RationalsQ, Repeated, TRIVIAL,
                        ValueTower, Verdict, direct_sum, freeness_verdict,
-                       render_expr)
+                       render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
         "the space is scattered, so the derived sequence exhausts the "
         "family; the candidate decomposition is the direct sum of the "
         "local value groups over the maximal ideals",
-        rank=rank, expr=render_expr(expr))
+        rank=rank, expr=render_normal(expr))
 
     def decided(verdict: Verdict, step: CertStep) -> Decision:
         return Decision(verdict, (sum_step, step), expr, meta)

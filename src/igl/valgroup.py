@@ -81,8 +81,8 @@ Certificate = tuple[CertStep, ...]
 @dataclass(frozen=True)
 class Decision:
     """What every decider returns: the verdict, the certificate behind it,
-    the group expression when the decider builds one, and the facts that
-    a report copies verbatim into its ``metadata``."""
+    the group expression (a normal form) when the decider builds one, and
+    the facts that a report copies verbatim into its ``metadata``."""
 
     verdict: Verdict
     certificate: Certificate
@@ -417,7 +417,7 @@ def _witness(atoms: list[GroupExpr], rule) -> str | None:
     atom = next((a for a in atoms if rule(a) is True), None)
     if atom is None:
         return None
-    return atom.label if isinstance(atom, Opaque) else _render(atom)
+    return atom.label if isinstance(atom, Opaque) else render_normal(atom)
 
 
 @dataclass(frozen=True)
@@ -442,7 +442,7 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
         return FreenessResult(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
-                          group=_render(e)),))
+                          group=render_normal(e)),))
     witness = _witness(atoms, _atom_torsion)
     if witness is not None:
         return FreenessResult(Verdict.NOT_FREE, (
@@ -471,7 +471,7 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
     return FreenessResult(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",
-                      group=_render(e)),))
+                      group=render_normal(e)),))
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +508,22 @@ def _render_item(e: GroupExpr) -> str:
     if isinstance(e, Opaque):
         return _render_flags(e)
     if isinstance(e, LexTower):
-        return "lex(" + ";".join(_render(l) for l in e.levels) + ")"
+        return "lex(" + ";".join(render_normal(l) for l in e.levels) + ")"
     if isinstance(e, Repeated):
         base = e.base
         if isinstance(base, (DirectSum, Repeated, Cyclic)):
-            base_txt = "(" + _render(base) + ")"
+            base_txt = "(" + render_normal(base) + ")"
         else:
             base_txt = _render_item(base)
         mult = str(e.times) if isinstance(e.times, int) else f"({e.times})"
         return f"{base_txt}^{mult}"
     if isinstance(e, DirectSum):
-        return "(" + _render(e) + ")"
+        return "(" + render_normal(e) + ")"
     raise TypeError(f"cannot render {e!r}")
 
 
-def _render(e: GroupExpr) -> str:
-    # ``e`` is a normal form
+def render_normal(e: GroupExpr) -> str:
+    """Canonical text of an expression that is already a normal form."""
     if isinstance(e, DirectSum):
         return " ⊕ ".join(_render_item(p) for p in e.parts)
     return _render_item(e)
@@ -531,7 +531,7 @@ def _render(e: GroupExpr) -> str:
 
 def render_expr(e: GroupExpr) -> str:
     """Canonical text of a group expression, e.g. ``Z ⊕ lex(Z;Q) ⊕ R``."""
-    return _render(normalize(e))
+    return render_normal(normalize(e))
 
 
 _TOKEN_RE = re.compile(

@@ -401,6 +401,16 @@ def tree_from_parents(parents: list[int]) -> SpecTree:
     return SpecTree(build(0))
 
 
+def tree_payload(parents: list[int]) -> dict:
+    """The ``prufer_tree`` instance of ``tree_from_parents(parents)``,
+    nested without recursion, so that deep trees can be written."""
+    nodes = [{"id": "0"}] + [{"id": str(i), "label": ["Z"]}
+                             for i in range(1, len(parents) + 1)]
+    for child, parent in enumerate(parents, start=1):
+        nodes[parent].setdefault("children", []).append(nodes[child])
+    return {"v": 1, "kind": "prufer_tree", "root": nodes[0]}
+
+
 def tree_rank_oracle(tree: SpecTree) -> int:
     """Total free rank of the invertible group of an all-Z tree, by direct
     structural recursion: each edge contributes its slot count."""

@@ -1,7 +1,12 @@
 import json
+import sys
+from dataclasses import replace
 from pathlib import Path
 
+from igl import cli, matrices, prufer
 from igl.cli import canonical_json, main
+from igl.valgroup import Z, direct_sum
+from oracles import tree_payload
 
 DVR = {"v": 1, "kind": "valuation", "tower": ["Z"], "name": "dvr"}
 YTREE = {"v": 1, "kind": "prufer_tree",
@@ -161,6 +166,50 @@ def test_verify_failing_check_exits_1(tmp_path, capsys):
     assert [(c["check"], c["ok"]) for c in out["checks"]] == \
         [("sequence-exact-and-split-tested", False)]
     assert "not exact" in out["checks"][0]["detail"]
+
+
+def test_verify_fails_a_corrupted_cut(tmp_path, capsys, monkeypatch):
+    decide = prufer.decide_inv_free
+
+    def corrupted(tree):
+        d = decide(tree)
+        cut = d.cuts[0]
+        bad = replace(cut, total_expr=direct_sum(cut.total_expr, Z))
+        return replace(d, cuts=(bad,) + d.cuts[1:])
+
+    monkeypatch.setattr(prufer, "decide_inv_free", corrupted)
+    rc = main(["verify", str(write(tmp_path, YTREE)), "--format", "json"])
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert rc == 1
+    assert checks["cut-at-P"] == {"check": "cut-at-P", "ok": False,
+                                  "detail": "assertion failed: middle term mismatch"}
+    assert all(c["ok"] for label, c in checks.items() if label != "cut-at-P")
+
+
+def test_tree_verify_needs_no_integer_engine(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("tree verify called the integer engine")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "igl" and getattr(module, "snf", None) is matrices.snf:
+            monkeypatch.setattr(module, "snf", refuse)
+    # a broom: a handle of 40 primes, then 20 bristles
+    broom = list(range(40)) + [40] * 20
+    # a caterpillar: a spine of 150 primes, one leaf on each, two on the last
+    caterpillar, prev = [], 0
+    for _ in range(150):
+        caterpillar += [prev, len(caterpillar) + 1]
+        prev = len(caterpillar) - 1
+    caterpillar.append(prev)
+    for parents in (broom, caterpillar):
+        kids = [0] * (len(parents) + 1)
+        for p in parents:
+            kids[p] += 1
+        branching = sum(1 for n in kids[1:] if n >= 2)
+        checks = cli.verify_payload(tree_payload(parents), "tree")
+        assert [c for c in checks if not c[1]] == []
+        cuts = [d for label, _, d in checks if label.startswith("cut-at-")]
+        assert cuts == ["exact and split on finitely generated stand-ins"] * branching
 
 
 def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):

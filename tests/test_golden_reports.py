@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from igl import cli
+from igl import cli, valgroup
 from igl.corpus import CASES
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -84,3 +84,18 @@ def test_instance_reports_match_golden(path):
                          ids=lambda c: c.name)
 def test_corpus_reports_match_golden(case):
     assert digest(case.payload, case.name) == CORPUS_DIGESTS[case.name]
+
+
+def test_every_decision_expression_is_a_normal_form():
+    # the report renders ``Decision.expr`` without normalizing it again
+    payloads = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(INSTANCES.glob("*.json"))]
+    payloads += [c.payload for c in CASES if c.payload is not None]
+    kinds = set()
+    for payload in payloads:
+        kind = cli.validate_envelope(payload)
+        d = cli.KINDS[kind][0](payload)
+        if d.expr is not None:
+            kinds.add(kind)
+            assert valgroup.normalize(d.expr) == d.expr, payload
+    # a krull decision carries no expression
+    assert kinds == set(cli.KINDS) - {"krull"}
