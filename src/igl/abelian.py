@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .errors import DiagramError, PreconditionError
 from .matrices import (IntMatrix, block_diag, column_hnf, hstack, kernel_basis,
                        lattice_equal, lattice_solve, snf, solve, vstack)
 from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
                        Verdict, direct_sum as expr_direct_sum,
-                       freeness_verdict, normalize, render_expr)
+                       freeness_verdict, normalize, render_expr, render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +64,6 @@ class FgGroup:
     @classmethod
     def free(cls, n: int) -> "FgGroup":
         return cls(n, IntMatrix.zeros(n, 0))
-
-    @classmethod
-    def trivial(cls) -> "FgGroup":
-        return cls.free(0)
 
     @classmethod
     def cyclic(cls, n: int) -> "FgGroup":
@@ -104,18 +99,8 @@ class FgGroup:
         return column_hnf(self.relations)
 
     @property
-    def torsion_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariant_factors if d > 1)
-
-    @property
     def rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d == 0)
-
-    @property
-    def exponent(self) -> int:
-        """The exponent of the torsion part (1 when torsionfree)."""
-        t = self.torsion_factors
-        return lcm(*t) if t else 1
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -141,7 +126,7 @@ class FgGroup:
         return normalize(FgAtom(self.invariant_factors))
 
     def describe(self) -> str:
-        return render_expr(self.to_expr())
+        return render_normal(self.to_expr())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FgGroup<{self.describe()}>"
@@ -153,34 +138,8 @@ def is_free(g: FgGroup) -> bool:
 
 
 def direct_sum(groups: list[FgGroup]) -> FgGroup:
-    gens = sum(g.generators for g in groups)
-    if not groups:
-        return FgGroup.trivial()
-    rel = block_diag(*[g.relations for g in groups])
-    return FgGroup(gens, rel)
-
-
-def ds_inclusion(groups: list[FgGroup], i: int) -> "FgHom":
-    total = direct_sum(groups)
-    off = sum(g.generators for g in groups[:i])
-    rows = []
-    for r in range(total.generators):
-        row = [0] * groups[i].generators
-        if off <= r < off + groups[i].generators:
-            row[r - off] = 1
-        rows.append(row)
-    return FgHom(groups[i], total, IntMatrix.from_rows(rows, cols=groups[i].generators))
-
-
-def ds_projection(groups: list[FgGroup], i: int) -> "FgHom":
-    total = direct_sum(groups)
-    off = sum(g.generators for g in groups[:i])
-    rows = []
-    for r in range(groups[i].generators):
-        row = [0] * total.generators
-        row[off + r] = 1
-        rows.append(row)
-    return FgHom(total, groups[i], IntMatrix.from_rows(rows, cols=total.generators))
+    return FgGroup(sum(g.generators for g in groups),
+                   block_diag(*[g.relations for g in groups]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +237,6 @@ def kernel(h: FgHom) -> FgGroup:
     return kernel_with_inclusion(h)[0]
 
 
-def image(h: FgHom) -> FgGroup:
-    return _sublattice_group(h.target, image_lattice(h))[0]
-
-
 def cokernel(h: FgHom) -> FgGroup:
     """Target modulo image: relations are the image columns joined with the
     target relations."""
@@ -351,25 +306,6 @@ class ShortExactSeq:
             raise DiagramError("sequence not exact: image of the inclusion "
                                "differs from the kernel of the projection")
 
-    @classmethod
-    def of_direct_sum(cls, left: FgGroup, right: FgGroup) -> "ShortExactSeq":
-        mid = direct_sum([left, right])
-        return cls(left, mid, right,
-                   ds_inclusion([left, right], 0),
-                   ds_projection([left, right], 1))
-
-
-def sub_quotient_sequence(mid: FgGroup, sub_basis: IntMatrix) -> ShortExactSeq:
-    """The sequence ``0 → L/rel → mid → mid/L → 0`` for a lattice ``L``
-    (given by generating columns) containing the relation lattice."""
-    basis = column_hnf(hstack(sub_basis, mid.relations) if mid.relations.cols else sub_basis)
-    sub, incl = _sublattice_group(mid, basis)
-    quot = FgGroup(mid.generators,
-                   hstack(basis, mid.relations) if mid.relations.cols else basis)
-    proj = FgHom(mid, quot, IntMatrix.identity(mid.generators))
-    return ShortExactSeq(sub, mid, quot, incl, proj)
-
-
 # ---------------------------------------------------------------------------
 # Snake: the six-term kernel-cokernel sequence
 # ---------------------------------------------------------------------------
@@ -393,10 +329,6 @@ class SnakeResult:
     def groups(self) -> tuple[FgGroup, ...]:
         return (self.ker_f, self.ker_g, self.ker_h,
                 self.coker_f, self.coker_g, self.coker_h)
-
-    def maps(self) -> tuple[FgHom, ...]:
-        return (self.ker_fg, self.ker_gh, self.connecting,
-                self.coker_fg, self.coker_gh)
 
     def verify_exact(self) -> None:
         if not is_injective(self.ker_fg):
@@ -685,5 +617,5 @@ def three_by_three_split(principal_row: GridRow, invertible_row: GridRow,
                       "the middle row has a free quotient term, so it splits: the "
                       "middle group is the left term plus that quotient",
                       result=render_expr(expr)),
-    ) + fv.trace
+    ) + fv.certificate
     return Decision(fv.verdict, cert, expr)

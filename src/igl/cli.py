@@ -250,7 +250,7 @@ def _decide_valuation(payload: dict) -> Decision:
     return Decision(fv.verdict, (CertStep.make(
         "valuation-inv-iso",
         "every invertible ideal of a valuation ring is principal; the "
-        "invertible group is the value group"),) + fv.trace, expr)
+        "invertible group is the value group"),) + fv.certificate, expr)
 
 
 def _decide_prufer(payload: dict) -> Decision:
@@ -272,9 +272,7 @@ def _decide_prufer(payload: dict) -> Decision:
 
 
 def _decide_noeth(payload: dict) -> Decision:
-    inst = parse_noeth(payload)
-    d = noeth.decide_noeth(inst)
-    return replace(d, expr=noeth.unit_quotient_seq(inst).decomposition)
+    return noeth.decide_noeth(parse_noeth(payload))
 
 
 def _decide_scattered(payload: dict) -> Decision:
@@ -287,7 +285,7 @@ def _decide_krull(payload: dict) -> Decision:
 
 def _diagram_check(payload: dict) -> str:
     check = payload.get("check")
-    _expect(isinstance(check, str) and check in _DIAGRAM_REPLAYS,
+    _expect(isinstance(check, str) and check in _DIAGRAM_CHECKS,
             "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
     return check
 
@@ -395,32 +393,20 @@ def _check(label: str, replay, *args) -> Check:
         return label, False, f"assertion failed: {exc}"
 
 
-def _replay_ses(payload: dict) -> str:
-    s = parse_ses(payload.get("ses"), "ses")
-    return f"exact; splits={abelian.split_test(s).splits}"
-
-
-def _rerun_diagram(detail: str):
-    # the engine calls of the decision verify the diagram
-    def replay(payload: dict) -> str:
-        _decide_diagram(payload)
-        return detail
-    return replay
-
-
-# check -> (label, replay)
-_DIAGRAM_REPLAYS = {
-    "group": ("group-well-formed",
-              lambda payload: parse_group(payload.get("group"), "group").describe()),
-    "ses": ("sequence-exact-and-split-tested", _replay_ses),
-    "snake": ("ladder-and-six-term", _rerun_diagram("six-term sequence exact")),
-    "amalgam": ("amalgam-isomorphism", _rerun_diagram("kernel and surjectivity verified")),
+# check -> (label, detail read off the decision)
+_DIAGRAM_CHECKS = {
+    "group": ("group-well-formed", lambda d: valgroup.render_normal(d.expr)),
+    "ses": ("sequence-exact-and-split-tested",
+            lambda d: f"exact; splits={d.metadata['splits']}"),
+    "snake": ("ladder-and-six-term", lambda d: "six-term sequence exact"),
+    "amalgam": ("amalgam-isomorphism", lambda d: "kernel and surjectivity verified"),
 }
 
 
 def _replay_diagram(payload: dict) -> list[Check]:
-    label, replay = _DIAGRAM_REPLAYS[_diagram_check(payload)]
-    return [_check(label, replay, payload)]
+    # the engine calls of the decision verify the diagram
+    label, detail = _DIAGRAM_CHECKS[_diagram_check(payload)]
+    return [_check(label, lambda: detail(_decide_diagram(payload)))]
 
 
 def _replay_cut(cut: prufer.DividedCut) -> str:
@@ -467,11 +453,12 @@ def _replay_noeth(payload: dict) -> list[Check]:
     # the case-b and case-c checks recompute the unit quotient through the
     # integer engine independently of ``unit_quotient_seq``
     inst = parse_noeth(payload)
-    seq = noeth.unit_quotient_seq(inst)
-    checks = [("sequence-computed", True, f"case {seq.case}")]
+    quotient = noeth.unit_quotient_seq(inst)
+    case = inst.case()
+    checks = [("sequence-computed", True, f"case {case}")]
     fin = isinstance(inst.residue, noeth.FiniteField) and all(
         isinstance(b.field, noeth.FiniteField) for b in inst.branches)
-    if fin and seq.case == "c":
+    if fin and case == "c":
         def amalgam_crosscheck():
             m = inst.residue.unit_order
             orders = [b.field.unit_order for b in inst.branches]
@@ -492,13 +479,13 @@ def _replay_noeth(payload: dict) -> list[Check]:
                     [[0, 1]] if n > m else [[1]], cols=grp.generators))
                 parts.append(abelian.AmalgamPart(grp, emb, comp, proj, retract))
             res = abelian.amalgam_quotient(g, parts)
-            expected = valgroup.expr_invariant_factors(seq.left)
+            expected = valgroup.expr_invariant_factors(quotient)
             assert expected is not None
             assert res.quotient.invariant_factors == expected, \
                 f"{res.quotient.invariant_factors} != {expected}"
             return "matches the amalgamated-quotient computation"
         checks.append(_check("amalgam-crosscheck", amalgam_crosscheck))
-    elif fin and seq.case == "b":
+    elif fin and case == "b":
         def cyclic_crosscheck():
             m = inst.residue.unit_order
             n = inst.branches[0].field.unit_order
@@ -506,7 +493,7 @@ def _replay_noeth(payload: dict) -> list[Check]:
             big = abelian.FgGroup.cyclic(n)
             emb = abelian.FgHom(g, big, IntMatrix.from_rows([[n // m]], cols=1))
             quot = abelian.cokernel(emb)
-            expected = valgroup.expr_invariant_factors(seq.left)
+            expected = valgroup.expr_invariant_factors(quotient)
             assert expected is not None and quot.invariant_factors == expected
             return "residue unit quotient cross-checked"
         checks.append(_check("quotient-crosscheck", cyclic_crosscheck))

@@ -89,9 +89,6 @@ class IntMatrix:
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))
                                for j in range(self.cols)))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

@@ -30,8 +30,8 @@ from math import gcd
 
 from . import abelian
 from .errors import PreconditionError, SchemaError
-from .valgroup import (CertStep, Certificate, Cyclic, Decision, GroupExpr, Opaque,
-                       Repeated, TRIVIAL, Verdict, direct_sum, normalize)
+from .valgroup import (CertStep, Cyclic, Decision, GroupExpr, Opaque, Repeated,
+                       TRIVIAL, Verdict, direct_sum, normalize)
 
 
 # Characteristics must lie below this bound: Miller-Rabin with the prime
@@ -243,11 +243,11 @@ def _summand(k: FieldDesc, L: FieldDesc) -> tuple[bool | None, str]:
 def decide_noeth(inst: NoethInstance) -> Decision:
     """Decide freeness of the invertible-ideal group (principal-ideal
     group when the instance is not local) from conductor data.  The
-    conductor case and the group decided (``Inv`` for local instances,
-    ``Princ`` otherwise) go into ``metadata``."""
-    if not inst.conductor_nonzero:
-        raise PreconditionError(
-            "zero conductor (analytically ramified): outside this decision's hypotheses")
+    expression is the principal-ideal group, the closure's principal
+    group plus the unit quotient; the conductor case and the group
+    decided (``Inv`` for local instances, ``Princ`` otherwise) go into
+    ``metadata``.  A zero conductor is refused with ``PreconditionError``."""
+    expr = direct_sum(Opaque("Princ(closure)", is_free=True), unit_quotient_seq(inst))
     target = "Inv" if inst.local else "Princ"
     steps: list[CertStep] = []
     if not inst.local:
@@ -258,7 +258,7 @@ def decide_noeth(inst: NoethInstance) -> Decision:
     case = inst.case()
 
     def decided(verdict: Verdict) -> Decision:
-        return Decision(verdict, tuple(steps),
+        return Decision(verdict, tuple(steps), expr,
                         metadata={"case": case, "target_group": target})
 
     if case == "integrally-closed":
@@ -327,104 +327,53 @@ def decide_noeth(inst: NoethInstance) -> Decision:
 
 
 # ---------------------------------------------------------------------------
-# The symbolic unit-quotient sequence
+# The unit quotient
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicSeq:
-    """``0 → left → (principal group) → right → 0`` with the split
-    decomposition of the middle term; ``right`` is free (the closure is
-    Krull), so the sequence always splits."""
-
-    left: GroupExpr
-    right: GroupExpr
-    decomposition: GroupExpr
-    case: str
-    certificate: Certificate
-
-
-def unit_quotient_seq(inst: NoethInstance) -> SymbolicSeq:
-    """The split sequence expressing the principal-ideal group as the
-    closure's principal group plus the unit quotient, with the quotient
-    rewritten modulo the conductor and, for several branches, expanded
-    through the amalgamated-quotient isomorphism.  Finite-field instances
-    are computed exactly through the integer engine."""
+def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
+    """The unit quotient ``U(closure)/U(D)``, rewritten modulo the
+    conductor and, for several branches, expanded through the
+    amalgamated-quotient isomorphism.  The principal-ideal group is the
+    closure's principal group plus this quotient: the closure is Krull,
+    so its principal group is free and the sequence onto it splits.
+    Finite-field instances are computed exactly through the integer
+    engine."""
     if not inst.conductor_nonzero:
         raise PreconditionError(
             "zero conductor (analytically ramified): outside this decision's hypotheses")
-    princ_bar = Opaque("Princ(closure)", is_free=True)
     case = inst.case()
-    steps = [CertStep.make(
-        "units-modulo-conductor",
-        "the conductor is a common ideal inside both Jacobson radicals, so "
-        "the unit quotient of the extension equals the unit quotient of the "
-        "Artinian quotients modulo the conductor"),
-        CertStep.make(
-        "free-quotient-split",
-        "the closure is Krull, its principal group is free, and a sequence "
-        "onto a free group splits")]
-
     if case == "integrally-closed":
-        left: GroupExpr = TRIVIAL
-        steps.insert(0, CertStep.make(
-            "integrally-closed", "the domain equals its closure; the unit quotient is trivial"))
-    elif case == "a":
+        return TRIVIAL
+    if case == "a":
         char = inst.characteristic
-        left = Opaque("U(closure)/U(D) [non-radical conductor]",
+        return Opaque("U(closure)/U(D) [non-radical conductor]",
                       is_free=False,
                       is_torsionfree=False if char > 0 else None,
                       has_divisible=True if char == 0 else None)
-        steps.insert(0, CertStep.make(
-            "conductor-not-radical",
-            "the unit quotient contains a nonzero quotient of a residue-field "
-            "vector space and cannot be free"))
-    elif case == "b":
-        k, L = inst.residue, inst.branches[0].field
+    k = inst.residue
+    if case == "b":
+        L = inst.branches[0].field
         if isinstance(k, FiniteField) and isinstance(L, FiniteField):
-            left = normalize(Cyclic(L.unit_order // k.unit_order))
-        else:
-            qf = L.quotient_free if isinstance(L, OpaqueField) else None
-            left = Opaque(f"U({L.label})/U({k.label})", is_free=qf)
-        steps.insert(0, CertStep.make(
-            "conductor-maximal",
-            "one branch: the unit quotient is the residue unit quotient"))
-    else:  # case "c"
-        k = inst.residue
-        if isinstance(k, FiniteField) and all(isinstance(b.field, FiniteField)
-                                              for b in inst.branches):
-            orders = [b.field.unit_order for b in inst.branches]
-            m = k.unit_order
-            summands = [abelian.FgGroup.cyclic(n) for n in orders]
-            base = abelian.FgGroup.cyclic(m)
-            total = abelian.direct_sum(summands)
-            # the diagonal embedding of a cyclic group of order m into each
-            # cyclic factor of order n sends the generator to (n/m)·generator
-            diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)
-            phi = abelian.FgHom(base, total, diag)
-            quot = abelian.cokernel(phi)
-            left = quot.to_expr()
-            steps.insert(0, CertStep.make(
-                "units-amalgam",
-                "the unit quotient is the cokernel of the diagonal embedding "
-                "of the residue units into the branch units; computed exactly",
-                invariants=quot.invariant_factors))
-        else:
-            n = len(inst.branches)
-            parts: list[GroupExpr] = []
-            for b in inst.branches:
-                uf = _unit_free(b.field)[0]
-                parts.append(Opaque(f"U({b.field.label})/U({k.label}) complement",
-                                    is_free=True if uf else None))
-            parts.append(Repeated(unit_group(k), n - 1))
-            left = direct_sum(*parts)
-            steps.insert(0, CertStep.make(
-                "units-amalgam",
-                "the diagonal unit embedding quotient decomposes as the "
-                "complements of the residue units in each branch plus "
-                "copies of the residue units",
-                copies=n - 1))
-    decomposition = direct_sum(princ_bar, left)
-    return SymbolicSeq(left, princ_bar, decomposition, case, tuple(steps))
+            return normalize(Cyclic(L.unit_order // k.unit_order))
+        qf = L.quotient_free if isinstance(L, OpaqueField) else None
+        return Opaque(f"U({L.label})/U({k.label})", is_free=qf)
+    # case "c"
+    if isinstance(k, FiniteField) and all(isinstance(b.field, FiniteField)
+                                          for b in inst.branches):
+        orders = [b.field.unit_order for b in inst.branches]
+        m = k.unit_order
+        total = abelian.direct_sum([abelian.FgGroup.cyclic(n) for n in orders])
+        # the diagonal embedding of a cyclic group of order m into each
+        # cyclic factor of order n sends the generator to (n/m)·generator
+        diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)
+        phi = abelian.FgHom(abelian.FgGroup.cyclic(m), total, diag)
+        return abelian.cokernel(phi).to_expr()
+    parts: list[GroupExpr] = [
+        Opaque(f"U({b.field.label})/U({k.label}) complement",
+               is_free=True if _unit_free(b.field)[0] else None)
+        for b in inst.branches]
+    parts.append(Repeated(unit_group(k), len(inst.branches) - 1))
+    return direct_sum(*parts)
 
 
 # ---------------------------------------------------------------------------

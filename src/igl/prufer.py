@@ -219,19 +219,6 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
     return SpecTree(built[tree.root.node_id], locally_finite=tree.locally_finite)
 
 
-def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
-    """One subtree per dependency class of maximal ideals: two maximal
-    ideals are dependent when their root paths share a nonzero prime,
-    i.e. when they lie in the same child subtree of the root.  Each class
-    is re-rooted at a fresh zero ideal.  A finite family like this is
-    always complete, independent and locally finite."""
-    out = []
-    for child in tree.root.children:
-        fresh_root = PrimeNode(tree.root.node_id, None, (child,))
-        out.append(SpecTree(fresh_root, locally_finite=tree.locally_finite))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Invertible-ideal decision
 # ---------------------------------------------------------------------------
@@ -289,9 +276,9 @@ def _internal_gate(tree: SpecTree, free: dict[str, bool]) -> Certificate:
 def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
     """The cut-and-sum recursion, run with an explicit stack on the nodes
     of ``tree`` itself.  A subproblem is a sub-root with the children it
-    keeps: the whole tree, one dependency class (``standard_decomposition``)
-    or the quotient tree at a divided prime.  Value groups are measured
-    from the sub-root through the tree's parent map.  Steps and cuts come
+    keeps: the whole tree, one dependency class (one child of the sub-root
+    with its subtree) or the quotient tree at a divided prime.  Value
+    groups are measured from the sub-root through the tree's parent map.  Steps and cuts come
     out in pre-order; expressions are combined afterwards, children first."""
     steps: list[CertStep] = []
     cuts: list[DividedCut | None] = []
@@ -384,7 +371,7 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
             "leaf-gamma-not-free",
             "the decomposition shows the invertible group is free exactly "
             "when all maximal value groups are; this one is not",
-            maximal=bad.node_id)] + list(fv.trace)
+            maximal=bad.node_id)] + list(fv.certificate)
         verdict = Verdict.NOT_FREE
     else:
         steps = steps + [CertStep.make(

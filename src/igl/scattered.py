@@ -39,11 +39,13 @@ from .valgroup import (CertStep, Decision, IntegersZ, RationalsQ, Repeated, TRIV
 # Ordinals below w^w
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class Ordinal:
     """Cantor normal form ``w^e1*c1 + ... + w^ek*ck`` with strictly
     decreasing natural exponents and positive coefficients; zero is the
-    empty sum."""
+    empty sum.  Ordinals compare as their term tuples do: the first term
+    that differs decides, by exponent and then by coefficient, and a
+    proper prefix is the smaller ordinal."""
 
     terms: tuple[tuple[int, int], ...] = ()
 
@@ -104,30 +106,6 @@ class Ordinal:
         """The largest ``b`` with ``w*b <= self``: drop the finite part and
         shift every exponent down by one."""
         return Ordinal(tuple((e - 1, c) for e, c in self.terms if e >= 1))
-
-    def times_omega(self) -> "Ordinal":
-        """Left product ``w * self``: shift every exponent up by one (the
-        finite part is absorbed: ``w*c = w`` for finite ``c > 0``)."""
-        return Ordinal(tuple((e + 1, c) for e, c in self.terms))
-
-    # -- order ----------------------------------------------------------------
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self.terms) < len(other.terms)
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return other <= self
 
     # -- text -----------------------------------------------------------------
 

@@ -29,8 +29,9 @@ declaration).  Whatever cannot be certified is ``Unknown``; the system
 never guesses.
 
 Expressions have a canonical text rendering, e.g. ``Z ⊕ lex(Z;Q) ⊕ R``,
-produced by :func:`render_expr` and parsed back by :func:`parse_expr`.
-The grammar is documented in the README and round-trips exactly.
+produced by :func:`render_expr`.  The grammar is documented in the README;
+the parser in ``tests/oracles.py`` reads it back and checks that it
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -360,16 +361,6 @@ def expr_rank(e: GroupExpr) -> int | None:
 # Freeness verdicts
 # ---------------------------------------------------------------------------
 
-def _tri_or(values) -> bool | None:
-    saw_maybe = False
-    for v in values:
-        if v is True:
-            return True
-        if v is None:
-            saw_maybe = True
-    return None if saw_maybe else False
-
-
 # The per-atom rules: the only place that knows what each atom answers.
 # A declared-free opaque group has neither torsion nor divisible elements.
 
@@ -399,18 +390,6 @@ def _atom_divisible(a: GroupExpr) -> bool | None:
     return None if isinstance(a, UnknownGroup) else False
 
 
-def has_torsion(e: GroupExpr) -> bool | None:
-    """Three-valued: does the group contain a nonzero torsion element?
-    Torsion elements survive in direct summands and lex factors."""
-    return _tri_or(_atom_torsion(a) for a, _ in _atoms(normalize(e)))
-
-
-def has_divisible(e: GroupExpr) -> bool | None:
-    """Three-valued: does the group contain a nonzero element divisible by
-    every positive integer?  Such elements survive in direct summands."""
-    return _tri_or(_atom_divisible(a) for a, _ in _atoms(normalize(e)))
-
-
 def _witness(atoms: list[GroupExpr], rule) -> str | None:
     """Name the first atom where ``rule`` holds -- its declared label, or
     its rendering -- or ``None`` when it holds of none."""
@@ -420,14 +399,8 @@ def _witness(atoms: list[GroupExpr], rule) -> str | None:
     return atom.label if isinstance(atom, Opaque) else render_normal(atom)
 
 
-@dataclass(frozen=True)
-class FreenessResult:
-    verdict: Verdict
-    trace: Certificate
-
-
-def freeness_verdict(e: GroupExpr) -> FreenessResult:
-    """Sound three-valued freeness decision with a rule trace.
+def freeness_verdict(e: GroupExpr) -> Decision:
+    """Sound three-valued freeness decision with its certificate.
 
     ``Free`` needs a derivation: a (possibly infinite) direct sum of free
     pieces, where a lex tower counts through its underlying direct sum.
@@ -439,20 +412,20 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
     e = normalize(e)
     atoms = [a for a, _ in _atoms(e)]
     if all(_atom_free(a) for a in atoms):
-        return FreenessResult(Verdict.FREE, (
+        return Decision(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
                           group=render_normal(e)),))
     witness = _witness(atoms, _atom_torsion)
     if witness is not None:
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("torsion-witness",
                           "a nonzero torsion element survives in every direct-sum "
                           "decomposition, and free groups are torsionfree",
                           witness=witness),))
     witness = _witness(atoms, _atom_divisible)
     if witness is not None:
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("divisible-witness",
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
@@ -460,22 +433,22 @@ def freeness_verdict(e: GroupExpr) -> FreenessResult:
     # the two whole-group rules: neither an infinite product nor a
     # declared-not-free group passes its unfreeness on to a sum
     if isinstance(e, InfiniteProductZ):
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
                           "the direct product of infinitely many copies of Z is not free"),))
     if isinstance(e, Opaque) and e.is_free is False:
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("declared-not-free",
                           "the group was declared not free; the declaration is trusted input",
                           label=e.label),))
-    return FreenessResult(Verdict.UNKNOWN, (
+    return Decision(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",
                       group=render_normal(e)),))
 
 
 # ---------------------------------------------------------------------------
-# Rendering and parsing
+# Rendering
 # ---------------------------------------------------------------------------
 
 def _render_flags(o: Opaque) -> str:
@@ -534,126 +507,6 @@ def render_expr(e: GroupExpr) -> str:
     return render_normal(normalize(e))
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(⊕|lex\(|prod\(|opaque\(|\(|\)|;|,|\^|/|=|\?|0|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\"[^\"]*\")")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SchemaError(f"cannot tokenize group expression at: {text[pos:pos + 20]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.toks):
-            raise SchemaError("unexpected end of group expression")
-        t = self.toks[self.i]
-        if expected is not None and t != expected:
-            raise SchemaError(f"expected {expected!r}, found {t!r}")
-        self.i += 1
-        return t
-
-    def parse_sum(self) -> GroupExpr:
-        parts = [self.parse_item()]
-        while self.peek() == "⊕":
-            self.take()
-            parts.append(self.parse_item())
-        return DirectSum(tuple(parts)) if len(parts) > 1 else parts[0]
-
-    def parse_item(self) -> GroupExpr:
-        base = self.parse_base()
-        if self.peek() == "^":
-            self.take()
-            t = self.peek()
-            if t == "(":
-                self.take()
-                chunks = []
-                while self.peek() not in (")", None):
-                    chunks.append(self.take())
-                self.take(")")
-                times: int | str = "".join(chunks)
-            else:
-                times = int(self.take())
-            return Repeated(base, times)
-        return base
-
-    def parse_base(self) -> GroupExpr:
-        t = self.take()
-        if t == "0":
-            return TRIVIAL
-        if t == "Z":
-            if self.peek() == "/":
-                self.take()
-                return Cyclic(int(self.take()))
-            return Z
-        if t == "Q":
-            return Q
-        if t == "R":
-            return R
-        if t == "?":
-            return UNKNOWN
-        if t == "(":
-            inner = self.parse_sum()
-            self.take(")")
-            return inner
-        if t == "lex(":
-            levels = [self.parse_sum()]
-            while self.peek() == ";":
-                self.take()
-                levels.append(self.parse_sum())
-            self.take(")")
-            return LexTower(tuple(levels))
-        if t == "prod(":
-            self.take("Z")
-            self.take(";")
-            self.take("w")
-            self.take(")")
-            return ZPROD
-        if t == "opaque(":
-            label_tok = self.take()
-            if not (label_tok.startswith('"') and label_tok.endswith('"')):
-                raise SchemaError("opaque label must be quoted")
-            kwargs: dict[str, bool | None] = {}
-            while self.peek() == ",":
-                self.take()
-                key = self.take()
-                self.take("=")
-                val = self.take()
-                if val not in ("yes", "no"):
-                    raise SchemaError(f"flag value must be yes/no, found {val!r}")
-                name = {"free": "is_free", "torsionfree": "is_torsionfree",
-                        "divisible": "has_divisible"}.get(key)
-                if name is None:
-                    raise SchemaError(f"unknown opaque flag {key!r}")
-                kwargs[name] = val == "yes"
-            self.take(")")
-            return Opaque(label_tok[1:-1], **kwargs)
-        raise SchemaError(f"unexpected token {t!r} in group expression")
-
-
-def parse_expr(text: str) -> GroupExpr:
-    """Parse the canonical expression grammar back into a normalized tree."""
-    p = _Parser(_tokenize(text))
-    e = p.parse_sum()
-    if p.peek() is not None:
-        raise SchemaError(f"trailing tokens in group expression: {p.toks[p.i:]}")
-    return normalize(e)
-
-
 # ---------------------------------------------------------------------------
 # Value towers
 # ---------------------------------------------------------------------------
@@ -698,10 +551,6 @@ class ValueTower:
                 raise SchemaError(f"unknown tower slot {n!r} (expected Z, Q or R)")
             slots.append(table[n])
         return cls(tuple(slots))
-
-    def slot_names(self) -> list[str]:
-        # the canonical rendering of Z, Q and R is their schema name
-        return [render_expr(s) for s in self.slots]
 
     def to_expr(self) -> GroupExpr:
         if not self.slots:
@@ -759,7 +608,7 @@ def div_of_valuation(t: ValueTower, maximal_principal: bool,
                               "with a principal maximal ideal every divisorial ideal "
                               "of a valuation ring is principal, so the divisorial "
                               "group equals the value group",
-                              value_group=render_expr(expr)),) + fv.trace
+                              value_group=render_expr(expr)),) + fv.certificate
         return Decision(fv.verdict, cert, expr)
     below = t.root_segment(1).to_expr()
     expr = direct_sum(R, below)
@@ -768,7 +617,7 @@ def div_of_valuation(t: ValueTower, maximal_principal: bool,
                           "with a branched, non-finitely-generated maximal ideal the "
                           "divisorial group is R plus the value group one prime down; "
                           "the real summand is divisible, so the group is not free",
-                          result=render_expr(expr)),) + fv.trace
+                          result=render_expr(expr)),) + fv.certificate
     return Decision(fv.verdict, cert, expr)
 
 

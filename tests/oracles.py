@@ -7,25 +7,35 @@ bounds come from a max-search over a candidate grid rather than normal
 form surgery, tree ranks come from a direct structural recursion
 rather than the cut-and-sum decision procedure, and the freeness rules
 of symbolic groups are replayed by structural recursion over a normal
-form rather than by the iterative atom walk.
+form rather than by the iterative atom walk, and ordinals are compared
+through dense coefficient vectors rather than their term tuples.
+
+It also holds the helpers that only tests need: the parser of the report
+grammar (the round-trip oracle of ``render_expr``), the three-valued
+torsion and divisible predicates of the atom walk, direct-sum and
+sub-quotient sequences of finitely generated groups, the left product
+``w * a`` of ordinals, the dependency classes of a spectral tree and the
+slot names of a value tower.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, product
 from math import gcd, lcm
 
-from igl.abelian import (AmalgamPart, FgGroup, FgHom, direct_sum,
-                         ds_inclusion, ds_projection, factor_through,
-                         sub_quotient_sequence)
-from igl.matrices import IntMatrix, hstack
+from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
+                         direct_sum, factor_through)
+from igl.errors import SchemaError
+from igl.matrices import IntMatrix, column_hnf, hstack
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
-from igl.valgroup import (CertStep, Cyclic, DirectSum, FreenessResult, GroupExpr,
-                          InfiniteProductZ, IntegersZ, LexTower, Opaque, RationalsQ,
-                          RealsR, Repeated, TrivialGroup, UnknownGroup, ValueTower,
-                          Verdict, canonical_invariants, normalize, render_expr)
+from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
+                          GroupExpr, InfiniteProductZ, IntegersZ, LexTower, Opaque, Q, R,
+                          RationalsQ, RealsR, Repeated, TrivialGroup, UnknownGroup,
+                          ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
+                          canonical_invariants, normalize, render_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -173,36 +183,36 @@ def witness_ref(e: GroupExpr, holds) -> str:
     return render_expr(e) if inner is None else witness_ref(inner, holds)
 
 
-def freeness_verdict_ref(e: GroupExpr) -> FreenessResult:
+def freeness_verdict_ref(e: GroupExpr) -> Decision:
     """The freeness rule system, rule by rule, on the recursive helpers."""
     e = normalize(e)
     if derivably_free_ref(e):
-        return FreenessResult(Verdict.FREE, (
+        return Decision(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
                           group=render_expr(e)),))
     if torsion_ref(e) is True:
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("torsion-witness",
                           "a nonzero torsion element survives in every direct-sum "
                           "decomposition, and free groups are torsionfree",
                           witness=witness_ref(e, torsion_ref)),))
     if divisible_ref(e) is True:
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("divisible-witness",
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
                           witness=witness_ref(e, divisible_ref)),))
     if isinstance(e, InfiniteProductZ):
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
                           "the direct product of infinitely many copies of Z is not free"),))
     if isinstance(e, Opaque) and e.is_free is False:
-        return FreenessResult(Verdict.NOT_FREE, (
+        return Decision(Verdict.NOT_FREE, (
             CertStep.make("declared-not-free",
                           "the group was declared not free; the declaration is trusted input",
                           label=e.label),))
-    return FreenessResult(Verdict.UNKNOWN, (
+    return Decision(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",
                       group=render_expr(e)),))
@@ -229,6 +239,191 @@ def invariant_factors_ref(e: GroupExpr) -> tuple[int, ...] | None:
         return False
 
     return canonical_invariants(orders) if walk(normalize(e), 1) else None
+
+
+# ---------------------------------------------------------------------------
+# The witness predicates of the atom walk
+# ---------------------------------------------------------------------------
+
+def has_torsion(e: GroupExpr) -> bool | None:
+    """Three-valued: does the group contain a nonzero torsion element?
+    The per-atom rule of ``freeness_verdict``, over the atom walk."""
+    return _tri_or(_atom_torsion(a) for a, _ in _atoms(normalize(e)))
+
+
+def has_divisible(e: GroupExpr) -> bool | None:
+    """Three-valued: does the group contain a nonzero element divisible by
+    every positive integer?  The per-atom rule, over the atom walk."""
+    return _tri_or(_atom_divisible(a) for a, _ in _atoms(normalize(e)))
+
+
+# ---------------------------------------------------------------------------
+# The report grammar, parsed back
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(⊕|lex\(|prod\(|opaque\(|\(|\)|;|,|\^|/|=|\?|0|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\"[^\"]*\")")
+
+
+def _tokenize(text: str) -> list[str]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise SchemaError(f"cannot tokenize group expression at: {text[pos:pos + 20]!r}")
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+class _Parser:
+    def __init__(self, tokens: list[str]):
+        self.toks = tokens
+        self.i = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def take(self, expected: str | None = None) -> str:
+        if self.i >= len(self.toks):
+            raise SchemaError("unexpected end of group expression")
+        t = self.toks[self.i]
+        if expected is not None and t != expected:
+            raise SchemaError(f"expected {expected!r}, found {t!r}")
+        self.i += 1
+        return t
+
+    def parse_sum(self) -> GroupExpr:
+        parts = [self.parse_item()]
+        while self.peek() == "⊕":
+            self.take()
+            parts.append(self.parse_item())
+        return DirectSum(tuple(parts)) if len(parts) > 1 else parts[0]
+
+    def parse_item(self) -> GroupExpr:
+        base = self.parse_base()
+        if self.peek() == "^":
+            self.take()
+            t = self.peek()
+            if t == "(":
+                self.take()
+                chunks = []
+                while self.peek() not in (")", None):
+                    chunks.append(self.take())
+                self.take(")")
+                times: int | str = "".join(chunks)
+            else:
+                times = int(self.take())
+            return Repeated(base, times)
+        return base
+
+    def parse_base(self) -> GroupExpr:
+        t = self.take()
+        if t == "0":
+            return TRIVIAL
+        if t == "Z":
+            if self.peek() == "/":
+                self.take()
+                return Cyclic(int(self.take()))
+            return Z
+        if t == "Q":
+            return Q
+        if t == "R":
+            return R
+        if t == "?":
+            return UNKNOWN
+        if t == "(":
+            inner = self.parse_sum()
+            self.take(")")
+            return inner
+        if t == "lex(":
+            levels = [self.parse_sum()]
+            while self.peek() == ";":
+                self.take()
+                levels.append(self.parse_sum())
+            self.take(")")
+            return LexTower(tuple(levels))
+        if t == "prod(":
+            self.take("Z")
+            self.take(";")
+            self.take("w")
+            self.take(")")
+            return ZPROD
+        if t == "opaque(":
+            label_tok = self.take()
+            if not (label_tok.startswith('"') and label_tok.endswith('"')):
+                raise SchemaError("opaque label must be quoted")
+            kwargs: dict[str, bool | None] = {}
+            while self.peek() == ",":
+                self.take()
+                key = self.take()
+                self.take("=")
+                val = self.take()
+                if val not in ("yes", "no"):
+                    raise SchemaError(f"flag value must be yes/no, found {val!r}")
+                name = {"free": "is_free", "torsionfree": "is_torsionfree",
+                        "divisible": "has_divisible"}.get(key)
+                if name is None:
+                    raise SchemaError(f"unknown opaque flag {key!r}")
+                kwargs[name] = val == "yes"
+            self.take(")")
+            return Opaque(label_tok[1:-1], **kwargs)
+        raise SchemaError(f"unexpected token {t!r} in group expression")
+
+
+def parse_expr(text: str) -> GroupExpr:
+    """Parse the canonical expression grammar back into a normalized tree."""
+    p = _Parser(_tokenize(text))
+    e = p.parse_sum()
+    if p.peek() is not None:
+        raise SchemaError(f"trailing tokens in group expression: {p.toks[p.i:]}")
+    return normalize(e)
+
+
+# ---------------------------------------------------------------------------
+# Direct-sum and sub-quotient sequences
+# ---------------------------------------------------------------------------
+
+def ds_inclusion(groups: list[FgGroup], i: int) -> FgHom:
+    total = direct_sum(groups)
+    off = sum(g.generators for g in groups[:i])
+    rows = []
+    for r in range(total.generators):
+        row = [0] * groups[i].generators
+        if off <= r < off + groups[i].generators:
+            row[r - off] = 1
+        rows.append(row)
+    return FgHom(groups[i], total, IntMatrix.from_rows(rows, cols=groups[i].generators))
+
+
+def ds_projection(groups: list[FgGroup], i: int) -> FgHom:
+    total = direct_sum(groups)
+    off = sum(g.generators for g in groups[:i])
+    rows = []
+    for r in range(groups[i].generators):
+        row = [0] * total.generators
+        row[off + r] = 1
+        rows.append(row)
+    return FgHom(total, groups[i], IntMatrix.from_rows(rows, cols=total.generators))
+
+
+def of_direct_sum(left: FgGroup, right: FgGroup) -> ShortExactSeq:
+    """The split sequence ``0 → left → left ⊕ right → right → 0``."""
+    return ShortExactSeq(left, direct_sum([left, right]), right,
+                         ds_inclusion([left, right], 0),
+                         ds_projection([left, right], 1))
+
+
+def sub_quotient_sequence(mid: FgGroup, sub_basis: IntMatrix) -> ShortExactSeq:
+    """The sequence ``0 → L/rel → mid → mid/L → 0`` for a lattice ``L``
+    (given by generating columns) containing the relation lattice."""
+    basis = column_hnf(hstack(sub_basis, mid.relations) if mid.relations.cols else sub_basis)
+    sub, incl = _sublattice_group(mid, basis)
+    quot = FgGroup(mid.generators,
+                   hstack(basis, mid.relations) if mid.relations.cols else basis)
+    proj = FgHom(mid, quot, IntMatrix.identity(mid.generators))
+    return ShortExactSeq(sub, mid, quot, incl, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +606,21 @@ def tree_payload(parents: list[int]) -> dict:
     return {"v": 1, "kind": "prufer_tree", "root": nodes[0]}
 
 
+def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
+    """One subtree per dependency class of maximal ideals: two maximal
+    ideals are dependent when their root paths share a nonzero prime,
+    i.e. when they lie in the same child subtree of the root.  Each class
+    is re-rooted at a fresh zero ideal."""
+    return [SpecTree(PrimeNode(tree.root.node_id, None, (child,)),
+                     locally_finite=tree.locally_finite)
+            for child in tree.root.children]
+
+
+def slot_names(tower: ValueTower) -> list[str]:
+    # the canonical rendering of Z, Q and R is their schema name
+    return [render_expr(s) for s in tower.slots]
+
+
 def tree_rank_oracle(tree: SpecTree) -> int:
     """Total free rank of the invertible group of an all-Z tree, by direct
     structural recursion: each edge contributes its slot count."""
@@ -423,8 +633,23 @@ def tree_rank_oracle(tree: SpecTree) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force derived-set bounds
+# Ordinals: order and products by dense coefficients, derived-set bounds
+# by brute force
 # ---------------------------------------------------------------------------
+
+def dense_coefficients(a: Ordinal, top: int) -> tuple[int, ...]:
+    """The coefficients of ``w^top, ..., w^1, w^0`` in ``a``, zeros
+    included; for ordinals below ``w^(top+1)`` the lexicographic order of
+    these vectors is the ordinal order."""
+    coeff = dict(a.terms)
+    return tuple(coeff.get(e, 0) for e in range(top, -1, -1))
+
+
+def times_omega(a: Ordinal) -> Ordinal:
+    """Left product ``w * a``: shift every exponent up by one (the finite
+    part is absorbed: ``w*c = w`` for finite ``c > 0``)."""
+    return Ordinal(tuple((e + 1, c) for e, c in a.terms))
+
 
 def ordinal_grid(max_exp: int, max_coeff: int):
     """All normal forms with exponents <= max_exp and coefficients
@@ -445,7 +670,7 @@ def derived_bound_oracle(bound: Ordinal) -> Ordinal | None:
     max_coeff = max((c for _, c in bound.terms), default=0)
     best = Ordinal.zero()
     for cand in ordinal_grid(max_exp, max_coeff):
-        if cand.times_omega() <= bound and best < cand:
+        if times_omega(cand) <= bound and best < cand:
             best = cand
     if best.is_zero():
         return None

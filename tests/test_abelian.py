@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
-                         amalgam_quotient, cokernel, image, is_free, kernel,
-                         snake, split_test, sub_quotient_sequence,
+                         amalgam_quotient, cokernel, is_free, kernel,
+                         kernel_with_inclusion, snake, split_test,
                          three_by_three_split)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix
-from igl.valgroup import (FgAtom, Opaque, Verdict, expr_invariant_factors,
-                          has_divisible)
-from oracles import (divisible_elements_brute, random_amalgam_instance,
-                     random_matrix, random_snake_input)
+from igl.valgroup import FgAtom, Opaque, Verdict, expr_invariant_factors
+from oracles import (divisible_elements_brute, has_divisible, of_direct_sum,
+                     random_amalgam_instance, random_matrix, random_snake_input,
+                     sub_quotient_sequence)
 
 
 def hom(src, tgt, rows):
@@ -29,6 +29,23 @@ def test_invariant_factors_and_freeness():
     g = cokernel(hom(FgGroup.free(2), FgGroup.free(2), [[2, 0], [0, 1]]))
     assert g.invariant_factors == (2,)
     assert not is_free(g)
+
+
+def test_describe_normalizes_once(monkeypatch):
+    from igl import abelian, valgroup
+    calls = []
+    real = valgroup.normalize
+
+    def counting(e):
+        calls.append(e)
+        return real(e)
+
+    # normalize recurses through its module binding, so nested calls count
+    monkeypatch.setattr(valgroup, "normalize", counting)
+    monkeypatch.setattr(abelian, "normalize", counting)
+    g = FgGroup.from_invariants(2, 4, 0, 0)
+    assert g.describe() == "Z/2 ⊕ Z/4 ⊕ Z^2"
+    assert len(calls) == 1
 
 
 def test_group_equality_is_isomorphism():
@@ -94,7 +111,7 @@ def test_snake_kernel_iso_cokernel_shape():
     # f injective, g identity, h surjective: ker h ≅ coker f
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
-    t = FgGroup.trivial()
+    t = FgGroup.free(0)
     top = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     bottom = ShortExactSeq(z2, z2, t, FgHom.identity(z2), FgHom.zero(z2, t))
     res = snake(top, bottom, hom(z, z2, [[1], [0]]), FgHom.identity(z2),
@@ -122,7 +139,7 @@ def test_snake_random_exact(seed):
 
 
 def test_split_free_quotient():
-    s = ShortExactSeq.of_direct_sum(FgGroup.cyclic(4), FgGroup.free(2))
+    s = of_direct_sum(FgGroup.cyclic(4), FgGroup.free(2))
     res = split_test(s)
     assert res.splits
     assert res.section is not None
@@ -151,7 +168,7 @@ def test_split_always_when_right_free(seed):
 
 def test_amalgam_diagonal_in_z():
     z = FgGroup.free(1)
-    t = FgGroup.trivial()
+    t = FgGroup.free(0)
     part = AmalgamPart(z, FgHom.identity(z), t, FgHom.zero(z, t), FgHom.identity(z))
     res = amalgam_quotient(z, [part, part])
     assert res.quotient.invariant_factors == (0,)
@@ -171,7 +188,7 @@ def test_amalgam_with_complements():
 
 def test_amalgam_rejects_bad_retraction():
     z = FgGroup.free(1)
-    t = FgGroup.trivial()
+    t = FgGroup.free(0)
     bad = AmalgamPart(z, FgHom.identity(z), t, FgHom.zero(z, t), hom(z, z, [[2]]))
     with pytest.raises(DiagramError, match="left inverse"):
         amalgam_quotient(z, [bad, bad])
@@ -187,7 +204,7 @@ def test_amalgam_random(seed, n_parts):
 
 
 def test_divisible_examples():
-    for g in (FgGroup.free(2), FgGroup.cyclic(4), FgGroup.trivial()):
+    for g in (FgGroup.free(2), FgGroup.cyclic(4), FgGroup.free(0)):
         assert has_divisible(g.to_expr()) is False
 
 
@@ -197,8 +214,8 @@ def test_divisible_matches_bruteforce(factors):
     # the brute force finds only the identity, which is what the symbolic
     # layer assumes of every finitely generated group
     g = FgGroup.from_invariants(*factors)
-    identity = (0,) * len(g.torsion_factors)
-    assert divisible_elements_brute(g.torsion_factors) == [identity]
+    identity = (0,) * len(g.invariant_factors)
+    assert divisible_elements_brute(g.invariant_factors) == [identity]
     assert has_divisible(g.to_expr()) is False
 
 
@@ -210,7 +227,8 @@ def test_subgroup_of_free_is_free(seed):
     k = rng.randint(1, 3)
     free = FgGroup.free(n)
     h = FgHom(FgGroup.free(k), free, random_matrix(rng, n, k, 5))
-    assert is_free(image(h))
+    # the image is the source modulo the kernel
+    assert is_free(cokernel(kernel_with_inclusion(h)[1]))
 
 
 def test_sub_quotient_sequence_roundtrip():

@@ -17,7 +17,7 @@ from igl.scattered import Ordinal, ScatteredSpace, cb_derivative, cb_rank, escap
 from igl.valgroup import (ValueTower, Verdict, expr_invariant_factors,
                           expr_rank)
 from oracles import (all_parent_vectors, derived_bound_oracle,
-                     minors_invariant_factors, ordinal_grid, permuted_tree,
+                     minors_invariant_factors, of_direct_sum, ordinal_grid, permuted_tree,
                      random_amalgam_instance, random_snake_input, random_tree,
                      tree_from_parents, tree_rank_oracle)
 
@@ -179,7 +179,7 @@ def test_acceptance_6_divided_cut_sequences():
             assert qi is not None and si is not None and ti is not None
             left = abelian.FgGroup.from_invariants(*qi)
             right = abelian.FgGroup.from_invariants(*si)
-            s = abelian.ShortExactSeq.of_direct_sum(left, right)
+            s = of_direct_sum(left, right)
             assert s.mid.invariant_factors == ti
             assert abelian.split_test(s).splits
             cuts_checked += 1

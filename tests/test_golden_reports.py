@@ -6,7 +6,12 @@ trace, and of its ``verify_payload`` checks, with ``elapsed_ms`` set to 0.
 They cover every file of ``instances/`` and every payload of the built-in
 corpus.  The digests were recorded before the deciders moved to one
 decision record and the CLI to one dispatch table, so any change to a
-verdict, a certificate, a metadata field or a check shows up here.
+verdict, a certificate, a metadata field or a check shows up here.  The
+digests of the two ``ses`` instances, the snake ladder with a nonzero
+``ker h`` and the finite and opaque conductor-data instances were
+recorded before ``freeness_verdict`` and the conductor-data decider
+returned ``Decision`` and before ``verify`` read a diagram's check
+detail off its decision.
 """
 
 import hashlib
@@ -35,6 +40,8 @@ INSTANCE_DIGESTS = {
     "dedekind.json": "665b169239a273f88d0867034eeb517d206092453dd9fb78ff9ee8699490c754",
     "divisorial_nonprincipal.json": "3b92a840f503fff57670ec95104a1b747f90f9db3e380675fb606fb383a3ae7b",
     "dvr.json": "3145b790f96d8a13e77a97a2f0309233ec9ca16394a5d1c475ecc77f687cd76f",
+    "f2_f4_one_branch.json": "6a206fae21818300b42e833e2c0622f20aeaaeca92c06cc00ef50a3bd7b229d0",
+    "f2_f4_two_branches.json": "df2fd188b5730d48a78f52553d8cbd0b0f69d4d62b9c2e80252f47af04c9dc36",
     "f2_function_fields.json": "8efd53ad582e8979f32dd9500211b51d57d81a044316871c502f66ee240f56a7",
     "monomial_curve.json": "90de9613b503327415d4f01c4df4a1818848b241130cf8dd997bd33d8559cbc2",
     "pullback_totally_real.json": "aa3c3ce23539f0d6d489506ccfdb587d37ac36036c57bc5acf3cdb21c758a4f6",
@@ -42,10 +49,14 @@ INSTANCE_DIGESTS = {
     "scattered_obstruction.json": "6c595c878bbe53b4eff10659014afa38ee085c3f1890e99665a6350ff0deb70c",
     "scattered_omega.json": "265895e9e855786a6eab940368f3bb7cd710f6abba04eacf742d83b3674843ea",
     "scattered_omega_squared.json": "7053c086686bce5482e5c89363e185caa464ddd5e7186b15fb6744fcd9edc187",
+    "ses_nonsplit.json": "822d8cd10b64a0c3154c62da51758f0492e61037a787709fc76dc350c1816779",
+    "ses_split.json": "0684f77b84e79a3697bb06c780db60a4c92ef4b657f128a0dbef122487393b64",
     "snake_ladder.json": "a3c596428254b9a398617db7d75db341929061670720df455d17a87332ca644e",
+    "snake_ladder_kernel.json": "0c58f4f7e5b600337c0a0df37999f4214515eeecc5e3c65b765b287c6f1c8238",
     "strongly_discrete_tree.json": "dbb578cca9a5755b888ee2ac6047c9c669e9cc37d8337462c9f45383420f5eea",
     "torsion_group.json": "0d5a77a1a899a64337e02afe94e906195c343a4245276cfa5eea490f79fd1895",
     "two_branches_char3.json": "f6f30bee9443d6976428fd50667c5f1720570afded692c1c4ccfaa7099ba56c3",
+    "two_branches_opaque_char2.json": "0ec2ac4d06756ae82002a442044de683225e0c46a46b99801d82d9697e6859da",
     "y_tree.json": "fa1532ad08d6b94d4afa6874c8308e5e1ec44db0b2093bfd5bce772d08e2853a",
     "y_tree_rational_trunk.json": "f14c20be2a145768e7497cebacf306caf5dce09ff434fc9add51ad2e7706c72c",
 }

@@ -26,7 +26,7 @@ def test_snf_identity():
 
 def test_snf_zero():
     u, s, v = snf(IntMatrix.zeros(2, 3))
-    assert s.is_zero()
+    assert s.entries == IntMatrix.zeros(2, 3).entries
 
 
 def test_snf_worked_example():

@@ -172,27 +172,27 @@ def test_case_a_ignores_fields():
 
 
 # ---------------------------------------------------------------------------
-# the symbolic sequence
+# the unit quotient
 # ---------------------------------------------------------------------------
 
 def test_seq_integrally_closed():
-    seq = unit_quotient_seq(inst(finite(2), [(finite(2), 1)], integrally_closed=True))
-    assert render_expr(seq.left) == "0"
-    assert seq.case == "integrally-closed"
+    closed = inst(finite(2), [(finite(2), 1)], integrally_closed=True)
+    assert render_expr(unit_quotient_seq(closed)) == "0"
+    assert closed.case() == "integrally-closed"
 
 
 def test_seq_case_b_finite():
-    seq = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1)]))
-    assert expr_invariant_factors(seq.left) == (3,)
+    quotient = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1)]))
+    assert expr_invariant_factors(quotient) == (3,)
 
 
 def test_seq_case_c_finite_matches_direct_computation():
-    seq = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1), (finite(2, 2), 1)]))
+    quotient = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1), (finite(2, 2), 1)]))
     # (Z/3 ⊕ Z/3) / diagonal(trivial) with U(k) trivial: full product
-    assert expr_invariant_factors(seq.left) == (3, 3)
-    seq2 = unit_quotient_seq(inst(finite(3), [(finite(3, 2), 1), (finite(3, 2), 1)]))
+    assert expr_invariant_factors(quotient) == (3, 3)
+    quotient2 = unit_quotient_seq(inst(finite(3), [(finite(3, 2), 1), (finite(3, 2), 1)]))
     # (Z/8 ⊕ Z/8)/diag(Z/2): order 32
-    inv = expr_invariant_factors(seq2.left)
+    inv = expr_invariant_factors(quotient2)
     assert inv is not None
     total = 1
     for d in inv:
@@ -211,16 +211,16 @@ def test_seq_case_c_amalgam_crosscheck():
     retract = abelian.FgHom(grp, g, IntMatrix.from_rows([[0]], cols=1))
     part = abelian.AmalgamPart(grp, emb, comp, proj, retract)
     res = abelian.amalgam_quotient(g, [part, part])
-    seq = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1), (finite(2, 2), 1)]))
-    assert res.quotient.invariant_factors == expr_invariant_factors(seq.left)
+    quotient = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1), (finite(2, 2), 1)]))
+    assert res.quotient.invariant_factors == expr_invariant_factors(quotient)
 
 
 def test_seq_case_c_opaque_shape():
     k = OpaqueField("k", characteristic=2, unit_free=True)
     L = OpaqueField("L", characteristic=2, unit_free=True, summand=True)
-    seq = unit_quotient_seq(inst(k, [(L, 1), (L, 1), (L, 1)]))
-    assert "complement" in render_expr(seq.left)
-    assert "^2" in render_expr(seq.left)  # two copies of U(k)
+    text = render_expr(unit_quotient_seq(inst(k, [(L, 1), (L, 1), (L, 1)])))
+    assert "complement" in text
+    assert "^2" in text  # two copies of U(k)
 
 
 # ---------------------------------------------------------------------------

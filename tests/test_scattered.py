@@ -9,7 +9,7 @@ from igl.scattered import (Ordinal, ScatteredSpace, cb_derivative, cb_rank,
                            escape_index, parse_ordinal, decide_scattered,
                            stratum_multiplicity)
 from igl.valgroup import ValueTower, Verdict, inv_of_valuation, render_expr
-from oracles import derived_bound_oracle, ordinal_grid
+from oracles import dense_coefficients, derived_bound_oracle, ordinal_grid, slot_names
 
 
 def w(e=1, c=1):
@@ -61,6 +61,22 @@ def test_ordinal_order():
     assert not (w() < w())
 
 
+# ordinals below w^5 with coefficients up to 3, zero coefficients dropped
+small_ordinals = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
+    lambda cs: Ordinal(tuple((e, c) for e, c in zip(range(4, -1, -1), cs) if c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ordinals, small_ordinals)
+def test_ordinal_order_matches_dense_coefficients(a, b):
+    da, db = dense_coefficients(a, 4), dense_coefficients(b, 4)
+    assert (a < b) is (da < db)
+    assert (a <= b) is (da <= db)
+    assert (a > b) is (da > db)
+    assert (a >= b) is (da >= db)
+    assert (a == b) is (da == db)
+
+
 def test_successor_and_limits():
     assert fin(0).successor() == fin(1)
     assert w().successor() == Ordinal(((1, 1), (0, 1)))
@@ -80,7 +96,7 @@ def test_derivative_examples():
     s = space(w(), {0: zt("Z"), 1: zt("Z")})
     d = cb_derivative(s)
     assert d.bound == fin(0)
-    assert d.label_map()[0].slot_names() == ["Z"]
+    assert slot_names(d.label_map()[0]) == ["Z"]
     # [0, w^2] leaves the multiples of w
     s = space(w(2), {0: zt("Z"), 1: zt("Z"), 2: zt("Z")})
     d = cb_derivative(s)

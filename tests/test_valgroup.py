@@ -9,11 +9,10 @@ from igl.valgroup import (Cyclic, DirectSum, FgAtom, LexTower, Opaque, Q, R,
                           Repeated, TRIVIAL, UNKNOWN, ValueTower, Verdict, Z,
                           ZPROD, canonical_invariants, div_of_valuation,
                           direct_sum, expr_invariant_factors, expr_rank,
-                          freeness_verdict, has_divisible, has_torsion,
-                          inv_of_valuation, normalize, parse_expr, render_expr,
-                          unbranched_valuation_verdict)
-from oracles import (divisible_ref, freeness_verdict_ref, invariant_factors_ref,
-                     torsion_ref)
+                          freeness_verdict, inv_of_valuation, normalize,
+                          render_expr, unbranched_valuation_verdict)
+from oracles import (divisible_ref, freeness_verdict_ref, has_divisible, has_torsion,
+                     invariant_factors_ref, parse_expr, torsion_ref)
 
 
 def verdict(e):
@@ -77,8 +76,8 @@ def test_every_definite_verdict_has_certificate():
               direct_sum(Z, Cyclic(2)), Repeated(Z, 3)):
         res = freeness_verdict(e)
         if res.verdict is not Verdict.UNKNOWN:
-            assert len(res.trace) >= 1
-            assert all(s.rule for s in res.trace)
+            assert len(res.certificate) >= 1
+            assert all(s.rule for s in res.certificate)
 
 
 # ---------------------------------------------------------------------------
