@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .errors import DiagramError, PreconditionError
 from .matrices import (IntMatrix, block_diag, column_hnf, hstack, kernel_basis,
-                       lattice_equal, lattice_solve, snf, solve, vstack)
+                       lattice_equal, lattice_solve, snf, solve, unit_core, vstack)
 from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
                        Verdict, direct_sum as expr_direct_sum,
                        freeness_verdict, normalize, render_expr, render_normal)
@@ -86,11 +86,14 @@ class FgGroup:
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
         """Canonical invariant factors: the torsion chain ``d_1 | d_2 | ...``
-        (each > 1) followed by one ``0`` per infinite cyclic summand."""
-        _, s, _ = snf(self.relations)
+        (each > 1) followed by one ``0`` per infinite cyclic summand.
+        The ``±1`` pivots are eliminated first, so Smith form runs only on
+        the core that is left."""
+        _, core = unit_core(self.relations)
+        _, s, _ = snf(core)
         diag = s.diagonal()
         torsion = tuple(d for d in diag if d > 1)
-        rank = self.generators - sum(1 for d in diag if d != 0)
+        rank = core.rows - sum(1 for d in diag if d != 0)
         return torsion + (0,) * rank
 
     @cached_property

@@ -15,6 +15,7 @@ directory of them.  Exit codes: 2 for parse/schema errors (with a line
 diagnostic when the file does not even parse; ``verify`` too exits 2 on
 a malformed instance of any kind), 3 for precondition violations, 1 when
 ``verify`` has a failing check or the ``selftest`` corpus is not green,
+4 for an internal error (any other exception, reported in one line),
 0 otherwise -- an ``Unknown`` verdict is a result, not an error.
 """
 
@@ -701,6 +702,11 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # a fault in igl, not in the input: one line, never a traceback
+        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()),
+              file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim

@@ -2,7 +2,7 @@
 of boolean instance fields.
 
 The CLI maps these onto exit codes: schema problems exit 2, precondition
-violations exit 3.
+violations exit 3; any other exception is an internal error and exits 4.
 """
 
 

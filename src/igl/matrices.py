@@ -6,6 +6,8 @@ provides
 
 * ``IntMatrix``       -- an immutable row-major integer matrix,
 * ``snf``             -- Smith normal form with unimodular transforms,
+* ``unit_core``       -- the cokernel-preserving core left once the
+                         ``±1`` pivots are eliminated, with no transforms,
 * ``column_hnf``      -- the canonical column-style Hermite normal form,
                          used as the canonical basis of a column lattice,
 * ``kernel_basis``    -- a basis of the integer kernel of a matrix,
@@ -309,6 +311,39 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     vm = IntMatrix.from_rows(v, cols=k)
     sm = IntMatrix.from_rows(a, cols=k)
     return um, sm, vm
+
+
+def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """Eliminate the unit pivots of ``m`` with no transforms.
+
+    Repeatedly takes the first ``±1`` entry in row-major order, clears its
+    column in the other rows with whole-row updates and deletes its row
+    and column (Havas-Holt-Rees, *Recognizing badly presented Z-modules*,
+    1993).  Returns ``(units, core)``: each removed pivot is an invariant
+    factor 1 and ``coker m ≅ coker core``, so the Smith form of ``m`` is
+    ``units`` ones followed by the Smith form of ``core``.
+    """
+    a = [list(row) for row in m.entries]
+    units = 0
+    while True:
+        piv = None
+        for i, row in enumerate(a):
+            js = [row.index(e) for e in (1, -1) if e in row]
+            if js:
+                piv = i, min(js)
+                break
+        if piv is None:
+            break
+        i, j = piv
+        p = a.pop(i)
+        s = p[j]
+        for row in a:
+            c = row[j] * s
+            if c:
+                row[:] = [x - c * y for x, y in zip(row, p)]
+            del row[j]
+        units += 1
+    return units, IntMatrix(len(a), m.cols - units, tuple(map(tuple, a)))
 
 
 # ---------------------------------------------------------------------------

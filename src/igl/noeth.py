@@ -25,7 +25,7 @@ primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from . import abelian
@@ -368,11 +368,17 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
         diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)
         phi = abelian.FgHom(abelian.FgGroup.cyclic(m), total, diag)
         return abelian.cokernel(phi).to_expr()
+    branch_free = [_unit_free(b.field)[0] is True for b in inst.branches]
     parts: list[GroupExpr] = [
         Opaque(f"U({b.field.label})/U({k.label}) complement",
-               is_free=True if _unit_free(b.field)[0] else None)
-        for b in inst.branches]
-    parts.append(Repeated(unit_group(k), len(inst.branches) - 1))
+               is_free=True if free else None)
+        for b, free in zip(inst.branches, branch_free)]
+    units = unit_group(k)
+    if isinstance(units, Opaque) and any(branch_free):
+        # U(k) is a subgroup of a free U(L_i), and subgroups of free
+        # abelian groups are free
+        units = replace(units, is_free=True)
+    parts.append(Repeated(units, len(inst.branches) - 1))
     return direct_sum(*parts)
 
 

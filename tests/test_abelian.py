@@ -11,9 +11,9 @@ from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix
 from igl.valgroup import FgAtom, Opaque, Verdict, expr_invariant_factors
-from oracles import (divisible_elements_brute, has_divisible, of_direct_sum,
-                     random_amalgam_instance, random_matrix, random_snake_input,
-                     sub_quotient_sequence)
+from oracles import (divisible_elements_brute, has_divisible, minors_invariant_factors,
+                     of_direct_sum, random_amalgam_instance, random_matrix,
+                     random_snake_input, sub_quotient_sequence)
 
 
 def hom(src, tgt, rows):
@@ -29,6 +29,76 @@ def test_invariant_factors_and_freeness():
     g = cokernel(hom(FgGroup.free(2), FgGroup.free(2), [[2, 0], [0, 1]]))
     assert g.invariant_factors == (2,)
     assert not is_free(g)
+
+
+def chain(diag, generators):
+    """Canonical invariant factors of ``Z^generators`` modulo a matrix
+    with Smith diagonal ``diag``."""
+    return (tuple(d for d in diag if d > 1)
+            + (0,) * (generators - sum(1 for d in diag if d != 0)))
+
+
+def matrices(entries):
+    return st.integers(0, 4).flatmap(
+        lambda r: st.integers(0, 5).flatmap(
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
+                               min_size=r, max_size=r).map(
+                lambda rows: IntMatrix.from_rows(rows, cols=c))))
+
+
+@pytest.mark.parametrize("entries", [st.integers(-2, 2),
+                                     st.integers(-4, 4).map(lambda x: 2 * x)],
+                         ids=["unit-rich", "unit-free"])
+def test_invariant_factors_match_minors(entries):
+    @given(matrices(entries))
+    @settings(max_examples=150, deadline=None)
+    def check(m):
+        assert FgGroup(m.rows, m).invariant_factors == chain(
+            minors_invariant_factors(m), m.rows)
+    check()
+
+
+def unit_triangular(rng, n, upper):
+    """A unit triangular matrix whose other nonzero entries are ±1."""
+    def entry(i, j):
+        if i == j:
+            return 1
+        return rng.choice((-1, 0, 0, 1)) if (j > i) == upper else 0
+    return IntMatrix.from_rows([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n,m", [(12, 24), (24, 48)])
+@pytest.mark.parametrize("seed", range(3))
+def test_invariant_factors_of_planted_relations(n, m, seed):
+    rng = random.Random(seed)
+    torsion = [2, 6, 12][:seed + 1]
+    free = seed
+    diag = torsion + [0] * free + [1] * (n - len(torsion) - free)
+    rng.shuffle(diag)
+    d = IntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(m)]
+                             for i in range(n)])
+    u = unit_triangular(rng, n, False) @ unit_triangular(rng, n, True)
+    v = unit_triangular(rng, m, True) @ unit_triangular(rng, m, False)
+    assert FgGroup(n, u @ d @ v).invariant_factors == tuple(torsion) + (0,) * free
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def check(seed):
+        rng = random.Random(seed)
+        # a product through a narrow middle has low rank and nontrivial factors
+        k = rng.randint(0, 10)
+        m = (random_matrix(rng, 10, k, 3) @ random_matrix(rng, k, 14, 3)
+             if k else IntMatrix.zeros(10, 14))
+        s = smith_normal_form(sympy.Matrix([list(r) for r in m.entries]),
+                              domain=sympy.ZZ)
+        diag = [abs(s[i, i]) for i in range(10)]
+        assert FgGroup(10, m).invariant_factors == chain(diag, 10)
+    check()
 
 
 def test_describe_normalizes_once(monkeypatch):

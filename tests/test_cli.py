@@ -3,6 +3,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from igl import cli, matrices, prufer
 from igl.cli import canonical_json, main
 from igl.valgroup import Z, direct_sum
@@ -105,6 +107,26 @@ def test_precondition_exits_3(tmp_path, capsys):
     assert "conductor" in err
 
 
+def test_internal_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def boom(payload):
+        raise RuntimeError("decider fault\nsecond line")
+
+    path = str(write(tmp_path, DVR))
+    monkeypatch.setitem(cli.KINDS, "valuation", (boom, cli.KINDS["valuation"][1]))
+    rc = main(["decide", path])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err == "internal error: RuntimeError: decider fault second line\n"
+    assert "Traceback" not in captured.out + captured.err
+
+    def interrupted(payload):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.KINDS, "valuation", (interrupted, cli.KINDS["valuation"][1]))
+    with pytest.raises(KeyboardInterrupt):
+        main(["decide", path])
+
+
 def test_unknown_verdict_still_exit_0(tmp_path, capsys):
     unknown = {"v": 1, "kind": "prufer_tree",
                "root": {"id": "0", "children": [
@@ -191,8 +213,10 @@ def test_tree_verify_needs_no_integer_engine(monkeypatch):
         raise RuntimeError("tree verify called the integer engine")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "igl" and getattr(module, "snf", None) is matrices.snf:
-            monkeypatch.setattr(module, "snf", refuse)
+        if name.split(".")[0] == "igl":
+            for engine in ("snf", "unit_core"):
+                if getattr(module, engine, None) is getattr(matrices, engine):
+                    monkeypatch.setattr(module, engine, refuse)
     # a broom: a handle of 40 primes, then 20 bristles
     broom = list(range(40)) + [40] * 20
     # a caterpillar: a spine of 150 primes, one leaf on each, two on the last

@@ -11,7 +11,9 @@ digests of the two ``ses`` instances, the snake ladder with a nonzero
 ``ker h`` and the finite and opaque conductor-data instances were
 recorded before ``freeness_verdict`` and the conductor-data decider
 returned ``Decision`` and before ``verify`` read a diagram's check
-detail off its decision.
+detail off its decision.  The digest of ``two_branches_opaque_char2.json``
+was re-recorded when its residue units ``U(K)`` became ``free=yes``: a
+subgroup of a branch's free unit group is free.
 """
 
 import hashlib
@@ -56,7 +58,7 @@ INSTANCE_DIGESTS = {
     "strongly_discrete_tree.json": "dbb578cca9a5755b888ee2ac6047c9c669e9cc37d8337462c9f45383420f5eea",
     "torsion_group.json": "0d5a77a1a899a64337e02afe94e906195c343a4245276cfa5eea490f79fd1895",
     "two_branches_char3.json": "f6f30bee9443d6976428fd50667c5f1720570afded692c1c4ccfaa7099ba56c3",
-    "two_branches_opaque_char2.json": "0ec2ac4d06756ae82002a442044de683225e0c46a46b99801d82d9697e6859da",
+    "two_branches_opaque_char2.json": "ec0d1186e6c8e22137f299368cde4f5cea58ffd8203edf42d3a4365d880a296c",
     "y_tree.json": "fa1532ad08d6b94d4afa6874c8308e5e1ec44db0b2093bfd5bce772d08e2853a",
     "y_tree_rational_trunk.json": "f14c20be2a145768e7497cebacf306caf5dce09ff434fc9add51ad2e7706c72c",
 }

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl.matrices import (IntMatrix, column_hnf, gcdex, hstack, kernel_basis,
-                          lattice_equal, lattice_solve, snf, solve)
+                          lattice_equal, lattice_solve, snf, solve, unit_core)
 from oracles import cofactor_det, minors_invariant_factors
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -56,6 +56,24 @@ def test_snf_properties(rows):
         else:
             assert b == 0
     assert diag == minors_invariant_factors(m)
+
+
+@given(small_matrices)
+@settings(max_examples=80, deadline=None)
+def test_unit_core_keeps_the_smith_form(rows):
+    m = mat(rows)
+    units, core = unit_core(m)
+    assert (core.rows, core.cols) == (m.rows - units, m.cols - units)
+    assert all(abs(x) != 1 for row in core.entries for x in row)
+    assert (1,) * units + snf(core)[1].diagonal() == snf(m)[1].diagonal()
+
+
+def test_unit_core_worked_example():
+    # the 1 at (0, 1) clears column 1 and turns row 1 into (1, 0, 0),
+    # whose 1 goes next
+    units, core = unit_core(mat([[2, 1, 0], [3, 1, 0], [0, 2, 4]]))
+    assert units == 2
+    assert core.entries == ((4,),)
 
 
 @given(small_matrices)

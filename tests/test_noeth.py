@@ -223,6 +223,25 @@ def test_seq_case_c_opaque_shape():
     assert "^2" in text  # two copies of U(k)
 
 
+@pytest.mark.parametrize("free", [True, False, None])
+def test_seq_case_c_opaque_residue_units_free_inside_a_free_branch(free):
+    # U(k) is a subgroup of every U(L_i), so one free U(L_i) makes it free
+    k = OpaqueField("K", characteristic=2)
+    L1 = OpaqueField("L1", characteristic=2, unit_free=free)
+    L2 = OpaqueField("L2", characteristic=2)
+    units = unit_quotient_seq(inst(k, [(L1, 1), (L2, 1)]))
+    assert ('opaque("U(K)",free=yes)' in render_expr(units)) == (free is True)
+
+
+def test_case_c_opaque_free_expression_is_free():
+    k = OpaqueField("K", characteristic=2)
+    branches = [(OpaqueField(f"L{i}", characteristic=2, unit_free=True, summand=True), 1)
+                for i in (1, 2)]
+    d = decide_noeth(inst(k, branches))
+    assert d.verdict is Verdict.FREE
+    assert freeness_verdict(d.expr).verdict is Verdict.FREE
+
+
 # ---------------------------------------------------------------------------
 # Krull verdicts
 # ---------------------------------------------------------------------------
