@@ -6,6 +6,7 @@ provides
 
 * ``IntMatrix``       -- an immutable row-major integer matrix,
 * ``snf``             -- Smith normal form with unimodular transforms,
+                         which serves invariant factors,
 * ``unit_core``       -- the cokernel-preserving core left once the
                          ``±1`` pivots are eliminated, with no transforms,
 * ``column_hnf``      -- the canonical column-style Hermite normal form,
@@ -13,6 +14,11 @@ provides
 * ``kernel_basis``    -- a basis of the integer kernel of a matrix,
 * ``solve``           -- a particular integer solution of ``A x = b``,
 * ``lattice_solve``   -- coordinates of a vector in an HNF lattice basis.
+
+``kernel_basis`` and ``solve`` do not call ``snf``: they share one
+transform-light diagonal elimination that carries the right-hand side
+and the column transform ``V``, builds no row transform and does not
+force the divisibility chain.
 
 Lattices (subgroups of Z^n) are always represented by the columns of a
 matrix; two generating matrices span the same lattice exactly when their
@@ -440,36 +446,124 @@ def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
     return column_hnf(a).entries == column_hnf(b).entries
 
 
+def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
+                   ) -> tuple[list[int], list[int] | None, list[list[int]]]:
+    """Diagonalize ``m`` by unimodular row and column operations.
+
+    Returns ``(diag, rhs, vcols)``: ``diag`` holds the nonzero pivots
+    ``d_0 .. d_{r-1}`` (``r`` is the rank) of a diagonal matrix
+    ``D = U·m·V``; ``rhs`` is ``U·rhs`` (``None`` when no right-hand side
+    is given); ``vcols`` are the columns of ``V``.  ``U`` itself is never
+    built: row operations go straight onto ``rhs``.  The pivot rule is
+    ``snf``'s -- the smallest nonzero absolute value, the search stopping
+    at the first ``±1`` -- but the divisibility chain is not enforced,
+    since solvability and the kernel need only some diagonal form.
+    """
+    n, k = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    b = None if rhs is None else list(rhs)
+    vc = [[int(i == j) for i in range(k)] for j in range(k)]
+    diag = []
+    for t in range(min(n, k)):
+        piv, best = None, 0
+        for i in range(t, n):
+            row = a[i]
+            for j in range(t, k):
+                x = row[j]
+                if x and (piv is None or abs(x) < best):
+                    piv, best = (i, j), abs(x)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if b is not None:
+            b[t], b[i] = b[i], b[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            vc[t], vc[j] = vc[j], vc[t]
+        while True:
+            # rows: clear column t below the pivot; columns left of t are zero
+            rt = a[t]
+            for i in range(t + 1, n):
+                ri = a[i]
+                e = ri[t]
+                if not e:
+                    continue
+                p0 = rt[t]
+                if e % p0 == 0:
+                    c = e // p0
+                    ri[t:] = [x - c * y for x, y in zip(ri[t:], rt[t:])]
+                    if b is not None:
+                        b[i] -= c * b[t]
+                else:
+                    g, x, y = gcdex(p0, e)
+                    p, q = p0 // g, e // g
+                    rt[t:], ri[t:] = ([x * u + y * w for u, w in zip(rt[t:], ri[t:])],
+                                      [p * w - q * u for u, w in zip(rt[t:], ri[t:])])
+                    if b is not None:
+                        b[t], b[i] = x * b[t] + y * b[i], p * b[i] - q * b[t]
+            # columns: clear row t right of the pivot; column t stays zero
+            # below it until a gcd step mixes another column in (dirty)
+            dirty = False
+            for j in range(t + 1, k):
+                e = rt[j]
+                if not e:
+                    continue
+                p0 = rt[t]
+                if e % p0 == 0:
+                    c = e // p0
+                    rt[j] = 0
+                    if dirty:
+                        for row in a[t + 1:]:
+                            row[j] -= c * row[t]
+                    vc[j] = [x - c * y for x, y in zip(vc[j], vc[t])]
+                else:
+                    g, x, y = gcdex(p0, e)
+                    p, q = p0 // g, e // g
+                    for row in a[t:]:
+                        u, w = row[t], row[j]
+                        row[t], row[j] = x * u + y * w, p * w - q * u
+                    vt, vj = vc[t], vc[j]
+                    vc[t] = [x * u + y * w for u, w in zip(vt, vj)]
+                    vc[j] = [p * w - q * u for u, w in zip(vt, vj)]
+                    dirty = True
+            if not dirty:
+                break
+        diag.append(a[t][t])
+    return diag, b, vc
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the integer kernel ``{x : m x = 0}``."""
-    _, s, v = snf(m)
-    diag = s.diagonal()
-    free = [i for i in range(m.cols) if i >= len(diag) or diag[i] == 0]
-    return IntMatrix.from_cols([list(v.col(i)) for i in free], rows=m.cols)
+    """A basis (as columns) of the integer kernel ``{x : m x = 0}``.
+
+    The columns of ``V`` past the rank in one diagonal form ``U·m·V``.
+    """
+    diag, _, vc = _diagonal_form(m)
+    return IntMatrix.from_cols(vc[len(diag):], rows=m.cols)
 
 
 def solve(m: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
     """One integer solution of ``m x = b``, or ``None`` if there is none.
 
-    The solution returned is deterministic: free coordinates of the
-    Smith-form parametrization are set to zero.
+    The solution returned is deterministic: the free coordinates of the
+    diagonal form ``U·m·V`` are set to zero.  Callers must not rely on
+    which solution it is; any valid solution serves.
     """
     if len(b) != m.rows:
         raise ValueError("vector length mismatch")
-    u, s, v = snf(m)
-    c = u.apply(tuple(b))
-    y = [0] * m.cols
-    diag = s.diagonal()
-    for i in range(len(diag)):
-        d = diag[i]
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    for i in range(len(diag), m.rows):
-        if c[i] != 0:
+    diag, c, vc = _diagonal_form(m, b)
+    if any(c[len(diag):]):
+        return None
+    x = [0] * m.cols
+    for d, ci, col in zip(diag, c, vc):
+        y, r = divmod(ci, d)
+        if r:
             return None
-    return v.apply(tuple(y))
+        if y:
+            x = [xi + y * vi for xi, vi in zip(x, col)]
+    return tuple(x)

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 determinants are cofactor expansions rather than Bareiss, invariant
-factors come from gcds of minors rather than Smith reduction, derived-set
+factors come from gcds of minors rather than Smith reduction, integer
+solutions and kernels come from the full Smith form with its ``U``
+rather than the engine's diagonal elimination, derived-set
 bounds come from a max-search over a candidate grid rather than normal
 form surgery, tree ranks come from a direct structural recursion
 rather than the cut-and-sum decision procedure, and the freeness rules
@@ -28,7 +30,7 @@ from math import gcd, lcm
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
                          direct_sum, factor_through)
 from igl.errors import SchemaError
-from igl.matrices import IntMatrix, column_hnf, hstack
+from igl.matrices import IntMatrix, column_hnf, hstack, snf
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
@@ -79,6 +81,41 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
         out.append(d_k // d_prev)
         d_prev = d_k
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Smith-based solve and kernel (the engine's previous path)
+# ---------------------------------------------------------------------------
+
+def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Kernel basis from the full Smith form: the columns of ``V`` whose
+    diagonal entry of ``S = U·m·V`` is zero or missing."""
+    _, s, v = snf(m)
+    diag = s.diagonal()
+    free = [i for i in range(m.cols) if i >= len(diag) or diag[i] == 0]
+    return IntMatrix.from_cols([list(v.col(i)) for i in free], rows=m.cols)
+
+
+def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
+    """One integer solution of ``m x = b`` through the full Smith form
+    ``U·m·V = S``, with ``U`` applied to ``b``; ``None`` if there is none."""
+    u, s, v = snf(m)
+    c = u.apply(tuple(b))
+    y = [0] * m.cols
+    diag = s.diagonal()
+    for i in range(len(diag)):
+        d = diag[i]
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    for i in range(len(diag), m.rows):
+        if c[i] != 0:
+            return None
+    return v.apply(tuple(y))
 
 
 # ---------------------------------------------------------------------------

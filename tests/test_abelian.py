@@ -1,19 +1,21 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
-                         amalgam_quotient, cokernel, is_free, kernel,
+                         amalgam_quotient, cokernel, is_exact_pair, is_free, kernel,
                          kernel_with_inclusion, snake, split_test,
                          three_by_three_split)
 from igl.errors import DiagramError
-from igl.matrices import IntMatrix
+from igl.matrices import IntMatrix, hstack, snf, solve
 from igl.valgroup import FgAtom, Opaque, Verdict, expr_invariant_factors
 from oracles import (divisible_elements_brute, has_divisible, minors_invariant_factors,
                      of_direct_sum, random_amalgam_instance, random_matrix,
-                     random_snake_input, sub_quotient_sequence)
+                     random_snake_input, random_unimodular_with_inverse,
+                     sub_quotient_sequence)
 
 
 def hom(src, tgt, rows):
@@ -234,6 +236,56 @@ def test_split_always_when_right_free(seed):
         res = split_test(s)
         assert res.splits
         assert res.section is not None
+
+
+def planted_sequence(rng, splits):
+    """``0 → Z/a ⊕ Z^4 → mid → Z/b ⊕ Z^4 → 0`` built as a direct sum, plus
+    ``0 → Z -d-> Z → Z/d → 0`` when it must not split; the ten or eleven
+    middle generators are mixed by a unimodular change of basis, so the
+    middle term is not presented in diagonal form."""
+    left = [rng.choice((2, 3, 4, 6, 12))] + [0] * 4
+    right = [rng.choice((2, 3, 4, 6, 12))] + [0] * 4
+    ln, rn = len(left), len(right)
+    inj = [[int(i == j) for j in range(ln)] for i in range(ln)] + [[0] * ln] * rn
+    surj = [[0] * ln + [int(i == j) for j in range(rn)] for i in range(rn)]
+    mid = left + right
+    if not splits:
+        d = rng.choice((2, 3))
+        left, mid, right = left + [0], mid + [0], right + [d]
+        inj = [row + [0] for row in inj] + [[0] * ln + [d]]
+        surj = [row + [0] for row in surj] + [[0] * (ln + rn) + [1]]
+    w, winv = random_unimodular_with_inverse(rng, len(mid), steps=60)
+    mid_grp = FgGroup.from_invariants(*mid)
+    mixed = FgGroup(mid_grp.generators, w @ mid_grp.relations)
+    lg, rg = FgGroup.from_invariants(*left), FgGroup.from_invariants(*right)
+    return ShortExactSeq(lg, mixed, rg,
+                         FgHom(lg, mixed, w @ IntMatrix.from_rows(inj, cols=len(left))),
+                         FgHom(mixed, rg, IntMatrix.from_rows(surj, cols=len(mid)) @ winv))
+
+
+def test_split_test_needs_no_smith_form(monkeypatch):
+    rng = random.Random(9)
+    seqs = [(planted_sequence(rng, splits), splits) for splits in (True, False)]
+
+    def refuse(*args):
+        raise RuntimeError("called snf")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "igl" and getattr(module, "snf", None) is snf:
+            monkeypatch.setattr(module, "snf", refuse)
+    for s, splits in seqs:
+        assert s.mid.generators >= 10
+        res = split_test(s)
+        assert res.splits == splits
+        if splits:
+            assert res.section.then(s.surj).equals_map(FgHom.identity(s.right))
+        # exactness at the middle runs kernel_basis; each generator of the
+        # right term lifts through the projection by solve
+        assert is_exact_pair(s.inj, s.surj)
+        onto = hstack(s.surj.matrix, s.right.relations)
+        for j in range(s.right.generators):
+            e = [int(i == j) for i in range(s.right.generators)]
+            assert onto.apply(solve(onto, e)) == tuple(e)
 
 
 def test_amalgam_diagonal_in_z():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from igl.matrices import (IntMatrix, column_hnf, gcdex, hstack, kernel_basis,
                           lattice_equal, lattice_solve, snf, solve, unit_core)
-from oracles import cofactor_det, minors_invariant_factors
+from oracles import cofactor_det, minors_invariant_factors, smith_kernel_basis, smith_solve
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -95,6 +95,34 @@ def test_solve_unsolvable():
     m = mat([[2]])
     assert solve(m, [1]) is None
     assert solve(m, [4]) == (2,)
+
+
+sparse_systems = st.integers(1, 8).flatmap(
+    lambda r: st.integers(1, 12).flatmap(
+        lambda c: st.tuples(
+            # entries in [-9, 9], about 40% of them zero
+            st.lists(st.lists(st.integers(-15, 15).map(lambda e: e if abs(e) <= 9 else 0),
+                              min_size=c, max_size=c), min_size=r, max_size=r),
+            st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+            st.one_of(st.none(), st.tuples(st.integers(0, r - 1), st.integers(1, 3))))))
+
+
+@given(sparse_systems)
+@settings(max_examples=200, deadline=None)
+def test_diagonal_form_agrees_with_smith(system):
+    rows, x, perturb = system
+    m = mat(rows)
+    b = list(m.apply(x))
+    if perturb is not None:
+        b[perturb[0]] += perturb[1]
+    sol = solve(m, b)
+    assert (sol is None) == (smith_solve(m, b) is None)
+    if sol is not None:
+        assert m.apply(sol) == tuple(b)
+    kb = kernel_basis(m)
+    rank = sum(1 for d in snf(m)[1].diagonal() if d)
+    assert kb.cols == m.cols - rank
+    assert column_hnf(kb) == column_hnf(smith_kernel_basis(m))
 
 
 @given(small_matrices, small_matrices)
