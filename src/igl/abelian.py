@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DiagramError, PreconditionError
-from .matrices import (IntMatrix, block_diag, column_hnf, hstack, kernel_basis,
-                       lattice_equal, lattice_solve, snf, solve, unit_core, vstack)
+from .matrices import (IntMatrix, block_diag, column_hnf, diagonal_basis, hstack,
+                       kernel_basis, lattice_equal, lattice_solve, snf, solve, unit_core,
+                       vstack)
 from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
                        Verdict, direct_sum as expr_direct_sum,
                        freeness_verdict, normalize, render_expr, render_normal)
@@ -90,6 +91,8 @@ class FgGroup:
         The ``±1`` pivots are eliminated first, so Smith form runs only on
         the core that is left."""
         _, core = unit_core(self.relations)
+        if not (core.rows and core.cols):
+            return (0,) * core.rows
         _, s, _ = snf(core)
         diag = s.diagonal()
         torsion = tuple(d for d in diag if d > 1)
@@ -419,52 +422,41 @@ def split_test(s: ShortExactSeq) -> SplitResult:
     """Decide whether the sequence splits; produce an explicit section.
 
     A section is an integer matrix ``X`` on generators with
-    ``surj ∘ X = id`` as maps, and carrying the right term's relators into
-    the middle term's relations.  Both conditions are linear, so the
-    search is a single integer linear system; a free right term always
-    admits a solution (free groups are projective).
+    ``surj ∘ X = id`` as maps, carrying the right term's relators into
+    the middle term's relations.  It is built one cyclic factor of the
+    right term at a time: ``diagonal_basis`` writes that term as
+    ``⊕ Z/d_i`` on new generators ``e_i`` (``X = X'·W``), each ``e_i``
+    lifts through the projection to some ``x_i``, and a torsion factor
+    needs ``d_i·x_i`` to be a relation of the middle term.  Any other
+    lift differs from ``x_i`` by ``inj(a)`` plus a relation, so the
+    factor admits one exactly when ``[d_i·inj | rB]`` solves
+    ``-d_i·x_i``; if some factor admits none, no section exists.  A free
+    factor needs no correction (free groups are projective), and a unit
+    factor is zero in the right term.  The section found is checked:
+    well-definedness on construction, then ``surj ∘ X = id``.
     """
+    inj, surj = s.inj.matrix, s.surj.matrix
+    rB = s.mid.relations
     nB, nC = s.mid.generators, s.right.generators
-    rB, rC = s.mid.relations, s.right.relations
-    kB, kC = rB.cols, rC.cols
-    mp = s.surj.matrix
-
-    n_x = nB * nC
-    n_y = kB * kC
-    n_w = kC * nC
-    ix_x = lambda i, t: i * nC + t
-    ix_y = lambda u, j: n_x + u * kC + j
-    ix_w = lambda u, j: n_x + n_y + u * nC + j
-
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    # well-definedness: X · (relator j of C) lies in the relation lattice of B
-    for j in range(kC):
-        for i in range(nB):
-            row = [0] * (n_x + n_y + n_w)
-            for t in range(nC):
-                row[ix_x(i, t)] = rC.entries[t][j]
-            for u in range(kB):
-                row[ix_y(u, j)] = -rB.entries[i][u]
-            rows.append(row)
-            rhs.append(0)
-    # section property: surj · X = identity modulo relations of C
-    for j in range(nC):
-        for i in range(nC):
-            row = [0] * (n_x + n_y + n_w)
-            for t in range(nB):
-                row[ix_x(t, j)] = mp.entries[i][t]
-            for u in range(kC):
-                row[ix_w(u, j)] = -rC.entries[i][u]
-            rows.append(row)
-            rhs.append(1 if i == j else 0)
-
-    big = IntMatrix.from_rows(rows, cols=n_x + n_y + n_w)
-    sol = solve(big, rhs)
-    if sol is None:
-        return SplitResult(False, None)
-    x_entries = [[sol[ix_x(i, t)] for t in range(nC)] for i in range(nB)]
-    section = FgHom(s.right, s.mid, IntMatrix.from_rows(x_entries, cols=nC))
+    d, w = diagonal_basis(s.right.relations)
+    diag = IntMatrix.from_cols([[di if t == i else 0 for t in range(nC)]
+                                for i, di in enumerate(d) if di], rows=nC)
+    onto = w @ surj
+    lifts = []
+    for i, di in enumerate(d):
+        if di in (1, -1):
+            lifts.append([0] * nB)
+            continue
+        x = _lift_through(onto, diag, [int(t == i) for t in range(nC)])
+        if di:
+            scaled = IntMatrix(nB, inj.cols, tuple(tuple(di * v for v in row)
+                                                   for row in inj.entries))
+            fix = solve(hstack(scaled, rB) if rB.cols else scaled, [-di * v for v in x])
+            if fix is None:
+                return SplitResult(False, None)
+            x = [v + u for v, u in zip(x, inj.apply(fix[:inj.cols]))]
+        lifts.append(x)
+    section = FgHom(s.right, s.mid, IntMatrix.from_cols(lifts, rows=nB) @ w)
     if not section.then(s.surj).equals_map(FgHom.identity(s.right)):
         raise DiagramError("internal error: solved section fails to split")
     return SplitResult(True, section)

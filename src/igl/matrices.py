@@ -11,14 +11,16 @@ provides
                          ``±1`` pivots are eliminated, with no transforms,
 * ``column_hnf``      -- the canonical column-style Hermite normal form,
                          used as the canonical basis of a column lattice,
+* ``diagonal_basis``  -- a change of basis that makes a relation lattice
+                         diagonal, so a cokernel splits into cyclic factors,
 * ``kernel_basis``    -- a basis of the integer kernel of a matrix,
 * ``solve``           -- a particular integer solution of ``A x = b``,
 * ``lattice_solve``   -- coordinates of a vector in an HNF lattice basis.
 
-``kernel_basis`` and ``solve`` do not call ``snf``: they share one
-transform-light diagonal elimination that carries the right-hand side
-and the column transform ``V``, builds no row transform and does not
-force the divisibility chain.
+``diagonal_basis``, ``kernel_basis`` and ``solve`` do not call ``snf``:
+they share one transform-light diagonal elimination that carries the
+right-hand side and the column transform ``V``, builds no row transform
+and does not force the divisibility chain.
 
 Lattices (subgroups of Z^n) are always represented by the columns of a
 matrix; two generating matrices span the same lattice exactly when their
@@ -79,7 +81,7 @@ class IntMatrix:
         c = len(cols)
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        return cls(rows, c, tuple(tuple(int(col[i]) for col in cols) for i in range(rows)))
+        return cls(rows, c, tuple(zip(*cols)) if cols else ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -343,10 +345,12 @@ def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
         i, j = piv
         p = a.pop(i)
         s = p[j]
+        nz = [(t, y) for t, y in enumerate(p) if y]
         for row in a:
             c = row[j] * s
             if c:
-                row[:] = [x - c * y for x, y in zip(row, p)]
+                for t, y in nz:
+                    row[t] -= c * y
             del row[j]
         units += 1
     return units, IntMatrix(len(a), m.cols - units, tuple(map(tuple, a)))
@@ -462,20 +466,25 @@ def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
     n, k = m.rows, m.cols
     a = [list(row) for row in m.entries]
     b = None if rhs is None else list(rhs)
-    vc = [[int(i == j) for i in range(k)] for j in range(k)]
+    vc = [[0] * k for _ in range(k)]
+    for j, col in enumerate(vc):
+        col[j] = 1
     diag = []
     for t in range(min(n, k)):
-        piv, best = None, 0
+        piv = None
         for i in range(t, n):
-            row = a[i]
-            for j in range(t, k):
-                x = row[j]
-                if x and (piv is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
-                    if best == 1:
-                        break
-            if best == 1:
+            tail = a[i][t:]
+            if 1 in tail or -1 in tail:
+                piv = i, t + min(tail.index(e) for e in (1, -1) if e in tail)
                 break
+        else:
+            best = 0
+            for i in range(t, n):
+                row = a[i]
+                for j in range(t, k):
+                    x = row[j]
+                    if x and (piv is None or abs(x) < best):
+                        piv, best = (i, j), abs(x)
         if piv is None:
             break
         i, j = piv
@@ -536,6 +545,21 @@ def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
                 break
         diag.append(a[t][t])
     return diag, b, vc
+
+
+def diagonal_basis(rel: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """A basis of ``Z^n`` in which the column lattice of ``rel`` is diagonal.
+
+    Returns ``(d, W)`` with ``W`` unimodular and one ``d_i`` per row of
+    ``rel``, such that the columns of ``W·rel`` span ``⊕ d_i·Z e_i``, so
+    ``W`` carries the cokernel of ``rel`` onto ``⊕ Z/d_i``.  ``d`` holds
+    the nonzero pivots of one diagonal form of ``relᵀ``, padded with
+    zeros, and ``W`` is the transpose of that form's column transform;
+    the divisibility chain is not enforced.
+    """
+    diag, _, vc = _diagonal_form(rel.transpose())
+    n = rel.rows
+    return tuple(diag) + (0,) * (n - len(diag)), IntMatrix(n, n, tuple(map(tuple, vc)))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 determinants are cofactor expansions rather than Bareiss, invariant
 factors come from gcds of minors rather than Smith reduction, integer
 solutions and kernels come from the full Smith form with its ``U``
-rather than the engine's diagonal elimination, derived-set
+rather than the engine's diagonal elimination, sections of a short
+exact sequence come from one linear system over all section entries
+rather than one cyclic factor at a time, derived-set
 bounds come from a max-search over a candidate grid rather than normal
 form surgery, tree ranks come from a direct structural recursion
 rather than the cut-and-sum decision procedure, and the freeness rules
@@ -30,7 +32,7 @@ from math import gcd, lcm
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
                          direct_sum, factor_through)
 from igl.errors import SchemaError
-from igl.matrices import IntMatrix, column_hnf, hstack, snf
+from igl.matrices import IntMatrix, column_hnf, hstack, snf, solve
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
@@ -84,7 +86,8 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Smith-based solve and kernel (the engine's previous path)
+# Smith-based solve and kernel, and the one-system split test
+# (the engine's previous paths)
 # ---------------------------------------------------------------------------
 
 def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -116,6 +119,48 @@ def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
         if c[i] != 0:
             return None
     return v.apply(tuple(y))
+
+
+def kronecker_split_test(s: ShortExactSeq) -> FgHom | None:
+    """A section of ``s`` from one integer linear system over every
+    section entry at once (the engine's previous split test), or ``None``
+    when the sequence does not split.
+
+    The unknowns are the section ``X`` (``nB·nC``), the relation
+    coefficients that put ``X·rC`` into the middle term's relations
+    (``kB·kC``) and those that make ``surj·X = id`` modulo the right
+    term's relations (``kC·nC``).
+    """
+    nB, nC = s.mid.generators, s.right.generators
+    rB, rC = s.mid.relations, s.right.relations
+    kB, kC = rB.cols, rC.cols
+    mp = s.surj.matrix
+    n_x, n_y, n_w = nB * nC, kB * kC, kC * nC
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for j in range(kC):
+        for i in range(nB):
+            row = [0] * (n_x + n_y + n_w)
+            for t in range(nC):
+                row[i * nC + t] = rC.entries[t][j]
+            for u in range(kB):
+                row[n_x + u * kC + j] = -rB.entries[i][u]
+            rows.append(row)
+            rhs.append(0)
+    for j in range(nC):
+        for i in range(nC):
+            row = [0] * (n_x + n_y + n_w)
+            for t in range(nB):
+                row[t * nC + j] = mp.entries[i][t]
+            for u in range(kC):
+                row[n_x + n_y + u * nC + j] = -rC.entries[i][u]
+            rows.append(row)
+            rhs.append(int(i == j))
+    sol = solve(IntMatrix.from_rows(rows, cols=n_x + n_y + n_w), rhs)
+    if sol is None:
+        return None
+    x = [[sol[i * nC + t] for t in range(nC)] for i in range(nB)]
+    return FgHom(s.right, s.mid, IntMatrix.from_rows(x, cols=nC))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igl import abelian
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
                          amalgam_quotient, cokernel, is_exact_pair, is_free, kernel,
                          kernel_with_inclusion, snake, split_test,
                          three_by_three_split)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix, hstack, snf, solve
-from igl.valgroup import FgAtom, Opaque, Verdict, expr_invariant_factors
-from oracles import (divisible_elements_brute, has_divisible, minors_invariant_factors,
-                     of_direct_sum, random_amalgam_instance, random_matrix,
-                     random_snake_input, random_unimodular_with_inverse,
+from igl.valgroup import (FgAtom, Opaque, Verdict, canonical_invariants,
+                          expr_invariant_factors)
+from oracles import (divisible_elements_brute, has_divisible, kronecker_split_test,
+                     minors_invariant_factors, of_direct_sum, random_amalgam_instance,
+                     random_matrix, random_snake_input, random_unimodular_with_inverse,
                      sub_quotient_sequence)
 
 
@@ -286,6 +288,63 @@ def test_split_test_needs_no_smith_form(monkeypatch):
         for j in range(s.right.generators):
             e = [int(i == j) for i in range(s.right.generators)]
             assert onto.apply(solve(onto, e)) == tuple(e)
+
+
+def test_split_test_solves_one_cyclic_factor_at_a_time(monkeypatch):
+    # the same planted sequences; no system spans the whole section
+    rng = random.Random(9)
+    seqs = [(planted_sequence(rng, splits), splits) for splits in (True, False)]
+    widths = []
+
+    def counted(m, b):
+        widths.append(m.cols)
+        return solve(m, b)
+
+    monkeypatch.setattr(abelian, "solve", counted)
+    for s, splits in seqs:
+        widths.clear()
+        assert split_test(s).splits == splits
+        bound = max(s.mid.generators + s.right.generators,
+                    s.left.generators + s.mid.relations.cols)
+        assert widths and max(widths) <= bound
+
+
+def random_exact_sequence(rng):
+    """``0 → A → B → C → 0`` with ``B`` random (at most 5 generators and 4
+    relators, entries in ±4), a projection ``[I | M]`` onto ``C``, whose
+    relators are the images of ``B``'s plus up to two random multiples of 2,
+    3 or 4 (so ``C`` is rarely diagonal and often has torsion), and ``A``
+    the kernel."""
+    nB = rng.randint(1, 5)
+    mid = FgGroup(nB, random_matrix(rng, nB, rng.randint(0, 4), 4))
+    nC = rng.randint(1, nB)
+    proj = IntMatrix.from_rows([[int(i == j) for j in range(nC)]
+                                + [rng.randint(-4, 4) for _ in range(nB - nC)]
+                                for i in range(nC)], cols=nB)
+    images = (proj @ mid.relations).transpose().entries
+    extra = []
+    for _ in range(rng.randint(0, 2)):
+        d = rng.randint(2, 4)
+        extra.append([d * rng.randint(-2, 2) for _ in range(nC)])
+    right = FgGroup(nC, IntMatrix.from_cols(list(images) + extra, rows=nC))
+    surj = FgHom(mid, right, proj)
+    left, inj = kernel_with_inclusion(surj)
+    return ShortExactSeq(left, mid, right, inj, surj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_split_test_matches_the_kronecker_system_and_miyata(seed):
+    # Miyata (1967): a sequence of finitely generated abelian groups
+    # splits iff its middle term is isomorphic to the sum of the outer ones
+    s = random_exact_sequence(random.Random(seed))
+    res = split_test(s)
+    oracle = kronecker_split_test(s)
+    summed = canonical_invariants(list(s.left.invariant_factors + s.right.invariant_factors))
+    assert res.splits == (oracle is not None) == (s.mid.invariant_factors == summed)
+    for section in (res.section, oracle):
+        if section is not None:
+            assert section.then(s.surj).equals_map(FgHom.identity(s.right))
 
 
 def test_amalgam_diagonal_in_z():
