@@ -2,10 +2,13 @@
 
 Each digest is the sha256 of the canonical JSON of ``decide_inv_free`` and
 ``decide_div_free`` on a family of trees: verdict, rendered expression and
-its structure, the full certificate, the cut sequences and the leaf
-verdicts.  The digests were recorded before the tree and expression layers
-were reworked for speed, so any change to a verdict, a certificate or a
-rendered group shows up here.
+its structure, the full certificate, each divided cut as its prime and
+the free ranks of its quotient and step (``None`` where a term is not
+finitely generated), and the leaf verdicts.  The digests were recorded
+before the tree and expression layers were reworked for speed, and
+re-recorded when cuts came to carry ranks instead of expressions, so any
+change to a verdict, a certificate, a cut or a rendered group shows up
+here.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import pytest
 
 from igl import cli
 from igl.prufer import decide_div_free, decide_inv_free
-from igl.valgroup import render_expr
+from igl.valgroup import expr_rank, render_expr
 from oracles import all_parent_vectors, random_tree, tree_from_parents
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -32,8 +35,7 @@ def decision_record(tree) -> dict:
             "expr": render_expr(inv.expr),
             "expr_repr": repr(inv.expr),
             "certificate": [s.as_dict(True) for s in inv.certificate],
-            "cuts": [[c.prime_id, render_expr(c.quotient_expr),
-                      render_expr(c.step_expr), render_expr(c.total_expr)]
+            "cuts": [[c.prime_id, expr_rank(c.quotient_expr), expr_rank(c.step_expr)]
                      for c in inv.cuts],
             "leaf_verdicts": [[lid, v.value] for lid, v in inv.leaf_verdicts],
         },
@@ -55,20 +57,20 @@ ENUMERATED = {
     1: "e4a9f324b36c301d454c8308df733d743943497fe9f8d9b9c798813cba1eb201",
     2: "ecdf04620574d16c447021c1aabab4a3157721837698b0018bcebd6d28488181",
     3: "c8ffbf24ee8e9674272fa4800b3c43bd2096e5354afe309908bba0fd0afaf221",
-    4: "1fa2b3c0dfe0cfdc18b9ad4c3287e9eef44b3add43e82a28f5c8827ca94c9e61",
-    5: "ed2c1cb8df5c759d9cde6c20281df547b359e36048be5e3e8bc6f0792a845305",
-    6: "0ad0d8a9758522b2b587ee9f8563c1f0347ecdc14dfeec662d9350ad966ca370",
-    7: "3c40697ffb0faa51a261fcba7cd55efb4b57fc8d5c1aea9cbee2d302d5bc898c",
+    4: "14b101727013392b584f4ff3a92b7c2c0fdbb71acb554d6674fbcb00446e1d68",
+    5: "b29ff725a0a7de303eddd12cdf2353b1e7802232e789e645bd90f7077eab57da",
+    6: "f4146cae995e4448d9017eb2a4c3bc6fb9e92e6d606917d815667cb73cd99df8",
+    7: "a8c514f055eabacfd182ba8460664c5094e30a8c1cd253803603e24b30365b98",
 }
 
 # every ``prufer_tree`` file of ``instances/``
 INSTANCE_DIGESTS = {
-    "strongly_discrete_tree.json": "f93e9fdfde7568d4aef5b40a205bff6c7dfb50f37862f46234afac96d0776fcd",
-    "y_tree.json": "29eaa7f67dab8c25cacbb9ce70253131f5be5c395079b6b89393631f5eab2366",
+    "strongly_discrete_tree.json": "763cf3fe39df7c9c82cfba1fde25b4621cf5065444855ea8279c27fa7dd722fa",
+    "y_tree.json": "962c89cf708adfe804c930f58e4948da2b2b6fa39bf92a07b3f37a3bb039ef9f",
     "y_tree_rational_trunk.json": "0e31c5fb2ac6d6adef026fd68d997b8112461b4401f180eec2098f9fca445932",
 }
 
-RANDOM_DIGEST = "76bfd05ef31af3c75ea86c46150c85dc9f7bca18d7d9e95b6fee358294b53183"
+RANDOM_DIGEST = "6f75411631d6cf29114f50e3620ed6f05ed712e9527b9b4ef2c82d07b76b590a"
 
 
 @pytest.mark.parametrize("n", sorted(ENUMERATED))
