@@ -3,9 +3,10 @@
 
 For each round, each named checkout and each named workload, runs
 
-    python3 <checkout>/bench/run.py --workload W --seed 1 --seconds T --trace 0
+    python3 <checkout>/bench/run.py --workload W --seed S --seconds T --trace X
 
-with ``T`` the ``run_seconds`` of ``BENCHMARK.json``, and keeps the last
+with ``S`` and ``X`` from ``--seed`` (default 1) and ``--trace`` (default
+0), ``T`` the ``run_seconds`` of ``BENCHMARK.json``, and keeps the last
 line of its output, the JSON object
 ``{"correct", "attempted", "failed", "metrics"}``.  The checkouts take
 turns within every round, and which of them goes first alternates from
@@ -16,8 +17,10 @@ Usage, from the root of a checkout::
     python3 scripts/bench_record.py 8 --checkout parent=../parent --checkout change=. \\
         --workload fg_engine --workload small_batch --rounds 2
 
-writes ``BENCH_8.json`` at the root of this checkout.  See the README for
-how to read it.
+writes ``BENCH_8.json`` at the root of this checkout.  With ``--append``
+the runs are added to an existing record of the same checkouts, so that
+one record can hold runs on several seeds, traced and untraced; every
+run names its seed and trace.  See the README for how to read it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
 
 
 def _git(path: Path, *args: str) -> str | None:
@@ -49,9 +51,9 @@ def describe(path: Path) -> dict:
             "modified": None if status is None else bool(status)}
 
 
-def run(path: Path, workload: str, seconds: float) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(seconds), "--trace", "0"]
+def run(path: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=path, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -63,6 +65,10 @@ def main(argv=None) -> int:
                     help="a checkout to run, under a label; give one per checkout")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--rounds", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--append", action="store_true",
+                    help="add the runs to an existing BENCH_<n>.json of the same checkouts")
     args = ap.parse_args(argv)
 
     checkouts = {}
@@ -73,23 +79,29 @@ def main(argv=None) -> int:
         checkouts[label] = Path(path).resolve()
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    runs = []
+    out = ROOT / f"BENCH_{args.n}.json"
+    record = {
+        "command": ("bench/run.py --workload <workload> --seed <seed> "
+                    f"--seconds {seconds:g} --trace <trace>"),
+        "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
+                 "machine": platform.machine()},
+        "checkouts": {label: describe(path) for label, path in checkouts.items()},
+        "runs": [],
+    }
+    if args.append:
+        old = json.loads(out.read_text(encoding="utf-8"))
+        if old["checkouts"] != record["checkouts"] or old["host"] != record["host"]:
+            ap.error(f"--append: {out.name} holds other checkouts or another host")
+        record["runs"] = old["runs"]
     for rnd in range(1, args.rounds + 1):
         turn = list(checkouts.items())
         for workload in args.workload:
             for label, path in turn if rnd % 2 else turn[::-1]:
                 print(f"round {rnd}: {workload} on {label}", file=sys.stderr, flush=True)
-                runs.append({"round": rnd, "checkout": label, "workload": workload,
-                             "result": run(path, workload, seconds)})
-    record = {
-        "command": (f"bench/run.py --workload <workload> --seed {SEED} "
-                    f"--seconds {seconds:g} --trace 0"),
-        "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                 "machine": platform.machine()},
-        "checkouts": {label: describe(path) for label, path in checkouts.items()},
-        "runs": runs,
-    }
-    out = ROOT / f"BENCH_{args.n}.json"
+                record["runs"].append({
+                    "round": rnd, "checkout": label, "workload": workload,
+                    "seed": args.seed, "trace": args.trace,
+                    "result": run(path, workload, args.seed, seconds, args.trace)})
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out.name, file=sys.stderr)
     return 0

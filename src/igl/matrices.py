@@ -74,7 +74,7 @@ class IntMatrix:
         r = len(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return cls(r, cols, tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(r, cols, tuple(map(tuple, rows)))
 
     @classmethod
     def from_cols(cls, cols: list[list[int]], rows: int | None = None) -> "IntMatrix":
@@ -330,12 +330,18 @@ def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
     1993).  Returns ``(units, core)``: each removed pivot is an invariant
     factor 1 and ``coker m ≅ coker core``, so the Smith form of ``m`` is
     ``units`` ones followed by the Smith form of ``core``.
+
+    Rows above the pivot row held no ``±1`` when they were scanned, and
+    deleting a column cannot add one, so the next search resumes at the
+    first row that the elimination changed.
     """
     a = [list(row) for row in m.entries]
     units = 0
+    start = 0
     while True:
         piv = None
-        for i, row in enumerate(a):
+        for i in range(start, len(a)):
+            row = a[i]
             js = [row.index(e) for e in (1, -1) if e in row]
             if js:
                 piv = i, min(js)
@@ -346,11 +352,14 @@ def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
         p = a.pop(i)
         s = p[j]
         nz = [(t, y) for t, y in enumerate(p) if y]
-        for row in a:
+        start = i
+        for r, row in enumerate(a):
             c = row[j] * s
             if c:
                 for t, y in nz:
                     row[t] -= c * y
+                if r < start:
+                    start = r
             del row[j]
         units += 1
     return units, IntMatrix(len(a), m.cols - units, tuple(map(tuple, a)))

@@ -18,8 +18,11 @@ The decision procedures follow a cut-and-sum recursion:
 * base cases are fields (trivial group) and chains (valuation rings,
   whose invertible ideals form the value group itself).
 
-Every divided cut emits its split sequence so that callers can replay it
-through the exact engine on finitely generated stand-ins.
+Every divided cut emits its prime and the free ranks of the quotient and
+of the step; ``verify`` recounts the cut's total from the tree and checks
+that the two ranks add up to it.  The sum itself is built once: the
+root's normal form is one ``normal_sum`` over the summands of every
+subproblem, so deciding a tree is linear in its size.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from functools import cached_property
 from .errors import SchemaError, read_flag
 from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, R,
                        TRIVIAL, UNKNOWN, ValueTower, Verdict, direct_sum,
-                       freeness_verdict, normal_sum, normalize, render_expr)
+                       freeness_verdict, normal_sum, normalize, render_expr,
+                       render_normal)
 
 
 @dataclass(frozen=True)
@@ -226,12 +230,16 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
 @dataclass(frozen=True)
 class DividedCut:
     """One emitted split sequence
-    ``0 → (quotient group) → (total group) → (tower of the cut prime) → 0``."""
+    ``0 → (quotient group) → (total group) → (tower of the cut prime) → 0``,
+    by its prime and the free ranks of its outer terms.  Tree slots are
+    ``Z``, ``Q`` or ``R``, so a finitely generated term is free and its rank
+    is the whole invariant; a rank is ``None`` when a ``Q`` or ``R`` slot
+    makes the term not finitely generated.  The total is not carried:
+    ``verify`` recounts it from the tree."""
 
     prime_id: str
-    quotient_expr: GroupExpr
-    step_expr: GroupExpr
-    total_expr: GroupExpr
+    quotient_rank: int | None
+    step_rank: int | None
 
 
 @dataclass(frozen=True)
@@ -278,22 +286,25 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
     of ``tree`` itself.  A subproblem is a sub-root with the children it
     keeps: the whole tree, one dependency class (one child of the sub-root
     with its subtree) or the quotient tree at a divided prime.  Value
-    groups are measured from the sub-root through the tree's parent map.  Steps and cuts come
-    out in pre-order; expressions are combined afterwards, children first."""
+    groups are measured from the sub-root through the tree's parent map.
+    Steps and cuts come out in pre-order; free ranks are summed
+    afterwards, children first, and the root's normal form is one
+    ``normal_sum`` over the summands of every subproblem in order."""
     steps: list[CertStep] = []
-    cuts: list[DividedCut | None] = []
-    # per subproblem: (expression or None, child subproblems, pending cut)
-    frames: list[tuple[GroupExpr | None, list[int], tuple | None]] = []
+    # per subproblem: (own summand or None, its free rank, child
+    # subproblems, cut prime or None); the own summand follows the
+    # children's: a cut's step follows its quotient
+    frames: list[tuple[GroupExpr | None, int | None, list[int], str | None]] = []
     todo: list[tuple[PrimeNode, tuple[PrimeNode, ...], int]] = [
         (tree.root, tree.root.children, -1)]
     while todo:
         sub_root, kids, parent = todo.pop()
         me = len(frames)
         if parent >= 0:
-            frames[parent][1].append(me)
+            frames[parent][2].append(me)
         if not kids:
             steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
-            frames.append((TRIVIAL, [], None))
+            frames.append((TRIVIAL, 0, [], None))
             continue
         if len(kids) > 1:
             steps.append(CertStep.make(
@@ -302,7 +313,7 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
                 "and locally finite, so the invertible group is the direct sum "
                 "over the classes",
                 classes=len(kids)))
-            frames.append((None, [], None))
+            frames.append((None, 0, [], None))
             todo.extend((sub_root, (c,), me) for c in reversed(kids))
             continue
         # one class: walk down the unique-child spine; it ends at the only
@@ -311,41 +322,48 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
         node = kids[0]
         while len(node.children) == 1:
             node = node.children[0]
-        tower_expr = _tower_below(tree, node, sub_root).to_expr()
+        tower = _tower_below(tree, node, sub_root)
+        tower_expr = normalize(tower.to_expr())
+        rank = len(tower) if tower.all_slots_z() else None
         if node.is_maximal:
             steps.append(CertStep.make(
                 "valuation-inv-iso",
                 "every invertible ideal of a valuation ring is principal, and "
                 "principal ideals correspond to values: the invertible group is "
                 "the value group",
-                maximal=node.node_id, value_group=render_expr(tower_expr)))
-            frames.append((tower_expr, [], None))
+                maximal=node.node_id, value_group=render_normal(tower_expr)))
+            frames.append((tower_expr, rank, [], None))
             continue
         steps.append(CertStep.make(
             "divided-cut",
             "the infimum of the maximal ideals is a divided prime; its free "
             "value group splits off: the invertible group is the quotient "
             "domain's group plus that value group",
-            prime=node.node_id, value_group=render_expr(tower_expr)))
-        cuts.append(None)
-        frames.append((None, [], (node.node_id, tower_expr, len(cuts) - 1)))
+            prime=node.node_id, value_group=render_normal(tower_expr)))
+        frames.append((tower_expr, rank, [], node.node_id))
         todo.append((node, node.children, me))
     # children come after their parent in pre-order, so a reverse sweep
-    # meets every child subproblem first; sums are taken of normal forms,
-    # so that no expression is normalized twice
-    normal: list[GroupExpr | None] = [None] * len(frames)
+    # meets every child subproblem first
+    ranks: list[int | None] = [None] * len(frames)
     for i in range(len(frames) - 1, -1, -1):
-        expr, kids, cut = frames[i]
-        if expr is not None:
-            normal[i] = normalize(expr)
-        elif cut is None:
-            normal[i] = normal_sum(normal[k] for k in kids)
-        else:
-            prime_id, step_expr, slot = cut
-            quotient = normal[kids[0]]
-            normal[i] = normal_sum((quotient, normalize(step_expr)))
-            cuts[slot] = DividedCut(prime_id, quotient, step_expr, normal[i])
-    return normal[0], steps, cuts
+        _, rank, kids, _ = frames[i]
+        for k in kids:
+            rank = None if rank is None or ranks[k] is None else rank + ranks[k]
+        ranks[i] = rank
+    cuts = [DividedCut(prime, ranks[kids[0]], rank)
+            for _, rank, kids, prime in frames if prime is not None]
+    summands: list[GroupExpr] = []
+    stack: list[int | GroupExpr] = [0]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, GroupExpr):
+            summands.append(top)
+            continue
+        own, _, kids, _ = frames[top]
+        if own is not None:
+            stack.append(own)
+        stack.extend(reversed(kids))
+    return normal_sum(summands), steps, cuts
 
 
 def decide_inv_free(tree: SpecTree) -> InvDecision:

@@ -325,36 +325,37 @@ def canonical_invariants(orders: list[int]) -> tuple[int, ...]:
 
     ``Z/a ⊕ Z/b ≅ Z/gcd ⊕ Z/lcm``, so pairwise gcd/lcm sweeps reach the
     divisibility chain without factoring any order."""
-    rank = sum(1 for d in orders if d == 0)
     chain = [d for d in orders if d > 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             g = gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return tuple(d for d in chain if d > 1) + (0,) * rank
+    return tuple(d for d in chain if d > 1) + (0,) * orders.count(0)
 
 
 def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
     """Invariant factors of a finitely generated expression, or ``None``
-    when the expression is not (visibly) finitely generated."""
-    orders: list[int] = []
+    when the expression is not (visibly) finitely generated.  A run of
+    ``Z`` counts into the free rank as one integer."""
+    torsion: list[int] = []
+    rank = 0
     for atom, mult in _atoms(normalize(e)):
         if mult is None:
             return None
         if isinstance(atom, IntegersZ):
-            orders.extend([0] * mult)
+            rank += mult
         elif isinstance(atom, Cyclic):
-            orders.extend([atom.order] * mult)
+            torsion.extend([atom.order] * mult)
         elif not isinstance(atom, TrivialGroup):
             return None
-    return canonical_invariants(orders)
+    return canonical_invariants(torsion) + (0,) * rank
 
 
 def expr_rank(e: GroupExpr) -> int | None:
     inv = expr_invariant_factors(e)
     if inv is None:
         return None
-    return sum(1 for d in inv if d == 0)
+    return inv.count(0)
 
 
 # ---------------------------------------------------------------------------

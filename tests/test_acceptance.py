@@ -12,7 +12,7 @@ from igl import abelian
 from igl.cli import canonical_json, main
 from igl.errors import MalformedTraceError
 from igl.matrices import IntMatrix, snf
-from igl.prufer import decide_inv_free, contracted_spectrum
+from igl.prufer import PrimeNode, SpecTree, contracted_spectrum, decide_inv_free
 from igl.scattered import Ordinal, ScatteredSpace, cb_derivative, cb_rank, escape_index
 from igl.valgroup import (ValueTower, Verdict, expr_invariant_factors,
                           expr_rank)
@@ -146,7 +146,7 @@ def test_acceptance_5_prufer_recursion():
             assert rank == tree_rank_oracle(t) == contracted_spectrum(t).total_slots() == n - 1
             total += 1
 
-    from igl.prufer import PrimeNode, SpecTree, decide_div_free, gamma_at
+    from igl.prufer import decide_div_free, gamma_at
     from igl.valgroup import div_of_valuation
     for length in (1, 2, 3, 4):
         for top in ("Z", "Q", "R"):
@@ -165,7 +165,8 @@ def test_acceptance_5_prufer_recursion():
 
 def test_acceptance_6_divided_cut_sequences():
     """Every split sequence emitted by the tree recursion, instantiated
-    with finitely generated stand-ins, is exact and splits; zero failures
+    with free stand-ins of the cut's ranks, is exact and splits, and its
+    middle term has the rank of the cut's dependency class; zero failures
     over the random tree suite."""
     rng = random.Random(99)
     cuts_checked = 0
@@ -173,14 +174,18 @@ def test_acceptance_6_divided_cut_sequences():
         t = random_tree(rng, max_depth=4, max_nodes=12, q_prob=0.0)
         res = decide_inv_free(t)
         for cut in res.cuts:
-            qi = expr_invariant_factors(cut.quotient_expr)
-            si = expr_invariant_factors(cut.step_expr)
-            ti = expr_invariant_factors(cut.total_expr)
-            assert qi is not None and si is not None and ti is not None
-            left = abelian.FgGroup.from_invariants(*qi)
-            right = abelian.FgGroup.from_invariants(*si)
+            assert cut.quotient_rank is not None and cut.step_rank is not None
+            left = abelian.FgGroup.free(cut.quotient_rank)
+            right = abelian.FgGroup.free(cut.step_rank)
             s = of_direct_sum(left, right)
-            assert s.mid.invariant_factors == ti
+            # the class: the subtree at the top of the unique-child chain
+            # above the cut prime
+            top = t.node(cut.prime_id)
+            while t.parents[top.node_id] is not t.root \
+                    and len(t.parents[top.node_id].children) == 1:
+                top = t.parents[top.node_id]
+            cls = SpecTree(PrimeNode("0", None, (top,)))
+            assert s.mid.invariant_factors == (0,) * tree_rank_oracle(cls)
             assert abelian.split_test(s).splits
             cuts_checked += 1
     assert cuts_checked > 0

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from igl import cli, matrices, prufer
+from igl import cli, matrices, prufer, valgroup
 from igl.cli import canonical_json, main
-from igl.valgroup import Z, direct_sum
 from oracles import tree_payload
 
 DVR = {"v": 1, "kind": "valuation", "tower": ["Z"], "name": "dvr"}
@@ -196,7 +195,7 @@ def test_verify_fails_a_corrupted_cut(tmp_path, capsys, monkeypatch):
     def corrupted(tree):
         d = decide(tree)
         cut = d.cuts[0]
-        bad = replace(cut, total_expr=direct_sum(cut.total_expr, Z))
+        bad = replace(cut, quotient_rank=cut.quotient_rank + 1)
         return replace(d, cuts=(bad,) + d.cuts[1:])
 
     monkeypatch.setattr(prufer, "decide_inv_free", corrupted)
@@ -234,6 +233,95 @@ def test_tree_verify_needs_no_integer_engine(monkeypatch):
         assert [c for c in checks if not c[1]] == []
         cuts = [d for label, _, d in checks if label.startswith("cut-at-")]
         assert cuts == ["exact and split on finitely generated stand-ins"] * branching
+
+
+def caterpillar_payload(spine, heavy=("Z", "Z")):
+    """A spine of ``spine`` primes, one leaf on each and two on the last;
+    the edge of every fourth leaf is labelled ``heavy``."""
+    parents, prev = [], 0
+    for _ in range(spine):
+        parents += [prev, len(parents) + 1]
+        prev = len(parents) - 1
+    parents.append(prev)
+    payload = tree_payload(parents)
+    stack = [payload["root"]]
+    while stack:
+        node = stack.pop()
+        # the leaf of the i-th spine prime is node 2i
+        if node["id"] != "0" and int(node["id"]) % 8 == 0:
+            node["label"] = list(heavy)
+        stack.extend(node.get("children", ()))
+    return payload
+
+
+def test_tree_decide_and_verify_work_grows_linearly(monkeypatch):
+    """Going from spine 100 to spine 400, the summands that ``normal_sum``
+    receives in ``decide_inv_free`` and the atoms that ``verify`` walks
+    each grow at most 4.5 times."""
+    work = {"summands": 0, "atoms": 0}
+    normal_sum, atoms = prufer.normal_sum, valgroup._atoms
+
+    def counted_sum(parts):
+        parts = list(parts)
+        work["summands"] += sum(len(p.parts) if isinstance(p, valgroup.DirectSum) else 1
+                                for p in parts)
+        return normal_sum(parts)
+
+    def counted_atoms(e):
+        for atom in atoms(e):
+            work["atoms"] += 1
+            yield atom
+
+    monkeypatch.setattr(prufer, "normal_sum", counted_sum)
+    monkeypatch.setattr(valgroup, "_atoms", counted_atoms)
+    seen = {}
+    for spine in (100, 400):
+        payload = caterpillar_payload(spine)
+        work["summands"] = work["atoms"] = 0
+        prufer.decide_inv_free(cli.parse_prufer(payload)["tree"])
+        summands = work["summands"]
+        work["atoms"] = 0
+        checks = cli.verify_payload(payload, "caterpillar")
+        assert all(ok for _, ok, _ in checks)
+        seen[spine] = summands, work["atoms"]
+    (s100, a100), (s400, a400) = seen[100], seen[400]
+    assert s400 <= 4.5 * s100, seen
+    assert a400 <= 4.5 * a100, seen
+
+
+def test_cut_replay_builds_no_normal_form(monkeypatch):
+    calls = []
+    inside = []
+    replay = cli._replay_cut
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return replay(*args)
+        finally:
+            inside.pop()
+
+    def recorded(name, inner):
+        def wrapper(*args):
+            if inside:
+                calls.append(name)
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_replay_cut", watched)
+    for name in ("normalize", "expr_invariant_factors"):
+        inner = getattr(valgroup, name)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "igl" and getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, recorded(name, inner))
+    for heavy in (("Z", "Z"), ("Q",)):
+        checks = cli.verify_payload(caterpillar_payload(40, heavy), "caterpillar")
+        details = {d for label, ok, d in checks if label.startswith("cut-at-") and ok}
+        assert len([c for c in checks if c[0].startswith("cut-at-")]) == 40
+        # every class holds the leaf of the fortieth spine prime, labelled Q
+        assert details == ({"exact and split on finitely generated stand-ins"}
+                           if heavy == ("Z", "Z") else {"skipped: not finitely generated"})
+    assert calls == []
 
 
 def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ import pytest
 
 from igl import cli
 from igl.prufer import decide_div_free, decide_inv_free
-from igl.valgroup import expr_rank, render_expr
+from igl.valgroup import render_expr
 from oracles import all_parent_vectors, random_tree, tree_from_parents
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -35,8 +35,7 @@ def decision_record(tree) -> dict:
             "expr": render_expr(inv.expr),
             "expr_repr": repr(inv.expr),
             "certificate": [s.as_dict(True) for s in inv.certificate],
-            "cuts": [[c.prime_id, expr_rank(c.quotient_expr), expr_rank(c.step_expr)]
-                     for c in inv.cuts],
+            "cuts": [[c.prime_id, c.quotient_rank, c.step_rank] for c in inv.cuts],
             "leaf_verdicts": [[lid, v.value] for lid, v in inv.leaf_verdicts],
         },
         "div": {
