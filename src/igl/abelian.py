@@ -203,20 +203,15 @@ class FgHom:
 
 def kernel_lattice(h: FgHom) -> IntMatrix:
     """HNF basis of ``{x in Z^src : h(x) is a relation of the target}``."""
-    stacked = hstack(h.matrix, h.target.relations) if h.target.relations.cols \
-        else h.matrix
-    kb = kernel_basis(stacked)
+    kb = kernel_basis(hstack(h.matrix, h.target.relations))
     proj = IntMatrix(h.source.generators, kb.cols,
                      tuple(kb.entries[i] for i in range(h.source.generators)))
-    with_rel = hstack(proj, h.source.relations) if h.source.relations.cols else proj
-    return column_hnf(with_rel)
+    return column_hnf(hstack(proj, h.source.relations))
 
 
 def image_lattice(h: FgHom) -> IntMatrix:
     """HNF basis of ``im(h) + relations`` inside Z^target-generators."""
-    joined = hstack(h.matrix, h.target.relations) if h.target.relations.cols \
-        else h.matrix
-    return column_hnf(joined)
+    return column_hnf(hstack(h.matrix, h.target.relations))
 
 
 def _sublattice_group(ambient: FgGroup, basis: IntMatrix) -> tuple[FgGroup, "FgHom"]:
@@ -246,8 +241,7 @@ def kernel(h: FgHom) -> FgGroup:
 def cokernel(h: FgHom) -> FgGroup:
     """Target modulo image: relations are the image columns joined with the
     target relations."""
-    rel = hstack(h.matrix, h.target.relations) if h.target.relations.cols else h.matrix
-    return FgGroup(h.target.generators, rel)
+    return FgGroup(h.target.generators, hstack(h.matrix, h.target.relations))
 
 
 def is_injective(h: FgHom) -> bool:
@@ -352,8 +346,7 @@ class SnakeResult:
 
 def _lift_through(cols_matrix: IntMatrix, rel: IntMatrix, vec) -> tuple[int, ...]:
     """Deterministic lift: solve ``cols_matrix·x ≡ vec (mod rel)`` for x."""
-    stacked = hstack(cols_matrix, rel) if rel.cols else cols_matrix
-    sol = solve(stacked, vec)
+    sol = solve(hstack(cols_matrix, rel), vec)
     if sol is None:
         raise DiagramError("preimage lift does not exist")
     return sol[:cols_matrix.cols]
@@ -451,7 +444,7 @@ def split_test(s: ShortExactSeq) -> SplitResult:
         if di:
             scaled = IntMatrix(nB, inj.cols, tuple(tuple(di * v for v in row)
                                                    for row in inj.entries))
-            fix = solve(hstack(scaled, rB) if rB.cols else scaled, [-di * v for v in x])
+            fix = solve(hstack(scaled, rB), [-di * v for v in x])
             if fix is None:
                 return SplitResult(False, None)
             x = [v + u for v, u in zip(x, inj.apply(fix[:inj.cols]))]

@@ -155,16 +155,18 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
-
 
 def hstack(*ms: IntMatrix) -> IntMatrix:
+    """The blocks side by side.  Zero-column blocks drop out, and a sole
+    remaining block is returned as it is."""
     if not ms:
         raise ValueError("hstack of nothing")
     rows = ms[0].rows
     if any(m.rows != rows for m in ms):
         raise ValueError("row mismatch in hstack")
+    ms = tuple(m for m in ms if m.cols)
+    if len(ms) == 1:
+        return ms[0]
     return IntMatrix(rows, sum(m.cols for m in ms),
                      tuple(tuple(x for m in ms for x in m.entries[i]) for i in range(rows)))
 

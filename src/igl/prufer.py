@@ -2,10 +2,11 @@
 
 The prime spectrum of the modeled domain is a finite rooted tree: the
 root is the zero ideal, leaves are exactly the maximal ideals, and every
-edge carries a nonempty value-tower segment -- the value group of the
-step between the prime and its parent.  Only branched, explicitly
-represented primes appear as nodes; inputs about unbranched primes route
-to ``Unknown``.
+edge carries a nonempty value-tower segment of ``Z``, ``Q`` and ``R``
+slots -- the value group of the step between the prime and its parent.
+Only branched, explicitly represented primes appear as nodes; whether a
+prime is branched is a flag on its node, and inputs about unbranched
+primes route to ``Unknown``.
 
 The decision procedures follow a cut-and-sum recursion:
 
@@ -18,11 +19,13 @@ The decision procedures follow a cut-and-sum recursion:
 * base cases are fields (trivial group) and chains (valuation rings,
   whose invertible ideals form the value group itself).
 
-Every divided cut emits its prime and the free ranks of the quotient and
-of the step; ``verify`` recounts the cut's total from the tree and checks
-that the two ranks add up to it.  The sum itself is built once: the
-root's normal form is one ``normal_sum`` over the summands of every
-subproblem, so deciding a tree is linear in its size.
+The recursion runs as one walk over the tree with an explicit stack
+(``_decompose``).  Every divided cut emits its prime and the free ranks
+of the quotient and of the step, summed as the walk leaves the quotient;
+``verify`` recounts the cut's total from the tree and checks that the
+two ranks add up to it.  The sum itself is built once: the root's normal
+form is one ``normal_sum`` over the summands of every subproblem, so
+deciding a tree is linear in its size.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from functools import cached_property
 
 from .errors import SchemaError, read_flag
 from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, R,
-                       TRIVIAL, UNKNOWN, ValueTower, Verdict, direct_sum,
-                       freeness_verdict, normal_sum, normalize, render_expr,
-                       render_normal)
+                       UNKNOWN, ValueTower, Verdict, direct_sum, freeness_verdict,
+                       normal_sum, render_expr, render_normal)
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,11 @@ def _tower_below(tree: SpecTree, node: PrimeNode, top: PrimeNode) -> ValueTower:
     own step on top: the value group of the localization at ``node`` in
     the domain whose spectrum is the subtree at ``top``."""
     slots: list = []
-    branched: list[bool] = []
     cur = node
     while cur is not top:
         slots.extend(cur.label.slots)
-        branched.extend(cur.label.branched)
         cur = tree.parents[cur.node_id]
-    return ValueTower(tuple(slots), tuple(branched))
+    return ValueTower(tuple(slots))
 
 
 def gamma_at(tree: SpecTree, node: PrimeNode | str) -> ValueTower:
@@ -282,29 +282,41 @@ def _internal_gate(tree: SpecTree, free: dict[str, bool]) -> Certificate:
 
 
 def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
-    """The cut-and-sum recursion, run with an explicit stack on the nodes
-    of ``tree`` itself.  A subproblem is a sub-root with the children it
-    keeps: the whole tree, one dependency class (one child of the sub-root
-    with its subtree) or the quotient tree at a divided prime.  Value
-    groups are measured from the sub-root through the tree's parent map.
-    Steps and cuts come out in pre-order; free ranks are summed
-    afterwards, children first, and the root's normal form is one
-    ``normal_sum`` over the summands of every subproblem in order."""
+    """The cut-and-sum recursion as one walk with an explicit stack on the
+    nodes of ``tree`` itself.  A subproblem is a sub-root with the nodes
+    it keeps below: the whole tree, one dependency class (one child of
+    the sub-root, walked down its unique-child spine) or the quotient
+    tree at a divided prime.  Value groups are measured from the sub-root
+    through the tree's parent map.  Steps and cuts come out in pre-order.
+    A chain appends its tower and adds its free rank to the innermost
+    open cut.  A divided cut pushes a close marker under its quotient;
+    when the marker pops, the cut records its quotient and step ranks
+    (``None`` where a ``Q`` or ``R`` slot makes a term not finitely
+    generated), appends its step tower after the quotient's summands and
+    passes both ranks outward, where they add up.  The root's normal form
+    is one ``normal_sum`` over the summands in order."""
     steps: list[CertStep] = []
-    # per subproblem: (own summand or None, its free rank, child
-    # subproblems, cut prime or None); the own summand follows the
-    # children's: a cut's step follows its quotient
-    frames: list[tuple[GroupExpr | None, int | None, list[int], str | None]] = []
-    todo: list[tuple[PrimeNode, tuple[PrimeNode, ...], int]] = [
-        (tree.root, tree.root.children, -1)]
+    cuts: list[DividedCut | None] = []
+    summands: list[GroupExpr] = []
+    # the free ranks met so far inside each open cut's quotient, innermost
+    # last; the bottom list holds the root's classes and is never read
+    ranks: list[list[int | None]] = [[]]
+    # subproblems (sub-root, kept nodes) and close markers (the cut's
+    # place in ``cuts``, its prime, step tower and step rank)
+    todo: list[tuple] = [(tree.root, tree.root.children)]
     while todo:
-        sub_root, kids, parent = todo.pop()
-        me = len(frames)
-        if parent >= 0:
-            frames[parent][2].append(me)
+        top = todo.pop()
+        if len(top) == 4:
+            at, prime, tower_expr, rank = top
+            parts = ranks.pop()
+            quotient = None if None in parts else sum(parts)
+            cuts[at] = DividedCut(prime, quotient, rank)
+            summands.append(tower_expr)
+            ranks[-1] += (quotient, rank)
+            continue
+        sub_root, kids = top
         if not kids:
             steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
-            frames.append((TRIVIAL, 0, [], None))
             continue
         if len(kids) > 1:
             steps.append(CertStep.make(
@@ -313,17 +325,17 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
                 "and locally finite, so the invertible group is the direct sum "
                 "over the classes",
                 classes=len(kids)))
-            frames.append((None, 0, [], None))
-            todo.extend((sub_root, (c,), me) for c in reversed(kids))
+            todo.extend((sub_root, (c,)) for c in reversed(kids))
             continue
-        # one class: walk down the unique-child spine; it ends at the only
-        # maximal ideal (a chain) or at the infimum of the maximal
-        # ideals, a divided prime
         node = kids[0]
-        while len(node.children) == 1:
-            node = node.children[0]
+        if len(node.children) == 1:
+            # the class goes on down its unique-child spine, which ends at
+            # the only maximal ideal (a chain) or at the infimum of the
+            # maximal ideals, a divided prime
+            todo.append((sub_root, node.children))
+            continue
         tower = _tower_below(tree, node, sub_root)
-        tower_expr = normalize(tower.to_expr())
+        tower_expr = tower.to_expr()
         rank = len(tower) if tower.all_slots_z() else None
         if node.is_maximal:
             steps.append(CertStep.make(
@@ -332,7 +344,8 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
                 "principal ideals correspond to values: the invertible group is "
                 "the value group",
                 maximal=node.node_id, value_group=render_normal(tower_expr)))
-            frames.append((tower_expr, rank, [], None))
+            summands.append(tower_expr)
+            ranks[-1].append(rank)
             continue
         steps.append(CertStep.make(
             "divided-cut",
@@ -340,29 +353,10 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
             "value group splits off: the invertible group is the quotient "
             "domain's group plus that value group",
             prime=node.node_id, value_group=render_normal(tower_expr)))
-        frames.append((tower_expr, rank, [], node.node_id))
-        todo.append((node, node.children, me))
-    # children come after their parent in pre-order, so a reverse sweep
-    # meets every child subproblem first
-    ranks: list[int | None] = [None] * len(frames)
-    for i in range(len(frames) - 1, -1, -1):
-        _, rank, kids, _ = frames[i]
-        for k in kids:
-            rank = None if rank is None or ranks[k] is None else rank + ranks[k]
-        ranks[i] = rank
-    cuts = [DividedCut(prime, ranks[kids[0]], rank)
-            for _, rank, kids, prime in frames if prime is not None]
-    summands: list[GroupExpr] = []
-    stack: list[int | GroupExpr] = [0]
-    while stack:
-        top = stack.pop()
-        if isinstance(top, GroupExpr):
-            summands.append(top)
-            continue
-        own, _, kids, _ = frames[top]
-        if own is not None:
-            stack.append(own)
-        stack.extend(reversed(kids))
+        ranks.append([])
+        todo.append((len(cuts), node.node_id, tower_expr, rank))
+        cuts.append(None)
+        todo.append((node, node.children))
     return normal_sum(summands), steps, cuts
 
 

@@ -30,9 +30,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import MalformedTraceError, SchemaError
-from .valgroup import (CertStep, Decision, IntegersZ, RationalsQ, Repeated, TRIVIAL,
-                       ValueTower, Verdict, direct_sum, freeness_verdict,
-                       render_normal)
+from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
+                       Z, direct_sum, freeness_verdict, render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +273,6 @@ def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
 # The derived-sequence decision
 # ---------------------------------------------------------------------------
 
-def _is_z_tower(t: ValueTower) -> bool:
-    return len(t) == 1 and isinstance(t.slots[0], IntegersZ)
-
-
-def _is_q_tower(t: ValueTower) -> bool:
-    return len(t) == 1 and isinstance(t.slots[0], RationalsQ)
-
-
 def decide_scattered(s: ScatteredSpace) -> Decision:
     """Decide the shape of the invertible-ideal group of a one-dimensional
     domain whose maximal spectrum is this scattered space, each maximal
@@ -339,9 +330,9 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
             "freeness; the summand verdicts are recorded per stratum",
             strata={k: v.value for k, v in label_verdicts.items()}))
 
-    q_limit = [k for k in strata if k >= 1 and _is_q_tower(lab[k])]
-    isolated_discrete = _is_z_tower(lab[0])
-    others_ok = all(_is_z_tower(lab[k]) for k in strata if k not in q_limit)
+    q_limit = [k for k in strata if k >= 1 and lab[k].slots == (Q,)]
+    isolated_discrete = lab[0].slots == (Z,)
+    others_ok = all(lab[k].slots == (Z,) for k in strata if k not in q_limit)
     if q_limit and isolated_discrete and others_ok:
         return decided(Verdict.OBSTRUCTED, CertStep.make(
             "divisible-quotient-obstruction",

@@ -512,45 +512,39 @@ def render_expr(e: GroupExpr) -> str:
 # Value towers
 # ---------------------------------------------------------------------------
 
-_SLOT_ATOMS = (IntegersZ, RationalsQ, RealsR, FgAtom)
+# the slot names of the tower schema, and the atoms they spell
+_SLOTS = {"Z": Z, "Q": Q, "R": R}
 
 
 @dataclass(frozen=True)
 class ValueTower:
-    """The value group of a valuation ring, as a finite tower of slots.
+    """The value group of a valuation ring, as a finite tower of ``Z``,
+    ``Q`` and ``R`` slots.
 
     Slots are listed from the maximal-ideal end (index 0, the "top") to
     the root end.  A tower whose slots are all ``Z`` is order-isomorphic
-    to ``Z^n`` ordered lexicographically.  The ``branched`` flags record,
-    slot by slot, whether the corresponding step of the prime chain is
-    branched; they default to true.
+    to ``Z^n`` ordered lexicographically.  Whether a step of the prime
+    chain is branched is not tower data: trees carry it on their nodes
+    (``PrimeNode.branched``) and valuations as ``maximal_branched``.
     """
 
     slots: tuple[GroupExpr, ...]
-    branched: tuple[bool, ...] = field(default=())
 
     def __post_init__(self) -> None:
         for s in self.slots:
-            if not isinstance(s, _SLOT_ATOMS):
+            if not isinstance(s, (IntegersZ, RationalsQ, RealsR)):
                 raise SchemaError(f"illegal tower slot {s!r}")
-            if isinstance(s, FgAtom) and any(d != 0 for d in s.invariants):
-                raise SchemaError("finitely generated tower slots must be free")
-        if not self.branched:
-            object.__setattr__(self, "branched", (True,) * len(self.slots))
-        elif len(self.branched) != len(self.slots):
-            raise SchemaError("branched flags must match slot count")
 
     def __len__(self) -> int:
         return len(self.slots)
 
     @classmethod
     def from_names(cls, names: list[str]) -> "ValueTower":
-        table = {"Z": Z, "Q": Q, "R": R}
         slots = []
         for n in names:
-            if not isinstance(n, str) or n not in table:
+            if not isinstance(n, str) or n not in _SLOTS:
                 raise SchemaError(f"unknown tower slot {n!r} (expected Z, Q or R)")
-            slots.append(table[n])
+            slots.append(_SLOTS[n])
         return cls(tuple(slots))
 
     def to_expr(self) -> GroupExpr:
@@ -561,25 +555,24 @@ class ValueTower:
         return LexTower(self.slots)
 
     def root_segment(self, depth: int) -> "ValueTower":
-        return ValueTower(self.slots[depth:], self.branched[depth:])
+        return ValueTower(self.slots[depth:])
 
     def all_slots_z(self) -> bool:
-        return all(isinstance(s, IntegersZ) for s in self.slots)
+        return self.slots.count(Z) == len(self.slots)
 
     def is_free(self) -> bool:
-        """The freeness verdict of the tower, read off its slots.  Every
-        slot is ``Z``, ``Q``, ``R`` or a free finitely generated group, so
-        the tower is free exactly when no slot is ``Q`` or ``R``; such a
-        slot is a divisible witness, so the verdict is ``Free`` or
-        ``NotFree``, never ``Unknown``."""
-        return not any(isinstance(s, (RationalsQ, RealsR)) for s in self.slots)
+        """The freeness verdict of the tower, read off its slots: it is
+        free exactly when no slot is ``Q`` or ``R``, and such a slot is a
+        divisible witness, so the verdict is ``Free`` or ``NotFree``,
+        never ``Unknown``."""
+        return Q not in self.slots and R not in self.slots
 
 
 def inv_of_valuation(t: ValueTower) -> GroupExpr:
     """The group of invertible ideals of a valuation ring is its value
     group: every invertible ideal there is principal, and principal ideals
-    correspond to values."""
-    return normalize(t.to_expr())
+    correspond to values, and a tower's expression is a normal form."""
+    return t.to_expr()
 
 
 def div_of_valuation(t: ValueTower, maximal_principal: bool,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igl import prufer
+from igl import prufer, valgroup
 from igl.errors import SchemaError
 from igl.prufer import (PrimeNode, SpecTree, branching_points, decide_div_free,
                         decide_inv_free, gamma_at, contracted_spectrum,
@@ -319,3 +319,23 @@ def test_caterpillar_walks_at_most_two_root_paths(monkeypatch, first, last, verd
     res = decide_inv_free(caterpillar(1500, first, last))
     assert res.verdict is verdict
     assert calls["freeness_verdict"] <= 2 and calls["gamma_at"] <= 2
+
+
+def test_all_z_caterpillar_decides_without_normalizing(monkeypatch):
+    # every class tower is a normal form as built, so no binding of
+    # normalize in any igl module is called
+    normalize = valgroup.normalize
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return normalize(e)
+    bindings = [(module, attr) for name, module in list(sys.modules.items())
+                if name == "igl" or name.startswith("igl.")
+                for attr, value in vars(module).items() if value is normalize]
+    assert (valgroup, "normalize") in bindings
+    for module, attr in bindings:
+        monkeypatch.setattr(module, attr, counted)
+    res = decide_inv_free(caterpillar(40))
+    assert res.verdict is Verdict.FREE and len(res.cuts) == 39
+    assert calls == []

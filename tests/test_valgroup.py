@@ -189,6 +189,8 @@ def test_tower_slot_validation():
         ValueTower.from_names(["X"])
     with pytest.raises(SchemaError):
         ValueTower((Cyclic(2),))  # torsion slots are not value groups
+    with pytest.raises(SchemaError):
+        ValueTower((FgAtom((0,)),))  # every tower slot is Z, Q or R
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +256,8 @@ def test_atom_walk_matches_the_recursive_rules(e):
 
 
 def test_tower_rule_matches_the_verdict():
-    slots = [Z, Q, R, FgAtom((0,)), FgAtom((0, 0)), FgAtom(())]
-    for n in range(5):
-        for combo in product(slots, repeat=n):
+    for n in range(6):
+        for combo in product([Z, Q, R], repeat=n):
             t = ValueTower(combo)
             v = freeness_verdict(t.to_expr()).verdict
             assert v is (Verdict.FREE if t.is_free() else Verdict.NOT_FREE), combo
