@@ -12,13 +12,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from oracles import all_parent_vectors, tree_from_parents, tree_payload, tree_rank_oracle
+from oracles import (all_parent_vectors, expr_rank, tree_from_parents, tree_payload,
+                     tree_rank_oracle)
 
 from igl.cli import verify_payload
 from igl.prufer import decide_inv_free, contracted_spectrum
-from igl.valgroup import Verdict, expr_rank
+from igl.valgroup import Verdict
 
 
 def main() -> int:

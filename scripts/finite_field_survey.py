@@ -10,6 +10,9 @@ Usage: python3 scripts/finite_field_survey.py [max_order]
 """
 
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from igl.noeth import Branch, FiniteField, NoethInstance, decide_noeth
 from igl.valgroup import Verdict

@@ -11,7 +11,8 @@ ideals with the same local value group.
 
 * ``cb_derivative`` removes the isolated points: what is left of
   ``[0, a]`` is order-isomorphic to another ordinal interval, computed by
-  digit surgery on the normal form, and the labels shift down a stratum.
+  digit surgery on the normal form, and the labels shift down a stratum
+  without being copied: every derivative shares one top-down tuple.
 * ``cb_rank`` and ``stratum_multiplicity`` read the rank and the size of
   every stratum straight off the normal-form digits of the bound; the
   derivative stays the definition they are tested against.
@@ -170,20 +171,19 @@ def parse_ordinal(text: str) -> Ordinal:
 @dataclass(frozen=True)
 class ScatteredSpace:
     """The interval ``[0, bound]`` with stratified labels; ``bound`` is
-    ``None`` for the empty space.  ``labels[k]`` is the value tower shared
-    by all points of rank ``k``; every occupied stratum needs one."""
+    ``None`` for the empty space.  Every occupied stratum has a value
+    tower, shared by all points of that rank.  ``labels`` holds them
+    top-down: with ``K`` the leading exponent of the bound, stratum ``k``
+    is ``labels[K - k]``.  Derivatives shift strata down from the top, so
+    each one shares the tuple of the space it came from, and the entries
+    past ``labels[K]`` belong to strata it no longer has."""
 
     bound: Ordinal | None
-    labels: tuple[tuple[int, ValueTower], ...] = ()
+    labels: tuple[ValueTower, ...] = ()
 
     def __post_init__(self) -> None:
-        lab = dict(self.labels)
-        if len(lab) != len(self.labels):
-            raise SchemaError("duplicate stratum label")
-        if self.bound is not None:
-            for k in range(self.bound.leading_exponent() + 1):
-                if k not in lab:
-                    raise SchemaError(f"missing label for occupied stratum {k}")
+        if self.bound is not None and len(self.labels) <= self.bound.leading_exponent():
+            raise SchemaError("missing label for occupied stratum 0")
 
     @classmethod
     def empty(cls) -> "ScatteredSpace":
@@ -191,18 +191,24 @@ class ScatteredSpace:
 
     @classmethod
     def interval(cls, bound: Ordinal, labels: dict[int, ValueTower]) -> "ScatteredSpace":
-        return cls(bound, tuple(sorted(labels.items())))
+        """``[0, bound]`` labelled by stratum; keys above the leading
+        exponent of ``bound`` are ignored."""
+        top = bound.leading_exponent()
+        for k in range(top + 1):
+            if k not in labels:
+                raise SchemaError(f"missing label for occupied stratum {k}")
+        return cls(bound, tuple(labels[k] for k in range(top, -1, -1)))
 
     def label_map(self) -> dict[int, ValueTower]:
-        return dict(self.labels)
+        return dict(zip(reversed(self.occupied_strata()), self.labels))
 
     def is_empty(self) -> bool:
         return self.bound is None
 
-    def occupied_strata(self) -> list[int]:
+    def occupied_strata(self) -> range:
         if self.bound is None:
-            return []
-        return list(range(self.bound.leading_exponent() + 1))
+            return range(0)
+        return range(self.bound.leading_exponent() + 1)
 
 
 def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
@@ -212,7 +218,10 @@ def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
     for ``1 <= b <= a div w``; re-indexing by ``b`` makes the derivative
     an interval again: empty when the quotient is zero, ``[0, q-1]`` for
     finite ``q``, and ``[0, q]`` for infinite ``q`` (the shift is
-    absorbed).  Labels move down one stratum."""
+    absorbed).  Either way the leading exponent drops by one, so stratum
+    ``k`` of the derivative is stratum ``k + 1`` of ``s`` at the same
+    place of the top-down label tuple: the derivative shares ``s.labels``
+    and costs a pass over the terms of the bound, not over the labels."""
     if s.bound is None:
         return s
     q = s.bound.div_omega()
@@ -222,8 +231,7 @@ def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
         new_bound = Ordinal.from_int(q.as_int() - 1)
     else:
         new_bound = q
-    labels = {k - 1: t for k, t in s.labels if k >= 1}
-    return ScatteredSpace.interval(new_bound, labels)
+    return ScatteredSpace(new_bound, s.labels)
 
 
 def cb_rank(s: ScatteredSpace) -> Ordinal:

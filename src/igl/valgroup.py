@@ -335,11 +335,17 @@ def canonical_invariants(orders: list[int]) -> tuple[int, ...]:
 
 def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
     """Invariant factors of a finitely generated expression, or ``None``
-    when the expression is not (visibly) finitely generated.  A run of
-    ``Z`` counts into the free rank as one integer."""
+    when the expression is not (visibly) finitely generated."""
+    return normal_invariant_factors(normalize(e))
+
+
+def normal_invariant_factors(n: GroupExpr) -> tuple[int, ...] | None:
+    """``expr_invariant_factors`` of a normal form, read off its atoms as
+    it stands.  A run of ``Z`` counts into the free rank as one
+    integer."""
     torsion: list[int] = []
     rank = 0
-    for atom, mult in _atoms(normalize(e)):
+    for atom, mult in _atoms(n):
         if mult is None:
             return None
         if isinstance(atom, IntegersZ):
@@ -349,13 +355,6 @@ def expr_invariant_factors(e: GroupExpr) -> tuple[int, ...] | None:
         elif not isinstance(atom, TrivialGroup):
             return None
     return canonical_invariants(torsion) + (0,) * rank
-
-
-def expr_rank(e: GroupExpr) -> int | None:
-    inv = expr_invariant_factors(e)
-    if inv is None:
-        return None
-    return inv.count(0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ It also holds the helpers that only tests need: the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
 torsion and divisible predicates of the atom walk, direct-sum and
 sub-quotient sequences of finitely generated groups, the left product
-``w * a`` of ordinals, the dependency classes of a spectral tree and the
-slot names of a value tower.
+``w * a`` of ordinals, the dependency classes of a spectral tree, the
+slot names of a value tower and the free rank of an expression.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, D
                           GroupExpr, InfiniteProductZ, IntegersZ, LexTower, Opaque, Q, R,
                           RationalsQ, RealsR, Repeated, TrivialGroup, UnknownGroup,
                           ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
-                          canonical_invariants, normalize, render_expr)
+                          canonical_invariants, expr_invariant_factors, normalize,
+                          render_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +322,14 @@ def invariant_factors_ref(e: GroupExpr) -> tuple[int, ...] | None:
         return False
 
     return canonical_invariants(orders) if walk(normalize(e), 1) else None
+
+
+def expr_rank(e: GroupExpr) -> int | None:
+    """The free rank of a finitely generated expression, or ``None``."""
+    inv = expr_invariant_factors(e)
+    if inv is None:
+        return None
+    return inv.count(0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from igl.errors import MalformedTraceError
 from igl.matrices import IntMatrix, snf
 from igl.prufer import PrimeNode, SpecTree, contracted_spectrum, decide_inv_free
 from igl.scattered import Ordinal, ScatteredSpace, cb_derivative, cb_rank, escape_index
-from igl.valgroup import (ValueTower, Verdict, expr_invariant_factors,
-                          expr_rank)
-from oracles import (all_parent_vectors, derived_bound_oracle,
+from igl.valgroup import ValueTower, Verdict, expr_invariant_factors
+from oracles import (all_parent_vectors, derived_bound_oracle, expr_rank,
                      minors_invariant_factors, of_direct_sum, ordinal_grid, permuted_tree,
                      random_amalgam_instance, random_snake_input, random_tree,
                      tree_from_parents, tree_rank_oracle)

@@ -324,6 +324,25 @@ def test_cut_replay_builds_no_normal_form(monkeypatch):
     assert calls == []
 
 
+def test_tree_verify_normalizes_nothing(monkeypatch):
+    """Every ``Decision.expr`` is a normal form, so verifying an all-``Z``
+    tree, rank check included, never normalizes."""
+    calls = []
+    inner = valgroup.normalize
+
+    def counted(e):
+        calls.append(e)
+        return inner(e)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "igl" and getattr(module, "normalize", None) is inner:
+            monkeypatch.setattr(module, "normalize", counted)
+    checks = cli.verify_payload(caterpillar_payload(40), "caterpillar")
+    assert all(ok for _, ok, _ in checks)
+    assert ("rank-matches-slots", True, "rank 91 matches the slot count") in checks
+    assert calls == []
+
+
 def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):
     path = str(write(tmp_path, {"v": 1, "kind": "scattered_space", "bound": "3",
                                 "labels": {"²": ["Z"]}}))

@@ -11,9 +11,9 @@ from igl.prufer import (PrimeNode, SpecTree, branching_points, decide_div_free,
                         decide_inv_free, gamma_at, contracted_spectrum,
                         strongly_discrete_decide, tree_from_payload)
 from igl.valgroup import (ValueTower, Verdict, div_of_valuation,
-                          expr_invariant_factors, expr_rank, freeness_verdict,
+                          expr_invariant_factors, freeness_verdict,
                           render_expr)
-from oracles import (all_parent_vectors, permuted_tree, random_tree, slot_names,
+from oracles import (all_parent_vectors, expr_rank, permuted_tree, random_tree, slot_names,
                      standard_decomposition, tree_from_parents, tree_rank_oracle)
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import igl.scattered
-from igl.cli import decide_payload
+from igl.cli import decide_payload, verify_payload
 from igl.errors import MalformedTraceError, SchemaError
 from igl.scattered import (Ordinal, ScatteredSpace, cb_derivative, cb_rank,
                            escape_index, parse_ordinal, decide_scattered,
@@ -140,6 +140,42 @@ def test_strata_monotone_along_derivatives():
         shifted = {k + 1 for k in cur.occupied_strata()}
         assert shifted <= prev
         prev = set(cur.occupied_strata())
+
+
+def test_labels_shift_down_along_the_derived_sequence():
+    cycle = (zt("Z"), zt("Z", "Z"), zt("Q"))
+    for bound in ordinal_grid(3, 3):
+        labels = {k: cycle[k % 3] for k in range(bound.leading_exponent() + 1)}
+        cur = space(bound, labels)
+        prev = cur.label_map()
+        assert prev == labels
+        while not cur.is_empty():
+            cur = cb_derivative(cur)
+            now = cur.label_map()
+            assert now == {k - 1: t for k, t in prev.items() if k >= 1}, bound
+            prev = now
+
+
+def test_verify_walk_shares_one_label_tuple(monkeypatch):
+    """The label entries held by the spaces that ``verify`` builds,
+    counted once per distinct container, grow with the leading exponent,
+    not with its square."""
+    built = []
+    post_init = ScatteredSpace.__post_init__
+
+    def recording(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScatteredSpace, "__post_init__", recording)
+    entries = {}
+    for k in (250, 1000):
+        built.clear()
+        payload = {"v": 1, "kind": "scattered_space", "bound": f"w^{k}*2+w^3+5",
+                   "labels": {str(i): ["Z"] for i in range(k + 1)}}
+        assert all(ok for _, ok, _ in verify_payload(payload, "big"))
+        entries[k] = sum({id(s.labels): len(s.labels) for s in built}.values())
+    assert round(entries[1000] / entries[250]) == 4, entries
 
 
 def test_stratum_multiplicity_examples():

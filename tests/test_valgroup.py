@@ -8,11 +8,11 @@ from igl.errors import SchemaError
 from igl.valgroup import (Cyclic, DirectSum, FgAtom, LexTower, Opaque, Q, R,
                           Repeated, TRIVIAL, UNKNOWN, ValueTower, Verdict, Z,
                           ZPROD, canonical_invariants, div_of_valuation,
-                          direct_sum, expr_invariant_factors, expr_rank,
-                          freeness_verdict, inv_of_valuation, normalize,
-                          render_expr, unbranched_valuation_verdict)
-from oracles import (divisible_ref, freeness_verdict_ref, has_divisible, has_torsion,
-                     invariant_factors_ref, parse_expr, torsion_ref)
+                          direct_sum, expr_invariant_factors, freeness_verdict,
+                          inv_of_valuation, normalize, render_expr,
+                          unbranched_valuation_verdict)
+from oracles import (divisible_ref, expr_rank, freeness_verdict_ref, has_divisible,
+                     has_torsion, invariant_factors_ref, parse_expr, torsion_ref)
 
 
 def verdict(e):
