@@ -176,7 +176,9 @@ class ScatteredSpace:
     top-down: with ``K`` the leading exponent of the bound, stratum ``k``
     is ``labels[K - k]``.  Derivatives shift strata down from the top, so
     each one shares the tuple of the space it came from, and the entries
-    past ``labels[K]`` belong to strata it no longer has."""
+    past ``labels[K]`` belong to strata it no longer has.  Spaces compare
+    as stored, so a derivative does not equal the same interval built
+    afresh from its ``label_map``."""
 
     bound: Ordinal | None
     labels: tuple[ValueTower, ...] = ()
