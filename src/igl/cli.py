@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
+from json.encoder import encode_basestring
 from math import gcd
 from pathlib import Path
 
@@ -61,7 +62,44 @@ class Report:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``,
+    written here because the standard library falls back to its pure-Python
+    encoder whenever ``indent`` is set.  It takes what reports hold (dicts with
+    ``str`` keys, lists, tuples, ``str``, ``int``, ``float``, ``bool``, ``None``)."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    return "".join(out)
+
+
+# every scalar goes through the standard library's own C routines
+_SCALARS = {str: encode_basestring, int: int.__repr__, float: json.dumps,
+            bool: json.dumps, type(None): json.dumps}
+
+
+def _emit(x, nl: str, out: list[str]) -> None:
+    # ``nl`` is the line break and indent of ``x``'s own level; anything
+    # but the types above, and a key that is no ``str``, is a ``TypeError``
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        out.append(scalar(x))
+        return
+    inner = nl + "  "
+    if type(x) is dict:
+        sep = "{" + inner
+        for k in sorted(x):
+            out.append(sep + encode_basestring(k) + ": ")
+            _emit(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if x else "{}")
+    elif type(x) is list or type(x) is tuple:
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if x else "[]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SchemaError, read_flag
-from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, R,
-                       UNKNOWN, ValueTower, Verdict, direct_sum, freeness_verdict,
-                       normal_sum, render_expr, render_normal)
+from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, LexTower,
+                       R, UNKNOWN, Z, ValueTower, Verdict, direct_sum,
+                       freeness_verdict, normal_sum, render_expr, render_normal)
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,17 @@ def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
 # Tree geometry
 # ---------------------------------------------------------------------------
 
-def _tower_below(tree: SpecTree, node: PrimeNode, top: PrimeNode) -> ValueTower:
-    """The edge labels from ``node`` up to ``top`` (exclusive), ``node``'s
-    own step on top: the value group of the localization at ``node`` in
-    the domain whose spectrum is the subtree at ``top``."""
+def _tower_below(tree: SpecTree, node: PrimeNode, top: PrimeNode) -> tuple[GroupExpr, ...]:
+    """The slots of the edge labels from ``node`` up to ``top`` (exclusive),
+    ``node``'s own step on top: the value group of the localization at
+    ``node`` in the domain whose spectrum is the subtree at ``top``.  The
+    parse validated every slot, so no ``ValueTower`` is built here."""
     slots: list = []
     cur = node
     while cur is not top:
         slots.extend(cur.label.slots)
         cur = tree.parents[cur.node_id]
-    return ValueTower(tuple(slots))
+    return tuple(slots)
 
 
 def gamma_at(tree: SpecTree, node: PrimeNode | str) -> ValueTower:
@@ -172,7 +173,7 @@ def gamma_at(tree: SpecTree, node: PrimeNode | str) -> ValueTower:
     top.  The root has the trivial value group."""
     if isinstance(node, str):
         node = tree.node(node)
-    return _tower_below(tree, node, tree.root)
+    return ValueTower(_tower_below(tree, node, tree.root))
 
 
 def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode | str) -> bool:
@@ -212,7 +213,7 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
             while hop.node_id not in keep:
                 # a skipped node has exactly one child (not a leaf, not branching)
                 hop = hop.children[0]
-            hops.append((hop, _tower_below(tree, hop, node)))
+            hops.append((hop, ValueTower(_tower_below(tree, hop, node))))
         order.append((node, label, [h for h, _ in hops]))
         stack.extend(reversed(hops))
     built: dict[str, PrimeNode] = {}
@@ -283,18 +284,19 @@ def _internal_gate(tree: SpecTree, free: dict[str, bool]) -> Certificate:
 
 def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
     """The cut-and-sum recursion as one walk with an explicit stack on the
-    nodes of ``tree`` itself.  A subproblem is a sub-root with the nodes
-    it keeps below: the whole tree, one dependency class (one child of
-    the sub-root, walked down its unique-child spine) or the quotient
-    tree at a divided prime.  Value groups are measured from the sub-root
-    through the tree's parent map.  Steps and cuts come out in pre-order.
-    A chain appends its tower and adds its free rank to the innermost
-    open cut.  A divided cut pushes a close marker under its quotient;
-    when the marker pops, the cut records its quotient and step ranks
-    (``None`` where a ``Q`` or ``R`` slot makes a term not finitely
-    generated), appends its step tower after the quotient's summands and
-    passes both ranks outward, where they add up.  The root's normal form
-    is one ``normal_sum`` over the summands in order."""
+    nodes of ``tree`` itself.  A subproblem is a sub-root with the nodes it
+    keeps below: the whole tree, one dependency class (one child of the
+    sub-root, walked down its unique-child spine) or the quotient tree at
+    a divided prime.  Value groups are measured from the sub-root through
+    the tree's parent map, as slot tuples that build no ``ValueTower``
+    (``_tower_below``).  Steps and cuts come out in pre-order.  A chain
+    appends its tower and adds its free rank to the innermost open cut.  A
+    divided cut pushes a close marker under its quotient; when the marker
+    pops, the cut records its quotient and step ranks (``None`` where a
+    ``Q`` or ``R`` slot makes a term not finitely generated), appends its
+    step tower after the quotient's summands and passes both ranks
+    outward, where they add up.  The root's normal form is one
+    ``normal_sum`` over the summands in order."""
     steps: list[CertStep] = []
     cuts: list[DividedCut | None] = []
     summands: list[GroupExpr] = []
@@ -334,9 +336,9 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
             # maximal ideals, a divided prime
             todo.append((sub_root, node.children))
             continue
-        tower = _tower_below(tree, node, sub_root)
-        tower_expr = tower.to_expr()
-        rank = len(tower) if tower.all_slots_z() else None
+        slots = _tower_below(tree, node, sub_root)
+        tower_expr = slots[0] if len(slots) == 1 else LexTower(slots)
+        rank = len(slots) if slots.count(Z) == len(slots) else None
         if node.is_maximal:
             steps.append(CertStep.make(
                 "valuation-inv-iso",

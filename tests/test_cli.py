@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igl import cli, matrices, prufer, valgroup
 from igl.cli import canonical_json, main
@@ -401,6 +403,53 @@ def test_selftest_json(capsys):
 
 
 # ---------------------------------------------------------------------------
+# canonical JSON: the standard library's bytes from one direct emitter
+# ---------------------------------------------------------------------------
+
+SCALARS = (st.none() | st.booleans()
+           | st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é ÿ", "😀𝔸", "\u2028"]))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [(), {}, [], -0.0, 1e-7, 1e22, 2 ** 64 + 1, -(2 ** 70)], "": None,
+          "b\"\\\x01é😀": (True, False, "q\"\\\x1f𝔸")})
+def test_canonical_json_matches_the_stdlib_encoder(x):
+    assert canonical_json(x) == json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("bad", [{1: "x"}, {"a": 1, 2: "b"}, {"a": {1.5}}, [b"x"], (object(),)])
+def test_canonical_json_refuses_what_no_report_holds(bad):
+    with pytest.raises(TypeError):
+        canonical_json(bad)
+
+
+def test_reports_never_enter_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    """The standard library encodes with ``indent`` only through its
+    pure-Python ``_make_iterencode``; with that refused, every JSON
+    command still exits 0, so ``canonical_json`` writes every report."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    tree = str(write(tmp_path, caterpillar_payload(40, heavy=("Z",))))
+    instances = str(Path(__file__).resolve().parent.parent / "instances")
+    for argv in (["decide", tree, "--format", "json", "--trace", "full"],
+                 ["verify", tree, "--format", "json"],
+                 ["selftest", "--format", "json"],
+                 ["decide", instances, "--format", "json"]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
 # bounded input handling: every input ends in a report or exit 2
 # ---------------------------------------------------------------------------
 
@@ -543,7 +592,8 @@ def field_paths(x, prefix=()):
 def test_instance_mutation_sweep(tmp_path, capsys):
     """Every field of every shipped instance, and every boolean field the
     instance leaves out, replaced by values of each JSON type: no input
-    ends in a traceback or an undocumented exit code."""
+    ends in a traceback or an undocumented exit code.  Every other mutant
+    runs both commands with ``--format json``, through ``canonical_json``."""
     instances = sorted(Path(__file__).resolve().parent.parent.glob("instances/*.json"))
     assert instances
     top_flags = {"noeth_local": ("integrally_closed", "conductor_nonzero", "local"),
@@ -562,8 +612,9 @@ def test_instance_mutation_sweep(tmp_path, capsys):
         for path in dict.fromkeys(paths):
             for value in (None, True, -1, "x", [], {}):
                 target = write(tmp_path, mutated(payload, path, value))
-                assert main(["decide", str(target)]) in (0, 2, 3), (f.name, path, value)
-                assert main(["verify", str(target)]) in (0, 1, 2, 3), (f.name, path, value)
+                fmt = ["--format", "json"] if runs % 2 else []
+                assert main(["decide", str(target), *fmt]) in (0, 2, 3), (f.name, path, value)
+                assert main(["verify", str(target), *fmt]) in (0, 1, 2, 3), (f.name, path, value)
                 capsys.readouterr()
                 runs += 1
     assert runs > 1000
