@@ -71,7 +71,7 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-# every scalar goes through the standard library's own C routines
+# every scalar is written by a C routine, the same bytes as the stdlib encoder
 _SCALARS = {str: encode_basestring, int: int.__repr__, float: json.dumps,
             bool: json.dumps, type(None): json.dumps}
 
