@@ -20,6 +20,12 @@ Design notes.
 * Well-definedness of a homomorphism (the generator matrix must carry the
   source relation lattice into the target relation lattice) is checked at
   construction; nothing downstream needs to re-verify it.
+* The diagram predicates are lattice identities, each one comparison of
+  two canonical column HNFs: ``h`` is injective when its kernel lattice is
+  the source relation lattice, surjective when its image lattice is all of
+  ``Z^target``, and ``f, g`` are exact when the image lattice of ``f`` is the
+  kernel lattice of ``g``.  No kernel or cokernel group is presented and
+  no Smith form runs to answer them.
 * Where a preimage must be lifted (connecting maps, sections), the lift
   is the deterministic first solution of the integer solver; any valid
   lift induces the same map on classes.
@@ -32,8 +38,7 @@ from functools import cached_property
 
 from .errors import DiagramError, PreconditionError
 from .matrices import (IntMatrix, block_diag, column_hnf, diagonal_basis, hstack,
-                       kernel_basis, lattice_equal, lattice_solve, snf, solve, unit_core,
-                       vstack)
+                       kernel_basis, lattice_solve, snf, solve, unit_core, vstack)
 from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
                        Verdict, direct_sum as expr_direct_sum,
                        freeness_verdict, normalize, render_expr, render_normal)
@@ -107,9 +112,6 @@ class FgGroup:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d == 0)
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
     # -- equality is isomorphism ------------------------------------------
 
@@ -234,10 +236,6 @@ def kernel_with_inclusion(h: FgHom) -> tuple[FgGroup, FgHom]:
     return _sublattice_group(h.source, kernel_lattice(h))
 
 
-def kernel(h: FgHom) -> FgGroup:
-    return kernel_with_inclusion(h)[0]
-
-
 def cokernel(h: FgHom) -> FgGroup:
     """Target modulo image: relations are the image columns joined with the
     target relations."""
@@ -245,11 +243,13 @@ def cokernel(h: FgHom) -> FgGroup:
 
 
 def is_injective(h: FgHom) -> bool:
-    return kernel(h).is_trivial()
+    """The kernel lattice is the source relation lattice, no larger."""
+    return kernel_lattice(h).entries == h.source.relation_lattice.entries
 
 
 def is_surjective(h: FgHom) -> bool:
-    return cokernel(h).is_trivial()
+    """The image and the target relations span all of Z^target."""
+    return image_lattice(h).entries == IntMatrix.identity(h.target.generators).entries
 
 
 def is_isomorphism(h: FgHom) -> bool:
@@ -257,10 +257,12 @@ def is_isomorphism(h: FgHom) -> bool:
 
 
 def is_exact_pair(f: FgHom, g: FgHom) -> bool:
-    """Exactness at the middle of ``X --f--> Y --g--> Z``."""
+    """Exactness at the middle of ``X --f--> Y --g--> Z``: one lattice in
+    ``Z^Y``, the image of ``f`` and the kernel of ``g``, each joined with
+    ``Y``'s relations."""
     if not f.target.same_presentation(g.source):
         raise DiagramError("exactness check endpoint mismatch")
-    return lattice_equal(image_lattice(f), kernel_lattice(g))
+    return image_lattice(f).entries == kernel_lattice(g).entries
 
 
 def factor_through(h: FgHom, incl: FgHom) -> FgHom:
@@ -534,15 +536,13 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     psi_matrix = IntMatrix.from_rows(psi_rows, cols=total.generators)
     psi = FgHom(total, target, psi_matrix)
 
-    if not lattice_equal(kernel_lattice(psi), image_lattice(phi)):
+    if kernel_lattice(psi).entries != image_lattice(phi).entries:
         raise DiagramError("amalgam map has the wrong kernel")
     if not is_surjective(psi):
         raise DiagramError("amalgam map is not surjective")
-
-    iso = FgHom(quotient, target, psi_matrix)
-    if not is_isomorphism(iso):
-        raise DiagramError("amalgam map does not descend to an isomorphism")
-    return AmalgamResult(quotient, iso, target)
+    # the quotient's relations are the image of phi joined with the total's,
+    # which is the kernel lattice of psi: psi descends to an isomorphism
+    return AmalgamResult(quotient, FgHom(quotient, target, psi_matrix), target)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def decide_payload(payload: dict, name: str) -> Report:
     d = KINDS[kind][0](payload)
     meta = {"source": payload["source"]} if "source" in payload else {}
     meta.update(d.metadata)
-    expr = valgroup.render_normal(d.expr) if d.expr is not None else None
+    expr = d.text if d.text is not None or d.expr is None else valgroup.render_normal(d.expr)
     elapsed = (time.perf_counter() - started) * 1000.0
     return Report(name=name, kind=kind, verdict=d.verdict.value, expr=expr,
                   certificate=list(d.certificate), metadata=meta,

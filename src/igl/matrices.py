@@ -454,13 +454,6 @@ def lattice_solve(h: IntMatrix, vec: tuple[int, ...] | list[int]) -> tuple[int, 
     return tuple(coords)
 
 
-def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Do the columns of ``a`` and ``b`` span the same lattice?"""
-    if a.rows != b.rows:
-        return False
-    return column_hnf(a).entries == column_hnf(b).entries
-
-
 def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
                    ) -> tuple[list[int], list[int] | None, list[list[int]]]:
     """Diagonalize ``m`` by unimodular row and column operations.

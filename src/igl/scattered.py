@@ -314,15 +314,16 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
     tower_verdicts = {t: freeness_verdict(t.to_expr()).verdict
                       for t in {lab[k] for k in strata}}
     label_verdicts = {k: tower_verdicts[lab[k]] for k in strata}
+    text = render_normal(expr)
     sum_step = CertStep.make(
         "scattered-sharp-sum",
         "the space is scattered, so the derived sequence exhausts the "
         "family; the candidate decomposition is the direct sum of the "
         "local value groups over the maximal ideals",
-        rank=rank, expr=render_normal(expr))
+        rank=rank, expr=text)
 
     def decided(verdict: Verdict, step: CertStep) -> Decision:
-        return Decision(verdict, (sum_step, step), expr, meta)
+        return Decision(verdict, (sum_step, step), expr, meta, text)
 
     if all(v is Verdict.FREE for v in label_verdicts.values()):
         return decided(Verdict.DIRECT_SUM_FREE, CertStep.make(

@@ -82,13 +82,16 @@ Certificate = tuple[CertStep, ...]
 @dataclass(frozen=True)
 class Decision:
     """What every decider returns: the verdict, the certificate behind it,
-    the group expression (a normal form) when the decider builds one, and
-    the facts that a report copies verbatim into its ``metadata``."""
+    the group expression (a normal form) when the decider builds one, the
+    facts that a report copies verbatim into its ``metadata``, and the
+    text of the expression when the certificate already holds it, so that
+    the report does not render it again."""
 
     verdict: Verdict
     certificate: Certificate
     expr: GroupExpr | None = None
     metadata: dict = field(default_factory=dict)
+    text: str | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ form surgery, tree ranks come from a direct structural recursion
 rather than the cut-and-sum decision procedure, and the freeness rules
 of symbolic groups are replayed by structural recursion over a normal
 form rather than by the iterative atom walk, and ordinals are compared
-through dense coefficient vectors rather than their term tuples.
+through dense coefficient vectors rather than their term tuples,
+and injectivity, surjectivity and exactness are decided by presenting
+the kernel or cokernel group and taking its invariant factors, or by
+bringing two lattices to HNF once more, rather than by one comparison of
+canonical HNFs.
 
 It also holds the helpers that only tests need: the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
@@ -30,7 +34,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
-                         direct_sum, factor_through)
+                         direct_sum, factor_through, kernel_with_inclusion)
 from igl.errors import SchemaError
 from igl.matrices import IntMatrix, column_hnf, hstack, snf, solve
 from igl.prufer import PrimeNode, SpecTree
@@ -470,6 +474,27 @@ def parse_expr(text: str) -> GroupExpr:
     if p.peek() is not None:
         raise SchemaError(f"trailing tokens in group expression: {p.toks[p.i:]}")
     return normalize(e)
+
+
+# ---------------------------------------------------------------------------
+# Group-based diagram predicates (the engine's previous paths)
+# ---------------------------------------------------------------------------
+
+def kernel(h: FgHom) -> FgGroup:
+    """The kernel of ``h``, presented as a group of its own."""
+    return kernel_with_inclusion(h)[0]
+
+
+def is_trivial(g: FgGroup) -> bool:
+    return not g.invariant_factors
+
+
+def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
+    """Do the columns of ``a`` and ``b`` span the same lattice?  Both are
+    brought to column HNF, so neither needs to be one already."""
+    if a.rows != b.rows:
+        return False
+    return column_hnf(a).entries == column_hnf(b).entries
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from igl import abelian
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
-                         amalgam_quotient, cokernel, is_exact_pair, is_free, kernel,
-                         kernel_with_inclusion, snake, split_test,
+                         amalgam_quotient, cokernel, factor_through, is_exact_pair,
+                         is_free, kernel_with_inclusion, snake, split_test,
                          three_by_three_split)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix, hstack, snf, solve
 from igl.valgroup import (FgAtom, Opaque, Verdict, canonical_invariants,
                           expr_invariant_factors)
-from oracles import (divisible_elements_brute, has_divisible, kronecker_split_test,
-                     minors_invariant_factors, of_direct_sum, random_amalgam_instance,
-                     random_matrix, random_snake_input, random_unimodular_with_inverse,
+from oracles import (divisible_elements_brute, has_divisible, is_trivial, kernel,
+                     kronecker_split_test, lattice_equal, minors_invariant_factors,
+                     of_direct_sum, random_amalgam_instance, random_matrix,
+                     random_snake_input, random_unimodular_with_inverse,
                      sub_quotient_sequence)
 
 
@@ -134,7 +135,7 @@ def test_group_equality_is_isomorphism():
 def test_kernel_cokernel_examples():
     z = FgGroup.free(1)
     times2 = hom(z, z, [[2]])
-    assert kernel(times2).is_trivial()
+    assert is_trivial(kernel(times2))
     assert cokernel(times2).invariant_factors == (2,)
     zero = FgHom.zero(z, z)
     assert kernel(zero).invariant_factors == (0,)
@@ -167,7 +168,7 @@ def test_snake_trivial_identity():
     z2 = FgGroup.free(2)
     row = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     res = snake(row, row, FgHom.identity(z), FgHom.identity(z2), FgHom.identity(z))
-    assert all(g.is_trivial() for g in res.groups())
+    assert all(is_trivial(g) for g in res.groups())
 
 
 def test_snake_times_two():
@@ -373,6 +374,103 @@ def test_amalgam_rejects_bad_retraction():
     bad = AmalgamPart(z, FgHom.identity(z), t, FgHom.zero(z, t), hom(z, z, [[2]]))
     with pytest.raises(DiagramError, match="left inverse"):
         amalgam_quotient(z, [bad, bad])
+
+
+# Each diagram below fails in its torsion alone: every group in it has rank
+# 0, so a predicate that counted ranks would accept them all.
+Z2, Z4, ZERO = FgGroup.cyclic(2), FgGroup.cyclic(4), FgGroup.free(0)
+
+
+@pytest.mark.parametrize("left,right,inj,surj,message", [
+    (Z4, Z2, [[2]], [[1]], "sequence not exact: the left map is not injective"),
+    (ZERO, Z4, [[]], [[2]], "sequence not exact: the right map is not surjective"),
+    # times 3 is onto Z/4 only through the relation 4
+    (Z2, Z4, [[2]], [[3]], "sequence not exact: image of the inclusion "
+                           "differs from the kernel of the projection"),
+], ids=["inj-by-2", "surj-by-2", "image-2Z-kernel-4Z"])
+def test_ses_rejections_in_torsion(left, right, inj, surj, message):
+    with pytest.raises(DiagramError) as exc:
+        ShortExactSeq(left, Z4, right, hom(left, Z4, inj), hom(Z4, right, surj))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("g,group,complement,emb,proj,retract,message", [
+    (Z4, Z4, ZERO, [[2]], [], [[1]], "part 0: embedding is not injective"),
+    (Z2, (2, 2), Z2, [[1], [0]], [[1, 1]], [[1, 0]],
+     "part 0: projection does not kill the embedded copy"),
+    # (projection, retraction) maps Z/2 ⊕ Z/2 into Z/4 ⊕ Z/2, not onto it
+    (Z2, (2, 2), Z4, [[1], [0]], [[0, 2]], [[1, 0]],
+     "part 0: (projection, retraction) is not an internal direct-sum decomposition"),
+    # and Z/2 ⊕ Z/4 onto Z/2 ⊕ Z/2, not one to one
+    (Z2, (2, 4), Z2, [[1], [0]], [[0, 1]], [[1, 0]],
+     "part 0: (projection, retraction) is not an internal direct-sum decomposition"),
+], ids=["emb-by-2", "proj-keeps-the-copy", "not-onto", "not-one-to-one"])
+def test_amalgam_rejections_in_torsion(g, group, complement, emb, proj, retract, message):
+    a = FgGroup.from_invariants(*group) if isinstance(group, tuple) else group
+    part = AmalgamPart(a, hom(g, a, emb), complement, hom(a, complement, proj),
+                       hom(a, g, retract))
+    with pytest.raises(DiagramError) as exc:
+        amalgam_quotient(g, [part, part])
+    assert str(exc.value) == message
+
+
+def scaled(h, k):
+    """``k·h``: a multiple of a well-defined map is well defined."""
+    return FgHom(h.source, h.target, IntMatrix.from_rows(
+        [[k * x for x in row] for row in h.matrix.entries], cols=h.matrix.cols))
+
+
+def predicate_cases(seed):
+    """Maps and composable pairs between groups with torsion: the rows,
+    vertical maps and six-term maps of a random snake ladder, and the parts
+    of a random amalgam, each map also scaled by 0, 2 and 3."""
+    rng = random.Random(seed)
+    top, bottom, f, g, h = random_snake_input(rng)
+    six = snake(top, bottom, f, g, h)
+    gg, parts, _ = random_amalgam_instance(rng, 1)
+    p = parts[0]
+    pairs = [(top.inj, top.surj), (bottom.inj, bottom.surj), (f, bottom.inj),
+             (top.inj, g), (g, bottom.surj), (top.surj, h),
+             (six.ker_fg, six.ker_gh), (six.ker_gh, six.connecting),
+             (six.connecting, six.coker_fg), (six.coker_fg, six.coker_gh),
+             (p.emb, p.proj), (p.emb, p.retract)]
+    pairs += [(scaled(a, k), b) for a, b in pairs[:6] + pairs[10:] for k in (0, 2, 3)]
+    maps = list({id(m): m for pair in pairs for m in pair}.values())
+    return maps, pairs
+
+
+def check_predicates(seed):
+    """The lattice predicates against the group-based oracles; returns the
+    outcomes seen."""
+    maps, pairs = predicate_cases(seed)
+    seen = set()
+    for m in maps:
+        injective = abelian.is_injective(m)
+        surjective = abelian.is_surjective(m)
+        assert injective == is_trivial(kernel(m))
+        assert surjective == (cokernel(m).invariant_factors == ())
+        seen |= {("injective", injective), ("surjective", surjective)}
+    for a, b in pairs:
+        exact = is_exact_pair(a, b)
+        assert exact == lattice_equal(abelian.image_lattice(a), abelian.kernel_lattice(b))
+        # exact: b∘a is zero and the homology ker b / im a is trivial
+        homology = a.then(b).is_zero_map() and is_trivial(
+            cokernel(factor_through(a, kernel_with_inclusion(b)[1])))
+        assert exact == homology
+        seen.add(("exact", exact))
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lattice_predicates_match_the_group_oracles(seed):
+    check_predicates(seed)
+
+
+def test_predicate_cases_reach_both_answers():
+    seen = set().union(*(check_predicates(seed) for seed in range(10)))
+    assert seen == {(name, answer) for name in ("injective", "surjective", "exact")
+                    for answer in (True, False)}
 
 
 @settings(max_examples=20, deadline=None)

@@ -618,3 +618,35 @@ def test_instance_mutation_sweep(tmp_path, capsys):
                 capsys.readouterr()
                 runs += 1
     assert runs > 1000
+
+
+# the keys whose values are relator lists or map matrices in a diagram
+DIAGRAM_MATRICES = {"relators", "inj", "surj", "f", "g", "h", "emb", "proj", "retract"}
+
+
+def test_diagram_perturbation_sweep(tmp_path, capsys):
+    """Every integer of every relator and map matrix of the shipped ``ses``,
+    ``snake`` and ``amalgam`` instances, moved by ±1: ``decide`` decides or
+    rejects the diagram (exit 3), never faults, and ``verify`` fails a check
+    (exit 1) on exactly the diagrams that ``decide`` rejects."""
+    exits = []
+    for f in sorted(Path(__file__).resolve().parent.parent.glob("instances/*.json")):
+        payload = json.loads(f.read_text(encoding="utf-8"))
+        if payload["kind"] != "group_diagram" or payload["check"] == "group":
+            continue
+        for path in field_paths(payload):
+            value = payload
+            for key in path:
+                value = value[key]
+            if len(path) < 3 or path[-3] not in DIAGRAM_MATRICES or type(value) is not int:
+                continue
+            for moved in (value - 1, value + 1):
+                target = write(tmp_path, mutated(payload, path, moved))
+                decided = main(["decide", str(target)])
+                verified = main(["verify", str(target)])
+                capsys.readouterr()
+                case = (f.name, path, moved)
+                assert decided in (0, 3) and verified in (0, 1), case
+                assert (decided == 3) == (verified == 1), case
+                exits.append(decided)
+    assert len(exits) > 100 and 0 in exits and 3 in exits

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl.matrices import (IntMatrix, column_hnf, gcdex, hstack, kernel_basis,
-                          lattice_equal, lattice_solve, snf, solve, unit_core)
-from oracles import cofactor_det, minors_invariant_factors, smith_kernel_basis, smith_solve
+                          lattice_solve, snf, solve, unit_core)
+from oracles import (cofactor_det, lattice_equal, minors_invariant_factors,
+                     smith_kernel_basis, smith_solve)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(

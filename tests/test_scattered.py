@@ -320,3 +320,24 @@ def test_escape_accepts_exactly_successors(gamma, pad):
     else:
         with pytest.raises(MalformedTraceError):
             escape_index(trace)
+
+
+def test_decide_renders_its_expression_once(monkeypatch):
+    # the scattered-sharp-sum step and the report share one rendering
+    from igl import valgroup
+    rendered = []
+    real = valgroup.render_normal
+
+    def counting(e):
+        text = real(e)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(valgroup, "render_normal", counting)
+    monkeypatch.setattr(igl.scattered, "render_normal", counting)
+    payload = {"v": 1, "kind": "scattered_space", "bound": "w^3*2+w+4",
+               "labels": {"0": ["Z"], "1": ["Z", "Z"], "2": ["Q"], "3": ["Z"]}}
+    report = decide_payload(payload, "x")
+    step = report.certificate[0]
+    assert step.rule == "scattered-sharp-sum" and ("expr", report.expr) in step.inputs
+    assert rendered.count(report.expr) == 1
