@@ -350,7 +350,10 @@ def _decide_diagram(payload: dict) -> Decision:
         cert = (CertStep.make("exactness-verified",
                               "the three-term sequence is exact as stated"),
                 CertStep.make("split-test",
-                              "an integer solve searched for an explicit section",
+                              "each cyclic factor of the right term was lifted through "
+                              "the projection in turn, a torsion lift corrected by the "
+                              "inclusion, to build an explicit section or show that "
+                              "none exists",
                               splits=split.splits))
         return Decision(_verdict(abelian.is_free(s.mid)), cert, s.mid.to_expr(),
                         {"splits": split.splits})

@@ -13,10 +13,13 @@ recorded before ``freeness_verdict`` and the conductor-data decider
 returned ``Decision`` and before ``verify`` read a diagram's check
 detail off its decision.  The digest of ``two_branches_opaque_char2.json``
 was re-recorded when its residue units ``U(K)`` became ``free=yes``: a
-subgroup of a branch's free unit group is free.  The digests of the two
-``ses`` instances whose right term carries torsion in a non-diagonal
-presentation were recorded before the split test lifted the right term
-one cyclic factor at a time.
+subgroup of a branch's free unit group is free.  The digests of the four
+``ses`` instances (``ses_split.json``, ``ses_nonsplit.json``,
+``ses_split_torsion_quotient.json`` and
+``ses_nonsplit_torsion_quotient.json``) were re-recorded when the
+``split-test`` statement came to describe the lift of the right term one
+cyclic factor at a time, the way the split test finds a section; nothing
+else in those reports changed.
 """
 
 import hashlib
@@ -54,10 +57,10 @@ INSTANCE_DIGESTS = {
     "scattered_obstruction.json": "6c595c878bbe53b4eff10659014afa38ee085c3f1890e99665a6350ff0deb70c",
     "scattered_omega.json": "265895e9e855786a6eab940368f3bb7cd710f6abba04eacf742d83b3674843ea",
     "scattered_omega_squared.json": "7053c086686bce5482e5c89363e185caa464ddd5e7186b15fb6744fcd9edc187",
-    "ses_nonsplit.json": "822d8cd10b64a0c3154c62da51758f0492e61037a787709fc76dc350c1816779",
-    "ses_nonsplit_torsion_quotient.json": "b52f49dbfa060e47ec083c07809cf34911155b42794fe2050d8b7a2963d2dc81",
-    "ses_split.json": "0684f77b84e79a3697bb06c780db60a4c92ef4b657f128a0dbef122487393b64",
-    "ses_split_torsion_quotient.json": "e7824b0800aedb00b3e69a834208a2fb5cc997974daf6d1d138b065723dce0c7",
+    "ses_nonsplit.json": "1c88f4d39a824642806176c483141ad6f6784239125f059e7e8b21233243abc2",
+    "ses_nonsplit_torsion_quotient.json": "58c5eefbc1a22ec4d03b8cdd0b89cbcade85455ed745288c144b41cddca55f04",
+    "ses_split.json": "ec07a776f7f1dfc9a99a5eeb29c276f95477a14303277bff7964bc1db469c258",
+    "ses_split_torsion_quotient.json": "123a324c65efbe574dfe1c2b2ab80d02b7feae447654f1e7eddcb02778b7940e",
     "snake_ladder.json": "a3c596428254b9a398617db7d75db341929061670720df455d17a87332ca644e",
     "snake_ladder_kernel.json": "0c58f4f7e5b600337c0a0df37999f4214515eeecc5e3c65b765b287c6f1c8238",
     "strongly_discrete_tree.json": "dbb578cca9a5755b888ee2ac6047c9c669e9cc37d8337462c9f45383420f5eea",
