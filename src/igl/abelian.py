@@ -257,9 +257,8 @@ def is_isomorphism(h: FgHom) -> bool:
 
 
 def is_exact_pair(f: FgHom, g: FgHom) -> bool:
-    """Exactness at the middle of ``X --f--> Y --g--> Z``: one lattice in
-    ``Z^Y``, the image of ``f`` and the kernel of ``g``, each joined with
-    ``Y``'s relations."""
+    """Exactness at the middle of ``X --f--> Y --g--> Z``: the image
+    lattice of ``f`` is the kernel lattice of ``g``."""
     if not f.target.same_presentation(g.source):
         raise DiagramError("exactness check endpoint mismatch")
     return image_lattice(f).entries == kernel_lattice(g).entries
@@ -536,7 +535,7 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     psi_matrix = IntMatrix.from_rows(psi_rows, cols=total.generators)
     psi = FgHom(total, target, psi_matrix)
 
-    if kernel_lattice(psi).entries != image_lattice(phi).entries:
+    if not is_exact_pair(phi, psi):
         raise DiagramError("amalgam map has the wrong kernel")
     if not is_surjective(psi):
         raise DiagramError("amalgam map is not surjective")
