@@ -21,11 +21,9 @@ Design notes.
   source relation lattice into the target relation lattice) is checked at
   construction; nothing downstream needs to re-verify it.
 * The diagram predicates are lattice identities, each one comparison of
-  two canonical column HNFs: ``h`` is injective when its kernel lattice is
-  the source relation lattice, surjective when its image lattice is all of
-  ``Z^target``, and ``f, g`` are exact when the image lattice of ``f`` is the
-  kernel lattice of ``g``.  No kernel or cokernel group is presented and
-  no Smith form runs to answer them.
+  two canonical column HNFs (kernel lattice against relation lattice,
+  image lattice against the identity, image against kernel); no kernel
+  or cokernel group is presented and no Smith form runs for them.
 * Where a preimage must be lifted (connecting maps, sections), the lift
   is the deterministic first solution of the integer solver; any valid
   lift induces the same map on classes.
@@ -486,8 +484,8 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     Each part must certify ``A_i = B_i ⊕ emb_i(G)``; the quotient is then
     isomorphic to ``B_1 ⊕ … ⊕ B_n ⊕ G^{n-1}`` via the explicit map whose
     components are the ``B``-projections and the pairwise differences of
-    the retractions.  Both the kernel identity and surjectivity of that
-    map are verified before the isomorphism is returned.
+    the retractions.  Its kernel is checked to be the diagonal and its
+    image everything, so it descends to an isomorphism on the quotient.
     """
     if not parts:
         raise PreconditionError("at least one part is required")
@@ -539,8 +537,6 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
         raise DiagramError("amalgam map has the wrong kernel")
     if not is_surjective(psi):
         raise DiagramError("amalgam map is not surjective")
-    # the quotient's relations are the image of phi joined with the total's,
-    # which is the kernel lattice of psi: psi descends to an isomorphism
     return AmalgamResult(quotient, FgHom(quotient, target, psi_matrix), target)
 
 

@@ -377,7 +377,8 @@ def column_hnf(m: IntMatrix) -> IntMatrix:
     The result has one column per lattice rank, pivots positive and on
     strictly increasing rows, entries left of a pivot reduced into
     ``[0, pivot)``, and zero columns dropped.  Two generating matrices
-    span the same lattice iff their column HNFs are identical.
+    span the same lattice iff their column HNFs are identical.  An entry
+    the pivot divides is cleared by a column subtraction, not a gcd step.
     """
     n, k = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -385,33 +386,37 @@ def column_hnf(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         if j >= k:
             break
+        # columns j.. are zero above row i, so every update starts at row i
+        below = a[i:]
         piv = None
         for l in range(j, k):
             if a[i][l] != 0:
                 if piv is None:
                     piv = l
-                else:
-                    p0, e = a[i][piv], a[i][l]
-                    g, x, y = gcdex(p0, e)
-                    p, q = p0 // g, e // g
-                    for t in range(n):
-                        ap, al = a[t][piv], a[t][l]
-                        a[t][piv] = x * ap + y * al
-                        a[t][l] = -q * ap + p * al
+                    continue
+                p0, e = a[i][piv], a[i][l]
+                if e % p0 == 0:
+                    q = e // p0
+                    for row in below:
+                        row[l] -= q * row[piv]
+                    continue
+                g, x, y = gcdex(p0, e)
+                p, q = p0 // g, e // g
+                for row in below:
+                    ap, al = row[piv], row[l]
+                    row[piv] = x * ap + y * al
+                    row[l] = -q * ap + p * al
         if piv is None:
             continue
-        if piv != j:
-            for row in a:
-                row[piv], row[j] = row[j], row[piv]
-        if a[i][j] < 0:
-            for t in range(n):
-                a[t][j] = -a[t][j]
+        sign = -1 if a[i][piv] < 0 else 1
+        for row in below:
+            row[piv], row[j] = row[j], sign * row[piv]
         d = a[i][j]
         for c in range(j):
             q = a[i][c] // d
             if q:
-                for t in range(n):
-                    a[t][c] -= q * a[t][j]
+                for row in below:
+                    row[c] -= q * row[j]
         j += 1
     return IntMatrix(n, j, tuple(tuple(row[:j]) for row in a))
 

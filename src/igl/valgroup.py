@@ -84,8 +84,7 @@ class Decision:
     """What every decider returns: the verdict, the certificate behind it,
     the group expression (a normal form) when the decider builds one, the
     facts that a report copies verbatim into its ``metadata``, and the
-    text of the expression when the certificate already holds it, so that
-    the report does not render it again."""
+    expression's text if the certificate holds it (the report reuses it)."""
 
     verdict: Verdict
     certificate: Certificate

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 determinants are cofactor expansions rather than Bareiss, invariant
 factors come from gcds of minors rather than Smith reduction, integer
 solutions and kernels come from the full Smith form with its ``U``
-rather than the engine's diagonal elimination, sections of a short
+rather than the engine's diagonal elimination, column HNFs come from one
+extended-gcd step per entry rather than the engine's divisible-entry
+shortcut, sections of a short
 exact sequence come from one linear system over all section entries
 rather than one cyclic factor at a time, derived-set
 bounds come from a max-search over a candidate grid rather than normal
@@ -36,7 +38,7 @@ from math import gcd, lcm
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
                          direct_sum, factor_through, kernel_with_inclusion)
 from igl.errors import SchemaError
-from igl.matrices import IntMatrix, column_hnf, hstack, snf, solve
+from igl.matrices import IntMatrix, column_hnf, gcdex, hstack, snf, solve
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
@@ -124,6 +126,47 @@ def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
         if c[i] != 0:
             return None
     return v.apply(tuple(y))
+
+
+def gcd_step_column_hnf(m: IntMatrix) -> IntMatrix:
+    """Column HNF by one extended-gcd step per nonzero entry, applied to
+    every row: the engine's previous elimination, with no divisible-entry
+    shortcut and no restriction to the rows below the pivot."""
+    n, k = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    j = 0
+    for i in range(n):
+        if j >= k:
+            break
+        piv = None
+        for l in range(j, k):
+            if a[i][l] != 0:
+                if piv is None:
+                    piv = l
+                else:
+                    p0, e = a[i][piv], a[i][l]
+                    g, x, y = gcdex(p0, e)
+                    p, q = p0 // g, e // g
+                    for t in range(n):
+                        ap, al = a[t][piv], a[t][l]
+                        a[t][piv] = x * ap + y * al
+                        a[t][l] = -q * ap + p * al
+        if piv is None:
+            continue
+        if piv != j:
+            for row in a:
+                row[piv], row[j] = row[j], row[piv]
+        if a[i][j] < 0:
+            for t in range(n):
+                a[t][j] = -a[t][j]
+        d = a[i][j]
+        for c in range(j):
+            q = a[i][c] // d
+            if q:
+                for t in range(n):
+                    a[t][c] -= q * a[t][j]
+        j += 1
+    return IntMatrix(n, j, tuple(tuple(row[:j]) for row in a))
 
 
 def kronecker_split_test(s: ShortExactSeq) -> FgHom | None:

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from igl.matrices import (IntMatrix, column_hnf, gcdex, hstack, kernel_basis,
                           lattice_solve, snf, solve, unit_core)
-from oracles import (cofactor_det, lattice_equal, minors_invariant_factors,
-                     smith_kernel_basis, smith_solve)
+from oracles import (cofactor_det, gcd_step_column_hnf, lattice_equal,
+                     minors_invariant_factors, smith_kernel_basis, smith_solve)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -158,6 +158,19 @@ def test_hnf_invariant_under_column_transforms(rows, seed):
             u[t][j] += c * u[t][i]
     transformed = a @ IntMatrix.from_rows(u, cols=a.cols)
     assert column_hnf(a).entries == column_hnf(transformed).entries
+
+
+@given(st.integers(0, 6).flatmap(lambda r: st.integers(0, 10).flatmap(
+    lambda c: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 6, -9)),
+                                min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(
+        lambda rows: IntMatrix.from_rows(rows, cols=c)))))
+@settings(max_examples=300, deadline=None)
+def test_hnf_matches_the_gcd_step_reference(m):
+    # the divisible-entry shortcut and the rows skipped above the pivot
+    # change the steps, never the canonical basis; zero-row and zero-column
+    # shapes included
+    assert column_hnf(m) == gcd_step_column_hnf(m)
 
 
 def test_lattice_membership():
