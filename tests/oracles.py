@@ -93,8 +93,8 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Smith-based solve and kernel, and the one-system split test
-# (the engine's previous paths)
+# Smith-based solve and kernel, the gcd-step HNF and the one-system split
+# test (the engine's previous paths)
 # ---------------------------------------------------------------------------
 
 def smith_kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -422,8 +422,9 @@ def scaled(h, k):
 
 def predicate_cases(seed):
     """Maps and composable pairs between groups with torsion: the rows,
-    vertical maps and six-term maps of a random snake ladder, and the parts
-    of a random amalgam, each map also scaled by 0, 2 and 3."""
+    vertical maps and six-term maps of a random snake ladder and the parts
+    of a random amalgam, the first map of each pair but the six-term ones
+    also scaled by 0, 2 and 3."""
     rng = random.Random(seed)
     top, bottom, f, g, h = random_snake_input(rng)
     six = snake(top, bottom, f, g, h)
