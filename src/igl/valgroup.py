@@ -392,6 +392,10 @@ def _atom_divisible(a: GroupExpr) -> bool | None:
     return None if isinstance(a, UnknownGroup) else False
 
 
+def _atom_not_free(a: GroupExpr) -> bool:
+    return isinstance(a, InfiniteProductZ) or (isinstance(a, Opaque) and a.is_free is False)
+
+
 def _witness(atoms: list[GroupExpr], rule) -> str | None:
     """Name the first atom where ``rule`` holds -- its declared label, or
     its rendering -- or ``None`` when it holds of none."""
@@ -409,7 +413,9 @@ def freeness_verdict(e: GroupExpr) -> Decision:
     ``NotFree`` needs a witness: torsion, a nonzero divisible element, the
     full infinite product of copies of ``Z``, a nontrivial quotient of the
     additive group of a field (``Q`` and ``R`` themselves), or an explicit
-    declaration.  Everything else is ``Unknown``.
+    declaration; an infinite product or a declared-not-free group that is
+    only a summand is a witness too, since subgroups of free groups are
+    free.  Everything else is ``Unknown``.
     """
     e = normalize(e)
     atoms = [a for a, _ in _atoms(e)]
@@ -432,8 +438,8 @@ def freeness_verdict(e: GroupExpr) -> Decision:
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
                           witness=witness),))
-    # the two whole-group rules: neither an infinite product nor a
-    # declared-not-free group passes its unfreeness on to a sum
+    # the two whole-group rules; as a summand, either group is the
+    # witness of the not-free-summand rule
     if isinstance(e, InfiniteProductZ):
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
@@ -443,6 +449,14 @@ def freeness_verdict(e: GroupExpr) -> Decision:
             CertStep.make("declared-not-free",
                           "the group was declared not free; the declaration is trusted input",
                           label=e.label),))
+    witness = _witness(atoms, _atom_not_free)
+    if witness is not None:
+        return Decision(Verdict.NOT_FREE, (
+            CertStep.make("not-free-summand",
+                          "a direct summand is a subgroup, and subgroups of free "
+                          "groups are free (Dedekind), so a sum with a summand that "
+                          "is not free is not free",
+                          witness=witness),))
     return Decision(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",

@@ -300,6 +300,20 @@ def derivably_free_ref(e: GroupExpr) -> bool:
     return False
 
 
+def not_free_summand_ref(e: GroupExpr) -> bool:
+    if isinstance(e, InfiniteProductZ):
+        return True
+    if isinstance(e, Opaque):
+        return e.is_free is False
+    if isinstance(e, DirectSum):
+        return any(not_free_summand_ref(p) for p in e.parts)
+    if isinstance(e, LexTower):
+        return any(not_free_summand_ref(l) for l in e.levels)
+    if isinstance(e, Repeated):
+        return not_free_summand_ref(e.base)
+    return False
+
+
 def witness_ref(e: GroupExpr, holds) -> str:
     """Follow the first summand or level where ``holds`` is true down to
     a declared label or an atom."""
@@ -342,6 +356,13 @@ def freeness_verdict_ref(e: GroupExpr) -> Decision:
             CertStep.make("declared-not-free",
                           "the group was declared not free; the declaration is trusted input",
                           label=e.label),))
+    if not_free_summand_ref(e):
+        return Decision(Verdict.NOT_FREE, (
+            CertStep.make("not-free-summand",
+                          "a direct summand is a subgroup, and subgroups of free "
+                          "groups are free (Dedekind), so a sum with a summand that "
+                          "is not free is not free",
+                          witness=witness_ref(e, not_free_summand_ref)),))
     return Decision(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",

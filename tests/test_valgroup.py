@@ -51,10 +51,10 @@ def test_sum_propagation_rules():
     assert verdict(direct_sum(Z, Cyclic(4))) is Verdict.NOT_FREE
     assert verdict(direct_sum(Z, Q)) is Verdict.NOT_FREE
     assert verdict(direct_sum(Repeated(Cyclic(2), "w"), Z)) is Verdict.NOT_FREE
-    # these are the only two summand propagation rules: an unfree summand
-    # without such a witness leaves the sum undecided
-    assert verdict(direct_sum(ZPROD, Z)) is Verdict.UNKNOWN
-    assert verdict(direct_sum(Opaque("u", is_free=False), Z)) is Verdict.UNKNOWN
+    # a summand that is not free makes the sum not free: a direct summand
+    # is a subgroup, and subgroups of free groups are free
+    assert verdict(direct_sum(ZPROD, Z)) is Verdict.NOT_FREE
+    assert verdict(direct_sum(Opaque("u", is_free=False), Z)) is Verdict.NOT_FREE
 
 
 def test_lex_freeness_via_underlying_sum():
