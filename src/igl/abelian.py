@@ -31,7 +31,7 @@ Design notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DiagramError, PreconditionError
@@ -46,22 +46,21 @@ from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
 # Groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FgGroup:
     """A finitely generated abelian group, presented by relations.
 
     ``relations`` has one row per generator; each column is a relator.
-    ``FgGroup(2, [[2,0],[0,3]])`` is ``Z/2 ⊕ Z/3 ≅ Z/6``.
+    ``FgGroup(2, [[2,0],[0,3]])`` is ``Z/2 ⊕ Z/3 ≅ Z/6``.  The instance
+    keeps a ``__dict__`` for its cached properties.
     """
 
-    generators: int
-    relations: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.generators < 0:
+    def __init__(self, generators: int, relations: IntMatrix) -> None:
+        if generators < 0:
             raise ValueError("negative generator count")
-        if self.relations.rows != self.generators:
+        if relations.rows != generators:
             raise ValueError("relation matrix must have one row per generator")
+        self.generators = generators
+        self.relations = relations
 
     # -- constructors ------------------------------------------------------
 
@@ -152,7 +151,6 @@ def direct_sum(groups: list[FgGroup]) -> FgGroup:
 # Homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FgHom:
     """A homomorphism, given by its integer matrix on generators.
 
@@ -160,9 +158,11 @@ class FgHom:
     relator of the source into the relation lattice of the target.
     """
 
-    source: FgGroup
-    target: FgGroup
-    matrix: IntMatrix
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: FgGroup, target: FgGroup, matrix: IntMatrix) -> None:
+        self.source, self.target, self.matrix = source, target, matrix
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.matrix.rows != self.target.generators or self.matrix.cols != self.source.generators:
@@ -280,15 +280,15 @@ def factor_through(h: FgHom, incl: FgHom) -> FgHom:
 # Short exact sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ShortExactSeq:
     """``0 → left → mid → right → 0``; exactness is checked at construction."""
 
-    left: FgGroup
-    mid: FgGroup
-    right: FgGroup
-    inj: FgHom
-    surj: FgHom
+    __slots__ = ("left", "mid", "right", "inj", "surj")
+
+    def __init__(self, left: FgGroup, mid: FgGroup, right: FgGroup,
+                 inj: FgHom, surj: FgHom) -> None:
+        self.left, self.mid, self.right, self.inj, self.surj = left, mid, right, inj, surj
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (self.inj.source.same_presentation(self.left)
@@ -309,21 +309,11 @@ class ShortExactSeq:
 # Snake: the six-term kernel-cokernel sequence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnakeResult:
+class SnakeResult(namedtuple("SnakeResult", "ker_f ker_g ker_h coker_f coker_g coker_h "
+                                             "ker_fg ker_gh connecting coker_fg coker_gh")):
     """``0 → ker f → ker g → ker h → coker f → coker g → coker h → 0``."""
 
-    ker_f: FgGroup
-    ker_g: FgGroup
-    ker_h: FgGroup
-    coker_f: FgGroup
-    coker_g: FgGroup
-    coker_h: FgGroup
-    ker_fg: FgHom
-    ker_gh: FgHom
-    connecting: FgHom
-    coker_fg: FgHom
-    coker_gh: FgHom
+    __slots__ = ()
 
     def groups(self) -> tuple[FgGroup, ...]:
         return (self.ker_f, self.ker_g, self.ker_h,
@@ -404,10 +394,7 @@ def snake(top: ShortExactSeq, bottom: ShortExactSeq,
 # Splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitResult:
-    splits: bool
-    section: FgHom | None
+SplitResult = namedtuple("SplitResult", "splits section")
 
 
 def split_test(s: ShortExactSeq) -> SplitResult:
@@ -458,24 +445,12 @@ def split_test(s: ShortExactSeq) -> SplitResult:
 # Amalgamated quotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AmalgamPart:
-    """One summand ``A`` with a certified internal decomposition
-    ``A = B ⊕ emb(G)``: ``proj`` is the projection onto ``B``, ``retract``
-    the left inverse of ``emb``."""
+# One summand ``A`` with a certified internal decomposition
+# ``A = B ⊕ emb(G)``: ``proj`` is the projection onto ``B`` (the
+# ``complement``), ``retract`` the left inverse of ``emb``.
+AmalgamPart = namedtuple("AmalgamPart", "group emb complement proj retract")
 
-    group: FgGroup
-    emb: FgHom
-    complement: FgGroup
-    proj: FgHom
-    retract: FgHom
-
-
-@dataclass(frozen=True)
-class AmalgamResult:
-    quotient: FgGroup
-    iso: FgHom
-    standard_form: FgGroup
+AmalgamResult = namedtuple("AmalgamResult", "quotient iso standard_form")
 
 
 def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
@@ -544,16 +519,10 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
 # The three-by-three splitting rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridRow:
-    """A symbolic short exact row ``0 → left → mid → right → 0`` of a
-    nine-term grid, optionally instantiated by a checked finitely
-    generated witness sequence."""
-
-    left: GroupExpr
-    mid: GroupExpr
-    right: GroupExpr
-    witness: ShortExactSeq | None = None
+# A symbolic short exact row ``0 → left → mid → right → 0`` of a nine-term
+# grid, optionally instantiated by a checked finitely generated witness
+# sequence.
+GridRow = namedtuple("GridRow", "left mid right witness", defaults=(None,))
 
 
 def three_by_three_split(principal_row: GridRow, invertible_row: GridRow,

@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from functools import cache
 from json.encoder import encode_basestring
 from math import gcd
@@ -33,20 +32,18 @@ from pathlib import Path
 
 from . import abelian, noeth, prufer, scattered, valgroup
 from .corpus import CASES
-from .errors import IglError, PreconditionError, SchemaError, read_flag
+from .errors import DiagramError, IglError, PreconditionError, SchemaError, read_flag
 from .matrices import IntMatrix
 from .valgroup import CertStep, Decision, Verdict
 
 
-@dataclass
 class Report:
-    name: str
-    kind: str
-    verdict: str
-    expr: str | None
-    certificate: list[CertStep]
-    metadata: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    __slots__ = ("name", "kind", "verdict", "expr", "certificate", "metadata", "elapsed_ms")
+
+    def __init__(self, name: str, kind: str, verdict: str, expr: str | None,
+                 certificate: list[CertStep], metadata: dict, elapsed_ms: float) -> None:
+        self.name, self.kind, self.verdict, self.expr = name, kind, verdict, expr
+        self.certificate, self.metadata, self.elapsed_ms = certificate, metadata, elapsed_ms
 
     def to_dict(self, trace_full: bool) -> dict:
         return {
@@ -199,7 +196,12 @@ def parse_matrix(rec, rows: int, cols: int, where: str) -> IntMatrix:
 
 def _parse_hom(rec, src: abelian.FgGroup, tgt: abelian.FgGroup,
                where: str) -> abelian.FgHom:
-    return abelian.FgHom(src, tgt, parse_matrix(rec, tgt.generators, src.generators, where))
+    matrix = parse_matrix(rec, tgt.generators, src.generators, where)
+    try:
+        return abelian.FgHom(src, tgt, matrix)
+    except DiagramError as exc:
+        # the map is not well defined: name the matrix to fix
+        raise DiagramError(f"{where}: {exc}") from exc
 
 
 def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
@@ -257,7 +259,7 @@ def parse_valuation(payload: dict) -> dict:
     _expect(group in ("inv", "div"), "field 'group': must be 'inv' or 'div'")
     principal = _flag(payload, "maximal_principal", None)
     if principal is None:
-        principal = bool(tower.slots) and isinstance(tower.slots[0], valgroup.IntegersZ)
+        principal = bool(tower.slots) and tower.slots[0] is valgroup.Z
     return {"tower": tower, "group": group,
             "maximal_principal": principal,
             "maximal_branched": _flag(payload, "maximal_branched", True)}
@@ -289,7 +291,7 @@ def _decide_valuation(payload: dict) -> Decision:
     return Decision(fv.verdict, (CertStep.make(
         "valuation-inv-iso",
         "every invertible ideal of a valuation ring is principal; the "
-        "invertible group is the value group"),) + fv.certificate, expr)
+        "invertible group is the value group"),) + fv.certificate, expr, text=fv.text)
 
 
 def _decide_prufer(payload: dict) -> Decision:
@@ -301,12 +303,12 @@ def _decide_prufer(payload: dict) -> Decision:
     else:
         d = prufer.decide_inv_free(p["tree"])
         if p["t_finite_character"]:
-            d = replace(d, certificate=d.certificate + (CertStep.make(
+            d = d._replace(certificate=d.certificate + (CertStep.make(
                 "t-coincides-with-d",
                 "on these trees the t-closure is the identity closure, so "
                 "the verdict applies verbatim to t-invertible ideals"),))
     if p["t_finite_character"]:
-        d = replace(d, metadata={"t_finite_character": True, **d.metadata})
+        d = d._replace(metadata={"t_finite_character": True, **d.metadata})
     return d
 
 

@@ -8,21 +8,17 @@ that have no file format, through small callables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from . import scattered, valgroup
 from .errors import MalformedTraceError
 from .scattered import Ordinal
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    name: str
-    expected: str
-    payload: dict | None = None
-    expected_expr: str | None = None
-    direct: Callable[[], str] | None = None
+# ``payload`` is an instance the CLI decides; ``direct``, for a rule with no
+# file format, is a callable returning the outcome text instead
+CorpusCase = namedtuple("CorpusCase", "name expected payload expected_expr direct",
+                        defaults=(None, None, None))
 
 
 def _check_infinite_product() -> str:

@@ -29,7 +29,7 @@ column HNFs coincide, which is how all lattice comparisons are done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -47,8 +47,7 @@ def gcdex(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """An immutable integer matrix with explicit row and column counts.
 
     ``entries`` is a tuple of row tuples.  Zero-row and zero-column
@@ -56,18 +55,17 @@ class IntMatrix:
     with zero columns), which is why the dimensions are stored explicitly.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("column count mismatch")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":

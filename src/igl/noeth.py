@@ -25,7 +25,7 @@ primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import gcd
 
 from . import abelian
@@ -75,15 +75,14 @@ def _check_characteristic(p: int) -> None:
         raise SchemaError(f"characteristic is not below the supported bound {PRIME_BOUND}")
 
 
-@dataclass(frozen=True)
-class FiniteField:
+class FiniteField(namedtuple("FiniteField", "p r", defaults=(1,))):
     """The field with ``p^r`` elements; its unit group is cyclic of order
     ``p^r - 1`` and is computed, never declared."""
 
-    p: int
-    r: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_characteristic(self.p)
         if not _is_prime(self.p):
             raise SchemaError(f"{self.p} is not prime")
@@ -94,6 +93,7 @@ class FiniteField:
         if self.r > MAX_ORDER_BITS or self.order.bit_length() > MAX_ORDER_BITS:
             raise SchemaError(f"field order p^{self.r} has more than "
                               f"{MAX_ORDER_BITS} bits")
+        return self
 
     @property
     def characteristic(self) -> int:
@@ -112,8 +112,8 @@ class FiniteField:
         return f"F{self.order}"
 
 
-@dataclass(frozen=True)
-class OpaqueField:
+class OpaqueField(namedtuple("OpaqueField", "label characteristic unit_free quotient_free summand",
+                             defaults=(0, None, None, None))):
     """A field known only through declarations.
 
     ``unit_free`` declares whether the unit group is free;
@@ -122,16 +122,14 @@ class OpaqueField:
     as a direct summand.  Unset declarations leave verdicts ``Unknown``.
     """
 
-    label: str
-    characteristic: int = 0
-    unit_free: bool | None = None
-    quotient_free: bool | None = None
-    summand: bool | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_characteristic(self.characteristic)
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise SchemaError("characteristic must be 0 or a prime")
+        return self
 
 
 FieldDesc = FiniteField | OpaqueField
@@ -151,28 +149,25 @@ def unit_group(f: FieldDesc) -> GroupExpr:
     return Opaque(f"U({f.label})", is_free=f.unit_free, is_torsionfree=torsionfree)
 
 
-@dataclass(frozen=True)
-class Branch:
-    field: FieldDesc
-    e: int
+class Branch(namedtuple("Branch", "field e")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.e < 1:
+    def __new__(cls, field: FieldDesc, e: int) -> "Branch":
+        if e < 1:
             raise SchemaError("conductor exponents must be >= 1")
+        return super().__new__(cls, field, e)
 
 
-@dataclass(frozen=True)
-class NoethInstance:
+class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_closed "
+                                                 "conductor_nonzero local",
+                               defaults=(False, True, True))):
     """Conductor data of a one-dimensional local Noetherian domain with
     reduced completion (nonzero conductor)."""
 
-    residue: FieldDesc
-    branches: tuple[Branch, ...]
-    integrally_closed: bool = False
-    conductor_nonzero: bool = True
-    local: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.branches:
             raise SchemaError("at least one branch is required")
         chars = {self.residue.characteristic} | {b.field.characteristic for b in self.branches}
@@ -183,6 +178,7 @@ class NoethInstance:
                 if b.field.p != self.residue.p or b.field.r % self.residue.r != 0:
                     raise SchemaError(
                         f"{self.residue.label} does not embed into {b.field.label}")
+        return self
 
     @property
     def characteristic(self) -> int:
@@ -377,7 +373,7 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
     if isinstance(units, Opaque) and any(branch_free):
         # U(k) is a subgroup of a free U(L_i), and subgroups of free
         # abelian groups are free
-        units = replace(units, is_free=True)
+        units = units._replace(is_free=True)
     parts.append(Repeated(units, len(inst.branches) - 1))
     return direct_sum(*parts)
 

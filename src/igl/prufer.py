@@ -30,41 +30,36 @@ deciding a tree is linear in its size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import SchemaError, read_flag
-from .valgroup import (CertStep, Certificate, Decision, GroupExpr, IntegersZ, LexTower,
+from .valgroup import (CertStep, Certificate, Decision, GroupExpr, LexTower,
                        R, UNKNOWN, Z, ValueTower, Verdict, direct_sum,
                        freeness_verdict, normal_sum, render_expr, render_normal)
 
 
-@dataclass(frozen=True)
-class PrimeNode:
+class PrimeNode(namedtuple("PrimeNode", "node_id label children branched",
+                           defaults=((), True))):
     """A prime ideal in the tree; the root (zero ideal) has no edge label."""
 
-    node_id: str
-    label: ValueTower | None
-    children: tuple["PrimeNode", ...] = ()
-    branched: bool = True
+    __slots__ = ()
 
     @property
     def is_maximal(self) -> bool:
         return not self.children
 
 
-@dataclass(frozen=True)
 class SpecTree:
     """A validated spectral tree.  It indexes itself once, on first use:
     the pre-order node tuple, the id lookup and the parent map are cached
-    properties, and every walk below is a loop, so tree depth costs no
-    Python frames."""
+    properties (kept in the instance ``__dict__``), and every walk below
+    is a loop, so tree depth costs no Python frames."""
 
-    root: PrimeNode
-    locally_finite: bool = True
-
-    def __post_init__(self) -> None:
-        if self.root.label is not None:
+    def __init__(self, root: PrimeNode, locally_finite: bool = True) -> None:
+        self.root = root
+        self.locally_finite = locally_finite
+        if root.label is not None:
             raise SchemaError("the root (zero ideal) carries no edge label")
         seen: set[str] = set()
         for node in self.nodes():
@@ -184,7 +179,7 @@ def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode | str) -> bool:
         leaf = tree.node(leaf)
     if not leaf.is_maximal or leaf is tree.root:
         raise SchemaError(f"{leaf.node_id!r} is not a maximal ideal")
-    return isinstance(leaf.label.slots[0], IntegersZ)
+    return leaf.label.slots[0] is Z
 
 
 def branching_points(tree: SpecTree) -> list[PrimeNode]:
@@ -228,8 +223,7 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
 # Invertible-ideal decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DividedCut:
+class DividedCut(namedtuple("DividedCut", "prime_id quotient_rank step_rank")):
     """One emitted split sequence
     ``0 → (quotient group) → (total group) → (tower of the cut prime) → 0``,
     by its prime and the free ranks of its outer terms.  Tree slots are
@@ -238,18 +232,16 @@ class DividedCut:
     makes the term not finitely generated.  The total is not carried:
     ``verify`` recounts it from the tree."""
 
-    prime_id: str
-    quotient_rank: int | None
-    step_rank: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvDecision(Decision):
-    """The invertible-group decision, with the split sequence of every
-    divided cut and the verdict of every maximal ideal's value group."""
+class InvDecision(namedtuple("InvDecision", Decision._fields + ("cuts", "leaf_verdicts"),
+                             defaults=(None, {}, None, (), ()))):
+    """A ``Decision`` of the invertible group, with the split sequence of
+    every divided cut and the verdict of every maximal ideal's value
+    group."""
 
-    cuts: tuple[DividedCut, ...] = ()
-    leaf_verdicts: tuple[tuple[str, Verdict], ...] = ()
+    __slots__ = ()
 
 
 def _free_at(tree: SpecTree) -> dict[str, bool]:

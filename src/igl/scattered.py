@@ -28,7 +28,7 @@ ideals with the same local value group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MalformedTraceError, SchemaError
 from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
@@ -39,24 +39,24 @@ from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Ver
 # Ordinals below w^w
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
+class Ordinal(namedtuple("Ordinal", "terms", defaults=((),))):
     """Cantor normal form ``w^e1*c1 + ... + w^ek*ck`` with strictly
     decreasing natural exponents and positive coefficients; zero is the
     empty sum.  Ordinals compare as their term tuples do: the first term
     that differs decides, by exponent and then by coefficient, and a
     proper prefix is the smaller ordinal."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> "Ordinal":
         last = None
-        for e, c in self.terms:
+        for e, c in terms:
             if e < 0 or c < 1:
                 raise ValueError("bad normal-form term")
             if last is not None and e >= last:
                 raise ValueError("exponents must strictly decrease")
             last = e
+        return super().__new__(cls, terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -168,8 +168,7 @@ def parse_ordinal(text: str) -> Ordinal:
 # Scattered spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScatteredSpace:
+class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels", defaults=((),))):
     """The interval ``[0, bound]`` with stratified labels; ``bound`` is
     ``None`` for the empty space.  Every occupied stratum has a value
     tower, shared by all points of that rank.  ``labels`` holds them
@@ -180,8 +179,12 @@ class ScatteredSpace:
     as stored, so a derivative does not equal the same interval built
     afresh from its ``label_map``."""
 
-    bound: Ordinal | None
-    labels: tuple[ValueTower, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, bound: Ordinal | None, labels: tuple[ValueTower, ...] = ()) -> "ScatteredSpace":
+        self = super().__new__(cls, bound, labels)
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if self.bound is not None and len(self.labels) <= self.bound.leading_exponent():

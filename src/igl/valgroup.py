@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .errors import SchemaError
@@ -56,14 +56,11 @@ class Verdict(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(namedtuple("CertStep", "rule statement inputs", defaults=((),))):
     """One step of a certificate: a named rule plus a plain statement of
     what the rule asserts, and the inputs it consumed."""
 
-    rule: str
-    statement: str
-    inputs: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
     @classmethod
     def make(cls, rule: str, statement: str, **inputs: object) -> "CertStep":
@@ -79,111 +76,93 @@ class CertStep:
 Certificate = tuple[CertStep, ...]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(namedtuple("Decision", "verdict certificate expr metadata text",
+                          defaults=(None, {}, None))):
     """What every decider returns: the verdict, the certificate behind it,
     the group expression (a normal form) when the decider builds one, the
-    facts that a report copies verbatim into its ``metadata``, and the
-    expression's text if the certificate holds it (the report reuses it)."""
+    facts that a report copies verbatim into its ``metadata`` (read, never
+    written: the default is one shared empty dict), and the expression's
+    text if the certificate holds it (the report reuses it)."""
 
-    verdict: Verdict
-    certificate: Certificate
-    expr: GroupExpr | None = None
-    metadata: dict = field(default_factory=dict)
-    text: str | None = None
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Expression atoms and nodes
 # ---------------------------------------------------------------------------
 
-class GroupExpr:
-    """Base class of all symbolic group expressions."""
+class GroupExpr(tuple):
+    """Base class of all symbolic group expressions.  An expression is the
+    tuple of its fields, and it equals only expressions of its own type:
+    as plain tuples, ``DirectSum((Z,))`` would equal ``LexTower((Z,))``."""
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class TrivialGroup(GroupExpr):
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Atom(GroupExpr, namedtuple("Atom", "name text")):
+    """A constant group, rendered as ``text``: one of the six module
+    constants below, so code tells atoms apart by identity.  ``repr``
+    shows ``name()``, e.g. ``IntegersZ()``."""
+
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        return self.name + "()"
 
-@dataclass(frozen=True)
-class IntegersZ(GroupExpr):
+
+class Cyclic(GroupExpr, namedtuple("Cyclic", "order")):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class RationalsQ(GroupExpr):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class RealsR(GroupExpr):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Cyclic(GroupExpr):
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __new__(cls, order: int) -> "Cyclic":
+        if order < 1:
             raise ValueError("cyclic order must be >= 1")
+        return super().__new__(cls, order)
 
 
-@dataclass(frozen=True)
-class FgAtom(GroupExpr):
+class FgAtom(GroupExpr, namedtuple("FgAtom", "invariants")):
     """A finitely generated group given by canonical invariant factors:
     torsion factors > 1 in a divisibility chain, then one 0 per free rank."""
 
-    invariants: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class InfiniteProductZ(GroupExpr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Opaque(GroupExpr):
+class Opaque(GroupExpr, namedtuple("Opaque", "label is_free is_torsionfree has_divisible",
+                                   defaults=(None, None, None))):
     """A group known only through declared properties.
 
     Declarations are trusted inputs; they are never computed here and are
     echoed into certificates so a reader can audit them.
     """
 
-    label: str
-    is_free: bool | None = None
-    is_torsionfree: bool | None = None
-    has_divisible: bool | None = None
-
-
-@dataclass(frozen=True)
-class UnknownGroup(GroupExpr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DirectSum(GroupExpr):
-    parts: tuple[GroupExpr, ...]
+class DirectSum(GroupExpr, namedtuple("DirectSum", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LexTower(GroupExpr):
+class LexTower(GroupExpr, namedtuple("LexTower", "levels")):
     """A lexicographic tower; levels are listed from the top (maximal-ideal
     end) down to the root end.  As a plain group this is the direct sum of
     its levels; only the ordering is extra data."""
 
-    levels: tuple[GroupExpr, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __new__(cls, levels: tuple[GroupExpr, ...]) -> "LexTower":
+        if not levels:
             raise ValueError("lex towers must be nonempty")
+        return super().__new__(cls, levels)
 
 
-@dataclass(frozen=True)
-class Repeated(GroupExpr):
+class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
     """A direct sum of ``times`` copies of ``base``.
 
     ``times`` is a nonnegative integer, or a string holding an ordinal
@@ -191,23 +170,23 @@ class Repeated(GroupExpr):
     index set.
     """
 
-    base: GroupExpr
-    times: int | str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.times, int):
-            if self.times < 0:
+    def __new__(cls, base: GroupExpr, times: int | str) -> "Repeated":
+        if isinstance(times, int):
+            if times < 0:
                 raise ValueError("negative multiplicity")
-        elif not re.fullmatch(r"[w0-9+*^]+", self.times):
-            raise ValueError(f"bad symbolic multiplicity {self.times!r}")
+        elif not re.fullmatch(r"[w0-9+*^]+", times):
+            raise ValueError(f"bad symbolic multiplicity {times!r}")
+        return super().__new__(cls, base, times)
 
 
-Z = IntegersZ()
-Q = RationalsQ()
-R = RealsR()
-ZPROD = InfiniteProductZ()
-TRIVIAL = TrivialGroup()
-UNKNOWN = UnknownGroup()
+TRIVIAL = Atom("TrivialGroup", "0")
+Z = Atom("IntegersZ", "Z")
+Q = Atom("RationalsQ", "Q")
+R = Atom("RealsR", "R")
+ZPROD = Atom("InfiniteProductZ", "prod(Z;w)")   # the full product, not free
+UNKNOWN = Atom("UnknownGroup", "?")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +217,7 @@ def normalize(e: GroupExpr) -> GroupExpr:
         return TRIVIAL if e.order == 1 else e
     if isinstance(e, Repeated):
         base = normalize(e.base)
-        if isinstance(base, TrivialGroup) or e.times == 0:
+        if base is TRIVIAL or e.times == 0:
             return TRIVIAL
         if e.times == 1:
             return base
@@ -247,7 +226,7 @@ def normalize(e: GroupExpr) -> GroupExpr:
         return Repeated(base, e.times)
     if isinstance(e, LexTower):
         levels = [normalize(l) for l in e.levels]
-        levels = [l for l in levels if not isinstance(l, TrivialGroup)]
+        levels = [l for l in levels if l is not TRIVIAL]
         if not levels:
             return TRIVIAL
         if len(levels) == 1:
@@ -264,7 +243,7 @@ def normal_sum(parts) -> GroupExpr:
     normalizing the parts again."""
     flat: list[GroupExpr] = []
     for p in parts:
-        if isinstance(p, TrivialGroup):
+        if p is TRIVIAL:
             continue
         if isinstance(p, DirectSum):
             flat.extend(p.parts)
@@ -350,11 +329,11 @@ def normal_invariant_factors(n: GroupExpr) -> tuple[int, ...] | None:
     for atom, mult in _atoms(n):
         if mult is None:
             return None
-        if isinstance(atom, IntegersZ):
+        if atom is Z:
             rank += mult
         elif isinstance(atom, Cyclic):
             torsion.extend([atom.order] * mult)
-        elif not isinstance(atom, TrivialGroup):
+        elif atom is not TRIVIAL:
             return None
     return canonical_invariants(torsion) + (0,) * rank
 
@@ -369,7 +348,7 @@ def normal_invariant_factors(n: GroupExpr) -> tuple[int, ...] | None:
 def _atom_free(a: GroupExpr) -> bool:
     if isinstance(a, Opaque):
         return a.is_free is True
-    return isinstance(a, (TrivialGroup, IntegersZ))
+    return a is TRIVIAL or a is Z
 
 
 def _atom_torsion(a: GroupExpr) -> bool | None:
@@ -379,21 +358,21 @@ def _atom_torsion(a: GroupExpr) -> bool | None:
         if a.is_torsionfree is None:
             return False if a.is_free else None
         return not a.is_torsionfree
-    return None if isinstance(a, UnknownGroup) else False
+    return None if a is UNKNOWN else False
 
 
 def _atom_divisible(a: GroupExpr) -> bool | None:
-    if isinstance(a, (RationalsQ, RealsR)):
+    if a is Q or a is R:
         return True
     if isinstance(a, Opaque):
         if a.has_divisible is None:
             return False if a.is_free else None
         return a.has_divisible
-    return None if isinstance(a, UnknownGroup) else False
+    return None if a is UNKNOWN else False
 
 
 def _atom_not_free(a: GroupExpr) -> bool:
-    return isinstance(a, InfiniteProductZ) or (isinstance(a, Opaque) and a.is_free is False)
+    return a is ZPROD or (isinstance(a, Opaque) and a.is_free is False)
 
 
 def _witness(atoms: list[GroupExpr], rule) -> str | None:
@@ -415,15 +394,18 @@ def freeness_verdict(e: GroupExpr) -> Decision:
     additive group of a field (``Q`` and ``R`` themselves), or an explicit
     declaration; an infinite product or a declared-not-free group that is
     only a summand is a witness too, since subgroups of free groups are
-    free.  Everything else is ``Unknown``.
+    free.  Everything else is ``Unknown``.  The ``sum-of-free`` and
+    ``no-rule`` steps render the group, and their decision carries that
+    text as ``Decision.text``.
     """
     e = normalize(e)
     atoms = [a for a, _ in _atoms(e)]
     if all(_atom_free(a) for a in atoms):
+        text = render_normal(e)
         return Decision(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
-                          group=render_normal(e)),))
+                          group=text),), text=text)
     witness = _witness(atoms, _atom_torsion)
     if witness is not None:
         return Decision(Verdict.NOT_FREE, (
@@ -438,29 +420,30 @@ def freeness_verdict(e: GroupExpr) -> Decision:
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
                           witness=witness),))
-    # the two whole-group rules; as a summand, either group is the
-    # witness of the not-free-summand rule
-    if isinstance(e, InfiniteProductZ):
-        return Decision(Verdict.NOT_FREE, (
-            CertStep.make("infinite-product",
-                          "the direct product of infinitely many copies of Z is not free"),))
-    if isinstance(e, Opaque) and e.is_free is False:
-        return Decision(Verdict.NOT_FREE, (
-            CertStep.make("declared-not-free",
-                          "the group was declared not free; the declaration is trusted input",
-                          label=e.label),))
     witness = _witness(atoms, _atom_not_free)
     if witness is not None:
+        # the group, or a summand of it, is an infinite product or declared
+        # not free; the whole group keeps the rule that names it
+        if e is ZPROD:
+            return Decision(Verdict.NOT_FREE, (
+                CertStep.make("infinite-product",
+                              "the direct product of infinitely many copies of Z is not free"),))
+        if isinstance(e, Opaque):
+            return Decision(Verdict.NOT_FREE, (
+                CertStep.make("declared-not-free",
+                              "the group was declared not free; the declaration is trusted input",
+                              label=e.label),))
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("not-free-summand",
                           "a direct summand is a subgroup, and subgroups of free "
                           "groups are free (Dedekind), so a sum with a summand that "
                           "is not free is not free",
                           witness=witness),))
+    text = render_normal(e)
     return Decision(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",
-                      group=render_normal(e)),))
+                      group=text),), text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +463,10 @@ def _render_flags(o: Opaque) -> str:
 
 
 def _render_item(e: GroupExpr) -> str:
-    if isinstance(e, TrivialGroup):
-        return "0"
-    if isinstance(e, IntegersZ):
-        return "Z"
-    if isinstance(e, RationalsQ):
-        return "Q"
-    if isinstance(e, RealsR):
-        return "R"
+    if type(e) is Atom:
+        return e.text
     if isinstance(e, Cyclic):
         return f"Z/{e.order}"
-    if isinstance(e, InfiniteProductZ):
-        return "prod(Z;w)"
-    if isinstance(e, UnknownGroup):
-        return "?"
     if isinstance(e, Opaque):
         return _render_flags(e)
     if isinstance(e, LexTower):
@@ -531,8 +504,7 @@ def render_expr(e: GroupExpr) -> str:
 _SLOTS = {"Z": Z, "Q": Q, "R": R}
 
 
-@dataclass(frozen=True)
-class ValueTower:
+class ValueTower(namedtuple("ValueTower", "slots")):
     """The value group of a valuation ring, as a finite tower of ``Z``,
     ``Q`` and ``R`` slots.
 
@@ -543,12 +515,13 @@ class ValueTower:
     (``PrimeNode.branched``) and valuations as ``maximal_branched``.
     """
 
-    slots: tuple[GroupExpr, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for s in self.slots:
-            if not isinstance(s, (IntegersZ, RationalsQ, RealsR)):
+    def __new__(cls, slots: tuple[GroupExpr, ...]) -> "ValueTower":
+        for s in slots:
+            if s is not Z and s is not Q and s is not R:
                 raise SchemaError(f"illegal tower slot {s!r}")
+        return super().__new__(cls, slots)
 
     def __len__(self) -> int:
         return len(self.slots)

@@ -42,8 +42,7 @@ from igl.matrices import IntMatrix, column_hnf, gcdex, hstack, snf, solve
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
-                          GroupExpr, InfiniteProductZ, IntegersZ, LexTower, Opaque, Q, R,
-                          RationalsQ, RealsR, Repeated, TrivialGroup, UnknownGroup,
+                          GroupExpr, LexTower, Opaque, Q, R, Repeated,
                           ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
                           canonical_invariants, expr_invariant_factors, normalize,
                           render_expr)
@@ -247,7 +246,7 @@ def _tri_or(values) -> bool | None:
 
 
 def torsion_ref(e: GroupExpr) -> bool | None:
-    if isinstance(e, (TrivialGroup, IntegersZ, RationalsQ, RealsR, InfiniteProductZ)):
+    if e in (TRIVIAL, Z, Q, R, ZPROD):
         return False
     if isinstance(e, Cyclic):
         return True
@@ -255,7 +254,7 @@ def torsion_ref(e: GroupExpr) -> bool | None:
         if e.is_torsionfree is None:
             return False if e.is_free else None
         return not e.is_torsionfree
-    if isinstance(e, UnknownGroup):
+    if e is UNKNOWN:
         return None
     if isinstance(e, DirectSum):
         return _tri_or(torsion_ref(p) for p in e.parts)
@@ -267,15 +266,15 @@ def torsion_ref(e: GroupExpr) -> bool | None:
 
 
 def divisible_ref(e: GroupExpr) -> bool | None:
-    if isinstance(e, (TrivialGroup, IntegersZ, Cyclic, InfiniteProductZ)):
+    if e in (TRIVIAL, Z, ZPROD) or isinstance(e, Cyclic):
         return False
-    if isinstance(e, (RationalsQ, RealsR)):
+    if e in (Q, R):
         return True
     if isinstance(e, Opaque):
         if e.has_divisible is None:
             return False if e.is_free else None
         return e.has_divisible
-    if isinstance(e, UnknownGroup):
+    if e is UNKNOWN:
         return None
     if isinstance(e, DirectSum):
         return _tri_or(divisible_ref(p) for p in e.parts)
@@ -287,7 +286,7 @@ def divisible_ref(e: GroupExpr) -> bool | None:
 
 
 def derivably_free_ref(e: GroupExpr) -> bool:
-    if isinstance(e, (TrivialGroup, IntegersZ)):
+    if e in (TRIVIAL, Z):
         return True
     if isinstance(e, Opaque):
         return e.is_free is True
@@ -301,7 +300,7 @@ def derivably_free_ref(e: GroupExpr) -> bool:
 
 
 def not_free_summand_ref(e: GroupExpr) -> bool:
-    if isinstance(e, InfiniteProductZ):
+    if e is ZPROD:
         return True
     if isinstance(e, Opaque):
         return e.is_free is False
@@ -334,7 +333,7 @@ def freeness_verdict_ref(e: GroupExpr) -> Decision:
         return Decision(Verdict.FREE, (
             CertStep.make("sum-of-free",
                           "a direct sum of infinite cyclic and declared-free pieces is free",
-                          group=render_expr(e)),))
+                          group=render_expr(e)),), text=render_expr(e))
     if torsion_ref(e) is True:
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("torsion-witness",
@@ -347,7 +346,7 @@ def freeness_verdict_ref(e: GroupExpr) -> Decision:
                           "a nonzero element divisible by every integer survives in "
                           "direct summands, and free groups have none",
                           witness=witness_ref(e, divisible_ref)),))
-    if isinstance(e, InfiniteProductZ):
+    if e is ZPROD:
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
                           "the direct product of infinitely many copies of Z is not free"),))
@@ -366,16 +365,16 @@ def freeness_verdict_ref(e: GroupExpr) -> Decision:
     return Decision(Verdict.UNKNOWN, (
         CertStep.make("no-rule",
                       "no freeness derivation and no unfreeness witness applies",
-                      group=render_expr(e)),))
+                      group=render_expr(e)),), text=render_expr(e))
 
 
 def invariant_factors_ref(e: GroupExpr) -> tuple[int, ...] | None:
     orders: list[int] = []
 
     def walk(x: GroupExpr, mult: int) -> bool:
-        if isinstance(x, TrivialGroup):
+        if x is TRIVIAL:
             return True
-        if isinstance(x, IntegersZ):
+        if x is Z:
             orders.extend([0] * mult)
             return True
         if isinstance(x, Cyclic):
@@ -421,7 +420,7 @@ def has_divisible(e: GroupExpr) -> bool | None:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(⊕|lex\(|prod\(|opaque\(|\(|\)|;|,|\^|/|=|\?|0|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\"[^\"]*\")")
+    r"\s*(⊕|lex\(|prod\(|opaque\(|\(|\)|;|,|\^|\*|\+|/|=|\?|0|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\"[^\"]*\")")
 
 
 def _tokenize(text: str) -> list[str]:

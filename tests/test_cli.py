@@ -1,6 +1,6 @@
 import json
+import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -197,8 +197,8 @@ def test_verify_fails_a_corrupted_cut(tmp_path, capsys, monkeypatch):
     def corrupted(tree):
         d = decide(tree)
         cut = d.cuts[0]
-        bad = replace(cut, quotient_rank=cut.quotient_rank + 1)
-        return replace(d, cuts=(bad,) + d.cuts[1:])
+        bad = cut._replace(quotient_rank=cut.quotient_rank + 1)
+        return d._replace(cuts=(bad,) + d.cuts[1:])
 
     monkeypatch.setattr(prufer, "decide_inv_free", corrupted)
     rc = main(["verify", str(write(tmp_path, YTREE)), "--format", "json"])
@@ -650,3 +650,36 @@ def test_diagram_perturbation_sweep(tmp_path, capsys):
                 assert (decided == 3) == (verified == 1), case
                 exits.append(decided)
     assert len(exits) > 100 and 0 in exits and 3 in exits
+
+
+def test_ill_defined_map_names_its_matrix(tmp_path, capsys):
+    """A map that is not well defined is rejected (exit 3) with the field of
+    its matrix, in ``decide`` and in the failing ``verify`` check."""
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    ses = json.loads((instances / "ses_nonsplit_torsion_quotient.json").read_text(encoding="utf-8"))
+    amalgam = json.loads((instances / "amalgam_two_planes.json").read_text(encoding="utf-8"))
+    # Z/2 → Z^2/(8,4) by (5,2) sends the relator 2 to (10,4), no relation;
+    # each part embeds the amalgamated Z/2 into a free Z^2
+    cases = [(mutated(ses, ("ses", "inj", 0, 0), 5), "ses.inj"),
+             (mutated(amalgam, ("amalgam", "g", "relators"), [[2]]), "amalgam.parts[0].emb")]
+    for payload, where in cases:
+        message = f"{where}: not well-defined: image of relator 0 is not a relation of the target"
+        target = write(tmp_path, payload)
+        assert main(["decide", str(target)]) == 3
+        assert capsys.readouterr().err == f"precondition violated: {message}\n"
+        assert main(["verify", str(target), "--format", "json"]) == 1
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert (check["ok"], check["detail"]) == (False, message)
+
+
+def test_import_loads_no_record_machinery():
+    """Start-up is guarded by what it loads, not by how long it takes: a
+    fresh interpreter without ``site`` imports ``igl.cli`` and none of
+    ``dataclasses`` (whose class generation cost most of the import),
+    ``inspect`` (which it pulls in) or ``typing``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import igl.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(src)], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

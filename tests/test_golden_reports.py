@@ -24,14 +24,18 @@ else in those reports changed.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from igl import cli, valgroup
 from igl.corpus import CASES
+from igl.errors import IglError
+from oracles import parse_expr
 
-INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+ROOT = Path(__file__).resolve().parents[1]
+INSTANCES = ROOT / "instances"
 
 
 def digest(payload: dict, name: str) -> str:
@@ -119,4 +123,37 @@ def test_every_decision_expression_is_a_normal_form():
             kinds.add(kind)
             assert valgroup.normalize(d.expr) == d.expr, payload
     # a krull decision carries no expression
+    assert kinds == set(cli.KINDS) - {"krull"}
+
+
+def test_every_report_decides_to_its_own_verdict():
+    """The freeness rules on a report's parsed expression give the report's
+    verdict, over every instance file, corpus payload and seed-5 instance of
+    the benchmark generator.  The expression of a report is its group; a
+    scattered report's expression is the candidate sum of its stage groups,
+    which is free exactly when the verdict is ``DirectSumFree``.  Only
+    reports without an expression are left out."""
+    sys.path.append(str(ROOT / "bench"))
+    import gen
+
+    named = [(p.stem, json.loads(p.read_text(encoding="utf-8")))
+             for p in sorted(INSTANCES.glob("*.json"))]
+    named += [(c.name, c.payload) for c in CASES if c.payload is not None]
+    for workload in gen.WORKLOADS:
+        named += sorted(gen.make_requests(workload, 5)[0].items())
+    kinds = set()
+    for name, payload in named:
+        try:
+            report = cli.decide_payload(payload, name)
+        except IglError:
+            continue
+        if report.expr is None:
+            continue
+        kinds.add(report.kind)
+        got = valgroup.freeness_verdict(parse_expr(report.expr)).verdict.value
+        if report.kind == "scattered_space":
+            expected = "Free" if report.verdict == "DirectSumFree" else "NotFree"
+        else:
+            expected = report.verdict
+        assert got == expected, (name, report.verdict, report.expr)
     assert kinds == set(cli.KINDS) - {"krull"}

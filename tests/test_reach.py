@@ -5,7 +5,9 @@ with the full trace), ``verify`` and ``expr`` on every file of
 ``instances/``, with a profiler recording each code object entered.  Every
 module-level function and every class method of the package (dunders
 exempt) must be among them, unless ``KEPT`` names it with the reason it
-stays.  Code that only tests call belongs in ``tests/oracles.py``.
+stays.  Members whose code another module defines, such as the
+``_asdict`` of a named tuple or the ``_generate_next_value_`` that an
+enum class holds, are not the package's.  Code that only tests call belongs in ``tests/oracles.py``.
 """
 
 import json
@@ -73,7 +75,8 @@ for info in pkgutil.iter_modules(igl.__path__):
         members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
         for attr, raw in members:
             code = code_of(raw)
-            if code is None or (attr or name).startswith("__"):
+            if (code is None or (attr or name).startswith("__")
+                    or code.co_filename != mod.__file__):
                 continue
             qual = ".".join(p for p in (info.name, name, attr) if p)
             defined[qual] = code
