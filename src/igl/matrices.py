@@ -65,7 +65,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         for row in entries:
             if len(row) != cols:
                 raise ValueError("column count mismatch")
-        return super().__new__(cls, rows, cols, entries)
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":

@@ -155,7 +155,7 @@ class Branch(namedtuple("Branch", "field e")):
     def __new__(cls, field: FieldDesc, e: int) -> "Branch":
         if e < 1:
             raise SchemaError("conductor exponents must be >= 1")
-        return super().__new__(cls, field, e)
+        return tuple.__new__(cls, (field, e))
 
 
 class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_closed "

@@ -56,7 +56,7 @@ class Ordinal(namedtuple("Ordinal", "terms", defaults=((),))):
             if last is not None and e >= last:
                 raise ValueError("exponents must strictly decrease")
             last = e
-        return super().__new__(cls, terms)
+        return tuple.__new__(cls, (terms,))
 
     # -- constructors -------------------------------------------------------
 
@@ -181,8 +181,9 @@ class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels", defaults=((),)
 
     __slots__ = ()
 
-    def __new__(cls, bound: Ordinal | None, labels: tuple[ValueTower, ...] = ()) -> "ScatteredSpace":
-        self = super().__new__(cls, bound, labels)
+    def __new__(cls, bound: Ordinal | None,
+                labels: tuple[ValueTower, ...] = ()) -> "ScatteredSpace":
+        self = tuple.__new__(cls, (bound, labels))
         self.__post_init__()
         return self
 

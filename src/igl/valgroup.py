@@ -82,7 +82,7 @@ class Decision(namedtuple("Decision", "verdict certificate expr metadata text",
     the group expression (a normal form) when the decider builds one, the
     facts that a report copies verbatim into its ``metadata`` (read, never
     written: the default is one shared empty dict), and the expression's
-    text if the certificate holds it (the report reuses it)."""
+    text if the decider has rendered it (the report reuses it)."""
 
     __slots__ = ()
 
@@ -110,7 +110,8 @@ class GroupExpr(tuple):
 class Atom(GroupExpr, namedtuple("Atom", "name text")):
     """A constant group, rendered as ``text``: one of the six module
     constants below, so code tells atoms apart by identity.  ``repr``
-    shows ``name()``, e.g. ``IntegersZ()``."""
+    shows ``name()``, e.g. ``IntegersZ()``, as the golden tree digests
+    record it."""
 
     __slots__ = ()
 
@@ -124,7 +125,7 @@ class Cyclic(GroupExpr, namedtuple("Cyclic", "order")):
     def __new__(cls, order: int) -> "Cyclic":
         if order < 1:
             raise ValueError("cyclic order must be >= 1")
-        return super().__new__(cls, order)
+        return tuple.__new__(cls, (order,))
 
 
 class FgAtom(GroupExpr, namedtuple("FgAtom", "invariants")):
@@ -159,7 +160,7 @@ class LexTower(GroupExpr, namedtuple("LexTower", "levels")):
     def __new__(cls, levels: tuple[GroupExpr, ...]) -> "LexTower":
         if not levels:
             raise ValueError("lex towers must be nonempty")
-        return super().__new__(cls, levels)
+        return tuple.__new__(cls, (levels,))
 
 
 class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
@@ -178,7 +179,7 @@ class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
                 raise ValueError("negative multiplicity")
         elif not re.fullmatch(r"[w0-9+*^]+", times):
             raise ValueError(f"bad symbolic multiplicity {times!r}")
-        return super().__new__(cls, base, times)
+        return tuple.__new__(cls, (base, times))
 
 
 TRIVIAL = Atom("TrivialGroup", "0")
@@ -521,7 +522,7 @@ class ValueTower(namedtuple("ValueTower", "slots")):
         for s in slots:
             if s is not Z and s is not Q and s is not R:
                 raise SchemaError(f"illegal tower slot {s!r}")
-        return super().__new__(cls, slots)
+        return tuple.__new__(cls, (slots,))
 
     def __len__(self) -> int:
         return len(self.slots)

@@ -57,6 +57,16 @@ def test_sum_propagation_rules():
     assert verdict(direct_sum(Opaque("u", is_free=False), Z)) is Verdict.NOT_FREE
 
 
+def test_expressions_equal_only_their_own_type():
+    # as plain tuples, a sum and a tower of the same parts would be equal
+    # and a run of sums would absorb the tower
+    s, t = DirectSum((Z, Q)), LexTower((Z, Q))
+    assert s != t and not s == t and len({s, t, Cyclic(2), Repeated(Z, 2)}) == 4
+    assert render_expr(direct_sum(Repeated(s, 2), t)) == "(Z ⊕ Q)^2 ⊕ lex(Z;Q)"
+    assert repr(direct_sum(Z, t)) == \
+        "DirectSum(parts=(IntegersZ(), LexTower(levels=(IntegersZ(), RationalsQ()))))"
+
+
 def test_lex_freeness_via_underlying_sum():
     assert verdict(LexTower((Z, Z))) is Verdict.FREE
     assert verdict(LexTower((Z, Q))) is Verdict.NOT_FREE
