@@ -28,7 +28,7 @@ ideals with the same local value group.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from functools import total_ordering
 
 from .errors import MalformedTraceError, SchemaError
 from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
@@ -39,16 +39,19 @@ from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Ver
 # Ordinals below w^w
 # ---------------------------------------------------------------------------
 
-class Ordinal(namedtuple("Ordinal", "terms", defaults=((),))):
+@total_ordering
+class Ordinal:
     """Cantor normal form ``w^e1*c1 + ... + w^ek*ck`` with strictly
     decreasing natural exponents and positive coefficients; zero is the
     empty sum.  Ordinals compare as their term tuples do: the first term
     that differs decides, by exponent and then by coefficient, and a
-    proper prefix is the smaller ordinal."""
+    proper prefix is the smaller ordinal.  A class with ``__slots__``,
+    not a named tuple, because the scattered walks read ``terms`` in
+    their inner loops and a slot is the fastest attribute to read."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
-    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> "Ordinal":
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
         last = None
         for e, c in terms:
             if e < 0 or c < 1:
@@ -56,7 +59,21 @@ class Ordinal(namedtuple("Ordinal", "terms", defaults=((),))):
             if last is not None and e >= last:
                 raise ValueError("exponents must strictly decrease")
             last = e
-        return tuple.__new__(cls, (terms,))
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Ordinal and self.terms == other.terms
+
+    def __lt__(self, other: "Ordinal") -> bool:
+        if type(other) is not Ordinal:
+            return NotImplemented
+        return self.terms < other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"Ordinal(terms={self.terms!r})"
 
     # -- constructors -------------------------------------------------------
 
@@ -168,7 +185,7 @@ def parse_ordinal(text: str) -> Ordinal:
 # Scattered spaces
 # ---------------------------------------------------------------------------
 
-class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels", defaults=((),))):
+class ScatteredSpace:
     """The interval ``[0, bound]`` with stratified labels; ``bound`` is
     ``None`` for the empty space.  Every occupied stratum has a value
     tower, shared by all points of that rank.  ``labels`` holds them
@@ -177,15 +194,24 @@ class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels", defaults=((),)
     each one shares the tuple of the space it came from, and the entries
     past ``labels[K]`` belong to strata it no longer has.  Spaces compare
     as stored, so a derivative does not equal the same interval built
-    afresh from its ``label_map``."""
+    afresh from its ``label_map``.  Slotted for the reason ``Ordinal``
+    is."""
 
-    __slots__ = ()
+    __slots__ = ("bound", "labels")
 
-    def __new__(cls, bound: Ordinal | None,
-                labels: tuple[ValueTower, ...] = ()) -> "ScatteredSpace":
-        self = tuple.__new__(cls, (bound, labels))
+    def __init__(self, bound: Ordinal | None, labels: tuple[ValueTower, ...] = ()) -> None:
+        self.bound, self.labels = bound, labels
         self.__post_init__()
-        return self
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is ScatteredSpace
+                and (self.bound, self.labels) == (other.bound, other.labels))
+
+    def __hash__(self) -> int:
+        return hash((self.bound, self.labels))
+
+    def __repr__(self) -> str:
+        return f"ScatteredSpace(bound={self.bound!r}, labels={self.labels!r})"
 
     def __post_init__(self) -> None:
         if self.bound is not None and len(self.labels) <= self.bound.leading_exponent():
