@@ -17,10 +17,12 @@ provides
 * ``solve``           -- a particular integer solution of ``A x = b``,
 * ``lattice_solve``   -- coordinates of a vector in an HNF lattice basis.
 
-``diagonal_basis``, ``kernel_basis`` and ``solve`` do not call ``snf``:
-they share one transform-light diagonal elimination that carries the
-right-hand side and the column transform ``V``, builds no row transform
-and does not force the divisibility chain.
+``snf``, ``diagonal_basis``, ``kernel_basis`` and ``solve`` share one
+diagonal elimination.  It builds the column transform ``V`` and carries
+right-hand sides as extra columns through its row operations: ``solve``
+carries ``b``, and ``snf`` carries the identity, whose rows come back as
+``U``.  Only ``snf`` then forces the divisibility chain, by gcd/lcm steps
+on pairs of diagonal entries (Kannan-Bachem 1979).
 
 Lattices (subgroups of Z^n) are always represented by the columns of a
 matrix; two generating matrices span the same lattice exactly when their
@@ -83,7 +85,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -193,133 +195,8 @@ def block_diag(*ms: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Unit pivots
 # ---------------------------------------------------------------------------
-
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
-
-    Returns ``(U, S, V)`` where ``U`` and ``V`` are unimodular
-    (``|det| = 1``), ``S = U @ m @ V`` is (rectangular) diagonal with
-    nonnegative entries ``d_1 | d_2 | ...`` forming a divisibility chain.
-
-    The pivot at each stage is the entry of smallest nonzero absolute
-    value in the remaining submatrix, which keeps intermediate entries
-    small.
-    """
-    n, k = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def combine_rows(i, j, x, y, p, q):
-        # rows (i, j) <- (x*row_i + y*row_j, -q*row_i + p*row_j); det = xp + yq
-        for t in range(k):
-            ai, aj = a[i][t], a[j][t]
-            a[i][t] = x * ai + y * aj
-            a[j][t] = -q * ai + p * aj
-        for t in range(n):
-            ui, uj = u[i][t], u[j][t]
-            u[i][t] = x * ui + y * uj
-            u[j][t] = -q * ui + p * uj
-
-    def combine_cols(i, j, x, y, p, q):
-        for row in a:
-            ai, aj = row[i], row[j]
-            row[i] = x * ai + y * aj
-            row[j] = -q * ai + p * aj
-        for row in v:
-            vi, vj = row[i], row[j]
-            row[i] = x * vi + y * vj
-            row[j] = -q * vi + p * vj
-
-    def add_row_multiple(dst, src, c):
-        for t in range(k):
-            a[dst][t] += c * a[src][t]
-        for t in range(n):
-            u[dst][t] += c * u[src][t]
-
-    def negate_row(i):
-        for t in range(k):
-            a[i][t] = -a[i][t]
-        for t in range(n):
-            u[i][t] = -u[i][t]
-
-    dim = min(n, k)
-    t = 0
-    while t < dim:
-        # pivot: smallest nonzero absolute value in the trailing submatrix
-        piv = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, k):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    p0, e = a[t][t], a[i][t]
-                    if e % p0 == 0:
-                        add_row_multiple(i, t, -(e // p0))
-                    else:
-                        g, x, y = gcdex(p0, e)
-                        combine_rows(t, i, x, y, p0 // g, e // g)
-            col_clean = all(a[i][t] == 0 for i in range(t + 1, n))
-            for j in range(t + 1, k):
-                if a[t][j] != 0:
-                    p0, e = a[t][t], a[t][j]
-                    if e % p0 == 0:
-                        c = -(e // p0)
-                        for row in a:
-                            row[j] += c * row[t]
-                        for row in v:
-                            row[j] += c * row[t]
-                    else:
-                        g, x, y = gcdex(p0, e)
-                        combine_cols(t, j, x, y, p0 // g, e // g)
-            row_clean = all(a[t][j] == 0 for j in range(t + 1, k))
-            col_clean = col_clean and all(a[i][t] == 0 for i in range(t + 1, n))
-            if not (row_clean and col_clean):
-                continue
-            # force the divisibility chain: the pivot must divide the rest
-            d = a[t][t]
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, k):
-                    if a[i][j] % d != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row_multiple(t, bad, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    um = IntMatrix.from_rows(u, cols=n)
-    vm = IntMatrix.from_rows(v, cols=k)
-    sm = IntMatrix.from_rows(a, cols=k)
-    return um, sm, vm
-
 
 def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
     """Eliminate the unit pivots of ``m`` with no transforms.
@@ -457,22 +334,28 @@ def lattice_solve(h: IntMatrix, vec: tuple[int, ...] | list[int]) -> tuple[int, 
     return tuple(coords)
 
 
-def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
-                   ) -> tuple[list[int], list[int] | None, list[list[int]]]:
+# ---------------------------------------------------------------------------
+# Diagonal forms: Smith form, cokernel bases, kernels and solutions
+# ---------------------------------------------------------------------------
+
+def _diagonal_form(m: IntMatrix, rhs: tuple | list = ()
+                   ) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Diagonalize ``m`` by unimodular row and column operations.
 
-    Returns ``(diag, rhs, vcols)``: ``diag`` holds the nonzero pivots
+    Returns ``(diag, carried, vcols)``: ``diag`` holds the nonzero pivots
     ``d_0 .. d_{r-1}`` (``r`` is the rank) of a diagonal matrix
-    ``D = U·m·V``; ``rhs`` is ``U·rhs`` (``None`` when no right-hand side
-    is given); ``vcols`` are the columns of ``V``.  ``U`` itself is never
-    built: row operations go straight onto ``rhs``.  The pivot rule is
-    ``snf``'s -- the smallest nonzero absolute value, the search stopping
-    at the first ``±1`` -- but the divisibility chain is not enforced,
-    since solvability and the kernel need only some diagonal form.
+    ``D = U·m·V``; ``carried`` holds the rows of ``U·R``, where the
+    vectors of ``rhs`` are the columns of ``R``; ``vcols`` are the
+    columns of ``V``.  The vectors ride as extra columns of ``m`` through
+    every row operation, while the pivot search and the column operations
+    stop at ``m.cols``, so ``U`` is built only when ``rhs`` is the
+    identity.  The pivot is the smallest nonzero absolute value, the
+    search stopping at the first ``±1``; the divisibility chain is not
+    enforced, since solvability and the kernel need only some diagonal
+    form.
     """
     n, k = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    b = None if rhs is None else list(rhs)
+    a = [list(row) + [v[i] for v in rhs] for i, row in enumerate(m.entries)]
     vc = [[0] * k for _ in range(k)]
     for j, col in enumerate(vc):
         col[j] = 1
@@ -480,7 +363,7 @@ def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
     for t in range(min(n, k)):
         piv = None
         for i in range(t, n):
-            tail = a[i][t:]
+            tail = a[i][t:k]
             if 1 in tail or -1 in tail:
                 piv = i, t + min(tail.index(e) for e in (1, -1) if e in tail)
                 break
@@ -496,8 +379,6 @@ def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
             break
         i, j = piv
         a[t], a[i] = a[i], a[t]
-        if b is not None:
-            b[t], b[i] = b[i], b[t]
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
@@ -514,15 +395,11 @@ def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
                 if e % p0 == 0:
                     c = e // p0
                     ri[t:] = [x - c * y for x, y in zip(ri[t:], rt[t:])]
-                    if b is not None:
-                        b[i] -= c * b[t]
                 else:
                     g, x, y = gcdex(p0, e)
                     p, q = p0 // g, e // g
                     rt[t:], ri[t:] = ([x * u + y * w for u, w in zip(rt[t:], ri[t:])],
                                       [p * w - q * u for u, w in zip(rt[t:], ri[t:])])
-                    if b is not None:
-                        b[t], b[i] = x * b[t] + y * b[i], p * b[i] - q * b[t]
             # columns: clear row t right of the pivot; column t stays zero
             # below it until a gcd step mixes another column in (dirty)
             dirty = False
@@ -551,7 +428,43 @@ def _diagonal_form(m: IntMatrix, rhs: tuple[int, ...] | list[int] | None = None
             if not dirty:
                 break
         diag.append(a[t][t])
-    return diag, b, vc
+    return diag, [row[k:] for row in a], vc
+
+
+def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms.
+
+    Returns ``(U, S, V)`` where ``U`` and ``V`` are unimodular
+    (``|det| = 1``), ``S = U @ m @ V`` is (rectangular) diagonal with
+    nonnegative entries ``d_1 | d_2 | ...`` forming a divisibility chain.
+
+    The diagonal form carries the identity, whose rows come back as
+    ``U``.  Negating rows of ``U`` makes the diagonal nonnegative, and the
+    pairwise sweep of ``valgroup.canonical_invariants`` forces the chain
+    (Kannan-Bachem 1979): each step turns ``diag(a, b)`` with ``a ∤ b``
+    into ``diag(gcd, lcm)`` by a determinant-one transform on each side.
+    """
+    n, k = m.rows, m.cols
+    diag, u, v = _diagonal_form(m, IntMatrix.identity(n).entries)
+    for i, d in enumerate(diag):
+        if d < 0:
+            diag[i] = -d
+            u[i] = [-x for x in u[i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g, x, y = gcdex(a, b)
+                p, q = a // g, b // g
+                ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+                u[i] = [x * s + y * t for s, t in zip(ui, uj)]
+                u[j] = [p * t - q * s for s, t in zip(ui, uj)]
+                v[i] = [s + t for s, t in zip(vi, vj)]
+                v[j] = [x * p * t - y * q * s for s, t in zip(vi, vj)]
+                diag[i], diag[j] = g, a * q
+    s = tuple((0,) * i + (d,) + (0,) * (k - i - 1) for i, d in enumerate(diag))
+    return (IntMatrix(n, n, tuple(map(tuple, u))),
+            IntMatrix(n, k, s + ((0,) * k,) * (n - len(diag))), IntMatrix.from_cols(v, rows=k))
 
 
 def diagonal_basis(rel: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
@@ -587,11 +500,11 @@ def solve(m: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | Non
     """
     if len(b) != m.rows:
         raise ValueError("vector length mismatch")
-    diag, c, vc = _diagonal_form(m, b)
-    if any(c[len(diag):]):
+    diag, c, vc = _diagonal_form(m, [b])
+    if any(row[0] for row in c[len(diag):]):
         return None
     x = [0] * m.cols
-    for d, ci, col in zip(diag, c, vc):
+    for d, (ci,), col in zip(diag, c, vc):
         y, r = divmod(ci, d)
         if r:
             return None

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 determinants are cofactor expansions rather than Bareiss, invariant
-factors come from gcds of minors rather than Smith reduction, integer
-solutions and kernels come from the full Smith form with its ``U``
-rather than the engine's diagonal elimination, column HNFs come from one
+factors come from gcds of minors rather than Smith reduction, Smith
+forms, integer solutions and kernels come from a Smith elimination of
+their own, which forces the divisibility chain as it goes, rather than
+from the engine's shared diagonal elimination, column HNFs come from one
 extended-gcd step per entry rather than the engine's divisible-entry
 shortcut, sections of a short
 exact sequence come from one linear system over all section entries
@@ -38,7 +39,7 @@ from math import gcd, lcm
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
                          direct_sum, factor_through, kernel_with_inclusion)
 from igl.errors import SchemaError
-from igl.matrices import IntMatrix, column_hnf, gcdex, hstack, snf, solve
+from igl.matrices import IntMatrix, column_hnf, gcdex, hstack, solve
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
@@ -92,6 +93,137 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The Smith form by its own elimination
+# ---------------------------------------------------------------------------
+
+def reference_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms, by the engine's previous
+    elimination: the divisibility chain is forced inside the elimination,
+    by adding a row whose entry the pivot does not divide.
+
+    Returns ``(U, S, V)`` where ``U`` and ``V`` are unimodular
+    (``|det| = 1``), ``S = U @ m @ V`` is (rectangular) diagonal with
+    nonnegative entries ``d_1 | d_2 | ...`` forming a divisibility chain.
+
+    The pivot at each stage is the entry of smallest nonzero absolute
+    value in the remaining submatrix, which keeps intermediate entries
+    small.
+    """
+    n, k = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def combine_rows(i, j, x, y, p, q):
+        # rows (i, j) <- (x*row_i + y*row_j, -q*row_i + p*row_j); det = xp + yq
+        for t in range(k):
+            ai, aj = a[i][t], a[j][t]
+            a[i][t] = x * ai + y * aj
+            a[j][t] = -q * ai + p * aj
+        for t in range(n):
+            ui, uj = u[i][t], u[j][t]
+            u[i][t] = x * ui + y * uj
+            u[j][t] = -q * ui + p * uj
+
+    def combine_cols(i, j, x, y, p, q):
+        for row in a:
+            ai, aj = row[i], row[j]
+            row[i] = x * ai + y * aj
+            row[j] = -q * ai + p * aj
+        for row in v:
+            vi, vj = row[i], row[j]
+            row[i] = x * vi + y * vj
+            row[j] = -q * vi + p * vj
+
+    def add_row_multiple(dst, src, c):
+        for t in range(k):
+            a[dst][t] += c * a[src][t]
+        for t in range(n):
+            u[dst][t] += c * u[src][t]
+
+    def negate_row(i):
+        for t in range(k):
+            a[i][t] = -a[i][t]
+        for t in range(n):
+            u[i][t] = -u[i][t]
+
+    dim = min(n, k)
+    t = 0
+    while t < dim:
+        # pivot: smallest nonzero absolute value in the trailing submatrix
+        piv = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, k):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    p0, e = a[t][t], a[i][t]
+                    if e % p0 == 0:
+                        add_row_multiple(i, t, -(e // p0))
+                    else:
+                        g, x, y = gcdex(p0, e)
+                        combine_rows(t, i, x, y, p0 // g, e // g)
+            col_clean = all(a[i][t] == 0 for i in range(t + 1, n))
+            for j in range(t + 1, k):
+                if a[t][j] != 0:
+                    p0, e = a[t][t], a[t][j]
+                    if e % p0 == 0:
+                        c = -(e // p0)
+                        for row in a:
+                            row[j] += c * row[t]
+                        for row in v:
+                            row[j] += c * row[t]
+                    else:
+                        g, x, y = gcdex(p0, e)
+                        combine_cols(t, j, x, y, p0 // g, e // g)
+            row_clean = all(a[t][j] == 0 for j in range(t + 1, k))
+            col_clean = col_clean and all(a[i][t] == 0 for i in range(t + 1, n))
+            if not (row_clean and col_clean):
+                continue
+            # force the divisibility chain: the pivot must divide the rest
+            d = a[t][t]
+            bad = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, k):
+                    if a[i][j] % d != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            add_row_multiple(t, bad, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+    um = IntMatrix.from_rows(u, cols=n)
+    vm = IntMatrix.from_rows(v, cols=k)
+    sm = IntMatrix.from_rows(a, cols=k)
+    return um, sm, vm
+
+
+# ---------------------------------------------------------------------------
 # Smith-based solve and kernel, the gcd-step HNF and the one-system split
 # test (the engine's previous paths)
 # ---------------------------------------------------------------------------
@@ -99,7 +231,7 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Kernel basis from the full Smith form: the columns of ``V`` whose
     diagonal entry of ``S = U·m·V`` is zero or missing."""
-    _, s, v = snf(m)
+    _, s, v = reference_snf(m)
     diag = s.diagonal()
     free = [i for i in range(m.cols) if i >= len(diag) or diag[i] == 0]
     return IntMatrix.from_cols([list(v.col(i)) for i in free], rows=m.cols)
@@ -108,7 +240,7 @@ def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
 def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
     """One integer solution of ``m x = b`` through the full Smith form
     ``U·m·V = S``, with ``U`` applied to ``b``; ``None`` if there is none."""
-    u, s, v = snf(m)
+    u, s, v = reference_snf(m)
     c = u.apply(tuple(b))
     y = [0] * m.cols
     diag = s.diagonal()

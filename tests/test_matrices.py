@@ -1,11 +1,14 @@
 import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl.matrices import (IntMatrix, column_hnf, gcdex, hstack, kernel_basis,
                           lattice_solve, snf, solve, unit_core)
 from oracles import (cofactor_det, gcd_step_column_hnf, lattice_equal,
-                     minors_invariant_factors, smith_kernel_basis, smith_solve)
+                     minors_invariant_factors, random_matrix, reference_snf,
+                     smith_kernel_basis, smith_solve)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -57,6 +60,52 @@ def test_snf_properties(rows):
         else:
             assert b == 0
     assert diag == minors_invariant_factors(m)
+
+
+@pytest.mark.parametrize("rows,diag", [([[2, 0], [0, 3]], (1, 6)),
+                                       ([[4, 0], [0, 6]], (2, 12)),
+                                       ([[6, 0, 0], [0, -4, 0], [0, 0, 9]], (1, 6, 36))])
+def test_snf_forces_the_chain(rows, diag):
+    # a diagonal input leaves the elimination as it came, so only the
+    # gcd/lcm sweep (and the sign) can bring it into a divisibility chain
+    m = mat(rows)
+    u, s, v = snf(m)
+    assert s.diagonal() == diag
+    assert u @ m @ v == s
+    assert abs(u.det()) == abs(v.det()) == 1
+
+
+@given(st.integers(0, 6).flatmap(lambda r: st.integers(0, 8).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                 min_size=r, max_size=r),
+        st.booleans()).map(
+        # all-even entries leave no unit pivot, so the chain needs the sweep
+        lambda t: IntMatrix.from_rows([[2 * x if t[1] else x for x in row]
+                                       for row in t[0]], cols=c)))))
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_the_reference(m):
+    # zero-row and zero-column shapes included
+    u, s, v = snf(m)
+    assert s == reference_snf(m)[1]
+    assert u @ m @ v == s
+    assert abs(u.det()) == abs(v.det()) == 1
+
+
+def test_snf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def check(seed):
+        rng = random.Random(seed)
+        # a product through a narrow middle has low rank and nontrivial factors
+        k = rng.randint(1, 10)
+        m = random_matrix(rng, 10, k, 3) @ random_matrix(rng, k, 14, 3)
+        s = smith_normal_form(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
+        assert snf(m)[1].diagonal() == tuple(abs(s[i, i]) for i in range(10))
+    check()
 
 
 @given(small_matrices)
@@ -121,7 +170,7 @@ def test_diagonal_form_agrees_with_smith(system):
     if sol is not None:
         assert m.apply(sol) == tuple(b)
     kb = kernel_basis(m)
-    rank = sum(1 for d in snf(m)[1].diagonal() if d)
+    rank = sum(1 for d in reference_snf(m)[1].diagonal() if d)
     assert kb.cols == m.cols - rank
     assert column_hnf(kb) == column_hnf(smith_kernel_basis(m))
 
