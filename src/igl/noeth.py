@@ -364,13 +364,17 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
         diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)
         phi = abelian.FgHom(abelian.FgGroup.cyclic(m), total, diag)
         return abelian.cokernel(phi).to_expr()
-    branch_free = [_unit_free(b.field)[0] is True for b in inst.branches]
+    facts = [(_unit_free(b.field)[0], _summand(k, b.field)[0]) for b in inst.branches]
+    if any(False in f for f in facts):
+        # a branch without a free unit group holding U(k) as a summand
+        # makes the quotient not free
+        return Opaque("U(closure)/U(D)", is_free=False)
     parts: list[GroupExpr] = [
         Opaque(f"U({b.field.label})/U({k.label}) complement",
-               is_free=True if free else None)
-        for b, free in zip(inst.branches, branch_free)]
+               is_free=True if f == (True, True) else None)
+        for b, f in zip(inst.branches, facts)]
     units = unit_group(k)
-    if isinstance(units, Opaque) and any(branch_free):
+    if isinstance(units, Opaque) and any(uf for uf, _ in facts):
         # U(k) is a subgroup of a free U(L_i), and subgroups of free
         # abelian groups are free
         units = units._replace(is_free=True)

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -240,6 +241,25 @@ def test_case_c_opaque_free_expression_is_free():
     d = decide_noeth(inst(k, branches))
     assert d.verdict is Verdict.FREE
     assert freeness_verdict(d.expr).verdict is Verdict.FREE
+
+
+def test_case_c_opaque_expression_reads_the_decision():
+    # every declaration pattern of a char-2 residue and two char-2 branches:
+    # the report's own expression reads the decided verdict, and never Free
+    # when the verdict stays open
+    decided = 0
+    for flags in product((True, False, None), repeat=5):
+        k = OpaqueField("K", characteristic=2, unit_free=flags[0])
+        branches = [(OpaqueField(f"L{i}", characteristic=2, unit_free=flags[2 * i - 1],
+                                 summand=flags[2 * i]), 1) for i in (1, 2)]
+        d = decide_noeth(inst(k, branches))
+        read = freeness_verdict(d.expr).verdict
+        if d.verdict is Verdict.UNKNOWN:
+            assert read is not Verdict.FREE, flags
+        else:
+            assert read is d.verdict, flags
+            decided += 1
+    assert decided == 198
 
 
 # ---------------------------------------------------------------------------
