@@ -1,6 +1,8 @@
 import json
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -589,6 +591,31 @@ def field_paths(x, prefix=()):
         yield from field_paths(value, prefix + (key,))
 
 
+class CaseTimeout(BaseException):
+    """A sweep case ran past its limit.  Not an ``Exception``, because
+    ``main`` turns every ``Exception`` into exit 4."""
+
+
+@contextmanager
+def time_limit(case, seconds=10.0):
+    """Fail ``case`` after ``seconds`` of wall clock, so that a hang names
+    its input instead of holding the whole run (POSIX interval timer; no
+    limit where there is none)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise CaseTimeout(f"{case} ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_instance_mutation_sweep(tmp_path, capsys):
     """Every field of every shipped instance, and every boolean field the
     instance leaves out, replaced by values of each JSON type: no input
@@ -613,8 +640,10 @@ def test_instance_mutation_sweep(tmp_path, capsys):
             for value in (None, True, -1, "x", [], {}):
                 target = write(tmp_path, mutated(payload, path, value))
                 fmt = ["--format", "json"] if runs % 2 else []
-                assert main(["decide", str(target), *fmt]) in (0, 2, 3), (f.name, path, value)
-                assert main(["verify", str(target), *fmt]) in (0, 1, 2, 3), (f.name, path, value)
+                case = (f.name, path, value)
+                with time_limit(case):
+                    assert main(["decide", str(target), *fmt]) in (0, 2, 3), case
+                    assert main(["verify", str(target), *fmt]) in (0, 1, 2, 3), case
                 capsys.readouterr()
                 runs += 1
     assert runs > 1000
@@ -642,10 +671,11 @@ def test_diagram_perturbation_sweep(tmp_path, capsys):
                 continue
             for moved in (value - 1, value + 1):
                 target = write(tmp_path, mutated(payload, path, moved))
-                decided = main(["decide", str(target)])
-                verified = main(["verify", str(target)])
-                capsys.readouterr()
                 case = (f.name, path, moved)
+                with time_limit(case):
+                    decided = main(["decide", str(target)])
+                    verified = main(["verify", str(target)])
+                capsys.readouterr()
                 assert decided in (0, 3) and verified in (0, 1), case
                 assert (decided == 3) == (verified == 1), case
                 exits.append(decided)
