@@ -8,7 +8,9 @@ closed; conductor nonzero).  Residue fields are either honest finite
 fields, whose unit groups are computed, or opaque labels carrying
 declared unit-group properties that are echoed into certificates.
 
-The decision runs through the three conductor cases:
+The verdict is the ``freeness_verdict`` of the principal-ideal group,
+the closure's free principal group plus a unit quotient that follows
+the three conductor cases:
 
 * some exponent exceeds one (non-radical conductor): never free -- the
   unit quotient contains a nonzero quotient of a residue-field vector
@@ -16,7 +18,9 @@ The decision runs through the three conductor cases:
 * one branch with exponent one: free exactly when ``U(L_1)/U(k)`` is;
 * several branches, all exponents one: free exactly when every ``U(L_i)``
   is free with ``U(k)`` a direct summand -- and a residue characteristic
-  other than 2 already rules freeness out, since ``-1`` is torsion.
+  other than 2 already rules freeness out, since ``-1`` is torsion, as
+  does a finite residue field with nontrivial units, since ``U(k)`` is a
+  subgroup of every ``U(L_i)``.
 
 Krull-type inputs (integrally closed and beyond) short-circuit: their
 divisorial, invertible and principal groups are free on the height-one
@@ -31,7 +35,7 @@ from math import gcd
 from . import abelian
 from .errors import PreconditionError, SchemaError
 from .valgroup import (CertStep, Cyclic, Decision, GroupExpr, Opaque, Repeated,
-                       TRIVIAL, Verdict, direct_sum, normalize)
+                       TRIVIAL, Verdict, direct_sum, freeness_verdict, normalize)
 
 
 # Characteristics must lie below this bound: Miller-Rabin with the prime
@@ -196,26 +200,31 @@ class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_clo
 # Per-branch unit-group facts
 # ---------------------------------------------------------------------------
 
-def _quotient_free(k: FieldDesc, L: FieldDesc) -> tuple[bool | None, str]:
-    """Is ``U(L)/U(k)`` free?  Computed for finite fields, declared for
-    opaque ones."""
+def _quotient_free(k: FieldDesc, L: FieldDesc) -> str:
+    """Why ``U(L)/U(k)`` is or is not free: computed for finite fields,
+    declared for opaque ones."""
     if isinstance(k, FiniteField) and isinstance(L, FiniteField):
-        quot = L.unit_order // k.unit_order
-        return quot == 1, (f"U({L.label})/U({k.label}) is cyclic of order {quot}; "
-                           "a finite group is free only when trivial")
+        return (f"U({L.label})/U({k.label}) is cyclic of order "
+                f"{L.unit_order // k.unit_order}; a finite group is free only when trivial")
     if isinstance(L, OpaqueField) and L.quotient_free is not None:
-        return L.quotient_free, f"declared: U({L.label})/U(k) free={L.quotient_free}"
-    return None, "no declaration for the unit quotient; verdict stays open"
+        return f"declared: U({L.label})/U(k) free={L.quotient_free}"
+    return "no declaration for the unit quotient; verdict stays open"
 
 
-def _unit_free(f: FieldDesc) -> tuple[bool | None, str]:
+def _unit_free(k: FieldDesc, f: FieldDesc) -> tuple[bool | None, str]:
+    """Is ``U(f)`` free, for ``f`` over ``k``?  A computed fact beats a declaration."""
     if isinstance(f, FiniteField):
         free = f.unit_order == 1
         return free, f"U({f.label}) is cyclic of order {f.unit_order}"
     if f.characteristic != 2:
         return False, f"characteristic {f.characteristic or 0} != 2: -1 is torsion in U({f.label})"
+    if f.unit_free is False:
+        return False, f"declared: U({f.label}) free=False"
+    if isinstance(k, FiniteField) and k.unit_order > 1:
+        # k is a subfield of f, so U(f) holds the torsion of U(k)
+        return False, f"U({f.label}) contains U({k.label}), cyclic of order {k.unit_order}"
     if f.unit_free is not None:
-        return f.unit_free, f"declared: U({f.label}) free={f.unit_free}"
+        return True, f"declared: U({f.label}) free=True"
     return None, f"no declaration for U({f.label})"
 
 
@@ -240,11 +249,12 @@ def decide_noeth(inst: NoethInstance) -> Decision:
     """Decide freeness of the invertible-ideal group (principal-ideal
     group when the instance is not local) from conductor data.  The
     expression is the principal-ideal group, the closure's principal
-    group plus the unit quotient; the conductor case and the group
+    group plus the unit quotient, and the verdict is that expression's
+    ``freeness_verdict``; the certificate records the conductor case
+    that shaped the expression.  The conductor case and the group
     decided (``Inv`` for local instances, ``Princ`` otherwise) go into
     ``metadata``.  A zero conductor is refused with ``PreconditionError``."""
     expr = direct_sum(Opaque("Princ(closure)", is_free=True), unit_quotient_seq(inst))
-    target = "Inv" if inst.local else "Princ"
     steps: list[CertStep] = []
     if not inst.local:
         steps.append(CertStep.make(
@@ -252,74 +262,46 @@ def decide_noeth(inst: NoethInstance) -> Decision:
             "for a non-local ring only the principal-ideal group inherits the "
             "unit-quotient verdict; the invertible group may differ"))
     case = inst.case()
-
-    def decided(verdict: Verdict) -> Decision:
-        return Decision(verdict, tuple(steps), expr,
-                        metadata={"case": case, "target_group": target})
-
     if case == "integrally-closed":
         steps.append(CertStep.make(
             "integrally-closed",
             "an integrally closed one-dimensional local Noetherian domain is a "
             "discrete valuation ring, hence Krull; all its ideal groups are free"))
         steps.extend(krull_verdict("krull").certificate)
-        return decided(Verdict.FREE)
-
-    if case == "a":
-        exps = [b.e for b in inst.branches]
+    elif case == "a":
         steps.append(CertStep.make(
             "conductor-not-radical",
             "a repeated conductor factor makes the unit quotient contain a "
             "nonzero quotient of a residue-field vector space; the additive "
             "group of a field has no nonzero free quotients, so the group "
             "is not free",
-            exponents=exps))
-        return decided(Verdict.NOT_FREE)
-
-    if case == "b":
-        L = inst.branches[0].field
-        free, why = _quotient_free(inst.residue, L)
+            exponents=[b.e for b in inst.branches]))
+    elif case == "b":
         steps.append(CertStep.make(
             "conductor-maximal",
             "with a radical conductor that is the closure's only maximal "
             "ideal, the group is free exactly when the residue unit quotient "
             "U(L)/U(k) is free",
-            detail=why))
-        if free is True:
-            return decided(Verdict.FREE)
-        if free is False:
-            return decided(Verdict.NOT_FREE)
-        return decided(Verdict.UNKNOWN)
-
-    # case "c": several branches, radical conductor
-    if inst.characteristic != 2:
+            detail=_quotient_free(inst.residue, inst.branches[0].field)))
+    elif inst.characteristic != 2:
+        # case "c": several branches, radical conductor
         steps.append(CertStep.make(
             "residue-char-not-two",
             "with several branches, freeness forces every residue unit group "
             "to be free, hence the residue characteristic to be 2; here it "
             "is not",
             characteristic=inst.characteristic))
-        return decided(Verdict.NOT_FREE)
-    verdicts: list[bool | None] = []
-    for i, b in enumerate(inst.branches):
-        uf, why_u = _unit_free(b.field)
-        sm, why_s = _summand(inst.residue, b.field)
-        steps.append(CertStep.make(
-            "branch-units",
-            "the group is free exactly when every branch has a free unit "
-            "group containing the residue units as a direct summand",
-            branch=i, unit_free=why_u, summand=why_s))
-        if uf is False or sm is False:
-            verdicts.append(False)
-        elif uf is True and sm is True:
-            verdicts.append(True)
-        else:
-            verdicts.append(None)
-    if any(v is False for v in verdicts):
-        return decided(Verdict.NOT_FREE)
-    if all(v is True for v in verdicts):
-        return decided(Verdict.FREE)
-    return decided(Verdict.UNKNOWN)
+    else:
+        for i, b in enumerate(inst.branches):
+            steps.append(CertStep.make(
+                "branch-units",
+                "the group is free exactly when every branch has a free unit "
+                "group containing the residue units as a direct summand",
+                branch=i, unit_free=_unit_free(inst.residue, b.field)[1],
+                summand=_summand(inst.residue, b.field)[1]))
+    fv = freeness_verdict(expr)
+    return Decision(fv.verdict, tuple(steps), expr, text=fv.text,
+                    metadata={"case": case, "target_group": "Inv" if inst.local else "Princ"})
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +346,7 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
         diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)
         phi = abelian.FgHom(abelian.FgGroup.cyclic(m), total, diag)
         return abelian.cokernel(phi).to_expr()
-    facts = [(_unit_free(b.field)[0], _summand(k, b.field)[0]) for b in inst.branches]
+    facts = [(_unit_free(k, b.field)[0], _summand(k, b.field)[0]) for b in inst.branches]
     if any(False in f for f in facts):
         # a branch without a free unit group holding U(k) as a summand
         # makes the quotient not free

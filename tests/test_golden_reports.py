@@ -19,7 +19,10 @@ subgroup of a branch's free unit group is free.  The digests of the four
 ``ses_nonsplit_torsion_quotient.json``) were re-recorded when the
 ``split-test`` statement came to describe the lift of the right term one
 cyclic factor at a time, the way the split test finds a section; nothing
-else in those reports changed.
+else in those reports changed.  The digest of
+``f4_opaque_branches_char2.json`` was added when the conductor-data
+verdict came to be read off the report's own expression; it was
+recorded at that change, and no other digest was re-recorded then.
 """
 
 import hashlib
@@ -54,6 +57,7 @@ INSTANCE_DIGESTS = {
     "dvr.json": "3145b790f96d8a13e77a97a2f0309233ec9ca16394a5d1c475ecc77f687cd76f",
     "f2_f4_one_branch.json": "6a206fae21818300b42e833e2c0622f20aeaaeca92c06cc00ef50a3bd7b229d0",
     "f2_f4_two_branches.json": "df2fd188b5730d48a78f52553d8cbd0b0f69d4d62b9c2e80252f47af04c9dc36",
+    "f4_opaque_branches_char2.json": "0e676ffc0558bc19b39eb48df391db268154cbadcfec7ae700be06f4f65806f5",
     "f2_function_fields.json": "8efd53ad582e8979f32dd9500211b51d57d81a044316871c502f66ee240f56a7",
     "monomial_curve.json": "90de9613b503327415d4f01c4df4a1818848b241130cf8dd997bd33d8559cbc2",
     "pullback_totally_real.json": "aa3c3ce23539f0d6d489506ccfdb587d37ac36036c57bc5acf3cdb21c758a4f6",

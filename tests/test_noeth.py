@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from igl import abelian
+from igl import abelian, cli
 from igl.errors import PreconditionError, SchemaError
 from igl.matrices import IntMatrix
 from igl.noeth import (Branch, FiniteField, NoethInstance, OpaqueField,
@@ -12,6 +12,7 @@ from igl.noeth import (Branch, FiniteField, NoethInstance, OpaqueField,
                        unit_quotient_seq)
 from igl.valgroup import (Verdict, expr_invariant_factors, freeness_verdict,
                           render_expr)
+from oracles import parse_expr
 
 
 def finite(p, r=1):
@@ -245,21 +246,63 @@ def test_case_c_opaque_free_expression_is_free():
 
 def test_case_c_opaque_expression_reads_the_decision():
     # every declaration pattern of a char-2 residue and two char-2 branches:
-    # the report's own expression reads the decided verdict, and never Free
-    # when the verdict stays open
+    # the verdict is the one the report's own expression reads
     decided = 0
     for flags in product((True, False, None), repeat=5):
         k = OpaqueField("K", characteristic=2, unit_free=flags[0])
         branches = [(OpaqueField(f"L{i}", characteristic=2, unit_free=flags[2 * i - 1],
                                  summand=flags[2 * i]), 1) for i in (1, 2)]
         d = decide_noeth(inst(k, branches))
-        read = freeness_verdict(d.expr).verdict
-        if d.verdict is Verdict.UNKNOWN:
-            assert read is not Verdict.FREE, flags
-        else:
-            assert read is d.verdict, flags
-            decided += 1
-    assert decided == 198
+        assert freeness_verdict(d.expr).verdict is d.verdict, flags
+        decided += d.verdict is not Verdict.UNKNOWN
+    assert decided == 202
+
+
+def test_case_c_grid_reports_read_their_verdict():
+    # residues F2, F4, F8 and char-2 opaque fields, two branches: every
+    # report's parsed expression decides to the report's verdict
+    finite_fields = [{"finite": {"p": 2, "r": r}} for r in (1, 2, 3)]
+    flags = (True, False, None)
+
+    def opaque(label, **declared):
+        fields = {key: v for key, v in declared.items() if v is not None}
+        return {"opaque": {"label": label, "characteristic": 2, **fields}}
+
+    residues = finite_fields + [opaque("K", unit_free=uf) for uf in flags]
+    branch_fields = [finite_fields + [opaque(label, unit_free=uf, summand=sm)
+                                      for uf, sm in product(flags, flags)]
+                     for label in ("L1", "L2")]
+    verdicts = set()
+    for k, L1, L2 in product(residues, *branch_fields):
+        payload = {"v": 1, "kind": "noeth_local", "k": k,
+                   "branches": [{"L": L1}, {"L": L2}]}
+        try:
+            report = cli.decide_payload(payload, "grid")
+        except SchemaError:
+            continue
+        assert freeness_verdict(parse_expr(report.expr)).verdict.value == report.verdict, \
+            (k, L1, L2, report.expr)
+        verdicts.add(report.verdict)
+    assert verdicts == {"Free", "NotFree", "Unknown"}
+
+
+def test_finite_residue_torsion_makes_opaque_branch_units_not_free():
+    # U(F4) is a subgroup of U(L1), and its torsion outweighs a declaration
+    # that U(L1) is free; a declared-not-free branch keeps its declaration
+    # and a residue with trivial units adds nothing
+    branches = [(OpaqueField(f"L{i}", characteristic=2, unit_free=free, summand=True), 1)
+                for i, free in ((1, True), (2, False))]
+
+    def unit_details(k):
+        d = decide_noeth(inst(k, branches))
+        return d.verdict, [dict(s.inputs)["unit_free"] for s in d.certificate]
+
+    assert unit_details(finite(2, 2)) == (Verdict.NOT_FREE, [
+        "U(L1) contains U(F4), cyclic of order 3", "declared: U(L2) free=False"])
+    assert unit_details(finite(2)) == (Verdict.NOT_FREE, [
+        "declared: U(L1) free=True", "declared: U(L2) free=False"])
+    quotient = unit_quotient_seq(inst(finite(2, 3), branches[:1] * 2))
+    assert render_expr(quotient) == 'opaque("U(closure)/U(D)",free=no)'
 
 
 # ---------------------------------------------------------------------------
