@@ -2,8 +2,7 @@
 domains, over symbolic instance descriptions."""
 
 from .abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, SnakeResult,
-                      amalgam_quotient, cokernel, is_free, snake,
-                      split_test, three_by_three_split)
+                      amalgam_quotient, cokernel, is_free, snake, split_test)
 from .matrices import IntMatrix, snf
 from .valgroup import (GroupExpr, ValueTower, Verdict, freeness_verdict,
                        render_expr)

@@ -37,9 +37,7 @@ from functools import cached_property
 from .errors import DiagramError, PreconditionError
 from .matrices import (IntMatrix, block_diag, column_hnf, diagonal_basis, hstack,
                        kernel_basis, lattice_solve, snf, solve, unit_core, vstack)
-from .valgroup import (CertStep, Decision, FgAtom, GroupExpr, Opaque, UNKNOWN,
-                       Verdict, direct_sum as expr_direct_sum,
-                       freeness_verdict, normalize, render_expr, render_normal)
+from .valgroup import FgAtom, GroupExpr, normalize, render_normal
 
 
 # ---------------------------------------------------------------------------
@@ -513,61 +511,3 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     if not is_surjective(psi):
         raise DiagramError("amalgam map is not surjective")
     return AmalgamResult(quotient, FgHom(quotient, target, psi_matrix), target)
-
-
-# ---------------------------------------------------------------------------
-# The three-by-three splitting rule
-# ---------------------------------------------------------------------------
-
-# A symbolic short exact row ``0 → left → mid → right → 0`` of a nine-term
-# grid, optionally instantiated by a checked finitely generated witness
-# sequence.
-GridRow = namedtuple("GridRow", "left mid right witness", defaults=(None,))
-
-
-def three_by_three_split(principal_row: GridRow, invertible_row: GridRow,
-                         picard_row: GridRow, *,
-                         quot_units_free: bool | None,
-                         locpic_free: bool | None,
-                         base_inv_free: bool | None = None) -> Decision:
-    """Resolve the middle term of a nine-term grid with exact rows and
-    columns, given freeness flags for the right column.
-
-    When the right column's outer terms (the unit-quotient on top, the
-    local Picard group at the bottom) are declared free, the right column
-    splits, its middle term is free, and therefore the middle row splits
-    as well: the middle group decomposes as left-middle ⊕ top-right ⊕
-    bottom-right.  Missing or negative flags refuse with ``Unknown``.
-    ``base_inv_free`` optionally declares the left-middle term free and
-    only sharpens the final freeness verdict.
-    """
-    missing = [name for name, flag in (("top-right", quot_units_free),
-                                       ("bottom-right", locpic_free)) if flag is not True]
-    if missing:
-        return Decision(Verdict.UNKNOWN, (
-            CertStep.make("missing-freeness-flag",
-                          "the grid rule needs the right column's outer terms "
-                          "declared free; refusing to guess",
-                          missing=", ".join(missing)),), UNKNOWN)
-
-    def upgraded(e: GroupExpr, declared: bool | None) -> GroupExpr:
-        if declared and freeness_verdict(e).verdict is not Verdict.FREE:
-            return Opaque(render_expr(e) + " [declared free]", is_free=True)
-        return e
-
-    top_right = upgraded(principal_row.right, quot_units_free)
-    bottom_right = upgraded(picard_row.right, locpic_free)
-    mid_left = upgraded(invertible_row.left, base_inv_free)
-    expr = expr_direct_sum(mid_left, bottom_right, top_right)
-    fv = freeness_verdict(expr)
-    cert = (
-        CertStep.make("right-column-split",
-                      "the right column is exact with a free bottom term, so it "
-                      "splits: its middle term is the sum of the outer terms",
-                      middle=render_expr(expr_direct_sum(bottom_right, top_right))),
-        CertStep.make("middle-row-split",
-                      "the middle row has a free quotient term, so it splits: the "
-                      "middle group is the left term plus that quotient",
-                      result=render_expr(expr)),
-    ) + fv.certificate
-    return Decision(fv.verdict, cert, expr)

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl import abelian
-from igl.abelian import (AmalgamPart, FgGroup, FgHom, GridRow, ShortExactSeq,
+from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq,
                          amalgam_quotient, cokernel, factor_through, is_exact_pair,
-                         is_free, kernel_with_inclusion, snake, split_test,
-                         three_by_three_split)
+                         is_free, kernel_with_inclusion, snake, split_test)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix, hstack, snf, solve
-from igl.valgroup import (FgAtom, Opaque, Verdict, canonical_invariants,
-                          expr_invariant_factors)
+from igl.valgroup import canonical_invariants
 from oracles import (divisible_elements_brute, has_divisible, is_trivial, kernel,
                      kronecker_split_test, lattice_equal, minors_invariant_factors,
                      of_direct_sum, random_amalgam_instance, random_matrix,
@@ -518,23 +516,3 @@ def test_sub_quotient_sequence_roundtrip():
     from igl.matrices import hstack
     s = sub_quotient_sequence(mid, hstack(mid.relations, gens))
     assert s.mid.same_presentation(mid)
-
-
-def test_three_by_three():
-    trivial_row = GridRow(FgAtom(()), FgAtom(()), FgAtom(()))
-    res = three_by_three_split(trivial_row, trivial_row, trivial_row,
-                               quot_units_free=True, locpic_free=True)
-    assert res.verdict is Verdict.FREE
-    assert expr_invariant_factors(res.expr) == ()
-
-    principal = GridRow(Opaque("units"), Opaque("princ"), FgAtom((0, 0)))
-    invertible = GridRow(FgAtom((0,)), Opaque("inv(R)"), Opaque("G"))
-    picard = GridRow(Opaque("pic"), Opaque("pic(R)"), FgAtom((0,)))
-    res = three_by_three_split(principal, invertible, picard,
-                               quot_units_free=True, locpic_free=True)
-    assert res.verdict is Verdict.FREE
-    assert expr_invariant_factors(res.expr) == (0, 0, 0, 0)
-
-    res = three_by_three_split(principal, invertible, picard,
-                               quot_units_free=True, locpic_free=None)
-    assert res.verdict is Verdict.UNKNOWN

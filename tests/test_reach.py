@@ -19,8 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # qualified name -> why it stays although no command reaches it
 KEPT = {
-    "abelian.three_by_three_split":
-        "the benchmark's self-check counts its binding of freeness_verdict",
     "prufer.contracted_spectrum": "a traced benchmark target",
     "prufer.SpecTree.node": "a traced benchmark target",
     "prufer.SpecTree.by_id": "the id lookup behind SpecTree.node",
