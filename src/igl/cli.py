@@ -16,7 +16,8 @@ diagnostic when the file does not even parse; ``verify`` too exits 2 on
 a malformed instance of any kind), 3 for precondition violations, 1 when
 ``verify`` has a failing check or the ``selftest`` corpus is not green,
 4 for an internal error (any other exception, reported in one line),
-0 otherwise -- an ``Unknown`` verdict is a result, not an error.
+0 otherwise -- an ``Unknown`` verdict is a result, not an error.  A
+closed stdout ends the ``igl`` process silently by ``SIGPIPE``.
 """
 
 from __future__ import annotations
@@ -781,8 +782,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim
+    import signal
+    # a reader that closes stdout ends igl as it ends any filter: by SIGPIPE
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entrypoint()

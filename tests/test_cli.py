@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -713,3 +714,20 @@ def test_import_loads_no_record_machinery():
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(src)], capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signals")
+def test_closed_stdout_ends_the_process_by_sigpipe():
+    # ``igl decide instances/ | head -3``: the reader goes away, and the
+    # process ends as any filter does, not with an internal error
+    root = Path(cli.__file__).resolve().parents[2]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "igl.cli", "decide", str(root / "instances")],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE
