@@ -21,6 +21,11 @@ writes ``BENCH_8.json`` at the root of this checkout.  With ``--append``
 the runs are added to an existing record of the same checkouts, so that
 one record can hold runs on several seeds, traced and untraced; every
 run names its seed and trace.  See the README for how to read it.
+
+A checkout that holds a ``__pycache__`` under ``src/`` is refused before
+any run starts, since importing from cached bytecode would make its
+start-up time look shorter than a fresh checkout's, and every run is
+started with ``PYTHONDONTWRITEBYTECODE=1`` so that none leaves a cache.
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ def describe(path: Path) -> dict:
 def run(path: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=path, capture_output=True, text=True, check=True).stdout
+    # a cached checkout imports faster, so no run may leave a cache behind
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(cmd, cwd=path, env=env, capture_output=True, text=True,
+                         check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -76,6 +84,10 @@ def main(argv=None) -> int:
         label, sep, path = spec.partition("=")
         if not (sep and label and (Path(path) / "bench" / "run.py").is_file()):
             ap.error(f"--checkout {spec!r}: expected LABEL=PATH of a checkout")
+        cache = next((Path(path) / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            # the start-up time of a cached checkout is not that of a fresh one
+            ap.error(f"--checkout {spec!r}: remove the bytecode cache {cache} first")
         checkouts[label] = Path(path).resolve()
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
