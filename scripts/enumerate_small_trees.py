@@ -37,7 +37,7 @@ def main() -> int:
             rank = expr_rank(res.expr)
             assert rank == tree_rank_oracle(tree) == n - 1
             hi = contracted_spectrum(tree)
-            assert rank == hi.total_slots()
+            assert rank == tree_rank_oracle(hi)
             hi_sizes[len(hi.nodes())] += 1
             checks = verify_payload(tree_payload(parents), str(parents))
             assert all(ok for _, ok, _ in checks), (parents, checks)

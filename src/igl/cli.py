@@ -268,12 +268,12 @@ def parse_valuation(payload: dict) -> dict:
 
 def parse_prufer(payload: dict) -> dict:
     _expect(isinstance(payload.get("root"), dict), "field 'root': missing tree root")
-    tree = prufer.tree_from_payload(payload["root"],
-                                    locally_finite=_flag(payload, "locally_finite", True))
+    locally_finite = _flag(payload, "locally_finite", True)
+    tree = prufer.tree_from_payload(payload["root"])
     question = payload.get("question", "inv")
     _expect(question in ("inv", "div", "strongly_discrete"),
             "field 'question': must be 'inv', 'div' or 'strongly_discrete'")
-    return {"tree": tree, "question": question,
+    return {"tree": tree, "question": question, "locally_finite": locally_finite,
             "codim_finite": _flag(payload, "codim_finite", False),
             "t_finite_character": _flag(payload, "t_finite_character", None)}
 
@@ -300,7 +300,8 @@ def _decide_prufer(payload: dict) -> Decision:
     if p["question"] == "div":
         d = prufer.decide_div_free(p["tree"])
     elif p["question"] == "strongly_discrete":
-        d = prufer.strongly_discrete_decide(p["tree"], p["codim_finite"])
+        d = prufer.strongly_discrete_decide(p["tree"], p["codim_finite"],
+                                            p["locally_finite"])
     else:
         d = prufer.decide_inv_free(p["tree"])
         if p["t_finite_character"]:
@@ -456,9 +457,10 @@ def _replay_diagram(payload: dict) -> list[Check]:
 
 def _class_counts(tree: prufer.SpecTree) -> dict[str, tuple[int, int]]:
     """The ``Z`` slots and the other slots of every node's subtree, its
-    own edge included, in one reverse pre-order pass."""
+    own edge included, in one reverse pre-order pass; the root's entry
+    counts the whole tree."""
     counts: dict[str, tuple[int, int]] = {}
-    for node in reversed(tree.preorder):
+    for node in reversed(tree.nodes()):
         z = other = 0
         if node.label is not None:
             z = node.label.slots.count(valgroup.Z)
@@ -497,13 +499,13 @@ def _replay_prufer(payload: dict) -> list[Check]:
     counts = _class_counts(tree)
     checks.extend(_check(f"cut-at-{cut.prime_id}", _replay_cut, tree, counts, cut)
                   for cut in decision.cuts)
-    if tree.all_slots_z():
+    slots, other = counts[tree.root.node_id]
+    if not other:
         def rank_check():
             # every Decision.expr is a normal form: read it as it stands
             inv = valgroup.normal_invariant_factors(decision.expr)
             rank = None if inv is None else inv.count(0)
-            assert rank == tree.total_slots(), \
-                f"rank {rank} != slot count {tree.total_slots()}"
+            assert rank == slots, f"rank {rank} != slot count {slots}"
             return f"rank {rank} matches the slot count"
         checks.append(_check("rank-matches-slots", rank_check))
     return checks
@@ -511,7 +513,7 @@ def _replay_prufer(payload: dict) -> list[Check]:
 
 def _replay_valuation(payload: dict) -> list[Check]:
     tower = parse_valuation(payload)["tower"]
-    if not tower.all_slots_z():
+    if not tower.is_free():
         return [("tower-crosscheck", True, "skipped: tower not discrete")]
 
     def val_check():

@@ -51,23 +51,14 @@ class PrimeNode(namedtuple("PrimeNode", "node_id label children branched",
 
 
 class SpecTree:
-    """A validated spectral tree.  It indexes itself once, on first use:
-    the pre-order node tuple, the id lookup and the parent map are cached
-    properties (kept in the instance ``__dict__``), and every walk below
-    is a loop, so tree depth costs no Python frames."""
+    """A spectral tree, validated when it was parsed (``tree_from_payload``).
+    It indexes itself once, on first use: the pre-order node tuple, the id
+    lookup and the parent map are cached properties (kept in the instance
+    ``__dict__``), and every walk below is a loop over ``nodes()``, so tree
+    depth costs no Python frames."""
 
-    def __init__(self, root: PrimeNode, locally_finite: bool = True) -> None:
+    def __init__(self, root: PrimeNode) -> None:
         self.root = root
-        self.locally_finite = locally_finite
-        if root.label is not None:
-            raise SchemaError("the root (zero ideal) carries no edge label")
-        seen: set[str] = set()
-        for node in self.nodes():
-            if node.node_id in seen:
-                raise SchemaError(f"duplicate node id {node.node_id!r}")
-            seen.add(node.node_id)
-            if node is not self.root and (node.label is None or len(node.label) == 0):
-                raise SchemaError(f"node {node.node_id!r} needs a nonempty edge label")
 
     @cached_property
     def preorder(self) -> tuple[PrimeNode, ...]:
@@ -81,12 +72,12 @@ class SpecTree:
 
     @cached_property
     def by_id(self) -> dict[str, PrimeNode]:
-        return {n.node_id: n for n in self.preorder}
+        return {n.node_id: n for n in self.nodes()}
 
     @cached_property
     def parents(self) -> dict[str, PrimeNode | None]:
         out: dict[str, PrimeNode | None] = {self.root.node_id: None}
-        for n in self.preorder:
+        for n in self.nodes():
             for c in n.children:
                 out[c.node_id] = n
         return out
@@ -101,20 +92,15 @@ class SpecTree:
     def node(self, node_id: str) -> PrimeNode:
         return self.by_id[node_id]
 
-    def total_slots(self) -> int:
-        return sum(len(n.label) for n in self.nodes() if n.label is not None)
 
-    def all_slots_z(self) -> bool:
-        return all(n.label.all_slots_z() for n in self.nodes() if n.label is not None)
-
-
-def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
+def tree_from_payload(payload: dict) -> SpecTree:
     """Build a tree from the nested instance format
-    ``{id, label: [slot,...], children: [...]}`` (root label omitted).
+    ``{id, label: [slot,...], children: [...]}`` (the root has no label).
     Records are checked in pre-order, so the first bad record in document
-    order is the one reported."""
+    order is the one reported; this is the tree's only validation."""
     # pre-order pass: check each record and parse its label
-    order: list[tuple[dict, ValueTower | None, bool, list]] = []
+    order: list[tuple[str, ValueTower | None, bool, list]] = []
+    seen: set[str] = set()
     stack: list[tuple[object, bool]] = [(payload, True)]
     while stack:
         rec, is_root = stack.pop()
@@ -122,8 +108,16 @@ def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
             raise SchemaError("tree nodes must be objects")
         if "id" not in rec:
             raise SchemaError("tree node missing 'id'")
-        label = None
-        if not is_root:
+        # ids are compared as the strings the nodes keep, so 0 and "0" collide
+        node_id = str(rec["id"])
+        if node_id in seen:
+            raise SchemaError(f"duplicate node id {node_id!r}")
+        seen.add(node_id)
+        if is_root:
+            if "label" in rec:
+                raise SchemaError("the root (zero ideal) carries no edge label")
+            label = None
+        else:
             raw = rec.get("label")
             if not isinstance(raw, list) or not raw:
                 raise SchemaError(f"node {rec['id']!r}: 'label' must be a nonempty list of slots")
@@ -132,17 +126,17 @@ def tree_from_payload(payload: dict, locally_finite: bool = True) -> SpecTree:
         if not isinstance(children, list):
             raise SchemaError(f"node {rec['id']!r}: 'children' must be a list of nodes")
         branched = read_flag(rec, "branched", True, f"node {rec['id']!r}: 'branched'")
-        order.append((rec, label, branched, children))
+        order.append((node_id, label, branched, children))
         stack.extend((c, False) for c in reversed(children))
     # reverse pre-order meets every child before its parent: the last
     # child's node is on top of ``built`` when the parent is reached
     built: list[PrimeNode] = []
-    for rec, label, branched, children in reversed(order):
+    for node_id, label, branched, children in reversed(order):
         cut = len(built) - len(children)
         kids = tuple(reversed(built[cut:]))
         del built[cut:]
-        built.append(PrimeNode(str(rec["id"]), label, kids, branched))
-    return SpecTree(built[0], locally_finite=locally_finite)
+        built.append(PrimeNode(node_id, label, kids, branched))
+    return SpecTree(built[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +156,11 @@ def _tower_below(tree: SpecTree, node: PrimeNode, top: PrimeNode) -> tuple[Group
     return tuple(slots)
 
 
-def gamma_at(tree: SpecTree, node: PrimeNode | str) -> ValueTower:
+def gamma_at(tree: SpecTree, node: PrimeNode) -> ValueTower:
     """The value group of the localization at a prime: the edge labels
     concatenated from the prime up to the root, the prime's own step on
     top.  The root has the trivial value group."""
-    if isinstance(node, str):
-        node = tree.node(node)
     return ValueTower(_tower_below(tree, node, tree.root))
-
-
-def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode | str) -> bool:
-    """Is the maximal ideal finitely generated?  Detected structurally: the
-    top slot of its composed value tower, which is the top slot of its own
-    edge label, is discrete."""
-    if isinstance(leaf, str):
-        leaf = tree.node(leaf)
-    if not leaf.is_maximal or leaf is tree.root:
-        raise SchemaError(f"{leaf.node_id!r} is not a maximal ideal")
-    return leaf.label.slots[0] is Z
 
 
 def branching_points(tree: SpecTree) -> list[PrimeNode]:
@@ -216,7 +197,7 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
         built[node.node_id] = PrimeNode(node.node_id, label,
                                         tuple(built.pop(k.node_id) for k in kids),
                                         node.branched)
-    return SpecTree(built[tree.root.node_id], locally_finite=tree.locally_finite)
+    return SpecTree(built[tree.root.node_id])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +231,7 @@ def _free_at(tree: SpecTree) -> dict[str, bool]:
     and a tower is free exactly when each of its segments is
     (``ValueTower.is_free``)."""
     free = {tree.root.node_id: True}
-    for node in tree.preorder:
+    for node in tree.nodes():
         for child in node.children:
             free[child.node_id] = free[node.node_id] and child.label.is_free()
     return free
@@ -420,7 +401,9 @@ def decide_div_free(tree: SpecTree) -> Decision:
     if gate_cert:
         return Decision(Verdict.UNKNOWN, gate_cert)
     for leaf in leaves:
-        if not finitely_generated_maximal(tree, leaf):
+        # a maximal ideal is finitely generated exactly when the top slot
+        # of its tower, the top slot of its own edge label, is discrete
+        if leaf.label.slots[0] is not Z:
             below = gamma_at(tree, leaf).root_segment(1).to_expr()
             witness_expr = direct_sum(R, below)
             return Decision(Verdict.NOT_FREE, (
@@ -444,15 +427,18 @@ def decide_div_free(tree: SpecTree) -> Decision:
 # Strongly discrete trees
 # ---------------------------------------------------------------------------
 
-def strongly_discrete_decide(tree: SpecTree, codim_finite: bool) -> Decision:
+def strongly_discrete_decide(tree: SpecTree, codim_finite: bool,
+                             locally_finite: bool) -> Decision:
     """Freeness for strongly discrete trees (every slot discrete, i.e. no
     idempotent primes).
 
     ``codim_finite`` declares that only finitely many primes fail to have
-    maximal height.  With that flag, or with local finiteness, the answer
-    is ``Free``; otherwise the question is open and the verdict stays
-    ``Unknown`` -- this procedure never answers ``NotFree``."""
-    if not tree.all_slots_z():
+    maximal height, and ``locally_finite`` that the domain is locally
+    finite.  With either flag the answer is ``Free``; otherwise the
+    question is open and the verdict stays ``Unknown`` -- this procedure
+    never answers ``NotFree``."""
+    # every slot is Z, Q or R, so a label is all Z exactly when it is free
+    if not all(n.label.is_free() for n in tree.nodes() if n.label is not None):
         return Decision(Verdict.UNKNOWN, (
             CertStep.make("not-strongly-discrete",
                           "a non-discrete slot means an idempotent prime; the "
@@ -463,7 +449,7 @@ def strongly_discrete_decide(tree: SpecTree, codim_finite: bool) -> Decision:
                           "with only finitely many primes below maximal height, "
                           "induction over divided cuts of discrete steps keeps "
                           "every piece free"),))
-    if tree.locally_finite:
+    if locally_finite:
         return Decision(Verdict.FREE, (
             CertStep.make("strongly-discrete-locally-finite",
                           "a locally finite strongly discrete domain has free "

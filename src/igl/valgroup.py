@@ -546,9 +546,6 @@ class ValueTower(namedtuple("ValueTower", "slots")):
     def root_segment(self, depth: int) -> "ValueTower":
         return ValueTower(self.slots[depth:])
 
-    def all_slots_z(self) -> bool:
-        return self.slots.count(Z) == len(self.slots)
-
     def is_free(self) -> bool:
         """The freeness verdict of the tower, read off its slots: it is
         free exactly when no slot is ``Q`` or ``R``, and such a slot is a

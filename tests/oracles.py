@@ -881,7 +881,7 @@ def permuted_tree(rng: random.Random, tree: SpecTree) -> SpecTree:
         kids = [shuffle(c) for c in node.children]
         rng.shuffle(kids)
         return PrimeNode(node.node_id, node.label, tuple(kids), node.branched)
-    return SpecTree(shuffle(tree.root), locally_finite=tree.locally_finite)
+    return SpecTree(shuffle(tree.root))
 
 
 def all_parent_vectors(n: int):
@@ -922,8 +922,7 @@ def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
     ideals are dependent when their root paths share a nonzero prime,
     i.e. when they lie in the same child subtree of the root.  Each class
     is re-rooted at a fresh zero ideal."""
-    return [SpecTree(PrimeNode(tree.root.node_id, None, (child,)),
-                     locally_finite=tree.locally_finite)
+    return [SpecTree(PrimeNode(tree.root.node_id, None, (child,)))
             for child in tree.root.children]
 
 

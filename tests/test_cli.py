@@ -465,6 +465,18 @@ def assert_schema_exit(tmp_path, capsys, payload_or_text, needle):
         assert needle in capsys.readouterr().err
 
 
+def test_tree_refusals_at_parse_exit_2(tmp_path, capsys):
+    root = YTREE["root"]
+    labelled = dict(YTREE, root=dict(root, label=["Q"]))
+    assert_schema_exit(tmp_path, capsys, labelled,
+                       "error: the root (zero ideal) carries no edge label")
+    # the second "M1" comes before the malformed record after it
+    p = root["children"][0]
+    dup = dict(YTREE, root=dict(root, children=[dict(p, children=p["children"] + [
+        {"id": "M1", "label": ["Z"]}, {"id": "M3", "label": []}])]))
+    assert_schema_exit(tmp_path, capsys, dup, "error: duplicate node id 'M1'")
+
+
 def test_deeply_nested_tree_exits_2(tmp_path, capsys):
     # a caterpillar whose nested "children" lists are far deeper than any
     # JSON decoder recursion allows

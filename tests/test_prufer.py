@@ -41,7 +41,7 @@ def test_gamma_at():
     assert slot_names(gamma_at(t, leaf)) == ["Z", "Z"]
     assert slot_names(gamma_at(t, t.root)) == []
     y = y_tree(trunk=("Q",))
-    assert slot_names(gamma_at(y, "M1")) == ["Z", "Q"]
+    assert slot_names(gamma_at(y, y.node("M1"))) == ["Z", "Q"]
 
 
 def test_branching_points():
@@ -150,8 +150,7 @@ def test_exhaustive_small_trees_rank():
             assert res.verdict is Verdict.FREE
             rank = expr_rank(res.expr)
             assert rank == tree_rank_oracle(t) == n - 1
-            hi = contracted_spectrum(t)
-            assert rank == hi.total_slots()
+            assert rank == tree_rank_oracle(contracted_spectrum(t))
 
 
 def test_decide_div_cases():
@@ -159,6 +158,12 @@ def test_decide_div_cases():
     res = decide_div_free(chain(("Z",), ("Q",)))
     assert res.verdict is Verdict.NOT_FREE
     assert res.metadata["witness_leaf"] == "c2"
+    # a maximal ideal is finitely generated exactly when the top slot of
+    # its own edge label is discrete; the slots below it do not count
+    assert decide_div_free(y_tree(left=("Z", "Q"))).verdict is Verdict.FREE
+    res = decide_div_free(y_tree(right=("Q", "Z")))
+    assert res.verdict is Verdict.NOT_FREE
+    assert res.metadata["witness_leaf"] == "M2"
     field = SpecTree(PrimeNode("0", None, ()))
     assert decide_div_free(field).verdict is Verdict.FREE
     unbranched_leaf = SpecTree(PrimeNode("0", None, (
@@ -180,13 +185,12 @@ def test_div_matches_valuation_rule_on_chains(length, top):
 
 def test_strongly_discrete():
     t = chain(("Z",), ("Z",))
-    assert strongly_discrete_decide(t, codim_finite=True).verdict is Verdict.FREE
-    assert strongly_discrete_decide(t, codim_finite=False).verdict is Verdict.FREE
-    loose = SpecTree(t.root, locally_finite=False)
-    assert strongly_discrete_decide(loose, codim_finite=False).verdict is Verdict.UNKNOWN
-    assert strongly_discrete_decide(loose, codim_finite=True).verdict is Verdict.FREE
-    qt = chain(("Q",))
-    assert strongly_discrete_decide(qt, codim_finite=True).verdict is Verdict.UNKNOWN
+    for codim_finite, locally_finite, verdict in [
+            (True, True, Verdict.FREE), (False, True, Verdict.FREE),
+            (True, False, Verdict.FREE), (False, False, Verdict.UNKNOWN)]:
+        assert strongly_discrete_decide(t, codim_finite, locally_finite).verdict is verdict
+    for labels in [(("Q",),), (("Z",), ("Z", "R"))]:
+        assert strongly_discrete_decide(chain(*labels), True, True).verdict is Verdict.UNKNOWN
 
 
 def test_agreement_with_leaf_gammas():
@@ -202,25 +206,13 @@ def test_agreement_with_leaf_gammas():
             assert any(v is Verdict.NOT_FREE for v in leaf_free)
 
 
-def test_finitely_generated_maximal_flag():
-    from igl.prufer import finitely_generated_maximal
-    t = chain(("Z",), ("Q",))
-    assert not finitely_generated_maximal(t, "c2")
-    assert finitely_generated_maximal(y_tree(), "M1")
-    with pytest.raises(SchemaError):
-        finitely_generated_maximal(y_tree(), "P")
-
-
 def test_tree_payload_parsing():
     t = tree_from_payload({"id": "0", "children": [
         {"id": "P", "label": ["Z"], "children": [
             {"id": "M", "label": ["Z", "Q"]}]}]})
-    assert slot_names(gamma_at(t, "M")) == ["Z", "Q", "Z"]
-    from igl.errors import SchemaError
+    assert slot_names(gamma_at(t, t.node("M"))) == ["Z", "Q", "Z"]
     with pytest.raises(SchemaError):
         tree_from_payload({"id": "0", "children": [{"id": "P", "label": []}]})
-    with pytest.raises(SchemaError):
-        tree_from_payload({"id": "0", "children": [{"id": "0", "label": ["Z"]}]})
     with pytest.raises(SchemaError, match="'children' must be a list"):
         tree_from_payload({"id": "0", "children": 5})
     # records are checked in document order: the first bad one is reported
@@ -228,6 +220,28 @@ def test_tree_payload_parsing():
         tree_from_payload({"id": "0", "children": [
             {"id": "A", "label": ["X"], "children": [{"id": "A1"}]},
             {"id": "B"}]})
+
+
+def test_root_label_is_refused():
+    with pytest.raises(SchemaError, match=r"^the root \(zero ideal\) carries no edge label$"):
+        tree_from_payload({"id": "0", "label": ["Q"], "children": [{"id": "M", "label": ["Z"]}]})
+
+
+@pytest.mark.parametrize("children, dup", [
+    # the first repeat in document order is named, not the first id repeated
+    ([{"id": "A", "label": ["Z"], "children": [{"id": "B", "label": ["Z"]}]},
+      {"id": "B", "label": ["Z"]}, {"id": "A", "label": ["Z"]}], "B"),
+    # ids compare as the strings the nodes keep
+    ([{"id": 0, "label": ["Z"]}], "0"),
+    ([{"id": "1", "label": ["Z"]}, {"id": 1, "label": ["Z"]}], "1"),
+    # a repeat is reported before a malformed record that comes later
+    ([{"id": "A", "label": ["Z"]}, {"id": "A", "label": ["Z"]},
+      {"id": "C", "label": []}, {"id": "D", "label": ["X"]}], "A"),
+])
+def test_duplicate_ids_are_refused_at_parse(children, dup):
+    with pytest.raises(SchemaError) as exc:
+        tree_from_payload({"id": "0", "children": children})
+    assert str(exc.value) == f"duplicate node id {dup!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +286,7 @@ def test_deep_caterpillar_decides_under_the_default_recursion_limit():
     finally:
         sys.setrecursionlimit(old)
     assert inv.verdict is Verdict.FREE and div.verdict is Verdict.FREE
-    assert rank == t.total_slots() == 2 * spine - 1
+    assert rank == sum(len(n.label) for n in t.nodes()[1:]) == 2 * spine - 1
     assert len(inv.cuts) == spine - 1
     assert [c.prime_id for c in inv.cuts] == [f"s{i}" for i in range(1, spine)]
     assert shape(hi) == shape(t)
