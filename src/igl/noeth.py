@@ -182,6 +182,15 @@ class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_clo
                 if b.field.p != self.residue.p or b.field.r % self.residue.r != 0:
                     raise SchemaError(
                         f"{self.residue.label} does not embed into {b.field.label}")
+        if isinstance(self.residue, OpaqueField) and self.residue.unit_free is False:
+            # U(k) is a subgroup of every U(L_i), and subgroups of free
+            # groups are free
+            for i, b in enumerate(self.branches):
+                if isinstance(b.field, OpaqueField) and b.field.unit_free is True:
+                    raise SchemaError(
+                        f"contradictory declarations: k.opaque.unit_free is false but "
+                        f"branches[{i}].L.opaque.unit_free is true, and U(k) is a "
+                        f"subgroup of U(L)")
         return self
 
     @property

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import product
@@ -246,16 +247,52 @@ def test_case_c_opaque_free_expression_is_free():
 
 def test_case_c_opaque_expression_reads_the_decision():
     # every declaration pattern of a char-2 residue and two char-2 branches:
-    # the verdict is the one the report's own expression reads
-    decided = 0
+    # the verdict is the one the report's own expression reads.  A residue
+    # declared not free beside a branch declared free is refused: 81
+    # patterns of the other four flags, less the 36 with neither branch
+    # declared free
+    decided = refused = 0
     for flags in product((True, False, None), repeat=5):
         k = OpaqueField("K", characteristic=2, unit_free=flags[0])
         branches = [(OpaqueField(f"L{i}", characteristic=2, unit_free=flags[2 * i - 1],
                                  summand=flags[2 * i]), 1) for i in (1, 2)]
-        d = decide_noeth(inst(k, branches))
+        try:
+            d = decide_noeth(inst(k, branches))
+        except SchemaError:
+            assert flags[0] is False and True in (flags[1], flags[3]), flags
+            refused += 1
+            continue
         assert freeness_verdict(d.expr).verdict is d.verdict, flags
         decided += d.verdict is not Verdict.UNKNOWN
-    assert decided == 202
+    assert (refused, decided) == (45, 168)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_residue_declared_unfree_beside_a_branch_declared_free_is_refused(char):
+    # U(k) is a subgroup of U(L1), so a free U(L1) makes U(k) free
+    k = OpaqueField("K", characteristic=char, unit_free=False)
+    branches = [(OpaqueField("L1", characteristic=char, unit_free=None), 1),
+                (OpaqueField("L2", characteristic=char, unit_free=True), 1)]
+    with pytest.raises(SchemaError, match=r"k\.opaque\.unit_free is false but "
+                                          r"branches\[1\]\.L\.opaque\.unit_free is true"):
+        inst(k, branches)
+    # a branch not declared free, or a residue not declared unfree, is none
+    inst(k, branches[:1])
+    inst(k._replace(unit_free=None), branches)
+
+
+def test_contradictory_unit_declarations_exit_2(tmp_path, capsys):
+    opaque = {"label": "L", "characteristic": 2, "unit_free": True, "summand": True}
+    payload = {"v": 1, "kind": "noeth_local",
+               "k": {"opaque": {"label": "K", "characteristic": 2, "unit_free": False}},
+               "branches": [{"L": {"opaque": dict(opaque, label=f"L{i}")}, "e": 1}
+                            for i in (1, 2)]}
+    path = tmp_path / "contradiction.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for command in ("decide", "verify"):
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: contradictory declarations: k.opaque.unit_free")
 
 
 def test_case_c_grid_reports_read_their_verdict():
