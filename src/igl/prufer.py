@@ -54,8 +54,8 @@ class SpecTree:
     """A spectral tree, validated when it was parsed (``tree_from_payload``).
     It indexes itself once, on first use: the pre-order node tuple, the id
     lookup and the parent map are cached properties (kept in the instance
-    ``__dict__``), and every walk below is a loop over ``nodes()``, so tree
-    depth costs no Python frames."""
+    ``__dict__``); every pass over the tuple goes through ``nodes()``, and
+    every walk below is a loop, so tree depth costs no Python frames."""
 
     def __init__(self, root: PrimeNode) -> None:
         self.root = root

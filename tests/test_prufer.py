@@ -215,16 +215,13 @@ def test_tree_payload_parsing():
         tree_from_payload({"id": "0", "children": [{"id": "P", "label": []}]})
     with pytest.raises(SchemaError, match="'children' must be a list"):
         tree_from_payload({"id": "0", "children": 5})
+    with pytest.raises(SchemaError, match=r"^the root \(zero ideal\) carries no edge label$"):
+        tree_from_payload({"id": "0", "label": ["Q"], "children": [{"id": "M", "label": ["Z"]}]})
     # records are checked in document order: the first bad one is reported
     with pytest.raises(SchemaError, match="'X'"):
         tree_from_payload({"id": "0", "children": [
             {"id": "A", "label": ["X"], "children": [{"id": "A1"}]},
             {"id": "B"}]})
-
-
-def test_root_label_is_refused():
-    with pytest.raises(SchemaError, match=r"^the root \(zero ideal\) carries no edge label$"):
-        tree_from_payload({"id": "0", "label": ["Q"], "children": [{"id": "M", "label": ["Z"]}]})
 
 
 @pytest.mark.parametrize("children, dup", [
