@@ -163,6 +163,15 @@ def gamma_at(tree: SpecTree, node: PrimeNode) -> ValueTower:
     return ValueTower(_tower_below(tree, node, tree.root))
 
 
+def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode) -> bool:
+    """Is the maximal ideal finitely generated?  Detected structurally: the
+    top slot of its composed value tower, which is the top slot of its own
+    edge label, is discrete."""
+    if not leaf.is_maximal or leaf is tree.root:
+        raise SchemaError(f"{leaf.node_id!r} is not a maximal ideal")
+    return leaf.label.slots[0] is Z
+
+
 def branching_points(tree: SpecTree) -> list[PrimeNode]:
     """Non-maximal primes equal to the infimum of the maximal ideals above
     them.  In a finite tree these are exactly the internal nodes with at
@@ -401,9 +410,7 @@ def decide_div_free(tree: SpecTree) -> Decision:
     if gate_cert:
         return Decision(Verdict.UNKNOWN, gate_cert)
     for leaf in leaves:
-        # a maximal ideal is finitely generated exactly when the top slot
-        # of its tower, the top slot of its own edge label, is discrete
-        if leaf.label.slots[0] is not Z:
+        if not finitely_generated_maximal(tree, leaf):
             below = gamma_at(tree, leaf).root_segment(1).to_expr()
             witness_expr = direct_sum(R, below)
             return Decision(Verdict.NOT_FREE, (

@@ -206,6 +206,16 @@ def test_agreement_with_leaf_gammas():
             assert any(v is Verdict.NOT_FREE for v in leaf_free)
 
 
+def test_finitely_generated_maximal_flag():
+    from igl.prufer import finitely_generated_maximal
+    t = chain(("Z",), ("Q",))
+    assert not finitely_generated_maximal(t, t.by_id["c2"])
+    y = y_tree()
+    assert finitely_generated_maximal(y, y.by_id["M1"])
+    with pytest.raises(SchemaError):
+        finitely_generated_maximal(y, y.by_id["P"])
+
+
 def test_tree_payload_parsing():
     t = tree_from_payload({"id": "0", "children": [
         {"id": "P", "label": ["Z"], "children": [
