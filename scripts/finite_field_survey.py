@@ -4,7 +4,10 @@ at most a given number of elements.
 
 For one branch with exponent one, the verdict is Free exactly on trivial
 extensions; for two branches it is Free only over the two-element field.
-The script prints the full verdict table so the pattern is visible.
+The script prints the full verdict table so the pattern is visible, and
+runs ``verify`` on every instance it decides: each check must pass, among
+them the two-branch cross-check of the unit quotient against its
+standard form wherever the residue units are a summand.
 
 Usage: python3 scripts/finite_field_survey.py [max_order]
 """
@@ -14,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from igl.cli import verify_payload
 from igl.noeth import Branch, FiniteField, NoethInstance, decide_noeth
 from igl.valgroup import Verdict
 
@@ -28,12 +32,23 @@ def prime_powers(limit):
             q, r = q * p, r + 1
 
 
+def verify(p, s, rs):
+    """Run ``verify`` on the instance as a payload: every check passes.
+    Returns 1 when the amalgam cross-check ran, not skipped, else 0."""
+    payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": p, "r": s}},
+               "branches": [{"L": {"finite": {"p": p, "r": r}}, "e": 1} for r in rs]}
+    checks = verify_payload(payload, f"F{p}^{s}")
+    assert all(ok for _, ok, _ in checks), (p, s, rs, checks)
+    return sum(label == "amalgam-crosscheck" and not detail.startswith("skipped")
+               for label, _, detail in checks)
+
+
 def main() -> int:
     limit = int(sys.argv[1]) if len(sys.argv) > 1 else 64
     pps = list(prime_powers(limit))
 
     print("one branch, radical conductor (Free iff L = k):")
-    free = 0
+    free = verified = crosschecks = 0
     for p, s, ps in pps:
         for p2, r, pr in pps:
             if p2 != p or r % s:
@@ -42,6 +57,8 @@ def main() -> int:
             v = decide_noeth(inst).verdict
             assert (v is Verdict.FREE) == (r == s)
             free += v is Verdict.FREE
+            verify(p, s, [r])
+            verified += 1
     print(f"  {free} free verdicts, one per field, as predicted")
 
     print("two branches, radical conductor (Free iff everything is F2):")
@@ -57,9 +74,13 @@ def main() -> int:
                 if v is Verdict.FREE:
                     rows.append((ps, q1, q2))
                 assert (v is Verdict.FREE) == (ps == q1 == q2 == 2)
+                crosschecks += verify(p, s, [r1, r2])
+                verified += 1
     for ps, q1, q2 in rows:
         print(f"  Free: k=F{ps}, L1=F{q1}, L2=F{q2}")
     print(f"  (every other combination with orders <= {limit} is NotFree)")
+    print(f"verify: every check passes on all {verified} instances; the "
+          f"standard-form cross-check ran on {crosschecks} of them")
     return 0
 
 

@@ -5,9 +5,9 @@ group with ``n`` generators and relation matrix ``R`` (columns are
 relators) is ``Z^n / R·Z^k``.  Smith normal form turns any presentation
 into canonical invariant factors, and all higher operations -- kernels,
 cokernels, images, exact sequences, the six-term kernel-cokernel sequence
-of a commuting ladder, splitting tests with explicit sections, and the
-amalgamated-quotient isomorphism -- reduce to lattice computations over Z
-carried out exactly in :mod:`igl.matrices`.
+of a commuting ladder, splitting tests with explicit sections, and
+amalgamated quotients with their standard form -- reduce to lattice
+computations over Z carried out exactly in :mod:`igl.matrices`.
 
 Design notes.
 
@@ -76,11 +76,8 @@ class FgGroup:
     def from_invariants(cls, *factors: int) -> "FgGroup":
         """Canonical presentation of ``⊕ Z/d`` (``d = 0`` meaning ``Z``)."""
         n = len(factors)
-        cols = [[factors[i] if j == i else 0 for i in range(n)]
-                for j in range(n)]
-        torsion_cols = [c for i, c in enumerate(zip(*cols)) if factors[i] != 0] if n else []
-        mat = IntMatrix.from_cols([list(c) for c in torsion_cols], rows=n)
-        return cls(n, mat)
+        return cls(n, IntMatrix.from_cols([[d if t == i else 0 for t in range(n)]
+                                           for i, d in enumerate(factors) if d], rows=n))
 
     # -- canonical structure ----------------------------------------------
 
@@ -103,10 +100,6 @@ class FgGroup:
     def relation_lattice(self) -> IntMatrix:
         """Canonical HNF basis of the relation lattice inside Z^generators."""
         return column_hnf(self.relations)
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d == 0)
 
     # -- equality is isomorphism ------------------------------------------
 
@@ -448,17 +441,20 @@ def split_test(s: ShortExactSeq) -> SplitResult:
 # ``complement``), ``retract`` the left inverse of ``emb``.
 AmalgamPart = namedtuple("AmalgamPart", "group emb complement proj retract")
 
-AmalgamResult = namedtuple("AmalgamResult", "quotient iso standard_form")
+AmalgamResult = namedtuple("AmalgamResult", "quotient standard_form")
 
 
 def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     """Quotient of ``⊕ A_i`` by the diagonal copy of ``G``.
 
     Each part must certify ``A_i = B_i ⊕ emb_i(G)``; the quotient is then
-    isomorphic to ``B_1 ⊕ … ⊕ B_n ⊕ G^{n-1}`` via the explicit map whose
-    components are the ``B``-projections and the pairwise differences of
-    the retractions.  Its kernel is checked to be the diagonal and its
-    image everything, so it descends to an isomorphism on the quotient.
+    isomorphic to its standard form ``B_1 ⊕ … ⊕ B_n ⊕ G^{n-1}`` via the
+    map ``ψ`` whose components are the ``B``-projections and the
+    differences of each retraction but the last with the last one.
+    ``ψ`` is well defined on the sum by construction (checked when it is
+    built), its kernel is checked to be the diagonal and its image
+    everything, so it descends to an isomorphism on the quotient; the
+    result holds the quotient and the standard form, not that map.
     """
     if not parts:
         raise PreconditionError("at least one part is required")
@@ -479,35 +475,18 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
             raise DiagramError(f"part {idx}: (projection, retraction) is not an "
                                "internal direct-sum decomposition")
 
-    groups = [p.group for p in parts]
-    total = direct_sum(groups)
+    total = direct_sum([p.group for p in parts])
     phi = FgHom(g, total, vstack(*[p.emb.matrix for p in parts]))
-    quotient = cokernel(phi)
-
-    target_groups = [p.complement for p in parts] + [g] * (n - 1)
-    target = direct_sum(target_groups)
-
-    offs = [sum(x.generators for x in groups[:i]) for i in range(n)]
-    psi_rows: list[list[int]] = []
-    for i, p in enumerate(parts):
-        for r in range(p.complement.generators):
-            row = [0] * total.generators
-            row[offs[i]:offs[i] + p.group.generators] = list(p.proj.matrix.entries[r])
-            psi_rows.append(row)
-    last = parts[-1]
-    for i in range(n - 1):
-        p = parts[i]
-        for r in range(g.generators):
-            row = [0] * total.generators
-            row[offs[i]:offs[i] + p.group.generators] = list(p.retract.matrix.entries[r])
-            for c in range(last.group.generators):
-                row[offs[-1] + c] -= last.retract.matrix.entries[r][c]
-            psi_rows.append(row)
-    psi_matrix = IntMatrix.from_rows(psi_rows, cols=total.generators)
-    psi = FgHom(total, target, psi_matrix)
+    target = direct_sum([p.complement for p in parts] + [g] * (n - 1))
+    psi = block_diag(*[p.proj.matrix for p in parts])
+    if n > 1:
+        last = -parts[-1].retract.matrix
+        psi = vstack(psi, hstack(block_diag(*[p.retract.matrix for p in parts[:-1]]),
+                                 vstack(*[last] * (n - 1))))
+    psi = FgHom(total, target, psi)
 
     if not is_exact_pair(phi, psi):
         raise DiagramError("amalgam map has the wrong kernel")
     if not is_surjective(psi):
         raise DiagramError("amalgam map is not surjective")
-    return AmalgamResult(quotient, FgHom(quotient, target, psi_matrix), target)
+    return AmalgamResult(cokernel(phi), target)

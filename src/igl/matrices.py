@@ -296,41 +296,34 @@ def column_hnf(m: IntMatrix) -> IntMatrix:
     return IntMatrix(n, j, tuple(tuple(row[:j]) for row in a))
 
 
-def hnf_pivots(h: IntMatrix) -> list[int]:
-    """Pivot row of each column of a column-HNF matrix."""
-    pivots = []
-    for j in range(h.cols):
-        for i in range(h.rows):
-            if h.entries[i][j] != 0:
-                pivots.append(i)
-                break
-    return pivots
-
-
 def lattice_solve(h: IntMatrix, vec: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
     """Coordinates of ``vec`` in the columns of the HNF basis ``h``.
 
     Returns ``None`` when the vector is not in the lattice.  Because the
     pivots sit on strictly increasing rows the solution, when it exists,
-    is unique and found by forward substitution.
+    is unique and found by forward substitution.  A column is zero above
+    its pivot, so one walk down the rows meets the pivots in order, and
+    a row that holds no pivot must already be cleared.
     """
     if len(vec) != h.rows:
         raise ValueError("vector length mismatch")
     res = list(vec)
     coords = [0] * h.cols
-    pivots = hnf_pivots(h)
-    for j in range(h.cols):
-        i = pivots[j]
-        d = h.entries[i][j]
-        if res[i] % d != 0:
+    j = 0
+    for i, row in enumerate(h.entries):
+        d = row[j] if j < h.cols else 0
+        if d == 0:
+            if res[i]:
+                return None
+            continue
+        c, r = divmod(res[i], d)
+        if r:
             return None
-        c = res[i] // d
         coords[j] = c
         if c:
-            for t in range(h.rows):
+            for t in range(i, h.rows):
                 res[t] -= c * h.entries[t][j]
-    if any(x != 0 for x in res):
-        return None
+        j += 1
     return tuple(coords)
 
 

@@ -349,7 +349,7 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
                                           for b in inst.branches):
         orders = [b.field.unit_order for b in inst.branches]
         m = k.unit_order
-        total = abelian.direct_sum([abelian.FgGroup.cyclic(n) for n in orders])
+        total = abelian.FgGroup.from_invariants(*orders)
         # the diagonal embedding of a cyclic group of order m into each
         # cyclic factor of order n sends the generator to (n/m)·generator
         diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)

@@ -24,9 +24,12 @@ canonical HNFs.
 It also holds the helpers that only tests need: the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
 torsion and divisible predicates of the atom walk, direct-sum and
-sub-quotient sequences of finitely generated groups, the left product
-``w * a`` of ordinals, the dependency classes of a spectral tree, the
-slot names of a value tower and the free rank of an expression.
+sub-quotient sequences of finitely generated groups, the hand-built
+certified amalgam parts of a several-branch finite-field unit quotient
+(the reference of ``verify``'s standard-form cross-check), the left
+product ``w * a`` of ordinals, the dependency classes of a spectral
+tree, the slot names of a value tower and the free rank of an
+expression.
 """
 
 from __future__ import annotations
@@ -837,6 +840,27 @@ def random_amalgam_instance(rng: random.Random, n_parts: int):
             retract=FgHom(a, g, ret0.matrix @ winv)))
     expected.extend([g] * (n_parts - 1))
     return g, parts, direct_sum(expected)
+
+
+def cyclic_amalgam_parts(m: int, orders: list[int]) -> tuple[FgGroup, list[AmalgamPart]]:
+    """Hand-built certified parts of ``(⊕ Z/n_i)/Z/m``, the several-branch
+    unit quotient of finite fields with ``U(k) = Z/m`` and ``U(L_i) = Z/n_i``,
+    when every ``gcd(m, n_i/m) = 1``: each part is the internal
+    decomposition ``Z/n = Z/(n/m) ⊕ Z/m`` (just ``Z/m`` when ``n = m``),
+    with complement ``Z/(n/m)`` and the diagonal ``Z/m`` the last summand."""
+    g = FgGroup.cyclic(m)
+    parts = []
+    for n in orders:
+        assert gcd(m, n // m) == 1, "residue units are not a summand"
+        grp = FgGroup.from_invariants(n // m, m) if n > m else FgGroup.cyclic(m)
+        comp = FgGroup.cyclic(n // m)
+        emb = FgHom(g, grp, IntMatrix.from_rows([[0], [1]] if n > m else [[1]], cols=1))
+        proj = FgHom(grp, comp, IntMatrix.from_rows([[1, 0]] if n > m else [[0]],
+                                                    cols=grp.generators))
+        retract = FgHom(grp, g, IntMatrix.from_rows([[0, 1]] if n > m else [[1]],
+                                                   cols=grp.generators))
+        parts.append(AmalgamPart(grp, emb, comp, proj, retract))
+    return g, parts
 
 
 # ---------------------------------------------------------------------------

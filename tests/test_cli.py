@@ -180,6 +180,20 @@ def test_verify_noeth_crosscheck(tmp_path, capsys):
     assert "amalgam-crosscheck" in out and "FAIL" not in out
 
 
+def test_tower_crosscheck_fails_a_wrong_value_group(capsys, monkeypatch):
+    """An invertible group one ``Z`` too large fails ``tower-crosscheck``,
+    and ``verify`` exits 1."""
+    inv = valgroup.inv_of_valuation
+    monkeypatch.setattr(valgroup, "inv_of_valuation",
+                        lambda t: valgroup.normalize(valgroup.direct_sum(inv(t), valgroup.Z)))
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    for name, n in (("dvr.json", 1), ("rank_two_valuation.json", 2)):
+        assert main(["verify", str(instances / name), "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["ok"]) for c in checks] == [("tower-crosscheck", False)]
+        assert checks[0]["detail"] == f"assertion failed: {(0,) * (n + 1)} != {(0,) * n}"
+
+
 def test_verify_failing_check_exits_1(tmp_path, capsys):
     # well-formed but not exact: the image 2Z of the inclusion is not the
     # kernel 0 of the projection
@@ -500,6 +514,15 @@ def test_oversized_integers_exit_2(tmp_path, capsys):
                        '{"v": 1, "kind": "krull", "n": %s}' % digits, "digits")
 
 
+@pytest.mark.parametrize("n", [cli.MAX_GENERATORS + 1, 10 ** 12])
+def test_generators_above_the_cap_exit_2(tmp_path, capsys, n):
+    # with no relators the group is Z^n, so the count alone sets the work;
+    # it is refused before anything of that size is built
+    payload = {"v": 1, "kind": "group_diagram", "check": "group", "group": {"generators": n}}
+    assert_schema_exit(tmp_path, capsys, payload,
+                       f"group.generators: at most {cli.MAX_GENERATORS} are supported")
+
+
 def test_non_integer_extension_degree_exits_2(tmp_path, capsys):
     payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": "x"}},
                "branches": [{"L": {"finite": {"p": 2}}}]}
@@ -627,6 +650,20 @@ def time_limit(case, seconds=10.0):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_many_branch_verify_is_bounded(tmp_path, capsys):
+    """Two hundred ``F4`` branches over ``F2`` verify inside the sweeps'
+    limit: the cross-check reads the standard form of the quotient."""
+    f4 = {"L": {"finite": {"p": 2, "r": 2}}, "e": 1}
+    payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": 1}},
+               "branches": [f4] * 200}
+    target = write(tmp_path, payload)
+    with time_limit("200 branches"):
+        assert main(["verify", str(target), "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["check"], c["ok"]) for c in checks] == \
+        [("sequence-computed", True), ("amalgam-crosscheck", True)]
 
 
 def test_instance_mutation_sweep(tmp_path, capsys):

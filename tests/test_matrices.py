@@ -226,6 +226,35 @@ def test_lattice_membership():
     basis = column_hnf(mat([[2, 0], [0, 3]]))
     assert lattice_solve(basis, (2, 3)) is not None
     assert lattice_solve(basis, (1, 0)) is None
+    # row 1 holds no pivot, and the pivot column leaves 1 there
+    assert lattice_solve(column_hnf(mat([[1], [2], [0]])), (1, 3, 0)) is None
+
+
+@given(st.integers(1, 5).flatmap(lambda r: st.integers(0, 6).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 6)),
+                          min_size=c, max_size=c),
+                 min_size=r, max_size=r).map(lambda rows: IntMatrix.from_rows(rows, cols=c)),
+        st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r)))))
+@settings(max_examples=300, deadline=None)
+def test_lattice_solve_agrees_with_solve(case):
+    # a lattice vector a·x, moved off it by a shift or not; rank-deficient
+    # matrices leave rows without a pivot
+    a, x, shift = case
+    h = column_hnf(a)
+    point = a.apply(x)
+    v = [p + s for p, s in zip(point, shift)]
+    coords = lattice_solve(h, v)
+    assert (coords is None) == (solve(a, v) is None)
+    if coords is not None:
+        assert h.apply(coords) == tuple(v)
+    # a vector that fails only at a row holding no pivot
+    pivots = {next(i for i, row in enumerate(h.entries) if row[j]) for j in range(h.cols)}
+    for i in set(range(h.rows)) - pivots:
+        off = list(point)
+        off[i] += 1
+        assert lattice_solve(h, off) is None and solve(a, off) is None
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))

@@ -1,19 +1,24 @@
 import json
 import random
 import time
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from igl import abelian, cli
+from igl import abelian, cli, noeth
 from igl.errors import PreconditionError, SchemaError
 from igl.matrices import IntMatrix
 from igl.noeth import (Branch, FiniteField, NoethInstance, OpaqueField,
                        decide_noeth, krull_verdict, unit_group,
                        unit_quotient_seq)
-from igl.valgroup import (Verdict, expr_invariant_factors, freeness_verdict,
+from igl.valgroup import (Cyclic, Verdict, canonical_invariants, direct_sum,
+                          expr_invariant_factors, freeness_verdict, normalize,
                           render_expr)
-from oracles import parse_expr
+from oracles import cyclic_amalgam_parts, parse_expr
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def finite(p, r=1):
@@ -216,6 +221,61 @@ def test_seq_case_c_amalgam_crosscheck():
     res = abelian.amalgam_quotient(g, [part, part])
     quotient = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1), (finite(2, 2), 1)]))
     assert res.quotient.invariant_factors == expr_invariant_factors(quotient)
+
+
+def _finite_fields(limit):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        r = 1
+        while p ** r <= limit:
+            yield finite(p, r)
+            r += 1
+
+
+def test_case_c_standard_form_amalgam_and_sequence_agree():
+    """Over every finite residue field with 2 or 3 branches up to order 64
+    where ``U(k)`` is a summand of every ``U(L_i)``: the standard form that
+    ``verify`` reads, the amalgam of the hand-built reference parts and
+    ``unit_quotient_seq`` give the same invariant factors."""
+    fields = list(_finite_fields(64))
+    runs = 0
+    for k in fields:
+        m = k.unit_order
+        over = [L for L in fields
+                if L.p == k.p and L.r % k.r == 0 and gcd(m, L.unit_order // m) == 1]
+        for b in (2, 3):
+            for ls in combinations_with_replacement(over, b):
+                orders = [L.unit_order for L in ls]
+                standard = canonical_invariants([n // m for n in orders] + [m] * (b - 1))
+                g, parts = cyclic_amalgam_parts(m, orders)
+                amalgam = abelian.amalgam_quotient(g, parts)
+                seq = expr_invariant_factors(unit_quotient_seq(inst(k, [(L, 1) for L in ls])))
+                assert amalgam.quotient.invariant_factors == standard == seq, (k, ls)
+                assert amalgam.standard_form == amalgam.quotient, (k, ls)
+                runs += 1
+    assert runs > 100
+
+
+def test_amalgam_crosscheck_fails_a_dropped_torsion_factor(tmp_path, capsys, monkeypatch):
+    """A case-c unit quotient that loses one torsion factor fails the
+    standard-form cross-check, and ``verify`` exits 1."""
+    seq = unit_quotient_seq
+
+    def dropped(instance):
+        inv = expr_invariant_factors(seq(instance))
+        return normalize(direct_sum(*[Cyclic(d) for d in inv[1:]]))
+    monkeypatch.setattr(noeth, "unit_quotient_seq", dropped)
+    k4 = {"finite": {"p": 2, "r": 2}}
+    k16 = {"finite": {"p": 2, "r": 4}}
+    payloads = [json.loads((INSTANCES / "f2_f4_two_branches.json").read_text(encoding="utf-8")),
+                {"v": 1, "kind": "noeth_local", "k": k4,
+                 "branches": [{"L": k16, "e": 1}, {"L": k16, "e": 1}, {"L": k4, "e": 1}]}]
+    for payload in payloads:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["verify", str(path), "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["ok"]) for c in checks] == \
+            [("sequence-computed", True), ("amalgam-crosscheck", False)]
 
 
 def test_seq_case_c_opaque_shape():

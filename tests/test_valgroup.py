@@ -170,7 +170,7 @@ def test_inv_of_discrete_tower_free_with_rank(n):
     # cross-check through the exact engine on Z^n
     from igl.abelian import FgGroup, is_free
     g = FgGroup.free(n)
-    assert is_free(g) and g.rank == expr_rank(e)
+    assert is_free(g) and g.invariant_factors.count(0) == expr_rank(e)
     assert g.invariant_factors == expr_invariant_factors(e)
 
 
