@@ -478,12 +478,12 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     total = direct_sum([p.group for p in parts])
     phi = FgHom(g, total, vstack(*[p.emb.matrix for p in parts]))
     target = direct_sum([p.complement for p in parts] + [g] * (n - 1))
-    psi = block_diag(*[p.proj.matrix for p in parts])
+    m = block_diag(*[p.proj.matrix for p in parts])
     if n > 1:
         last = -parts[-1].retract.matrix
-        psi = vstack(psi, hstack(block_diag(*[p.retract.matrix for p in parts[:-1]]),
-                                 vstack(*[last] * (n - 1))))
-    psi = FgHom(total, target, psi)
+        m = vstack(m, hstack(block_diag(*[p.retract.matrix for p in parts[:-1]]),
+                             vstack(*[last] * (n - 1))))
+    psi = FgHom(total, target, m)
 
     if not is_exact_pair(phi, psi):
         raise DiagramError("amalgam map has the wrong kernel")
