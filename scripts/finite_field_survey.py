@@ -5,9 +5,10 @@ at most a given number of elements.
 For one branch with exponent one, the verdict is Free exactly on trivial
 extensions; for two branches it is Free only over the two-element field.
 The script prints the full verdict table so the pattern is visible, and
-runs ``verify`` on every instance it decides: each check must pass, among
-them the two-branch cross-check of the unit quotient against its
-standard form wherever the residue units are a summand.
+runs ``verify`` on every instance it decides: each check must pass, and
+on every instance the unit quotient must be cross-checked, not skipped,
+against the integer engine's cokernel (``quotient-crosscheck`` for one
+branch, ``amalgam-crosscheck`` for two).
 
 Usage: python3 scripts/finite_field_survey.py [max_order]
 """
@@ -33,14 +34,15 @@ def prime_powers(limit):
 
 
 def verify(p, s, rs):
-    """Run ``verify`` on the instance as a payload: every check passes.
-    Returns 1 when the amalgam cross-check ran, not skipped, else 0."""
+    """Run ``verify`` on the instance as a payload: every check passes,
+    and the unit-quotient cross-check of its case runs, not skipped."""
     payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": p, "r": s}},
                "branches": [{"L": {"finite": {"p": p, "r": r}}, "e": 1} for r in rs]}
     checks = verify_payload(payload, f"F{p}^{s}")
     assert all(ok for _, ok, _ in checks), (p, s, rs, checks)
-    return sum(label == "amalgam-crosscheck" and not detail.startswith("skipped")
-               for label, _, detail in checks)
+    label = "quotient-crosscheck" if len(rs) == 1 else "amalgam-crosscheck"
+    assert any(c == label and not detail.startswith("skipped")
+               for c, _, detail in checks), (p, s, rs, checks)
 
 
 def main() -> int:
@@ -48,7 +50,7 @@ def main() -> int:
     pps = list(prime_powers(limit))
 
     print("one branch, radical conductor (Free iff L = k):")
-    free = verified = crosschecks = 0
+    free = verified = two_branch = 0
     for p, s, ps in pps:
         for p2, r, pr in pps:
             if p2 != p or r % s:
@@ -74,13 +76,15 @@ def main() -> int:
                 if v is Verdict.FREE:
                     rows.append((ps, q1, q2))
                 assert (v is Verdict.FREE) == (ps == q1 == q2 == 2)
-                crosschecks += verify(p, s, [r1, r2])
+                verify(p, s, [r1, r2])
                 verified += 1
+                two_branch += 1
     for ps, q1, q2 in rows:
         print(f"  Free: k=F{ps}, L1=F{q1}, L2=F{q2}")
     print(f"  (every other combination with orders <= {limit} is NotFree)")
-    print(f"verify: every check passes on all {verified} instances; the "
-          f"standard-form cross-check ran on {crosschecks} of them")
+    print(f"verify: every check passes on all {verified} instances, and the "
+          f"engine cross-check of the unit quotient ran on each of them, "
+          f"{two_branch} with two branches")
     return 0
 
 

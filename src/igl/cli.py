@@ -28,7 +28,6 @@ import sys
 import time
 from functools import cache
 from json.encoder import encode_basestring
-from math import gcd
 from pathlib import Path
 
 from . import abelian, noeth, prufer, scattered, valgroup
@@ -532,43 +531,38 @@ def _replay_valuation(payload: dict) -> list[Check]:
     return [_check("tower-crosscheck", val_check)]
 
 
+# conductor case -> (label, detail) of the finite-field unit-quotient check
+_UNIT_QUOTIENT_CHECKS = {
+    "b": ("quotient-crosscheck", "residue unit quotient cross-checked"),
+    "c": ("amalgam-crosscheck", "matches the amalgamated-quotient computation"),
+}
+
+
 def _replay_noeth(payload: dict) -> list[Check]:
-    # independently of ``unit_quotient_seq``, the case-b check recomputes
-    # the unit quotient through the integer engine and the case-c check
-    # reads it off its standard form
+    # independently of ``unit_quotient_seq``'s invariant-factor rule, the
+    # finite-field check recomputes the unit quotient as the integer
+    # engine's cokernel of the diagonal Z/m → ⊕ Z/n_i
     inst = parse_noeth(payload)
     quotient = noeth.unit_quotient_seq(inst)
     case = inst.case()
     checks = [("sequence-computed", True, f"case {case}")]
     fin = isinstance(inst.residue, noeth.FiniteField) and all(
         isinstance(b.field, noeth.FiniteField) for b in inst.branches)
-    if fin and case == "c":
-        def amalgam_crosscheck():
+    if fin and case in _UNIT_QUOTIENT_CHECKS:
+        label, detail = _UNIT_QUOTIENT_CHECKS[case]
+
+        def unit_quotient_check():
             m = inst.residue.unit_order
             orders = [b.field.unit_order for b in inst.branches]
-            if any(gcd(m, n // m) != 1 for n in orders):
-                return "skipped: residue units are not a summand here"
-            # Z/n = Z/(n/m) ⊕ Z/m, so the amalgamated quotient is its
-            # standard form ⊕ Z/(n_i/m) ⊕ (Z/m)^(b-1)
-            standard = valgroup.canonical_invariants(
-                [n // m for n in orders] + [m] * (len(orders) - 1))
+            # the generator of Z/m goes to (n_i/m)·generator in each Z/n_i
+            diag = IntMatrix.from_rows([[n // m] for n in orders], cols=1)
+            emb = abelian.FgHom(abelian.FgGroup.cyclic(m),
+                                abelian.FgGroup.from_invariants(*orders), diag)
+            engine = abelian.cokernel(emb).invariant_factors
             expected = valgroup.expr_invariant_factors(quotient)
-            assert expected is not None
-            assert standard == expected, f"{standard} != {expected}"
-            return "matches the amalgamated-quotient computation"
-        checks.append(_check("amalgam-crosscheck", amalgam_crosscheck))
-    elif fin and case == "b":
-        def cyclic_crosscheck():
-            m = inst.residue.unit_order
-            n = inst.branches[0].field.unit_order
-            g = abelian.FgGroup.cyclic(m)
-            big = abelian.FgGroup.cyclic(n)
-            emb = abelian.FgHom(g, big, IntMatrix.from_rows([[n // m]], cols=1))
-            quot = abelian.cokernel(emb)
-            expected = valgroup.expr_invariant_factors(quotient)
-            assert expected is not None and quot.invariant_factors == expected
-            return "residue unit quotient cross-checked"
-        checks.append(_check("quotient-crosscheck", cyclic_crosscheck))
+            assert engine == expected, f"{engine} != {expected}"
+            return detail
+        checks.append(_check(label, unit_quotient_check))
     else:
         checks.append(("unit-crosscheck", True,
                        "skipped: opaque declarations are trusted inputs"))

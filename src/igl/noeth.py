@@ -7,6 +7,8 @@ exponents ``(L_1, e_1), ..., (L_n, e_n)``, and two flags (integrally
 closed; conductor nonzero).  Residue fields are either honest finite
 fields, whose unit groups are computed, or opaque labels carrying
 declared unit-group properties that are echoed into certificates.
+Over finite fields the unit quotient ``(⊕ U(L_i))/U(k)`` is one
+invariant-factor rule on the unit orders, for one branch or several.
 
 The verdict is the ``freeness_verdict`` of the principal-ideal group,
 the closure's free principal group plus a unit quotient that follows
@@ -32,10 +34,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from . import abelian
 from .errors import PreconditionError, SchemaError
-from .valgroup import (CertStep, Cyclic, Decision, GroupExpr, Opaque, Repeated,
-                       TRIVIAL, Verdict, direct_sum, freeness_verdict, normalize)
+from .valgroup import (CertStep, Cyclic, Decision, FgAtom, GroupExpr, Opaque, Repeated,
+                       TRIVIAL, Verdict, canonical_invariants, direct_sum,
+                       freeness_verdict, normalize)
 
 
 # Characteristics must lie below this bound: Miller-Rabin with the prime
@@ -323,8 +325,9 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
     amalgamated-quotient isomorphism.  The principal-ideal group is the
     closure's principal group plus this quotient: the closure is Krull,
     so its principal group is free and the sequence onto it splits.
-    Finite-field instances are computed exactly through the integer
-    engine."""
+    Over finite fields the quotient ``(⊕ Z/n_i)/Z/m`` is read off the
+    invariant factors of the branch unit groups, with no factoring and
+    no matrix; ``verify`` recomputes it through the integer engine."""
     if not inst.conductor_nonzero:
         raise PreconditionError(
             "zero conductor (analytically ramified): outside this decision's hypotheses")
@@ -338,23 +341,22 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
                       is_torsionfree=False if char > 0 else None,
                       has_divisible=True if char == 0 else None)
     k = inst.residue
+    if isinstance(k, FiniteField) and all(isinstance(b.field, FiniteField)
+                                          for b in inst.branches):
+        # (⊕ Z/n_i)/Z/m with m | n_i: the sweep leaves each prime's least
+        # exponent in d_1, and the diagonal image lowers exactly that one
+        # by v_p(m), so the quotient is Z/(d_1/m) ⊕ Z/d_2 ⊕ ... ⊕ Z/d_b;
+        # an m > 1 divides every n_i, so the chain then has all b entries
+        m = k.unit_order
+        chain = canonical_invariants([b.field.unit_order for b in inst.branches])
+        if m > 1:
+            chain = (chain[0] // m,) + chain[1:]
+        return normalize(FgAtom(chain))
     if case == "b":
         L = inst.branches[0].field
-        if isinstance(k, FiniteField) and isinstance(L, FiniteField):
-            return normalize(Cyclic(L.unit_order // k.unit_order))
         qf = L.quotient_free if isinstance(L, OpaqueField) else None
         return Opaque(f"U({L.label})/U({k.label})", is_free=qf)
     # case "c"
-    if isinstance(k, FiniteField) and all(isinstance(b.field, FiniteField)
-                                          for b in inst.branches):
-        orders = [b.field.unit_order for b in inst.branches]
-        m = k.unit_order
-        total = abelian.FgGroup.from_invariants(*orders)
-        # the diagonal embedding of a cyclic group of order m into each
-        # cyclic factor of order n sends the generator to (n/m)·generator
-        diag = abelian.IntMatrix.from_rows([[n // m] for n in orders], cols=1)
-        phi = abelian.FgHom(abelian.FgGroup.cyclic(m), total, diag)
-        return abelian.cokernel(phi).to_expr()
     facts = [(_unit_free(k, b.field)[0], _summand(k, b.field)[0]) for b in inst.branches]
     if any(False in f for f in facts):
         # a branch without a free unit group holding U(k) as a summand

@@ -26,7 +26,7 @@ grammar (the round-trip oracle of ``render_expr``), the three-valued
 torsion and divisible predicates of the atom walk, direct-sum and
 sub-quotient sequences of finitely generated groups, the hand-built
 certified amalgam parts of a several-branch finite-field unit quotient
-(the reference of ``verify``'s standard-form cross-check), the left
+(a reference for the unit-quotient rule where ``U(k)`` is a summand), the left
 product ``w * a`` of ordinals, the dependency classes of a spectral
 tree, the slot names of a value tower and the free rank of an
 expression.

@@ -654,7 +654,8 @@ def time_limit(case, seconds=10.0):
 
 def test_many_branch_verify_is_bounded(tmp_path, capsys):
     """Two hundred ``F4`` branches over ``F2`` verify inside the sweeps'
-    limit: the cross-check reads the standard form of the quotient."""
+    limit: the decision reads the quotient off the unit orders, and the
+    cross-check runs the integer engine's cokernel once."""
     f4 = {"L": {"finite": {"p": 2, "r": 2}}, "e": 1}
     payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": 1}},
                "branches": [f4] * 200}

@@ -23,6 +23,12 @@ else in those reports changed.  The digest of
 ``f4_opaque_branches_char2.json`` was added when the conductor-data
 verdict came to be read off the report's own expression; it was
 recorded at that change, and no other digest was re-recorded then.
+The digests of ``two_branches_char3.json`` and of the corpus case
+``two-branches-char-three`` were re-recorded when ``verify`` came to
+check every finite-field unit quotient against the integer engine's
+cokernel: their ``amalgam-crosscheck`` detail went from skipped to
+``matches the amalgamated-quotient computation``, and nothing else in
+those reports changed.
 """
 
 import hashlib
@@ -73,7 +79,7 @@ INSTANCE_DIGESTS = {
     "snake_ladder_kernel.json": "0c58f4f7e5b600337c0a0df37999f4214515eeecc5e3c65b765b287c6f1c8238",
     "strongly_discrete_tree.json": "dbb578cca9a5755b888ee2ac6047c9c669e9cc37d8337462c9f45383420f5eea",
     "torsion_group.json": "0d5a77a1a899a64337e02afe94e906195c343a4245276cfa5eea490f79fd1895",
-    "two_branches_char3.json": "f6f30bee9443d6976428fd50667c5f1720570afded692c1c4ccfaa7099ba56c3",
+    "two_branches_char3.json": "c1aa4ba98a7ca6f329b3cb88bd866b2842349fa4cae924118beb36b368646bf3",
     "two_branches_opaque_char2.json": "ec0d1186e6c8e22137f299368cde4f5cea58ffd8203edf42d3a4365d880a296c",
     "y_tree.json": "fa1532ad08d6b94d4afa6874c8308e5e1ec44db0b2093bfd5bce772d08e2853a",
     "y_tree_rational_trunk.json": "f14c20be2a145768e7497cebacf306caf5dce09ff434fc9add51ad2e7706c72c",
@@ -93,7 +99,7 @@ CORPUS_DIGESTS = {
     "monomial-curve-cusp": "8792b20c9bd4f59edd7c95312e9e1becd5f1d75448761318b732b9b50ceaf297",
     "pullback-totally-real-cubic": "df7c7f508aa5eeee3726d8391edc9473cd355dbad62a04da4fa6bfb4b9f872b5",
     "function-field-square-pullback": "80cbecafa307b40024427094b16771f23819e3a54f928f685eb4da2fcd0216b0",
-    "two-branches-char-three": "2e16acae921a2d35f2d48a7b4eca41ad75009fab8c145d9679e8ad45c522f567",
+    "two-branches-char-three": "40cca39a4c7e1ee16bba70aad6b1d5f0be3bea1fb45498bf5184b4a53d4494d7",
     "two-branches-all-f2": "7face63d65eaa481f1035d710064f27c5f266cbcfbc935a0b3b9243708102852",
     "dedekind": "665b169239a273f88d0867034eeb517d206092453dd9fb78ff9ee8699490c754",
     "omega-interval-all-discrete": "feeb1a1a5a77415dbf640b733861e3939b3105f7657fba4969a09dbc2c385e42",

@@ -1,13 +1,14 @@
 import json
 import random
+import sys
 import time
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, log2
 from pathlib import Path
 
 import pytest
 
-from igl import abelian, cli, noeth
+from igl import abelian, cli, matrices, noeth
 from igl.errors import PreconditionError, SchemaError
 from igl.matrices import IntMatrix
 from igl.noeth import (Branch, FiniteField, NoethInstance, OpaqueField,
@@ -231,33 +232,85 @@ def _finite_fields(limit):
             r += 1
 
 
+def _engine_quotient(m, orders):
+    """Invariant factors of the integer engine's cokernel of the diagonal
+    ``Z/m → ⊕ Z/n_i``."""
+    diag = IntMatrix.from_rows([[n // m] for n in orders], cols=1)
+    emb = abelian.FgHom(abelian.FgGroup.cyclic(m), abelian.FgGroup.from_invariants(*orders),
+                        diag)
+    return abelian.cokernel(emb).invariant_factors
+
+
 def test_case_c_standard_form_amalgam_and_sequence_agree():
-    """Over every finite residue field with 2 or 3 branches up to order 64
-    where ``U(k)`` is a summand of every ``U(L_i)``: the standard form that
-    ``verify`` reads, the amalgam of the hand-built reference parts and
-    ``unit_quotient_seq`` give the same invariant factors."""
+    """Over every finite residue field with 2 or 3 branches up to order 64,
+    ``unit_quotient_seq`` and the integer engine's cokernel give the same
+    invariant factors.  Where ``U(k)`` is a summand of every ``U(L_i)``,
+    the standard form ``Z/(n_i/m) ⊕ (Z/m)^(b-1)`` and the amalgam of the
+    hand-built reference parts agree with them too.  On random fields with
+    unit orders of up to 4096 bits, and one to three branches, the rule
+    agrees with the engine."""
     fields = list(_finite_fields(64))
-    runs = 0
+    runs = summands = 0
     for k in fields:
         m = k.unit_order
-        over = [L for L in fields
-                if L.p == k.p and L.r % k.r == 0 and gcd(m, L.unit_order // m) == 1]
+        over = [L for L in fields if L.p == k.p and L.r % k.r == 0]
         for b in (2, 3):
             for ls in combinations_with_replacement(over, b):
                 orders = [L.unit_order for L in ls]
+                seq = expr_invariant_factors(unit_quotient_seq(inst(k, [(L, 1) for L in ls])))
+                assert _engine_quotient(m, orders) == seq, (k, ls)
+                runs += 1
+                if any(gcd(m, n // m) != 1 for n in orders):
+                    continue
                 standard = canonical_invariants([n // m for n in orders] + [m] * (b - 1))
                 g, parts = cyclic_amalgam_parts(m, orders)
                 amalgam = abelian.amalgam_quotient(g, parts)
-                seq = expr_invariant_factors(unit_quotient_seq(inst(k, [(L, 1) for L in ls])))
                 assert amalgam.quotient.invariant_factors == standard == seq, (k, ls)
                 assert amalgam.standard_form == amalgam.quotient, (k, ls)
-                runs += 1
-    assert runs > 100
+                summands += 1
+    assert runs > summands > 100
+    rng = random.Random(21)
+    # each characteristic with the largest degree whose field order has at
+    # most 4096 bits
+    tops = {}
+    for p in (2, 3, 5, 7, 1_000_003, 2**61 - 1):
+        r = int(4096 / log2(p))
+        while (p ** r).bit_length() > 4096:
+            r -= 1
+        tops[p] = r
+    for _ in range(300):
+        p, top = rng.choice(list(tops.items()))
+        s = rng.randint(1, 8)
+        ls = [finite(p, s * rng.randint(1, top // s)) for _ in range(rng.randint(1, 3))]
+        seq = expr_invariant_factors(unit_quotient_seq(inst(finite(p, s), [(L, 1) for L in ls])))
+        assert _engine_quotient(p ** s - 1, [L.unit_order for L in ls]) == seq, (p, s, ls)
+
+
+def test_finite_unit_quotient_needs_no_integer_engine(monkeypatch):
+    """Four hundred branches decide without any matrix elimination: the
+    finite-field unit quotient is read off the invariant factors of the
+    unit orders."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the unit quotient called the integer engine")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "igl":
+            for engine in ("_diagonal_form", "unit_core"):
+                if getattr(module, engine, None) is getattr(matrices, engine):
+                    monkeypatch.setattr(module, engine, refuse)
+    f2, f4, f16 = finite(2), finite(2, 2), finite(2, 4)
+    quotient = unit_quotient_seq(inst(f2, [(f4, 1)] * 400))
+    assert expr_invariant_factors(quotient) == (3,) * 400
+    # over F4 the residue units Z/3 leave the first Z/15 as Z/5
+    quotient = unit_quotient_seq(inst(f4, [(f16, 1)] * 400))
+    assert expr_invariant_factors(quotient) == (5,) + (15,) * 399
+    assert decide_noeth(inst(f2, [(f4, 1)] * 400)).verdict is Verdict.NOT_FREE
 
 
 def test_amalgam_crosscheck_fails_a_dropped_torsion_factor(tmp_path, capsys, monkeypatch):
-    """A case-c unit quotient that loses one torsion factor fails the
-    standard-form cross-check, and ``verify`` exits 1."""
+    """A finite-field unit quotient that loses one torsion factor fails the
+    engine cross-check of its case, with or without ``U(k)`` a summand of
+    every ``U(L_i)``, and ``verify`` exits 1."""
     seq = unit_quotient_seq
 
     def dropped(instance):
@@ -268,14 +321,18 @@ def test_amalgam_crosscheck_fails_a_dropped_torsion_factor(tmp_path, capsys, mon
     k16 = {"finite": {"p": 2, "r": 4}}
     payloads = [json.loads((INSTANCES / "f2_f4_two_branches.json").read_text(encoding="utf-8")),
                 {"v": 1, "kind": "noeth_local", "k": k4,
-                 "branches": [{"L": k16, "e": 1}, {"L": k16, "e": 1}, {"L": k4, "e": 1}]}]
-    for payload in payloads:
+                 "branches": [{"L": k16, "e": 1}, {"L": k16, "e": 1}, {"L": k4, "e": 1}]},
+                json.loads((INSTANCES / "two_branches_char3.json").read_text(encoding="utf-8")),
+                {"v": 1, "kind": "noeth_local", "k": k4,
+                 "branches": [{"L": {"finite": {"p": 2, "r": 6}}, "e": 1}]}]
+    labels = ["amalgam-crosscheck"] * 3 + ["quotient-crosscheck"]
+    for payload, label in zip(payloads, labels):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert cli.main(["verify", str(path), "--format", "json"]) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [(c["check"], c["ok"]) for c in checks] == \
-            [("sequence-computed", True), ("amalgam-crosscheck", False)]
+            [("sequence-computed", True), (label, False)]
 
 
 def test_seq_case_c_opaque_shape():
