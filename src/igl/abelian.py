@@ -24,9 +24,11 @@ Design notes.
   two canonical column HNFs (kernel lattice against relation lattice,
   image lattice against the identity, image against kernel); no kernel
   or cokernel group is presented and no Smith form runs for them.
-* Where a preimage must be lifted (connecting maps, sections), the lift
-  is the deterministic first solution of the integer solver; any valid
-  lift induces the same map on classes.
+* Where preimages must be lifted (connecting maps, sections,
+  factorizations), all of them are the columns of one right-hand side,
+  solved by one elimination; each lift is the deterministic solution the
+  integer solver gives its column, and any valid lift induces the same
+  map on classes.
 """
 
 from __future__ import annotations
@@ -256,15 +258,12 @@ def is_exact_pair(f: FgHom, g: FgHom) -> bool:
 def factor_through(h: FgHom, incl: FgHom) -> FgHom:
     """Factor ``h`` through an injective inclusion whose columns span a
     lattice containing ``im(h)``: return ``u`` with ``incl ∘ u = h`` on
-    generators (as produced for kernels by :func:`kernel_with_inclusion`)."""
-    cols = []
-    for j in range(h.matrix.cols):
-        c = solve(incl.matrix, h.matrix.col(j))
-        if c is None:
-            raise DiagramError("map does not factor through the given inclusion")
-        cols.append(list(c))
-    return FgHom(h.source, incl.source,
-                 IntMatrix.from_cols(cols, rows=incl.source.generators))
+    generators (as produced for kernels by :func:`kernel_with_inclusion`).
+    Every column of ``h`` is solved for in one elimination."""
+    u = solve(incl.matrix, h.matrix)
+    if u is None:
+        raise DiagramError("map does not factor through the given inclusion")
+    return FgHom(h.source, incl.source, u)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +323,13 @@ class SnakeResult(namedtuple("SnakeResult", "ker_f ker_g ker_h coker_f coker_g c
             raise DiagramError("six-term sequence not exact at coker h")
 
 
-def _lift_through(cols_matrix: IntMatrix, rel: IntMatrix, vec) -> tuple[int, ...]:
-    """Deterministic lift: solve ``cols_matrix·x ≡ vec (mod rel)`` for x."""
-    sol = solve(hstack(cols_matrix, rel), vec)
+def _lift_through(cols_matrix: IntMatrix, rel: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Deterministic lift of every column of ``b`` in one elimination:
+    an ``X`` with ``cols_matrix·X ≡ b (mod rel)``, column by column."""
+    sol = solve(hstack(cols_matrix, rel), b)
     if sol is None:
         raise DiagramError("preimage lift does not exist")
-    return sol[:cols_matrix.cols]
+    return IntMatrix(cols_matrix.cols, b.cols, sol.entries[:cols_matrix.cols])
 
 
 def snake(top: ShortExactSeq, bottom: ShortExactSeq,
@@ -338,9 +338,10 @@ def snake(top: ShortExactSeq, bottom: ShortExactSeq,
 
     The input is rejected, with a diagnostic naming the failing square,
     unless ``f``, ``g``, ``h`` connect the rows and both squares commute.
-    The connecting map lifts each kernel class of ``h`` through the top
-    projection, pushes it down ``g``, and pulls it back through the bottom
-    inclusion; the lift choice is deterministic and irrelevant on classes.
+    The connecting map lifts the generators of ``ker h`` through the top
+    projection, pushes them down ``g``, and pulls them back through the
+    bottom inclusion, each lift one elimination for all generators; the
+    lift choice is deterministic and irrelevant on classes.
     The result is re-verified to be exact at every position.
     """
     for name, hom, src, tgt in (("f", f, top.left, bottom.left),
@@ -363,14 +364,9 @@ def snake(top: ShortExactSeq, bottom: ShortExactSeq,
     ker_fg = factor_through(kf_incl.then(top.inj), kg_incl)
     ker_gh = factor_through(kg_incl.then(top.surj), kh_incl)
 
-    delta_cols = []
-    for j in range(kh.generators):
-        v = kh_incl.matrix.col(j)
-        x = _lift_through(top.surj.matrix, top.right.relations, v)
-        w = g.matrix.apply(x)
-        a = _lift_through(bottom.inj.matrix, bottom.mid.relations, w)
-        delta_cols.append(list(a))
-    connecting = FgHom(kh, qf, IntMatrix.from_cols(delta_cols, rows=qf.generators))
+    x = _lift_through(top.surj.matrix, top.right.relations, kh_incl.matrix)
+    connecting = FgHom(kh, qf, _lift_through(bottom.inj.matrix, bottom.mid.relations,
+                                             g.matrix @ x))
 
     coker_fg = FgHom(qf, qg, bottom.inj.matrix)
     coker_gh = FgHom(qg, qh, bottom.surj.matrix)
@@ -393,17 +389,18 @@ def split_test(s: ShortExactSeq) -> SplitResult:
 
     A section is an integer matrix ``X`` on generators with
     ``surj ∘ X = id`` as maps, carrying the right term's relators into
-    the middle term's relations.  It is built one cyclic factor of the
-    right term at a time: ``diagonal_basis`` writes that term as
-    ``⊕ Z/d_i`` on new generators ``e_i`` (``X = X'·W``), each ``e_i``
-    lifts through the projection to some ``x_i``, and a torsion factor
-    needs ``d_i·x_i`` to be a relation of the middle term.  Any other
-    lift differs from ``x_i`` by ``inj(a)`` plus a relation, so the
-    factor admits one exactly when ``[d_i·inj | rB]`` solves
-    ``-d_i·x_i``; if some factor admits none, no section exists.  A free
-    factor needs no correction (free groups are projective), and a unit
-    factor is zero in the right term.  The section found is checked:
-    well-definedness on construction, then ``surj ∘ X = id``.
+    the middle term's relations.  ``diagonal_basis`` writes the right
+    term as ``⊕ Z/d_i`` on new generators ``e_i`` (``X = X'·W``), and one
+    elimination lifts every ``e_i`` through the projection to some
+    ``x_i``.  The section is then built one cyclic factor at a time: a
+    torsion factor needs ``d_i·x_i`` to be a relation of the middle term.
+    Any other lift differs from ``x_i`` by ``inj(a)`` plus a relation, so
+    the factor admits one exactly when ``[d_i·inj | rB]`` solves
+    ``-d_i·x_i``, a system of its own for each ``d_i``; if some factor
+    admits none, no section exists.  A free factor needs no correction
+    (free groups are projective), and a unit factor is zero in the right
+    term.  The section found is checked: well-definedness on
+    construction, then ``surj ∘ X = id``.
     """
     inj, surj = s.inj.matrix, s.surj.matrix
     rB = s.mid.relations
@@ -411,21 +408,20 @@ def split_test(s: ShortExactSeq) -> SplitResult:
     d, w = diagonal_basis(s.right.relations)
     diag = IntMatrix.from_cols([[di if t == i else 0 for t in range(nC)]
                                 for i, di in enumerate(d) if di], rows=nC)
-    onto = w @ surj
+    x = _lift_through(w @ surj, diag, IntMatrix.identity(nC))
     lifts = []
     for i, di in enumerate(d):
+        xi = x.col(i)
         if di in (1, -1):
-            lifts.append([0] * nB)
-            continue
-        x = _lift_through(onto, diag, [int(t == i) for t in range(nC)])
-        if di:
+            xi = (0,) * nB
+        elif di:
             scaled = IntMatrix(nB, inj.cols, tuple(tuple(di * v for v in row)
                                                    for row in inj.entries))
-            fix = solve(hstack(scaled, rB), [-di * v for v in x])
+            fix = solve(hstack(scaled, rB), IntMatrix(nB, 1, tuple((-di * v,) for v in xi)))
             if fix is None:
                 return SplitResult(False, None)
-            x = [v + u for v, u in zip(x, inj.apply(fix[:inj.cols]))]
-        lifts.append(x)
+            xi = [v + u for v, u in zip(xi, inj.apply(fix.col(0)[:inj.cols]))]
+        lifts.append(xi)
     section = FgHom(s.right, s.mid, IntMatrix.from_cols(lifts, rows=nB) @ w)
     if not section.then(s.surj).equals_map(FgHom.identity(s.right)):
         raise DiagramError("internal error: solved section fails to split")

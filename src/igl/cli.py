@@ -563,6 +563,9 @@ def _replay_noeth(payload: dict) -> list[Check]:
             assert engine == expected, f"{engine} != {expected}"
             return detail
         checks.append(_check(label, unit_quotient_check))
+    elif fin:
+        checks.append(("unit-crosscheck", True,
+                       f"skipped: no finite unit quotient in case {case}"))
     else:
         checks.append(("unit-crosscheck", True,
                        "skipped: opaque declarations are trusted inputs"))

@@ -14,15 +14,16 @@ provides
 * ``diagonal_basis``  -- a change of basis that makes a relation lattice
                          diagonal, so a cokernel splits into cyclic factors,
 * ``kernel_basis``    -- a basis of the integer kernel of a matrix,
-* ``solve``           -- a particular integer solution of ``A x = b``,
+* ``solve``           -- a particular integer solution ``X`` of ``A X = B``,
 * ``lattice_solve``   -- coordinates of a vector in an HNF lattice basis.
 
 ``snf``, ``diagonal_basis``, ``kernel_basis`` and ``solve`` share one
 diagonal elimination.  It builds the column transform ``V`` and carries
-right-hand sides as extra columns through its row operations: ``solve``
-carries ``b``, and ``snf`` carries the identity, whose rows come back as
-``U``.  Only ``snf`` then forces the divisibility chain, by gcd/lcm steps
-on pairs of diagonal entries (Kannan-Bachem 1979).
+a right-hand-side matrix as extra columns through its row operations:
+``solve`` carries ``B``, all of its columns at once, and ``snf`` carries
+the identity, whose rows come back as ``U``.  Only ``snf`` then forces
+the divisibility chain, by gcd/lcm steps on pairs of diagonal entries
+(Kannan-Bachem 1979).
 
 Lattices (subgroups of Z^n) are always represented by the columns of a
 matrix; two generating matrices span the same lattice exactly when their
@@ -207,17 +208,12 @@ def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
     1993).  Returns ``(units, core)``: each removed pivot is an invariant
     factor 1 and ``coker m ≅ coker core``, so the Smith form of ``m`` is
     ``units`` ones followed by the Smith form of ``core``.
-
-    Rows above the pivot row held no ``±1`` when they were scanned, and
-    deleting a column cannot add one, so the next search resumes at the
-    first row that the elimination changed.
     """
     a = [list(row) for row in m.entries]
     units = 0
-    start = 0
     while True:
         piv = None
-        for i in range(start, len(a)):
+        for i in range(len(a)):
             row = a[i]
             js = [row.index(e) for e in (1, -1) if e in row]
             if js:
@@ -229,14 +225,11 @@ def unit_core(m: IntMatrix) -> tuple[int, IntMatrix]:
         p = a.pop(i)
         s = p[j]
         nz = [(t, y) for t, y in enumerate(p) if y]
-        start = i
-        for r, row in enumerate(a):
+        for row in a:
             c = row[j] * s
             if c:
                 for t, y in nz:
                     row[t] -= c * y
-                if r < start:
-                    start = r
             del row[j]
         units += 1
     return units, IntMatrix(len(a), m.cols - units, tuple(map(tuple, a)))
@@ -331,24 +324,25 @@ def lattice_solve(h: IntMatrix, vec: tuple[int, ...] | list[int]) -> tuple[int, 
 # Diagonal forms: Smith form, cokernel bases, kernels and solutions
 # ---------------------------------------------------------------------------
 
-def _diagonal_form(m: IntMatrix, rhs: tuple | list = ()
+def _diagonal_form(m: IntMatrix, rhs: IntMatrix | None = None
                    ) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Diagonalize ``m`` by unimodular row and column operations.
 
     Returns ``(diag, carried, vcols)``: ``diag`` holds the nonzero pivots
     ``d_0 .. d_{r-1}`` (``r`` is the rank) of a diagonal matrix
-    ``D = U·m·V``; ``carried`` holds the rows of ``U·R``, where the
-    vectors of ``rhs`` are the columns of ``R``; ``vcols`` are the
-    columns of ``V``.  The vectors ride as extra columns of ``m`` through
-    every row operation, while the pivot search and the column operations
-    stop at ``m.cols``, so ``U`` is built only when ``rhs`` is the
-    identity.  The pivot is the smallest nonzero absolute value, the
-    search stopping at the first ``±1``; the divisibility chain is not
-    enforced, since solvability and the kernel need only some diagonal
-    form.
+    ``D = U·m·V``; ``carried`` holds the rows of ``U·rhs`` (empty rows
+    when there is no ``rhs``); ``vcols`` are the columns of ``V``.  The
+    columns of ``rhs`` ride as extra columns of ``m`` through every row
+    operation, while the pivot search and the column operations stop at
+    ``m.cols``, so ``D`` and ``V`` do not depend on ``rhs``, and ``U`` is
+    built only when ``rhs`` is the identity.  The pivot is the smallest
+    nonzero absolute value, the search stopping at the first ``±1``; the
+    divisibility chain is not enforced, since solvability and the kernel
+    need only some diagonal form.
     """
     n, k = m.rows, m.cols
-    a = [list(row) + [v[i] for v in rhs] for i, row in enumerate(m.entries)]
+    extra = rhs.entries if rhs is not None else ((),) * n
+    a = [list(row) + list(r) for row, r in zip(m.entries, extra)]
     vc = [[0] * k for _ in range(k)]
     for j, col in enumerate(vc):
         col[j] = 1
@@ -438,7 +432,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     into ``diag(gcd, lcm)`` by a determinant-one transform on each side.
     """
     n, k = m.rows, m.cols
-    diag, u, v = _diagonal_form(m, IntMatrix.identity(n).entries)
+    diag, u, v = _diagonal_form(m, IntMatrix.identity(n))
     for i, d in enumerate(diag):
         if d < 0:
             diag[i] = -d
@@ -484,23 +478,24 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(vc[len(diag):], rows=m.cols)
 
 
-def solve(m: IntMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
-    """One integer solution of ``m x = b``, or ``None`` if there is none.
+def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An integer ``X`` with ``m·X = b``, or ``None`` if some column of
+    ``b`` has no solution.
 
-    The solution returned is deterministic: the free coordinates of the
-    diagonal form ``U·m·V`` are set to zero.  Callers must not rely on
-    which solution it is; any valid solution serves.
+    Every column of ``b`` rides through one diagonal form ``U·m·V``, whose
+    pivots and ``V`` never look at them, so each column of ``X`` is the
+    solution that ``b``'s column alone would get.  That solution is
+    deterministic: the free coordinates of the diagonal form are set to
+    zero.  Callers must not rely on which solution it is; any valid
+    solution serves.
     """
-    if len(b) != m.rows:
-        raise ValueError("vector length mismatch")
-    diag, c, vc = _diagonal_form(m, [b])
-    if any(row[0] for row in c[len(diag):]):
+    if b.rows != m.rows:
+        raise ValueError("right-hand side row mismatch")
+    diag, c, vc = _diagonal_form(m, b)
+    if any(any(row) for row in c[len(diag):]):
         return None
-    x = [0] * m.cols
-    for d, (ci,), col in zip(diag, c, vc):
-        y, r = divmod(ci, d)
-        if r:
-            return None
-        if y:
-            x = [xi + y * vi for xi, vi in zip(x, col)]
-    return tuple(x)
+    if any(x % d for d, row in zip(diag, c) for x in row):
+        return None
+    y = [[x // d for x in row] for d, row in zip(diag, c)]
+    return (IntMatrix.from_cols(vc[:len(diag)], rows=m.cols)
+            @ IntMatrix.from_rows(y, cols=b.cols))

@@ -71,10 +71,6 @@ class SpecTree:
         return tuple(out)
 
     @cached_property
-    def by_id(self) -> dict[str, PrimeNode]:
-        return {n.node_id: n for n in self.nodes()}
-
-    @cached_property
     def parents(self) -> dict[str, PrimeNode | None]:
         out: dict[str, PrimeNode | None] = {self.root.node_id: None}
         for n in self.nodes():
@@ -90,7 +86,7 @@ class SpecTree:
         return [n for n in self.nodes() if n.is_maximal and n is not self.root]
 
     def node(self, node_id: str) -> PrimeNode:
-        return self.by_id[node_id]
+        return {n.node_id: n for n in self.nodes()}[node_id]
 
 
 def tree_from_payload(payload: dict) -> SpecTree:

@@ -338,9 +338,11 @@ def kronecker_split_test(s: ShortExactSeq) -> FgHom | None:
                 row[n_x + n_y + u * nC + j] = -rC.entries[i][u]
             rows.append(row)
             rhs.append(int(i == j))
-    sol = solve(IntMatrix.from_rows(rows, cols=n_x + n_y + n_w), rhs)
+    sol = solve(IntMatrix.from_rows(rows, cols=n_x + n_y + n_w),
+                IntMatrix.from_cols([rhs], rows=len(rhs)))
     if sol is None:
         return None
+    sol = sol.col(0)
     x = [[sol[i * nC + t] for t in range(nC)] for i in range(nB)]
     return FgHom(s.right, s.mid, IntMatrix.from_rows(x, cols=nC))
 

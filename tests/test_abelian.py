@@ -10,7 +10,7 @@ from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq,
                          amalgam_quotient, cokernel, factor_through, is_exact_pair,
                          is_free, kernel_with_inclusion, snake, split_test)
 from igl.errors import DiagramError
-from igl.matrices import IntMatrix, hstack, snf, solve
+from igl.matrices import IntMatrix, diagonal_basis, hstack, snf, solve
 from igl.valgroup import canonical_invariants
 from oracles import (divisible_elements_brute, has_divisible, is_trivial, kernel,
                      kronecker_split_test, lattice_equal, minors_invariant_factors,
@@ -286,26 +286,59 @@ def test_split_test_needs_no_smith_form(monkeypatch):
         onto = hstack(s.surj.matrix, s.right.relations)
         for j in range(s.right.generators):
             e = [int(i == j) for i in range(s.right.generators)]
-            assert onto.apply(solve(onto, e)) == tuple(e)
+            sol = solve(onto, IntMatrix.from_cols([e], rows=len(e)))
+            assert onto.apply(sol.col(0)) == tuple(e)
 
 
 def test_split_test_solves_one_cyclic_factor_at_a_time(monkeypatch):
     # the same planted sequences; no system spans the whole section
     rng = random.Random(9)
     seqs = [(planted_sequence(rng, splits), splits) for splits in (True, False)]
-    widths = []
+    calls = []
 
     def counted(m, b):
-        widths.append(m.cols)
+        calls.append((m.cols, b.cols))
         return solve(m, b)
 
     monkeypatch.setattr(abelian, "solve", counted)
     for s, splits in seqs:
-        widths.clear()
+        calls.clear()
         assert split_test(s).splits == splits
         bound = max(s.mid.generators + s.right.generators,
                     s.left.generators + s.mid.relations.cols)
-        assert widths and max(widths) <= bound
+        assert calls and max(width for width, _ in calls) <= bound
+        # one lift of every generator of ⊕ Z/d_i, then one correction per
+        # torsion factor, up to the first that admits none
+        torsion = sum(1 for d in diagonal_basis(s.right.relations)[0] if abs(d) > 1)
+        assert calls[0][1] == s.right.generators
+        assert [rhs for _, rhs in calls[1:]] == [1] * (len(calls) - 1)
+        if splits:
+            assert len(calls) == 1 + torsion
+        else:
+            assert 1 < len(calls) <= 1 + torsion
+
+
+def test_snake_lifts_every_kernel_generator_in_one_solve(monkeypatch):
+    # f injective, g identity, h zero: ker h ≅ Z^2 ≅ coker f, and the
+    # connecting map is one solve through the top projection and one
+    # through the bottom inclusion, for both generators of ker h
+    z2, z4, t = FgGroup.free(2), FgGroup.free(4), FgGroup.free(0)
+    inj = hom(z2, z4, [[1, 0], [0, 1], [0, 0], [0, 0]])
+    top = ShortExactSeq(z2, z4, z2, inj, hom(z4, z2, [[0, 0, 1, 0], [0, 0, 0, 1]]))
+    bottom = ShortExactSeq(z4, z4, t, FgHom.identity(z4), FgHom.zero(z4, t))
+    widths = []
+
+    def counted(m, b):
+        widths.append(b.cols)
+        return solve(m, b)
+
+    monkeypatch.setattr(abelian, "solve", counted)
+    res = snake(top, bottom, inj, FgHom.identity(z4), FgHom.zero(z2, t))
+    assert res.ker_h.generators == 2
+    assert abelian.is_isomorphism(res.connecting)
+    # ker f → ker g and ker g → ker h factor through kernel inclusions
+    # first, one solve each
+    assert widths == [res.ker_f.generators, res.ker_g.generators, 2, 2]
 
 
 def random_exact_sequence(rng):

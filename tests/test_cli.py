@@ -180,6 +180,27 @@ def test_verify_noeth_crosscheck(tmp_path, capsys):
     assert "amalgam-crosscheck" in out and "FAIL" not in out
 
 
+def test_unit_crosscheck_skip_names_its_reason(tmp_path, capsys):
+    """Only an opaque field makes the skip about trusted declarations; an
+    all-finite instance of case a or an integrally closed one has no
+    finite unit quotient to check, and the skip names the case."""
+    def finite(p, r=1):
+        return {"finite": {"p": p, "r": r}}
+
+    case_a = {"v": 1, "kind": "noeth_local", "k": finite(3, 2),
+              "branches": [{"L": finite(3, 2), "e": 2}, {"L": finite(3, 2), "e": 1}]}
+    closed = {"v": 1, "kind": "noeth_local", "k": finite(2), "integrally_closed": True,
+              "branches": [{"L": finite(2), "e": 1}]}
+    for payload, detail in ((case_a, "skipped: no finite unit quotient in case a"),
+                            (closed, "skipped: no finite unit quotient in case "
+                                     "integrally-closed"),
+                            (CURVE, "skipped: opaque declarations are trusted inputs")):
+        assert main(["verify", str(write(tmp_path, payload)), "--format", "json"]) == 0
+        checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["unit-crosscheck"] == {"check": "unit-crosscheck", "detail": detail,
+                                             "ok": True}
+
+
 def test_tower_crosscheck_fails_a_wrong_value_group(capsys, monkeypatch):
     """An invertible group one ``Z`` too large fails ``tower-crosscheck``,
     and ``verify`` exits 1."""

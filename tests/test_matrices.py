@@ -21,6 +21,11 @@ def mat(rows):
     return IntMatrix.from_rows([list(r) for r in rows])
 
 
+def column(vec):
+    """A vector as a one-column right-hand side of ``solve``."""
+    return IntMatrix.from_cols([list(vec)], rows=len(vec))
+
+
 def test_snf_identity():
     u, s, v = snf(IntMatrix.identity(2))
     assert s.diagonal() == (1, 1)
@@ -136,15 +141,15 @@ def test_kernel_and_solve(rows):
     rng = random.Random(7)
     x = [rng.randint(-3, 3) for _ in range(m.cols)]
     b = m.apply(x)
-    sol = solve(m, b)
+    sol = solve(m, column(b))
     assert sol is not None
-    assert m.apply(sol) == tuple(b)
+    assert m.apply(sol.col(0)) == tuple(b)
 
 
 def test_solve_unsolvable():
     m = mat([[2]])
-    assert solve(m, [1]) is None
-    assert solve(m, [4]) == (2,)
+    assert solve(m, column([1])) is None
+    assert solve(m, column([4])) == column([2])
 
 
 sparse_systems = st.integers(1, 8).flatmap(
@@ -165,10 +170,10 @@ def test_diagonal_form_agrees_with_smith(system):
     b = list(m.apply(x))
     if perturb is not None:
         b[perturb[0]] += perturb[1]
-    sol = solve(m, b)
+    sol = solve(m, column(b))
     assert (sol is None) == (smith_solve(m, b) is None)
     if sol is not None:
-        assert m.apply(sol) == tuple(b)
+        assert m.apply(sol.col(0)) == tuple(b)
     kb = kernel_basis(m)
     rank = sum(1 for d in reference_snf(m)[1].diagonal() if d)
     assert kb.cols == m.cols - rank
@@ -231,30 +236,41 @@ def test_lattice_membership():
 
 
 @given(st.integers(1, 5).flatmap(lambda r: st.integers(0, 6).flatmap(
-    lambda c: st.tuples(
+    lambda c: st.integers(1, 3).flatmap(lambda p: st.tuples(
         st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 6)),
                           min_size=c, max_size=c),
                  min_size=r, max_size=r).map(lambda rows: IntMatrix.from_rows(rows, cols=c)),
-        st.lists(st.integers(-3, 3), min_size=c, max_size=c),
-        st.lists(st.integers(-2, 2), min_size=r, max_size=r)))))
+        st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+                 min_size=p, max_size=p),
+        st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                 min_size=p, max_size=p))))))
 @settings(max_examples=300, deadline=None)
 def test_lattice_solve_agrees_with_solve(case):
-    # a lattice vector a·x, moved off it by a shift or not; rank-deficient
-    # matrices leave rows without a pivot
-    a, x, shift = case
+    # one to three lattice vectors a·x, each moved off it by a shift or
+    # not; rank-deficient matrices leave rows without a pivot
+    a, xs, shifts = case
     h = column_hnf(a)
-    point = a.apply(x)
-    v = [p + s for p, s in zip(point, shift)]
-    coords = lattice_solve(h, v)
-    assert (coords is None) == (solve(a, v) is None)
-    if coords is not None:
-        assert h.apply(coords) == tuple(v)
+    vs = [[p + s for p, s in zip(a.apply(x), shift)] for x, shift in zip(xs, shifts)]
+    alone = [solve(a, column(v)) for v in vs]
+    for v, sol in zip(vs, alone):
+        coords = lattice_solve(h, v)
+        assert (coords is None) == (sol is None)
+        if coords is not None:
+            assert h.apply(coords) == tuple(v)
+    # all of them as the columns of one right-hand side: no solution when
+    # some column alone has none, else each column's own solution
+    together = solve(a, IntMatrix.from_cols(vs, rows=a.rows))
+    if None in alone:
+        assert together is None
+    else:
+        assert [together.col(j) for j in range(len(vs))] == [sol.col(0) for sol in alone]
     # a vector that fails only at a row holding no pivot
+    point = a.apply(xs[0])
     pivots = {next(i for i, row in enumerate(h.entries) if row[j]) for j in range(h.cols)}
     for i in set(range(h.rows)) - pivots:
         off = list(point)
         off[i] += 1
-        assert lattice_solve(h, off) is None and solve(a, off) is None
+        assert lattice_solve(h, off) is None and solve(a, column(off)) is None
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))

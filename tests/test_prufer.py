@@ -209,11 +209,11 @@ def test_agreement_with_leaf_gammas():
 def test_finitely_generated_maximal_flag():
     from igl.prufer import finitely_generated_maximal
     t = chain(("Z",), ("Q",))
-    assert not finitely_generated_maximal(t, t.by_id["c2"])
+    assert not finitely_generated_maximal(t, t.node("c2"))
     y = y_tree()
-    assert finitely_generated_maximal(y, y.by_id["M1"])
+    assert finitely_generated_maximal(y, y.node("M1"))
     with pytest.raises(SchemaError):
-        finitely_generated_maximal(y, y.by_id["P"])
+        finitely_generated_maximal(y, y.node("P"))
 
 
 def test_tree_payload_parsing():

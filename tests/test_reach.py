@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "prufer.contracted_spectrum": "a traced benchmark target",
     "prufer.SpecTree.node": "a traced benchmark target",
-    "prufer.SpecTree.by_id": "the id lookup behind SpecTree.node",
     "matrices.IntMatrix.det": "the maximal minor a modular HNF needs",
     "cli.entrypoint": "the console-script shim around main",
 }
