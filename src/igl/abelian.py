@@ -110,9 +110,6 @@ class FgGroup:
             return NotImplemented
         return self.invariant_factors == other.invariant_factors
 
-    def __hash__(self) -> int:
-        return hash(self.invariant_factors)
-
     def same_presentation(self, other: "FgGroup") -> bool:
         return (self.generators == other.generators
                 and self.relations.entries == other.relations.entries)

@@ -18,6 +18,8 @@ a malformed instance of any kind), 3 for precondition violations, 1 when
 4 for an internal error (any other exception, reported in one line),
 0 otherwise -- an ``Unknown`` verdict is a result, not an error.  A
 closed stdout ends the ``igl`` process silently by ``SIGPIPE``.
+``verify``'s checks are comparisons, not ``assert`` statements, so its
+exit code is the same under ``python -O``.
 """
 
 from __future__ import annotations
@@ -233,8 +235,10 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
                 f"labels key {key!r}: must be a decimal stratum index")
         _expect(isinstance(slots, list) and slots,
                 f"labels[{key}]: must be a nonempty slot list")
-        labels[scattered.parse_digits(key, f"labels key {key[:20]!r}")] = \
-            valgroup.ValueTower.from_names(slots)
+        stratum = scattered.parse_digits(key, f"labels key {key[:20]!r}")
+        _expect(stratum not in labels,
+                f"labels key {key[:20]!r}: stratum {stratum} is already labelled")
+        labels[stratum] = valgroup.ValueTower.from_names(slots)
     return scattered.ScatteredSpace.interval(bound, labels)
 
 
@@ -430,18 +434,14 @@ def decide_payload(payload: dict, name: str) -> Report:
 Check = tuple[str, bool, str]
 
 
-def _check(label: str, replay, *args) -> Check:
-    """Run one replay.  An engine error or a failed assertion is a failing
-    check; a schema error is not a check at all and propagates, so that a
-    malformed instance of any kind exits 2."""
-    try:
-        return label, True, replay(*args) or "ok"
-    except SchemaError:
-        raise
-    except IglError as exc:
-        return label, False, str(exc)
-    except AssertionError as exc:
-        return label, False, f"assertion failed: {exc}"
+def _agree(label: str, got, want, detail: str, why: str | None = None) -> Check:
+    """One replay check: it passes with ``detail`` when ``got == want``,
+    and otherwise fails naming ``why``, by default the two values.  A
+    comparison, not an ``assert``, so that no interpreter flag can strip
+    it."""
+    if got == want:
+        return label, True, detail
+    return label, False, "assertion failed: " + (f"{got} != {want}" if why is None else why)
 
 
 # check -> (label, detail read off the decision)
@@ -455,9 +455,16 @@ _DIAGRAM_CHECKS = {
 
 
 def _replay_diagram(payload: dict) -> list[Check]:
-    # the engine calls of the decision verify the diagram
+    # the engine calls of the decision verify the diagram: an engine error
+    # is a failing check, while a schema error is not a check at all and
+    # propagates, so that a malformed instance of any kind exits 2
     label, detail = _DIAGRAM_CHECKS[_diagram_check(payload)]
-    return [_check(label, lambda: detail(_decide_diagram(payload)))]
+    try:
+        return [(label, True, detail(_decide_diagram(payload)))]
+    except SchemaError:
+        raise
+    except IglError as exc:
+        return [(label, False, str(exc))]
 
 
 def _class_counts(tree: prufer.SpecTree) -> dict[str, tuple[int, int]]:
@@ -479,12 +486,13 @@ def _class_counts(tree: prufer.SpecTree) -> dict[str, tuple[int, int]]:
 
 
 def _replay_cut(tree: prufer.SpecTree, counts: dict[str, tuple[int, int]],
-                cut: prufer.DividedCut) -> str:
+                cut: prufer.DividedCut) -> Check:
     # the split sequence 0 → quotient → quotient ⊕ step → step → 0 is
     # exact and split by construction; what can fail is that the cut's
     # total is that direct sum.  The total is the cut's dependency class,
     # recounted from the tree: the subtree at the top of the unique-child
     # chain above the cut prime
+    label = f"cut-at-{cut.prime_id}"
     top = cut.prime_id
     parent = tree.parents[top]
     while parent is not tree.root and len(parent.children) == 1:
@@ -492,9 +500,9 @@ def _replay_cut(tree: prufer.SpecTree, counts: dict[str, tuple[int, int]],
         parent = tree.parents[top]
     z, other = counts[top]
     if other or cut.quotient_rank is None or cut.step_rank is None:
-        return "skipped: not finitely generated"
-    assert cut.quotient_rank + cut.step_rank == z, "middle term mismatch"
-    return "exact and split on finitely generated stand-ins"
+        return label, True, "skipped: not finitely generated"
+    return _agree(label, cut.quotient_rank + cut.step_rank, z,
+                  "exact and split on finitely generated stand-ins", "middle term mismatch")
 
 
 def _replay_prufer(payload: dict) -> list[Check]:
@@ -502,17 +510,15 @@ def _replay_prufer(payload: dict) -> list[Check]:
     decision = prufer.decide_inv_free(tree)
     checks = [("decision-computed", True, decision.verdict.value)]
     counts = _class_counts(tree)
-    checks.extend(_check(f"cut-at-{cut.prime_id}", _replay_cut, tree, counts, cut)
-                  for cut in decision.cuts)
+    checks.extend(_replay_cut(tree, counts, cut) for cut in decision.cuts)
     slots, other = counts[tree.root.node_id]
     if not other:
-        def rank_check():
-            # every Decision.expr is a normal form: read it as it stands
-            inv = valgroup.normal_invariant_factors(decision.expr)
-            rank = None if inv is None else inv.count(0)
-            assert rank == slots, f"rank {rank} != slot count {slots}"
-            return f"rank {rank} matches the slot count"
-        checks.append(_check("rank-matches-slots", rank_check))
+        # every Decision.expr is a normal form: read it as it stands
+        inv = valgroup.normal_invariant_factors(decision.expr)
+        rank = None if inv is None else inv.count(0)
+        checks.append(_agree("rank-matches-slots", rank, slots,
+                             f"rank {rank} matches the slot count",
+                             f"rank {rank} != slot count {slots}"))
     return checks
 
 
@@ -520,15 +526,12 @@ def _replay_valuation(payload: dict) -> list[Check]:
     tower = parse_valuation(payload)["tower"]
     if not tower.is_free():
         return [("tower-crosscheck", True, "skipped: tower not discrete")]
-
-    def val_check():
-        # the decision's expression, recounted against Z^n of the engine
-        n = len(tower)
-        inv = valgroup.normal_invariant_factors(valgroup.inv_of_valuation(tower))
-        free = abelian.FgGroup.free(n).invariant_factors
-        assert inv == free, f"{inv} != {free}"
-        return f"Z^{n} cross-checked through the exact engine"
-    return [_check("tower-crosscheck", val_check)]
+    # the decision's expression, recounted against Z^n of the engine
+    n = len(tower)
+    return [_agree("tower-crosscheck",
+                   valgroup.normal_invariant_factors(valgroup.inv_of_valuation(tower)),
+                   abelian.FgGroup.free(n).invariant_factors,
+                   f"Z^{n} cross-checked through the exact engine")]
 
 
 # conductor case -> (label, detail) of the finite-field unit-quotient check
@@ -550,19 +553,14 @@ def _replay_noeth(payload: dict) -> list[Check]:
         isinstance(b.field, noeth.FiniteField) for b in inst.branches)
     if fin and case in _UNIT_QUOTIENT_CHECKS:
         label, detail = _UNIT_QUOTIENT_CHECKS[case]
-
-        def unit_quotient_check():
-            m = inst.residue.unit_order
-            orders = [b.field.unit_order for b in inst.branches]
-            # the generator of Z/m goes to (n_i/m)·generator in each Z/n_i
-            diag = IntMatrix.from_rows([[n // m] for n in orders], cols=1)
-            emb = abelian.FgHom(abelian.FgGroup.cyclic(m),
-                                abelian.FgGroup.from_invariants(*orders), diag)
-            engine = abelian.cokernel(emb).invariant_factors
-            expected = valgroup.expr_invariant_factors(quotient)
-            assert engine == expected, f"{engine} != {expected}"
-            return detail
-        checks.append(_check(label, unit_quotient_check))
+        m = inst.residue.unit_order
+        orders = [b.field.unit_order for b in inst.branches]
+        # the generator of Z/m goes to (n_i/m)·generator in each Z/n_i
+        diag = IntMatrix.from_rows([[n // m] for n in orders], cols=1)
+        emb = abelian.FgHom(abelian.FgGroup.cyclic(m),
+                            abelian.FgGroup.from_invariants(*orders), diag)
+        checks.append(_agree(label, abelian.cokernel(emb).invariant_factors,
+                             valgroup.expr_invariant_factors(quotient), detail))
     elif fin:
         checks.append(("unit-crosscheck", True,
                        f"skipped: no finite unit quotient in case {case}"))
@@ -572,36 +570,36 @@ def _replay_noeth(payload: dict) -> list[Check]:
     return checks
 
 
+def _derived_walk_fault(space: scattered.ScatteredSpace, rank: int) -> str | None:
+    """How the derived sequence departs from the closed forms that decide
+    uses, or ``None``.  It replays the definition: the k-th derivative's
+    isolated points are stratum k, and the walk has ``rank`` steps.
+    Occupied strata are always 0..K, so the derivative's strata shifted
+    up one lie inside the previous ones exactly when there are fewer of
+    them."""
+    cur = space
+    steps = 0
+    while not cur.is_empty():
+        if scattered.stratum_multiplicity(cur, 0) != \
+                scattered.stratum_multiplicity(space, steps):
+            return f"stratum {steps} size differs from its closed form"
+        prev = len(cur.occupied_strata())
+        cur = scattered.cb_derivative(cur)
+        steps += 1
+        if len(cur.occupied_strata()) >= prev:
+            return "strata grew under the derivative"
+    return None if steps == rank else "derived sequence length differs from the rank"
+
+
 def _replay_scattered(payload: dict) -> list[Check]:
     space = parse_scattered(payload)
-
-    def rank_check():
-        rank = scattered.cb_rank(space)
-        lead = space.bound.leading_exponent() if space.bound else -1
-        assert rank.as_int() == lead + 1
-        return f"rank {rank.render()} = leading exponent + 1"
-
-    def monotone_check():
-        # replays the definition, so it also checks the closed forms
-        # that decide uses: the k-th derivative's isolated points are
-        # stratum k, and the walk has cb_rank steps.  Occupied strata are
-        # always 0..K, so the derivative's strata shifted up one lie
-        # inside the previous ones exactly when there are fewer of them
-        cur = space
-        steps = 0
-        while not cur.is_empty():
-            assert scattered.stratum_multiplicity(cur, 0) == \
-                scattered.stratum_multiplicity(space, steps), \
-                f"stratum {steps} size differs from its closed form"
-            prev = len(cur.occupied_strata())
-            cur = scattered.cb_derivative(cur)
-            steps += 1
-            assert len(cur.occupied_strata()) < prev, "strata grew under the derivative"
-        assert steps == scattered.cb_rank(space).as_int(), \
-            "derived sequence length differs from the rank"
-        return "strata shrink along the derived sequence"
-    return [_check("rank-consistent", rank_check),
-            _check("derived-sequence-monotone", monotone_check)]
+    rank = scattered.cb_rank(space)
+    lead = space.bound.leading_exponent() if space.bound else -1
+    fault = _derived_walk_fault(space, rank.as_int())
+    return [_agree("rank-consistent", rank.as_int(), lead + 1,
+                   f"rank {rank.render()} = leading exponent + 1", ""),
+            _agree("derived-sequence-monotone", fault, None,
+                   "strata shrink along the derived sequence", fault)]
 
 
 def _replay_krull(payload: dict) -> list[Check]:

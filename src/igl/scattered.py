@@ -192,23 +192,14 @@ class ScatteredSpace:
     top-down: with ``K`` the leading exponent of the bound, stratum ``k``
     is ``labels[K - k]``.  Derivatives shift strata down from the top, so
     each one shares the tuple of the space it came from, and the entries
-    past ``labels[K]`` belong to strata it no longer has.  Spaces compare
-    as stored, so a derivative does not equal the same interval built
-    afresh from its ``label_map``.  Slotted for the reason ``Ordinal``
-    is."""
+    past ``labels[K]`` belong to strata it no longer has.  Slotted for
+    the reason ``Ordinal`` is."""
 
     __slots__ = ("bound", "labels")
 
     def __init__(self, bound: Ordinal | None, labels: tuple[ValueTower, ...] = ()) -> None:
         self.bound, self.labels = bound, labels
         self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is ScatteredSpace
-                and (self.bound, self.labels) == (other.bound, other.labels))
-
-    def __hash__(self) -> int:
-        return hash((self.bound, self.labels))
 
     def __repr__(self) -> str:
         return f"ScatteredSpace(bound={self.bound!r}, labels={self.labels!r})"
@@ -362,7 +353,6 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
             "groups, so each stage splits off a free direct summand and the "
             "total group is free"))
 
-    assert s.bound is not None
     if s.bound.is_finite():
         return decided(Verdict.DIRECT_SUM, CertStep.make(
             "finite-jaffard-sum",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igl import cli, matrices, prufer, valgroup
+from igl import cli, matrices, prufer, scattered, valgroup
 from igl.cli import canonical_json, main
 from oracles import tree_payload
 
@@ -247,6 +247,23 @@ def test_verify_fails_a_corrupted_cut(tmp_path, capsys, monkeypatch):
     assert all(c["ok"] for label, c in checks.items() if label != "cut-at-P")
 
 
+def test_verify_fails_a_wrong_cantor_bendixson_rank(capsys, monkeypatch):
+    """A Cantor-Bendixson rank one too high fails both checks of a
+    scattered space, and ``verify`` exits 1."""
+    rank = scattered.cb_rank
+    monkeypatch.setattr(scattered, "cb_rank",
+                        lambda s: scattered.Ordinal.from_int(rank(s).as_int() + 1))
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    for name in ("scattered_obstruction.json", "scattered_omega.json",
+                 "scattered_omega_squared.json"):
+        assert main(["verify", str(instances / name), "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["ok"]) for c in checks] == \
+            [("rank-consistent", False), ("derived-sequence-monotone", False)]
+        assert checks[1]["detail"] == \
+            "assertion failed: derived sequence length differs from the rank"
+
+
 def test_tree_verify_needs_no_integer_engine(monkeypatch):
     def refuse(*args):
         raise RuntimeError("tree verify called the integer engine")
@@ -389,6 +406,19 @@ def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):
     for cmd in ("decide", "verify"):
         assert main([cmd, path]) == 2
         assert "labels key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys", [("0", "1", "01"), ("0", "01", "1")])
+def test_label_keys_naming_one_stratum_twice_exit_2(tmp_path, capsys, keys):
+    """``"1"`` and ``"01"`` name one stratum: in either order the later
+    key is refused, not read over the earlier one."""
+    slots = {"0": ["Z"], "1": ["Z"], "01": ["Q"]}
+    path = str(write(tmp_path, {"v": 1, "kind": "scattered_space", "bound": "w",
+                                "labels": {key: slots[key] for key in keys}}))
+    for cmd in ("decide", "verify"):
+        assert main([cmd, path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: labels key {keys[2]!r}: stratum 1 is already labelled\n"
 
 
 def test_decide_snake_diagram(tmp_path, capsys):
