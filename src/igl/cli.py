@@ -121,7 +121,7 @@ def _is_int(x) -> bool:
 
 
 def _is_int_vector(v, n: int) -> bool:
-    return isinstance(v, list) and len(v) == n and all(type(x) is int for x in v)
+    return isinstance(v, list) and len(v) == n and set(map(type, v)) <= {int}
 
 
 def load_payload(path: Path) -> dict:
@@ -179,26 +179,30 @@ MAX_GENERATORS = 4096
 
 
 def parse_group(rec: dict, where: str) -> abelian.FgGroup:
-    _expect(isinstance(rec, dict), f"{where}: must be an object")
-    _expect(_is_int(rec.get("generators")) and rec["generators"] >= 0,
-            f"{where}.generators: must be a nonnegative integer")
-    n = rec["generators"]
-    _expect(n <= MAX_GENERATORS, f"{where}.generators: at most {MAX_GENERATORS} are supported")
+    # a message is formatted only on failure: the relator check runs once
+    # per relator
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{where}: must be an object")
+    n = rec.get("generators")
+    if not (_is_int(n) and n >= 0):
+        raise SchemaError(f"{where}.generators: must be a nonnegative integer")
+    if n > MAX_GENERATORS:
+        raise SchemaError(f"{where}.generators: at most {MAX_GENERATORS} are supported")
     relators = rec.get("relators", [])
-    _expect(isinstance(relators, list), f"{where}.relators: must be a list of vectors")
+    if not isinstance(relators, list):
+        raise SchemaError(f"{where}.relators: must be a list of vectors")
     for i, r in enumerate(relators):
-        _expect(_is_int_vector(r, n),
-                f"{where}.relators[{i}]: must be an integer vector of length {n}")
-    mat = IntMatrix.from_cols([list(r) for r in relators], rows=n)
-    return abelian.FgGroup(n, mat)
+        if not _is_int_vector(r, n):
+            raise SchemaError(f"{where}.relators[{i}]: must be an integer vector of length {n}")
+    return abelian.FgGroup(n, IntMatrix.from_cols(relators, rows=n))
 
 
 def parse_matrix(rec, rows: int, cols: int, where: str) -> IntMatrix:
-    _expect(isinstance(rec, list) and len(rec) == rows,
-            f"{where}: must be a matrix with {rows} rows")
+    if not (isinstance(rec, list) and len(rec) == rows):
+        raise SchemaError(f"{where}: must be a matrix with {rows} rows")
     for i, row in enumerate(rec):
-        _expect(_is_int_vector(row, cols),
-                f"{where}[{i}]: must be an integer row of length {cols}")
+        if not _is_int_vector(row, cols):
+            raise SchemaError(f"{where}[{i}]: must be an integer row of length {cols}")
     return IntMatrix.from_rows(rec, cols=cols)
 
 
@@ -597,7 +601,8 @@ def _replay_scattered(payload: dict) -> list[Check]:
     lead = space.bound.leading_exponent() if space.bound else -1
     fault = _derived_walk_fault(space, rank.as_int())
     return [_agree("rank-consistent", rank.as_int(), lead + 1,
-                   f"rank {rank.render()} = leading exponent + 1", ""),
+                   f"rank {rank.render()} = leading exponent + 1",
+                   f"rank {rank.render()} != leading exponent + 1 = {lead + 1}"),
             _agree("derived-sequence-monotone", fault, None,
                    "strata shrink along the derived sequence", fault)]
 

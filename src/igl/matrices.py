@@ -5,8 +5,9 @@ no floating point is ever involved and no overflow can occur.  The module
 provides
 
 * ``IntMatrix``       -- an immutable row-major integer matrix,
-* ``snf``             -- Smith normal form with unimodular transforms,
-                         which serves invariant factors,
+* ``snf``             -- Smith normal form with unimodular transforms
+                         (no runtime caller: invariant factors are read
+                         off a diagonal form of the core's column HNF),
 * ``unit_core``       -- the cokernel-preserving core left once the
                          ``±1`` pivots are eliminated, with no transforms,
 * ``column_hnf``      -- the canonical column-style Hermite normal form,
@@ -23,7 +24,12 @@ a right-hand-side matrix as extra columns through its row operations:
 ``solve`` carries ``B``, all of its columns at once, and ``snf`` carries
 the identity, whose rows come back as ``U``.  Only ``snf`` then forces
 the divisibility chain, by gcd/lcm steps on pairs of diagonal entries
-(Kannan-Bachem 1979).
+with Bezout transforms (Kannan-Bachem 1979).
+
+The eliminations themselves form no Bezout combination: ``column_hnf``
+and the diagonal elimination reduce entries to floor-division
+remainders against the smallest nonzero one (remainder pivoting), which
+keeps intermediate entries far smaller.
 
 Lattices (subgroups of Z^n) are always represented by the columns of a
 matrix; two generating matrices span the same lattice exactly when their
@@ -33,6 +39,8 @@ column HNFs coincide, which is how all lattice comparisons are done.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
+from operator import mul
 
 
 def gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -65,9 +73,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
             raise ValueError("negative matrix dimensions")
         if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("column count mismatch")
+        if entries and set(map(len, entries)) != {cols}:
+            raise ValueError("column count mismatch")
         return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
@@ -93,25 +100,24 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+                         tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = other.transpose().entries
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                         tuple(tuple(sum(map(mul, row, col)) for col in ot)
                                for row in self.entries))
 
     def apply(self, vec: tuple[int, ...] | list[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -153,9 +159,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
 
 def hstack(*ms: IntMatrix) -> IntMatrix:
     """The blocks side by side.  Zero-column blocks drop out, and a sole
@@ -166,10 +169,10 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
     if any(m.rows != rows for m in ms):
         raise ValueError("row mismatch in hstack")
     ms = tuple(m for m in ms if m.cols)
-    if len(ms) == 1:
-        return ms[0]
+    if len(ms) < 2:
+        return ms[0] if ms else IntMatrix.zeros(rows, 0)
     return IntMatrix(rows, sum(m.cols for m in ms),
-                     tuple(tuple(x for m in ms for x in m.entries[i]) for i in range(rows)))
+                     tuple(tuple(chain(*parts)) for parts in zip(*(m.entries for m in ms))))
 
 
 def vstack(*ms: IntMatrix) -> IntMatrix:
@@ -245,8 +248,16 @@ def column_hnf(m: IntMatrix) -> IntMatrix:
     The result has one column per lattice rank, pivots positive and on
     strictly increasing rows, entries left of a pivot reduced into
     ``[0, pivot)``, and zero columns dropped.  Two generating matrices
-    span the same lattice iff their column HNFs are identical.  An entry
-    the pivot divides is cleared by a column subtraction, not a gcd step.
+    span the same lattice iff their column HNFs are identical.
+
+    Rows are taken top down.  At row ``i`` the column whose entry there
+    is the smallest nonzero one is the pivot, every other column is
+    reduced against it to a floor-division remainder, and the smallest
+    remainder becomes the next pivot, until one column alone is nonzero
+    in row ``i``.  No Bezout (extended-gcd) combination is formed: its
+    multipliers are what makes entries explode (Havas-Majewski-Matthews,
+    *Extended gcd and Hermite normal form algorithms via lattice basis
+    reduction*, 1998).
     """
     n, k = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -254,34 +265,40 @@ def column_hnf(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         if j >= k:
             break
-        # columns j.. are zero above row i, so every update starts at row i
-        below = a[i:]
-        piv = None
+        ri = a[i]
+        live, piv, best = [], None, 0
         for l in range(j, k):
-            if a[i][l] != 0:
-                if piv is None:
-                    piv = l
-                    continue
-                p0, e = a[i][piv], a[i][l]
-                if e % p0 == 0:
-                    q = e // p0
-                    for row in below:
-                        row[l] -= q * row[piv]
-                    continue
-                g, x, y = gcdex(p0, e)
-                p, q = p0 // g, e // g
-                for row in below:
-                    ap, al = row[piv], row[l]
-                    row[piv] = x * ap + y * al
-                    row[l] = -q * ap + p * al
+            e = ri[l]
+            if e:
+                live.append(l)
+                if piv is None or abs(e) < best:
+                    piv, best = l, abs(e)
         if piv is None:
             continue
-        sign = -1 if a[i][piv] < 0 else 1
+        # columns j.. are zero above row i, so every update starts at row i
+        below = a[i:]
+        while len(live) > 1:
+            d = ri[piv]
+            rest, nxt = [piv], None
+            for l in live:
+                if l != piv:
+                    q = ri[l] // d
+                    for row in below:
+                        row[l] -= q * row[piv]
+                    e = ri[l]
+                    if e:
+                        rest.append(l)
+                        if abs(e) < best:
+                            nxt, best = l, abs(e)
+            live = rest
+            if nxt is not None:
+                piv = nxt
+        sign = -1 if ri[piv] < 0 else 1
         for row in below:
             row[piv], row[j] = row[j], sign * row[piv]
-        d = a[i][j]
+        d = ri[j]
         for c in range(j):
-            q = a[i][c] // d
+            q = ri[c] // d
             if q:
                 for row in below:
                     row[c] -= q * row[j]
@@ -335,10 +352,13 @@ def _diagonal_form(m: IntMatrix, rhs: IntMatrix | None = None
     columns of ``rhs`` ride as extra columns of ``m`` through every row
     operation, while the pivot search and the column operations stop at
     ``m.cols``, so ``D`` and ``V`` do not depend on ``rhs``, and ``U`` is
-    built only when ``rhs`` is the identity.  The pivot is the smallest
-    nonzero absolute value, the search stopping at the first ``±1``; the
-    divisibility chain is not enforced, since solvability and the kernel
-    need only some diagonal form.
+    built only when ``rhs`` is the identity.  The first pivot of a stage
+    is the smallest nonzero absolute value, the search stopping at the
+    first ``±1``.  The pivot column and then the pivot row are reduced to
+    floor-division remainders, and the smallest remainder left in either
+    becomes the pivot, until both hold the pivot alone.  The divisibility
+    chain is not enforced, since solvability and the kernel need only
+    some diagonal form.
     """
     n, k = m.rows, m.cols
     extra = rhs.entries if rhs is not None else ((),) * n
@@ -367,51 +387,54 @@ def _diagonal_form(m: IntMatrix, rhs: IntMatrix | None = None
         i, j = piv
         a[t], a[i] = a[i], a[t]
         if j != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[j] = row[j], row[t]
             vc[t], vc[j] = vc[j], vc[t]
+        # rows t.. hold zeros left of column t, so every update starts there
         while True:
-            # rows: clear column t below the pivot; columns left of t are zero
-            rt = a[t]
-            for i in range(t + 1, n):
-                ri = a[i]
-                e = ri[t]
-                if not e:
-                    continue
-                p0 = rt[t]
-                if e % p0 == 0:
-                    c = e // p0
-                    ri[t:] = [x - c * y for x, y in zip(ri[t:], rt[t:])]
-                else:
-                    g, x, y = gcdex(p0, e)
-                    p, q = p0 // g, e // g
-                    rt[t:], ri[t:] = ([x * u + y * w for u, w in zip(rt[t:], ri[t:])],
-                                      [p * w - q * u for u, w in zip(rt[t:], ri[t:])])
-            # columns: clear row t right of the pivot; column t stays zero
-            # below it until a gcd step mixes another column in (dirty)
+            # the pivot column: each row below keeps its remainder, and the
+            # smallest remainder moves up as the next pivot
+            while True:
+                rt = a[t]
+                p, tail = rt[t], rt[t:]
+                piv, best = None, abs(p)
+                for i in range(t + 1, n):
+                    ri = a[i]
+                    x = ri[t]
+                    if x:
+                        q = x // p
+                        if q:
+                            ri[t:] = [u - q * w for u, w in zip(ri[t:], tail)]
+                            x = ri[t]
+                        if x and abs(x) < best:
+                            piv, best = i, abs(x)
+                if piv is None:
+                    break
+                a[t], a[piv] = a[piv], a[t]
+            # the pivot row, by column operations; column t stays zero
+            # below the pivot until a swap brings another column in (dirty)
             dirty = False
-            for j in range(t + 1, k):
-                e = rt[j]
-                if not e:
-                    continue
-                p0 = rt[t]
-                if e % p0 == 0:
-                    c = e // p0
-                    rt[j] = 0
-                    if dirty:
-                        for row in a[t + 1:]:
-                            row[j] -= c * row[t]
-                    vc[j] = [x - c * y for x, y in zip(vc[j], vc[t])]
-                else:
-                    g, x, y = gcdex(p0, e)
-                    p, q = p0 // g, e // g
-                    for row in a[t:]:
-                        u, w = row[t], row[j]
-                        row[t], row[j] = x * u + y * w, p * w - q * u
-                    vt, vj = vc[t], vc[j]
-                    vc[t] = [x * u + y * w for u, w in zip(vt, vj)]
-                    vc[j] = [p * w - q * u for u, w in zip(vt, vj)]
-                    dirty = True
+            while True:
+                p, vt = rt[t], vc[t]
+                low = [ri for ri in a[t + 1:] if ri[t]] if dirty else ()
+                piv, best = None, abs(p)
+                for j in range(t + 1, k):
+                    x = rt[j]
+                    if x:
+                        q = x // p
+                        if q:
+                            x = rt[j] = x - q * p
+                            for ri in low:
+                                ri[j] -= q * ri[t]
+                            vc[j] = [u - q * w for u, w in zip(vc[j], vt)]
+                        if x and abs(x) < best:
+                            piv, best = j, abs(x)
+                if piv is None:
+                    break
+                for row in a[t:]:
+                    row[t], row[piv] = row[piv], row[t]
+                vc[t], vc[piv] = vc[piv], vc[t]
+                dirty = True
             if not dirty:
                 break
         diag.append(a[t][t])

@@ -5,9 +5,9 @@ determinants are cofactor expansions rather than Bareiss, invariant
 factors come from gcds of minors rather than Smith reduction, Smith
 forms, integer solutions and kernels come from a Smith elimination of
 their own, which forces the divisibility chain as it goes, rather than
-from the engine's shared diagonal elimination, column HNFs come from one
-extended-gcd step per entry rather than the engine's divisible-entry
-shortcut, sections of a short
+from the engine's shared diagonal elimination, column HNFs and diagonal
+forms come from extended-gcd (Bezout) combinations rather than the
+engine's remainder pivoting, sections of a short
 exact sequence come from one linear system over all section entries
 rather than one cyclic factor at a time, derived-set
 bounds come from a max-search over a candidate grid rather than normal
@@ -28,8 +28,10 @@ sub-quotient sequences of finitely generated groups, the hand-built
 certified amalgam parts of a several-branch finite-field unit quotient
 (a reference for the unit-quotient rule where ``U(k)`` is a summand), the left
 product ``w * a`` of ordinals, the dependency classes of a spectral
-tree, the slot names of a value tower and the free rank of an
-expression.
+tree, the slot names of a value tower, the free rank of an
+expression, the diagonal of a matrix, and the dense ``group`` and
+``ses`` instances of the integer engine's growth tests (CI writes them
+too).
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def smith_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Kernel basis from the full Smith form: the columns of ``V`` whose
     diagonal entry of ``S = U·m·V`` is zero or missing."""
     _, s, v = reference_snf(m)
-    diag = s.diagonal()
+    diag = diagonal(s)
     free = [i for i in range(m.cols) if i >= len(diag) or diag[i] == 0]
     return IntMatrix.from_cols([list(v.col(i)) for i in free], rows=m.cols)
 
@@ -246,7 +248,7 @@ def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
     u, s, v = reference_snf(m)
     c = u.apply(tuple(b))
     y = [0] * m.cols
-    diag = s.diagonal()
+    diag = diagonal(s)
     for i in range(len(diag)):
         d = diag[i]
         if d == 0:
@@ -264,8 +266,9 @@ def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
 
 def gcd_step_column_hnf(m: IntMatrix) -> IntMatrix:
     """Column HNF by one extended-gcd step per nonzero entry, applied to
-    every row: the engine's previous elimination, with no divisible-entry
-    shortcut and no restriction to the rows below the pivot."""
+    every row: the engine's elimination before ``bezout_column_hnf``, with
+    no divisible-entry shortcut and no restriction to the rows below the
+    pivot."""
     n, k = m.rows, m.cols
     a = [list(row) for row in m.entries]
     j = 0
@@ -301,6 +304,145 @@ def gcd_step_column_hnf(m: IntMatrix) -> IntMatrix:
                     a[t][c] -= q * a[t][j]
         j += 1
     return IntMatrix(n, j, tuple(tuple(row[:j]) for row in a))
+
+
+def bezout_column_hnf(m: IntMatrix) -> IntMatrix:
+    """Column HNF by one extended-gcd (Bezout) combination per entry the
+    pivot does not divide: the engine's previous elimination, before
+    remainder pivoting.  An entry the pivot divides is cleared by a column
+    subtraction, not a gcd step."""
+    n, k = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    j = 0
+    for i in range(n):
+        if j >= k:
+            break
+        # columns j.. are zero above row i, so every update starts at row i
+        below = a[i:]
+        piv = None
+        for l in range(j, k):
+            if a[i][l] != 0:
+                if piv is None:
+                    piv = l
+                    continue
+                p0, e = a[i][piv], a[i][l]
+                if e % p0 == 0:
+                    q = e // p0
+                    for row in below:
+                        row[l] -= q * row[piv]
+                    continue
+                g, x, y = gcdex(p0, e)
+                p, q = p0 // g, e // g
+                for row in below:
+                    ap, al = row[piv], row[l]
+                    row[piv] = x * ap + y * al
+                    row[l] = -q * ap + p * al
+        if piv is None:
+            continue
+        sign = -1 if a[i][piv] < 0 else 1
+        for row in below:
+            row[piv], row[j] = row[j], sign * row[piv]
+        d = a[i][j]
+        for c in range(j):
+            q = a[i][c] // d
+            if q:
+                for row in below:
+                    row[c] -= q * row[j]
+        j += 1
+    return IntMatrix(n, j, tuple(tuple(row[:j]) for row in a))
+
+
+def bezout_diagonal_form(m: IntMatrix, rhs: IntMatrix | None = None
+                         ) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The engine's previous diagonal elimination, before remainder
+    pivoting: an entry the pivot does not divide is combined with it by
+    its Bezout (extended-gcd) multipliers, in the pivot column by row
+    operations and then in the pivot row by column operations, until both
+    hold the pivot alone.  Returns ``(diag, carried, vcols)`` as the
+    engine's ``_diagonal_form`` does: the pivot is the smallest nonzero
+    absolute value, the search stopping at the first ``±1``, and the
+    columns of ``rhs`` ride through the row operations only."""
+    n, k = m.rows, m.cols
+    extra = rhs.entries if rhs is not None else ((),) * n
+    a = [list(row) + list(r) for row, r in zip(m.entries, extra)]
+    vc = [[0] * k for _ in range(k)]
+    for j, col in enumerate(vc):
+        col[j] = 1
+    diag = []
+    for t in range(min(n, k)):
+        piv = None
+        for i in range(t, n):
+            tail = a[i][t:k]
+            if 1 in tail or -1 in tail:
+                piv = i, t + min(tail.index(e) for e in (1, -1) if e in tail)
+                break
+        else:
+            best = 0
+            for i in range(t, n):
+                row = a[i]
+                for j in range(t, k):
+                    x = row[j]
+                    if x and (piv is None or abs(x) < best):
+                        piv, best = (i, j), abs(x)
+        if piv is None:
+            break
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            vc[t], vc[j] = vc[j], vc[t]
+        while True:
+            # rows: clear column t below the pivot; columns left of t are zero
+            rt = a[t]
+            for i in range(t + 1, n):
+                ri = a[i]
+                e = ri[t]
+                if not e:
+                    continue
+                p0 = rt[t]
+                if e % p0 == 0:
+                    c = e // p0
+                    ri[t:] = [x - c * y for x, y in zip(ri[t:], rt[t:])]
+                else:
+                    g, x, y = gcdex(p0, e)
+                    p, q = p0 // g, e // g
+                    rt[t:], ri[t:] = ([x * u + y * w for u, w in zip(rt[t:], ri[t:])],
+                                      [p * w - q * u for u, w in zip(rt[t:], ri[t:])])
+            # columns: clear row t right of the pivot; column t stays zero
+            # below it until a gcd step mixes another column in (dirty)
+            dirty = False
+            for j in range(t + 1, k):
+                e = rt[j]
+                if not e:
+                    continue
+                p0 = rt[t]
+                if e % p0 == 0:
+                    c = e // p0
+                    rt[j] = 0
+                    if dirty:
+                        for row in a[t + 1:]:
+                            row[j] -= c * row[t]
+                    vc[j] = [x - c * y for x, y in zip(vc[j], vc[t])]
+                else:
+                    g, x, y = gcdex(p0, e)
+                    p, q = p0 // g, e // g
+                    for row in a[t:]:
+                        u, w = row[t], row[j]
+                        row[t], row[j] = x * u + y * w, p * w - q * u
+                    vt, vj = vc[t], vc[j]
+                    vc[t] = [x * u + y * w for u, w in zip(vt, vj)]
+                    vc[j] = [p * w - q * u for u, w in zip(vt, vj)]
+                    dirty = True
+            if not dirty:
+                break
+        diag.append(a[t][t])
+    return diag, [row[k:] for row in a], vc
+
+
+def diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The entries ``m[i][i]``, as many as the shorter side."""
+    return tuple(m.entries[i][i] for i in range(min(m.rows, m.cols)))
 
 
 def kronecker_split_test(s: ShortExactSeq) -> FgHom | None:
@@ -1013,3 +1155,29 @@ def derived_bound_oracle(bound: Ordinal) -> Ordinal | None:
     if best.is_finite():
         return Ordinal.from_int(best.as_int() - 1)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Dense instances of the integer engine's growth tests
+# ---------------------------------------------------------------------------
+
+def dense_group_payload(n: int, seed: int, bound: int = 3) -> dict:
+    """A ``group`` instance with ``n`` generators and ``n`` relators, the
+    columns of a matrix drawn row by row from ``[-bound, bound]``."""
+    m = random_matrix(random.Random(seed), n, n, bound)
+    return {"v": 1, "kind": "group_diagram", "name": f"dense-group-{n}-seed-{seed}",
+            "check": "group",
+            "group": {"generators": n, "relators": [list(m.col(j)) for j in range(n)]}}
+
+
+def dense_ses_payload(n: int, seed: int, bound: int = 3) -> dict:
+    """The split sequence ``0 → A → A ⊕ Z → Z → 0`` with ``A`` the group
+    of ``dense_group_payload(n, seed, bound)``: ``n + 1`` generators in
+    the middle."""
+    left = dense_group_payload(n, seed, bound)["group"]
+    mid = {"generators": n + 1, "relators": [r + [0] for r in left["relators"]]}
+    inj = [[int(i == j) for j in range(n)] for i in range(n + 1)]
+    return {"v": 1, "kind": "group_diagram", "name": f"dense-ses-{n + 1}-seed-{seed}",
+            "check": "ses",
+            "ses": {"left": left, "mid": mid, "right": {"generators": 1, "relators": []},
+                    "inj": inj, "surj": [[0] * n + [1]]}}

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igl import cli, matrices, prufer, scattered, valgroup
+from igl.abelian import FgGroup
 from igl.cli import canonical_json, main
-from oracles import tree_payload
+from igl.matrices import IntMatrix
+from oracles import (dense_group_payload, dense_ses_payload, diagonal, random_matrix,
+                     reference_snf, tree_payload)
 
 DVR = {"v": 1, "kind": "valuation", "tower": ["Z"], "name": "dvr"}
 YTREE = {"v": 1, "kind": "prufer_tree",
@@ -254,12 +259,16 @@ def test_verify_fails_a_wrong_cantor_bendixson_rank(capsys, monkeypatch):
     monkeypatch.setattr(scattered, "cb_rank",
                         lambda s: scattered.Ordinal.from_int(rank(s).as_int() + 1))
     instances = Path(__file__).resolve().parent.parent / "instances"
-    for name in ("scattered_obstruction.json", "scattered_omega.json",
-                 "scattered_omega_squared.json"):
+    # instance -> (the rank reported, the leading exponent of the bound + 1)
+    for name, (got, want) in {"scattered_obstruction.json": (3, 2),
+                              "scattered_omega.json": (3, 2),
+                              "scattered_omega_squared.json": (4, 3)}.items():
         assert main(["verify", str(instances / name), "--format", "json"]) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [(c["check"], c["ok"]) for c in checks] == \
             [("rank-consistent", False), ("derived-sequence-monotone", False)]
+        assert checks[0]["detail"] == \
+            f"assertion failed: rank {got} != leading exponent + 1 = {want}"
         assert checks[1]["detail"] == \
             "assertion failed: derived sequence length differs from the rank"
 
@@ -704,18 +713,72 @@ def time_limit(case, seconds=10.0):
 
 
 def test_many_branch_verify_is_bounded(tmp_path, capsys):
-    """Two hundred ``F4`` branches over ``F2`` verify inside the sweeps'
-    limit: the decision reads the quotient off the unit orders, and the
-    cross-check runs the integer engine's cokernel once."""
+    """Two and four hundred ``F4`` branches over ``F2`` verify inside the
+    sweeps' limit: the decision reads the quotient off the unit orders,
+    and the cross-check runs the integer engine's cokernel once."""
     f4 = {"L": {"finite": {"p": 2, "r": 2}}, "e": 1}
-    payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": 1}},
-               "branches": [f4] * 200}
-    target = write(tmp_path, payload)
-    with time_limit("200 branches"):
-        assert main(["verify", str(target), "--format", "json"]) == 0
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert [(c["check"], c["ok"]) for c in checks] == \
-        [("sequence-computed", True), ("amalgam-crosscheck", True)]
+    for branches in (200, 400):
+        payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": 1}},
+                   "branches": [f4] * branches}
+        target = write(tmp_path, payload)
+        with time_limit(f"{branches} branches"):
+            assert main(["verify", str(target), "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["ok"]) for c in checks] == \
+            [("sequence-computed", True), ("amalgam-crosscheck", True)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_group_and_ses_are_bounded(tmp_path, capsys, seed):
+    """A dense 64-generator ``group`` (64 relators with entries in
+    ``[-3, 3]``) and a 41-generator ``ses`` whose left term is ``Z^40``
+    modulo such a 40x40 matrix decide and verify inside the sweeps'
+    limit.  A square nonsingular relation matrix presents a finite group
+    of order ``|det|`` (Bareiss, not the eliminations), and the sequence
+    splits by construction."""
+    group, ses = dense_group_payload(64, seed), dense_ses_payload(40, seed)
+    for payload in (group, ses):
+        target = write(tmp_path, payload)
+        with time_limit(payload["name"]):
+            assert main(["decide", str(target), "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert main(["verify", str(target), "--format", "json"]) == 0
+        assert all(c["ok"] for c in json.loads(capsys.readouterr().out)["checks"])
+        if payload is group:
+            det = IntMatrix.from_cols(group["group"]["relators"], rows=64).det()
+            assert prod(report["metadata"]["invariants"]) == abs(det) != 0
+        else:
+            assert report["metadata"] == {"splits": True}
+
+
+def test_dense_invariant_factors_are_bounded():
+    """The invariant factors of random ``[-9, 9]`` 28x28 relation matrices
+    are the reference Smith diagonal's, each inside the sweeps' limit."""
+    for seed in range(5):
+        m = random_matrix(random.Random(seed), 28, 28, 9)
+        with time_limit(f"28x28 seed {seed}"):
+            got = FgGroup(28, m).invariant_factors
+        d = diagonal(reference_snf(m)[1])
+        assert got == tuple(x for x in d if x > 1) + (0,) * d.count(0)
+
+
+def test_invariant_factors_ignore_row_and_column_order():
+    """One ``[-3, 3]`` 30x60 relation matrix under six seeded row and
+    column shufflings: the same invariant factors, each inside the sweeps'
+    limit (through the Smith form with transforms they took 15 ms to
+    5.0 s, by order alone)."""
+    m = random_matrix(random.Random(0), 30, 60, 3)
+    want = None
+    for seed in range(1, 7):
+        rng = random.Random(seed)
+        rows = [list(r) for r in m.entries]
+        rng.shuffle(rows)
+        order = rng.sample(range(60), 60)
+        shuffled = IntMatrix.from_rows([[r[j] for j in order] for r in rows], cols=60)
+        with time_limit(f"shuffle {seed}"):
+            got = FgGroup(30, shuffled).invariant_factors
+        assert want is None or got == want
+        want = got
 
 
 def test_instance_mutation_sweep(tmp_path, capsys):

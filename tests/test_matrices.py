@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igl.matrices import (IntMatrix, column_hnf, gcdex, hstack, kernel_basis,
-                          lattice_solve, snf, solve, unit_core)
-from oracles import (cofactor_det, gcd_step_column_hnf, lattice_equal,
-                     minors_invariant_factors, random_matrix, reference_snf,
-                     smith_kernel_basis, smith_solve)
+from igl.abelian import FgGroup
+from igl.matrices import (IntMatrix, _diagonal_form, column_hnf, diagonal_basis, gcdex,
+                          hstack, kernel_basis, lattice_solve, snf, solve, unit_core)
+from igl.valgroup import canonical_invariants
+from oracles import (bezout_column_hnf, bezout_diagonal_form, cofactor_det, diagonal,
+                     gcd_step_column_hnf, lattice_equal, minors_invariant_factors,
+                     random_matrix, reference_snf, smith_kernel_basis, smith_solve)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -28,7 +30,7 @@ def column(vec):
 
 def test_snf_identity():
     u, s, v = snf(IntMatrix.identity(2))
-    assert s.diagonal() == (1, 1)
+    assert diagonal(s) == (1, 1)
     assert u.entries == IntMatrix.identity(2).entries
     assert v.entries == IntMatrix.identity(2).entries
 
@@ -41,7 +43,7 @@ def test_snf_zero():
 def test_snf_worked_example():
     m = mat([[2, 4], [6, 8]])
     u, s, v = snf(m)
-    assert s.diagonal() == (2, 4)
+    assert diagonal(s) == (2, 4)
     assert (u @ m @ v).entries == s.entries
 
 
@@ -53,7 +55,7 @@ def test_snf_properties(rows):
     assert (u @ m @ v).entries == s.entries
     assert abs(u.det()) == 1
     assert abs(v.det()) == 1
-    diag = s.diagonal()
+    diag = diagonal(s)
     for i in range(m.rows):
         for j in range(m.cols):
             if i != j:
@@ -75,7 +77,7 @@ def test_snf_forces_the_chain(rows, diag):
     # gcd/lcm sweep (and the sign) can bring it into a divisibility chain
     m = mat(rows)
     u, s, v = snf(m)
-    assert s.diagonal() == diag
+    assert diagonal(s) == diag
     assert u @ m @ v == s
     assert abs(u.det()) == abs(v.det()) == 1
 
@@ -109,7 +111,7 @@ def test_snf_matches_sympy():
         k = rng.randint(1, 10)
         m = random_matrix(rng, 10, k, 3) @ random_matrix(rng, k, 14, 3)
         s = smith_normal_form(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
-        assert snf(m)[1].diagonal() == tuple(abs(s[i, i]) for i in range(10))
+        assert diagonal(snf(m)[1]) == tuple(abs(s[i, i]) for i in range(10))
     check()
 
 
@@ -120,7 +122,7 @@ def test_unit_core_keeps_the_smith_form(rows):
     units, core = unit_core(m)
     assert (core.rows, core.cols) == (m.rows - units, m.cols - units)
     assert all(abs(x) != 1 for row in core.entries for x in row)
-    assert (1,) * units + snf(core)[1].diagonal() == snf(m)[1].diagonal()
+    assert (1,) * units + diagonal(snf(core)[1]) == diagonal(snf(m)[1])
 
 
 def test_unit_core_worked_example():
@@ -175,7 +177,7 @@ def test_diagonal_form_agrees_with_smith(system):
     if sol is not None:
         assert m.apply(sol.col(0)) == tuple(b)
     kb = kernel_basis(m)
-    rank = sum(1 for d in reference_snf(m)[1].diagonal() if d)
+    rank = sum(1 for d in diagonal(reference_snf(m)[1]) if d)
     assert kb.cols == m.cols - rank
     assert column_hnf(kb) == column_hnf(smith_kernel_basis(m))
 
@@ -225,6 +227,85 @@ def test_hnf_matches_the_gcd_step_reference(m):
     # change the steps, never the canonical basis; zero-row and zero-column
     # shapes included
     assert column_hnf(m) == gcd_step_column_hnf(m)
+
+
+@st.composite
+def wide_matrices(draw, max_rows=16, max_cols=24):
+    """Matrices up to 16x24, zero-row and zero-column shapes included.  The
+    rows past a drawn count are integer combinations of the rows before
+    it, so the rank often falls short of both sides."""
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3, 6, -9))
+    rows = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    free = draw(st.integers(0, r))
+    for i in range(free, r):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=free, max_size=free))
+        rows[i] = [sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(c)]
+    return IntMatrix.from_rows(rows, cols=c)
+
+
+@given(wide_matrices())
+@settings(max_examples=150, deadline=None)
+def test_hnf_matches_the_bezout_reference(m):
+    # remainder pivoting changes the steps, never the canonical basis
+    assert column_hnf(m) == bezout_column_hnf(m)
+
+
+@given(wide_matrices())
+@settings(max_examples=150, deadline=None)
+def test_diagonal_form_matches_the_bezout_reference(m):
+    n, k = m.rows, m.cols
+    diag, u, v = _diagonal_form(m, IntMatrix.identity(n))
+    ref_diag, _, ref_v = bezout_diagonal_form(m)
+    assert len(diag) == len(ref_diag)
+    assert canonical_invariants([abs(d) for d in diag]) == \
+        canonical_invariants([abs(d) for d in ref_diag])
+    # the carried identity is U, and U·m·V is the diagonal reported
+    um, vm = IntMatrix.from_rows(u, cols=n), IntMatrix.from_cols(v, rows=k)
+    assert um @ m @ vm == IntMatrix.from_rows(
+        [[d if j == i else 0 for j in range(k)] for i, d in enumerate(diag)]
+        + [[0] * k] * (n - len(diag)), cols=k)
+    assert abs(um.det()) == abs(vm.det()) == 1
+    assert column_hnf(kernel_basis(m)) == \
+        column_hnf(IntMatrix.from_cols(ref_v[len(ref_diag):], rows=k))
+
+
+@given(wide_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_meets_every_right_hand_side(m, data):
+    # m·x for small x, some of them moved off the lattice by one entry
+    p = data.draw(st.integers(1, 3))
+    xs = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=m.cols, max_size=m.cols),
+                            min_size=p, max_size=p))
+    bs = [list(m.apply(x)) for x in xs]
+    if m.rows:
+        for b in bs:
+            if data.draw(st.booleans()):
+                b[data.draw(st.integers(0, m.rows - 1))] += data.draw(st.integers(1, 3))
+    b = IntMatrix.from_cols(bs, rows=m.rows)
+    x = solve(m, b)
+    solvable = all(lattice_solve(bezout_column_hnf(m), col) is not None for col in bs)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert m @ x == b
+
+
+def test_hnf_spans_the_lattice_of_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    @given(wide_matrices())
+    @settings(max_examples=40, deadline=None)
+    def check(m):
+        h = hermite_normal_form(sympy.Matrix(m.rows, m.cols, [x for r in m.entries for x in r]))
+        basis = IntMatrix(h.rows, h.cols, tuple(tuple(int(h[i, j]) for j in range(h.cols))
+                                                for i in range(h.rows)))
+        # sympy's basis has its own layout; both are bases of one lattice
+        # when they have the same rank and the same canonical form
+        assert column_hnf(m).cols == basis.cols
+        assert column_hnf(basis) == column_hnf(m)
+    check()
 
 
 def test_lattice_membership():

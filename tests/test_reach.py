@@ -22,6 +22,8 @@ KEPT = {
     "prufer.contracted_spectrum": "a traced benchmark target",
     "prufer.SpecTree.node": "a traced benchmark target",
     "matrices.IntMatrix.det": "the maximal minor a modular HNF needs",
+    "matrices.snf": "bench/checks.py pins its bindings and result until ROADMAP F",
+    "matrices.gcdex": "the Bezout steps of snf's divisibility sweep, kept with snf",
     "cli.entrypoint": "the console-script shim around main",
 }
 
