@@ -9,14 +9,26 @@ Commands::
     igl expr   <path>
     igl verify <path> [--format human|json]
     igl selftest [--format human|json]
+    igl [<command>] -h|--help
+
+One table, ``COMMANDS``, names each command's handler, whether it takes
+a path, and the values each option allows, the first one its default.
+``_read_argv`` reads argv against it in one pass, and the help text and
+the usage errors are built from it.  An option is written ``--opt value``
+or ``--opt=value``, under any unique prefix of its name, before or after
+the path; the last of a repeated option wins, and ``--`` ends the
+options, so that a path may start with ``-``.  ``main(argv)`` returns
+the exit status and raises no ``SystemExit``.
 
 ``<path>`` is a UTF-8 JSON instance file (schema version ``"v": 1``) or a
-directory of them.  Exit codes: 2 for parse/schema errors (with a line
-diagnostic when the file does not even parse; ``verify`` too exits 2 on
-a malformed instance of any kind), 3 for precondition violations, 1 when
-``verify`` has a failing check or the ``selftest`` corpus is not green,
-4 for an internal error (any other exception, reported in one line),
-0 otherwise -- an ``Unknown`` verdict is a result, not an error.  A
+directory of them.  Exit codes: 2 for an argv that the table does not
+read (a usage line and ``igl: error: ...`` on stderr), for a path that
+cannot be read and for parse/schema errors (with a line diagnostic when
+the file does not even parse; ``verify`` too exits 2 on a malformed
+instance of any kind), 3 for precondition violations, 1 when ``verify``
+has a failing check or the ``selftest`` corpus is not green, 4 for an
+internal error (any other exception, reported in one line), 0 otherwise
+(help included) -- an ``Unknown`` verdict is a result, not an error.  A
 closed stdout ends the ``igl`` process silently by ``SIGPIPE``.
 ``verify``'s checks are comparisons, not ``assert`` statements, so its
 exit code is the same under ``python -O``.
@@ -24,11 +36,10 @@ exit code is the same under ``python -O``.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
-from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -127,7 +138,7 @@ def _is_int_vector(v, n: int) -> bool:
 def load_payload(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read file ({exc})") from exc
     try:
         payload = json.loads(text)
@@ -235,13 +246,16 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
     _expect(isinstance(labels_rec, dict), "field 'labels': must map strata to slot lists")
     labels: dict[int, valgroup.ValueTower] = {}
     for key, slots in labels_rec.items():
-        _expect(key.isascii() and key.isdigit(),
-                f"labels key {key!r}: must be a decimal stratum index")
-        _expect(isinstance(slots, list) and slots,
-                f"labels[{key}]: must be a nonempty slot list")
-        stratum = scattered.parse_digits(key, f"labels key {key[:20]!r}")
-        _expect(stratum not in labels,
-                f"labels key {key[:20]!r}: stratum {stratum} is already labelled")
+        # a message is formatted only on failure, as in ``parse_group``
+        if not (key.isascii() and key.isdigit()):
+            raise SchemaError(f"labels key {key!r}: must be a decimal stratum index")
+        if not (isinstance(slots, list) and slots):
+            raise SchemaError(f"labels[{key}]: must be a nonempty slot list")
+        if len(key) > scattered.MAX_DIGITS:
+            raise SchemaError(f"labels key {key[:20]!r}: more than {scattered.MAX_DIGITS} digits")
+        stratum = int(key)
+        if stratum in labels:
+            raise SchemaError(f"labels key {key[:20]!r}: stratum {stratum} is already labelled")
         labels[stratum] = valgroup.ValueTower.from_names(slots)
     return scattered.ScatteredSpace.interval(bound, labels)
 
@@ -652,7 +666,10 @@ def _instances(path_arg: str):
     """``(name, payload)`` of the instance file at the path, or of each
     ``.json`` file of a directory in name order, loaded one at a time."""
     path = Path(path_arg)
-    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    try:
+        files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    except OSError as exc:  # such as a name too long for the file system
+        raise SchemaError(f"{path}: cannot read ({exc})") from exc
     if not files:
         raise SchemaError(f"{path}: directory contains no .json instances")
     for f in files:
@@ -664,10 +681,11 @@ def _instances(path_arg: str):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_decide(args) -> int:
-    reports = [decide_payload(payload, name) for name, payload in _instances(args.path)]
-    trace_full = args.trace == "full"
-    if args.format == "json":
+def cmd_decide(path: str, format: str, trace: str) -> int:
+    """decide each instance: verdict, group and certificate"""
+    reports = [decide_payload(payload, name) for name, payload in _instances(path)]
+    trace_full = trace == "full"
+    if format == "json":
         if len(reports) == 1:
             print(canonical_json(reports[0].to_dict(trace_full)))
         else:
@@ -677,17 +695,19 @@ def cmd_decide(args) -> int:
     return 0
 
 
-def cmd_expr(args) -> int:
-    for name, payload in _instances(args.path):
+def cmd_expr(path: str) -> int:
+    """print the group expression of each instance"""
+    for name, payload in _instances(path):
         report = decide_payload(payload, name)
         print(report.expr if report.expr is not None else "(none)")
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(path: str, format: str) -> int:
+    """replay the finitely generated sub-claims of each instance"""
     all_results = [(name, verify_payload(payload, name))
-                   for name, payload in _instances(args.path)]
-    if args.format == "json":
+                   for name, payload in _instances(path)]
+    if format == "json":
         out = [{"name": n,
                 "checks": [{"check": c, "ok": ok, "detail": d} for c, ok, d in cs]}
                for n, cs in all_results]
@@ -716,10 +736,11 @@ def _run_case(case) -> tuple[bool, str]:
     return ok, report.verdict
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(format: str) -> int:
+    """run the built-in corpus of worked examples"""
     results = [(case.name, *_run_case(case), case.expected) for case in CASES]
     green = all(ok for _, ok, _, _ in results)
-    if args.format == "json":
+    if format == "json":
         print(canonical_json({
             "green": green,
             "cases": [{"name": n, "ok": ok, "got": g, "expected": e}
@@ -733,40 +754,167 @@ def cmd_selftest(args) -> int:
     return 0 if green else 1
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs more
-    than deciding a small instance."""
-    parser = argparse.ArgumentParser(
-        prog="igl",
-        description="decide freeness of ideal groups from symbolic instances")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# The command line: one table, read by one pass over argv
+# ---------------------------------------------------------------------------
 
-    p_decide = sub.add_parser("decide", help="decide an instance file or directory")
-    p_decide.add_argument("path")
-    p_decide.add_argument("--format", choices=("human", "json"), default="human")
-    p_decide.add_argument("--trace", choices=("rules", "full"), default="rules")
-    p_decide.set_defaults(fn=cmd_decide)
+_FORMATS = ("human", "json")
 
-    p_expr = sub.add_parser("expr", help="print the group expression of an instance")
-    p_expr.add_argument("path")
-    p_expr.set_defaults(fn=cmd_expr)
+# command -> (handler, takes a path, {option: allowed values}); an option's
+# first value is its default, and the handler takes every option by name
+COMMANDS = {
+    "decide": (cmd_decide, True, {"format": _FORMATS, "trace": ("rules", "full")}),
+    "expr": (cmd_expr, True, {}),
+    "verify": (cmd_verify, True, {"format": _FORMATS}),
+    "selftest": (cmd_selftest, False, {"format": _FORMATS}),
+}
 
-    p_verify = sub.add_parser("verify", help="replay finitely generated sub-claims")
-    p_verify.add_argument("path")
-    p_verify.add_argument("--format", choices=("human", "json"), default="human")
-    p_verify.set_defaults(fn=cmd_verify)
 
-    p_self = sub.add_parser("selftest", help="run the built-in corpus")
-    p_self.add_argument("--format", choices=("human", "json"), default="human")
-    p_self.set_defaults(fn=cmd_selftest)
-    return parser
+class _Refused(Exception):
+    """An argv that the command table does not read: exit 2.  Its args
+    are the command whose usage line to show (``None`` for ``igl``'s
+    own) and the message."""
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: igl [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, takes_path, options = COMMANDS[command]
+    return " ".join(["usage: igl", command, "[-h]",
+                     *(f"[--{o} {{{','.join(v)}}}]" for o, v in options.items()),
+                     *(["path"] * takes_path)])
+
+
+def _help(command: str | None) -> int:
+    lines = [_usage(command), "", "decide freeness of ideal groups from symbolic instances"]
+    for name in COMMANDS if command is None else [command]:
+        fn, _, options = COMMANDS[name]
+        lines += ["", "  " + _usage(name).removeprefix("usage: "), f"      {fn.__doc__ or ''}",
+                  *(f"      --{o} defaults to {v[0]}" for o, v in options.items())]
+    lines += ["", "A path is an instance file or a directory of them.  An option takes",
+              "its value as --opt value or --opt=value, under any unique prefix of",
+              "its name.  Exit status: 0 done, 1 a failing check or corpus case,",
+              "2 bad arguments or input, 3 a precondition violated, 4 an internal",
+              "error."]
+    print("\n".join(lines))
+    return 0
+
+
+# argparse's test of an argument that reads as a number, not an option
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option(arg: str, command: str | None) -> tuple[str | None, str | None] | None:
+    """How ``arg`` reads among the options of ``command`` (with ``None``,
+    of ``igl`` itself, which has only the help): ``None`` for a
+    positional, else ``(option, attached value or None)`` with option
+    ``None`` for an unknown one.  A long option is also named by a unique
+    prefix and takes ``=value``; ``-h`` takes no value but more ``h``s.
+    A lone ``-``, a number and text with a space are positionals, as
+    argparse reads them."""
+    if arg[:1] != "-" or arg == "-" or arg == "--":
+        return None
+    if arg[1] == "-":
+        longs = ["--help", *(f"--{o}" for o in (COMMANDS[command][2] if command else ()))]
+        name, eq, value = arg.partition("=")
+        hits = [name] if name in longs else [o for o in longs if o.startswith(name)]
+        if len(hits) > 1:
+            raise _Refused(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif arg[1] == "h":
+        return "-h", arg[2:] or None
+    if " " in arg or _NUMBER.match(arg):
+        return None
+    return None, None
+
+
+def _read_help(command: str | None, name: str, value: str | None):
+    if value is not None and (name == "--help" or value.strip("h")):
+        raise _Refused(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    return _help, [command], {}
+
+
+def _read_argv(argv: list[str]):
+    """``(handler, positional arguments, options)`` of ``argv``, read
+    against ``COMMANDS`` in one pass by argparse's conventions, or
+    ``_Refused``: options before or after the path, the last of a
+    repeated option winning, and ``--`` ending the options, so that a
+    path may start with ``-``.  An unknown option or a second positional
+    is refused only after the whole argv is read, so that a later
+    ``-h`` still prints the help."""
+    stray: list[str] = []
+    i, n = 0, len(argv)
+    # before the command only -h/--help is an option
+    while i < n and (opt := _option(argv[i], None)) is not None:
+        if opt[0] is not None:
+            return _read_help(None, *opt)
+        stray.append(argv[i])
+        i += 1
+    if i == n:
+        raise _Refused(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        raise _Refused(None, f"argument command: invalid choice: {command!r} "
+                             f"(choose from {', '.join(COMMANDS)})")
+    fn, takes_path, options = COMMANDS[command]
+    values = {o: allowed[0] for o, allowed in options.items()}
+    path = None
+    after_path = -1   # the index just past the path
+    i += 1
+    while i < n:
+        arg = argv[i]
+        i += 1
+        if arg == "--":
+            # every later argument is a positional: the first is the path if
+            # none came yet; next to the path, the -- itself is consumed
+            if takes_path and path is None and i < n:
+                path, i = argv[i], i + 1
+            elif i - 1 != after_path:
+                stray.append(arg)
+            stray += argv[i:]
+            break
+        opt = _option(arg, command)
+        if opt is None:
+            if takes_path and path is None:
+                path, after_path = arg, i
+            else:
+                stray.append(arg)
+            continue
+        name, value = opt
+        if name is None:
+            stray.append(arg)
+        elif name == "-h" or name == "--help":
+            return _read_help(command, name, value)
+        else:
+            if value is None:
+                if i == n:
+                    raise _Refused(command, f"argument {name}: expected one argument")
+                value, i = argv[i], i + 1
+            allowed = options[name[2:]]
+            if value not in allowed:
+                raise _Refused(command, f"argument {name}: invalid choice: {value!r} "
+                                        f"(choose from {', '.join(allowed)})")
+            values[name[2:]] = value
+    if takes_path and path is None:
+        raise _Refused(command, "the following arguments are required: path")
+    if stray:
+        raise _Refused(command, f"unrecognized arguments: {' '.join(stray)}")
+    return fn, [path] * takes_path, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit status; an argv that ``COMMANDS`` does not read is
+    exit 2, with the usage line and one ``igl: error:`` line on stderr."""
     try:
-        return args.fn(args)
+        fn, args, options = _read_argv(sys.argv[1:] if argv is None else argv)
+    except _Refused as exc:
+        command, message = exc.args
+        print(f"{_usage(command)}\nigl: error: {message}", file=sys.stderr)
+        return 2
+    try:
+        return fn(*args, **options)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -121,7 +121,10 @@ def tree_from_payload(payload: dict) -> SpecTree:
         children = rec.get("children", [])
         if not isinstance(children, list):
             raise SchemaError(f"node {rec['id']!r}: 'children' must be a list of nodes")
-        branched = read_flag(rec, "branched", True, f"node {rec['id']!r}: 'branched'")
+        branched = rec.get("branched", True)
+        if type(branched) is not bool:
+            # the message is formatted only here, where read_flag raises
+            read_flag(rec, "branched", True, f"node {rec['id']!r}: 'branched'")
         order.append((node_id, label, branched, children))
         stack.extend((c, False) for c in reversed(children))
     # reverse pre-order meets every child before its parent: the last

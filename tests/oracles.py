@@ -29,13 +29,15 @@ certified amalgam parts of a several-branch finite-field unit quotient
 (a reference for the unit-quotient rule where ``U(k)`` is a summand), the left
 product ``w * a`` of ordinals, the dependency classes of a spectral
 tree, the slot names of a value tower, the free rank of an
-expression, the diagonal of a matrix, and the dense ``group`` and
+expression, the diagonal of a matrix, the dense ``group`` and
 ``ses`` instances of the integer engine's growth tests (CI writes them
-too).
+too), and the ``argparse`` parser that the command line used before its
+command table, the reference of the argv reader.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 import re
 from itertools import combinations, product
@@ -1181,3 +1183,34 @@ def dense_ses_payload(n: int, seed: int, bound: int = 3) -> dict:
             "check": "ses",
             "ses": {"left": left, "mid": mid, "right": {"generators": 1, "relators": []},
                     "inj": inj, "surj": [[0] * n + [1]]}}
+
+
+# ---------------------------------------------------------------------------
+# The command line's former argparse parser
+# ---------------------------------------------------------------------------
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser that ``igl`` built before ``cli.COMMANDS``, less the
+    handler each subparser set: ``parse_args`` gives ``command``, ``path``
+    (not for ``selftest``), ``format`` (not for ``expr``) and ``trace``
+    (``decide`` only), prints help and exits 0, or exits 2."""
+    parser = argparse.ArgumentParser(
+        prog="igl",
+        description="decide freeness of ideal groups from symbolic instances")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_decide = sub.add_parser("decide", help="decide an instance file or directory")
+    p_decide.add_argument("path")
+    p_decide.add_argument("--format", choices=("human", "json"), default="human")
+    p_decide.add_argument("--trace", choices=("rules", "full"), default="rules")
+
+    p_expr = sub.add_parser("expr", help="print the group expression of an instance")
+    p_expr.add_argument("path")
+
+    p_verify = sub.add_parser("verify", help="replay finitely generated sub-claims")
+    p_verify.add_argument("path")
+    p_verify.add_argument("--format", choices=("human", "json"), default="human")
+
+    p_self = sub.add_parser("selftest", help="run the built-in corpus")
+    p_self.add_argument("--format", choices=("human", "json"), default="human")
+    return parser

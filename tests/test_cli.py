@@ -4,7 +4,9 @@ import random
 import signal
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import partial
+from io import StringIO
 from math import prod
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from igl.abelian import FgGroup
 from igl.cli import canonical_json, main
 from igl.matrices import IntMatrix
 from oracles import (dense_group_payload, dense_ses_payload, diagonal, random_matrix,
-                     reference_snf, tree_payload)
+                     reference_parser, reference_snf, tree_payload)
 
 DVR = {"v": 1, "kind": "valuation", "tower": ["Z"], "name": "dvr"}
 YTREE = {"v": 1, "kind": "prufer_tree",
@@ -895,3 +897,131 @@ def test_closed_stdout_ends_the_process_by_sigpipe():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == -signal.SIGPIPE
+
+
+def test_non_utf8_instance_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"v": 1, "name": "\xff"}')
+    for cmd in ("decide", "verify"):
+        assert main([cmd, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read file (") and "utf-8" in err
+
+
+def test_path_the_os_refuses_exits_2_naming_it(tmp_path, capsys):
+    # one component past every common file system's 255-byte limit
+    path = tmp_path / ("x" * 300) / "inst.json"
+    for cmd in ("decide", "expr", "verify"):
+        assert main([cmd, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read")
+
+
+# ---------------------------------------------------------------------------
+# The argv reader, against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+# arguments after the command: paths that look like options and paths
+# that do not, each option spelled in full, with ``=`` and by a prefix,
+# good and bad values, and unknown or misplaced words
+_ARGV_WORDS = ["x.json", "-x.json", "-1", "-", "", "a b.json", "--", "-h", "--help", "--he",
+               "-hh", "--help=x", "--format", "--form", "--f", "--format=json", "--fo=human",
+               "--format=", "json", "human", "xml", "--trace", "--t", "--trace=full",
+               "--tr=rules", "full", "rules", "--bogus", "-f", "--formatx", "decide", "bogus"]
+
+
+def _reference_reading(parser, argv):
+    out = StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0 and out.getvalue():
+            return ("help",)
+        return ("refused",) if exc.code == 2 and not out.getvalue() else ("exit", exc.code)
+    return ("read", ns.command, getattr(ns, "path", None), getattr(ns, "format", None),
+            getattr(ns, "trace", None))
+
+
+def _record(got, command, path=None, format=None, trace=None):
+    got.append(("read", command, path, format, trace))
+    return 0
+
+
+def test_argv_reads_as_the_former_argparse_parser(monkeypatch, capsys):
+    """Every argv of the grid means what it meant to ``reference_parser``:
+    the same command, path, format and trace, or help (exit 0, text on
+    stdout), or a refusal (exit 2, nothing on stdout).  ``main`` runs with
+    each handler replaced by a recorder.  Left out are the argv on which
+    argparse itself differs between Python versions, where the reader
+    keeps the older reading: ``-h`` with anything but more ``h``s
+    attached (``-hx``, ``-h=h``) is refused, ``--`` before the command is
+    refused, and an ambiguous option (``--=x``) after a help option is
+    not reached, because the help comes first."""
+    got = []
+    for command, (_, takes_path, options) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            (partial(_record, got, command), takes_path, options))
+    parser = reference_parser()
+    grid = [[], ["-h"], ["--help"], ["--he"], ["-hh"], ["--help=x"], ["bogus"],
+            ["bogus", "x.json"], ["--bogus"], ["--bogus", "decide", "x.json"],
+            ["--bogus", "decide", "-h"], ["-h", "bogus"], ["--format", "json", "selftest"],
+            ["decide", "--=x"], ["decide", "x.json", "--=x"], ["expr", "--=x"],
+            ["decide", "x.json", "--format", "json", "--trace", "full", "--format", "human"],
+            ["decide", "--format", "json", "--", "-x.json"], ["decide", "--", "--"],
+            ["decide", "x.json", "--trace", "full", "--"]]
+    for command in cli.COMMANDS:
+        grid.append([command])
+        for w in _ARGV_WORDS:
+            grid.append([command, w])
+            grid += ([command, w, v] for v in _ARGV_WORDS)
+            grid.append([command, "x.json", w, "json"])
+    seen = set()
+    for argv in grid:
+        want = _reference_reading(parser, argv)
+        got.clear()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if got:
+            reading = got[0] if code == 0 and len(got) == 1 else ("exit", code)
+        elif code == 0 and out:
+            reading = ("help",)
+        elif code == 2 and not out and err.startswith("usage: igl") and "\nigl: error: " in err:
+            reading = ("refused",)
+        else:
+            reading = ("exit", code)
+        assert reading == want, argv
+        seen.add(reading[0])
+    assert seen == {"read", "help", "refused"}
+
+
+def test_help_and_argv_errors_are_built_from_the_command_table(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: igl [-h] {decide,expr,verify,selftest} ...\n")
+    for line in ("igl decide [-h] [--format {human,json}] [--trace {rules,full}] path",
+                 "igl expr [-h] path", "igl verify [-h] [--format {human,json}] path",
+                 "igl selftest [-h] [--format {human,json}]"):
+        assert f"\n  {line}\n" in out
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: igl verify [-h] [--format {human,json}] path\n")
+    # main returns the status of a refused argv: it raises no SystemExit
+    assert main([]) == 2
+    assert capsys.readouterr() == ("", "usage: igl [-h] {decide,expr,verify,selftest} ...\n"
+                                       "igl: error: the following arguments are required: "
+                                       "command\n")
+    assert main(["decide", "instances/dvr.json", "--form=xml"]) == 2
+    assert capsys.readouterr().err == (
+        "usage: igl decide [-h] [--format {human,json}] [--trace {rules,full}] path\n"
+        "igl: error: argument --format: invalid choice: 'xml' (choose from human, json)\n")
+
+
+def test_import_loads_no_argument_parser():
+    """The command table is read without ``argparse``, and so without the
+    ``gettext`` that it imports."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import igl.cli; "
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(src)], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -1,8 +1,8 @@
 """Every function in ``src/igl`` is reached by an input.
 
-A fresh interpreter runs ``igl selftest`` and ``decide`` (human, and json
-with the full trace), ``verify`` and ``expr`` on every file of
-``instances/``, with a profiler recording each code object entered.  Every
+A fresh interpreter runs ``igl --help``, ``selftest`` and ``decide``
+(human, and json with the full trace), ``verify`` and ``expr`` on every
+file of ``instances/``, with a profiler recording each code object entered.  Every
 module-level function and every class method of the package (dunders
 exempt) must be among them, unless ``KEPT`` names it with the reason it
 stays.  Members whose code another module defines, such as the
@@ -44,7 +44,7 @@ sys.setprofile(profile)
 import igl.cli
 
 instances = sys.argv[1] + "/instances"
-runs = [["selftest"], ["decide", instances],
+runs = [["--help"], ["selftest"], ["decide", instances],
         ["decide", instances, "--format", "json", "--trace", "full"],
         ["verify", instances], ["expr", instances]]
 codes = []
@@ -88,5 +88,5 @@ def test_every_function_is_reached_by_an_input():
     out = subprocess.run([sys.executable, "-c", _PROBE, str(ROOT)],
                          capture_output=True, text=True, check=True, timeout=120).stdout
     result = json.loads(out)
-    assert result["codes"] == [0] * 5
+    assert result["codes"] == [0] * 6
     assert result["unreached"] == sorted(KEPT)
