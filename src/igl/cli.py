@@ -252,7 +252,8 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
         if not (isinstance(slots, list) and slots):
             raise SchemaError(f"labels[{key}]: must be a nonempty slot list")
         if len(key) > scattered.MAX_DIGITS:
-            raise SchemaError(f"labels key {key[:20]!r}: more than {scattered.MAX_DIGITS} digits")
+            raise SchemaError(
+                f"labels key {key[:20]!r}: more than {scattered.MAX_DIGITS} digits")
         stratum = int(key)
         if stratum in labels:
             raise SchemaError(f"labels key {key[:20]!r}: stratum {stratum} is already labelled")
