@@ -93,10 +93,13 @@ def tree_from_payload(payload: dict) -> SpecTree:
     """Build a tree from the nested instance format
     ``{id, label: [slot,...], children: [...]}`` (the root has no label).
     Records are checked in pre-order, so the first bad record in document
-    order is the one reported; this is the tree's only validation."""
+    order is the one reported; this is the tree's only validation.  Each
+    distinct label is parsed once: nodes with equal labels share one
+    ``ValueTower``, held in a table that lives for this call only."""
     # pre-order pass: check each record and parse its label
     order: list[tuple[str, ValueTower | None, bool, list]] = []
     seen: set[str] = set()
+    towers: dict[tuple, ValueTower] = {}
     stack: list[tuple[object, bool]] = [(payload, True)]
     while stack:
         rec, is_root = stack.pop()
@@ -117,7 +120,14 @@ def tree_from_payload(payload: dict) -> SpecTree:
             raw = rec.get("label")
             if not isinstance(raw, list) or not raw:
                 raise SchemaError(f"node {rec['id']!r}: 'label' must be a nonempty list of slots")
-            label = ValueTower.from_names(raw)
+            key = tuple(raw)
+            try:
+                label = towers[key]
+            except KeyError:
+                label = towers[key] = ValueTower.from_names(raw)
+            except TypeError:
+                # an unhashable slot is never a slot name: the parse names it
+                label = ValueTower.from_names(raw)
         children = rec.get("children", [])
         if not isinstance(children, list):
             raise SchemaError(f"node {rec['id']!r}: 'children' must be a list of nodes")
@@ -131,10 +141,13 @@ def tree_from_payload(payload: dict) -> SpecTree:
     # child's node is on top of ``built`` when the parent is reached
     built: list[PrimeNode] = []
     for node_id, label, branched, children in reversed(order):
-        cut = len(built) - len(children)
-        kids = tuple(reversed(built[cut:]))
-        del built[cut:]
-        built.append(PrimeNode(node_id, label, kids, branched))
+        if children:
+            cut = len(built) - len(children)
+            kids = tuple(reversed(built[cut:]))
+            del built[cut:]
+        else:
+            kids = ()
+        built.append(tuple.__new__(PrimeNode, (node_id, label, kids, branched)))
     return SpecTree(built[0])
 
 

@@ -149,10 +149,11 @@ _ORD_TERM = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
 MAX_DIGITS = 1000
 
 
-def parse_digits(digits: str, where: str) -> int:
-    """A decimal integer of at most ``MAX_DIGITS`` digits."""
+def parse_digits(digits: str, chunk: str) -> int:
+    """A decimal integer of at most ``MAX_DIGITS`` digits, read from the
+    ordinal term ``chunk``; the term is formatted only for the error."""
     if len(digits) > MAX_DIGITS:
-        raise SchemaError(f"{where}: more than {MAX_DIGITS} digits")
+        raise SchemaError(f"ordinal term {chunk[:20]!r}: more than {MAX_DIGITS} digits")
     return int(digits)
 
 
@@ -168,12 +169,11 @@ def parse_ordinal(text: str) -> Ordinal:
         m = _ORD_TERM.match(chunk)
         if not m:
             raise SchemaError(f"cannot parse ordinal term {chunk!r}")
-        where = f"ordinal term {chunk[:20]!r}"
         if m.group(3) is not None:
-            terms.append((0, parse_digits(m.group(3), where)))
+            terms.append((0, parse_digits(m.group(3), chunk)))
         else:
-            e = parse_digits(m.group(1), where) if m.group(1) else 1
-            c = parse_digits(m.group(2), where) if m.group(2) else 1
+            e = parse_digits(m.group(1), chunk) if m.group(1) else 1
+            c = parse_digits(m.group(2), chunk) if m.group(2) else 1
             terms.append((e, c))
     try:
         return Ordinal(tuple(terms))

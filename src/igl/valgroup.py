@@ -548,10 +548,12 @@ class ValueTower(namedtuple("ValueTower", "slots")):
 
     def is_free(self) -> bool:
         """The freeness verdict of the tower, read off its slots: it is
-        free exactly when no slot is ``Q`` or ``R``, and such a slot is a
-        divisible witness, so the verdict is ``Free`` or ``NotFree``,
-        never ``Unknown``."""
-        return Q not in self.slots and R not in self.slots
+        free exactly when every slot is ``Z``, and a ``Q`` or ``R`` slot is
+        a divisible witness, so the verdict is ``Free`` or ``NotFree``,
+        never ``Unknown``.  Slots are the shared atoms, and ``tuple.count``
+        tests identity before equality, so an all-``Z`` tower is read by
+        identity alone."""
+        return self.slots.count(Z) == len(self.slots)
 
 
 def inv_of_valuation(t: ValueTower) -> GroupExpr:

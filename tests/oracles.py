@@ -1087,6 +1087,25 @@ def tree_payload(parents: list[int]) -> dict:
     return {"v": 1, "kind": "prufer_tree", "root": nodes[0]}
 
 
+def caterpillar_payload(spine, heavy=("Z", "Z")):
+    """A spine of ``spine`` primes, one leaf on each and two on the last;
+    the edge of every fourth leaf is labelled ``heavy``."""
+    parents, prev = [], 0
+    for _ in range(spine):
+        parents += [prev, len(parents) + 1]
+        prev = len(parents) - 1
+    parents.append(prev)
+    payload = tree_payload(parents)
+    stack = [payload["root"]]
+    while stack:
+        node = stack.pop()
+        # the leaf of the i-th spine prime is node 2i
+        if node["id"] != "0" and int(node["id"]) % 8 == 0:
+            node["label"] = list(heavy)
+        stack.extend(node.get("children", ()))
+    return payload
+
+
 def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
     """One subtree per dependency class of maximal ideals: two maximal
     ideals are dependent when their root paths share a nonzero prime,

@@ -18,8 +18,8 @@ from igl import cli, matrices, prufer, scattered, valgroup
 from igl.abelian import FgGroup
 from igl.cli import canonical_json, main
 from igl.matrices import IntMatrix
-from oracles import (dense_group_payload, dense_ses_payload, diagonal, random_matrix,
-                     reference_parser, reference_snf, tree_payload)
+from oracles import (caterpillar_payload, dense_group_payload, dense_ses_payload, diagonal,
+                     random_matrix, reference_parser, reference_snf, tree_payload)
 
 DVR = {"v": 1, "kind": "valuation", "tower": ["Z"], "name": "dvr"}
 YTREE = {"v": 1, "kind": "prufer_tree",
@@ -303,25 +303,6 @@ def test_tree_verify_needs_no_integer_engine(monkeypatch):
         assert cuts == ["exact and split on finitely generated stand-ins"] * branching
 
 
-def caterpillar_payload(spine, heavy=("Z", "Z")):
-    """A spine of ``spine`` primes, one leaf on each and two on the last;
-    the edge of every fourth leaf is labelled ``heavy``."""
-    parents, prev = [], 0
-    for _ in range(spine):
-        parents += [prev, len(parents) + 1]
-        prev = len(parents) - 1
-    parents.append(prev)
-    payload = tree_payload(parents)
-    stack = [payload["root"]]
-    while stack:
-        node = stack.pop()
-        # the leaf of the i-th spine prime is node 2i
-        if node["id"] != "0" and int(node["id"]) % 8 == 0:
-            node["label"] = list(heavy)
-        stack.extend(node.get("children", ()))
-    return payload
-
-
 def test_tree_decide_and_verify_work_grows_linearly(monkeypatch):
     """Going from spine 100 to spine 400, the summands that ``normal_sum``
     receives in ``decide_inv_free`` and the atoms that ``verify`` walks
@@ -571,6 +552,11 @@ def test_oversized_integers_exit_2(tmp_path, capsys):
                        "more than 1000 digits")
     assert_schema_exit(tmp_path, capsys, dict(scattered, bound="3", labels={digits: ["Z"]}),
                        "more than 1000 digits")
+    # a coefficient and a plain integer one digit past the cap, with the
+    # term's first 20 characters in the message
+    for bound, term in ((f"w*{digits[:1001]}", "w*" + "1" * 18), (digits[:1001], "1" * 20)):
+        assert_schema_exit(tmp_path, capsys, dict(scattered, bound=bound),
+                           f"error: ordinal term {term!r}: more than 1000 digits\n")
     # a JSON number past the interpreter's int-from-str limit
     assert_schema_exit(tmp_path, capsys,
                        '{"v": 1, "kind": "krull", "n": %s}' % digits, "digits")

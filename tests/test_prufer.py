@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -6,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl import prufer, valgroup
+from igl.cli import main
 from igl.errors import SchemaError
 from igl.prufer import (PrimeNode, SpecTree, branching_points, decide_div_free,
                         decide_inv_free, gamma_at, contracted_spectrum,
                         strongly_discrete_decide, tree_from_payload)
-from igl.valgroup import (ValueTower, Verdict, div_of_valuation,
+from igl.valgroup import (GroupExpr, ValueTower, Verdict, div_of_valuation,
                           expr_invariant_factors, freeness_verdict,
                           render_expr)
-from oracles import (all_parent_vectors, expr_rank, permuted_tree, random_tree, slot_names,
-                     standard_decomposition, tree_from_parents, tree_rank_oracle)
+from oracles import (all_parent_vectors, caterpillar_payload, expr_rank, permuted_tree,
+                     random_tree, slot_names, standard_decomposition, tree_from_parents,
+                     tree_rank_oracle)
 
 
 def zt(*names):
@@ -249,6 +252,69 @@ def test_duplicate_ids_are_refused_at_parse(children, dup):
     with pytest.raises(SchemaError) as exc:
         tree_from_payload({"id": "0", "children": children})
     assert str(exc.value) == f"duplicate node id {dup!r}"
+
+
+# each bad label with the message the parse gives it, whether or not an
+# earlier node has already put a tower in the parse's label table
+BAD_LABELS = [
+    ([[]], "unknown tower slot [] (expected Z, Q or R)"),
+    ([{}], "unknown tower slot {} (expected Z, Q or R)"),
+    ([1], "unknown tower slot 1 (expected Z, Q or R)"),
+    ([True], "unknown tower slot True (expected Z, Q or R)"),
+    ([None], "unknown tower slot None (expected Z, Q or R)"),
+    (["z"], "unknown tower slot 'z' (expected Z, Q or R)"),
+    (["Z", []], "unknown tower slot [] (expected Z, Q or R)"),
+    ([["Z"]], "unknown tower slot ['Z'] (expected Z, Q or R)"),
+    ("Z", "node 'B': 'label' must be a nonempty list of slots"),
+    ([], "node 'B': 'label' must be a nonempty list of slots"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["first", "after-Z"])
+@pytest.mark.parametrize("label, message", BAD_LABELS)
+def test_bad_labels_keep_their_diagnostics(tmp_path, capsys, label, message, warm):
+    bad = {"id": "B", "label": label}
+    children = [{"id": "A", "label": ["Z"]}, bad] if warm else [bad]
+    root = {"id": "0", "children": children}
+    with pytest.raises(SchemaError) as exc:
+        tree_from_payload(root)
+    assert str(exc.value) == message
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"v": 1, "kind": "prufer_tree", "root": root}), encoding="utf-8")
+    for cmd in ("decide", "verify"):
+        assert main([cmd, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_equal_labels_share_one_tower(monkeypatch):
+    parsed = []
+    from_names = ValueTower.from_names.__func__
+
+    def counted(cls, names):
+        parsed.append(list(names))
+        return from_names(cls, names)
+    monkeypatch.setattr(ValueTower, "from_names", classmethod(counted))
+    tree = tree_from_payload(caterpillar_payload(480, ("Z", "Q"))["root"])
+    towers = {}
+    for n in tree.nodes()[1:]:
+        towers.setdefault(n.label.slots, set()).add(id(n.label))
+    assert sorted(parsed) == [["Z"], ["Z", "Q"]]
+    assert {slots: len(ids) for slots, ids in towers.items()} == {
+        (valgroup.Z,): 1, (valgroup.Z, valgroup.Q): 1}
+
+
+def test_all_z_towers_are_free_by_identity(monkeypatch):
+    calls = []
+    eq = GroupExpr.__eq__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return eq(self, other)
+    tree = tree_from_payload(caterpillar_payload(480)["root"])
+    monkeypatch.setattr(GroupExpr, "__eq__", counted)
+    free = prufer._free_at(tree)
+    assert all(free.values()) and len(free) == len(tree.nodes())
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
