@@ -9,6 +9,7 @@ cokernels, images, exact sequences, the six-term kernel-cokernel sequence
 of a commuting ladder, splitting tests with explicit sections, and
 amalgamated quotients with their standard form -- reduce to lattice
 computations over Z carried out exactly in :mod:`igl.matrices`.
+``decide_diagram`` decides a ``group_diagram`` instance on top of them.
 
 Design notes.
 
@@ -41,7 +42,8 @@ from .errors import DiagramError, PreconditionError
 # ``snf`` has no caller here; the benchmark's tracer counts this binding
 from .matrices import (IntMatrix, _diagonal_form, block_diag, column_hnf, diagonal_basis,
                        hstack, kernel_basis, lattice_solve, snf, solve, unit_core, vstack)
-from .valgroup import FgAtom, GroupExpr, canonical_invariants, normalize, render_normal
+from .valgroup import (CertStep, Decision, GroupExpr, Verdict, canonical_invariants, fg_expr,
+                       render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ class FgGroup:
         return lattice_solve(self.relation_lattice, vec) is not None
 
     def to_expr(self) -> GroupExpr:
-        return normalize(FgAtom(self.invariant_factors))
+        return fg_expr(self.invariant_factors)
 
     def describe(self) -> str:
         return render_normal(self.to_expr())
@@ -484,3 +486,55 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     if not is_surjective(psi):
         raise DiagramError("amalgam map is not surjective")
     return AmalgamResult(cokernel(phi), target)
+
+
+# ---------------------------------------------------------------------------
+# Deciding a diagram
+# ---------------------------------------------------------------------------
+
+def decide_diagram(check: str, *parsed) -> Decision:
+    """Decide a ``group_diagram`` instance; ``check`` names what ``parsed``
+    holds: a group, a short exact sequence, a ladder's two rows and maps
+    ``f``, ``g``, ``h`` (``snake``), or a group and its amalgam parts.  The
+    group decided is free when it has no torsion factor."""
+    expr, metadata = None, {}
+    if check == "group":
+        (g,) = parsed
+        free, expr, metadata = is_free(g), g.to_expr(), {"invariants": list(g.invariant_factors)}
+        cert = (CertStep.make(
+            "invariant-factors",
+            "the canonical invariant factors decide freeness: free means no "
+            "torsion factor",
+            invariants=g.invariant_factors),)
+    elif check == "ses":
+        (s,) = parsed
+        split = split_test(s)
+        free, expr, metadata = is_free(s.mid), s.mid.to_expr(), {"splits": split.splits}
+        cert = (CertStep.make("exactness-verified",
+                              "the three-term sequence is exact as stated"),
+                CertStep.make("split-test",
+                              "each cyclic factor of the right term was lifted through "
+                              "the projection in turn, a torsion lift corrected by the "
+                              "inclusion, to build an explicit section or show that "
+                              "none exists",
+                              splits=split.splits))
+    elif check == "snake":
+        groups = snake(*parsed).groups()
+        terms = [grp.describe() for grp in groups]
+        free, metadata = all(is_free(grp) for grp in groups), {"six_terms": terms}
+        cert = (CertStep.make(
+            "six-term-exact",
+            "the kernel-cokernel sequence of the ladder is exact at every "
+            "position",
+            terms=" | ".join(terms)),)
+    else:  # amalgam
+        res = amalgam_quotient(*parsed)
+        free, expr = is_free(res.quotient), res.quotient.to_expr()
+        cert = (CertStep.make(
+            "units-amalgam",
+            "the quotient of the sum by the diagonal copy is isomorphic to the "
+            "complements plus one fewer copies of the diagonal group; the "
+            "isomorphism was constructed and verified",
+            quotient=res.quotient.describe(),
+            standard_form=res.standard_form.describe()),)
+    return Decision(Verdict.FREE if free else Verdict.NOT_FREE, cert, expr, metadata)

@@ -1,7 +1,7 @@
-"""Batch front end: parse instance files, dispatch each instance kind
-through one table to its decider and its replay, render verdicts with
-certificate traces, verify finitely generated sub-claims, and run the
-built-in corpus.
+"""Batch front end: the instance schema; one table, ``KINDS``, that feeds
+each kind's parse to the decider of the layer owning that kind and names
+its replay of finitely generated sub-claims; rendering; argv; and the
+built-in corpus.  No freeness rule or certificate step is written here.
 
 Commands::
 
@@ -47,7 +47,7 @@ from . import abelian, noeth, prufer, scattered, valgroup
 from .corpus import CASES
 from .errors import DiagramError, IglError, PreconditionError, SchemaError, read_flag
 from .matrices import IntMatrix
-from .valgroup import CertStep, Decision, Verdict
+from .valgroup import CertStep
 
 
 class Report:
@@ -280,78 +280,29 @@ def parse_noeth(payload: dict) -> noeth.NoethInstance:
         local=_flag(payload, "local", True))
 
 
-def parse_valuation(payload: dict) -> dict:
+def parse_valuation(payload: dict) -> tuple:
     tower_rec = payload.get("tower")
     _expect(isinstance(tower_rec, list), "field 'tower': must be a list of slots")
     tower = valgroup.ValueTower.from_names(tower_rec)
     group = payload.get("group", "inv")
     _expect(group in ("inv", "div"), "field 'group': must be 'inv' or 'div'")
-    principal = _flag(payload, "maximal_principal", None)
-    if principal is None:
-        principal = bool(tower.slots) and tower.slots[0] is valgroup.Z
-    return {"tower": tower, "group": group,
-            "maximal_principal": principal,
-            "maximal_branched": _flag(payload, "maximal_branched", True)}
+    return (tower, group, _flag(payload, "maximal_principal", None),
+            _flag(payload, "maximal_branched", True))
 
 
-def parse_prufer(payload: dict) -> dict:
+def parse_prufer(payload: dict) -> tuple:
     _expect(isinstance(payload.get("root"), dict), "field 'root': missing tree root")
     locally_finite = _flag(payload, "locally_finite", True)
     tree = prufer.tree_from_payload(payload["root"])
     question = payload.get("question", "inv")
     _expect(question in ("inv", "div", "strongly_discrete"),
             "field 'question': must be 'inv', 'div' or 'strongly_discrete'")
-    return {"tree": tree, "question": question, "locally_finite": locally_finite,
-            "codim_finite": _flag(payload, "codim_finite", False),
-            "t_finite_character": _flag(payload, "t_finite_character", None)}
+    return (tree, question, locally_finite, _flag(payload, "codim_finite", False),
+            _flag(payload, "t_finite_character", None))
 
 
-# ---------------------------------------------------------------------------
-# Deciding: one entry per kind, each returning a ``Decision``
-# ---------------------------------------------------------------------------
-
-def _decide_valuation(payload: dict) -> Decision:
-    v = parse_valuation(payload)
-    if v["group"] == "div":
-        return valgroup.div_of_valuation(v["tower"], v["maximal_principal"],
-                                         v["maximal_branched"])
-    expr = valgroup.inv_of_valuation(v["tower"])
-    fv = valgroup.freeness_verdict(expr)
-    return Decision(fv.verdict, (CertStep.make(
-        "valuation-inv-iso",
-        "every invertible ideal of a valuation ring is principal; the "
-        "invertible group is the value group"),) + fv.certificate, expr, text=fv.text)
-
-
-def _decide_prufer(payload: dict) -> Decision:
-    p = parse_prufer(payload)
-    if p["question"] == "div":
-        d = prufer.decide_div_free(p["tree"])
-    elif p["question"] == "strongly_discrete":
-        d = prufer.strongly_discrete_decide(p["tree"], p["codim_finite"],
-                                            p["locally_finite"])
-    else:
-        d = prufer.decide_inv_free(p["tree"])
-        if p["t_finite_character"]:
-            d = d._replace(certificate=d.certificate + (CertStep.make(
-                "t-coincides-with-d",
-                "on these trees the t-closure is the identity closure, so "
-                "the verdict applies verbatim to t-invertible ideals"),))
-    if p["t_finite_character"]:
-        d = d._replace(metadata={"t_finite_character": True, **d.metadata})
-    return d
-
-
-def _decide_noeth(payload: dict) -> Decision:
-    return noeth.decide_noeth(parse_noeth(payload))
-
-
-def _decide_scattered(payload: dict) -> Decision:
-    return scattered.decide_scattered(parse_scattered(payload))
-
-
-def _decide_krull(payload: dict) -> Decision:
-    return noeth.krull_verdict(payload.get("variant", "krull"))
+def parse_krull(payload: dict) -> str:
+    return payload.get("variant", "krull")  # krull_verdict refuses an unknown one
 
 
 def _diagram_check(payload: dict) -> str:
@@ -361,59 +312,29 @@ def _diagram_check(payload: dict) -> str:
     return check
 
 
-def _verdict(free: bool) -> Verdict:
-    return Verdict.FREE if free else Verdict.NOT_FREE
-
-
-def _decide_diagram(payload: dict) -> Decision:
+def parse_diagram(payload: dict) -> tuple:
+    """``(check, *terms)``, each term built, and so checked, in document order."""
     check = _diagram_check(payload)
     if check == "group":
-        g = parse_group(payload.get("group"), "group")
-        cert = (CertStep.make(
-            "invariant-factors",
-            "the canonical invariant factors decide freeness: free means no "
-            "torsion factor",
-            invariants=g.invariant_factors),)
-        return Decision(_verdict(abelian.is_free(g)), cert, g.to_expr(),
-                        {"invariants": list(g.invariant_factors)})
+        return check, parse_group(payload.get("group"), "group")
     if check == "ses":
-        s = parse_ses(payload.get("ses"), "ses")
-        split = abelian.split_test(s)
-        cert = (CertStep.make("exactness-verified",
-                              "the three-term sequence is exact as stated"),
-                CertStep.make("split-test",
-                              "each cyclic factor of the right term was lifted through "
-                              "the projection in turn, a torsion lift corrected by the "
-                              "inclusion, to build an explicit section or show that "
-                              "none exists",
-                              splits=split.splits))
-        return Decision(_verdict(abelian.is_free(s.mid)), cert, s.mid.to_expr(),
-                        {"splits": split.splits})
+        return check, parse_ses(payload.get("ses"), "ses")
     if check == "snake":
         rec = payload.get("snake")
         _expect(isinstance(rec, dict), "field 'snake': must be an object")
         top = parse_ses(rec.get("top"), "snake.top")
         bottom = parse_ses(rec.get("bottom"), "snake.bottom")
-        f = _parse_hom(rec.get("f"), top.left, bottom.left, "snake.f")
-        g = _parse_hom(rec.get("g"), top.mid, bottom.mid, "snake.g")
-        h = _parse_hom(rec.get("h"), top.right, bottom.right, "snake.h")
-        res = abelian.snake(top, bottom, f, g, h)
-        terms = [grp.describe() for grp in res.groups()]
-        cert = (CertStep.make(
-            "six-term-exact",
-            "the kernel-cokernel sequence of the ladder is exact at every "
-            "position",
-            terms=" | ".join(terms)),)
-        free = all(abelian.is_free(grp) for grp in res.groups())
-        return Decision(_verdict(free), cert, metadata={"six_terms": terms})
+        return (check, top, bottom,
+                _parse_hom(rec.get("f"), top.left, bottom.left, "snake.f"),
+                _parse_hom(rec.get("g"), top.mid, bottom.mid, "snake.g"),
+                _parse_hom(rec.get("h"), top.right, bottom.right, "snake.h"))
     # amalgam
     rec = payload.get("amalgam")
     _expect(isinstance(rec, dict), "field 'amalgam': must be an object")
     g = parse_group(rec.get("g"), "amalgam.g")
-    parts = []
     raw_parts = rec.get("parts")
-    _expect(isinstance(raw_parts, list) and raw_parts,
-            "amalgam.parts: must be a nonempty list")
+    _expect(isinstance(raw_parts, list) and raw_parts, "amalgam.parts: must be a nonempty list")
+    parts = []
     for i, p in enumerate(raw_parts):
         _expect(isinstance(p, dict), f"amalgam.parts[{i}]: must be an object")
         grp = parse_group(p.get("group"), f"amalgam.parts[{i}].group")
@@ -422,16 +343,12 @@ def _decide_diagram(payload: dict) -> Decision:
         proj = _parse_hom(p.get("proj"), grp, comp, f"amalgam.parts[{i}].proj")
         retract = _parse_hom(p.get("retract"), grp, g, f"amalgam.parts[{i}].retract")
         parts.append(abelian.AmalgamPart(grp, emb, comp, proj, retract))
-    res = abelian.amalgam_quotient(g, parts)
-    cert = (CertStep.make(
-        "units-amalgam",
-        "the quotient of the sum by the diagonal copy is isomorphic to the "
-        "complements plus one fewer copies of the diagonal group; the "
-        "isomorphism was constructed and verified",
-        quotient=res.quotient.describe(),
-        standard_form=res.standard_form.describe()),)
-    return Decision(_verdict(abelian.is_free(res.quotient)), cert, res.quotient.to_expr())
+    return check, g, parts
 
+
+# ---------------------------------------------------------------------------
+# Deciding: each kind's parse fed to its layer's decider (``KINDS``)
+# ---------------------------------------------------------------------------
 
 def decide_payload(payload: dict, name: str) -> Report:
     kind = validate_envelope(payload)
@@ -479,7 +396,7 @@ def _replay_diagram(payload: dict) -> list[Check]:
     # propagates, so that a malformed instance of any kind exits 2
     label, detail = _DIAGRAM_CHECKS[_diagram_check(payload)]
     try:
-        return [(label, True, detail(_decide_diagram(payload)))]
+        return [(label, True, detail(abelian.decide_diagram(*parse_diagram(payload))))]
     except SchemaError:
         raise
     except IglError as exc:
@@ -525,7 +442,7 @@ def _replay_cut(tree: prufer.SpecTree, counts: dict[str, tuple[int, int]],
 
 
 def _replay_prufer(payload: dict) -> list[Check]:
-    tree = parse_prufer(payload)["tree"]
+    tree = parse_prufer(payload)[0]
     decision = prufer.decide_inv_free(tree)
     checks = [("decision-computed", True, decision.verdict.value)]
     counts = _class_counts(tree)
@@ -542,7 +459,7 @@ def _replay_prufer(payload: dict) -> list[Check]:
 
 
 def _replay_valuation(payload: dict) -> list[Check]:
-    tower = parse_valuation(payload)["tower"]
+    tower = parse_valuation(payload)[0]
     if not tower.is_free():
         return [("tower-crosscheck", True, "skipped: tower not discrete")]
     # the decision's expression, recounted against Z^n of the engine
@@ -623,7 +540,7 @@ def _replay_scattered(payload: dict) -> list[Check]:
 
 
 def _replay_krull(payload: dict) -> list[Check]:
-    _decide_krull(payload)
+    noeth.krull_verdict(parse_krull(payload))
     return [("all-groups-free", True, "height-one basis")]
 
 
@@ -631,14 +548,16 @@ def verify_payload(payload: dict, name: str) -> list[Check]:
     return KINDS[validate_envelope(payload)][1](payload)
 
 
-# kind -> (decide, replay), in the order the schema error lists the kinds
+# kind -> (decide, replay), in the order the schema error lists the kinds;
+# a decide feeds one parse to the decider of the layer that owns the kind
 KINDS = {
-    "prufer_tree": (_decide_prufer, _replay_prufer),
-    "noeth_local": (_decide_noeth, _replay_noeth),
-    "scattered_space": (_decide_scattered, _replay_scattered),
-    "valuation": (_decide_valuation, _replay_valuation),
-    "group_diagram": (_decide_diagram, _replay_diagram),
-    "krull": (_decide_krull, _replay_krull),
+    "prufer_tree": (lambda p: prufer.decide_tree(*parse_prufer(p)), _replay_prufer),
+    "noeth_local": (lambda p: noeth.decide_noeth(parse_noeth(p)), _replay_noeth),
+    "scattered_space": (lambda p: scattered.decide_scattered(parse_scattered(p)),
+                        _replay_scattered),
+    "valuation": (lambda p: valgroup.decide_valuation(*parse_valuation(p)), _replay_valuation),
+    "group_diagram": (lambda p: abelian.decide_diagram(*parse_diagram(p)), _replay_diagram),
+    "krull": (lambda p: noeth.krull_verdict(parse_krull(p)), _replay_krull),
 }
 
 

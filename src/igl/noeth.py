@@ -35,9 +35,8 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import PreconditionError, SchemaError
-from .valgroup import (CertStep, Cyclic, Decision, FgAtom, GroupExpr, Opaque, Repeated,
-                       TRIVIAL, Verdict, canonical_invariants, direct_sum,
-                       freeness_verdict, normalize)
+from .valgroup import (CertStep, Cyclic, Decision, GroupExpr, Opaque, Repeated, TRIVIAL,
+                       Verdict, canonical_invariants, direct_sum, fg_expr, freeness_verdict)
 
 
 # Characteristics must lie below this bound: Miller-Rabin with the prime
@@ -150,7 +149,7 @@ def unit_group(f: FieldDesc) -> GroupExpr:
     without further declarations.
     """
     if isinstance(f, FiniteField):
-        return normalize(Cyclic(f.unit_order)) if f.unit_order > 1 else TRIVIAL
+        return Cyclic(f.unit_order) if f.unit_order > 1 else TRIVIAL
     torsionfree = False if f.characteristic != 2 else None
     return Opaque(f"U({f.label})", is_free=f.unit_free, is_torsionfree=torsionfree)
 
@@ -351,7 +350,7 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
         chain = canonical_invariants([b.field.unit_order for b in inst.branches])
         if m > 1:
             chain = (chain[0] // m,) + chain[1:]
-        return normalize(FgAtom(chain))
+        return fg_expr(chain)
     if case == "b":
         L = inst.branches[0].field
         qf = L.quotient_free if isinstance(L, OpaqueField) else None

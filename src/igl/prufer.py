@@ -25,7 +25,7 @@ of the quotient and of the step, summed as the walk leaves the quotient;
 ``verify`` recounts the cut's total from the tree and checks that the
 two ranks add up to it.  The sum itself is built once: the root's normal
 form is one ``normal_sum`` over the summands of every subproblem, so
-deciding a tree is linear in its size.
+deciding a tree is linear in its size.  ``decide_tree`` answers an instance's question.
 """
 
 from __future__ import annotations
@@ -261,18 +261,17 @@ def _free_at(tree: SpecTree) -> dict[str, bool]:
 def _internal_gate(tree: SpecTree, free: dict[str, bool]) -> Certificate:
     """Check that every non-root branching point -- every internal node of
     the contraction -- has a free value group; this is the hypothesis of
-    both cut recursions.  The certificate is empty when it holds; only a
-    failing node's tower is built, for its verdict."""
+    both cut recursions.  The certificate is empty when it holds; a failing
+    node's tower holds a ``Q`` or ``R`` slot, a divisible witness: ``NotFree``."""
     for node in branching_points(tree):
         if node is tree.root or free[node.node_id]:
             continue
-        fv = freeness_verdict(gamma_at(tree, node).to_expr())
         return (
             CertStep.make("internal-gamma-not-free",
                           "the recursion requires a free value group at every "
                           "internal contraction node; the hypothesis fails here",
                           prime=node.node_id,
-                          verdict=fv.verdict.value),)
+                          verdict=Verdict.NOT_FREE.value),)
     return ()
 
 
@@ -478,3 +477,28 @@ def strongly_discrete_decide(tree: SpecTree, codim_finite: bool,
         CertStep.make("strongly-discrete-open",
                       "whether every strongly discrete domain of this kind has a "
                       "free invertible group is an open conjecture; no verdict"),))
+
+
+# ---------------------------------------------------------------------------
+# The question of an instance
+# ---------------------------------------------------------------------------
+
+def decide_tree(tree: SpecTree, question: str, locally_finite: bool, codim_finite: bool,
+                t_finite_character: bool | None) -> Decision:
+    """Decide a ``prufer_tree`` instance's ``question``, ``"inv"``, ``"div"`` or
+    ``"strongly_discrete"``; a declared ``t_finite_character`` goes into
+    ``metadata`` and extends the ``inv`` certificate to t-invertible ideals."""
+    if question == "div":
+        d = decide_div_free(tree)
+    elif question == "strongly_discrete":
+        d = strongly_discrete_decide(tree, codim_finite, locally_finite)
+    else:
+        d = decide_inv_free(tree)
+        if t_finite_character:
+            d = d._replace(certificate=d.certificate + (CertStep.make(
+                "t-coincides-with-d",
+                "on these trees the t-closure is the identity closure, so "
+                "the verdict applies verbatim to t-invertible ideals"),))
+    if t_finite_character:
+        d = d._replace(metadata={"t_finite_character": True, **d.metadata})
+    return d

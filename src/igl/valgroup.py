@@ -6,8 +6,6 @@ represented here as expression trees over a small set of atoms:
 
 * ``Z``, ``Q``, ``R``     -- the integers, rationals and reals,
 * ``Cyclic(n)``           -- the cyclic group of order ``n``,
-* ``FgAtom(invariants)``  -- a finitely generated group, by its invariant
-                             factors (torsion chain followed by zeros),
 * ``ZPROD``               -- the direct *product* of countably many copies
                              of ``Z`` (famously unfree),
 * ``Opaque(...)``         -- a group known only through declared
@@ -128,13 +126,6 @@ class Cyclic(GroupExpr, namedtuple("Cyclic", "order")):
         return tuple.__new__(cls, (order,))
 
 
-class FgAtom(GroupExpr, namedtuple("FgAtom", "invariants")):
-    """A finitely generated group given by canonical invariant factors:
-    torsion factors > 1 in a divisibility chain, then one 0 per free rank."""
-
-    __slots__ = ()
-
-
 class Opaque(GroupExpr, namedtuple("Opaque", "label is_free is_torsionfree has_divisible",
                                    defaults=(None, None, None))):
     """A group known only through declared properties.
@@ -194,26 +185,13 @@ UNKNOWN = Atom("UnknownGroup", "?")
 # Normalization
 # ---------------------------------------------------------------------------
 
-def _expand_fg(inv: tuple[int, ...]) -> list[GroupExpr]:
-    parts: list[GroupExpr] = []
-    for d in inv:
-        if d == 0:
-            parts.append(Z)
-        elif d > 1:
-            parts.append(Cyclic(d))
-    return parts
-
-
 def normalize(e: GroupExpr) -> GroupExpr:
-    """Canonical form: sums flattened, trivial parts dropped, finitely
-    generated atoms expanded into cyclic and infinite-cyclic summands,
-    runs of equal adjacent summands collapsed into ``Repeated`` nodes.
-    The order of summands is preserved (it usually records a derivation).
+    """Canonical form: sums flattened, trivial parts dropped, runs of
+    equal adjacent summands collapsed into ``Repeated`` nodes.  The order
+    of summands is preserved (it usually records a derivation).
 
     Every subterm of a normal form is its own normal form, so code that
     has normalized an expression once walks its subterms as they are."""
-    if isinstance(e, FgAtom):
-        return normal_sum(_expand_fg(e.invariants))
     if isinstance(e, Cyclic):
         return TRIVIAL if e.order == 1 else e
     if isinstance(e, Repeated):
@@ -269,6 +247,12 @@ def normal_sum(parts) -> GroupExpr:
 
 def direct_sum(*parts: GroupExpr) -> GroupExpr:
     return normalize(DirectSum(tuple(parts)))
+
+
+def fg_expr(invariants: tuple[int, ...]) -> GroupExpr:
+    """The normal form of the finitely generated group with canonical
+    invariant factors ``invariants`` (one 0 per free rank)."""
+    return normal_sum(Z if d == 0 else Cyclic(d) for d in invariants if d == 0 or d > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +585,24 @@ def div_of_valuation(t: ValueTower, maximal_principal: bool,
                           "the real summand is divisible, so the group is not free",
                           result=render_expr(expr)),) + fv.certificate
     return Decision(fv.verdict, cert, expr)
+
+
+def decide_valuation(t: ValueTower, group: str, maximal_principal: bool | None,
+                     maximal_branched: bool) -> Decision:
+    """Decide the invertible (``group`` ``"inv"``) or the divisorial
+    (``"div"``) group of a valuation ring; an undeclared
+    ``maximal_principal`` (``None``) is read off the tower: the maximal
+    ideal is principal exactly when the top slot is ``Z``."""
+    if group == "div":
+        if maximal_principal is None:
+            maximal_principal = bool(t.slots) and t.slots[0] is Z
+        return div_of_valuation(t, maximal_principal, maximal_branched)
+    expr = inv_of_valuation(t)
+    fv = freeness_verdict(expr)
+    return Decision(fv.verdict, (CertStep.make(
+        "valuation-inv-iso",
+        "every invertible ideal of a valuation ring is principal; the "
+        "invertible group is the value group"),) + fv.certificate, expr, text=fv.text)
 
 
 def unbranched_valuation_verdict(step_quotients: list[GroupExpr],

@@ -327,7 +327,7 @@ def test_tree_decide_and_verify_work_grows_linearly(monkeypatch):
     for spine in (100, 400):
         payload = caterpillar_payload(spine)
         work["summands"] = work["atoms"] = 0
-        prufer.decide_inv_free(cli.parse_prufer(payload)["tree"])
+        prufer.decide_inv_free(cli.parse_prufer(payload)[0])
         summands = work["summands"]
         work["atoms"] = 0
         checks = cli.verify_payload(payload, "caterpillar")
@@ -665,6 +665,35 @@ def test_null_keeps_the_default_only_where_undeclared_is_allowed(tmp_path, capsy
     assert decide_json(dict(YTREE, t_finite_character=None)) == decide_json(YTREE)
     assert_schema_exit(tmp_path, capsys, dict(CURVE, conductor_nonzero=None),
                        "must be true or false")
+
+
+@pytest.mark.parametrize("question", ["inv", "div", "strongly_discrete"])
+def test_t_finite_character_extends_only_the_inv_certificate(tmp_path, capsys, question):
+    """``t_finite_character: true`` appends one ``t-coincides-with-d`` step
+    to the ``inv`` certificate, and to no other, and names itself in the
+    metadata of all three questions; ``false``, ``null`` and an absent
+    field add neither.  The reports are compared as the bytes ``decide``
+    prints, timing masked."""
+    def decide_text(payload):
+        path = str(write(tmp_path, payload))
+        assert main(["decide", path, "--format", "json", "--trace", "full"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["elapsed_ms"] = 0
+        return canonical_json(report)
+
+    payload = dict(YTREE, question=question)
+    base = decide_text(payload)
+    for value in (False, None):
+        assert decide_text(dict(payload, t_finite_character=value)) == base
+    want = json.loads(base)
+    want["metadata"]["t_finite_character"] = True
+    if question == "inv":
+        want["certificate"].append({
+            "rule": "t-coincides-with-d",
+            "statement": "on these trees the t-closure is the identity closure, so "
+                         "the verdict applies verbatim to t-invertible ideals",
+            "inputs": {}})
+    assert decide_text(dict(payload, t_finite_character=True)) == canonical_json(want)
 
 
 def field_paths(x, prefix=()):

@@ -17,7 +17,7 @@ from igl.valgroup import (GroupExpr, ValueTower, Verdict, div_of_valuation,
                           render_expr)
 from oracles import (all_parent_vectors, caterpillar_payload, expr_rank, permuted_tree,
                      random_tree, slot_names, standard_decomposition, tree_from_parents,
-                     tree_rank_oracle)
+                     tree_payload, tree_rank_oracle)
 
 
 def zt(*names):
@@ -387,6 +387,39 @@ def test_pass_matches_the_verdict_of_every_value_group():
         for n in t.nodes():
             v = freeness_verdict(gamma_at(t, n).to_expr()).verdict
             assert v is (Verdict.FREE if free[n.node_id] else Verdict.NOT_FREE)
+
+
+def test_internal_gate_verdict_is_the_failing_towers_verdict():
+    """The gate writes ``NotFree`` for the branching point whose value
+    group is not free, without building its tower: it is the verdict
+    that the tower itself gets, on random trees of ``Z``, ``Q`` and ``R``
+    labels with a ``Q`` or ``R`` slot at some branching point."""
+    rng = random.Random(31)
+    labels = (["Z"], ["Z"], ["Z"], ["Q"], ["R"], ["Z", "Q"], ["R", "Z"], ["Z", "Z"])
+    gated = 0
+    while gated < 100:
+        n = rng.randint(3, 16)
+        payload = tree_payload([rng.randrange(i) for i in range(1, n)])
+        records = [payload["root"]]
+        for rec in records:
+            kids = rec.get("children", [])
+            records.extend(kids)
+            if rec is not payload["root"]:
+                rec["label"] = rng.choice(labels)
+                if len(kids) >= 2 and rng.random() < 0.5:
+                    rec["label"] = rng.choice([["Q"], ["R"], ["Z", "R"]])
+        t = tree_from_payload(payload["root"])
+        for decision in (decide_inv_free(t), decide_div_free(t)):
+            steps = [s for s in decision.certificate if s.rule == "internal-gamma-not-free"]
+            if not steps:
+                continue
+            (step,) = steps
+            inputs = dict(step.inputs)
+            node = t.node(inputs["prime"])
+            assert node in branching_points(t) and node is not t.root
+            want = freeness_verdict(gamma_at(t, node).to_expr()).verdict.value
+            assert inputs["verdict"] == want == "NotFree"
+            gated += 1
 
 
 @pytest.mark.parametrize("first, last, verdict", [

@@ -17,3 +17,20 @@ def test_package_holds_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _named(node, name: str) -> bool:
+    # ``name`` itself, or an attribute of that name (``valgroup.name``)
+    return (isinstance(node, ast.Name) and node.id == name) or \
+        (isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_front_end_writes_no_rule_and_chooses_no_verdict():
+    """Each layer owns its kind's rules and certificate wording: ``cli``
+    makes no ``CertStep.make`` call and reads no ``Verdict`` member."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and (_named(node.value, "Verdict")
+                  or (node.attr == "make" and _named(node.value, "CertStep")))]
+    assert found == []

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl.errors import SchemaError
-from igl.valgroup import (Cyclic, DirectSum, FgAtom, LexTower, Opaque, Q, R,
+from igl.valgroup import (Cyclic, DirectSum, LexTower, Opaque, Q, R,
                           Repeated, TRIVIAL, UNKNOWN, ValueTower, Verdict, Z,
                           ZPROD, canonical_invariants, div_of_valuation,
-                          direct_sum, expr_invariant_factors, freeness_verdict,
+                          direct_sum, expr_invariant_factors, fg_expr, freeness_verdict,
                           inv_of_valuation, normalize, render_expr,
                           unbranched_valuation_verdict)
 from oracles import (divisible_ref, expr_rank, freeness_verdict_ref, has_divisible,
@@ -31,8 +31,8 @@ def test_basic_verdicts():
     assert verdict(Cyclic(5)) is Verdict.NOT_FREE
     assert verdict(TRIVIAL) is Verdict.FREE
     assert verdict(UNKNOWN) is Verdict.UNKNOWN
-    assert verdict(FgAtom((2, 0))) is Verdict.NOT_FREE
-    assert verdict(FgAtom((0, 0))) is Verdict.FREE
+    assert verdict(fg_expr((2, 0))) is Verdict.NOT_FREE
+    assert verdict(fg_expr((0, 0))) is Verdict.FREE
 
 
 def test_opaque_verdicts():
@@ -137,7 +137,7 @@ def test_canonical_rendering_examples():
     assert render_expr(direct_sum(Z, LexTower((Z, Q)), R)) == "Z ⊕ lex(Z;Q) ⊕ R"
     assert render_expr(direct_sum(Z, Z, Z)) == "Z^3"
     assert render_expr(TRIVIAL) == "0"
-    assert render_expr(normalize(FgAtom((2, 6, 0)))) == "Z/2 ⊕ Z/6 ⊕ Z"
+    assert render_expr(normalize(fg_expr((2, 6, 0)))) == "Z/2 ⊕ Z/6 ⊕ Z"
     assert render_expr(Repeated(Z, "w")) == "Z^(w)"
 
 
@@ -200,7 +200,7 @@ def test_tower_slot_validation():
     with pytest.raises(SchemaError):
         ValueTower((Cyclic(2),))  # torsion slots are not value groups
     with pytest.raises(SchemaError):
-        ValueTower((FgAtom((0,)),))  # every tower slot is Z, Q or R
+        ValueTower((fg_expr((0, 0)),))  # every tower slot is Z, Q or R
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ raw_atoms = st.one_of(
     atoms,
     st.integers(1, 12).map(Cyclic),
     st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]), max_size=4)
-      .map(lambda orders: FgAtom(canonical_invariants(orders))),
+      .map(lambda orders: fg_expr(canonical_invariants(orders))),
     st.sampled_from([Opaque("u", has_divisible=True), Opaque("v", is_free=False),
                      Opaque("x", is_torsionfree=True)]),
 )
