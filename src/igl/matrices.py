@@ -4,7 +4,8 @@ Everything in this module works with arbitrary-precision Python integers;
 no floating point is ever involved and no overflow can occur.  The module
 provides
 
-* ``IntMatrix``       -- an immutable row-major integer matrix,
+* ``IntMatrix``       -- an immutable row-major integer matrix, with
+                         products and negation but no sums,
 * ``snf``             -- Smith normal form with unimodular transforms
                          (no runtime caller: invariant factors are read
                          off a diagonal form of the core's column HNF),
@@ -119,19 +120,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(-a for a in row) for row in self.entries))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
 
     def det(self) -> int:
         """Determinant by the Bareiss fraction-free algorithm (exact)."""

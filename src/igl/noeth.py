@@ -383,7 +383,7 @@ def krull_verdict(kind: str) -> Decision:
     height-one primes as a basis of the divisorial group; the per-group
     verdicts and the basis go into ``metadata``."""
     if kind not in ("krull", "dedekind", "UFD"):
-        raise SchemaError(f"unknown Krull variant {kind!r}")
+        raise SchemaError("field 'variant': must be 'krull', 'dedekind' or 'UFD'")
     steps = [CertStep.make(
         "krull-free-basis",
         "for a Krull domain the divisorial group is free on the height-one "

@@ -31,7 +31,6 @@ deciding a tree is linear in its size.  ``decide_tree`` answers an instance's qu
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 from .errors import SchemaError, read_flag
 from .valgroup import (CertStep, Certificate, Decision, GroupExpr, LexTower,
@@ -52,34 +51,28 @@ class PrimeNode(namedtuple("PrimeNode", "node_id label children branched",
 
 class SpecTree:
     """A spectral tree, validated when it was parsed (``tree_from_payload``).
-    It indexes itself once, on first use: the pre-order node tuple, the id
-    lookup and the parent map are cached properties (kept in the instance
-    ``__dict__``); every pass over the tuple goes through ``nodes()``, and
-    every walk below is a loop, so tree depth costs no Python frames."""
+    It indexes itself once, when it is built: one walk gives the pre-order
+    node tuple and the parent map; every pass over the tuple goes through
+    ``nodes()``, and every walk below is a loop, so tree depth costs no
+    Python frames."""
+
+    __slots__ = ("root", "parents", "_preorder")
 
     def __init__(self, root: PrimeNode) -> None:
         self.root = root
-
-    @cached_property
-    def preorder(self) -> tuple[PrimeNode, ...]:
-        out: list[PrimeNode] = []
-        stack = [self.root]
+        self.parents: dict[str, PrimeNode | None] = {root.node_id: None}
+        order: list[PrimeNode] = []
+        stack = [root]
         while stack:
             n = stack.pop()
-            out.append(n)
-            stack.extend(reversed(n.children))
-        return tuple(out)
-
-    @cached_property
-    def parents(self) -> dict[str, PrimeNode | None]:
-        out: dict[str, PrimeNode | None] = {self.root.node_id: None}
-        for n in self.nodes():
+            order.append(n)
             for c in n.children:
-                out[c.node_id] = n
-        return out
+                self.parents[c.node_id] = n
+            stack.extend(reversed(n.children))
+        self._preorder = tuple(order)
 
     def nodes(self) -> tuple[PrimeNode, ...]:
-        return self.preorder
+        return self._preorder
 
     def leaves(self) -> list[PrimeNode]:
         """The maximal ideals: leaf nodes other than a bare root."""

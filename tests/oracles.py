@@ -5,7 +5,9 @@ determinants are cofactor expansions rather than Bareiss, invariant
 factors come from gcds of minors rather than Smith reduction, Smith
 forms, integer solutions and kernels come from a Smith elimination of
 their own, which forces the divisibility chain as it goes, rather than
-from the engine's shared diagonal elimination, column HNFs and diagonal
+from the engine's shared diagonal elimination (so two maps agree when
+each column of their difference solves against the relators, rather than
+when it reduces against the relation HNF), column HNFs and diagonal
 forms come from extended-gcd (Bezout) combinations rather than the
 engine's remainder pivoting, sections of a short
 exact sequence come from one linear system over all section entries
@@ -264,6 +266,14 @@ def smith_solve(m: IntMatrix, b) -> tuple[int, ...] | None:
         if c[i] != 0:
             return None
     return v.apply(tuple(y))
+
+
+def congruent_ref(g: FgGroup, a: IntMatrix, b: IntMatrix) -> bool:
+    """Do ``a`` and ``b`` agree modulo the relations of ``g``?  Each column
+    of ``a − b`` is solved for in the relators through the full Smith
+    form."""
+    return all(smith_solve(g.relations, [x - y for x, y in zip(a.col(j), b.col(j))]) is not None
+               for j in range(a.cols))
 
 
 def gcd_step_column_hnf(m: IntMatrix) -> IntMatrix:

@@ -12,7 +12,7 @@ from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq,
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix, diagonal_basis, hstack, snf, solve
 from igl.valgroup import canonical_invariants
-from oracles import (divisible_elements_brute, has_divisible, is_trivial, kernel,
+from oracles import (congruent_ref, divisible_elements_brute, has_divisible, is_trivial, kernel,
                      kronecker_split_test, lattice_equal, minors_invariant_factors,
                      of_direct_sum, random_amalgam_instance, random_matrix,
                      random_snake_input, random_unimodular_with_inverse,
@@ -22,6 +22,12 @@ from oracles import (divisible_elements_brute, has_divisible, is_trivial, kernel
 def hom(src, tgt, rows):
     return FgHom(src, tgt, IntMatrix.from_rows([list(r) for r in rows],
                                                cols=src.generators))
+
+
+def is_section(section, s):
+    """``surj ∘ section`` is the identity of the right term, as maps."""
+    return s.right.congruent(s.surj.matrix @ section.matrix,
+                             IntMatrix.identity(s.right.generators))
 
 
 def test_invariant_factors_and_freeness():
@@ -135,11 +141,52 @@ def test_kernel_cokernel_examples():
     times2 = hom(z, z, [[2]])
     assert is_trivial(kernel(times2))
     assert cokernel(times2).invariant_factors == (2,)
-    zero = FgHom.zero(z, z)
+    zero = hom(z, z, [[0]])
     assert kernel(zero).invariant_factors == (0,)
     assert cokernel(zero).invariant_factors == (0,)
     diag23 = hom(FgGroup.free(2), FgGroup.free(2), [[2, 0], [0, 3]])
     assert cokernel(diag23).invariant_factors == (6,)
+
+
+def congruence_case(seed):
+    """``FgGroup.congruent`` against the Smith-form reference on a random
+    group of 0-4 generators and 0-4 relators (entries in ±4, so the
+    target often has torsion) and matrices of 0-3 columns: ``b`` is ``a``
+    plus relations, then one entry of it is moved half the time.  Returns
+    the answer."""
+    rng = random.Random(seed)
+    n, cols = rng.randint(0, 4), rng.randint(0, 3)
+    g = FgGroup(n, random_matrix(rng, n, rng.randint(0, 4), 4))
+    a = random_matrix(rng, n, cols, 4)
+    shift = g.relations @ random_matrix(rng, g.relations.cols, cols, 3)
+    b = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, shift.entries)]
+    moved = n and cols and rng.random() < 0.5
+    if moved:
+        b[rng.randrange(n)][rng.randrange(cols)] += rng.choice((-2, -1, 1, 2))
+    b = IntMatrix.from_rows(b, cols=cols)
+    answer = g.congruent(a, b)
+    assert answer == congruent_ref(g, a, b) == g.congruent(b, a)
+    assert answer or moved
+    return answer
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_congruent_matches_columnwise_membership(seed):
+    congruence_case(seed)
+
+
+def test_congruence_cases_reach_both_answers_and_check_shapes():
+    assert {congruence_case(seed) for seed in range(20)} == {True, False}
+    g = FgGroup.from_invariants(2, 0)
+    assert g.congruent(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
+    assert FgGroup.free(0).congruent(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 3))
+    assert g.congruent(IntMatrix.from_rows([[3], [1]]), IntMatrix.from_rows([[1], [1]]))
+    assert not g.congruent(IntMatrix.from_rows([[3], [2]]), IntMatrix.from_rows([[1], [1]]))
+    with pytest.raises(ValueError):
+        g.congruent(IntMatrix.zeros(2, 1), IntMatrix.zeros(2, 2))
+    with pytest.raises(ValueError):
+        g.congruent(IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 1))
 
 
 def test_hom_well_definedness_enforced():
@@ -165,7 +212,7 @@ def test_snake_trivial_identity():
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
     row = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
-    res = snake(row, row, FgHom.identity(z), FgHom.identity(z2), FgHom.identity(z))
+    res = snake(row, row, hom(z, z, [[1]]), hom(z2, z2, [[1, 0], [0, 1]]), hom(z, z, [[1]]))
     assert all(is_trivial(g) for g in res.groups())
 
 
@@ -186,9 +233,9 @@ def test_snake_kernel_iso_cokernel_shape():
     z2 = FgGroup.free(2)
     t = FgGroup.free(0)
     top = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
-    bottom = ShortExactSeq(z2, z2, t, FgHom.identity(z2), FgHom.zero(z2, t))
-    res = snake(top, bottom, hom(z, z2, [[1], [0]]), FgHom.identity(z2),
-                FgHom.zero(z, t))
+    one = hom(z2, z2, [[1, 0], [0, 1]])
+    bottom = ShortExactSeq(z2, z2, t, one, hom(z2, t, []))
+    res = snake(top, bottom, hom(z, z2, [[1], [0]]), one, hom(z, t, []))
     assert res.ker_h.invariant_factors == res.coker_f.invariant_factors == (0,)
 
 
@@ -279,7 +326,7 @@ def test_split_test_needs_no_smith_form(monkeypatch):
         res = split_test(s)
         assert res.splits == splits
         if splits:
-            assert res.section.then(s.surj).equals_map(FgHom.identity(s.right))
+            assert is_section(res.section, s)
         # exactness at the middle runs kernel_basis; each generator of the
         # right term lifts through the projection by solve
         assert is_exact_pair(s.inj, s.surj)
@@ -325,7 +372,8 @@ def test_snake_lifts_every_kernel_generator_in_one_solve(monkeypatch):
     z2, z4, t = FgGroup.free(2), FgGroup.free(4), FgGroup.free(0)
     inj = hom(z2, z4, [[1, 0], [0, 1], [0, 0], [0, 0]])
     top = ShortExactSeq(z2, z4, z2, inj, hom(z4, z2, [[0, 0, 1, 0], [0, 0, 0, 1]]))
-    bottom = ShortExactSeq(z4, z4, t, FgHom.identity(z4), FgHom.zero(z4, t))
+    one = hom(z4, z4, IntMatrix.identity(4).entries)
+    bottom = ShortExactSeq(z4, z4, t, one, hom(z4, t, []))
     widths = []
 
     def counted(m, b):
@@ -333,7 +381,7 @@ def test_snake_lifts_every_kernel_generator_in_one_solve(monkeypatch):
         return solve(m, b)
 
     monkeypatch.setattr(abelian, "solve", counted)
-    res = snake(top, bottom, inj, FgHom.identity(z4), FgHom.zero(z2, t))
+    res = snake(top, bottom, inj, one, hom(z2, t, []))
     assert res.ker_h.generators == 2
     assert abelian.is_isomorphism(res.connecting)
     # ker f → ker g and ker g → ker h factor through kernel inclusions
@@ -376,13 +424,13 @@ def test_split_test_matches_the_kronecker_system_and_miyata(seed):
     assert res.splits == (oracle is not None) == (s.mid.invariant_factors == summed)
     for section in (res.section, oracle):
         if section is not None:
-            assert section.then(s.surj).equals_map(FgHom.identity(s.right))
+            assert is_section(section, s)
 
 
 def test_amalgam_diagonal_in_z():
     z = FgGroup.free(1)
     t = FgGroup.free(0)
-    part = AmalgamPart(z, FgHom.identity(z), t, FgHom.zero(z, t), FgHom.identity(z))
+    part = AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(z, z, [[1]]))
     res = amalgam_quotient(z, [part, part])
     assert res.quotient.invariant_factors == (0,)
     res3 = amalgam_quotient(z, [part, part, part])
@@ -402,7 +450,17 @@ def test_amalgam_with_complements():
 def test_amalgam_rejects_bad_retraction():
     z = FgGroup.free(1)
     t = FgGroup.free(0)
-    bad = AmalgamPart(z, FgHom.identity(z), t, FgHom.zero(z, t), hom(z, z, [[2]]))
+    bad = AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(z, z, [[2]]))
+    with pytest.raises(DiagramError, match="left inverse"):
+        amalgam_quotient(z, [bad, bad])
+    # Z again, presented with a zero relator: a retraction or a projection
+    # that starts there does not start at the part's group
+    other = FgGroup(1, IntMatrix.from_rows([[0]]))
+    for bad in (AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(other, z, [[1]])),
+                AmalgamPart(z, hom(z, z, [[1]]), t, hom(other, t, []), hom(z, z, [[1]]))):
+        with pytest.raises(DiagramError, match="composition endpoint mismatch"):
+            amalgam_quotient(z, [bad, bad])
+    bad = AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(z, other, [[1]]))
     with pytest.raises(DiagramError, match="left inverse"):
         amalgam_quotient(z, [bad, bad])
 
@@ -486,7 +544,8 @@ def check_predicates(seed):
         exact = is_exact_pair(a, b)
         assert exact == lattice_equal(abelian.image_lattice(a), abelian.kernel_lattice(b))
         # exact: b∘a is zero and the homology ker b / im a is trivial
-        homology = a.then(b).is_zero_map() and is_trivial(
+        zero = IntMatrix.zeros(b.target.generators, a.source.generators)
+        homology = b.target.congruent(b.matrix @ a.matrix, zero) and is_trivial(
             cokernel(factor_through(a, kernel_with_inclusion(b)[1])))
         assert exact == homology
         seen.add(("exact", exact))

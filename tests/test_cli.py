@@ -236,6 +236,39 @@ def test_verify_failing_check_exits_1(tmp_path, capsys):
     assert "not exact" in out["checks"][0]["detail"]
 
 
+@pytest.mark.parametrize("name,field,value,label,detail", [
+    ("snake_ladder.json", "f", [[3]], "ladder-and-six-term", "left square does not commute"),
+    ("snake_ladder.json", "h", [[3]], "ladder-and-six-term", "right square does not commute"),
+    ("amalgam_two_planes.json", "retract", [[2, 0]], "amalgam-isomorphism",
+     "part 0: retraction is not a left inverse of the embedding"),
+    ("amalgam_two_planes.json", "proj", [[1, 1]], "amalgam-isomorphism",
+     "part 0: projection does not kill the embedded copy"),
+], ids=["left-square", "right-square", "retraction", "projection"])
+def test_rejected_diagram_exits_3_and_fails_its_check(tmp_path, capsys, name, field, value,
+                                                      label, detail):
+    """A well-formed diagram that fails one map identity: ``decide`` exits
+    3 naming it, and ``verify`` fails the diagram's check with the same
+    detail."""
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    payload = json.loads((instances / name).read_text(encoding="utf-8"))
+    target = payload["snake"] if "snake" in payload else payload["amalgam"]["parts"][0]
+    target[field] = value
+    path = str(write(tmp_path, payload))
+    assert main(["decide", path]) == 3
+    assert capsys.readouterr() == ("", f"precondition violated: {detail}\n")
+    assert main(["verify", path, "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"check": label, "detail": detail, "ok": False}]
+
+
+def test_unknown_krull_variant_is_a_field_error(tmp_path, capsys):
+    path = str(write(tmp_path, {"v": 1, "kind": "krull", "variant": ["x"]}))
+    for cmd in ("decide", "verify"):
+        assert main([cmd, path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: field 'variant': must be 'krull', 'dedekind' or 'UFD'\n")
+
+
 def test_verify_fails_a_corrupted_cut(tmp_path, capsys, monkeypatch):
     decide = prufer.decide_inv_free
 
