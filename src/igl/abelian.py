@@ -182,12 +182,6 @@ class FgHom:
                 raise DiagramError(
                     f"not well-defined: image of relator {j} is not a relation of the target")
 
-    def then(self, nxt: "FgHom") -> "FgHom":
-        """Composite ``nxt ∘ self`` (apply ``self`` first)."""
-        if not self.target.same_presentation(nxt.source):
-            raise DiagramError("composition endpoint mismatch")
-        return FgHom(self.source, nxt.target, nxt.matrix @ self.matrix)
-
 
 def kernel_lattice(h: FgHom) -> IntMatrix:
     """HNF basis of ``{x in Z^src : h(x) is a relation of the target}``."""
@@ -250,15 +244,18 @@ def is_exact_pair(f: FgHom, g: FgHom) -> bool:
     return image_lattice(f).entries == kernel_lattice(g).entries
 
 
-def factor_through(h: FgHom, incl: FgHom) -> FgHom:
-    """Factor ``h`` through an injective inclusion whose columns span a
-    lattice containing ``im(h)``: return ``u`` with ``incl ∘ u = h`` on
-    generators (as produced for kernels by :func:`kernel_with_inclusion`).
-    Every column of ``h`` is solved for in one elimination."""
-    u = solve(incl.matrix, h.matrix)
+def factor_through(source: FgGroup, matrix: IntMatrix, incl: FgHom) -> FgHom:
+    """Factor the map from ``source`` with generator images ``matrix``
+    through an injective inclusion whose columns span a lattice
+    containing its image: return ``u`` with ``incl ∘ u`` equal to the map
+    on generators (inclusions as produced for kernels by
+    :func:`kernel_with_inclusion`).  The map itself is never built, so a
+    composite is passed as its matrix product; ``u`` is checked.  Every
+    column of ``matrix`` is solved for in one elimination."""
+    u = solve(incl.matrix, matrix)
     if u is None:
         raise DiagramError("map does not factor through the given inclusion")
-    return FgHom(h.source, incl.source, u)
+    return FgHom(source, incl.source, u)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +353,8 @@ def snake(top: ShortExactSeq, bottom: ShortExactSeq,
     qg = cokernel(g)
     qh = cokernel(h)
 
-    ker_fg = factor_through(kf_incl.then(top.inj), kg_incl)
-    ker_gh = factor_through(kg_incl.then(top.surj), kh_incl)
+    ker_fg = factor_through(kf, top.inj.matrix @ kf_incl.matrix, kg_incl)
+    ker_gh = factor_through(kg, top.surj.matrix @ kg_incl.matrix, kh_incl)
 
     x = _lift_through(top.surj.matrix, top.right.relations, kh_incl.matrix)
     connecting = FgHom(kh, qf, _lift_through(bottom.inj.matrix, bottom.mid.relations,

@@ -81,9 +81,12 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-# every scalar is written by a C routine, the same bytes as the stdlib encoder
+# every scalar is written by a C routine, the same bytes as the stdlib
+# encoder: JSON's three constants are looked up, and a float keeps
+# ``json.dumps``, which owns the spellings of the non-finite ones
 _SCALARS = {str: encode_basestring, int: int.__repr__, float: json.dumps,
-            bool: json.dumps, type(None): json.dumps}
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
 
 
 def _emit(x, nl: str, out: list[str]) -> None:
@@ -245,6 +248,9 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
     labels_rec = payload.get("labels")
     _expect(isinstance(labels_rec, dict), "field 'labels': must map strata to slot lists")
     labels: dict[int, valgroup.ValueTower] = {}
+    # each distinct slot list is parsed once, as in ``tree_from_payload``:
+    # equal labels share one tower
+    towers: dict[tuple, valgroup.ValueTower] = {}
     for key, slots in labels_rec.items():
         # a message is formatted only on failure, as in ``parse_group``
         if not (key.isascii() and key.isdigit()):
@@ -257,7 +263,14 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
         stratum = int(key)
         if stratum in labels:
             raise SchemaError(f"labels key {key[:20]!r}: stratum {stratum} is already labelled")
-        labels[stratum] = valgroup.ValueTower.from_names(slots)
+        names = tuple(slots)
+        try:
+            labels[stratum] = towers[names]
+        except KeyError:
+            labels[stratum] = towers[names] = valgroup.ValueTower.from_names(slots)
+        except TypeError:
+            # an unhashable slot is never a slot name: the parse names it
+            labels[stratum] = valgroup.ValueTower.from_names(slots)
     return scattered.ScatteredSpace.interval(bound, labels)
 
 
@@ -512,12 +525,12 @@ def _derived_walk_fault(space: scattered.ScatteredSpace, rank: int) -> str | Non
     isolated points are stratum k, and the walk has ``rank`` steps.
     Occupied strata are always 0..K, so the derivative's strata shifted
     up one lie inside the previous ones exactly when there are fewer of
-    them."""
+    them.  Sizes are compared as the values ``stratum_size`` gives, an
+    integer or a term tuple: the walk renders nothing."""
     cur = space
     steps = 0
     while not cur.is_empty():
-        if scattered.stratum_multiplicity(cur, 0) != \
-                scattered.stratum_multiplicity(space, steps):
+        if scattered.stratum_size(cur, 0) != scattered.stratum_size(space, steps):
             return f"stratum {steps} size differs from its closed form"
         prev = len(cur.occupied_strata())
         cur = scattered.cb_derivative(cur)

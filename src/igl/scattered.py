@@ -13,13 +13,19 @@ ideals with the same local value group.
   ``[0, a]`` is order-isomorphic to another ordinal interval, computed by
   digit surgery on the normal form, and the labels shift down a stratum
   without being copied: every derivative shares one top-down tuple.
-* ``cb_rank`` and ``stratum_multiplicity`` read the rank and the size of
-  every stratum straight off the normal-form digits of the bound; the
-  derivative stays the definition they are tested against.
+* ``cb_rank`` and ``stratum_size`` read the rank and the size of every
+  stratum straight off the normal-form digits of the bound, a size as a
+  value: an integer, or the term tuple of an infinite count, which
+  ``stratum_multiplicity`` renders for reports.  The derivative stays
+  the definition they are tested against, and ``verify`` compares its
+  sizes with them as values, rendering nothing.
 * ``decide_scattered`` uses the derived sequence to decide what the group
   of invertible ideals of a modeled one-dimensional domain looks like:
   scattered means the transfinite removal of locally-free stages
   exhausts the family, giving a direct sum over the maximal ideals.
+  Strata with equal labels share one tower (the parser keeps one per
+  distinct slot list), each distinct tower's expression is built once,
+  and the sum is one ``normal_sum`` of parts that are already normal.
 * ``escape_index`` locates the first stage at which a finitely generated
   ideal blows up along the derived sequence; that stage can never be a
   limit ordinal, and traces claiming otherwise are rejected.
@@ -32,7 +38,7 @@ from functools import total_ordering
 
 from .errors import MalformedTraceError, SchemaError
 from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
-                       Z, direct_sum, freeness_verdict, render_normal)
+                       Z, freeness_verdict, normal_sum, render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +133,24 @@ class Ordinal:
     # -- text -----------------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.terms:
-            if e == 0:
-                bits.append(str(c))
-            elif e == 1:
-                bits.append("w" if c == 1 else f"w*{c}")
-            else:
-                bits.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
-        return "+".join(bits)
+        return render_terms(self.terms) if self.terms else "0"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
+
+
+def render_terms(terms: tuple[tuple[int, int], ...]) -> str:
+    """The text of the nonzero normal form with these terms: ``w^e*c``,
+    with ``^1``, ``*1`` and a zero exponent's ``w`` left out."""
+    bits = []
+    for e, c in terms:
+        if e == 0:
+            bits.append(str(c))
+        elif e == 1:
+            bits.append("w" if c == 1 else f"w*{c}")
+        else:
+            bits.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
+    return "+".join(bits)
 
 
 _ORD_TERM = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
@@ -269,11 +279,12 @@ def cb_rank(s: ScatteredSpace) -> Ordinal:
     return Ordinal.from_int(s.bound.leading_exponent() + 1)
 
 
-def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
+def stratum_size(s: ScatteredSpace, k: int) -> int | tuple[tuple[int, int], ...]:
     """How many points of rank ``k`` the space has: the isolated points of
-    the ``k``-th derivative.  Finite counts are integers; infinite counts
-    are reported as the ordinal bound of that derivative (there are
-    ``b``-many isolated points in ``[0, b]`` for infinite ``b``).
+    the ``k``-th derivative.  Finite counts are integers; an infinite
+    count is the ordinal bound of that derivative, as its term tuple
+    (there are ``b``-many isolated points in ``[0, b]`` for infinite
+    ``b``).
 
     In closed form, read off the normal form ``a = w^e1*c1 + ... +
     w^en*cn`` of the bound, with ``K = e1``:
@@ -283,21 +294,32 @@ def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
     * ``c1`` for ``k == K >= 1``: the ``K``-th derivative is
       ``[0, c1 - 1]``;
     * for ``k < K``, the ``k``-th derivative is ``[0, b]`` with ``b`` the
-      terms ``w^(e-k)*c`` of ``a`` with ``e >= k``, and ``b`` is reported.
+      terms ``w^(e-k)*c`` of ``a`` with ``e >= k``.
 
     Each value costs a pass over the terms of ``a``, not ``k``
     derivatives."""
     if k < 0:
         raise ValueError("strata are indexed from 0")
     a = s.bound
-    if a is None or k > a.leading_exponent():
+    if a is None:
         return 0
-    if a.is_finite():
-        return a.as_int() + 1
-    lead, coeff = a.terms[0]
+    terms = a.terms
+    # the zero bound is the finite bound 0: one point
+    lead, coeff = terms[0] if terms else (0, 0)
+    if k > lead:
+        return 0
+    if lead == 0:
+        return coeff + 1
     if k == lead:
         return coeff
-    return Ordinal(tuple((e - k, c) for e, c in a.terms if e >= k)).render()
+    return terms if k == 0 else tuple((e - k, c) for e, c in terms if e >= k)
+
+
+def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
+    """``stratum_size`` as a report writes it: an integer, or the text of
+    the ordinal bound of the ``k``-th derivative."""
+    size = stratum_size(s, k)
+    return size if type(size) is int else render_terms(size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +342,10 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
       nonzero divisible elements, so the decomposition fails
       (``Obstructed``);
     * anything else: ``Unknown``.
+
+    A stratum's part is its tower's expression alone when the stratum
+    has one point and repeated otherwise; either is a normal form, so
+    the parts are summed with ``normal_sum``, not normalized again.
     """
     rank = cb_rank(s).render()
     meta = {"cb_rank": rank}
@@ -330,10 +356,14 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
                           "trivial group"),), TRIVIAL, meta)
     lab = s.label_map()
     strata = s.occupied_strata()
-    expr = direct_sum(*(Repeated(lab[k].to_expr(), stratum_multiplicity(s, k))
-                        for k in strata))
-    tower_verdicts = {t: freeness_verdict(t.to_expr()).verdict
-                      for t in {lab[k] for k in strata}}
+    tower_exprs = {t: t.to_expr() for t in lab.values()}
+    parts = []
+    for k in strata:
+        base = tower_exprs[lab[k]]
+        times = stratum_multiplicity(s, k)
+        parts.append(base if times == 1 or base is TRIVIAL else Repeated(base, times))
+    expr = normal_sum(parts)
+    tower_verdicts = {t: freeness_verdict(e).verdict for t, e in tower_exprs.items()}
     label_verdicts = {k: tower_verdicts[lab[k]] for k in strata}
     text = render_normal(expr)
     sum_step = CertStep.make(

@@ -154,6 +154,10 @@ class LexTower(GroupExpr, namedtuple("LexTower", "levels")):
         return tuple.__new__(cls, (levels,))
 
 
+# the characters of a symbolic multiplicity's ordinal text
+_MULTIPLICITY = re.compile(r"[w0-9+*^]+")
+
+
 class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
     """A direct sum of ``times`` copies of ``base``.
 
@@ -168,7 +172,7 @@ class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
         if isinstance(times, int):
             if times < 0:
                 raise ValueError("negative multiplicity")
-        elif not re.fullmatch(r"[w0-9+*^]+", times):
+        elif not _MULTIPLICITY.fullmatch(times):
             raise ValueError(f"bad symbolic multiplicity {times!r}")
         return tuple.__new__(cls, (base, times))
 

@@ -29,7 +29,9 @@ torsion and divisible predicates of the atom walk, direct-sum and
 sub-quotient sequences of finitely generated groups, the hand-built
 certified amalgam parts of a several-branch finite-field unit quotient
 (a reference for the unit-quotient rule where ``U(k)`` is a summand), the left
-product ``w * a`` of ordinals, the dependency classes of a spectral
+product ``w * a`` of ordinals, the scattered decision's expression
+built and normalized the first way (one ``Repeated`` per stratum), the
+dependency classes of a spectral
 tree, the slot names of a value tower, the free rank of an
 expression, the diagonal of a matrix, the dense ``group`` and
 ``ses`` instances of the integer engine's growth tests (CI writes them
@@ -50,7 +52,7 @@ from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice
 from igl.errors import SchemaError
 from igl.matrices import IntMatrix, column_hnf, gcdex, hstack, solve
 from igl.prufer import PrimeNode, SpecTree
-from igl.scattered import Ordinal
+from igl.scattered import Ordinal, ScatteredSpace, stratum_multiplicity
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
                           GroupExpr, LexTower, Opaque, Q, R, Repeated,
                           ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
@@ -940,7 +942,7 @@ def random_snake_input(rng: random.Random):
     bottom = sub_quotient_sequence(b2, sub2)
 
     g = FgHom(b1, b2, mg)
-    f = factor_through(top.inj.then(g), bottom.inj)
+    f = factor_through(top.inj.source, mg @ top.inj.matrix, bottom.inj)
     h = FgHom(top.right, bottom.right, mg)
     return top, bottom, f, g, h
 
@@ -1186,6 +1188,15 @@ def derived_bound_oracle(bound: Ordinal) -> Ordinal | None:
     if best.is_finite():
         return Ordinal.from_int(best.as_int() - 1)
     return best
+
+
+def reference_scattered_expr(s: ScatteredSpace) -> GroupExpr:
+    """The group expression of ``decide_scattered`` as it was first built:
+    one ``Repeated`` per stratum, the stratum's tower repeated by its
+    multiplicity, and the whole sum normalized again (``valgroup.direct_sum``)."""
+    lab = s.label_map()
+    return normalize(DirectSum(tuple(Repeated(lab[k].to_expr(), stratum_multiplicity(s, k))
+                                     for k in s.occupied_strata())))
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,7 @@ def check_predicates(seed):
         # exact: b∘a is zero and the homology ker b / im a is trivial
         zero = IntMatrix.zeros(b.target.generators, a.source.generators)
         homology = b.target.congruent(b.matrix @ a.matrix, zero) and is_trivial(
-            cokernel(factor_through(a, kernel_with_inclusion(b)[1])))
+            cokernel(factor_through(a.source, a.matrix, kernel_with_inclusion(b)[1])))
         assert exact == homology
         seen.add(("exact", exact))
     return seen

@@ -308,6 +308,37 @@ def test_verify_fails_a_wrong_cantor_bendixson_rank(capsys, monkeypatch):
             "assertion failed: derived sequence length differs from the rank"
 
 
+def _shift_top_size(monkeypatch):
+    # the closed form of stratum 2 counts one point more; the derivatives'
+    # own stratum 0 is asked for at k = 0 and stays right
+    size = scattered.stratum_size
+    monkeypatch.setattr(scattered, "stratum_size",
+                        lambda s, k: size(s, k) + 1 if k == 2 else size(s, k))
+
+
+def _stall_derivative(monkeypatch):
+    # the derivative removes nothing
+    monkeypatch.setattr(scattered, "cb_derivative", lambda s: s)
+
+
+@pytest.mark.parametrize("mutate,detail", [
+    (_shift_top_size, "stratum 2 size differs from its closed form"),
+    (_stall_derivative, "strata grew under the derivative"),
+], ids=["closed-form-size", "derivative-stalls"])
+def test_verify_fails_a_broken_derived_walk(tmp_path, capsys, monkeypatch, mutate, detail):
+    """Each fault of the derived walk fails ``derived-sequence-monotone``
+    with its own detail, and ``verify`` exits 1."""
+    payload = {"v": 1, "kind": "scattered_space", "bound": "w^2*3+w+2",
+               "labels": {"0": ["Z"], "1": ["Z"], "2": ["Q"]}}
+    path = str(write(tmp_path, payload))
+    mutate(monkeypatch)
+    assert main(["verify", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [
+        {"check": "rank-consistent", "detail": "rank 3 = leading exponent + 1", "ok": True},
+        {"check": "derived-sequence-monotone", "detail": "assertion failed: " + detail,
+         "ok": False}]
+
+
 def test_tree_verify_needs_no_integer_engine(monkeypatch):
     def refuse(*args):
         raise RuntimeError("tree verify called the integer engine")
@@ -516,6 +547,19 @@ JSON_VALUES = st.recursive(
           "b\"\\\x01é😀": (True, False, "q\"\\\x1f𝔸")})
 def test_canonical_json_matches_the_stdlib_encoder(x):
     assert canonical_json(x) == json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def test_json_constants_need_no_encoder(monkeypatch):
+    """``true``, ``false`` and ``null`` are written without the standard
+    library's encoder; a float still goes through it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON encoder ran")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    assert canonical_json({"ok": [True, False], "expr": None}) == \
+        '{\n  "expr": null,\n  "ok": [\n    true,\n    false\n  ]\n}'
+    with pytest.raises(AssertionError):
+        canonical_json(1.5)
 
 
 @pytest.mark.parametrize("bad", [{1: "x"}, {"a": 1, 2: "b"}, {"a": {1.5}}, [b"x"], (object(),)])

@@ -1,15 +1,18 @@
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import igl.scattered
-from igl.cli import decide_payload, verify_payload
+from igl.cli import decide_payload, main, parse_scattered, verify_payload
 from igl.errors import MalformedTraceError, SchemaError
 from igl.scattered import (Ordinal, ScatteredSpace, cb_derivative, cb_rank,
                            escape_index, parse_ordinal, decide_scattered,
-                           stratum_multiplicity)
-from igl.valgroup import ValueTower, Verdict, inv_of_valuation, render_expr
-from oracles import dense_coefficients, derived_bound_oracle, ordinal_grid, slot_names
+                           stratum_multiplicity, stratum_size)
+from igl.valgroup import Q, R, Z, ValueTower, Verdict, inv_of_valuation, render_expr
+from oracles import (dense_coefficients, derived_bound_oracle, ordinal_grid,
+                     reference_scattered_expr, slot_names)
 
 
 def w(e=1, c=1):
@@ -183,6 +186,14 @@ def test_stratum_multiplicity_examples():
     assert stratum_multiplicity(s, 0) == "w^2"
     assert stratum_multiplicity(s, 1) == "w"
     assert stratum_multiplicity(s, 2) == 1
+    # the values that ``verify`` compares, and their renderings
+    s = space(parse_ordinal("w^3*2+w+4"), {k: zt("Z") for k in range(4)})
+    assert [stratum_size(s, k) for k in range(5)] == [
+        ((3, 2), (1, 1), (0, 4)), ((2, 2), (0, 1)), ((1, 2),), 2, 0]
+    assert [stratum_multiplicity(s, k) for k in range(5)] == [
+        "w^3*2+w+4", "w^2*2+1", "w*2", 2, 0]
+    assert stratum_size(space(fin(0), {0: zt("Z")}), 0) == 1
+    assert stratum_size(ScatteredSpace.empty(), 0) == 0
 
 
 def _oracle_strata(bound):
@@ -279,6 +290,84 @@ def test_scattered_decision_one_point_matches_valuation():
         s = space(fin(0), {0: zt(*names)})
         res = decide_scattered(s)
         assert render_expr(res.expr) == render_expr(inv_of_valuation(zt(*names)))
+
+
+# each stratum gets a tower of its own, so equal towers are never one
+# object; the empty tower is the trivial group
+TOWER_SLOTS = ((), (Z,), (Z, Z), (Q,), (R,), (Z, Q))
+
+# bounds past the grid: a few terms with exponents up to 40
+wide_ordinals = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)),
+                         min_size=1, max_size=3, unique_by=lambda t: t[0]).map(
+    lambda ts: Ordinal(tuple(sorted(ts, reverse=True))))
+
+
+@st.composite
+def labelled_spaces(draw):
+    """A bound from the grid (finite bounds, top strata of count 1) or
+    past it, labelled by one tower throughout or stratum by stratum."""
+    bound = draw(st.one_of(st.sampled_from(ordinal_grid(3, 3)), wide_ordinals))
+    strata = bound.leading_exponent() + 1
+    index = st.integers(0, len(TOWER_SLOTS) - 1)
+    picks = draw(st.one_of(index.map(lambda i: [i] * strata),
+                           st.lists(index, min_size=strata, max_size=strata)))
+    return space(bound, {k: ValueTower(TOWER_SLOTS[i]) for k, i in enumerate(picks)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_spaces())
+@example(space(parse_ordinal("w^2+w"), {k: zt("Z") for k in range(3)}))
+@example(space(parse_ordinal("w*3+2"), {0: zt("Z", "Q"), 1: zt("Z", "Q")}))
+@example(space(fin(0), {0: zt("Q")}))
+@example(space(w(), {0: ValueTower(()), 1: zt("Z")}))
+def test_decide_expression_matches_the_reference(s):
+    """The normal sum of the strata's parts is the expression that one
+    ``Repeated`` per stratum, normalized again, gives.  In a run of one
+    tower the bases are equal, but only the top stratum's count is an
+    integer, so no two parts merge."""
+    assert decide_scattered(s).expr == reference_scattered_expr(s)
+
+
+# ---------------------------------------------------------------------------
+# parsing the labels
+# ---------------------------------------------------------------------------
+
+def test_equal_labels_share_one_tower(monkeypatch):
+    parsed = []
+    from_names = ValueTower.from_names.__func__
+
+    def counted(cls, names):
+        parsed.append(list(names))
+        return from_names(cls, names)
+    monkeypatch.setattr(ValueTower, "from_names", classmethod(counted))
+    cycle = (["Z"], ["Z", "Q"], ["Z"], ["Q"])
+    payload = {"v": 1, "kind": "scattered_space", "bound": "w^200*2+w^3",
+               "labels": {str(k): list(cycle[k % 4]) for k in range(201)}}
+    s = parse_scattered(payload)
+    assert sorted(parsed) == [["Q"], ["Z"], ["Z", "Q"]]
+    assert len({id(t) for t in s.labels}) == 3
+    assert s.label_map() == {k: ValueTower.from_names(cycle[k % 4]) for k in range(201)}
+
+
+@pytest.mark.parametrize("labels,message", [
+    ({"0": ["Z"], "1": ["X"], "y": ["Z"]}, "unknown tower slot 'X' (expected Z, Q or R)"),
+    ({"0": ["Z"], "y": ["Z"], "1": ["X"]}, "labels key 'y': must be a decimal stratum index"),
+    ({"0": ["Z", "Q"], "1": ["Z", "W"]}, "unknown tower slot 'W' (expected Z, Q or R)"),
+    ({"0": ["X"], "1": ["X"]}, "unknown tower slot 'X' (expected Z, Q or R)"),
+    ({"0": ["Z"], "1": ["Z"], "01": ["X"]}, "labels key '01': stratum 1 is already labelled"),
+    ({"0": ["Z"], "1": ["Z", ["Z"]]}, "unknown tower slot ['Z'] (expected Z, Q or R)"),
+    ({"0": [{"Z": 1}], "1": ["Z"]}, "unknown tower slot {'Z': 1} (expected Z, Q or R)"),
+    ({"0": ["Z"], "1": []}, "labels[1]: must be a nonempty slot list"),
+], ids=["bad-label-first", "bad-key-first", "after-a-parsed-tower", "repeated-bad-label",
+        "duplicate-stratum", "unhashable-after-a-parsed-tower", "unhashable-first",
+        "empty-after-a-parsed-tower"])
+def test_first_bad_label_in_document_order_is_reported(tmp_path, capsys, labels, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"v": 1, "kind": "scattered_space", "bound": "w",
+                                "labels": labels}), encoding="utf-8")
+    for cmd in ("decide", "verify"):
+        assert main([cmd, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
