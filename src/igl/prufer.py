@@ -19,13 +19,17 @@ The decision procedures follow a cut-and-sum recursion:
 * base cases are fields (trivial group) and chains (valuation rings,
   whose invertible ideals form the value group itself).
 
-The recursion runs as one walk over the tree with an explicit stack
+The parse walks the payload once, and its build loop fills the tree's
+index.  The recursion runs as one walk over the tree with an explicit stack
 (``_decompose``).  Every divided cut emits its prime and the free ranks
 of the quotient and of the step, summed as the walk leaves the quotient;
 ``verify`` recounts the cut's total from the tree and checks that the
 two ranks add up to it.  The sum itself is built once: the root's normal
 form is one ``normal_sum`` over the summands of every subproblem, so
-deciding a tree is linear in its size.  ``decide_tree`` answers an instance's question.
+deciding a tree is linear in its size.  Freeness is read once per
+distinct label, each distinct tower is built and rendered once per
+decision, and the steps met at every node are built from constants.
+``decide_tree`` answers an instance's question.
 """
 
 from __future__ import annotations
@@ -44,39 +48,22 @@ class PrimeNode(namedtuple("PrimeNode", "node_id label children branched",
 
     __slots__ = ()
 
-    @property
-    def is_maximal(self) -> bool:
-        return not self.children
 
+class SpecTree(namedtuple("SpecTree", "root preorder parents")):
+    """A spectral tree, validated when it was parsed (``tree_from_payload``),
+    with the index that the loop building its nodes filled (``_indexed``):
+    the pre-order node tuple, root first, and the parent map.  Every pass
+    over the tuple goes through ``nodes()``, and every walk below is a
+    loop, so tree depth costs no Python frames."""
 
-class SpecTree:
-    """A spectral tree, validated when it was parsed (``tree_from_payload``).
-    It indexes itself once, when it is built: one walk gives the pre-order
-    node tuple and the parent map; every pass over the tuple goes through
-    ``nodes()``, and every walk below is a loop, so tree depth costs no
-    Python frames."""
-
-    __slots__ = ("root", "parents", "_preorder")
-
-    def __init__(self, root: PrimeNode) -> None:
-        self.root = root
-        self.parents: dict[str, PrimeNode | None] = {root.node_id: None}
-        order: list[PrimeNode] = []
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            for c in n.children:
-                self.parents[c.node_id] = n
-            stack.extend(reversed(n.children))
-        self._preorder = tuple(order)
+    __slots__ = ()
 
     def nodes(self) -> tuple[PrimeNode, ...]:
-        return self._preorder
+        return self.preorder
 
     def leaves(self) -> list[PrimeNode]:
         """The maximal ideals: leaf nodes other than a bare root."""
-        return [n for n in self.nodes() if n.is_maximal and n is not self.root]
+        return [n for n in self.nodes() if not n.children and n is not self.root]
 
     def node(self, node_id: str) -> PrimeNode:
         return {n.node_id: n for n in self.nodes()}[node_id]
@@ -93,9 +80,9 @@ def tree_from_payload(payload: dict) -> SpecTree:
     order: list[tuple[str, ValueTower | None, bool, list]] = []
     seen: set[str] = set()
     towers: dict[tuple, ValueTower] = {}
-    stack: list[tuple[object, bool]] = [(payload, True)]
+    stack: list[object] = [payload]
     while stack:
-        rec, is_root = stack.pop()
+        rec = stack.pop()
         if not isinstance(rec, dict):
             raise SchemaError("tree nodes must be objects")
         if "id" not in rec:
@@ -105,7 +92,7 @@ def tree_from_payload(payload: dict) -> SpecTree:
         if node_id in seen:
             raise SchemaError(f"duplicate node id {node_id!r}")
         seen.add(node_id)
-        if is_root:
+        if rec is payload:
             if "label" in rec:
                 raise SchemaError("the root (zero ideal) carries no edge label")
             label = None
@@ -129,19 +116,31 @@ def tree_from_payload(payload: dict) -> SpecTree:
             # the message is formatted only here, where read_flag raises
             read_flag(rec, "branched", True, f"node {rec['id']!r}: 'branched'")
         order.append((node_id, label, branched, children))
-        stack.extend((c, False) for c in reversed(children))
-    # reverse pre-order meets every child before its parent: the last
-    # child's node is on top of ``built`` when the parent is reached
+        stack.extend(reversed(children))
+    return _indexed(order)
+
+
+def _indexed(order: list[tuple[str, ValueTower | None, bool, list]]) -> SpecTree:
+    """The tree of pre-order records ``(id, label, branched, children)``
+    (only the number of children is read), indexed as it is built: reverse
+    pre-order meets every child before its parent, the last child's node on
+    top of ``built``, and the nodes made, reversed, are the pre-order tuple."""
     built: list[PrimeNode] = []
+    made: list[PrimeNode] = []
+    parents: dict[str, PrimeNode | None] = {}
     for node_id, label, branched, children in reversed(order):
+        kids = ()
         if children:
             cut = len(built) - len(children)
             kids = tuple(reversed(built[cut:]))
             del built[cut:]
-        else:
-            kids = ()
-        built.append(tuple.__new__(PrimeNode, (node_id, label, kids, branched)))
-    return SpecTree(built[0])
+        node = tuple.__new__(PrimeNode, (node_id, label, kids, branched))
+        for kid in kids:
+            parents[kid.node_id] = node
+        built.append(node)
+        made.append(node)
+    parents[node.node_id] = None
+    return SpecTree(node, tuple(reversed(made)), parents)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,7 @@ def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode) -> bool:
     """Is the maximal ideal finitely generated?  Detected structurally: the
     top slot of its composed value tower, which is the top slot of its own
     edge label, is discrete."""
-    if not leaf.is_maximal or leaf is tree.root:
+    if leaf.children or leaf is tree.root:
         raise SchemaError(f"{leaf.node_id!r} is not a maximal ideal")
     return leaf.label.slots[0] is Z
 
@@ -182,7 +181,7 @@ def branching_points(tree: SpecTree) -> list[PrimeNode]:
     them.  In a finite tree these are exactly the internal nodes with at
     least two children (every subtree contains a leaf), the root included
     when it branches."""
-    return [n for n in tree.nodes() if not n.is_maximal and len(n.children) >= 2]
+    return [n for n in tree.nodes() if len(n.children) >= 2]
 
 
 def contracted_spectrum(tree: SpecTree) -> SpecTree:
@@ -193,7 +192,7 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
         | {n.node_id for n in branching_points(tree)}
     # pre-order pass over the kept nodes: each with its composed label and
     # its kept children
-    order: list[tuple[PrimeNode, ValueTower | None, list[PrimeNode]]] = []
+    order: list[tuple[str, ValueTower | None, bool, list]] = []
     stack: list[tuple[PrimeNode, ValueTower | None]] = [(tree.root, None)]
     while stack:
         node, label = stack.pop()
@@ -204,14 +203,9 @@ def contracted_spectrum(tree: SpecTree) -> SpecTree:
                 # a skipped node has exactly one child (not a leaf, not branching)
                 hop = hop.children[0]
             hops.append((hop, ValueTower(_tower_below(tree, hop, node))))
-        order.append((node, label, [h for h, _ in hops]))
+        order.append((node.node_id, label, node.branched, hops))
         stack.extend(reversed(hops))
-    built: dict[str, PrimeNode] = {}
-    for node, label, kids in reversed(order):
-        built[node.node_id] = PrimeNode(node.node_id, label,
-                                        tuple(built.pop(k.node_id) for k in kids),
-                                        node.branched)
-    return SpecTree(built[tree.root.node_id])
+    return _indexed(order)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +237,15 @@ def _free_at(tree: SpecTree) -> dict[str, bool]:
     """Whether the value group at each prime is free, in one pre-order
     pass: a prime's tower is its own edge on top of its parent's tower,
     and a tower is free exactly when each of its segments is
-    (``ValueTower.is_free``)."""
+    (``ValueTower.is_free``, asked once per distinct label)."""
     free = {tree.root.node_id: True}
+    tower_free: dict[ValueTower, bool] = {}
     for node in tree.nodes():
         for child in node.children:
-            free[child.node_id] = free[node.node_id] and child.label.is_free()
+            t = child.label
+            if t not in tower_free:
+                tower_free[t] = t.is_free()
+            free[child.node_id] = free[node.node_id] and tower_free[t]
     return free
 
 
@@ -268,6 +266,17 @@ def _internal_gate(tree: SpecTree, free: dict[str, bool]) -> Certificate:
     return ()
 
 
+# steps met at every class sum, chain and cut; inputs sorted as in ``CertStep.make``
+_CLASS_SUM = ("class-sum", "dependency classes of maximal ideals are complete, independent "
+              "and locally finite, so the invertible group is the direct sum over the classes")
+_VALUATION_INV_ISO = ("valuation-inv-iso", "every invertible ideal of a valuation ring is "
+                      "principal, and principal ideals correspond to values: the "
+                      "invertible group is the value group")
+_DIVIDED_CUT = ("divided-cut", "the infimum of the maximal ideals is a divided prime; its "
+                "free value group splits off: the invertible group is the quotient "
+                "domain's group plus that value group")
+
+
 def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
     """The cut-and-sum recursion as one walk with an explicit stack on the
     nodes of ``tree`` itself.  A subproblem is a sub-root with the nodes it
@@ -281,11 +290,13 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
     pops, the cut records its quotient and step ranks (``None`` where a
     ``Q`` or ``R`` slot makes a term not finitely generated), appends its
     step tower after the quotient's summands and passes both ranks
-    outward, where they add up.  The root's normal form is one
+    outward, where they add up.  Each distinct tower is built, rendered
+    and ranked once per call.  The root's normal form is one
     ``normal_sum`` over the summands in order."""
     steps: list[CertStep] = []
     cuts: list[DividedCut | None] = []
     summands: list[GroupExpr] = []
+    towers: dict[tuple, tuple[GroupExpr, str, int | None]] = {}
     # the free ranks met so far inside each open cut's quotient, innermost
     # last; the bottom list holds the root's classes and is never read
     ranks: list[list[int | None]] = [[]]
@@ -307,12 +318,7 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
             steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
             continue
         if len(kids) > 1:
-            steps.append(CertStep.make(
-                "class-sum",
-                "dependency classes of maximal ideals are complete, independent "
-                "and locally finite, so the invertible group is the direct sum "
-                "over the classes",
-                classes=len(kids)))
+            steps.append(CertStep(*_CLASS_SUM, (("classes", str(len(kids))),)))
             todo.extend((sub_root, (c,)) for c in reversed(kids))
             continue
         node = kids[0]
@@ -323,24 +329,18 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
             todo.append((sub_root, node.children))
             continue
         slots = _tower_below(tree, node, sub_root)
-        tower_expr = slots[0] if len(slots) == 1 else LexTower(slots)
-        rank = len(slots) if slots.count(Z) == len(slots) else None
-        if node.is_maximal:
-            steps.append(CertStep.make(
-                "valuation-inv-iso",
-                "every invertible ideal of a valuation ring is principal, and "
-                "principal ideals correspond to values: the invertible group is "
-                "the value group",
-                maximal=node.node_id, value_group=render_normal(tower_expr)))
+        if slots not in towers:
+            tower_expr = slots[0] if len(slots) == 1 else LexTower(slots)
+            towers[slots] = (tower_expr, render_normal(tower_expr),
+                             len(slots) if slots.count(Z) == len(slots) else None)
+        tower_expr, text, rank = towers[slots]
+        if not node.children:
+            steps.append(CertStep(*_VALUATION_INV_ISO,
+                                  (("maximal", node.node_id), ("value_group", text))))
             summands.append(tower_expr)
             ranks[-1].append(rank)
             continue
-        steps.append(CertStep.make(
-            "divided-cut",
-            "the infimum of the maximal ideals is a divided prime; its free "
-            "value group splits off: the invertible group is the quotient "
-            "domain's group plus that value group",
-            prime=node.node_id, value_group=render_normal(tower_expr)))
+        steps.append(CertStep(*_DIVIDED_CUT, (("prime", node.node_id), ("value_group", text))))
         ranks.append([])
         todo.append((len(cuts), node.node_id, tower_expr, rank))
         cuts.append(None)
@@ -448,8 +448,8 @@ def strongly_discrete_decide(tree: SpecTree, codim_finite: bool,
     finite.  With either flag the answer is ``Free``; otherwise the
     question is open and the verdict stays ``Unknown`` -- this procedure
     never answers ``NotFree``."""
-    # every slot is Z, Q or R, so a label is all Z exactly when it is free
-    if not all(n.label.is_free() for n in tree.nodes() if n.label is not None):
+    # slots are Z, Q or R, so a label is free exactly when all Z; asked once per label
+    if not all(t.is_free() for t in {n.label for n in tree.nodes()[1:]}):
         return Decision(Verdict.UNKNOWN, (
             CertStep.make("not-strongly-discrete",
                           "a non-discrete slot means an idempotent prime; the "

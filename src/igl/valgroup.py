@@ -238,7 +238,7 @@ def normal_sum(parts) -> GroupExpr:
             prev = merged[-1]
             pb, pt = (prev.base, prev.times) if isinstance(prev, Repeated) else (prev, 1)
             cb, ct = (p.base, p.times) if isinstance(p, Repeated) else (p, 1)
-            if pb == cb and isinstance(pt, int) and isinstance(ct, int):
+            if (pb is cb or pb == cb) and isinstance(pt, int) and isinstance(ct, int):
                 merged[-1] = Repeated(pb, pt + ct) if pt + ct > 1 else pb
                 continue
         merged.append(p)

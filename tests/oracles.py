@@ -1025,6 +1025,22 @@ def cyclic_amalgam_parts(m: int, orders: list[int]) -> tuple[FgGroup, list[Amalg
 # Random and exhaustive spectral trees
 # ---------------------------------------------------------------------------
 
+def walked_tree(root: PrimeNode) -> SpecTree:
+    """The ``SpecTree`` of a hand-built root, indexed by walking it: the
+    reference for the index that ``tree_from_payload`` and
+    ``contracted_spectrum`` fill while they build their nodes."""
+    parents: dict[str, PrimeNode | None] = {root.node_id: None}
+    order: list[PrimeNode] = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        for c in n.children:
+            parents[c.node_id] = n
+        stack.extend(reversed(n.children))
+    return SpecTree(root, tuple(order), parents)
+
+
 def random_tree(rng: random.Random, max_depth: int = 4, max_nodes: int = 12,
                 q_prob: float = 0.0, multi_slot_prob: float = 0.2) -> SpecTree:
     counter = [0]
@@ -1055,7 +1071,7 @@ def random_tree(rng: random.Random, max_depth: int = 4, max_nodes: int = 12,
         kids.append(grow(1))
     if not kids:
         kids = [grow(1)]
-    return SpecTree(PrimeNode("0", None, tuple(kids)))
+    return walked_tree(PrimeNode("0", None, tuple(kids)))
 
 
 def permuted_tree(rng: random.Random, tree: SpecTree) -> SpecTree:
@@ -1063,7 +1079,7 @@ def permuted_tree(rng: random.Random, tree: SpecTree) -> SpecTree:
         kids = [shuffle(c) for c in node.children]
         rng.shuffle(kids)
         return PrimeNode(node.node_id, node.label, tuple(kids), node.branched)
-    return SpecTree(shuffle(tree.root))
+    return walked_tree(shuffle(tree.root))
 
 
 def all_parent_vectors(n: int):
@@ -1086,7 +1102,7 @@ def tree_from_parents(parents: list[int]) -> SpecTree:
         return PrimeNode(str(i), None if i == 0 else z,
                          tuple(build(c) for c in children[i]))
 
-    return SpecTree(build(0))
+    return walked_tree(build(0))
 
 
 def tree_payload(parents: list[int]) -> dict:
@@ -1123,7 +1139,7 @@ def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
     ideals are dependent when their root paths share a nonzero prime,
     i.e. when they lie in the same child subtree of the root.  Each class
     is re-rooted at a fresh zero ideal."""
-    return [SpecTree(PrimeNode(tree.root.node_id, None, (child,)))
+    return [walked_tree(PrimeNode(tree.root.node_id, None, (child,)))
             for child in tree.root.children]
 
 

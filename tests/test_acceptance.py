@@ -12,13 +12,13 @@ from igl import abelian
 from igl.cli import canonical_json, main
 from igl.errors import MalformedTraceError
 from igl.matrices import IntMatrix, snf
-from igl.prufer import PrimeNode, SpecTree, contracted_spectrum, decide_inv_free
+from igl.prufer import PrimeNode, contracted_spectrum, decide_inv_free
 from igl.scattered import Ordinal, ScatteredSpace, cb_derivative, cb_rank, escape_index
 from igl.valgroup import ValueTower, Verdict, expr_invariant_factors
 from oracles import (all_parent_vectors, derived_bound_oracle, diagonal, expr_rank,
                      minors_invariant_factors, of_direct_sum, ordinal_grid, permuted_tree,
                      random_amalgam_instance, random_snake_input, random_tree,
-                     tree_from_parents, tree_rank_oracle)
+                     tree_from_parents, tree_rank_oracle, walked_tree)
 
 
 def test_acceptance_1_snf_suite():
@@ -155,7 +155,7 @@ def test_acceptance_5_prufer_recursion():
             for i, name in enumerate(reversed(labels)):
                 node = PrimeNode(f"c{length - i}", ValueTower.from_names([name]),
                                  (node,) if node else ())
-            t = SpecTree(PrimeNode("0", None, (node,)))
+            t = walked_tree(PrimeNode("0", None, (node,)))
             tower = gamma_at(t, t.leaves()[0])
             assert decide_div_free(t).verdict is \
                 div_of_valuation(tower, maximal_principal=(top == "Z")).verdict
@@ -184,7 +184,7 @@ def test_acceptance_6_divided_cut_sequences():
             while t.parents[top.node_id] is not t.root \
                     and len(t.parents[top.node_id].children) == 1:
                 top = t.parents[top.node_id]
-            cls = SpecTree(PrimeNode("0", None, (top,)))
+            cls = walked_tree(PrimeNode("0", None, (top,)))
             assert s.mid.invariant_factors == (0,) * tree_rank_oracle(cls)
             assert abelian.split_test(s).splits
             cuts_checked += 1

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from igl import prufer, valgroup
 from igl.cli import main
 from igl.errors import SchemaError
-from igl.prufer import (PrimeNode, SpecTree, branching_points, decide_div_free,
+from igl.prufer import (PrimeNode, branching_points, decide_div_free,
                         decide_inv_free, gamma_at, contracted_spectrum,
                         strongly_discrete_decide, tree_from_payload)
 from igl.valgroup import (GroupExpr, ValueTower, Verdict, div_of_valuation,
@@ -17,7 +18,7 @@ from igl.valgroup import (GroupExpr, ValueTower, Verdict, div_of_valuation,
                           render_expr)
 from oracles import (all_parent_vectors, caterpillar_payload, expr_rank, permuted_tree,
                      random_tree, slot_names, standard_decomposition, tree_from_parents,
-                     tree_payload, tree_rank_oracle)
+                     tree_payload, tree_rank_oracle, walked_tree)
 
 
 def zt(*names):
@@ -28,11 +29,11 @@ def chain(*labels):
     node = None
     for i, lab in enumerate(reversed(labels)):
         node = PrimeNode(f"c{len(labels) - i}", zt(*lab), (node,) if node else ())
-    return SpecTree(PrimeNode("0", None, (node,)))
+    return walked_tree(PrimeNode("0", None, (node,)))
 
 
 def y_tree(trunk=("Z",), left=("Z",), right=("Z",)):
-    return SpecTree(PrimeNode("0", None, (
+    return walked_tree(PrimeNode("0", None, (
         PrimeNode("P", zt(*trunk), (
             PrimeNode("M1", zt(*left)),
             PrimeNode("M2", zt(*right)))),)))
@@ -52,7 +53,7 @@ def test_branching_points():
     assert [n.node_id for n in branching_points(y)] == ["P"]
     c = chain(("Z",), ("Z",), ("Z",))
     assert branching_points(c) == []
-    two_leaves = SpecTree(PrimeNode("0", None, (
+    two_leaves = walked_tree(PrimeNode("0", None, (
         PrimeNode("M1", zt("Z")), PrimeNode("M2", zt("Z")))))
     assert [n.node_id for n in branching_points(two_leaves)] == ["0"]
 
@@ -74,7 +75,7 @@ def test_contracted_spectrum_no_internal_degree_two():
         t = random_tree(rng)
         hi = contracted_spectrum(t)
         for n in hi.nodes():
-            if n is not hi.root and not n.is_maximal:
+            if n is not hi.root and n.children:
                 assert len(n.children) >= 2
 
 
@@ -91,13 +92,13 @@ def test_contracted_spectrum_preserves_gamma_at_kept_nodes():
 
 
 def test_standard_decomposition():
-    two_chains = SpecTree(PrimeNode("0", None, (
+    two_chains = walked_tree(PrimeNode("0", None, (
         PrimeNode("A", zt("Z"), (PrimeNode("A2", zt("Z")),)),
         PrimeNode("B", zt("Z")))))
     classes = standard_decomposition(two_chains)
     assert len(classes) == 2
     assert len(standard_decomposition(y_tree())) == 1
-    wide = SpecTree(PrimeNode("0", None, tuple(
+    wide = walked_tree(PrimeNode("0", None, tuple(
         PrimeNode(f"M{i}", zt("Z")) for i in range(4))))
     classes = standard_decomposition(wide)
     assert len(classes) == 4
@@ -120,7 +121,7 @@ def test_decide_inv_examples():
     res = decide_inv_free(y_tree(left=("Q",)))
     assert res.verdict is Verdict.NOT_FREE
 
-    field = SpecTree(PrimeNode("0", None, ()))
+    field = walked_tree(PrimeNode("0", None, ()))
     res = decide_inv_free(field)
     assert res.verdict is Verdict.FREE and render_expr(res.expr) == "0"
 
@@ -167,9 +168,9 @@ def test_decide_div_cases():
     res = decide_div_free(y_tree(right=("Q", "Z")))
     assert res.verdict is Verdict.NOT_FREE
     assert res.metadata["witness_leaf"] == "M2"
-    field = SpecTree(PrimeNode("0", None, ()))
+    field = walked_tree(PrimeNode("0", None, ()))
     assert decide_div_free(field).verdict is Verdict.FREE
-    unbranched_leaf = SpecTree(PrimeNode("0", None, (
+    unbranched_leaf = walked_tree(PrimeNode("0", None, (
         PrimeNode("M", zt("Z"), (), branched=False),)))
     assert decide_div_free(unbranched_leaf).verdict is Verdict.UNKNOWN
 
@@ -219,6 +220,30 @@ def test_finitely_generated_maximal_flag():
         finitely_generated_maximal(y, y.node("P"))
 
 
+# a faulty record for each parse message, from a tag that tells two faults
+# of one kind apart, with the message of tag 1
+PARSE_FAULTS = [
+    (lambda tag: tag * 5, "tree nodes must be objects"),
+    (lambda tag: {"label": ["Z"] * tag}, "tree node missing 'id'"),
+    (lambda tag: {"id": f"d{tag}", "label": ["Z"], "children": [{"id": f"d{tag}", "label": ["Z"]}]},
+     "duplicate node id 'd1'"),
+    (lambda tag: {"id": tag - 1, "label": ["Z"], "children": [{"id": str(tag - 1), "label": ["Z"]}]},
+     "duplicate node id '0'"),
+    (lambda tag: {"id": f"e{tag}", "label": []},
+     "node 'e1': 'label' must be a nonempty list of slots"),
+    (lambda tag: {"id": f"s{tag}", "label": "Z"},
+     "node 's1': 'label' must be a nonempty list of slots"),
+    (lambda tag: {"id": f"x{tag}", "label": ["Z", f"X{tag}"]},
+     "unknown tower slot 'X1' (expected Z, Q or R)"),
+    (lambda tag: {"id": f"h{tag}", "label": ["Z", [f"H{tag}"]]},
+     "unknown tower slot ['H1'] (expected Z, Q or R)"),
+    (lambda tag: {"id": f"c{tag}", "label": ["Z"], "children": {"id": tag}},
+     "node 'c1': 'children' must be a list of nodes"),
+    (lambda tag: {"id": f"b{tag}", "label": ["Z"], "branched": "yes" * tag},
+     "node 'b1': 'branched': must be true or false"),
+]
+
+
 def test_tree_payload_parsing():
     t = tree_from_payload({"id": "0", "children": [
         {"id": "P", "label": ["Z"], "children": [
@@ -235,6 +260,19 @@ def test_tree_payload_parsing():
         tree_from_payload({"id": "0", "children": [
             {"id": "A", "label": ["X"], "children": [{"id": "A1"}]},
             {"id": "B"}]})
+    # every parse message, with a second fault in another subtree: the one
+    # first in document order is reported, although the other is shallower
+    for (first, want), (second, _) in product(PARSE_FAULTS, repeat=2):
+        deep = {"id": "a2", "label": ["Z"], "children": [first(1)]}
+        root = {"id": "r", "children": [
+            {"id": "a1", "label": ["Z"], "children": [deep]},
+            {"id": "b1", "label": ["Z"], "children": [second(2)]}]}
+        with pytest.raises(SchemaError) as exc:
+            tree_from_payload(root)
+        assert str(exc.value) == want, (first(1), second(2))
+        root["label"] = ["Z"]
+        with pytest.raises(SchemaError, match=r"^the root \(zero ideal\) carries no edge label$"):
+            tree_from_payload(root)
 
 
 @pytest.mark.parametrize("children, dup", [
@@ -317,6 +355,41 @@ def test_all_z_towers_are_free_by_identity(monkeypatch):
     assert calls == []
 
 
+def _three_label_payload(name):
+    """A 300-node random tree or a spine-150 caterpillar with three
+    distinct labels: ``Z`` and ``Z,Z`` everywhere, and ``Z,Q``, which is
+    not free, on every other leaf, so every internal value group is free."""
+    rng = random.Random(27)
+    payload = (tree_payload([rng.randrange(i) for i in range(1, 300)]) if name == "random"
+               else caterpillar_payload(150))
+    records = list(payload["root"]["children"])
+    for i, rec in enumerate(records):
+        leaf = not rec.get("children")
+        rec["label"] = ["Z", "Q"] if leaf and i % 2 else ["Z"] * (1 + i % 2)
+        records.extend(rec.get("children", []))
+    return payload
+
+
+@pytest.mark.parametrize("name", ["random", "caterpillar"])
+def test_freeness_is_asked_once_per_distinct_label(tmp_path, capsys, monkeypatch, name):
+    payload = _three_label_payload(name)
+    calls = []
+    is_free = ValueTower.is_free
+
+    def counted(self):
+        calls.append(self)
+        return is_free(self)
+    monkeypatch.setattr(ValueTower, "is_free", counted)
+    for question in ("inv", "div", "strongly_discrete"):
+        path = tmp_path / f"{question}.json"
+        path.write_text(json.dumps({**payload, "question": question}), encoding="utf-8")
+        for argv in (["decide", str(path)], ["verify", str(path)]):
+            calls.clear()
+            assert main(argv) == 0
+            assert 0 < len(calls) <= 3, (argv, len(calls))
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # deep trees: every walk is a loop
 # ---------------------------------------------------------------------------
@@ -330,7 +403,7 @@ def caterpillar(spine, first="Z", last="Z"):
     node = PrimeNode(f"s{spine}", zt(last))
     for i in range(spine - 1, 0, -1):
         node = PrimeNode(f"s{i}", zt(first) if i == 1 else z, (PrimeNode(f"l{i}", z), node))
-    return SpecTree(PrimeNode("0", None, (node,)))
+    return walked_tree(PrimeNode("0", None, (node,)))
 
 
 def shape(tree):
@@ -364,6 +437,35 @@ def test_deep_caterpillar_decides_under_the_default_recursion_limit():
     assert [c.prime_id for c in inv.cuts] == [f"s{i}" for i in range(1, spine)]
     assert shape(hi) == shape(t)
     assert shape(parsed) == shape(t)
+
+
+def test_built_index_matches_the_walked_index():
+    """The pre-order tuple and the parent map that ``tree_from_payload``
+    and ``contracted_spectrum`` fill while building are the ones a walk
+    of the built root gives: every tree of up to 7 nodes, 150 seeded
+    random trees and a spine-480 caterpillar."""
+    def same_index(tree):
+        ref = walked_tree(tree.root)
+        assert [id(n) for n in tree.nodes()] == [id(n) for n in ref.nodes()]
+        assert {k: id(v) for k, v in tree.parents.items()} == \
+            {k: id(v) for k, v in ref.parents.items()}
+
+    payloads = [tree_payload(parents)["root"]
+                for n in range(1, 8) for parents in all_parent_vectors(n)]
+    rng = random.Random(32)
+    labels = (["Z"], ["Z", "Z"], ["Q"], ["R", "Z"])
+    for _ in range(150):
+        payload = tree_payload([rng.randrange(i) for i in range(1, rng.randint(2, 60))])
+        records = list(payload["root"].get("children", []))
+        for rec in records:
+            rec["label"] = rng.choice(labels)
+            records.extend(rec.get("children", []))
+        payloads.append(payload["root"])
+    payloads.append(caterpillar_payload(480)["root"])
+    for payload in payloads:
+        tree = tree_from_payload(payload)
+        same_index(tree)
+        same_index(contracted_spectrum(tree))
 
 
 def test_index_lookups():
