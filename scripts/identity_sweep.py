@@ -185,8 +185,9 @@ def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="identity-sweep-"))
     base = tmp / "base"
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(base), args.rev], check=True)
+        if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
+                           str(base), args.rev]).returncode:
+            return 2
         (tmp / "corpus").mkdir()
         argvs = write_corpus(tmp / "corpus", slices)
         jobs = tmp / "jobs.json"
@@ -197,7 +198,7 @@ def main() -> int:
         # two interpreters at a time: one per hash seed
         for side in ("base", "change"):
             procs = [run_side(srcs[side], jobs, sides[side, seed], seed) for seed in HASH_SEEDS]
-            if any(p.wait() for p in procs):
+            if any([p.wait() for p in procs]):
                 print(f"error: the {side} side did not finish its runs", file=sys.stderr)
                 return 2
         results = {key: json.loads(path.read_text(encoding="utf-8"))
@@ -207,7 +208,7 @@ def main() -> int:
                  for i, argv in enumerate(argvs) if got[i] != ref[i]]
         codes = Counter(str(code) for code, _, _ in ref)
         print(f"identity sweep of {args.rev} against {ROOT.name}: {len(argvs)} runs a side "
-              f"under each of {len(HASH_SEEDS)} hash seeds ({len(argvs) * 4} in all; "
+              f"under each of {len(HASH_SEEDS)} hash seeds ({len(argvs) * len(sides)} in all; "
               f"slices {', '.join(slices)})")
         print("exit codes at the base: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
         for argv, (side, seed), want, got in diffs[:SHOWN]:
