@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/identity_sweep.py <rev> [slice ...]
+    python3 scripts/identity_sweep.py <rev> [slice ...] [--expect-changed FILE]
 
 checks ``<rev>`` out with ``git worktree add`` under a temporary
 directory, and removes both at the end.  One corpus is written once and
@@ -14,17 +14,28 @@ read by both sides.  Its slices, all of them by default:
   workloads, from ``bench/gen.make_requests`` imported as it is;
 * ``malformed``: spectral trees with one or two faulty records, one for
   each message of the tree parse, the two in different subtrees;
+* ``scattered``: scattered spaces with bad label keys, empty, unknown,
+  unhashable or repeated labels, a stratum named twice (``"1"`` with
+  ``"01"``) or a bad bound;
+* ``mutations``: every file of ``instances/`` and the first 60 seed-1
+  ``small_batch`` files, each field set in turn to ``null``, ``"x"``,
+  ``[]``, ``{}``, ``0``, ``true``, ``-1`` and ``[[1]]`` (18,424 files);
 * ``selftest``.
 
 Each path gets ``decide`` (human, and JSON with ``--trace full``),
-``verify`` (human and JSON) and ``expr``, ``selftest`` runs in both
-formats.  Each side runs the whole list in its own interpreter, once
-under ``PYTHONHASHSEED=0`` and once under ``1``, and records every run's
-stdout, stderr and exit code, with ``elapsed_ms`` and the human
-``timing:`` line masked.  The script prints the count of runs per exit
-code and the first differences, and exits 1 on any difference: between
-the two sides, or between the two hash seeds of one side.  It needs the
-standard library and git only.
+``verify`` (human and JSON) and ``expr``, except a mutation, which gets
+``decide`` (JSON with ``--trace full``) and ``verify`` (human and JSON);
+``selftest`` runs in both formats.  Each side runs the whole list in its
+own interpreter, once under ``PYTHONHASHSEED=0`` and once under ``1``,
+and records every run's stdout, stderr and exit code, with
+``elapsed_ms`` and the human ``timing:`` line masked.  The script prints
+the runs and differences per slice, the count of runs per exit code and
+the first differences, and exits 1 on any difference between the two
+hash seeds of one side, and on any difference between the sides that
+the ``--expect-changed`` file does not name.  That file names one run a
+line, as the script prints it (``verify instances/dvr.json --format
+json``); blank lines and lines starting with ``#`` are skipped.  It
+needs the standard library and git only.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SLICES = ("instances", "workloads", "malformed", "selftest")
+SLICES = ("instances", "workloads", "malformed", "scattered", "mutations", "selftest")
 HASH_SEEDS = ("0", "1")
 SHOWN = 10
 
@@ -122,33 +133,114 @@ def malformed_trees() -> dict[str, dict]:
             for name, root in trees.items()}
 
 
-def write_corpus(corpus: Path, slices: list[str]) -> list[list[str]]:
-    """Write the corpus of ``slices`` under ``corpus``; the argv list."""
-    paths: list[Path] = []
+# a scattered space that parses; each fault below replaces one part of it
+SPACE = {"bound": "w^2*3+w+4", "labels": {"0": ["Z"], "1": ["Z", "Z"], "2": ["Q"]}}
+
+
+def malformed_spaces() -> dict[str, dict]:
+    """Scattered spaces with one change each, to a label key, to a label
+    (on each stratum in turn) or to the bound; most are faults, and a few
+    parse (a repeated label, a key above the top stratum, a good bound)."""
+    keys = {"letter": "x", "negative": "-1", "fraction": "1.5", "empty": "", "space": " 1",
+            "arabic-digit": "\u0661", "superscript": "\u00b2", "long": "1" * 1001,
+            "twice-1": "01", "twice-0": "000", "above-top": "7"}
+    labels = {"empty": [], "unknown": ["X"], "unknown-later": ["Z", "W"],
+              "unhashable": [["Z"]], "unhashable-dict": ["Z", {"Z": 1}], "string": "Z",
+              "object": {"Z": 1}, "null": None, "repeated": ["Z"], "repeated-pair": ["Z", "Z"],
+              "lower-case": ["z"], "number": [1]}
+    bounds = {"empty": "", "caret": "w^", "equal-exponents": "w^2+w^2",
+              "rising": "w+w^2", "zero-coefficient": "w*0", "zero-term": "0+1", "negative": "-1",
+              "word": "abc", "integer": 5, "null": None, "list": ["w"],
+              "long-exponent": "w^" + "9" * 1001, "long-integer": "1" * 1001,
+              "missing-stratum": "w^3", "zero": "0", "finite": "7", "spaces": " w ^ 2 + 1 ",
+              "omega-power": "w^2", "coefficient": "w*5+3"}
+    spaces = {}
+    for name, key in keys.items():
+        spaces[f"key-{name}"] = dict(SPACE, labels={**SPACE["labels"], key: ["Q"]})
+    for (name, label), k in product(labels.items(), SPACE["labels"]):
+        spaces[f"label-{name}-at-{k}"] = dict(SPACE, labels={**SPACE["labels"], k: label})
+    for name, bound in bounds.items():
+        spaces[f"bound-{name}"] = dict(SPACE, bound=bound)
+    spaces["labels-list"] = dict(SPACE, labels=[["Z"]])
+    spaces["labels-none"] = {"bound": SPACE["bound"]}
+    return {f"{name}.json": {"v": 1, "kind": "scattered_space", **space}
+            for name, space in spaces.items()}
+
+
+MUTANTS = {"null": None, "x": "x", "list": [], "object": {}, "0": 0, "true": True, "-1": -1,
+           "nested": [[1]]}
+
+
+def field_paths(x, prefix=()):
+    """Every key path of a JSON value, depth first."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def mutations(sources: dict[str, dict]) -> dict[str, dict]:
+    """Each source with one field set to one of ``MUTANTS``, by a name of
+    the source, the field's path and the value."""
+    out = {}
+    for stem, payload in sources.items():
+        for path in field_paths(payload):
+            for tag, value in MUTANTS.items():
+                copy = json.loads(json.dumps(payload))
+                rec = copy
+                for key in path[:-1]:
+                    rec = rec[key]
+                rec[path[-1]] = value
+                out[f"{stem}@{'.'.join(map(str, path))}={tag}.json"] = copy
+    return out
+
+
+def write_folder(folder: Path, payloads: dict[str, dict]) -> list[Path]:
+    folder.mkdir()
+    for name, payload in payloads.items():
+        (folder / name).write_text(json.dumps(payload), encoding="utf-8")
+    return sorted(folder.iterdir())
+
+
+def write_corpus(corpus: Path, slices: list[str]) -> list[tuple[str, list[str]]]:
+    """Write the corpus of ``slices`` under ``corpus``; the runs, each
+    with its slice."""
+    paths: list[tuple[str, Path]] = []
     if "instances" in slices:
         shutil.copytree(ROOT / "instances", corpus / "instances")
-        paths += sorted((corpus / "instances").iterdir()) + [corpus / "instances"]
-    if "workloads" in slices:
+        paths += [("instances", p) for p in sorted((corpus / "instances").iterdir())]
+        paths.append(("instances", corpus / "instances"))
+    if "workloads" in slices or "mutations" in slices:
         sys.path.insert(0, str(ROOT / "bench"))
         import gen
+    if "workloads" in slices:
         for workload, seed in product(gen.WORKLOADS, (1, 5)):
             folder = corpus / f"{workload}-{seed}"
             folder.mkdir()
             for name, payload in gen.make_requests(workload, seed)[0].items():
                 (folder / name).write_text(gen.instance_text(payload), encoding="utf-8")
-            paths += sorted(folder.iterdir())
+            paths += [("workloads", p) for p in sorted(folder.iterdir())]
     if "malformed" in slices:
-        folder = corpus / "malformed"
-        folder.mkdir()
-        for name, payload in malformed_trees().items():
-            (folder / name).write_text(json.dumps(payload), encoding="utf-8")
-        paths += sorted(folder.iterdir())
+        paths += [("malformed", p) for p in write_folder(corpus / "malformed", malformed_trees())]
+    if "scattered" in slices:
+        paths += [("scattered", p) for p in write_folder(corpus / "scattered", malformed_spaces())]
     argvs = []
-    for p in map(str, paths):
-        argvs += [["decide", p], ["decide", p, "--format", "json", "--trace", "full"],
-                  ["verify", p], ["verify", p, "--format", "json"], ["expr", p]]
+    for slice_, p in paths:
+        p = str(p)
+        argvs += [(slice_, argv) for argv in (
+            ["decide", p], ["decide", p, "--format", "json", "--trace", "full"],
+            ["verify", p], ["verify", p, "--format", "json"], ["expr", p])]
+    if "mutations" in slices:
+        sources = {f.stem: json.loads(f.read_text(encoding="utf-8"))
+                   for f in sorted((ROOT / "instances").glob("*.json"))}
+        batch = gen.make_requests("small_batch", 1)[0]
+        sources.update((Path(name).stem, batch[name]) for name in sorted(batch)[:60])
+        for p in map(str, write_folder(corpus / "mutations", mutations(sources))):
+            argvs += [("mutations", argv) for argv in (
+                ["decide", p, "--format", "json", "--trace", "full"],
+                ["verify", p], ["verify", p, "--format", "json"])]
     if "selftest" in slices:
-        argvs += [["selftest"], ["selftest", "--format", "json"]]
+        argvs += [("selftest", ["selftest"]), ("selftest", ["selftest", "--format", "json"])]
     return argvs
 
 
@@ -173,15 +265,27 @@ def show(argv: list[str], srcs: dict[str, Path], seed: str) -> None:
         print("    " + line)
 
 
+def expected_runs(path: str | None) -> set[str]:
+    """The runs that an ``--expect-changed`` file names, one a line."""
+    if path is None:
+        return set()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return {line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the revision to compare this checkout with")
     ap.add_argument("slices", nargs="*", metavar="slice",
                     help=f"the corpus slices to run, of {', '.join(SLICES)} (default: all)")
+    ap.add_argument("--expect-changed", metavar="FILE",
+                    help="a file naming the runs, one a line, whose output may differ "
+                         "between the sides")
     args = ap.parse_args()
     if not set(args.slices) <= set(SLICES):
         ap.error(f"a slice is one of {', '.join(SLICES)}")
     slices = args.slices or list(SLICES)
+    expected = expected_runs(args.expect_changed)
     tmp = Path(tempfile.mkdtemp(prefix="identity-sweep-"))
     base = tmp / "base"
     try:
@@ -189,7 +293,8 @@ def main() -> int:
                            str(base), args.rev]).returncode:
             return 2
         (tmp / "corpus").mkdir()
-        argvs = write_corpus(tmp / "corpus", slices)
+        runs = write_corpus(tmp / "corpus", slices)
+        argvs = [argv for _, argv in runs]
         jobs = tmp / "jobs.json"
         jobs.write_text(json.dumps(argvs), encoding="utf-8")
         sides = {(side, seed): tmp / f"{side}-{seed}.json"
@@ -203,23 +308,47 @@ def main() -> int:
                 return 2
         results = {key: json.loads(path.read_text(encoding="utf-8"))
                    for key, path in sides.items()}
+
+        def shown(argv: list[str]) -> str:
+            return " ".join(a.removeprefix(f"{tmp / 'corpus'}{os.sep}") for a in argv)
+
+        # the first hash seed of each side runs against the base's, where a
+        # named run may differ, and every other seed against its own side's
+        # first: a difference there is never expected
+        diffs = []
+        for i, (slice_, argv) in enumerate(runs):
+            for side, seed in sides:
+                first = seed == HASH_SEEDS[0]
+                want = results["base" if first else side, HASH_SEEDS[0]][i]
+                got = results[side, seed][i]
+                if got != want:
+                    diffs.append((slice_, argv, (side, seed), want, got,
+                                  first and shown(argv) in expected))
         ref = results["base", HASH_SEEDS[0]]
-        diffs = [(argv, key, ref[i], got[i]) for key, got in results.items()
-                 for i, argv in enumerate(argvs) if got[i] != ref[i]]
         codes = Counter(str(code) for code, _, _ in ref)
         print(f"identity sweep of {args.rev} against {ROOT.name}: {len(argvs)} runs a side "
               f"under each of {len(HASH_SEEDS)} hash seeds ({len(argvs) * len(sides)} in all; "
               f"slices {', '.join(slices)})")
+        per_slice = Counter(slice_ for slice_, _ in runs)
+        per_diff = Counter(d[0] for d in diffs)
+        for slice_ in slices:
+            print(f"  {slice_}: {per_slice[slice_]} runs a side, {per_diff[slice_]} differences")
         print("exit codes at the base: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
-        for argv, (side, seed), want, got in diffs[:SHOWN]:
+        for _, argv, (side, seed), want, got, excused in diffs[:SHOWN]:
             what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), want, got)
                     if a != b]
-            shown = " ".join(a.removeprefix(f"{tmp / 'corpus'}{os.sep}") for a in argv)
-            print(f"  differs ({side}, PYTHONHASHSEED={seed}; {', '.join(what)}): igl {shown}")
-        if diffs:
-            show(diffs[0][0], srcs, diffs[0][1][1])
-        print(f"{len(diffs)} differences")
-        return 1 if diffs else 0
+            mark = "expected: " if excused else ""
+            print(f"  {mark}differs ({side}, PYTHONHASHSEED={seed}; {', '.join(what)}): "
+                  f"igl {shown(argv)}")
+        unexpected = [d for d in diffs if not d[5]]
+        if unexpected:
+            show(unexpected[0][1], srcs, unexpected[0][2][1])
+        unchanged = expected - {shown(d[1]) for d in diffs if d[5]}
+        if unchanged:
+            print(f"{len(unchanged)} runs named as expected to change did not, such as "
+                  f"igl {min(unchanged)}")
+        print(f"{len(diffs)} differences, {len(unexpected)} of them not expected")
+        return 1 if unexpected else 0
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
                        capture_output=True)

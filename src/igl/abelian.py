@@ -9,7 +9,8 @@ cokernels, images, exact sequences, the six-term kernel-cokernel sequence
 of a commuting ladder, splitting tests with explicit sections, and
 amalgamated quotients with their standard form -- reduce to lattice
 computations over Z carried out exactly in :mod:`igl.matrices`.
-``decide_diagram`` decides a ``group_diagram`` instance on top of them.
+``decide_diagram`` decides a ``group_diagram`` instance on top of them,
+and ``check_diagram`` and ``check_valuation`` are ``verify``'s checks.
 
 Design notes.
 
@@ -47,8 +48,9 @@ from .errors import DiagramError, PreconditionError
 # ``snf`` has no caller here; the benchmark's tracer counts this binding
 from .matrices import (IntMatrix, _diagonal_form, block_diag, column_hnf, diagonal_basis,
                        hstack, kernel_basis, lattice_solve, snf, solve, unit_core, vstack)
-from .valgroup import (CertStep, Decision, GroupExpr, Verdict, canonical_invariants, fg_expr,
-                       render_normal)
+from .valgroup import (CertStep, Check, Decision, GroupExpr, ValueTower, Verdict, agree,
+                       canonical_invariants, fg_expr, inv_of_valuation,
+                       normal_invariant_factors, render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +489,7 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
 
 
 # ---------------------------------------------------------------------------
-# Deciding a diagram
+# Deciding a diagram, and the checks that the engine makes for ``verify``
 # ---------------------------------------------------------------------------
 
 def decide_diagram(check: str, *parsed) -> Decision:
@@ -536,3 +538,31 @@ def decide_diagram(check: str, *parsed) -> Decision:
             quotient=res.quotient.describe(),
             standard_form=res.standard_form.describe()),)
     return Decision(Verdict.FREE if free else Verdict.NOT_FREE, cert, expr, metadata)
+
+
+# check -> (label, detail read off the decision)
+DIAGRAM_CHECKS = {
+    "group": ("group-well-formed", lambda d: render_normal(d.expr)),
+    "ses": ("sequence-exact-and-split-tested", lambda d: f"exact; splits={d.metadata['splits']}"),
+    "snake": ("ladder-and-six-term", lambda d: "six-term sequence exact"),
+    "amalgam": ("amalgam-isomorphism", lambda d: "kernel and surjectivity verified"),
+}
+
+
+def check_diagram(check: str, *parsed) -> list[Check]:
+    """``verify``'s one check of a diagram: the engine calls of its decision
+    verify it.  A ``DiagramError``, while the diagram is built or decided,
+    is that check failing; the caller reports it."""
+    label, detail = DIAGRAM_CHECKS[check]
+    return [(label, True, detail(decide_diagram(check, *parsed)))]
+
+
+def check_valuation(tower: ValueTower) -> list[Check]:
+    """``verify``'s check of a valuation: the invariant factors of a
+    discrete tower's value group, recounted against ``Z^n`` of the engine."""
+    if not tower.is_free():
+        return [("tower-crosscheck", True, "skipped: tower not discrete")]
+    n = len(tower)
+    return [agree("tower-crosscheck", normal_invariant_factors(inv_of_valuation(tower)),
+                  FgGroup.free(n).invariant_factors,
+                  f"Z^{n} cross-checked through the exact engine")]

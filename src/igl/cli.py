@@ -1,7 +1,7 @@
 """Batch front end: the instance schema; one table, ``KINDS``, that feeds
-each kind's parse to the decider of the layer owning that kind and names
-its replay of finitely generated sub-claims; rendering; argv; and the
-built-in corpus.  No freeness rule or certificate step is written here.
+each kind's parse to the decider and to the ``verify`` check of the layer
+owning that kind; rendering; argv; and the built-in corpus.  No freeness
+rule, certificate step or check is written here.
 
 Commands::
 
@@ -318,16 +318,11 @@ def parse_krull(payload: dict) -> str:
     return payload.get("variant", "krull")  # krull_verdict refuses an unknown one
 
 
-def _diagram_check(payload: dict) -> str:
-    check = payload.get("check")
-    _expect(isinstance(check, str) and check in _DIAGRAM_CHECKS,
-            "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
-    return check
-
-
 def parse_diagram(payload: dict) -> tuple:
     """``(check, *terms)``, each term built, and so checked, in document order."""
-    check = _diagram_check(payload)
+    check = payload.get("check")
+    _expect(isinstance(check, str) and check in abelian.DIAGRAM_CHECKS,
+            "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
     if check == "group":
         return check, parse_group(payload.get("group"), "group")
     if check == "ses":
@@ -360,7 +355,7 @@ def parse_diagram(payload: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Deciding: each kind's parse fed to its layer's decider (``KINDS``)
+# Deciding and verifying: each kind's parse fed to its layer (``KINDS``)
 # ---------------------------------------------------------------------------
 
 def decide_payload(payload: dict, name: str) -> Report:
@@ -376,201 +371,30 @@ def decide_payload(payload: dict, name: str) -> Report:
                   elapsed_ms=round(elapsed, 3))
 
 
-# ---------------------------------------------------------------------------
-# Verification of finitely generated sub-claims: one replay per kind
-# ---------------------------------------------------------------------------
-
-Check = tuple[str, bool, str]
-
-
-def _agree(label: str, got, want, detail: str, why: str | None = None) -> Check:
-    """One replay check: it passes with ``detail`` when ``got == want``,
-    and otherwise fails naming ``why``, by default the two values.  A
-    comparison, not an ``assert``, so that no interpreter flag can strip
-    it."""
-    if got == want:
-        return label, True, detail
-    return label, False, "assertion failed: " + (f"{got} != {want}" if why is None else why)
-
-
-# check -> (label, detail read off the decision)
-_DIAGRAM_CHECKS = {
-    "group": ("group-well-formed", lambda d: valgroup.render_normal(d.expr)),
-    "ses": ("sequence-exact-and-split-tested",
-            lambda d: f"exact; splits={d.metadata['splits']}"),
-    "snake": ("ladder-and-six-term", lambda d: "six-term sequence exact"),
-    "amalgam": ("amalgam-isomorphism", lambda d: "kernel and surjectivity verified"),
-}
-
-
-def _replay_diagram(payload: dict) -> list[Check]:
-    # the engine calls of the decision verify the diagram: an engine error
-    # is a failing check, while a schema error is not a check at all and
-    # propagates, so that a malformed instance of any kind exits 2
-    label, detail = _DIAGRAM_CHECKS[_diagram_check(payload)]
+def verify_payload(payload: dict, name: str) -> list[valgroup.Check]:
     try:
-        return [(label, True, detail(abelian.decide_diagram(*parse_diagram(payload))))]
-    except SchemaError:
-        raise
-    except IglError as exc:
-        return [(label, False, str(exc))]
+        return KINDS[validate_envelope(payload)][1](payload)
+    except DiagramError as exc:
+        # a diagram that the engine refuses while it is built or decided fails its
+        # one check; a schema error is none, so a malformed instance exits 2
+        return [(abelian.DIAGRAM_CHECKS[payload["check"]][0], False, str(exc))]
 
 
-def _class_counts(tree: prufer.SpecTree) -> dict[str, tuple[int, int]]:
-    """The ``Z`` slots and the other slots of every node's subtree, its
-    own edge included, in one reverse pre-order pass; the root's entry
-    counts the whole tree."""
-    counts: dict[str, tuple[int, int]] = {}
-    for node in reversed(tree.nodes()):
-        z = other = 0
-        if node.label is not None:
-            z = node.label.slots.count(valgroup.Z)
-            other = len(node.label) - z
-        for child in node.children:
-            cz, co = counts[child.node_id]
-            z += cz
-            other += co
-        counts[node.node_id] = (z, other)
-    return counts
-
-
-def _replay_cut(tree: prufer.SpecTree, counts: dict[str, tuple[int, int]],
-                cut: prufer.DividedCut) -> Check:
-    # the split sequence 0 → quotient → quotient ⊕ step → step → 0 is
-    # exact and split by construction; what can fail is that the cut's
-    # total is that direct sum.  The total is the cut's dependency class,
-    # recounted from the tree: the subtree at the top of the unique-child
-    # chain above the cut prime
-    label = f"cut-at-{cut.prime_id}"
-    top = cut.prime_id
-    parent = tree.parents[top]
-    while parent is not tree.root and len(parent.children) == 1:
-        top = parent.node_id
-        parent = tree.parents[top]
-    z, other = counts[top]
-    if other or cut.quotient_rank is None or cut.step_rank is None:
-        return label, True, "skipped: not finitely generated"
-    return _agree(label, cut.quotient_rank + cut.step_rank, z,
-                  "exact and split on finitely generated stand-ins", "middle term mismatch")
-
-
-def _replay_prufer(payload: dict) -> list[Check]:
-    tree = parse_prufer(payload)[0]
-    decision = prufer.decide_inv_free(tree)
-    checks = [("decision-computed", True, decision.verdict.value)]
-    counts = _class_counts(tree)
-    checks.extend(_replay_cut(tree, counts, cut) for cut in decision.cuts)
-    slots, other = counts[tree.root.node_id]
-    if not other:
-        # every Decision.expr is a normal form: read it as it stands
-        inv = valgroup.normal_invariant_factors(decision.expr)
-        rank = None if inv is None else inv.count(0)
-        checks.append(_agree("rank-matches-slots", rank, slots,
-                             f"rank {rank} matches the slot count",
-                             f"rank {rank} != slot count {slots}"))
-    return checks
-
-
-def _replay_valuation(payload: dict) -> list[Check]:
-    tower = parse_valuation(payload)[0]
-    if not tower.is_free():
-        return [("tower-crosscheck", True, "skipped: tower not discrete")]
-    # the decision's expression, recounted against Z^n of the engine
-    n = len(tower)
-    return [_agree("tower-crosscheck",
-                   valgroup.normal_invariant_factors(valgroup.inv_of_valuation(tower)),
-                   abelian.FgGroup.free(n).invariant_factors,
-                   f"Z^{n} cross-checked through the exact engine")]
-
-
-# conductor case -> (label, detail) of the finite-field unit-quotient check
-_UNIT_QUOTIENT_CHECKS = {
-    "b": ("quotient-crosscheck", "residue unit quotient cross-checked"),
-    "c": ("amalgam-crosscheck", "matches the amalgamated-quotient computation"),
-}
-
-
-def _replay_noeth(payload: dict) -> list[Check]:
-    # independently of ``unit_quotient_seq``'s invariant-factor rule, the
-    # finite-field check recomputes the unit quotient as the integer
-    # engine's cokernel of the diagonal Z/m → ⊕ Z/n_i
-    inst = parse_noeth(payload)
-    quotient = noeth.unit_quotient_seq(inst)
-    case = inst.case()
-    checks = [("sequence-computed", True, f"case {case}")]
-    fin = isinstance(inst.residue, noeth.FiniteField) and all(
-        isinstance(b.field, noeth.FiniteField) for b in inst.branches)
-    if fin and case in _UNIT_QUOTIENT_CHECKS:
-        label, detail = _UNIT_QUOTIENT_CHECKS[case]
-        m = inst.residue.unit_order
-        orders = [b.field.unit_order for b in inst.branches]
-        # the generator of Z/m goes to (n_i/m)·generator in each Z/n_i
-        diag = IntMatrix.from_rows([[n // m] for n in orders], cols=1)
-        emb = abelian.FgHom(abelian.FgGroup.cyclic(m),
-                            abelian.FgGroup.from_invariants(*orders), diag)
-        checks.append(_agree(label, abelian.cokernel(emb).invariant_factors,
-                             valgroup.expr_invariant_factors(quotient), detail))
-    elif fin:
-        checks.append(("unit-crosscheck", True,
-                       f"skipped: no finite unit quotient in case {case}"))
-    else:
-        checks.append(("unit-crosscheck", True,
-                       "skipped: opaque declarations are trusted inputs"))
-    return checks
-
-
-def _derived_walk_fault(space: scattered.ScatteredSpace, rank: int) -> str | None:
-    """How the derived sequence departs from the closed forms that decide
-    uses, or ``None``.  It replays the definition: the k-th derivative's
-    isolated points are stratum k, and the walk has ``rank`` steps.
-    Occupied strata are always 0..K, so the derivative's strata shifted
-    up one lie inside the previous ones exactly when there are fewer of
-    them.  Sizes are compared as the values ``stratum_size`` gives, an
-    integer or a term tuple: the walk renders nothing."""
-    cur = space
-    steps = 0
-    while not cur.is_empty():
-        if scattered.stratum_size(cur, 0) != scattered.stratum_size(space, steps):
-            return f"stratum {steps} size differs from its closed form"
-        prev = len(cur.occupied_strata())
-        cur = scattered.cb_derivative(cur)
-        steps += 1
-        if len(cur.occupied_strata()) >= prev:
-            return "strata grew under the derivative"
-    return None if steps == rank else "derived sequence length differs from the rank"
-
-
-def _replay_scattered(payload: dict) -> list[Check]:
-    space = parse_scattered(payload)
-    rank = scattered.cb_rank(space)
-    lead = space.bound.leading_exponent() if space.bound else -1
-    fault = _derived_walk_fault(space, rank.as_int())
-    return [_agree("rank-consistent", rank.as_int(), lead + 1,
-                   f"rank {rank.render()} = leading exponent + 1",
-                   f"rank {rank.render()} != leading exponent + 1 = {lead + 1}"),
-            _agree("derived-sequence-monotone", fault, None,
-                   "strata shrink along the derived sequence", fault)]
-
-
-def _replay_krull(payload: dict) -> list[Check]:
-    noeth.krull_verdict(parse_krull(payload))
-    return [("all-groups-free", True, "height-one basis")]
-
-
-def verify_payload(payload: dict, name: str) -> list[Check]:
-    return KINDS[validate_envelope(payload)][1](payload)
-
-
-# kind -> (decide, replay), in the order the schema error lists the kinds;
-# a decide feeds one parse to the decider of the layer that owns the kind
+# kind -> (decide, check), in the order the schema error lists the kinds; each
+# feeds one parse to a function of the owning layer, looked up when called
 KINDS = {
-    "prufer_tree": (lambda p: prufer.decide_tree(*parse_prufer(p)), _replay_prufer),
-    "noeth_local": (lambda p: noeth.decide_noeth(parse_noeth(p)), _replay_noeth),
+    "prufer_tree": (lambda p: prufer.decide_tree(*parse_prufer(p)),
+                    lambda p: prufer.check_tree(parse_prufer(p)[0])),
+    "noeth_local": (lambda p: noeth.decide_noeth(parse_noeth(p)),
+                    lambda p: noeth.check_noeth(parse_noeth(p))),
     "scattered_space": (lambda p: scattered.decide_scattered(parse_scattered(p)),
-                        _replay_scattered),
-    "valuation": (lambda p: valgroup.decide_valuation(*parse_valuation(p)), _replay_valuation),
-    "group_diagram": (lambda p: abelian.decide_diagram(*parse_diagram(p)), _replay_diagram),
-    "krull": (lambda p: noeth.krull_verdict(parse_krull(p)), _replay_krull),
+                        lambda p: scattered.check_space(parse_scattered(p))),
+    "valuation": (lambda p: valgroup.decide_valuation(*parse_valuation(p)),
+                  lambda p: abelian.check_valuation(parse_valuation(p)[0])),
+    "group_diagram": (lambda p: abelian.decide_diagram(*parse_diagram(p)),
+                      lambda p: abelian.check_diagram(*parse_diagram(p))),
+    "krull": (lambda p: noeth.krull_verdict(parse_krull(p)),
+              lambda p: noeth.check_krull(parse_krull(p))),
 }
 
 

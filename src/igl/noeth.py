@@ -26,7 +26,7 @@ the three conductor cases:
 
 Krull-type inputs (integrally closed and beyond) short-circuit: their
 divisorial, invertible and principal groups are free on the height-one
-primes.
+primes.  ``check_noeth`` and ``check_krull`` are ``verify``'s checks.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
+from .abelian import FgGroup, FgHom, cokernel
 from .errors import PreconditionError, SchemaError
-from .valgroup import (CertStep, Cyclic, Decision, GroupExpr, Opaque, Repeated, TRIVIAL,
-                       Verdict, canonical_invariants, direct_sum, fg_expr, freeness_verdict)
+from .matrices import IntMatrix
+from .valgroup import (CertStep, Check, Cyclic, Decision, GroupExpr, Opaque, Repeated, TRIVIAL,
+                       Verdict, agree, canonical_invariants, direct_sum, expr_invariant_factors,
+                       fg_expr, freeness_verdict)
 
 
 # Characteristics must lie below this bound: Miller-Rabin with the prime
@@ -198,6 +201,11 @@ class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_clo
     def characteristic(self) -> int:
         return self.residue.characteristic
 
+    def all_finite(self) -> bool:
+        """Whether the residue field and every branch field are finite."""
+        return isinstance(self.residue, FiniteField) and all(
+            isinstance(b.field, FiniteField) for b in self.branches)
+
     def case(self) -> str:
         if self.integrally_closed:
             return "integrally-closed"
@@ -326,7 +334,7 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
     so its principal group is free and the sequence onto it splits.
     Over finite fields the quotient ``(⊕ Z/n_i)/Z/m`` is read off the
     invariant factors of the branch unit groups, with no factoring and
-    no matrix; ``verify`` recomputes it through the integer engine."""
+    no matrix; ``check_noeth`` recomputes it through the integer engine."""
     if not inst.conductor_nonzero:
         raise PreconditionError(
             "zero conductor (analytically ramified): outside this decision's hypotheses")
@@ -340,8 +348,7 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
                       is_torsionfree=False if char > 0 else None,
                       has_divisible=True if char == 0 else None)
     k = inst.residue
-    if isinstance(k, FiniteField) and all(isinstance(b.field, FiniteField)
-                                          for b in inst.branches):
+    if inst.all_finite():
         # (⊕ Z/n_i)/Z/m with m | n_i: the sweep leaves each prime's least
         # exponent in d_1, and the diagonal image lowers exactly that one
         # by v_p(m), so the quotient is Z/(d_1/m) ⊕ Z/d_2 ⊕ ... ⊕ Z/d_b;
@@ -374,6 +381,36 @@ def unit_quotient_seq(inst: NoethInstance) -> GroupExpr:
     return direct_sum(*parts)
 
 
+# conductor case -> (label, detail) of the finite-field unit-quotient check
+_UNIT_QUOTIENT_CHECKS = {
+    "b": ("quotient-crosscheck", "residue unit quotient cross-checked"),
+    "c": ("amalgam-crosscheck", "matches the amalgamated-quotient computation"),
+}
+
+
+def check_noeth(inst: NoethInstance) -> list[Check]:
+    """``verify``'s checks of conductor data: the unit quotient, over finite
+    fields in cases b and c recomputed, apart from ``unit_quotient_seq``'s
+    invariant-factor rule, as the engine's cokernel of ``Z/m → ⊕ Z/n_i``."""
+    quotient = unit_quotient_seq(inst)
+    case = inst.case()
+    checks = [("sequence-computed", True, f"case {case}")]
+    fin = inst.all_finite()
+    if fin and case in _UNIT_QUOTIENT_CHECKS:
+        label, detail = _UNIT_QUOTIENT_CHECKS[case]
+        m = inst.residue.unit_order
+        orders = [b.field.unit_order for b in inst.branches]
+        # the generator of Z/m goes to (n_i/m)·generator in each Z/n_i
+        diag = IntMatrix.from_rows([[n // m] for n in orders], cols=1)
+        emb = FgHom(FgGroup.cyclic(m), FgGroup.from_invariants(*orders), diag)
+        checks.append(agree(label, cokernel(emb).invariant_factors,
+                            expr_invariant_factors(quotient), detail))
+    else:
+        checks.append(("unit-crosscheck", True, f"skipped: no finite unit quotient in case {case}"
+                       if fin else "skipped: opaque declarations are trusted inputs"))
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # Krull verdicts
 # ---------------------------------------------------------------------------
@@ -401,3 +438,9 @@ def krull_verdict(kind: str) -> Decision:
     return Decision(Verdict.FREE, tuple(steps), metadata={
         "groups": {"Div": free, "Inv": free, "Princ": free},
         "basis": "height-one primes"})
+
+
+def check_krull(variant: str) -> list[Check]:
+    """``verify``'s check of a Krull-type instance: its decision."""
+    krull_verdict(variant)
+    return [("all-groups-free", True, "height-one basis")]

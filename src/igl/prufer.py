@@ -23,13 +23,14 @@ The parse walks the payload once, and its build loop fills the tree's
 index.  The recursion runs as one walk over the tree with an explicit stack
 (``_decompose``).  Every divided cut emits its prime and the free ranks
 of the quotient and of the step, summed as the walk leaves the quotient;
-``verify`` recounts the cut's total from the tree and checks that the
-two ranks add up to it.  The sum itself is built once: the root's normal
-form is one ``normal_sum`` over the summands of every subproblem, so
-deciding a tree is linear in its size.  Freeness is read once per
-distinct label, each distinct tower is built and rendered once per
-decision, and the steps met at every node are built from constants.
-``decide_tree`` answers an instance's question.
+``check_tree``, ``verify``'s checks of a tree, recounts the cut's total
+from the tree and checks that the two ranks add up to it.  The sum
+itself is built once: the root's normal form is one ``normal_sum`` over
+the summands of every subproblem, so deciding a tree is linear in its
+size.  Freeness is read once per distinct label, each distinct tower is
+built and rendered once per decision, and the steps met at every node
+are built from constants.  ``decide_tree`` answers an instance's
+question.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import SchemaError, read_flag
-from .valgroup import (CertStep, Certificate, Decision, GroupExpr, LexTower,
-                       R, UNKNOWN, Z, ValueTower, Verdict, direct_sum,
-                       freeness_verdict, normal_sum, render_expr, render_normal)
+from .valgroup import (CertStep, Certificate, Check, Decision, GroupExpr, LexTower,
+                       R, UNKNOWN, Z, ValueTower, Verdict, agree, direct_sum,
+                       freeness_verdict, normal_invariant_factors, normal_sum,
+                       render_expr, render_normal)
 
 
 class PrimeNode(namedtuple("PrimeNode", "node_id label children branched",
@@ -384,6 +386,61 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
                            else Verdict.NOT_FREE) for leaf in leaves)
     return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts),
                        leaf_verdicts=leaf_verdicts)
+
+
+def _class_counts(tree: SpecTree) -> dict[str, tuple[int, int]]:
+    """The ``Z`` slots and the other slots of every node's subtree, its
+    own edge included, in one reverse pre-order pass; the root's entry
+    counts the whole tree."""
+    counts: dict[str, tuple[int, int]] = {}
+    for node in reversed(tree.nodes()):
+        z = other = 0
+        if node.label is not None:
+            z = node.label.slots.count(Z)
+            other = len(node.label) - z
+        for child in node.children:
+            cz, co = counts[child.node_id]
+            z += cz
+            other += co
+        counts[node.node_id] = (z, other)
+    return counts
+
+
+def _check_cut(tree: SpecTree, counts: dict[str, tuple[int, int]], cut: DividedCut) -> Check:
+    # 0 → quotient → quotient ⊕ step → step → 0 is exact and split by
+    # construction; what can fail is that the cut's total, its dependency class
+    # recounted from the tree, is that sum: the class is the subtree at the top
+    # of the unique-child chain above the cut prime
+    label = f"cut-at-{cut.prime_id}"
+    top = cut.prime_id
+    parent = tree.parents[top]
+    while parent is not tree.root and len(parent.children) == 1:
+        top = parent.node_id
+        parent = tree.parents[top]
+    z, other = counts[top]
+    if other or cut.quotient_rank is None or cut.step_rank is None:
+        return label, True, "skipped: not finitely generated"
+    return agree(label, cut.quotient_rank + cut.step_rank, z,
+                 "exact and split on finitely generated stand-ins", "middle term mismatch")
+
+
+def check_tree(tree: SpecTree) -> list[Check]:
+    """``verify``'s checks of a tree: each divided cut of the invertible
+    decision, and with no ``Q`` or ``R`` slot its rank, against the tree's
+    own ``Z`` counts."""
+    decision = decide_inv_free(tree)
+    checks = [("decision-computed", True, decision.verdict.value)]
+    counts = _class_counts(tree)
+    checks.extend(_check_cut(tree, counts, cut) for cut in decision.cuts)
+    slots, other = counts[tree.root.node_id]
+    if not other:
+        # every Decision.expr is a normal form: read it as it stands
+        inv = normal_invariant_factors(decision.expr)
+        rank = None if inv is None else inv.count(0)
+        checks.append(agree("rank-matches-slots", rank, slots,
+                            f"rank {rank} matches the slot count",
+                            f"rank {rank} != slot count {slots}"))
+    return checks
 
 
 # ---------------------------------------------------------------------------

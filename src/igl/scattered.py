@@ -17,8 +17,8 @@ ideals with the same local value group.
   stratum straight off the normal-form digits of the bound, a size as a
   value: an integer, or the term tuple of an infinite count, which
   ``stratum_multiplicity`` renders for reports.  The derivative stays
-  the definition they are tested against, and ``verify`` compares its
-  sizes with them as values, rendering nothing.
+  the definition they are tested against: ``check_space``, ``verify``'s
+  checks of a space, compares its sizes with them as values.
 * ``decide_scattered`` uses the derived sequence to decide what the group
   of invertible ideals of a modeled one-dimensional domain looks like:
   scattered means the transfinite removal of locally-free stages
@@ -37,8 +37,8 @@ import re
 from functools import total_ordering
 
 from .errors import MalformedTraceError, SchemaError
-from .valgroup import (CertStep, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
-                       Z, freeness_verdict, normal_sum, render_normal)
+from .valgroup import (CertStep, Check, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
+                       Z, agree, freeness_verdict, normal_sum, render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +320,39 @@ def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
     the ordinal bound of the ``k``-th derivative."""
     size = stratum_size(s, k)
     return size if type(size) is int else render_terms(size)
+
+
+def _derived_walk_fault(space: ScatteredSpace, rank: int) -> str | None:
+    """How the derived sequence departs from the closed forms that decide
+    uses, or ``None``.  It replays the definition: the k-th derivative's
+    isolated points are stratum k, their sizes compared as ``stratum_size``
+    values (nothing is rendered), and the walk has ``rank`` steps.  Occupied
+    strata are always 0..K, so the derivative's strata shifted up one lie
+    inside the previous ones exactly when there are fewer of them."""
+    cur = space
+    steps = 0
+    while not cur.is_empty():
+        if stratum_size(cur, 0) != stratum_size(space, steps):
+            return f"stratum {steps} size differs from its closed form"
+        prev = len(cur.occupied_strata())
+        cur = cb_derivative(cur)
+        steps += 1
+        if len(cur.occupied_strata()) >= prev:
+            return "strata grew under the derivative"
+    return None if steps == rank else "derived sequence length differs from the rank"
+
+
+def check_space(space: ScatteredSpace) -> list[Check]:
+    """``verify``'s checks of a space: the closed-form rank against the
+    bound's leading exponent, and the derived walk against the closed forms."""
+    rank = cb_rank(space)
+    lead = space.bound.leading_exponent() if space.bound else -1
+    fault = _derived_walk_fault(space, rank.as_int())
+    return [agree("rank-consistent", rank.as_int(), lead + 1,
+                  f"rank {rank.render()} = leading exponent + 1",
+                  f"rank {rank.render()} != leading exponent + 1 = {lead + 1}"),
+            agree("derived-sequence-monotone", fault, None,
+                  "strata shrink along the derived sequence", fault)]
 
 
 # ---------------------------------------------------------------------------

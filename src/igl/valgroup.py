@@ -85,6 +85,19 @@ class Decision(namedtuple("Decision", "verdict certificate expr metadata text",
     __slots__ = ()
 
 
+Check = tuple[str, bool, str]  # one ``verify`` check: label, passed, detail
+
+
+def agree(label: str, got, want, detail: str, why: str | None = None) -> Check:
+    """A check that passes with ``detail`` when ``got == want``, and
+    otherwise fails naming ``why``, by default the two values.  A
+    comparison, not an ``assert``, so that no interpreter flag can strip
+    it."""
+    if got == want:
+        return label, True, detail
+    return label, False, "assertion failed: " + (f"{got} != {want}" if why is None else why)
+
+
 # ---------------------------------------------------------------------------
 # Expression atoms and nodes
 # ---------------------------------------------------------------------------

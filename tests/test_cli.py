@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igl import cli, matrices, prufer, scattered, valgroup
+from igl import abelian, cli, matrices, prufer, scattered, valgroup
 from igl.abelian import FgGroup
 from igl.cli import canonical_json, main
 from igl.matrices import IntMatrix
@@ -110,12 +110,18 @@ def test_schema_error_exits_2(tmp_path, capsys):
 
 
 def test_precondition_exits_3(tmp_path, capsys):
+    """A zero conductor is refused under ``decide`` and ``verify`` alike:
+    only a diagram's refusal is a failing check."""
     bad = dict(CURVE)
     bad["conductor_nonzero"] = False
-    rc = main(["decide", str(write(tmp_path, bad))])
+    path = str(write(tmp_path, bad))
+    rc = main(["decide", path])
     err = capsys.readouterr().err
     assert rc == 3
     assert "conductor" in err
+    assert main(["verify", path]) == 3
+    assert capsys.readouterr() == ("", err)
+    assert err.startswith("precondition violated: zero conductor ")
 
 
 def test_internal_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
@@ -212,8 +218,12 @@ def test_tower_crosscheck_fails_a_wrong_value_group(capsys, monkeypatch):
     """An invertible group one ``Z`` too large fails ``tower-crosscheck``,
     and ``verify`` exits 1."""
     inv = valgroup.inv_of_valuation
-    monkeypatch.setattr(valgroup, "inv_of_valuation",
-                        lambda t: valgroup.normalize(valgroup.direct_sum(inv(t), valgroup.Z)))
+
+    def wrong(t):
+        return valgroup.normalize(valgroup.direct_sum(inv(t), valgroup.Z))
+
+    for module in (valgroup, abelian):
+        monkeypatch.setattr(module, "inv_of_valuation", wrong)
     instances = Path(__file__).resolve().parent.parent / "instances"
     for name, n in (("dvr.json", 1), ("rank_two_valuation.json", 2)):
         assert main(["verify", str(instances / name), "--format", "json"]) == 1
@@ -405,7 +415,7 @@ def test_tree_decide_and_verify_work_grows_linearly(monkeypatch):
 def test_cut_replay_builds_no_normal_form(monkeypatch):
     calls = []
     inside = []
-    replay = cli._replay_cut
+    replay = prufer._check_cut
 
     def watched(*args):
         inside.append(True)
@@ -421,7 +431,7 @@ def test_cut_replay_builds_no_normal_form(monkeypatch):
             return inner(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "_replay_cut", watched)
+    monkeypatch.setattr(prufer, "_check_cut", watched)
     for name in ("normalize", "expr_invariant_factors"):
         inner = getattr(valgroup, name)
         for mod_name, module in list(sys.modules.items()):

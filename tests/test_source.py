@@ -34,3 +34,22 @@ def test_front_end_writes_no_rule_and_chooses_no_verdict():
              and (_named(node.value, "Verdict")
                   or (node.attr == "make" and _named(node.value, "CertStep")))]
     assert found == []
+
+
+def test_front_end_holds_no_check():
+    """Each layer owns its kind's ``verify`` checks: ``cli`` defines no
+    ``_replay_`` function, names none of the layers' internals that the
+    checks read and reads no tree's ``.parents``.  It builds an ``FgHom``
+    only where the schema parses a diagram's map."""
+    internals = {"decide_inv_free", "cb_derivative", "stratum_size", "unit_quotient_seq",
+                 "cokernel", "FgHom"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    parse_hom = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_parse_hom")
+    schema = {id(node) for node in ast.walk(parse_hom)}
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.FunctionDef) and node.name.startswith("_replay_"))
+             or (isinstance(node, ast.Attribute) and node.attr == "parents")
+             or any(_named(node, name) for name in internals - {"FgHom"})
+             or (_named(node, "FgHom") and id(node) not in schema)]
+    assert found == []
