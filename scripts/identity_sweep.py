@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/identity_sweep.py <rev> [slice ...] [--expect-changed FILE]
+    python3 scripts/identity_sweep.py <rev> [slice ...]
 
 checks ``<rev>`` out with ``git worktree add`` under a temporary
 directory, and removes both at the end.  One corpus is written once and
@@ -30,12 +30,9 @@ own interpreter, once under ``PYTHONHASHSEED=0`` and once under ``1``,
 and records every run's stdout, stderr and exit code, with
 ``elapsed_ms`` and the human ``timing:`` line masked.  The script prints
 the runs and differences per slice, the count of runs per exit code and
-the first differences, and exits 1 on any difference between the two
-hash seeds of one side, and on any difference between the sides that
-the ``--expect-changed`` file does not name.  That file names one run a
-line, as the script prints it (``verify instances/dvr.json --format
-json``); blank lines and lines starting with ``#`` are skipped.  It
-needs the standard library and git only.
+the first differences, and exits 1 on any difference: between the two
+sides, or between the two hash seeds of one side.  It needs the
+standard library and git only.
 """
 
 from __future__ import annotations
@@ -265,27 +262,15 @@ def show(argv: list[str], srcs: dict[str, Path], seed: str) -> None:
         print("    " + line)
 
 
-def expected_runs(path: str | None) -> set[str]:
-    """The runs that an ``--expect-changed`` file names, one a line."""
-    if path is None:
-        return set()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return {line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")}
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the revision to compare this checkout with")
     ap.add_argument("slices", nargs="*", metavar="slice",
                     help=f"the corpus slices to run, of {', '.join(SLICES)} (default: all)")
-    ap.add_argument("--expect-changed", metavar="FILE",
-                    help="a file naming the runs, one a line, whose output may differ "
-                         "between the sides")
     args = ap.parse_args()
     if not set(args.slices) <= set(SLICES):
         ap.error(f"a slice is one of {', '.join(SLICES)}")
     slices = args.slices or list(SLICES)
-    expected = expected_runs(args.expect_changed)
     tmp = Path(tempfile.mkdtemp(prefix="identity-sweep-"))
     base = tmp / "base"
     try:
@@ -308,23 +293,9 @@ def main() -> int:
                 return 2
         results = {key: json.loads(path.read_text(encoding="utf-8"))
                    for key, path in sides.items()}
-
-        def shown(argv: list[str]) -> str:
-            return " ".join(a.removeprefix(f"{tmp / 'corpus'}{os.sep}") for a in argv)
-
-        # the first hash seed of each side runs against the base's, where a
-        # named run may differ, and every other seed against its own side's
-        # first: a difference there is never expected
-        diffs = []
-        for i, (slice_, argv) in enumerate(runs):
-            for side, seed in sides:
-                first = seed == HASH_SEEDS[0]
-                want = results["base" if first else side, HASH_SEEDS[0]][i]
-                got = results[side, seed][i]
-                if got != want:
-                    diffs.append((slice_, argv, (side, seed), want, got,
-                                  first and shown(argv) in expected))
         ref = results["base", HASH_SEEDS[0]]
+        diffs = [(slice_, argv, key, ref[i], got[i]) for key, got in results.items()
+                 for i, (slice_, argv) in enumerate(runs) if got[i] != ref[i]]
         codes = Counter(str(code) for code, _, _ in ref)
         print(f"identity sweep of {args.rev} against {ROOT.name}: {len(argvs)} runs a side "
               f"under each of {len(HASH_SEEDS)} hash seeds ({len(argvs) * len(sides)} in all; "
@@ -334,21 +305,15 @@ def main() -> int:
         for slice_ in slices:
             print(f"  {slice_}: {per_slice[slice_]} runs a side, {per_diff[slice_]} differences")
         print("exit codes at the base: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
-        for _, argv, (side, seed), want, got, excused in diffs[:SHOWN]:
+        for _, argv, (side, seed), want, got in diffs[:SHOWN]:
             what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), want, got)
                     if a != b]
-            mark = "expected: " if excused else ""
-            print(f"  {mark}differs ({side}, PYTHONHASHSEED={seed}; {', '.join(what)}): "
-                  f"igl {shown(argv)}")
-        unexpected = [d for d in diffs if not d[5]]
-        if unexpected:
-            show(unexpected[0][1], srcs, unexpected[0][2][1])
-        unchanged = expected - {shown(d[1]) for d in diffs if d[5]}
-        if unchanged:
-            print(f"{len(unchanged)} runs named as expected to change did not, such as "
-                  f"igl {min(unchanged)}")
-        print(f"{len(diffs)} differences, {len(unexpected)} of them not expected")
-        return 1 if unexpected else 0
+            shown = " ".join(a.removeprefix(f"{tmp / 'corpus'}{os.sep}") for a in argv)
+            print(f"  differs ({side}, PYTHONHASHSEED={seed}; {', '.join(what)}): igl {shown}")
+        if diffs:
+            show(diffs[0][1], srcs, diffs[0][2][1])
+        print(f"{len(diffs)} differences")
+        return 1 if diffs else 0
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
                        capture_output=True)

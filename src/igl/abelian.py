@@ -550,9 +550,8 @@ DIAGRAM_CHECKS = {
 
 
 def check_diagram(check: str, *parsed) -> list[Check]:
-    """``verify``'s one check of a diagram: the engine calls of its decision
-    verify it.  A ``DiagramError``, while the diagram is built or decided,
-    is that check failing; the caller reports it."""
+    """``verify``'s one check of a diagram, made by the engine calls of its
+    decision; ``cli.verify_payload`` reports a ``DiagramError`` as it failing."""
     label, detail = DIAGRAM_CHECKS[check]
     return [(label, True, detail(decide_diagram(check, *parsed)))]
 

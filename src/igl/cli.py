@@ -375,8 +375,9 @@ def verify_payload(payload: dict, name: str) -> list[valgroup.Check]:
     try:
         return KINDS[validate_envelope(payload)][1](payload)
     except DiagramError as exc:
-        # a diagram that the engine refuses while it is built or decided fails its
-        # one check; a schema error is none, so a malformed instance exits 2
+        if payload["kind"] != "group_diagram":  # another kind's refusal is no check: exit 3
+            raise
+        # the engine refused the diagram while it was built or decided: its one check fails
         return [(abelian.DIAGRAM_CHECKS[payload["check"]][0], False, str(exc))]
 
 

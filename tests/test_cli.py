@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igl import abelian, cli, matrices, prufer, scattered, valgroup
+from igl import abelian, cli, matrices, noeth, prufer, scattered, valgroup
 from igl.abelian import FgGroup
 from igl.cli import canonical_json, main
+from igl.errors import DiagramError
 from igl.matrices import IntMatrix
 from oracles import (caterpillar_payload, dense_group_payload, dense_ses_payload, diagonal,
                      random_matrix, reference_parser, reference_snf, tree_payload)
@@ -122,6 +123,19 @@ def test_precondition_exits_3(tmp_path, capsys):
     assert main(["verify", path]) == 3
     assert capsys.readouterr() == ("", err)
     assert err.startswith("precondition violated: zero conductor ")
+
+
+def test_only_a_diagram_refusal_is_a_failing_check(tmp_path, capsys, monkeypatch):
+    """A ``DiagramError`` from any other kind's check is a refused
+    precondition under ``verify`` (exit 3), not a diagram's failing check."""
+    def refuse(inst):
+        raise DiagramError("map is not well defined")
+
+    monkeypatch.setattr(noeth, "check_noeth", refuse)
+    assert main(["verify", str(write(tmp_path, CURVE))]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "precondition violated: map is not well defined\n"
 
 
 def test_internal_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
