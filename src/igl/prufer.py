@@ -226,11 +226,10 @@ class DividedCut(namedtuple("DividedCut", "prime_id quotient_rank step_rank")):
     __slots__ = ()
 
 
-class InvDecision(namedtuple("InvDecision", Decision._fields + ("cuts", "leaf_verdicts"),
-                             defaults=(None, {}, None, (), ()))):
+class InvDecision(namedtuple("InvDecision", Decision._fields + ("cuts",),
+                             defaults=(None, {}, None, ()))):
     """A ``Decision`` of the invertible group, with the split sequence of
-    every divided cut and the verdict of every maximal ideal's value
-    group."""
+    every divided cut."""
 
     __slots__ = ()
 
@@ -382,10 +381,7 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
             "exhibits the invertible group as a direct sum of free groups",
             leaves=len(leaves))]
         verdict = Verdict.FREE
-    leaf_verdicts = tuple((leaf.node_id, Verdict.FREE if free[leaf.node_id]
-                           else Verdict.NOT_FREE) for leaf in leaves)
-    return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts),
-                       leaf_verdicts=leaf_verdicts)
+    return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts))
 
 
 def _class_counts(tree: SpecTree) -> dict[str, tuple[int, int]]:

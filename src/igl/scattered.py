@@ -3,11 +3,15 @@ decision for one-dimensional domains whose maximal spectrum is scattered.
 
 Ordinals live in Cantor normal form with natural-number exponents, i.e.
 below ``w^w`` (``w`` denotes the first infinite ordinal); that is enough
-for every space handled here and keeps all arithmetic total.  A space is
-the closed interval ``[0, bound]`` of ordinals with the order topology --
-always compact and scattered -- together with one value-tower label per
-rank stratum: all points of the same Cantor-Bendixson rank are maximal
-ideals with the same local value group.
+for every space handled here and keeps all arithmetic total.  An
+``Ordinal`` is the tuple of its ``(exponent, coefficient)`` terms, whose
+tuple order is the ordinal order; ``parse_ordinal`` checks the normal
+form of what an instance file gives, and nothing checks it again.  A
+space is the closed interval ``[0, bound]`` of ordinals with the order
+topology -- always compact and scattered -- together with one
+value-tower label per rank stratum: all points of the same
+Cantor-Bendixson rank are maximal ideals with the same local value
+group.
 
 * ``cb_derivative`` removes the isolated points: what is left of
   ``[0, a]`` is order-isomorphic to another ordinal interval, computed by
@@ -15,7 +19,7 @@ ideals with the same local value group.
   without being copied: every derivative shares one top-down tuple.
 * ``cb_rank`` and ``stratum_size`` read the rank and the size of every
   stratum straight off the normal-form digits of the bound, a size as a
-  value: an integer, or the term tuple of an infinite count, which
+  value: an integer, or the ``Ordinal`` of an infinite count, which
   ``stratum_multiplicity`` renders for reports.  The derivative stays
   the definition they are tested against: ``check_space``, ``verify``'s
   checks of a space, compares its sizes with them as values.
@@ -34,7 +38,7 @@ ideals with the same local value group.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
+from collections import namedtuple
 
 from .errors import MalformedTraceError, SchemaError
 from .valgroup import (CertStep, Check, Decision, Q, Repeated, TRIVIAL, ValueTower, Verdict,
@@ -45,53 +49,28 @@ from .valgroup import (CertStep, Check, Decision, Q, Repeated, TRIVIAL, ValueTow
 # Ordinals below w^w
 # ---------------------------------------------------------------------------
 
-@total_ordering
-class Ordinal:
+class Ordinal(tuple):
     """Cantor normal form ``w^e1*c1 + ... + w^ek*ck`` with strictly
-    decreasing natural exponents and positive coefficients; zero is the
-    empty sum.  Ordinals compare as their term tuples do: the first term
-    that differs decides, by exponent and then by coefficient, and a
-    proper prefix is the smaller ordinal.  A class with ``__slots__``,
-    not a named tuple, because the scattered walks read ``terms`` in
-    their inner loops and a slot is the fastest attribute to read."""
+    decreasing natural exponents and positive coefficients, as the tuple
+    of its ``(exponent, coefficient)`` terms; zero is the empty tuple, and
+    so is falsy: a bound is tested with ``is not None``.  Tuple order is
+    the ordinal order: the first term that differs decides, by exponent
+    and then by coefficient, and a proper prefix is the smaller ordinal.
+    The terms are not checked here: ``parse_ordinal`` checks what comes
+    from outside, and every ordinal built from one is normal by
+    construction."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
-        last = None
-        for e, c in terms:
-            if e < 0 or c < 1:
-                raise ValueError("bad normal-form term")
-            if last is not None and e >= last:
-                raise ValueError("exponents must strictly decrease")
-            last = e
-        self.terms = terms
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Ordinal and self.terms == other.terms
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        if type(other) is not Ordinal:
-            return NotImplemented
-        return self.terms < other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __repr__(self) -> str:
-        return f"Ordinal(terms={self.terms!r})"
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Ordinal":
-        return cls(())
+        return cls()
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
-        if n < 0:
-            raise ValueError("ordinals are nonnegative")
-        return cls(() if n == 0 else ((0, n),))
+        return cls(((0, n),) if n else ())
 
     @classmethod
     def omega_power(cls, e: int, coeff: int = 1) -> "Ordinal":
@@ -100,57 +79,45 @@ class Ordinal:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
+        return not self or (len(self) == 1 and self[0][0] == 0)
 
     def as_int(self) -> int:
         if not self.is_finite():
             raise ValueError("not a finite ordinal")
-        return self.terms[0][1] if self.terms else 0
+        return self[0][1] if self else 0
 
     def is_limit(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] > 0
+        return bool(self) and self[-1][0] > 0
 
     def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] == 0
+        return bool(self) and self[-1][0] == 0
 
     def successor(self) -> "Ordinal":
         if self.is_successor():
-            e, c = self.terms[-1]
-            return Ordinal(self.terms[:-1] + ((0, c + 1),))
-        return Ordinal(self.terms + ((0, 1),))
+            e, c = self[-1]
+            return Ordinal(self[:-1] + ((0, c + 1),))
+        return Ordinal(self + ((0, 1),))
 
     def leading_exponent(self) -> int:
-        return self.terms[0][0] if self.terms else 0
-
-    def div_omega(self) -> "Ordinal":
-        """The largest ``b`` with ``w*b <= self``: drop the finite part and
-        shift every exponent down by one."""
-        return Ordinal(tuple((e - 1, c) for e, c in self.terms if e >= 1))
+        return self[0][0] if self else 0
 
     # -- text -----------------------------------------------------------------
 
     def render(self) -> str:
-        return render_terms(self.terms) if self.terms else "0"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.render()
-
-
-def render_terms(terms: tuple[tuple[int, int], ...]) -> str:
-    """The text of the nonzero normal form with these terms: ``w^e*c``,
-    with ``^1``, ``*1`` and a zero exponent's ``w`` left out."""
-    bits = []
-    for e, c in terms:
-        if e == 0:
-            bits.append(str(c))
-        elif e == 1:
-            bits.append("w" if c == 1 else f"w*{c}")
-        else:
-            bits.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
-    return "+".join(bits)
+        """``w^e*c`` per term, with ``^1``, ``*1`` and a zero exponent's
+        ``w`` left out; ``0`` for zero."""
+        bits = []
+        for e, c in self:
+            if e == 0:
+                bits.append(str(c))
+            elif e == 1:
+                bits.append("w" if c == 1 else f"w*{c}")
+            else:
+                bits.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
+        return "+".join(bits) or "0"
 
 
 _ORD_TERM = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
@@ -169,8 +136,10 @@ def parse_digits(digits: str, chunk: str) -> int:
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the ordinal grammar used by instance files: terms ``w^k*m``,
-    ``w^k``, ``w*m``, ``w`` and plain integers, joined by ``+``, with
-    strictly decreasing exponents (``w`` is the first infinite ordinal)."""
+    ``w^k``, ``w*m``, ``w`` and plain integers, joined by ``+``.  Every
+    term is read before the normal form is checked: positive coefficients
+    and strictly decreasing exponents (``w`` is the first infinite
+    ordinal).  This is the one place that checks a normal form."""
     text = text.replace(" ", "")
     if text == "0":
         return Ordinal.zero()
@@ -185,38 +154,29 @@ def parse_ordinal(text: str) -> Ordinal:
             e = parse_digits(m.group(1), chunk) if m.group(1) else 1
             c = parse_digits(m.group(2), chunk) if m.group(2) else 1
             terms.append((e, c))
-    try:
-        return Ordinal(tuple(terms))
-    except ValueError as exc:
-        raise SchemaError(f"not a normal form: {text!r} ({exc})") from exc
+    for i, (e, c) in enumerate(terms):
+        if c < 1 or (i and e >= terms[i - 1][0]):
+            why = "bad normal-form term" if c < 1 else "exponents must strictly decrease"
+            raise SchemaError(f"not a normal form: {text!r} ({why})")
+    return Ordinal(terms)
 
 
 # ---------------------------------------------------------------------------
 # Scattered spaces
 # ---------------------------------------------------------------------------
 
-class ScatteredSpace:
+class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels")):
     """The interval ``[0, bound]`` with stratified labels; ``bound`` is
     ``None`` for the empty space.  Every occupied stratum has a value
     tower, shared by all points of that rank.  ``labels`` holds them
     top-down: with ``K`` the leading exponent of the bound, stratum ``k``
     is ``labels[K - k]``.  Derivatives shift strata down from the top, so
     each one shares the tuple of the space it came from, and the entries
-    past ``labels[K]`` belong to strata it no longer has.  Slotted for
-    the reason ``Ordinal`` is."""
+    past ``labels[K]`` belong to strata it no longer has.  ``interval``
+    checks the labels once; a derivative of a space is valid by
+    construction."""
 
-    __slots__ = ("bound", "labels")
-
-    def __init__(self, bound: Ordinal | None, labels: tuple[ValueTower, ...] = ()) -> None:
-        self.bound, self.labels = bound, labels
-        self.__post_init__()
-
-    def __repr__(self) -> str:
-        return f"ScatteredSpace(bound={self.bound!r}, labels={self.labels!r})"
-
-    def __post_init__(self) -> None:
-        if self.bound is not None and len(self.labels) <= self.bound.leading_exponent():
-            raise SchemaError("missing label for occupied stratum 0")
+    __slots__ = ()
 
     @classmethod
     def empty(cls) -> "ScatteredSpace":
@@ -248,23 +208,23 @@ def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
     """Remove the isolated points.
 
     The limit points of ``[0, a]`` are its limit ordinals, i.e. ``w*b``
-    for ``1 <= b <= a div w``; re-indexing by ``b`` makes the derivative
-    an interval again: empty when the quotient is zero, ``[0, q-1]`` for
-    finite ``q``, and ``[0, q]`` for infinite ``q`` (the shift is
+    for ``1 <= b <= q``, with ``q`` the terms of ``a`` of positive
+    exponent, each exponent lowered by one; re-indexing by ``b`` makes the
+    derivative an interval again: empty when ``q`` is zero, ``[0, q-1]``
+    for finite ``q``, and ``[0, q]`` for infinite ``q`` (the shift is
     absorbed).  Either way the leading exponent drops by one, so stratum
     ``k`` of the derivative is stratum ``k + 1`` of ``s`` at the same
     place of the top-down label tuple: the derivative shares ``s.labels``
     and costs a pass over the terms of the bound, not over the labels."""
-    if s.bound is None:
+    a = s.bound
+    if a is None:
         return s
-    q = s.bound.div_omega()
-    if q.is_zero():
+    lead = a.leading_exponent()
+    if lead == 0:
         return ScatteredSpace.empty()
-    if q.is_finite():
-        new_bound = Ordinal.from_int(q.as_int() - 1)
-    else:
-        new_bound = q
-    return ScatteredSpace(new_bound, s.labels)
+    if lead == 1:
+        return ScatteredSpace(Ordinal.from_int(a[0][1] - 1), s.labels)
+    return ScatteredSpace(Ordinal((e - 1, c) for e, c in a if e), s.labels)
 
 
 def cb_rank(s: ScatteredSpace) -> Ordinal:
@@ -279,12 +239,11 @@ def cb_rank(s: ScatteredSpace) -> Ordinal:
     return Ordinal.from_int(s.bound.leading_exponent() + 1)
 
 
-def stratum_size(s: ScatteredSpace, k: int) -> int | tuple[tuple[int, int], ...]:
+def stratum_size(s: ScatteredSpace, k: int) -> int | Ordinal:
     """How many points of rank ``k`` the space has: the isolated points of
     the ``k``-th derivative.  Finite counts are integers; an infinite
-    count is the ordinal bound of that derivative, as its term tuple
-    (there are ``b``-many isolated points in ``[0, b]`` for infinite
-    ``b``).
+    count is the ordinal bound of that derivative (there are ``b``-many
+    isolated points in ``[0, b]`` for infinite ``b``).
 
     In closed form, read off the normal form ``a = w^e1*c1 + ... +
     w^en*cn`` of the bound, with ``K = e1``:
@@ -303,23 +262,22 @@ def stratum_size(s: ScatteredSpace, k: int) -> int | tuple[tuple[int, int], ...]
     a = s.bound
     if a is None:
         return 0
-    terms = a.terms
     # the zero bound is the finite bound 0: one point
-    lead, coeff = terms[0] if terms else (0, 0)
+    lead, coeff = a[0] if a else (0, 0)
     if k > lead:
         return 0
     if lead == 0:
         return coeff + 1
     if k == lead:
         return coeff
-    return terms if k == 0 else tuple((e - k, c) for e, c in terms if e >= k)
+    return a if k == 0 else Ordinal((e - k, c) for e, c in a if e >= k)
 
 
 def stratum_multiplicity(s: ScatteredSpace, k: int) -> int | str:
     """``stratum_size`` as a report writes it: an integer, or the text of
     the ordinal bound of the ``k``-th derivative."""
     size = stratum_size(s, k)
-    return size if type(size) is int else render_terms(size)
+    return size if type(size) is int else size.render()
 
 
 def _derived_walk_fault(space: ScatteredSpace, rank: int) -> str | None:
@@ -346,7 +304,7 @@ def check_space(space: ScatteredSpace) -> list[Check]:
     """``verify``'s checks of a space: the closed-form rank against the
     bound's leading exponent, and the derived walk against the closed forms."""
     rank = cb_rank(space)
-    lead = space.bound.leading_exponent() if space.bound else -1
+    lead = space.bound.leading_exponent() if space.bound is not None else -1
     fault = _derived_walk_fault(space, rank.as_int())
     return [agree("rank-consistent", rank.as_int(), lead + 1,
                   f"rank {rank.render()} = leading exponent + 1",

@@ -1168,14 +1168,14 @@ def dense_coefficients(a: Ordinal, top: int) -> tuple[int, ...]:
     """The coefficients of ``w^top, ..., w^1, w^0`` in ``a``, zeros
     included; for ordinals below ``w^(top+1)`` the lexicographic order of
     these vectors is the ordinal order."""
-    coeff = dict(a.terms)
+    coeff = dict(a)
     return tuple(coeff.get(e, 0) for e in range(top, -1, -1))
 
 
 def times_omega(a: Ordinal) -> Ordinal:
     """Left product ``w * a``: shift every exponent up by one (the finite
     part is absorbed: ``w*c = w`` for finite ``c > 0``)."""
-    return Ordinal(tuple((e + 1, c) for e, c in a.terms))
+    return Ordinal((e + 1, c) for e, c in a)
 
 
 def ordinal_grid(max_exp: int, max_coeff: int):
@@ -1194,7 +1194,7 @@ def derived_bound_oracle(bound: Ordinal) -> Ordinal | None:
     limit points of [0, a] as the multiples of w in the interval: search
     the largest b with w*b <= a over a grid that surely contains it."""
     max_exp = bound.leading_exponent()
-    max_coeff = max((c for _, c in bound.terms), default=0)
+    max_coeff = max((c for _, c in bound), default=0)
     best = Ordinal.zero()
     for cand in ordinal_grid(max_exp, max_coeff):
         if times_omega(cand) <= bound and best < cand:

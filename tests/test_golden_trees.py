@@ -4,11 +4,12 @@ Each digest is the sha256 of the canonical JSON of ``decide_inv_free`` and
 ``decide_div_free`` on a family of trees: verdict, rendered expression and
 its structure, the full certificate, each divided cut as its prime and
 the free ranks of its quotient and step (``None`` where a term is not
-finitely generated), and the leaf verdicts.  The digests were recorded
-before the tree and expression layers were reworked for speed, and
-re-recorded when cuts came to carry ranks instead of expressions, so any
-change to a verdict, a certificate, a cut or a rendered group shows up
-here.
+finitely generated).  The digests were recorded before the tree and
+expression layers were reworked for speed, re-recorded when cuts came to
+carry ranks instead of expressions, and again when the decision stopped
+carrying leaf verdicts (the new digests equal the old records with that
+key dropped), so any change to a verdict, a certificate, a cut or a
+rendered group shows up here.
 """
 
 import hashlib
@@ -36,7 +37,6 @@ def decision_record(tree) -> dict:
             "expr_repr": repr(inv.expr),
             "certificate": [s.as_dict(True) for s in inv.certificate],
             "cuts": [[c.prime_id, c.quotient_rank, c.step_rank] for c in inv.cuts],
-            "leaf_verdicts": [[lid, v.value] for lid, v in inv.leaf_verdicts],
         },
         "div": {
             "verdict": div.verdict.value,
@@ -53,23 +53,23 @@ def digest(trees) -> str:
 
 # node count -> digest over every tree of ``all_parent_vectors(n)``
 ENUMERATED = {
-    1: "e4a9f324b36c301d454c8308df733d743943497fe9f8d9b9c798813cba1eb201",
-    2: "ecdf04620574d16c447021c1aabab4a3157721837698b0018bcebd6d28488181",
-    3: "c8ffbf24ee8e9674272fa4800b3c43bd2096e5354afe309908bba0fd0afaf221",
-    4: "14b101727013392b584f4ff3a92b7c2c0fdbb71acb554d6674fbcb00446e1d68",
-    5: "b29ff725a0a7de303eddd12cdf2353b1e7802232e789e645bd90f7077eab57da",
-    6: "f4146cae995e4448d9017eb2a4c3bc6fb9e92e6d606917d815667cb73cd99df8",
-    7: "a8c514f055eabacfd182ba8460664c5094e30a8c1cd253803603e24b30365b98",
+    1: "c44f9d586bd96d844e43ab96586e65d442b5c32cb9b24bd37ac83571631e1a5d",
+    2: "5f0725c6b7915e8692990e2645457cae74ad2f07f47b7d6333c54750611c2ddd",
+    3: "75b4bad68ae09ac6e2000328fe910a12bfc173e8614ff46ed7f51dd77094d995",
+    4: "b6d46121e60d02af4b7f060576268a88bb88e803b3764685059f5ec3701305f2",
+    5: "9ea0761cb388d83e9ef97d9222857bda1fef67ade50a4ea5850334c782950aab",
+    6: "52291b486cbfa2e10a23b3a4e1be45494964763a3206aaee7135e13c5af43914",
+    7: "67be789c0ebb728c195e298cb9f0d7bc6e83b4699c23a21e5c68971e649fb873",
 }
 
 # every ``prufer_tree`` file of ``instances/``
 INSTANCE_DIGESTS = {
-    "strongly_discrete_tree.json": "763cf3fe39df7c9c82cfba1fde25b4621cf5065444855ea8279c27fa7dd722fa",
-    "y_tree.json": "962c89cf708adfe804c930f58e4948da2b2b6fa39bf92a07b3f37a3bb039ef9f",
-    "y_tree_rational_trunk.json": "0e31c5fb2ac6d6adef026fd68d997b8112461b4401f180eec2098f9fca445932",
+    "strongly_discrete_tree.json": "c933def9149514586fb2d4b7b472ce39f87f084a07c3419f52d2a8349a513de2",
+    "y_tree.json": "232d7d7eef8f8af2464982783117ee1136ee68b58610779edd60aa45000dd839",
+    "y_tree_rational_trunk.json": "85b652ca9f0a6d6ede446663058e1a5c7aac2f4065735ed83352f765beffc303",
 }
 
-RANDOM_DIGEST = "6f75411631d6cf29114f50e3620ed6f05ed712e9527b9b4ef2c82d07b76b590a"
+RANDOM_DIGEST = "5789af78cac70e1612a6bd5e350dde0543d2e6f20c12cbccdc8f79a4adcdf4aa"
 
 
 @pytest.mark.parametrize("n", sorted(ENUMERATED))

@@ -44,6 +44,29 @@ def test_ordinal_parse_render_examples():
         parse_ordinal("spam")
 
 
+@pytest.mark.parametrize("text,why", [
+    ("1+w", "exponents must strictly decrease"),
+    ("w+w", "exponents must strictly decrease"),
+    ("w*0", "bad normal-form term"),
+])
+def test_parse_ordinal_names_the_normal_form_fault(text, why):
+    with pytest.raises(SchemaError) as err:
+        parse_ordinal(text)
+    assert str(err.value) == f"not a normal form: {text!r} ({why})"
+
+
+def test_zero_bound_is_one_point():
+    """The zero ordinal is the empty term tuple, falsy like the empty
+    space's ``None``; ``[0, 0]`` is still one point of rank 1."""
+    payload = {"v": 1, "kind": "scattered_space", "bound": "0", "labels": {"0": ["Z"]}}
+    report = decide_payload(payload, "zero")
+    assert (report.verdict, report.expr, report.metadata) == (
+        Verdict.DIRECT_SUM_FREE.value, "Z", {"cb_rank": "1"})
+    assert verify_payload(payload, "zero") == [
+        ("rank-consistent", True, "rank 1 = leading exponent + 1"),
+        ("derived-sequence-monotone", True, "strata shrink along the derived sequence")]
+
+
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=3))
 def test_ordinal_roundtrip(pairs):
     seen = set()
@@ -164,13 +187,14 @@ def test_verify_walk_shares_one_label_tuple(monkeypatch):
     counted once per distinct container, grow with the leading exponent,
     not with its square."""
     built = []
-    post_init = ScatteredSpace.__post_init__
+    derivative = igl.scattered.cb_derivative
 
-    def recording(self):
-        built.append(self)
-        post_init(self)
+    def recording(s):
+        d = derivative(s)
+        built.extend((s, d))
+        return d
 
-    monkeypatch.setattr(ScatteredSpace, "__post_init__", recording)
+    monkeypatch.setattr(igl.scattered, "cb_derivative", recording)
     entries = {}
     for k in (250, 1000):
         built.clear()
