@@ -16,10 +16,11 @@ Design notes.
 
 * Values are immutable after construction and every operation is pure;
   caches (invariant factors, relation-lattice bases) are filled once.
-* Two groups compare equal when they are isomorphic, i.e. when their
-  canonical invariant factors coincide.  Homomorphisms, by contrast, tie
-  specific presentations together, so their endpoint checks use
-  presentation identity, not isomorphism.
+* Two groups are isomorphic when their canonical invariant factors
+  coincide, and code that asks compares ``invariant_factors``; ``==`` on
+  groups is object identity.  Homomorphisms tie specific presentations
+  together, so their endpoint checks use presentation identity
+  (``same_presentation``), not isomorphism.
 * Well-definedness of a homomorphism (the generator matrix must carry the
   source relation lattice into the target relation lattice) is checked at
   construction; nothing downstream needs to re-verify it.
@@ -61,15 +62,12 @@ class FgGroup:
     """A finitely generated abelian group, presented by relations.
 
     ``relations`` has one row per generator; each column is a relator.
-    ``FgGroup(2, [[2,0],[0,3]])`` is ``Z/2 ⊕ Z/3 ≅ Z/6``.  The instance
-    keeps a ``__dict__`` for its cached properties.
+    ``FgGroup(2, IntMatrix.from_rows([[2, 0], [0, 3]]))`` is
+    ``Z/2 ⊕ Z/3 ≅ Z/6``.  The instance keeps a ``__dict__`` for its
+    cached properties.
     """
 
     def __init__(self, generators: int, relations: IntMatrix) -> None:
-        if generators < 0:
-            raise ValueError("negative generator count")
-        if relations.rows != generators:
-            raise ValueError("relation matrix must have one row per generator")
         self.generators = generators
         self.relations = relations
 
@@ -113,12 +111,7 @@ class FgGroup:
         """Canonical HNF basis of the relation lattice inside Z^generators."""
         return column_hnf(self.relations)
 
-    # -- equality is isomorphism ------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FgGroup):
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
+    # -- presentations and relations ---------------------------------------
 
     def same_presentation(self, other: "FgGroup") -> bool:
         return (self.generators == other.generators

@@ -165,25 +165,44 @@ def validate_envelope(payload: dict) -> str:
     return kind
 
 
+_BEYOND_BOUND = f"characteristic is not below the supported bound {noeth.PRIME_BOUND}"
+
+
 def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
+    """A field description, its characteristic a prime below
+    ``noeth.PRIME_BOUND`` (or 0 for an opaque field) and a finite field's
+    order at most ``noeth.MAX_ORDER_BITS`` bits."""
     _expect(isinstance(rec, dict), f"{where}: must be an object")
     if "finite" in rec:
         f = rec["finite"]
         _expect(isinstance(f, dict) and _is_int(f.get("p")),
                 f"{where}.finite: needs integer 'p'")
         _expect(_is_int(f.get("r", 1)), f"{where}.finite.r: must be an integer")
-        return noeth.FiniteField(f["p"], f.get("r", 1))
+        field = noeth.FiniteField(f["p"], f.get("r", 1))
+        _expect(field.p < noeth.PRIME_BOUND, _BEYOND_BOUND)
+        _expect(noeth._is_prime(field.p), f"{field.p} is not prime")
+        _expect(field.r >= 1, "field degree must be >= 1")
+        # a degree above the cap already exceeds it; testing it first
+        # spares computing p**r for a huge r
+        _expect(field.r <= noeth.MAX_ORDER_BITS
+                and field.order.bit_length() <= noeth.MAX_ORDER_BITS,
+                f"field order p^{field.r} has more than {noeth.MAX_ORDER_BITS} bits")
+        return field
     if "opaque" in rec:
         o = rec["opaque"]
         _expect(isinstance(o, dict) and isinstance(o.get("label"), str),
                 f"{where}.opaque: needs string 'label'")
         _expect(_is_int(o.get("characteristic", 0)),
                 f"{where}.opaque.characteristic: must be an integer")
-        return noeth.OpaqueField(
+        field = noeth.OpaqueField(
             label=o["label"],
             characteristic=o.get("characteristic", 0),
             **{key: read_flag(o, key, None, f"{where}.opaque.{key}")
                for key in ("unit_free", "quotient_free", "summand")})
+        _expect(field.characteristic < noeth.PRIME_BOUND, _BEYOND_BOUND)
+        _expect(field.characteristic == 0 or noeth._is_prime(field.characteristic),
+                "characteristic must be 0 or a prime")
+        return field
     raise SchemaError(f"{where}: expected a 'finite' or 'opaque' field description")
 
 
@@ -275,6 +294,11 @@ def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
 
 
 def parse_noeth(payload: dict) -> noeth.NoethInstance:
+    """Conductor data: every field as ``parse_field_desc`` reads it and each
+    exponent ``e >= 1``, branch by branch, then the flags, then the facts
+    that relate the fields: one shared characteristic, ``k`` embedding
+    into every finite ``L_i`` and no declaration that contradicts
+    another."""
     _expect("k" in payload, "field 'k': missing residue field")
     k = parse_field_desc(payload["k"], "k")
     branches_rec = payload.get("branches")
@@ -285,12 +309,31 @@ def parse_noeth(payload: dict) -> noeth.NoethInstance:
         _expect(isinstance(b, dict) and "L" in b, f"branches[{i}]: needs 'L'")
         e = b.get("e", 1)
         _expect(_is_int(e), f"branches[{i}].e: must be an integer")
-        branches.append(noeth.Branch(parse_field_desc(b["L"], f"branches[{i}].L"), e))
-    return noeth.NoethInstance(
+        L = parse_field_desc(b["L"], f"branches[{i}].L")
+        _expect(e >= 1, "conductor exponents must be >= 1")
+        branches.append(noeth.Branch(L, e))
+    inst = noeth.NoethInstance(
         residue=k, branches=tuple(branches),
         integrally_closed=_flag(payload, "integrally_closed", False),
         conductor_nonzero=_flag(payload, "conductor_nonzero", True),
         local=_flag(payload, "local", True))
+    _expect(all(b.field.characteristic == k.characteristic for b in branches),
+            "residue fields of an extension share their characteristic")
+    if isinstance(k, noeth.FiniteField):
+        for b in branches:
+            # the characteristic is shared, so k embeds when its degree divides
+            if isinstance(b.field, noeth.FiniteField) and b.field.r % k.r != 0:
+                raise SchemaError(f"{k.label} does not embed into {b.field.label}")
+    elif k.unit_free is False:
+        # U(k) is a subgroup of every U(L_i), and subgroups of free
+        # groups are free
+        for i, b in enumerate(branches):
+            if isinstance(b.field, noeth.OpaqueField) and b.field.unit_free is True:
+                raise SchemaError(
+                    f"contradictory declarations: k.opaque.unit_free is false but "
+                    f"branches[{i}].L.opaque.unit_free is true, and U(k) is a "
+                    f"subgroup of U(L)")
+    return inst
 
 
 def parse_valuation(payload: dict) -> tuple:
@@ -315,7 +358,10 @@ def parse_prufer(payload: dict) -> tuple:
 
 
 def parse_krull(payload: dict) -> str:
-    return payload.get("variant", "krull")  # krull_verdict refuses an unknown one
+    variant = payload.get("variant", "krull")
+    _expect(variant in ("krull", "dedekind", "UFD"),
+            "field 'variant': must be 'krull', 'dedekind' or 'UFD'")
+    return variant
 
 
 def parse_diagram(payload: dict) -> tuple:

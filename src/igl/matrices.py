@@ -69,15 +69,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     __slots__ = ()
 
-    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(entries) != rows:
-            raise ValueError("row count mismatch")
-        if entries and set(map(len, entries)) != {cols}:
-            raise ValueError("column count mismatch")
-        return tuple.__new__(cls, (rows, cols, entries))
-
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":
         r = len(rows)

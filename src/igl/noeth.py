@@ -27,6 +27,11 @@ the three conductor cases:
 Krull-type inputs (integrally closed and beyond) short-circuit: their
 divisorial, invertible and principal groups are free on the height-one
 primes.  ``check_noeth`` and ``check_krull`` are ``verify``'s checks.
+
+The records here are named tuples that check nothing:
+``cli.parse_field_desc``, ``cli.parse_noeth`` and ``cli.parse_krull``
+check each fact that an instance file supplies, once, with
+``_is_prime``, ``PRIME_BOUND`` and ``MAX_ORDER_BITS`` from here.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from collections import namedtuple
 from math import gcd
 
 from .abelian import FgGroup, FgHom, cokernel
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError
 from .matrices import IntMatrix
 from .valgroup import (CertStep, Check, Cyclic, Decision, GroupExpr, Opaque, Repeated, TRIVIAL,
                        Verdict, agree, canonical_invariants, direct_sum, expr_invariant_factors,
@@ -78,30 +83,11 @@ def _is_prime(n: int) -> bool:
 MAX_ORDER_BITS = 4096
 
 
-def _check_characteristic(p: int) -> None:
-    if p >= PRIME_BOUND:
-        raise SchemaError(f"characteristic is not below the supported bound {PRIME_BOUND}")
-
-
 class FiniteField(namedtuple("FiniteField", "p r", defaults=(1,))):
     """The field with ``p^r`` elements; its unit group is cyclic of order
     ``p^r - 1`` and is computed, never declared."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_characteristic(self.p)
-        if not _is_prime(self.p):
-            raise SchemaError(f"{self.p} is not prime")
-        if self.r < 1:
-            raise SchemaError("field degree must be >= 1")
-        # a degree above the cap already exceeds it; testing it first
-        # spares computing p**r for a huge r
-        if self.r > MAX_ORDER_BITS or self.order.bit_length() > MAX_ORDER_BITS:
-            raise SchemaError(f"field order p^{self.r} has more than "
-                              f"{MAX_ORDER_BITS} bits")
-        return self
 
     @property
     def characteristic(self) -> int:
@@ -132,13 +118,6 @@ class OpaqueField(namedtuple("OpaqueField", "label characteristic unit_free quot
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_characteristic(self.characteristic)
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise SchemaError("characteristic must be 0 or a prime")
-        return self
-
 
 FieldDesc = FiniteField | OpaqueField
 
@@ -157,13 +136,7 @@ def unit_group(f: FieldDesc) -> GroupExpr:
     return Opaque(f"U({f.label})", is_free=f.unit_free, is_torsionfree=torsionfree)
 
 
-class Branch(namedtuple("Branch", "field e")):
-    __slots__ = ()
-
-    def __new__(cls, field: FieldDesc, e: int) -> "Branch":
-        if e < 1:
-            raise SchemaError("conductor exponents must be >= 1")
-        return tuple.__new__(cls, (field, e))
+Branch = namedtuple("Branch", "field e")
 
 
 class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_closed "
@@ -173,29 +146,6 @@ class NoethInstance(namedtuple("NoethInstance", "residue branches integrally_clo
     reduced completion (nonzero conductor)."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.branches:
-            raise SchemaError("at least one branch is required")
-        chars = {self.residue.characteristic} | {b.field.characteristic for b in self.branches}
-        if len(chars) > 1:
-            raise SchemaError("residue fields of an extension share their characteristic")
-        for b in self.branches:
-            if isinstance(self.residue, FiniteField) and isinstance(b.field, FiniteField):
-                if b.field.p != self.residue.p or b.field.r % self.residue.r != 0:
-                    raise SchemaError(
-                        f"{self.residue.label} does not embed into {b.field.label}")
-        if isinstance(self.residue, OpaqueField) and self.residue.unit_free is False:
-            # U(k) is a subgroup of every U(L_i), and subgroups of free
-            # groups are free
-            for i, b in enumerate(self.branches):
-                if isinstance(b.field, OpaqueField) and b.field.unit_free is True:
-                    raise SchemaError(
-                        f"contradictory declarations: k.opaque.unit_free is false but "
-                        f"branches[{i}].L.opaque.unit_free is true, and U(k) is a "
-                        f"subgroup of U(L)")
-        return self
 
     @property
     def characteristic(self) -> int:
@@ -418,9 +368,8 @@ def check_noeth(inst: NoethInstance) -> list[Check]:
 def krull_verdict(kind: str) -> Decision:
     """All three ideal groups of a Krull-type domain are free, with the
     height-one primes as a basis of the divisorial group; the per-group
-    verdicts and the basis go into ``metadata``."""
-    if kind not in ("krull", "dedekind", "UFD"):
-        raise SchemaError("field 'variant': must be 'krull', 'dedekind' or 'UFD'")
+    verdicts and the basis go into ``metadata``.  ``kind`` is ``"krull"``,
+    ``"dedekind"`` or ``"UFD"``."""
     steps = [CertStep.make(
         "krull-free-basis",
         "for a Krull domain the divisorial group is free on the height-one "
@@ -441,6 +390,6 @@ def krull_verdict(kind: str) -> Decision:
 
 
 def check_krull(variant: str) -> list[Check]:
-    """``verify``'s check of a Krull-type instance: its decision."""
-    krull_verdict(variant)
+    """``verify``'s check of a Krull-type instance: every variant's groups
+    are free on the height-one primes, so there is nothing to recompute."""
     return [("all-groups-free", True, "height-one basis")]

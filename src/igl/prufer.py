@@ -157,7 +157,7 @@ def _tower_below(tree: SpecTree, node: PrimeNode, top: PrimeNode) -> tuple[Group
     slots: list = []
     cur = node
     while cur is not top:
-        slots.extend(cur.label.slots)
+        slots.extend(cur.label)
         cur = tree.parents[cur.node_id]
     return tuple(slots)
 
@@ -169,13 +169,11 @@ def gamma_at(tree: SpecTree, node: PrimeNode) -> ValueTower:
     return ValueTower(_tower_below(tree, node, tree.root))
 
 
-def finitely_generated_maximal(tree: SpecTree, leaf: PrimeNode) -> bool:
+def finitely_generated_maximal(leaf: PrimeNode) -> bool:
     """Is the maximal ideal finitely generated?  Detected structurally: the
     top slot of its composed value tower, which is the top slot of its own
     edge label, is discrete."""
-    if leaf.children or leaf is tree.root:
-        raise SchemaError(f"{leaf.node_id!r} is not a maximal ideal")
-    return leaf.label.slots[0] is Z
+    return leaf.label[0] is Z
 
 
 def branching_points(tree: SpecTree) -> list[PrimeNode]:
@@ -392,7 +390,7 @@ def _class_counts(tree: SpecTree) -> dict[str, tuple[int, int]]:
     for node in reversed(tree.nodes()):
         z = other = 0
         if node.label is not None:
-            z = node.label.slots.count(Z)
+            z = node.label.count(Z)
             other = len(node.label) - z
         for child in node.children:
             cz, co = counts[child.node_id]
@@ -467,7 +465,7 @@ def decide_div_free(tree: SpecTree) -> Decision:
     if gate_cert:
         return Decision(Verdict.UNKNOWN, gate_cert)
     for leaf in leaves:
-        if not finitely_generated_maximal(tree, leaf):
+        if not finitely_generated_maximal(leaf):
             below = gamma_at(tree, leaf).root_segment(1).to_expr()
             witness_expr = direct_sum(R, below)
             return Decision(Verdict.NOT_FREE, (

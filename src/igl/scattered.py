@@ -382,9 +382,9 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
             "freeness; the summand verdicts are recorded per stratum",
             strata={k: v.value for k, v in label_verdicts.items()}))
 
-    q_limit = [k for k in strata if k >= 1 and lab[k].slots == (Q,)]
-    isolated_discrete = lab[0].slots == (Z,)
-    others_ok = all(lab[k].slots == (Z,) for k in strata if k not in q_limit)
+    q_limit = [k for k in strata if k >= 1 and lab[k] == (Q,)]
+    isolated_discrete = lab[0] == (Z,)
+    others_ok = all(lab[k] == (Z,) for k in strata if k not in q_limit)
     if q_limit and isolated_discrete and others_ok:
         return decided(Verdict.OBSTRUCTED, CertStep.make(
             "divisible-quotient-obstruction",

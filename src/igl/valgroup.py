@@ -35,7 +35,6 @@ round-trips exactly.
 from __future__ import annotations
 
 import enum
-import re
 from collections import namedtuple
 from math import gcd
 
@@ -133,11 +132,6 @@ class Atom(GroupExpr, namedtuple("Atom", "name text")):
 class Cyclic(GroupExpr, namedtuple("Cyclic", "order")):
     __slots__ = ()
 
-    def __new__(cls, order: int) -> "Cyclic":
-        if order < 1:
-            raise ValueError("cyclic order must be >= 1")
-        return tuple.__new__(cls, (order,))
-
 
 class Opaque(GroupExpr, namedtuple("Opaque", "label is_free is_torsionfree has_divisible",
                                    defaults=(None, None, None))):
@@ -161,15 +155,6 @@ class LexTower(GroupExpr, namedtuple("LexTower", "levels")):
 
     __slots__ = ()
 
-    def __new__(cls, levels: tuple[GroupExpr, ...]) -> "LexTower":
-        if not levels:
-            raise ValueError("lex towers must be nonempty")
-        return tuple.__new__(cls, (levels,))
-
-
-# the characters of a symbolic multiplicity's ordinal text
-_MULTIPLICITY = re.compile(r"[w0-9+*^]+")
-
 
 class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
     """A direct sum of ``times`` copies of ``base``.
@@ -180,14 +165,6 @@ class Repeated(GroupExpr, namedtuple("Repeated", "base times")):
     """
 
     __slots__ = ()
-
-    def __new__(cls, base: GroupExpr, times: int | str) -> "Repeated":
-        if isinstance(times, int):
-            if times < 0:
-                raise ValueError("negative multiplicity")
-        elif not _MULTIPLICITY.fullmatch(times):
-            raise ValueError(f"bad symbolic multiplicity {times!r}")
-        return tuple.__new__(cls, (base, times))
 
 
 TRIVIAL = Atom("TrivialGroup", "0")
@@ -506,9 +483,11 @@ def render_expr(e: GroupExpr) -> str:
 _SLOTS = {"Z": Z, "Q": Q, "R": R}
 
 
-class ValueTower(namedtuple("ValueTower", "slots")):
-    """The value group of a valuation ring, as a finite tower of ``Z``,
-    ``Q`` and ``R`` slots.
+class ValueTower(tuple):
+    """The value group of a valuation ring, as the tuple of its slots: the
+    shared atoms ``Z``, ``Q`` and ``R``.  ``from_names`` is the one place
+    that checks a slot; every other tower is cut or joined from checked
+    ones.
 
     Slots are listed from the maximal-ideal end (index 0, the "top") to
     the root end.  A tower whose slots are all ``Z`` is order-isomorphic
@@ -519,15 +498,6 @@ class ValueTower(namedtuple("ValueTower", "slots")):
 
     __slots__ = ()
 
-    def __new__(cls, slots: tuple[GroupExpr, ...]) -> "ValueTower":
-        for s in slots:
-            if s is not Z and s is not Q and s is not R:
-                raise SchemaError(f"illegal tower slot {s!r}")
-        return tuple.__new__(cls, (slots,))
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
     @classmethod
     def from_names(cls, names: list[str]) -> "ValueTower":
         slots = []
@@ -535,17 +505,17 @@ class ValueTower(namedtuple("ValueTower", "slots")):
             if not isinstance(n, str) or n not in _SLOTS:
                 raise SchemaError(f"unknown tower slot {n!r} (expected Z, Q or R)")
             slots.append(_SLOTS[n])
-        return cls(tuple(slots))
+        return cls(slots)
 
     def to_expr(self) -> GroupExpr:
-        if not self.slots:
+        if not self:
             return TRIVIAL
-        if len(self.slots) == 1:
-            return self.slots[0]
-        return LexTower(self.slots)
+        if len(self) == 1:
+            return self[0]
+        return LexTower(tuple(self))
 
     def root_segment(self, depth: int) -> "ValueTower":
-        return ValueTower(self.slots[depth:])
+        return ValueTower(self[depth:])
 
     def is_free(self) -> bool:
         """The freeness verdict of the tower, read off its slots: it is
@@ -554,7 +524,7 @@ class ValueTower(namedtuple("ValueTower", "slots")):
         never ``Unknown``.  Slots are the shared atoms, and ``tuple.count``
         tests identity before equality, so an all-``Z`` tower is read by
         identity alone."""
-        return self.slots.count(Z) == len(self.slots)
+        return self.count(Z) == len(self)
 
 
 def inv_of_valuation(t: ValueTower) -> GroupExpr:
@@ -612,7 +582,7 @@ def decide_valuation(t: ValueTower, group: str, maximal_principal: bool | None,
     ideal is principal exactly when the top slot is ``Z``."""
     if group == "div":
         if maximal_principal is None:
-            maximal_principal = bool(t.slots) and t.slots[0] is Z
+            maximal_principal = bool(t) and t[0] is Z
         return div_of_valuation(t, maximal_principal, maximal_branched)
     expr = inv_of_valuation(t)
     fv = freeness_verdict(expr)

@@ -1145,7 +1145,7 @@ def standard_decomposition(tree: SpecTree) -> list[SpecTree]:
 
 def slot_names(tower: ValueTower) -> list[str]:
     # the canonical rendering of Z, Q and R is their schema name
-    return [render_expr(s) for s in tower.slots]
+    return [render_expr(s) for s in tower]
 
 
 def tree_rank_oracle(tree: SpecTree) -> int:

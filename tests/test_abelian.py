@@ -127,13 +127,13 @@ def test_describe_normalizes_once(monkeypatch):
     assert len(calls) == 0
 
 
-def test_group_equality_is_isomorphism():
+def test_isomorphic_presentations_share_invariant_factors():
     a = FgGroup.from_invariants(2, 6)
     b = FgGroup.from_invariants(2, 6)
     c = FgGroup(2, IntMatrix.from_rows([[2, 0], [0, 6]]))
-    assert a == b == c
-    assert FgGroup.from_invariants(4, 3) == FgGroup.cyclic(12)
-    assert FgGroup.from_invariants(2, 2) != FgGroup.cyclic(4)
+    assert a.invariant_factors == b.invariant_factors == c.invariant_factors
+    assert FgGroup.from_invariants(4, 3).invariant_factors == FgGroup.cyclic(12).invariant_factors
+    assert FgGroup.from_invariants(2, 2).invariant_factors != FgGroup.cyclic(4).invariant_factors
 
 
 def test_kernel_cokernel_examples():

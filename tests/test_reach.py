@@ -3,8 +3,8 @@
 A fresh interpreter runs ``igl --help``, ``selftest`` and ``decide``
 (human, and json with the full trace), ``verify`` and ``expr`` on every
 file of ``instances/``, with a profiler recording each code object entered.  Every
-module-level function and every class method of the package (dunders
-exempt) must be among them, unless ``KEPT`` names it with the reason it
+module-level function and every class method of the package, dunders
+included, must be among them, unless ``KEPT`` names it with the reason it
 stays.  Members whose code another module defines, such as the
 ``_asdict`` of a named tuple or the ``_generate_next_value_`` that an
 enum class holds, are not the package's.  Code that only tests call belongs in ``tests/oracles.py``.
@@ -25,6 +25,10 @@ KEPT = {
     "matrices.snf": "bench/checks.py pins its bindings and result until ROADMAP F",
     "matrices.gcdex": "the Bezout steps of snf's divisibility sweep, kept with snf",
     "cli.entrypoint": "the console-script shim around main",
+    "abelian.FgGroup.__repr__": "a debugging aid",
+    "valgroup.Atom.__repr__": "the golden digests record it",
+    "valgroup.GroupExpr.__ne__": "without it, tuple.__ne__ would ignore the expression type",
+    "valgroup.Verdict.__str__": "it keeps the value as the text on every supported Python",
 }
 
 _PROBE = r"""
@@ -74,8 +78,7 @@ for info in pkgutil.iter_modules(igl.__path__):
         members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
         for attr, raw in members:
             code = code_of(raw)
-            if (code is None or (attr or name).startswith("__")
-                    or code.co_filename != mod.__file__):
+            if code is None or code.co_filename != mod.__file__:
                 continue
             qual = ".".join(p for p in (info.name, name, attr) if p)
             defined[qual] = code

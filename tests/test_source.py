@@ -53,3 +53,43 @@ def test_front_end_holds_no_check():
              or any(_named(node, name) for name in internals - {"FgHom"})
              or (_named(node, "FgHom") and id(node) not in schema)]
     assert found == []
+
+
+def test_no_record_checks_itself():
+    """Each fact an instance supplies is checked once, where it is
+    parsed, and every other record is built from checked values: no
+    class defines ``__new__``."""
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name == "__new__"]
+    assert found == []
+
+
+# the functions outside ``cli.py`` that read outside input
+PARSES = {"prufer.tree_from_payload", "scattered.parse_ordinal", "scattered.parse_digits",
+          "scattered.ScatteredSpace.interval", "valgroup.ValueTower.from_names",
+          "errors.read_flag"}
+
+
+def _schema_raises(node, qualname: str):
+    """The qualified names of the functions under ``node`` that hold a
+    ``raise SchemaError``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _schema_raises(child, f"{qualname}.{child.name}")
+        elif isinstance(child, ast.Raise) and child.exc is not None and _named(
+                child.exc.func if isinstance(child.exc, ast.Call) else child.exc, "SchemaError"):
+            yield qualname
+        else:
+            yield from _schema_raises(child, qualname)
+
+
+def test_only_the_parse_raises_a_schema_error():
+    """Outside ``cli.py``, a ``SchemaError`` is raised only by a function
+    that reads an instance file's data."""
+    found = {qualname
+             for path in sorted(SRC.rglob("*.py")) if path.name != "cli.py"
+             for qualname in _schema_raises(ast.parse(path.read_text(encoding="utf-8")),
+                                            path.stem)}
+    assert found - PARSES == set()
