@@ -241,12 +241,13 @@ def parse_matrix(rec, rows: int, cols: int, where: str) -> IntMatrix:
 
 def _parse_hom(rec, src: abelian.FgGroup, tgt: abelian.FgGroup,
                where: str) -> abelian.FgHom:
-    matrix = parse_matrix(rec, tgt.generators, src.generators, where)
+    hom = abelian.FgHom(src, tgt, parse_matrix(rec, tgt.generators, src.generators, where))
     try:
-        return abelian.FgHom(src, tgt, matrix)
+        abelian.FgHom.__post_init__(hom)
     except DiagramError as exc:
         # the map is not well defined: name the matrix to fix
         raise DiagramError(f"{where}: {exc}") from exc
+    return hom
 
 
 def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
@@ -258,7 +259,9 @@ def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
     right = parse_group(rec["right"], f"{where}.right")
     inj = _parse_hom(rec["inj"], left, mid, f"{where}.inj")
     surj = _parse_hom(rec["surj"], mid, right, f"{where}.surj")
-    return abelian.ShortExactSeq(left, mid, right, inj, surj)
+    seq = abelian.ShortExactSeq(left, mid, right, inj, surj)
+    abelian.ShortExactSeq.__post_init__(seq)
+    return seq
 
 
 def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
@@ -365,7 +368,7 @@ def parse_krull(payload: dict) -> str:
 
 
 def parse_diagram(payload: dict) -> tuple:
-    """``(check, *terms)``, each term built, and so checked, in document order."""
+    """``(check, *terms)``, each term built and checked in document order."""
     check = payload.get("check")
     _expect(isinstance(check, str) and check in abelian.DIAGRAM_CHECKS,
             "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
@@ -423,8 +426,9 @@ def verify_payload(payload: dict, name: str) -> list[valgroup.Check]:
     except DiagramError as exc:
         if payload["kind"] != "group_diagram":  # another kind's refusal is no check: exit 3
             raise
-        # the engine refused the diagram while it was built or decided: its one check fails
-        return [(abelian.DIAGRAM_CHECKS[payload["check"]][0], False, str(exc))]
+        # the engine refused the diagram while it was parsed, built or checked: its one
+        # check fails
+        return [(abelian.DIAGRAM_CHECKS[payload["check"]], False, str(exc))]
 
 
 # kind -> (decide, check), in the order the schema error lists the kinds; each

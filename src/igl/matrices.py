@@ -35,6 +35,9 @@ keeps intermediate entries far smaller.
 Lattices (subgroups of Z^n) are always represented by the columns of a
 matrix; two generating matrices span the same lattice exactly when their
 column HNFs coincide, which is how all lattice comparisons are done.
+
+No function checks the shapes it is given: every matrix is built either
+by the parse, which fixes its shape, or by the engine from such matrices.
 """
 
 from __future__ import annotations
@@ -99,16 +102,12 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
                          tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = other.transpose().entries
         return IntMatrix(self.rows, other.cols,
                          tuple(tuple(sum(map(mul, row, col)) for col in ot)
                                for row in self.entries))
 
     def apply(self, vec: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def __neg__(self) -> "IntMatrix":
@@ -145,11 +144,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 def hstack(*ms: IntMatrix) -> IntMatrix:
     """The blocks side by side.  Zero-column blocks drop out, and a sole
     remaining block is returned as it is."""
-    if not ms:
-        raise ValueError("hstack of nothing")
     rows = ms[0].rows
-    if any(m.rows != rows for m in ms):
-        raise ValueError("row mismatch in hstack")
     ms = tuple(m for m in ms if m.cols)
     if len(ms) < 2:
         return ms[0] if ms else IntMatrix.zeros(rows, 0)
@@ -158,12 +153,7 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
 
 
 def vstack(*ms: IntMatrix) -> IntMatrix:
-    if not ms:
-        raise ValueError("vstack of nothing")
-    cols = ms[0].cols
-    if any(m.cols != cols for m in ms):
-        raise ValueError("column mismatch in vstack")
-    return IntMatrix(sum(m.rows for m in ms), cols,
+    return IntMatrix(sum(m.rows for m in ms), ms[0].cols,
                      tuple(row for m in ms for row in m.entries))
 
 
@@ -297,8 +287,6 @@ def lattice_solve(h: IntMatrix, vec: tuple[int, ...] | list[int]) -> tuple[int, 
     its pivot, so one walk down the rows meets the pivots in order, and
     a row that holds no pivot must already be cleared.
     """
-    if len(vec) != h.rows:
-        raise ValueError("vector length mismatch")
     res = list(vec)
     coords = [0] * h.cols
     j = 0
@@ -494,8 +482,6 @@ def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     zero.  Callers must not rely on which solution it is; any valid
     solution serves.
     """
-    if b.rows != m.rows:
-        raise ValueError("right-hand side row mismatch")
     diag, c, vc = _diagonal_form(m, b)
     if any(any(row) for row in c[len(diag):]):
         return None

@@ -880,11 +880,24 @@ def ds_projection(groups: list[FgGroup], i: int) -> FgHom:
     return FgHom(total, groups[i], IntMatrix.from_rows(rows, cols=total.generators))
 
 
+def checked_sequence(left: FgGroup, mid: FgGroup, right: FgGroup,
+                     inj: FgHom, surj: FgHom) -> ShortExactSeq:
+    """The sequence, checked as the parse checks one read from a file:
+    each map well defined, then exactness.  ``FgHom`` and
+    ``ShortExactSeq`` check nothing when built, so the builders of test
+    sequences here check what they build."""
+    s = ShortExactSeq(left, mid, right, inj, surj)
+    FgHom.__post_init__(inj)
+    FgHom.__post_init__(surj)
+    ShortExactSeq.__post_init__(s)
+    return s
+
+
 def of_direct_sum(left: FgGroup, right: FgGroup) -> ShortExactSeq:
     """The split sequence ``0 → left → left ⊕ right → right → 0``."""
-    return ShortExactSeq(left, direct_sum([left, right]), right,
-                         ds_inclusion([left, right], 0),
-                         ds_projection([left, right], 1))
+    return checked_sequence(left, direct_sum([left, right]), right,
+                            ds_inclusion([left, right], 0),
+                            ds_projection([left, right], 1))
 
 
 def sub_quotient_sequence(mid: FgGroup, sub_basis: IntMatrix) -> ShortExactSeq:
@@ -895,7 +908,7 @@ def sub_quotient_sequence(mid: FgGroup, sub_basis: IntMatrix) -> ShortExactSeq:
     quot = FgGroup(mid.generators,
                    hstack(basis, mid.relations) if mid.relations.cols else basis)
     proj = FgHom(mid, quot, IntMatrix.identity(mid.generators))
-    return ShortExactSeq(sub, mid, quot, incl, proj)
+    return checked_sequence(sub, mid, quot, incl, proj)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igl import abelian
-from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq,
-                         amalgam_quotient, cokernel, factor_through, is_exact_pair,
-                         is_free, kernel_with_inclusion, snake, split_test)
+from igl import abelian, cli
+from igl.abelian import (AmalgamPart, FgGroup, FgHom, amalgam_quotient, cokernel,
+                         factor_through, is_exact_pair, is_free, kernel_with_inclusion, snake,
+                         split_test)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix, diagonal_basis, hstack, snf, solve
 from igl.valgroup import canonical_invariants
-from oracles import (congruent_ref, divisible_elements_brute, has_divisible, is_trivial, kernel,
-                     kronecker_split_test, lattice_equal, minors_invariant_factors,
-                     of_direct_sum, random_amalgam_instance, random_matrix,
-                     random_snake_input, random_unimodular_with_inverse,
+from oracles import (checked_sequence, congruent_ref, divisible_elements_brute, has_divisible,
+                     is_trivial, kernel, kronecker_split_test, lattice_equal,
+                     minors_invariant_factors, of_direct_sum, random_amalgam_instance,
+                     random_matrix, random_snake_input, random_unimodular_with_inverse,
                      sub_quotient_sequence)
 
 
 def hom(src, tgt, rows):
-    return FgHom(src, tgt, IntMatrix.from_rows([list(r) for r in rows],
-                                               cols=src.generators))
+    """A map, checked well defined as the parse checks one."""
+    h = FgHom(src, tgt, IntMatrix.from_rows([list(r) for r in rows], cols=src.generators))
+    FgHom.__post_init__(h)
+    return h
+
+
+def group_record(g):
+    """The instance record of a group."""
+    return {"generators": g.generators,
+            "relators": [list(c) for c in g.relations.transpose().entries]}
+
+
+def ses_record(left, mid, right, inj, surj):
+    """The instance record of a sequence, its maps given by their rows."""
+    return {"left": group_record(left), "mid": group_record(mid), "right": group_record(right),
+            "inj": inj, "surj": surj}
 
 
 def is_section(section, s):
@@ -183,35 +197,32 @@ def test_congruence_cases_reach_both_answers_and_check_shapes():
     assert FgGroup.free(0).congruent(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 3))
     assert g.congruent(IntMatrix.from_rows([[3], [1]]), IntMatrix.from_rows([[1], [1]]))
     assert not g.congruent(IntMatrix.from_rows([[3], [2]]), IntMatrix.from_rows([[1], [1]]))
-    with pytest.raises(ValueError):
-        g.congruent(IntMatrix.zeros(2, 1), IntMatrix.zeros(2, 2))
-    with pytest.raises(ValueError):
-        g.congruent(IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 1))
 
 
 def test_hom_well_definedness_enforced():
+    """The parse checks each map it reads, and names the map."""
     z2 = FgGroup.cyclic(2)
     z = FgGroup.free(1)
-    with pytest.raises(DiagramError):
-        FgHom(z2, z, IntMatrix.from_rows([[1]]))
-    FgHom(z2, FgGroup.cyclic(4), IntMatrix.from_rows([[2]]))  # fine: 2*2 = 4
+    with pytest.raises(DiagramError) as exc:
+        cli._parse_hom([[1]], z2, z, "ses.inj")
+    assert str(exc.value) == ("ses.inj: not well-defined: image of relator 0 is not a "
+                              "relation of the target")
+    cli._parse_hom([[2]], z2, FgGroup.cyclic(4), "ses.inj")  # fine: 2*2 = 4
 
 
 def test_ses_validation():
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
-    inj = hom(z, z2, [[1], [0]])
-    surj = hom(z2, z, [[0, 1]])
-    ShortExactSeq(z, z2, z, inj, surj)
-    bad_surj = hom(z2, z, [[0, 2]])
-    with pytest.raises(DiagramError):
-        ShortExactSeq(z, z2, z, inj, bad_surj)
+    cli.parse_ses(ses_record(z, z2, z, [[1], [0]], [[0, 1]]), "ses")
+    with pytest.raises(DiagramError) as exc:
+        cli.parse_ses(ses_record(z, z2, z, [[1], [0]], [[0, 2]]), "ses")
+    assert str(exc.value) == "sequence not exact: the right map is not surjective"
 
 
 def test_snake_trivial_identity():
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
-    row = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
+    row = checked_sequence(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     res = snake(row, row, hom(z, z, [[1]]), hom(z2, z2, [[1, 0], [0, 1]]), hom(z, z, [[1]]))
     assert all(is_trivial(g) for g in res.groups())
 
@@ -219,7 +230,7 @@ def test_snake_trivial_identity():
 def test_snake_times_two():
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
-    row = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
+    row = checked_sequence(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     f = hom(z, z, [[2]])
     g = hom(z2, z2, [[2, 0], [0, 2]])
     res = snake(row, row, f, g, f)
@@ -232,9 +243,9 @@ def test_snake_kernel_iso_cokernel_shape():
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
     t = FgGroup.free(0)
-    top = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
+    top = checked_sequence(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     one = hom(z2, z2, [[1, 0], [0, 1]])
-    bottom = ShortExactSeq(z2, z2, t, one, hom(z2, t, []))
+    bottom = checked_sequence(z2, z2, t, one, hom(z2, t, []))
     res = snake(top, bottom, hom(z, z2, [[1], [0]]), one, hom(z, t, []))
     assert res.ker_h.invariant_factors == res.coker_f.invariant_factors == (0,)
 
@@ -242,7 +253,7 @@ def test_snake_kernel_iso_cokernel_shape():
 def test_snake_rejects_noncommuting():
     z = FgGroup.free(1)
     z2 = FgGroup.free(2)
-    row = ShortExactSeq(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
+    row = checked_sequence(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     f = hom(z, z, [[2]])
     g = hom(z2, z2, [[3, 0], [0, 3]])
     with pytest.raises(DiagramError, match="square"):
@@ -269,7 +280,7 @@ def test_split_fails_for_nonsplit_extension():
     z = FgGroup.free(1)
     times2 = hom(z, z, [[2]])
     quotient = cokernel(times2)
-    s = ShortExactSeq(z, z, quotient, times2, FgHom(z, quotient, IntMatrix.identity(1)))
+    s = checked_sequence(z, z, quotient, times2, FgHom(z, quotient, IntMatrix.identity(1)))
     assert not split_test(s).splits
 
 
@@ -306,9 +317,9 @@ def planted_sequence(rng, splits):
     mid_grp = FgGroup.from_invariants(*mid)
     mixed = FgGroup(mid_grp.generators, w @ mid_grp.relations)
     lg, rg = FgGroup.from_invariants(*left), FgGroup.from_invariants(*right)
-    return ShortExactSeq(lg, mixed, rg,
-                         FgHom(lg, mixed, w @ IntMatrix.from_rows(inj, cols=len(left))),
-                         FgHom(mixed, rg, IntMatrix.from_rows(surj, cols=len(mid)) @ winv))
+    return checked_sequence(lg, mixed, rg,
+                            FgHom(lg, mixed, w @ IntMatrix.from_rows(inj, cols=len(left))),
+                            FgHom(mixed, rg, IntMatrix.from_rows(surj, cols=len(mid)) @ winv))
 
 
 def test_split_test_needs_no_smith_form(monkeypatch):
@@ -371,9 +382,9 @@ def test_snake_lifts_every_kernel_generator_in_one_solve(monkeypatch):
     # through the bottom inclusion, for both generators of ker h
     z2, z4, t = FgGroup.free(2), FgGroup.free(4), FgGroup.free(0)
     inj = hom(z2, z4, [[1, 0], [0, 1], [0, 0], [0, 0]])
-    top = ShortExactSeq(z2, z4, z2, inj, hom(z4, z2, [[0, 0, 1, 0], [0, 0, 0, 1]]))
+    top = checked_sequence(z2, z4, z2, inj, hom(z4, z2, [[0, 0, 1, 0], [0, 0, 0, 1]]))
     one = hom(z4, z4, IntMatrix.identity(4).entries)
-    bottom = ShortExactSeq(z4, z4, t, one, hom(z4, t, []))
+    bottom = checked_sequence(z4, z4, t, one, hom(z4, t, []))
     widths = []
 
     def counted(m, b):
@@ -409,7 +420,7 @@ def random_exact_sequence(rng):
     right = FgGroup(nC, IntMatrix.from_cols(list(images) + extra, rows=nC))
     surj = FgHom(mid, right, proj)
     left, inj = kernel_with_inclusion(surj)
-    return ShortExactSeq(left, mid, right, inj, surj)
+    return checked_sequence(left, mid, right, inj, surj)
 
 
 @settings(max_examples=400, deadline=None)
@@ -453,16 +464,6 @@ def test_amalgam_rejects_bad_retraction():
     bad = AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(z, z, [[2]]))
     with pytest.raises(DiagramError, match="left inverse"):
         amalgam_quotient(z, [bad, bad])
-    # Z again, presented with a zero relator: a retraction or a projection
-    # that starts there does not start at the part's group
-    other = FgGroup(1, IntMatrix.from_rows([[0]]))
-    for bad in (AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(other, z, [[1]])),
-                AmalgamPart(z, hom(z, z, [[1]]), t, hom(other, t, []), hom(z, z, [[1]]))):
-        with pytest.raises(DiagramError, match="composition endpoint mismatch"):
-            amalgam_quotient(z, [bad, bad])
-    bad = AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(z, other, [[1]]))
-    with pytest.raises(DiagramError, match="left inverse"):
-        amalgam_quotient(z, [bad, bad])
 
 
 # Each diagram below fails in its torsion alone: every group in it has rank
@@ -479,7 +480,7 @@ Z2, Z4, ZERO = FgGroup.cyclic(2), FgGroup.cyclic(4), FgGroup.free(0)
 ], ids=["inj-by-2", "surj-by-2", "image-2Z-kernel-4Z"])
 def test_ses_rejections_in_torsion(left, right, inj, surj, message):
     with pytest.raises(DiagramError) as exc:
-        ShortExactSeq(left, Z4, right, hom(left, Z4, inj), hom(Z4, right, surj))
+        cli.parse_ses(ses_record(left, Z4, right, inj, surj), "ses")
     assert str(exc.value) == message
 
 
@@ -605,6 +606,5 @@ def test_sub_quotient_sequence_roundtrip():
     rng = random.Random(11)
     mid = FgGroup(3, random_matrix(rng, 3, 1, 3))
     gens = random_matrix(rng, 3, 2, 3)
-    from igl.matrices import hstack
     s = sub_quotient_sequence(mid, hstack(mid.relations, gens))
-    assert s.mid.same_presentation(mid)
+    assert s.mid is mid

@@ -285,6 +285,114 @@ def test_rejected_diagram_exits_3_and_fails_its_check(tmp_path, capsys, name, fi
     assert checks == [{"check": label, "detail": detail, "ok": False}]
 
 
+def _corrupted_snake(monkeypatch):
+    """Make ``abelian.snake`` return a connecting map into its target
+    presented without relations, a map that no exact sequence has."""
+    snake = abelian.snake
+
+    def corrupted(*ladder):
+        res = snake(*ladder)
+        return res._replace(connecting=res.connecting._replace(
+            target=FgGroup.free(res.coker_f.generators)))
+
+    monkeypatch.setattr(abelian, "snake", corrupted)
+
+
+@pytest.mark.parametrize("name", ["snake_ladder.json", "snake_ladder_kernel.json"])
+def test_verify_fails_a_corrupted_connecting_map(capsys, monkeypatch, name):
+    """``decide`` takes the snake lemma on trust, and ``verify`` checks the
+    six-term sequence that ``snake`` built: a corrupted connecting map
+    fails ``ladder-and-six-term``, and ``verify`` exits 1."""
+    _corrupted_snake(monkeypatch)
+    path = str(Path(__file__).resolve().parent.parent / "instances" / name)
+    assert main(["decide", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [
+        {"check": "ladder-and-six-term", "detail": "six-term sequence not exact at coker f",
+         "ok": False}]
+
+
+def test_verify_fails_a_section_that_does_not_split(capsys, monkeypatch):
+    """``decide`` takes ``split_test``'s section on trust, and ``verify``
+    tests it against the identity: a zero section of a split sequence
+    fails ``sequence-exact-and-split-tested``."""
+    split_test = abelian.split_test
+
+    def zero_section(s):
+        res = split_test(s)
+        m = res.section.matrix
+        return res._replace(section=res.section._replace(matrix=IntMatrix.zeros(m.rows, m.cols)))
+
+    monkeypatch.setattr(abelian, "split_test", zero_section)
+    path = str(Path(__file__).resolve().parent.parent / "instances" / "ses_split.json")
+    assert main(["verify", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [
+        {"check": "sequence-exact-and-split-tested",
+         "detail": "assertion failed: the section found does not split the projection",
+         "ok": False}]
+
+
+MAP_KEYS = {"inj", "surj", "f", "g", "h", "emb", "proj", "retract"}
+
+
+def _maps_and_sequences(payload) -> tuple[int, int]:
+    """How many map matrices and sequences a diagram's file states."""
+    maps = sequences = 0
+    todo = [payload]
+    while todo:
+        rec = todo.pop()
+        if isinstance(rec, list):
+            todo.extend(rec)
+        elif isinstance(rec, dict):
+            sequences += "surj" in rec
+            for key, value in rec.items():
+                # a map is a matrix; the group of an amalgam is named "g" too
+                if key in MAP_KEYS and isinstance(value, list):
+                    maps += 1
+                else:
+                    todo.append(value)
+    return maps, sequences
+
+
+def _counting(calls: list, fn):
+    """``fn``, appending ``fn`` to ``calls`` on each call."""
+    def counted(*args):
+        calls.append(fn)
+        return fn(*args)
+    return counted
+
+
+def test_decide_checks_each_map_and_sequence_of_the_file_once(capsys, monkeypatch):
+    """Deciding a diagram checks what the file states, once each: every map
+    matrix is checked well defined and every sequence exact, by the parse.
+    The maps that the engine builds are not re-checked."""
+    calls = []
+    checks = abelian.FgHom.__post_init__, abelian.ShortExactSeq.__post_init__
+    monkeypatch.setattr(abelian.FgHom, "__post_init__", _counting(calls, checks[0]))
+    monkeypatch.setattr(abelian.ShortExactSeq, "__post_init__", _counting(calls, checks[1]))
+    files = [f for f in sorted((Path(__file__).resolve().parent.parent / "instances").iterdir())
+             if json.loads(f.read_text(encoding="utf-8"))["kind"] == "group_diagram"]
+    assert len(files) == 8
+    for f in files:
+        calls.clear()
+        assert main(["decide", str(f)]) == 0
+        counts = tuple(map(calls.count, checks))
+        assert counts == _maps_and_sequences(json.loads(f.read_text(encoding="utf-8"))), f.name
+    capsys.readouterr()
+
+
+def test_verify_builds_the_six_term_sequence_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(abelian, "snake", _counting(calls, abelian.snake))
+    for name in ("snake_ladder.json", "snake_ladder_kernel.json"):
+        calls.clear()
+        path = Path(__file__).resolve().parent.parent / "instances" / name
+        assert main(["verify", str(path)]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_unknown_krull_variant_is_a_field_error(tmp_path, capsys):
     path = str(write(tmp_path, {"v": 1, "kind": "krull", "variant": ["x"]}))
     for cmd in ("decide", "verify"):
