@@ -86,8 +86,6 @@ class FgGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FgGroup":
-        if n == 0:
-            return cls.free(1)
         return cls(1, IntMatrix.from_rows([[n]]))
 
     @classmethod
@@ -275,21 +273,22 @@ class SnakeResult(namedtuple("SnakeResult", "ker_f ker_g ker_h coker_f coker_g c
         return (self.ker_f, self.ker_g, self.ker_h,
                 self.coker_f, self.coker_g, self.coker_h)
 
-    def verify_exact(self) -> None:
-        """Raise at the first position where the sequence is not exact.
+    def verify_exact(self) -> str | None:
+        """The first position where the sequence is not exact, or ``None``.
         The snake lemma says there is none: ``snake`` does not call this,
         and ``verify``'s check of a ladder does."""
         if not is_injective(self.ker_fg):
-            raise DiagramError("six-term sequence not exact at ker f")
+            return "six-term sequence not exact at ker f"
         pairs = [("ker g", self.ker_fg, self.ker_gh),
                  ("ker h", self.ker_gh, self.connecting),
                  ("coker f", self.connecting, self.coker_fg),
                  ("coker g", self.coker_fg, self.coker_gh)]
         for name, a, b in pairs:
             if not is_exact_pair(a, b):
-                raise DiagramError(f"six-term sequence not exact at {name}")
+                return f"six-term sequence not exact at {name}"
         if not is_surjective(self.coker_gh):
-            raise DiagramError("six-term sequence not exact at coker h")
+            return "six-term sequence not exact at coker h"
+        return None
 
 
 def _lift_through(cols_matrix: IntMatrix, rel: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -520,8 +519,8 @@ def check_diagram(check: str, *parsed) -> list[Check]:
         return [agree(label, ok, True, f"exact; splits={split.splits}",
                       "the section found does not split the projection")]
     if check == "snake":
-        snake(*parsed).verify_exact()
-        return [(label, True, "six-term sequence exact")]
+        fault = snake(*parsed).verify_exact()
+        return [agree(label, fault, None, "six-term sequence exact", fault)]
     amalgam_quotient(*parsed)
     return [(label, True, "kernel and surjectivity verified")]
 

@@ -80,11 +80,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return cls(r, cols, tuple(map(tuple, rows)))
 
     @classmethod
-    def from_cols(cls, cols: list[list[int]], rows: int | None = None) -> "IntMatrix":
-        c = len(cols)
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
-        return cls(rows, c, tuple(zip(*cols)) if cols else ((),) * rows)
+    def from_cols(cls, cols: list[list[int]], rows: int) -> "IntMatrix":
+        return cls(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -85,8 +85,7 @@ class Ordinal(tuple):
         return not self or (len(self) == 1 and self[0][0] == 0)
 
     def as_int(self) -> int:
-        if not self.is_finite():
-            raise ValueError("not a finite ordinal")
+        """The value of a finite ordinal."""
         return self[0][1] if self else 0
 
     def is_limit(self) -> bool:
@@ -205,7 +204,7 @@ class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels")):
 
 
 def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
-    """Remove the isolated points.
+    """Remove the isolated points of a nonempty space.
 
     The limit points of ``[0, a]`` are its limit ordinals, i.e. ``w*b``
     for ``1 <= b <= q``, with ``q`` the terms of ``a`` of positive
@@ -217,8 +216,6 @@ def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
     place of the top-down label tuple: the derivative shares ``s.labels``
     and costs a pass over the terms of the bound, not over the labels."""
     a = s.bound
-    if a is None:
-        return s
     lead = a.leading_exponent()
     if lead == 0:
         return ScatteredSpace.empty()
@@ -228,27 +225,26 @@ def cb_derivative(s: ScatteredSpace) -> ScatteredSpace:
 
 
 def cb_rank(s: ScatteredSpace) -> Ordinal:
-    """The least number of derivatives after which nothing is left.
+    """The least number of derivatives after which nothing is left, for a
+    nonempty space.
 
     In closed form: for ``[0, a]`` with ``a = w^e1*c1 + ... + w^en*cn``
-    this is ``e1 + 1``, and ``0`` for the empty space.  ``cb_derivative``
-    stays the definition; iterating it to emptiness takes exactly this
-    many steps."""
-    if s.bound is None:
-        return Ordinal.zero()
+    this is ``e1 + 1``.  ``cb_derivative`` stays the definition; iterating
+    it to emptiness takes exactly this many steps."""
     return Ordinal.from_int(s.bound.leading_exponent() + 1)
 
 
 def stratum_size(s: ScatteredSpace, k: int) -> int | Ordinal:
-    """How many points of rank ``k`` the space has: the isolated points of
-    the ``k``-th derivative.  Finite counts are integers; an infinite
-    count is the ordinal bound of that derivative (there are ``b``-many
-    isolated points in ``[0, b]`` for infinite ``b``).
+    """How many points of rank ``k >= 0`` a nonempty space has: the
+    isolated points of the ``k``-th derivative.  Finite counts are
+    integers; an infinite count is the ordinal bound of that derivative
+    (there are ``b``-many isolated points in ``[0, b]`` for infinite
+    ``b``).
 
     In closed form, read off the normal form ``a = w^e1*c1 + ... +
     w^en*cn`` of the bound, with ``K = e1``:
 
-    * ``0`` for the empty space and for ``k > K``;
+    * ``0`` for ``k > K``;
     * ``n + 1`` for a finite bound ``n`` (so ``1`` for ``[0, 0]``);
     * ``c1`` for ``k == K >= 1``: the ``K``-th derivative is
       ``[0, c1 - 1]``;
@@ -257,11 +253,7 @@ def stratum_size(s: ScatteredSpace, k: int) -> int | Ordinal:
 
     Each value costs a pass over the terms of ``a``, not ``k``
     derivatives."""
-    if k < 0:
-        raise ValueError("strata are indexed from 0")
     a = s.bound
-    if a is None:
-        return 0
     # the zero bound is the finite bound 0: one point
     lead, coeff = a[0] if a else (0, 0)
     if k > lead:
@@ -304,7 +296,7 @@ def check_space(space: ScatteredSpace) -> list[Check]:
     """``verify``'s checks of a space: the closed-form rank against the
     bound's leading exponent, and the derived walk against the closed forms."""
     rank = cb_rank(space)
-    lead = space.bound.leading_exponent() if space.bound is not None else -1
+    lead = space.bound.leading_exponent()
     fault = _derived_walk_fault(space, rank.as_int())
     return [agree("rank-consistent", rank.as_int(), lead + 1,
                   f"rank {rank.render()} = leading exponent + 1",
@@ -340,11 +332,6 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
     """
     rank = cb_rank(s).render()
     meta = {"cb_rank": rank}
-    if s.is_empty():
-        return Decision(Verdict.DIRECT_SUM_FREE, (
-            CertStep.make("empty-family",
-                          "no maximal ideals: the trivial decomposition of the "
-                          "trivial group"),), TRIVIAL, meta)
     lab = s.label_map()
     strata = s.occupied_strata()
     tower_exprs = {t: t.to_expr() for t in lab.values()}

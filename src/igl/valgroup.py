@@ -370,12 +370,11 @@ def freeness_verdict(e: GroupExpr) -> Decision:
     pieces, where a lex tower counts through its underlying direct sum.
     ``NotFree`` needs a witness: torsion, a nonzero divisible element, the
     full infinite product of copies of ``Z``, a nontrivial quotient of the
-    additive group of a field (``Q`` and ``R`` themselves), or an explicit
-    declaration; an infinite product or a declared-not-free group that is
-    only a summand is a witness too, since subgroups of free groups are
-    free.  Everything else is ``Unknown``.  The ``sum-of-free`` and
-    ``no-rule`` steps render the group, and their decision carries that
-    text as ``Decision.text``.
+    additive group of a field (``Q`` and ``R`` themselves), or a summand
+    that is an infinite product or declared not free (the group itself
+    among them), since subgroups of free groups are free.  Everything
+    else is ``Unknown``.  The ``sum-of-free`` and ``no-rule`` steps render
+    the group, and their decision carries that text as ``Decision.text``.
     """
     e = normalize(e)
     atoms = [a for a, _ in _atoms(e)]
@@ -402,16 +401,11 @@ def freeness_verdict(e: GroupExpr) -> Decision:
     witness = _witness(atoms, _atom_not_free)
     if witness is not None:
         # the group, or a summand of it, is an infinite product or declared
-        # not free; the whole group keeps the rule that names it
+        # not free; the full product alone keeps the rule that names it
         if e is ZPROD:
             return Decision(Verdict.NOT_FREE, (
                 CertStep.make("infinite-product",
                               "the direct product of infinitely many copies of Z is not free"),))
-        if isinstance(e, Opaque):
-            return Decision(Verdict.NOT_FREE, (
-                CertStep.make("declared-not-free",
-                              "the group was declared not free; the declaration is trusted input",
-                              label=e.label),))
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("not-free-summand",
                           "a direct summand is a subgroup, and subgroups of free "
@@ -450,17 +444,14 @@ def _render_item(e: GroupExpr) -> str:
         return _render_flags(e)
     if isinstance(e, LexTower):
         return "lex(" + ";".join(render_normal(l) for l in e.levels) + ")"
-    if isinstance(e, Repeated):
-        base = e.base
-        if isinstance(base, (DirectSum, Repeated, Cyclic)):
-            base_txt = "(" + render_normal(base) + ")"
-        else:
-            base_txt = _render_item(base)
-        mult = str(e.times) if isinstance(e.times, int) else f"({e.times})"
-        return f"{base_txt}^{mult}"
-    if isinstance(e, DirectSum):
-        return "(" + render_normal(e) + ")"
-    raise TypeError(f"cannot render {e!r}")
+    # a Repeated: a normal form holds no sum as a summand
+    base = e.base
+    if isinstance(base, (DirectSum, Repeated, Cyclic)):
+        base_txt = "(" + render_normal(base) + ")"
+    else:
+        base_txt = _render_item(base)
+    mult = str(e.times) if isinstance(e.times, int) else f"({e.times})"
+    return f"{base_txt}^{mult}"
 
 
 def render_normal(e: GroupExpr) -> str:

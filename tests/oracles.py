@@ -36,7 +36,8 @@ tree, the slot names of a value tower, the free rank of an
 expression, the diagonal of a matrix, the dense ``group`` and
 ``ses`` instances of the integer engine's growth tests (CI writes them
 too), and the ``argparse`` parser that the command line used before its
-command table, the reference of the argv reader.
+command table, the reference of the argv reader, with the grid of argv
+read against it.
 """
 
 from __future__ import annotations
@@ -643,11 +644,6 @@ def freeness_verdict_ref(e: GroupExpr) -> Decision:
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("infinite-product",
                           "the direct product of infinitely many copies of Z is not free"),))
-    if isinstance(e, Opaque) and e.is_free is False:
-        return Decision(Verdict.NOT_FREE, (
-            CertStep.make("declared-not-free",
-                          "the group was declared not free; the declaration is trusted input",
-                          label=e.label),))
     if not_free_summand_ref(e):
         return Decision(Verdict.NOT_FREE, (
             CertStep.make("not-free-summand",
@@ -1283,3 +1279,33 @@ def reference_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the built-in corpus")
     p_self.add_argument("--format", choices=("human", "json"), default="human")
     return parser
+
+
+# arguments after the command: paths that look like options and paths
+# that do not, each option spelled in full, with ``=`` and by a prefix,
+# good and bad values, and unknown or misplaced words
+ARGV_WORDS = ["x.json", "-x.json", "-1", "-", "", "a b.json", "--", "-h", "--help", "--he",
+              "-hh", "--help=x", "--format", "--form", "--f", "--format=json", "--fo=human",
+              "--format=", "json", "human", "xml", "--trace", "--t", "--trace=full",
+              "--tr=rules", "full", "rules", "--bogus", "-f", "--formatx", "decide", "bogus"]
+
+
+def argv_grid() -> list[list[str]]:
+    """The argv that ``tests/test_cli.py`` reads against
+    ``reference_parser`` and ``scripts/line_reach.py`` runs: a few whole
+    argv, then each command alone, with one word of ``ARGV_WORDS``, with
+    two, and with one between ``x.json`` and ``json``."""
+    grid = [[], ["-h"], ["--help"], ["--he"], ["-hh"], ["--help=x"], ["bogus"],
+            ["bogus", "x.json"], ["--bogus"], ["--bogus", "decide", "x.json"],
+            ["--bogus", "decide", "-h"], ["-h", "bogus"], ["--format", "json", "selftest"],
+            ["decide", "--=x"], ["decide", "x.json", "--=x"], ["expr", "--=x"],
+            ["decide", "x.json", "--format", "json", "--trace", "full", "--format", "human"],
+            ["decide", "--format", "json", "--", "-x.json"], ["decide", "--", "--"],
+            ["decide", "x.json", "--trace", "full", "--"]]
+    for command in ("decide", "expr", "verify", "selftest"):
+        grid.append([command])
+        for w in ARGV_WORDS:
+            grid.append([command, w])
+            grid += ([command, w, v] for v in ARGV_WORDS)
+            grid.append([command, "x.json", w, "json"])
+    return grid

@@ -266,7 +266,7 @@ def test_snake_random_exact(seed):
     rng = random.Random(seed)
     top, bottom, f, g, h = random_snake_input(rng)
     res = snake(top, bottom, f, g, h)
-    res.verify_exact()
+    assert res.verify_exact() is None
 
 
 def test_split_free_quotient():

@@ -28,7 +28,10 @@ The digests of ``two_branches_char3.json`` and of the corpus case
 check every finite-field unit quotient against the integer engine's
 cokernel: their ``amalgam-crosscheck`` detail went from skipped to
 ``matches the amalgamated-quotient computation``, and nothing else in
-those reports changed.
+those reports changed.  The ten instances added so that every statement
+runs on some input (``scripts/line_reach.py``) had their digests
+recorded from the source before the branches that no input reaches
+were deleted.
 """
 
 import hashlib
@@ -59,13 +62,20 @@ def digest(payload: dict, name: str) -> str:
 INSTANCE_DIGESTS = {
     "amalgam_two_planes.json": "ed089aa1b82451dd745678c2b605ce5688bad28408f873ecf86c453adffca05c",
     "dedekind.json": "665b169239a273f88d0867034eeb517d206092453dd9fb78ff9ee8699490c754",
+    "div_tree_finitely_generated.json": "4598dbd4eaffd8610d84ee8a8849a1b48c6868ce14b1151136c83ebcb93c8c1f",
+    "div_tree_rational_branch_point.json": "e7e9409810408b369e8c833e3ec0f62bc33c436004736aab24fbb692be01d495",
     "divisorial_nonprincipal.json": "3b92a840f503fff57670ec95104a1b747f90f9db3e380675fb606fb383a3ae7b",
     "dvr.json": "3145b790f96d8a13e77a97a2f0309233ec9ca16394a5d1c475ecc77f687cd76f",
     "f2_f4_one_branch.json": "6a206fae21818300b42e833e2c0622f20aeaaeca92c06cc00ef50a3bd7b229d0",
     "f2_f4_two_branches.json": "df2fd188b5730d48a78f52553d8cbd0b0f69d4d62b9c2e80252f47af04c9dc36",
+    "f2_opaque_branches_free.json": "c225b5c21253326144fec3578614033e61073e8d676f5fe61724c3e2bcfab65b",
+    "f53_f2809_one_branch.json": "0bee83115cb488d524df6d633e060066e5aa0c517dc3f1477e8a0132ae8fbabc",
     "f4_opaque_branches_char2.json": "0e676ffc0558bc19b39eb48df391db268154cbadcfec7ae700be06f4f65806f5",
     "f2_function_fields.json": "8efd53ad582e8979f32dd9500211b51d57d81a044316871c502f66ee240f56a7",
+    "integrally_closed_curve.json": "1bd9d380e6e0e58f0eef86e71fcbfe430aca9619f31aecdcd7b346b6bc1a70dd",
     "monomial_curve.json": "90de9613b503327415d4f01c4df4a1818848b241130cf8dd997bd33d8559cbc2",
+    "nonlocal_monomial_curve.json": "4118995238b48546dac4c53c55ca67ac6cb53cdf3315e418d5642ffc3c924cbc",
+    "opaque_branch_declared_not_free.json": "ab718b1e6ad31fd66b2b9c6421395bed503ec204fed3fb00c713cd36d9f7f6ea",
     "pullback_totally_real.json": "aa3c3ce23539f0d6d489506ccfdb587d37ac36036c57bc5acf3cdb21c758a4f6",
     "rank_two_valuation.json": "7caafb88456cedce9fcdb943621e0ebd8284f83f2c9fa4e3b3e9ff8fc7266cde",
     "scattered_obstruction.json": "6c595c878bbe53b4eff10659014afa38ee085c3f1890e99665a6350ff0deb70c",
@@ -74,6 +84,7 @@ INSTANCE_DIGESTS = {
     "ses_nonsplit.json": "1c88f4d39a824642806176c483141ad6f6784239125f059e7e8b21233243abc2",
     "ses_nonsplit_torsion_quotient.json": "58c5eefbc1a22ec4d03b8cdd0b89cbcade85455ed745288c144b41cddca55f04",
     "ses_split.json": "ec07a776f7f1dfc9a99a5eeb29c276f95477a14303277bff7964bc1db469c258",
+    "ses_split_redundant_generator.json": "0fc9947eed2f2bc6b8c85be568a86327e1f3b0413e195e8dab5fab30a04dcbd3",
     "ses_split_torsion_quotient.json": "123a324c65efbe574dfe1c2b2ab80d02b7feae447654f1e7eddcb02778b7940e",
     "snake_ladder.json": "a3c596428254b9a398617db7d75db341929061670720df455d17a87332ca644e",
     "snake_ladder_kernel.json": "0c58f4f7e5b600337c0a0df37999f4214515eeecc5e3c65b765b287c6f1c8238",
@@ -81,8 +92,10 @@ INSTANCE_DIGESTS = {
     "torsion_group.json": "0d5a77a1a899a64337e02afe94e906195c343a4245276cfa5eea490f79fd1895",
     "two_branches_char3.json": "c1aa4ba98a7ca6f329b3cb88bd866b2842349fa4cae924118beb36b368646bf3",
     "two_branches_opaque_char2.json": "ec0d1186e6c8e22137f299368cde4f5cea58ffd8203edf42d3a4365d880a296c",
+    "two_opaque_branches_char3.json": "593d26f3bf11d3a6f2119f365b5005bcce2957b527fe9115e0b7fb507ad2720a",
     "y_tree.json": "fa1532ad08d6b94d4afa6874c8308e5e1ec44db0b2093bfd5bce772d08e2853a",
     "y_tree_rational_trunk.json": "f14c20be2a145768e7497cebacf306caf5dce09ff434fc9add51ad2e7706c72c",
+    "y_tree_t_finite_character.json": "06eb3ba321297a231e626405c4a5a9aeec1571aa6133ed113f9f5bb2776f041a",
 }
 
 # corpus case name -> digest

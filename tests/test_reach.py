@@ -8,6 +8,10 @@ included, must be among them, unless ``KEPT`` names it with the reason it
 stays.  Members whose code another module defines, such as the
 ``_asdict`` of a named tuple or the ``_generate_next_value_`` that an
 enum class holds, are not the package's.  Code that only tests call belongs in ``tests/oracles.py``.
+
+This is the function-level gate.  ``scripts/line_reach.py`` holds every
+statement inside a reached function to an input of a larger corpus, and
+reads ``KEPT`` here as the reasons of the whole functions it excuses.
 """
 
 import json

@@ -133,7 +133,6 @@ def test_rank_examples():
     assert cb_rank(space(fin(7), {0: zt("Z")})) == fin(1)
     assert cb_rank(space(w(), {0: zt("Z"), 1: zt("Z")})) == fin(2)
     assert cb_rank(space(w(2), {0: zt("Z"), 1: zt("Z"), 2: zt("Z")})) == fin(3)
-    assert cb_rank(ScatteredSpace.empty()) == fin(0)
 
 
 def test_rank_of_omega_powers():
@@ -217,7 +216,6 @@ def test_stratum_multiplicity_examples():
     assert [stratum_multiplicity(s, k) for k in range(5)] == [
         "w^3*2+w+4", "w^2*2+1", "w*2", 2, 0]
     assert stratum_size(space(fin(0), {0: zt("Z")}), 0) == 1
-    assert stratum_size(ScatteredSpace.empty(), 0) == 0
 
 
 def _oracle_strata(bound):
@@ -232,14 +230,14 @@ def _oracle_strata(bound):
 
 
 def test_closed_form_matches_iterated_oracle():
-    cases = [(ScatteredSpace.empty(), [])]
+    cases = []
     for bound in ordinal_grid(3, 3):
         labels = {i: zt("Z") for i in range(bound.leading_exponent() + 1)}
         cases.append((space(bound, labels), _oracle_strata(bound)))
     assert any(s.bound == fin(0) for s, _ in cases)
     for s, seq in cases:
         assert cb_rank(s) == fin(len(seq))
-        lead = s.bound.leading_exponent() if s.bound is not None else 0
+        lead = s.bound.leading_exponent()
         for k in range(lead + 3):
             if k >= len(seq):
                 expected = 0
@@ -292,8 +290,7 @@ def test_scattered_decision_obstruction():
     assert any(s.rule == "divisible-quotient-obstruction" for s in res.certificate)
 
 
-def test_scattered_decision_empty_and_finite():
-    assert decide_scattered(ScatteredSpace.empty()).verdict is Verdict.DIRECT_SUM_FREE
+def test_scattered_decision_finite():
     res = decide_scattered(space(fin(2), {0: zt("Q")}))
     assert res.verdict is Verdict.DIRECT_SUM
     res = decide_scattered(space(fin(2), {0: zt("Z")}))
