@@ -21,18 +21,19 @@ Every run goes through ``igl.cli.main`` in this interpreter under
 ``sys.settrace``.  A statement is reached when a line of it (the head
 line of a compound statement) runs.  The script prints each range of
 unreached statements by function, with the reason it stays, and exits 1
-on a range that no table names: ``KEPT`` below for a range inside a
-reached function, keyed by the function and the first line of the range,
-or ``tests/test_reach.py``'s ``KEPT`` for a whole function.  An entry of
-``KEPT`` that names no unreached range is stale (its lines now run, or
-they changed) and fails too.  It needs the standard library only.
+on a range that no table names: ``WHOLE`` below for a function none of
+whose statements runs, ``KEPT`` for a range inside a reached function,
+keyed by the function and the first line of the range.  An entry of
+``WHOLE`` whose function runs a statement, or of ``KEPT`` that names no
+unreached range (its lines now run, or they changed), is stale and fails
+too.  ``tests/test_reach.py`` reads ``WHOLE`` against the functions that
+``instances/`` reaches.  It needs the standard library only.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -51,6 +52,20 @@ _FAILS = "a failing branch of a verify check, kept so that every check can fail 
 _LIBRARY = ("a library rule that no instance kind calls, only selftest's direct cases; "
             "tests reach this branch")
 _RAW = "normalize of a raw expression that no input builds; tests normalize raw ones"
+
+# module.qualified.name -> why the whole function stays although no run reaches it
+WHOLE: dict[str, str] = {
+    "prufer.contracted_spectrum": "a traced benchmark target",
+    "prufer.SpecTree.node": "a traced benchmark target",
+    "matrices.IntMatrix.det": "the maximal minor a modular HNF needs",
+    "matrices.snf": "bench/checks.py pins its bindings and result until ROADMAP F",
+    "matrices.gcdex": "the Bezout steps of snf's divisibility sweep, kept with snf",
+    "cli.entrypoint": "the console-script shim around main",
+    "abelian.FgGroup.__repr__": "a debugging aid",
+    "valgroup.Atom.__repr__": "the golden digests record it",
+    "valgroup.GroupExpr.__ne__": "without it, tuple.__ne__ would ignore the expression type",
+    "valgroup.Verdict.__str__": "it keeps the value as the text on every supported Python",
+}
 
 # (function, first line of a range, stripped) -> why each range of that
 # function starting with that line stays, although no run reaches it
@@ -118,6 +133,7 @@ class Range(NamedTuple):
     last: int
     statements: int
     text: str       # the first line, stripped
+    whole: bool     # every statement of the function
 
 
 def _executable_lines(source: str, filename: str) -> set[int]:
@@ -204,37 +220,36 @@ def traced(files: list[Path], run) -> dict[str, set[int]]:
     return hit
 
 
-def unreached(files: list[Path], hit: dict[str, set[int]]) -> list[Range]:
+def unreached(table: dict[Path, dict[str, list[range]]],
+              hit: dict[str, set[int]]) -> list[Range]:
     """Each run of consecutive statements of a function that no line of
-    ``hit`` reaches, in module and line order."""
+    ``hit`` reaches, in module and line order; ``table`` holds the
+    ``statements`` of each file."""
     out = []
-    for path in files:
+    for path, functions in table.items():
         text = path.read_text(encoding="utf-8").splitlines()
         ran = hit[str(path)]
-        for name, heads in statements(path).items():
+        for name, heads in functions.items():
             for missed, run in groupby(heads, key=lambda h: not ran.intersection(h)):
                 if missed:
                     run = list(run)
                     out.append(Range(name, run[0].start, run[-1].stop - 1, len(run),
-                                     text[run[0].start - 1].strip()))
+                                     text[run[0].start - 1].strip(), len(run) == len(heads)))
     return out
 
 
 def judge(ranges: list[Range], kept: dict[tuple[str, str], str],
-          whole: dict[str, str]) -> tuple[dict[Range, str | None], list[tuple[str, str]]]:
+          whole: dict[str, str]) -> tuple[dict[Range, str | None], list[str]]:
     """The reason of each range, from ``whole`` (by function) or ``kept``
     (by function and first line), ``None`` where neither names it; and the
-    entries of ``kept`` that name no range (stale)."""
+    stale entries: of ``whole``, a function that no whole range is, and of
+    ``kept``, an entry that names no range."""
     reasons = {r: whole.get(r.function) or kept.get((r.function, r.text)) for r in ranges}
     named = {(r.function, r.text) for r in ranges}
-    return reasons, [key for key in kept if key not in named]
-
-
-def _load(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    dead = {r.function for r in ranges if r.whole}
+    return reasons, ([f"{f}: a statement of it runs" for f in whole if f not in dead]
+                     + [f"{f}: {t!r} names no unreached range" for f, t in kept
+                        if (f, t) not in named])
 
 
 def _noeth(k: dict, *branches: dict) -> dict:
@@ -288,13 +303,14 @@ def gate(files: list[Path], run, kept: dict[tuple[str, str], str],
          whole: dict[str, str]) -> int:
     """Run ``run()`` under tracing, print each unreached range of ``files``
     with its reason, and return 1 on an unnamed range or a stale entry of
-    ``kept``, else 0."""
+    ``kept`` or ``whole``, else 0."""
     started = time.perf_counter()
     hit = traced(files, run)
     seconds = time.perf_counter() - started
-    ranges = unreached(files, hit)
+    table = {f: statements(f) for f in files}
+    ranges = unreached(table, hit)
     reasons, stale = judge(ranges, kept, whole)
-    count = sum(len(h) for f in files for h in statements(f).values())
+    count = sum(len(heads) for functions in table.values() for heads in functions.values())
     print(f"{sum(r.statements for r in ranges)} of {count} statements unreached in "
           f"{len(ranges)} ranges, traced in {seconds:.1f} s")
     for r in ranges:
@@ -302,8 +318,8 @@ def gate(files: list[Path], run, kept: dict[tuple[str, str], str],
         print(f"  {r.function} {lines} ({r.statements}): {reasons[r] or 'UNNAMED'}")
         if reasons[r] is None:
             print(f"      {json.dumps([r.function, r.text], ensure_ascii=False)}")
-    for function, text in stale:
-        print(f"  stale: {function}: {text!r} names no unreached range")
+    for entry in stale:
+        print(f"  stale: {entry}")
     unnamed = sum(reasons[r] is None for r in ranges)
     print(f"{unnamed} unnamed ranges, {len(stale)} stale entries")
     return 1 if unnamed or stale else 0
@@ -312,7 +328,6 @@ def gate(files: list[Path], run, kept: dict[tuple[str, str], str],
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from igl import cli
-    whole = _load(ROOT / "tests" / "test_reach.py", "test_reach").KEPT
     tmp = Path(tempfile.mkdtemp(prefix="line-reach-"))
     cwd = os.getcwd()
     try:
@@ -327,7 +342,7 @@ def main() -> int:
                     cli.main(argv)
 
         print(f"line reach: {len(runs)} runs through igl.cli.main")
-        return gate(sorted(PACKAGE.glob("*.py")), run_all, KEPT, whole)
+        return gate(sorted(PACKAGE.glob("*.py")), run_all, KEPT, WHOLE)
     finally:
         os.chdir(cwd)
         shutil.rmtree(tmp, ignore_errors=True)

@@ -27,7 +27,7 @@ of the quotient and of the step, summed as the walk leaves the quotient;
 from the tree and checks that the two ranks add up to it.  The sum
 itself is built once: the root's normal form is one ``normal_sum`` over
 the summands of every subproblem, so deciding a tree is linear in its
-size.  Freeness is read once per distinct label, each distinct tower is
+size.  Freeness is read once per edge in one pass, each distinct tower is
 built and rendered once per decision, and the steps met at every node
 are built from constants.  ``decide_tree`` answers an instance's
 question.
@@ -236,15 +236,11 @@ def _free_at(tree: SpecTree) -> dict[str, bool]:
     """Whether the value group at each prime is free, in one pre-order
     pass: a prime's tower is its own edge on top of its parent's tower,
     and a tower is free exactly when each of its segments is
-    (``ValueTower.is_free``, asked once per distinct label)."""
+    (``ValueTower.is_free``, a count over its slots, read at each node)."""
     free = {tree.root.node_id: True}
-    tower_free: dict[ValueTower, bool] = {}
     for node in tree.nodes():
         for child in node.children:
-            t = child.label
-            if t not in tower_free:
-                tower_free[t] = t.is_free()
-            free[child.node_id] = free[node.node_id] and tower_free[t]
+            free[child.node_id] = free[node.node_id] and child.label.is_free()
     return free
 
 

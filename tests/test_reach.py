@@ -1,99 +1,84 @@
-"""Every function in ``src/igl`` is reached by an input.
+"""Every function in ``src/igl`` is reached by an input, and
+``scripts/line_reach.py``'s gate fails on what its tables do not name.
 
-A fresh interpreter runs ``igl --help``, ``selftest`` and ``decide``
-(human, and json with the full trace), ``verify`` and ``expr`` on every
-file of ``instances/``, with a profiler recording each code object entered.  Every
-module-level function and every class method of the package, dunders
-included, must be among them, unless ``KEPT`` names it with the reason it
-stays.  Members whose code another module defines, such as the
-``_asdict`` of a named tuple or the ``_generate_next_value_`` that an
-enum class holds, are not the package's.  Code that only tests call belongs in ``tests/oracles.py``.
-
-This is the function-level gate.  ``scripts/line_reach.py`` holds every
-statement inside a reached function to an input of a larger corpus, and
-reads ``KEPT`` here as the reasons of the whole functions it excuses.
+The function-level reading of the script: ``igl --help``, ``selftest``
+and ``decide`` (human, and json with the full trace), ``verify`` and
+``expr`` on every file of ``instances/`` run in this interpreter under
+the script's statement tracer.  The functions none of whose statements
+ran must be exactly those that the script's ``WHOLE`` table keeps, with
+the reason each stays.  The script holds every statement to an input of
+a larger corpus.  Code that only tests call belongs in ``tests/oracles.py``.
 """
 
-import json
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
+from igl import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+INSTANCES = str(ROOT / "instances")
+RUNS = [["--help"], ["selftest"], ["decide", INSTANCES],
+        ["decide", INSTANCES, "--format", "json", "--trace", "full"],
+        ["verify", INSTANCES], ["expr", INSTANCES]]
 
-# qualified name -> why it stays although no command reaches it
-KEPT = {
-    "prufer.contracted_spectrum": "a traced benchmark target",
-    "prufer.SpecTree.node": "a traced benchmark target",
-    "matrices.IntMatrix.det": "the maximal minor a modular HNF needs",
-    "matrices.snf": "bench/checks.py pins its bindings and result until ROADMAP F",
-    "matrices.gcdex": "the Bezout steps of snf's divisibility sweep, kept with snf",
-    "cli.entrypoint": "the console-script shim around main",
-    "abelian.FgGroup.__repr__": "a debugging aid",
-    "valgroup.Atom.__repr__": "the golden digests record it",
-    "valgroup.GroupExpr.__ne__": "without it, tuple.__ne__ would ignore the expression type",
-    "valgroup.Verdict.__str__": "it keeps the value as the text on every supported Python",
-}
-
-_PROBE = r"""
-import contextlib, importlib, io, json, pkgutil, sys
-from functools import cached_property
-
-entered = set()
+FIXTURE = '''\
+def sign(x):
+    """The sign of a nonzero x."""
+    if x < 0:
+        return -1
+    return 1
 
 
-def profile(frame, event, arg):
-    if event == "call":
-        entered.add(frame.f_code)
+def unused():
+    return 0
+'''
 
 
-sys.path.insert(0, sys.argv[1] + "/src")
-sys.setprofile(profile)
-import igl.cli
-
-instances = sys.argv[1] + "/instances"
-runs = [["--help"], ["selftest"], ["decide", instances],
-        ["decide", instances, "--format", "json", "--trace", "full"],
-        ["verify", instances], ["expr", instances]]
-codes = []
-for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(igl.cli.main(argv))
-sys.setprofile(None)
-
-
-def code_of(obj):
-    if isinstance(obj, (classmethod, staticmethod)):
-        obj = obj.__func__
-    elif isinstance(obj, property):
-        obj = obj.fget
-    elif isinstance(obj, cached_property):
-        obj = obj.func
-    obj = getattr(obj, "__wrapped__", obj)
-    return getattr(obj, "__code__", None)
-
-
-defined = {}
-for info in pkgutil.iter_modules(igl.__path__):
-    mod = importlib.import_module("igl." + info.name)
-    for name, obj in vars(mod).items():
-        if getattr(obj, "__module__", None) != mod.__name__:
-            continue
-        members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
-        for attr, raw in members:
-            code = code_of(raw)
-            if code is None or code.co_filename != mod.__file__:
-                continue
-            qual = ".".join(p for p in (info.name, name, attr) if p)
-            defined[qual] = code
-print(json.dumps({"codes": codes,
-                  "unreached": sorted(q for q, c in defined.items() if c not in entered)}))
-"""
+def load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_function_is_reached_by_an_input():
-    out = subprocess.run([sys.executable, "-c", _PROBE, str(ROOT)],
-                         capture_output=True, text=True, check=True, timeout=120).stdout
-    result = json.loads(out)
-    assert result["codes"] == [0] * 6
-    assert result["unreached"] == sorted(KEPT)
+    script = load(ROOT / "scripts" / "line_reach.py", "line_reach")
+    table = {f: script.statements(f) for f in sorted(script.PACKAGE.glob("*.py"))}
+    # a function with no statement would count as reached by no run
+    assert [n for functions in table.values() for n, heads in functions.items() if not heads] == []
+    codes = []
+    hit = script.traced(list(table), lambda: codes.extend(map(cli.main, RUNS)))
+    assert codes == [0] * len(RUNS)
+    dead = [r.function for r in script.unreached(table, hit) if r.whole]
+    assert sorted(dead) == sorted(script.WHOLE)
+
+
+def test_the_gate_fails_an_unnamed_range_and_a_stale_entry(tmp_path, capsys):
+    script = load(ROOT / "scripts" / "line_reach.py", "line_reach")
+    path = tmp_path / "fixture.py"
+    path.write_text(FIXTURE, encoding="utf-8")
+    fixture = load(path, "fixture")
+    whole = {"fixture.unused": "no caller"}
+    kept = {("fixture.sign", "return -1"): "no negative input"}
+
+    assert script.gate([path], lambda: fixture.sign(1), {}, whole) == 1
+    out = capsys.readouterr().out
+    assert "  fixture.sign 4 (1): UNNAMED\n" in out
+    assert "  fixture.unused 9 (1): no caller\n" in out
+    assert out.endswith("1 unnamed ranges, 0 stale entries\n")
+
+    assert script.gate([path], lambda: fixture.sign(1), kept, whole) == 0
+    out = capsys.readouterr().out
+    assert "  fixture.sign 4 (1): no negative input\n" in out
+    assert out.endswith("0 unnamed ranges, 0 stale entries\n")
+
+    assert script.gate([path], lambda: (fixture.sign(1), fixture.sign(-1)), kept, whole) == 1
+    out = capsys.readouterr().out
+    assert "  stale: fixture.sign: 'return -1' names no unreached range\n" in out
+    assert out.endswith("0 unnamed ranges, 1 stale entries\n")
+
+    whole = {**whole, "fixture.sign": "no caller"}
+    assert script.gate([path], lambda: fixture.sign(1), kept, whole) == 1
+    out = capsys.readouterr().out
+    assert "  stale: fixture.sign: a statement of it runs\n" in out
+    assert out.endswith("0 unnamed ranges, 1 stale entries\n")
