@@ -15,7 +15,8 @@ two slices of its own:
 * ``paths``: a file that is not UTF-8, bad JSON, JSON nested too deeply,
   a number past the decoder's digit limit, JSON that is no object, an
   empty directory, a path the system refuses, and instances that the
-  parse refuses on a fact that no single-field mutation states.
+  parse refuses on a fact that no single-field mutation states, such as
+  a misspelt key.
 
 Every run goes through ``igl.cli.main`` in this interpreter under
 ``sys.settrace``.  A statement is reached when a line of it (the head
@@ -259,7 +260,8 @@ def _noeth(k: dict, *branches: dict) -> dict:
 def bad_paths(folder: Path) -> list[Path]:
     """Paths that fail before any instance is decided, one per message:
     files that cannot be read or decoded, and instances that the parse
-    refuses on a fact no single-field mutation states."""
+    refuses on a fact no single-field mutation states, a misspelt key
+    among them."""
     folder.mkdir()
     texts = {"not-utf8.json": b'{"v": 1, "name": "\xff"}', "bad.json": b'{"v": 1,',
              "nested.json": b"[" * 100_000 + b"]" * 100_000,
@@ -274,6 +276,12 @@ def bad_paths(folder: Path) -> list[Path]:
                                                  "unit_free": False}},
                                      {"opaque": {"label": "L", "characteristic": 2,
                                                  "unit_free": True}}),
+        # a misspelt key: of the file, of a nested record and of a tree node
+        "misspelt-field.json": {"v": 1, "kind": "krull", "varaint": "UFD"},
+        "misspelt-key.json": {"v": 1, "kind": "group_diagram", "check": "group",
+                              "group": {"generators": 2, "relator": [[2, 0]]}},
+        "misspelt-node-key.json": {"v": 1, "kind": "prufer_tree", "root": {
+            "id": "0", "children": [{"id": "P", "label": ["Z"], "branch": False}]}},
     }
     texts.update((name, json.dumps(payload).encode()) for name, payload in refused.items())
     for name, text in texts.items():

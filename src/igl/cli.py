@@ -156,12 +156,60 @@ def load_payload(path: Path) -> dict:
     return payload
 
 
+# record -> the keys it may hold.  A key outside its record's set is a schema
+# error (exit 2), so a misspelt optional key never silently takes its default.
+# A file holds the envelope's keys and its kind's; a ``group_diagram`` file
+# holds the one term that its ``check`` names.  Scattered ``labels`` keys are
+# strata, data that ``parse_scattered`` reads, not fields.
+KEYS = {
+    "envelope": ("v", "kind", "name", "source"),
+    "prufer_tree": ("root", "question", "locally_finite", "codim_finite",
+                    "t_finite_character"),
+    "noeth_local": ("k", "branches", "integrally_closed", "conductor_nonzero", "local"),
+    "scattered_space": ("bound", "labels"),
+    "valuation": ("tower", "group", "maximal_principal", "maximal_branched"),
+    "group_diagram": ("check",),
+    "krull": ("variant",),
+    "tree node": tuple(sorted(prufer.NODE_KEYS)),
+    "field description": ("finite", "opaque"),
+    "finite": ("p", "r"),
+    "opaque": ("label", "characteristic", "unit_free", "quotient_free", "summand"),
+    "branch": ("L", "e"),
+    "group": ("generators", "relators"),
+    "ses": ("left", "mid", "right", "inj", "surj"),
+    "snake": ("top", "bottom", "f", "g", "h"),
+    "amalgam": ("g", "parts"),
+    "amalgam part": ("group", "complement", "emb", "proj", "retract"),
+}
+_KEYS = {record: frozenset(keys) for record, keys in KEYS.items()}
+
+
+def _known_keys(rec: dict, keys: frozenset, where: str | None) -> None:
+    """Refuse the first key of ``rec``, in document order, that ``keys``
+    lacks, spelt as the record's other diagnostics spell its fields: under
+    ``where``, or as ``field 'x'`` for a file's own (``where`` is ``None``);
+    a key that is no name is quoted, so the message stays one line.  The
+    message is formatted only on failure."""
+    if keys.issuperset(rec):
+        return
+    key = next(k for k in rec if k not in keys)
+    if where is None:
+        raise SchemaError(f"field {key!r}: unknown key")
+    raise SchemaError(f"{where}.{key}: unknown key" if key.isidentifier()
+                      else f"{where}: unknown key {key!r}")
+
+
 def validate_envelope(payload: dict) -> str:
+    """The file's kind, read after its version; then its keys are checked,
+    before any other field (a ``group_diagram``'s by ``parse_diagram``,
+    once its check names its term)."""
     _expect(_is_int(payload.get("v")) and payload["v"] == 1,
             "field 'v': schema version must be 1")
     kind = payload.get("kind")
     _expect(isinstance(kind, str) and kind in KINDS,
             f"field 'kind': expected one of {', '.join(KINDS)}")
+    if kind != "group_diagram":
+        _known_keys(payload, _FILE_KEYS[kind], None)
     return kind
 
 
@@ -173,10 +221,12 @@ def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
     ``noeth.PRIME_BOUND`` (or 0 for an opaque field) and a finite field's
     order at most ``noeth.MAX_ORDER_BITS`` bits."""
     _expect(isinstance(rec, dict), f"{where}: must be an object")
+    _known_keys(rec, _KEYS["field description"], where)
     if "finite" in rec:
         f = rec["finite"]
-        _expect(isinstance(f, dict) and _is_int(f.get("p")),
-                f"{where}.finite: needs integer 'p'")
+        _expect(isinstance(f, dict), f"{where}.finite: needs integer 'p'")
+        _known_keys(f, _KEYS["finite"], f"{where}.finite")
+        _expect(_is_int(f.get("p")), f"{where}.finite: needs integer 'p'")
         _expect(_is_int(f.get("r", 1)), f"{where}.finite.r: must be an integer")
         field = noeth.FiniteField(f["p"], f.get("r", 1))
         _expect(field.p < noeth.PRIME_BOUND, _BEYOND_BOUND)
@@ -190,8 +240,9 @@ def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
         return field
     if "opaque" in rec:
         o = rec["opaque"]
-        _expect(isinstance(o, dict) and isinstance(o.get("label"), str),
-                f"{where}.opaque: needs string 'label'")
+        _expect(isinstance(o, dict), f"{where}.opaque: needs string 'label'")
+        _known_keys(o, _KEYS["opaque"], f"{where}.opaque")
+        _expect(isinstance(o.get("label"), str), f"{where}.opaque: needs string 'label'")
         _expect(_is_int(o.get("characteristic", 0)),
                 f"{where}.opaque.characteristic: must be an integer")
         field = noeth.OpaqueField(
@@ -216,6 +267,7 @@ def parse_group(rec: dict, where: str) -> abelian.FgGroup:
     # per relator
     if not isinstance(rec, dict):
         raise SchemaError(f"{where}: must be an object")
+    _known_keys(rec, _KEYS["group"], where)
     n = rec.get("generators")
     if not (_is_int(n) and n >= 0):
         raise SchemaError(f"{where}.generators: must be a nonnegative integer")
@@ -252,7 +304,8 @@ def _parse_hom(rec, src: abelian.FgGroup, tgt: abelian.FgGroup,
 
 def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
     _expect(isinstance(rec, dict), f"{where}: must be an object")
-    for key in ("left", "mid", "right", "inj", "surj"):
+    _known_keys(rec, _KEYS["ses"], where)
+    for key in KEYS["ses"]:
         _expect(key in rec, f"{where}.{key}: missing")
     left = parse_group(rec["left"], f"{where}.left")
     mid = parse_group(rec["mid"], f"{where}.mid")
@@ -309,7 +362,9 @@ def parse_noeth(payload: dict) -> noeth.NoethInstance:
             "field 'branches': must be a nonempty list")
     branches = []
     for i, b in enumerate(branches_rec):
-        _expect(isinstance(b, dict) and "L" in b, f"branches[{i}]: needs 'L'")
+        _expect(isinstance(b, dict), f"branches[{i}]: needs 'L'")
+        _known_keys(b, _KEYS["branch"], f"branches[{i}]")
+        _expect("L" in b, f"branches[{i}]: needs 'L'")
         e = b.get("e", 1)
         _expect(_is_int(e), f"branches[{i}].e: must be an integer")
         L = parse_field_desc(b["L"], f"branches[{i}].L")
@@ -372,6 +427,7 @@ def parse_diagram(payload: dict) -> tuple:
     check = payload.get("check")
     _expect(isinstance(check, str) and check in abelian.DIAGRAM_CHECKS,
             "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
+    _known_keys(payload, _DIAGRAM_KEYS[check], None)
     if check == "group":
         return check, parse_group(payload.get("group"), "group")
     if check == "ses":
@@ -379,6 +435,7 @@ def parse_diagram(payload: dict) -> tuple:
     if check == "snake":
         rec = payload.get("snake")
         _expect(isinstance(rec, dict), "field 'snake': must be an object")
+        _known_keys(rec, _KEYS["snake"], "snake")
         top = parse_ses(rec.get("top"), "snake.top")
         bottom = parse_ses(rec.get("bottom"), "snake.bottom")
         return (check, top, bottom,
@@ -388,12 +445,14 @@ def parse_diagram(payload: dict) -> tuple:
     # amalgam
     rec = payload.get("amalgam")
     _expect(isinstance(rec, dict), "field 'amalgam': must be an object")
+    _known_keys(rec, _KEYS["amalgam"], "amalgam")
     g = parse_group(rec.get("g"), "amalgam.g")
     raw_parts = rec.get("parts")
     _expect(isinstance(raw_parts, list) and raw_parts, "amalgam.parts: must be a nonempty list")
     parts = []
     for i, p in enumerate(raw_parts):
         _expect(isinstance(p, dict), f"amalgam.parts[{i}]: must be an object")
+        _known_keys(p, _KEYS["amalgam part"], f"amalgam.parts[{i}]")
         grp = parse_group(p.get("group"), f"amalgam.parts[{i}].group")
         comp = parse_group(p.get("complement"), f"amalgam.parts[{i}].complement")
         emb = _parse_hom(p.get("emb"), g, grp, f"amalgam.parts[{i}].emb")
@@ -447,6 +506,11 @@ KINDS = {
     "krull": (lambda p: noeth.krull_verdict(parse_krull(p)),
               lambda p: noeth.check_krull(parse_krull(p))),
 }
+
+# a file's keys by kind, and a group_diagram's by its check: it holds one term
+_FILE_KEYS = {kind: _KEYS["envelope"] | _KEYS[kind] for kind in KINDS}
+_DIAGRAM_KEYS = {check: _FILE_KEYS["group_diagram"] | {check}
+                 for check in abelian.DIAGRAM_CHECKS}
 
 
 # ---------------------------------------------------------------------------

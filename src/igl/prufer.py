@@ -71,11 +71,16 @@ class SpecTree(namedtuple("SpecTree", "root preorder parents")):
         return {n.node_id: n for n in self.nodes()}[node_id]
 
 
+# the keys a tree node may hold; ``cli.KEYS`` names this set
+NODE_KEYS = frozenset(("id", "label", "children", "branched"))
+
+
 def tree_from_payload(payload: dict) -> SpecTree:
     """Build a tree from the nested instance format
-    ``{id, label: [slot,...], children: [...]}`` (the root has no label).
-    Records are checked in pre-order, so the first bad record in document
-    order is the one reported; this is the tree's only validation.  Each
+    ``{id, label: [slot,...], children: [...], branched}`` (the root has no
+    label).  Records are checked in pre-order, so the first bad record in
+    document order is the one reported, and a node's keys before its
+    fields, once its id names it; this is the tree's only validation.  Each
     distinct label is parsed once: nodes with equal labels share one
     ``ValueTower``, held in a table that lives for this call only."""
     # pre-order pass: check each record and parse its label
@@ -83,12 +88,16 @@ def tree_from_payload(payload: dict) -> SpecTree:
     seen: set[str] = set()
     towers: dict[tuple, ValueTower] = {}
     stack: list[object] = [payload]
+    known_keys = NODE_KEYS.issuperset
     while stack:
         rec = stack.pop()
         if not isinstance(rec, dict):
             raise SchemaError("tree nodes must be objects")
         if "id" not in rec:
             raise SchemaError("tree node missing 'id'")
+        if not known_keys(rec):
+            key = next(k for k in rec if k not in NODE_KEYS)
+            raise SchemaError(f"node {rec['id']!r}: unknown key {key!r}")
         # ids are compared as the strings the nodes keep, so 0 and "0" collide
         node_id = str(rec["id"])
         if node_id in seen:

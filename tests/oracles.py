@@ -1219,9 +1219,8 @@ def reference_scattered_expr(s: ScatteredSpace) -> GroupExpr:
     """The group expression of ``decide_scattered`` as it was first built:
     one ``Repeated`` per stratum, the stratum's tower repeated by its
     multiplicity, and the whole sum normalized again (``valgroup.direct_sum``)."""
-    lab = s.label_map()
-    return normalize(DirectSum(tuple(Repeated(lab[k].to_expr(), stratum_multiplicity(s, k))
-                                     for k in s.occupied_strata())))
+    return normalize(DirectSum(tuple(Repeated(t.to_expr(), stratum_multiplicity(s.bound, k))
+                                     for k, t in enumerate(s.labels))))
 
 
 # ---------------------------------------------------------------------------

@@ -1229,3 +1229,104 @@ def test_import_loads_no_argument_parser():
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(src)], capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# Keys outside a record's table are refused
+# ---------------------------------------------------------------------------
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+# one file of each kind, together holding every key of every record of
+# ``cli.KEYS``; each decides with exit 0
+FULL_RECORDS = [
+    {"v": 1, "kind": "prufer_tree", "name": "t", "source": "s", "question": "inv",
+     "locally_finite": True, "codim_finite": False, "t_finite_character": None,
+     "root": {"id": "0", "children": [
+         {"id": "P", "label": ["Z"], "branched": True, "children": [
+             {"id": "M", "label": ["Z"], "branched": True}]}]}},
+    {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": 1}},
+     "branches": [{"L": {"finite": {"p": 2, "r": 2}}, "e": 1},
+                  {"L": {"opaque": {"label": "L", "characteristic": 2, "unit_free": None,
+                                    "quotient_free": None, "summand": None}}, "e": 2}],
+     "integrally_closed": False, "conductor_nonzero": True, "local": True},
+    {"v": 1, "kind": "scattered_space", "bound": "w", "labels": {"0": ["Z"], "1": ["Q"]}},
+    {"v": 1, "kind": "valuation", "tower": ["Z"], "group": "div",
+     "maximal_principal": True, "maximal_branched": True},
+    {"v": 1, "kind": "krull", "variant": "UFD"},
+    *(json.loads((INSTANCES / name).read_text(encoding="utf-8"))
+      for name in ("torsion_group.json", "ses_split.json", "snake_ladder.json",
+                   "amalgam_two_planes.json")),
+]
+
+# keys read before a record's keys are: the version and kind, which name the
+# file's table, a diagram's check, which names its term, and a node's id,
+# which names the node
+READ_FIRST = {"v", "kind", "check", "id"}
+
+
+def misspelt(key: str) -> str:
+    return key[:-1] if len(key) > 1 else key * 2
+
+
+def renamed_keys(payload):
+    """``(key, payload with that one key misspelt)`` for every key of every
+    record, in document order; a scattered space's ``labels`` keys are
+    strata, not fields."""
+    def walk(x, path):
+        if isinstance(x, list):
+            for i, v in enumerate(x):
+                yield from walk(v, path + (i,))
+        elif isinstance(x, dict) and path[-1:] != ("labels",):
+            for key, v in x.items():
+                if key not in READ_FIRST:
+                    yield path, key
+                yield from walk(v, path + (key,))
+
+    for path, key in list(walk(payload, ())):
+        out = json.loads(json.dumps(payload))
+        rec = out
+        for step in path:
+            rec = rec[step]
+        items = list(rec.items())
+        rec.clear()
+        rec.update((misspelt(k) if k == key else k, v) for k, v in items)
+        yield key, out
+
+
+def test_every_misspelt_key_exits_2_naming_it(tmp_path, capsys):
+    """A misspelt key, optional or not, is a schema error under ``decide``
+    and ``verify``: exit 2 and one stderr line that names it, where it
+    used to take its field's default silently."""
+    seen = set()
+    for payload in FULL_RECORDS:
+        path = str(write(tmp_path, payload))
+        assert main(["decide", path]) == 0, payload["kind"]
+        capsys.readouterr()
+        for key, bad in renamed_keys(payload):
+            seen.add(key)
+            path = str(write(tmp_path, bad))
+            for cmd in ("decide", "verify"):
+                assert main([cmd, path]) == 2, (key, cmd)
+                out, err = capsys.readouterr()
+                assert out == "" and err.count("\n") == 1, (key, err)
+                assert "unknown key" in err and misspelt(key) in err, (key, err)
+    # a diagram's term is a key of its file too, the one its check names
+    table = {k for keys in cli.KEYS.values() for k in keys} | set(abelian.DIAGRAM_CHECKS)
+    assert seen == table - READ_FIRST
+
+
+@pytest.mark.parametrize("payload,message", [
+    (mutated(json.loads((INSTANCES / "torsion_group.json").read_text(encoding="utf-8")),
+             ("group",), {"generators": 2, "relator": [[2, 0], [0, 6]]}),
+     "group.relator: unknown key"),
+    (dict(YTREE, questoin="div"), "field 'questoin': unknown key"),
+    (mutated(YTREE, ("root", "children", 0, "branch"), False), "node 'P': unknown key 'branch'"),
+    (mutated(CURVE, ("branches", 0, "L", "opaque", "unit free"), True),
+     "branches[0].L.opaque: unknown key 'unit free'"),
+    (dict(SES, group={"generators": 1}), "field 'group': unknown key"),
+], ids=["group", "file", "tree-node", "quoted", "diagram-term"])
+def test_unknown_key_names_its_record(tmp_path, capsys, payload, message):
+    for cmd in ("decide", "verify"):
+        assert main([cmd, str(write(tmp_path, payload))]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -9,7 +9,10 @@ expression layers were reworked for speed, re-recorded when cuts came to
 carry ranks instead of expressions, and again when the decision stopped
 carrying leaf verdicts (the new digests equal the old records with that
 key dropped), so any change to a verdict, a certificate, a cut or a
-rendered group shows up here.
+rendered group shows up here.  An instance file's digest also covers the
+file's own ``decide_tree`` decision (verdict, expression, certificate and
+metadata), so two files with one tree and different questions or
+declarations get different digests.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from igl import cli
-from igl.prufer import decide_div_free, decide_inv_free
+from igl.prufer import decide_div_free, decide_inv_free, decide_tree
 from igl.valgroup import render_expr
 from oracles import all_parent_vectors, random_tree, tree_from_parents
 
@@ -46,9 +49,22 @@ def decision_record(tree) -> dict:
     }
 
 
-def digest(trees) -> str:
-    records = [decision_record(t) for t in trees]
+def file_record(payload: dict) -> dict:
+    """The file's own decision, under its question and declarations: a
+    ``div`` decision has no expression where ``inv``'s is ``?``."""
+    d = decide_tree(*cli.parse_prufer(payload))
+    return {"verdict": d.verdict.value,
+            "expr": None if d.expr is None else render_expr(d.expr),
+            "certificate": [s.as_dict(True) for s in d.certificate],
+            "metadata": d.metadata}
+
+
+def sha(records: list) -> str:
     return hashlib.sha256(cli.canonical_json(records).encode("utf-8")).hexdigest()
+
+
+def digest(trees) -> str:
+    return sha([decision_record(t) for t in trees])
 
 
 # node count -> digest over every tree of ``all_parent_vectors(n)``
@@ -62,14 +78,15 @@ ENUMERATED = {
     7: "67be789c0ebb728c195e298cb9f0d7bc6e83b4699c23a21e5c68971e649fb873",
 }
 
-# every ``prufer_tree`` file of ``instances/``
+# every ``prufer_tree`` file of ``instances/``: its tree's record, then the
+# file's own decision, so files with one tree and different questions differ
 INSTANCE_DIGESTS = {
-    "div_tree_finitely_generated.json": "c933def9149514586fb2d4b7b472ce39f87f084a07c3419f52d2a8349a513de2",
-    "div_tree_rational_branch_point.json": "85b652ca9f0a6d6ede446663058e1a5c7aac2f4065735ed83352f765beffc303",
-    "strongly_discrete_tree.json": "c933def9149514586fb2d4b7b472ce39f87f084a07c3419f52d2a8349a513de2",
-    "y_tree.json": "232d7d7eef8f8af2464982783117ee1136ee68b58610779edd60aa45000dd839",
-    "y_tree_rational_trunk.json": "85b652ca9f0a6d6ede446663058e1a5c7aac2f4065735ed83352f765beffc303",
-    "y_tree_t_finite_character.json": "232d7d7eef8f8af2464982783117ee1136ee68b58610779edd60aa45000dd839",
+    "div_tree_finitely_generated.json": "876bfbfa6e0a31d18756dd44a0f21281585d9c654b74944a75e12979031541bc",
+    "div_tree_rational_branch_point.json": "837d1ec37c06bd0246b575729039cc168b6ba6271f170cc0b63cf52167022f8e",
+    "strongly_discrete_tree.json": "9aef6e68995c6f1a63ced7dc1264eb10af66fac6526797ed3018d42c66ddc188",
+    "y_tree.json": "f4b3b9b9e94e42d432b8b11ee7b302338bf5b037a1c61f86f9d15430dd2e61a0",
+    "y_tree_rational_trunk.json": "02cebc08faf564e884baa1e782ccc1fd3f3e0558c2e4c3acd15fae1fdd486a36",
+    "y_tree_t_finite_character.json": "9fec645794e6b46c9b51e06b0cdcd7f2bb5a382c9cd8208793b5cc10da614175",
 }
 TREE_FILES = sorted(f.name for f in INSTANCES.glob("*.json")
                     if json.loads(f.read_text(encoding="utf-8"))["kind"] == "prufer_tree")
@@ -87,7 +104,8 @@ def test_enumerated_trees_match_golden(n):
 def test_instance_trees_match_golden(name):
     # a new prufer_tree instance needs its digest recorded here
     payload = json.loads((INSTANCES / name).read_text(encoding="utf-8"))
-    assert digest([cli.parse_prufer(payload)[0]]) == INSTANCE_DIGESTS[name]
+    tree = cli.parse_prufer(payload)[0]
+    assert sha([decision_record(tree), file_record(payload)]) == INSTANCE_DIGESTS[name]
 
 
 def random_trees():

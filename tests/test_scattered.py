@@ -5,14 +5,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import igl.scattered
+from igl import valgroup
 from igl.cli import decide_payload, main, parse_scattered, verify_payload
 from igl.errors import MalformedTraceError, SchemaError
-from igl.scattered import (Ordinal, ScatteredSpace, cb_derivative, cb_rank,
+from igl.scattered import (Ordinal, ScatteredSpace, cb_derivative, cb_rank, check_space,
                            escape_index, parse_ordinal, decide_scattered,
                            stratum_multiplicity, stratum_size)
 from igl.valgroup import Q, R, Z, ValueTower, Verdict, inv_of_valuation, render_expr
 from oracles import (dense_coefficients, derived_bound_oracle, ordinal_grid,
-                     reference_scattered_expr, slot_names)
+                     reference_scattered_expr)
 
 
 def w(e=1, c=1):
@@ -56,8 +57,9 @@ def test_parse_ordinal_names_the_normal_form_fault(text, why):
 
 
 def test_zero_bound_is_one_point():
-    """The zero ordinal is the empty term tuple, falsy like the empty
-    space's ``None``; ``[0, 0]`` is still one point of rank 1."""
+    """The zero ordinal is the empty term tuple, falsy like the ``None``
+    that ends the derived sequence; ``[0, 0]`` is still one point of
+    rank 1."""
     payload = {"v": 1, "kind": "scattered_space", "bound": "0", "labels": {"0": ["Z"]}}
     report = decide_payload(payload, "zero")
     assert (report.verdict, report.expr, report.metadata) == (
@@ -116,106 +118,71 @@ def test_successor_and_limits():
 
 def test_derivative_examples():
     # finite intervals are discrete
-    s = space(fin(5), {0: zt("Z")})
-    assert cb_derivative(s).is_empty()
+    assert cb_derivative(fin(5)) is None
+    assert cb_derivative(fin(0)) is None
     # [0, w] leaves the single point w
-    s = space(w(), {0: zt("Z"), 1: zt("Z")})
-    d = cb_derivative(s)
-    assert d.bound == fin(0)
-    assert slot_names(d.label_map()[0]) == ["Z"]
+    assert cb_derivative(w()) == fin(0)
+    # [0, w*3+2] leaves w, w*2 and w*3
+    assert cb_derivative(parse_ordinal("w*3+2")) == fin(2)
     # [0, w^2] leaves the multiples of w
-    s = space(w(2), {0: zt("Z"), 1: zt("Z"), 2: zt("Z")})
-    d = cb_derivative(s)
-    assert d.bound == w()
+    assert cb_derivative(w(2)) == w()
 
 
 def test_rank_examples():
-    assert cb_rank(space(fin(7), {0: zt("Z")})) == fin(1)
-    assert cb_rank(space(w(), {0: zt("Z"), 1: zt("Z")})) == fin(2)
-    assert cb_rank(space(w(2), {0: zt("Z"), 1: zt("Z"), 2: zt("Z")})) == fin(3)
+    assert cb_rank(fin(7)) == fin(1)
+    assert cb_rank(fin(0)) == fin(1)
+    assert cb_rank(w()) == fin(2)
+    assert cb_rank(w(2)) == fin(3)
 
 
 def test_rank_of_omega_powers():
     for k in range(1, 6):
         for m in (1, 2, 3):
-            labels = {i: zt("Z") for i in range(k + 1)}
-            s = space(Ordinal.omega_power(k, m), labels)
-            assert cb_rank(s) == fin(k + 1)
+            assert cb_rank(Ordinal.omega_power(k, m)) == fin(k + 1)
 
 
 def test_derivative_matches_oracle_below_w3():
     for bound in ordinal_grid(2, 3):
-        labels = {i: zt("Z") for i in range(bound.leading_exponent() + 1)}
-        s = space(bound, labels)
-        d = cb_derivative(s)
-        expected = derived_bound_oracle(bound)
-        if expected is None:
-            assert d.is_empty()
-        else:
-            assert d.bound == expected
+        assert cb_derivative(bound) == derived_bound_oracle(bound), bound
 
 
 def test_strata_monotone_along_derivatives():
-    s = space(parse_ordinal("w^2+w*3+1"),
-              {0: zt("Z"), 1: zt("Z"), 2: zt("Q")})
-    prev = set(s.occupied_strata())
-    cur = s
-    while not cur.is_empty():
+    # each derivative has one stratum fewer: its leading exponent drops by one
+    cur = parse_ordinal("w^2+w*3+1")
+    tops = []
+    while cur is not None:
+        tops.append(cur.leading_exponent())
         cur = cb_derivative(cur)
-        shifted = {k + 1 for k in cur.occupied_strata()}
-        assert shifted <= prev
-        prev = set(cur.occupied_strata())
+    assert tops == [2, 1, 0]
 
 
-def test_labels_shift_down_along_the_derived_sequence():
-    cycle = (zt("Z"), zt("Z", "Z"), zt("Q"))
-    for bound in ordinal_grid(3, 3):
-        labels = {k: cycle[k % 3] for k in range(bound.leading_exponent() + 1)}
-        cur = space(bound, labels)
-        prev = cur.label_map()
-        assert prev == labels
-        while not cur.is_empty():
-            cur = cb_derivative(cur)
-            now = cur.label_map()
-            assert now == {k - 1: t for k, t in prev.items() if k >= 1}, bound
-            prev = now
-
-
-def test_verify_walk_shares_one_label_tuple(monkeypatch):
-    """The label entries held by the spaces that ``verify`` builds,
-    counted once per distinct container, grow with the leading exponent,
-    not with its square."""
-    built = []
+def test_verify_walk_is_linear_in_the_strata(monkeypatch):
+    """``check_space`` takes one derivative per stratum: 1,001 for a
+    leading exponent of 1,000."""
+    calls = []
     derivative = igl.scattered.cb_derivative
 
-    def recording(s):
-        d = derivative(s)
-        built.extend((s, d))
-        return d
+    def counting(a):
+        calls.append(a)
+        return derivative(a)
 
-    monkeypatch.setattr(igl.scattered, "cb_derivative", recording)
-    entries = {}
-    for k in (250, 1000):
-        built.clear()
-        payload = {"v": 1, "kind": "scattered_space", "bound": f"w^{k}*2+w^3+5",
-                   "labels": {str(i): ["Z"] for i in range(k + 1)}}
-        assert all(ok for _, ok, _ in verify_payload(payload, "big"))
-        entries[k] = sum({id(s.labels): len(s.labels) for s in built}.values())
-    assert round(entries[1000] / entries[250]) == 4, entries
+    monkeypatch.setattr(igl.scattered, "cb_derivative", counting)
+    s = space(parse_ordinal("w^1000*2+w^3+5"), {k: zt("Z") for k in range(1001)})
+    assert all(ok for _, ok, _ in check_space(s))
+    assert len(calls) == 1001
 
 
 def test_stratum_multiplicity_examples():
-    s = space(w(2), {0: zt("Z"), 1: zt("Z"), 2: zt("Z")})
-    assert stratum_multiplicity(s, 0) == "w^2"
-    assert stratum_multiplicity(s, 1) == "w"
-    assert stratum_multiplicity(s, 2) == 1
+    assert stratum_multiplicity(w(2), 0) == "w^2"
+    assert stratum_multiplicity(w(2), 1) == "w"
+    assert stratum_multiplicity(w(2), 2) == 1
     # the values that ``verify`` compares, and their renderings
-    s = space(parse_ordinal("w^3*2+w+4"), {k: zt("Z") for k in range(4)})
-    assert [stratum_size(s, k) for k in range(5)] == [
+    a = parse_ordinal("w^3*2+w+4")
+    assert [stratum_size(a, k) for k in range(5)] == [
         ((3, 2), (1, 1), (0, 4)), ((2, 2), (0, 1)), ((1, 2),), 2, 0]
-    assert [stratum_multiplicity(s, k) for k in range(5)] == [
+    assert [stratum_multiplicity(a, k) for k in range(5)] == [
         "w^3*2+w+4", "w^2*2+1", "w*2", 2, 0]
-    assert stratum_size(space(fin(0), {0: zt("Z")}), 0) == 1
+    assert stratum_size(fin(0), 0) == 1
 
 
 def _oracle_strata(bound):
@@ -230,38 +197,37 @@ def _oracle_strata(bound):
 
 
 def test_closed_form_matches_iterated_oracle():
-    cases = []
-    for bound in ordinal_grid(3, 3):
-        labels = {i: zt("Z") for i in range(bound.leading_exponent() + 1)}
-        cases.append((space(bound, labels), _oracle_strata(bound)))
-    assert any(s.bound == fin(0) for s, _ in cases)
-    for s, seq in cases:
-        assert cb_rank(s) == fin(len(seq))
-        lead = s.bound.leading_exponent()
-        for k in range(lead + 3):
+    bounds = ordinal_grid(3, 3)
+    assert fin(0) in bounds
+    for bound in bounds:
+        seq = _oracle_strata(bound)
+        assert cb_rank(bound) == fin(len(seq))
+        for k in range(bound.leading_exponent() + 3):
             if k >= len(seq):
                 expected = 0
             elif seq[k].is_finite():
                 expected = seq[k].as_int() + 1
             else:
                 expected = seq[k].render()
-            assert stratum_multiplicity(s, k) == expected, (s.bound, k)
+            assert stratum_multiplicity(bound, k) == expected, (bound, k)
 
 
 @pytest.mark.parametrize("bound", ["w^1000*2+w^3+5", "w^2000"])
 def test_decide_makes_no_derivative_calls(bound, monkeypatch):
     calls = {"cb_derivative": 0, "freeness_verdict": 0}
-    for name in calls:
-        def counting(*args, _name=name, _real=getattr(igl.scattered, name)):
+    for module, name in ((igl.scattered, "cb_derivative"), (igl.scattered, "freeness_verdict"),
+                         (valgroup, "freeness_verdict")):
+        def counting(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(igl.scattered, name, counting)
+        monkeypatch.setattr(module, name, counting)
     lead = parse_ordinal(bound).leading_exponent()
     payload = {"v": 1, "kind": "scattered_space", "bound": bound,
                "labels": {str(i): ["Z"] for i in range(lead + 1)}}
     report = decide_payload(payload, "big")
-    # no derivative, and one freeness verdict for the one distinct label
-    assert calls == {"cb_derivative": 0, "freeness_verdict": 1}
+    # no derivative, and no freeness verdict: a tower's freeness is read
+    # off its slots
+    assert calls == {"cb_derivative": 0, "freeness_verdict": 0}
     assert report.verdict == Verdict.DIRECT_SUM_FREE.value
     assert report.metadata["cb_rank"] == str(lead + 1)
     assert report.expr.startswith(f"Z^({bound}) ⊕ Z^(")
@@ -367,7 +333,7 @@ def test_equal_labels_share_one_tower(monkeypatch):
     s = parse_scattered(payload)
     assert sorted(parsed) == [["Q"], ["Z"], ["Z", "Q"]]
     assert len({id(t) for t in s.labels}) == 3
-    assert s.label_map() == {k: ValueTower.from_names(cycle[k % 4]) for k in range(201)}
+    assert s.labels == tuple(ValueTower.from_names(cycle[k % 4]) for k in range(201))
 
 
 @pytest.mark.parametrize("labels,message", [
