@@ -276,6 +276,8 @@ def bad_paths(folder: Path) -> list[Path]:
                                                  "unit_free": False}},
                                      {"opaque": {"label": "L", "characteristic": 2,
                                                  "unit_free": True}}),
+        "finite-and-opaque.json": _noeth({"finite": {"p": 2}, "opaque": {"label": "K"}},
+                                         {"finite": {"p": 2, "r": 2}}),
         # a misspelt key: of the file, of a nested record and of a tree node
         "misspelt-field.json": {"v": 1, "kind": "krull", "varaint": "UFD"},
         "misspelt-key.json": {"v": 1, "kind": "group_diagram", "check": "group",

@@ -59,13 +59,24 @@ class Report:
         self.certificate, self.metadata, self.elapsed_ms = certificate, metadata, elapsed_ms
 
     def to_dict(self, trace_full: bool) -> dict:
+        """The report as JSON data.  Steps that render alike, by rule and
+        statement or under ``trace_full`` whole, share one dict, which
+        ``canonical_json`` writes once."""
+        steps: dict = {}
+        certificate = []
+        for s in self.certificate:
+            key = s if trace_full else s[:2]
+            d = steps.get(key)
+            if d is None:
+                d = steps[key] = s.as_dict(trace_full)
+            certificate.append(d)
         return {
             "v": 1,
             "name": self.name,
             "kind": self.kind,
             "verdict": self.verdict,
             "expr": self.expr,
-            "certificate": [s.as_dict(trace_full) for s in self.certificate],
+            "certificate": certificate,
             "metadata": self.metadata,
             "elapsed_ms": self.elapsed_ms,
         }
@@ -105,10 +116,22 @@ def _emit(x, nl: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(nl + "}" if x else "{}")
     elif type(x) is list or type(x) is tuple:
+        # a list that holds one object more than once (a report's equal
+        # certificate steps) writes it once and copies its text, kept by
+        # object: every element of the list has the same indent
+        texts = {} if len(x) > 1 and len(x) > len(set(map(id, x))) else None
         sep = "[" + inner
         for v in x:
             out.append(sep)
-            _emit(v, inner, out)
+            if texts is None:
+                _emit(v, inner, out)
+            else:
+                text = texts.get(id(v))
+                if text is None:
+                    part: list[str] = []
+                    _emit(v, inner, part)
+                    text = texts[id(v)] = "".join(part)
+                out.append(text)
             sep = "," + inner
         out.append(nl + "]" if x else "[]")
     else:
@@ -222,6 +245,8 @@ def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
     order at most ``noeth.MAX_ORDER_BITS`` bits."""
     _expect(isinstance(rec, dict), f"{where}: must be an object")
     _known_keys(rec, _KEYS["field description"], where)
+    if len(rec) > 1:
+        raise SchemaError(f"{where}: a field description is 'finite' or 'opaque', not both")
     if "finite" in rec:
         f = rec["finite"]
         _expect(isinstance(f, dict), f"{where}.finite: needs integer 'p'")

@@ -675,12 +675,63 @@ JSON_VALUES = st.recursive(
     max_leaves=40)
 
 
-@settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
+@st.composite
+def shared_values(draw):
+    """A value that holds one dict or list object several times, at one
+    depth and at several: its text is copied, and at another depth it is
+    written at that depth's indent."""
+    shared = draw(st.dictionaries(st.text(), JSON_VALUES, min_size=1, max_size=3)
+                  | st.lists(JSON_VALUES, min_size=1, max_size=3))
+    return draw(st.recursive(
+        st.just(shared) | SCALARS,
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+        max_leaves=20))
+
+
+_D = {"rule": "r", "statement": [1, {"s": None}]}
+_L = [_D, "x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES | shared_values())
 @example({"a": [(), {}, [], -0.0, 1e-7, 1e22, 2 ** 64 + 1, -(2 ** 70)], "": None,
           "b\"\\\x01é😀": (True, False, "q\"\\\x1f𝔸")})
+@example([_D, _D, [_D, _D], {"a": [_D, _D, _L]}])
+@example([_L, _L, [_L, [_L, _L]], (_L, _L)])
 def test_canonical_json_matches_the_stdlib_encoder(x):
     assert canonical_json(x) == json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def test_equal_certificate_steps_are_written_once(tmp_path, capsys, monkeypatch):
+    """A caterpillar of spine 40 has 122 certificate steps and 4 distinct
+    ones: its report encodes the strings of each distinct step once, and
+    its bytes stay those of ``json.dumps``, under ``--trace full`` too."""
+    encoded = []
+
+    def encode(s, plain=cli.encode_basestring):
+        encoded.append(s)
+        return plain(s)
+
+    monkeypatch.setattr(cli, "encode_basestring", encode)
+    monkeypatch.setitem(cli._SCALARS, str, encode)
+    payload = caterpillar_payload(40)
+    report = cli.decide_payload(payload, "caterpillar")
+    distinct = {step[:2] for step in report.certificate}
+    assert (len(report.certificate), len(distinct)) == (122, 4)
+    data = report.to_dict(False)
+    canonical_json(dict(data, certificate=[]))
+    outside = len(encoded)
+    encoded.clear()
+    text = canonical_json(data)
+    # two keys and two values per distinct step
+    assert len(encoded) == outside + 4 * len(distinct)
+    assert text == json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)
+    tree = str(write(tmp_path, payload))
+    for trace in ("rules", "full"):
+        assert main(["decide", tree, "--format", "json", "--trace", trace]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2,
+                                 ensure_ascii=False) + "\n"
 
 
 def test_json_constants_need_no_encoder(monkeypatch):
@@ -786,6 +837,20 @@ def test_non_integer_extension_degree_exits_2(tmp_path, capsys):
     payload = {"v": 1, "kind": "noeth_local", "k": {"finite": {"p": 2, "r": "x"}},
                "branches": [{"L": {"finite": {"p": 2}}}]}
     assert_schema_exit(tmp_path, capsys, payload, "finite.r")
+
+
+@pytest.mark.parametrize("where", ["k", "branches[0].L"])
+def test_a_field_both_finite_and_opaque_exits_2(tmp_path, capsys, where):
+    """A field description is one or the other: one that holds both is
+    refused by name, not read as its finite field."""
+    payload = json.loads((INSTANCES / "f2_f4_one_branch.json").read_text(encoding="utf-8"))
+    field = payload["k"] if where == "k" else payload["branches"][0]["L"]
+    field["opaque"] = {"label": "K", "characteristic": 3}
+    p = write(tmp_path, payload)
+    for cmd in ("decide", "verify"):
+        assert main([cmd, str(p)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {where}: a field description is 'finite' or 'opaque', not both\n"
 
 
 def test_boolean_is_not_an_integer(tmp_path, capsys):
