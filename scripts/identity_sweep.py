@@ -22,10 +22,12 @@ read by both sides.  Its slices, all of them by default:
   ``[]``, ``{}``, ``0``, ``true``, ``-1`` and ``[[1]]`` (18,424 files);
 * ``selftest``.
 
-Each path gets ``decide`` (human, and JSON with ``--trace full``),
-``verify`` (human and JSON) and ``expr``, except a mutation, which gets
-``decide`` (JSON with ``--trace full``) and ``verify`` (human and JSON);
-``selftest`` runs in both formats.  Each side runs the whole list in its
+Each path gets ``decide`` (human; JSON under the default ``--trace
+rules``, as every benchmark request prints it; JSON with ``--trace
+full``), ``verify`` (human and JSON) and ``expr``, except a mutation,
+which gets ``decide`` (JSON with ``--trace full``) and ``verify`` (human
+and JSON); ``selftest`` runs in both formats: 70,208 runs a side in all
+six slices.  Each side runs the whole list in its
 own interpreter, once under ``PYTHONHASHSEED=0`` and once under ``1``,
 and records every run's stdout, stderr and exit code, with
 ``elapsed_ms`` and the human ``timing:`` line masked.  The script prints
@@ -225,7 +227,8 @@ def write_corpus(corpus: Path, slices: list[str]) -> list[tuple[str, list[str]]]
     for slice_, p in paths:
         p = str(p)
         argvs += [(slice_, argv) for argv in (
-            ["decide", p], ["decide", p, "--format", "json", "--trace", "full"],
+            ["decide", p], ["decide", p, "--format", "json"],
+            ["decide", p, "--format", "json", "--trace", "full"],
             ["verify", p], ["verify", p, "--format", "json"], ["expr", p])]
     if "mutations" in slices:
         sources = {f.stem: json.loads(f.read_text(encoding="utf-8"))

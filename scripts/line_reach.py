@@ -59,8 +59,10 @@ WHOLE: dict[str, str] = {
     "prufer.contracted_spectrum": "a traced benchmark target",
     "prufer.SpecTree.node": "a traced benchmark target",
     "matrices.IntMatrix.det": "the maximal minor a modular HNF needs",
-    "matrices.snf": "bench/checks.py pins its bindings and result until ROADMAP F",
+    "matrices.snf": "bench/checks.py pins its bindings and result until ROADMAP F1",
     "matrices.gcdex": "the Bezout steps of snf's divisibility sweep, kept with snf",
+    "matrices.kernel_basis": "bench/tracer.py binds it until ROADMAP F1; the engine reads "
+                             "kernels off abelian.lattices",
     "cli.entrypoint": "the console-script shim around main",
     "abelian.FgGroup.__repr__": "a debugging aid",
     "valgroup.Atom.__repr__": "the golden digests record it",

@@ -35,10 +35,12 @@ Design notes.
   composite) is one relation test: ``FgGroup.congruent`` compares two
   matrix products column by column modulo the target's relations.  No
   map is built to be compared.
-* The diagram predicates are lattice identities, each one comparison of
-  two canonical column HNFs (kernel lattice against relation lattice,
-  image lattice against the identity, image against kernel); no kernel
-  or cokernel group is presented and no Smith form runs for them.
+* The diagram predicates are lattice identities.  ``lattices`` reads a
+  map's image lattice and kernel lattice off one column HNF, and each
+  predicate takes a map's pair once, then compares canonical HNFs: the
+  kernel against the source relation lattice, the image against the
+  identity, one map's image against the next map's kernel.  No kernel or
+  cokernel group is presented and no Smith form runs for them.
 * Where preimages must be lifted (connecting maps, sections,
   factorizations), all of them are the columns of one right-hand side,
   solved by one elimination; each lift is the deterministic solution the
@@ -55,7 +57,7 @@ from operator import sub
 from .errors import DiagramError
 # ``snf`` has no caller here; the benchmark's tracer counts this binding
 from .matrices import (IntMatrix, _diagonal_form, block_diag, column_hnf, diagonal_basis,
-                       hstack, kernel_basis, lattice_solve, snf, solve, unit_core, vstack)
+                       hstack, lattice_solve, snf, solve, unit_core, vstack)
 from .valgroup import (CertStep, Check, Decision, GroupExpr, ValueTower, Verdict, agree,
                        canonical_invariants, fg_expr, inv_of_valuation,
                        normal_invariant_factors, render_normal)
@@ -172,17 +174,41 @@ class FgHom(namedtuple("FgHom", "source target matrix")):
                     f"not well-defined: image of relator {j} is not a relation of the target")
 
 
+Lattices = namedtuple("Lattices", "image kernel")
+
+
+def lattices(h: FgHom) -> Lattices:
+    """Canonical HNF bases of a map's image lattice, ``im(h) + relations``
+    inside Z^target, and of its kernel lattice, ``{x in Z^source : h(x)
+    is a relation of the target}``, read off one column HNF of
+    ``[[M R]; [I 0]]`` (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 1993, §2.4).
+
+    The columns whose pivot lies in the top rows, cut to those rows, are
+    the HNF of ``[M | R]``; the other columns are zero there, and cut to
+    the bottom rows they are the HNF of the kernel lattice.  That lattice
+    holds the source relations because ``h`` is well defined: the parse
+    checks each map it reads, and the engine builds its own maps so.
+    """
+    t, s = h.target.generators, h.source.generators
+    width = s + h.target.relations.cols
+    upper = tuple(m + r for m, r in zip(h.matrix.entries, h.target.relations.entries))
+    lower = tuple((0,) * i + (1,) + (0,) * (width - i - 1) for i in range(s))
+    full = column_hnf(IntMatrix(t + s, width, upper + lower))
+    top, bottom = full.entries[:t], full.entries[t:]
+    # a column is zero above its pivot, so one walk down the top rows
+    # meets the pivots that lie there in order
+    r = 0
+    for row in top:
+        if r < full.cols and row[r]:
+            r += 1
+    return Lattices(IntMatrix(t, r, tuple(row[:r] for row in top)),
+                    IntMatrix(s, full.cols - r, tuple(row[r:] for row in bottom)))
+
+
 def kernel_lattice(h: FgHom) -> IntMatrix:
     """HNF basis of ``{x in Z^src : h(x) is a relation of the target}``."""
-    kb = kernel_basis(hstack(h.matrix, h.target.relations))
-    proj = IntMatrix(h.source.generators, kb.cols,
-                     tuple(kb.entries[i] for i in range(h.source.generators)))
-    return column_hnf(hstack(proj, h.source.relations))
-
-
-def image_lattice(h: FgHom) -> IntMatrix:
-    """HNF basis of ``im(h) + relations`` inside Z^target-generators."""
-    return column_hnf(hstack(h.matrix, h.target.relations))
+    return lattices(h).kernel
 
 
 def _sublattice_group(ambient: FgGroup, basis: IntMatrix) -> tuple[FgGroup, FgHom]:
@@ -204,24 +230,19 @@ def cokernel(h: FgHom) -> FgGroup:
     return FgGroup(h.target.generators, hstack(h.matrix, h.target.relations))
 
 
-def is_injective(h: FgHom) -> bool:
+def injective(h: FgHom, pair: Lattices) -> bool:
     """The kernel lattice is the source relation lattice, no larger."""
-    return kernel_lattice(h).entries == h.source.relation_lattice.entries
+    return pair.kernel.entries == h.source.relation_lattice.entries
 
 
-def is_surjective(h: FgHom) -> bool:
+def surjective(h: FgHom, pair: Lattices) -> bool:
     """The image and the target relations span all of Z^target."""
-    return image_lattice(h).entries == IntMatrix.identity(h.target.generators).entries
+    return pair.image.entries == IntMatrix.identity(h.target.generators).entries
 
 
 def is_isomorphism(h: FgHom) -> bool:
-    return is_injective(h) and is_surjective(h)
-
-
-def is_exact_pair(f: FgHom, g: FgHom) -> bool:
-    """Exactness at the middle of ``X --f--> Y --g--> Z``: the image
-    lattice of ``f`` is the kernel lattice of ``g``."""
-    return image_lattice(f).entries == kernel_lattice(g).entries
+    pair = lattices(h)
+    return injective(h, pair) and surjective(h, pair)
 
 
 def factor_through(source: FgGroup, matrix: IntMatrix, incl: FgHom) -> FgHom:
@@ -250,12 +271,14 @@ class ShortExactSeq(namedtuple("ShortExactSeq", "left mid right inj surj")):
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        """Exactness at each of the three terms."""
-        if not is_injective(self.inj):
+        """Exactness at each of the three terms: one Hermite elimination
+        for each map."""
+        inj, surj = lattices(self.inj), lattices(self.surj)
+        if not injective(self.inj, inj):
             raise DiagramError("sequence not exact: the left map is not injective")
-        if not is_surjective(self.surj):
+        if not surjective(self.surj, surj):
             raise DiagramError("sequence not exact: the right map is not surjective")
-        if not is_exact_pair(self.inj, self.surj):
+        if inj.image.entries != surj.kernel.entries:
             raise DiagramError("sequence not exact: image of the inclusion "
                                "differs from the kernel of the projection")
 
@@ -276,17 +299,16 @@ class SnakeResult(namedtuple("SnakeResult", "ker_f ker_g ker_h coker_f coker_g c
     def verify_exact(self) -> str | None:
         """The first position where the sequence is not exact, or ``None``.
         The snake lemma says there is none: ``snake`` does not call this,
-        and ``verify``'s check of a ladder does."""
-        if not is_injective(self.ker_fg):
+        and ``verify``'s check of a ladder does.  Each of the five maps
+        takes one Hermite elimination."""
+        maps = (self.ker_fg, self.ker_gh, self.connecting, self.coker_fg, self.coker_gh)
+        pairs = [lattices(m) for m in maps]
+        if not injective(self.ker_fg, pairs[0]):
             return "six-term sequence not exact at ker f"
-        pairs = [("ker g", self.ker_fg, self.ker_gh),
-                 ("ker h", self.ker_gh, self.connecting),
-                 ("coker f", self.connecting, self.coker_fg),
-                 ("coker g", self.coker_fg, self.coker_gh)]
-        for name, a, b in pairs:
-            if not is_exact_pair(a, b):
+        for name, a, b in zip(("ker g", "ker h", "coker f", "coker g"), pairs, pairs[1:]):
+            if a.image.entries != b.kernel.entries:
                 return f"six-term sequence not exact at {name}"
-        if not is_surjective(self.coker_gh):
+        if not surjective(self.coker_gh, pairs[-1]):
             return "six-term sequence not exact at coker h"
         return None
 
@@ -415,7 +437,7 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
     """
     n = len(parts)
     for idx, p in enumerate(parts):
-        if not is_injective(p.emb):
+        if not injective(p.emb, lattices(p.emb)):
             raise DiagramError(f"part {idx}: embedding is not injective")
         if not g.congruent(p.retract.matrix @ p.emb.matrix, IntMatrix.identity(g.generators)):
             raise DiagramError(f"part {idx}: retraction is not a left inverse of the embedding")
@@ -438,9 +460,10 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
                              vstack(*[last] * (n - 1))))
     psi = FgHom(total, target, m)
 
-    if not is_exact_pair(phi, psi):
+    onto = lattices(psi)
+    if lattices(phi).image.entries != onto.kernel.entries:
         raise DiagramError("amalgam map has the wrong kernel")
-    if not is_surjective(psi):
+    if not surjective(psi, onto):
         raise DiagramError("amalgam map is not surjective")
     return AmalgamResult(cokernel(phi), target)
 

@@ -15,15 +15,19 @@ provides
                          used as the canonical basis of a column lattice,
 * ``diagonal_basis``  -- a change of basis that makes a relation lattice
                          diagonal, so a cokernel splits into cyclic factors,
-* ``kernel_basis``    -- a basis of the integer kernel of a matrix,
+* ``kernel_basis``    -- a basis of the integer kernel of a matrix (no
+                         runtime caller: ``abelian.lattices`` reads a
+                         map's kernel lattice off one column HNF),
 * ``solve``           -- a particular integer solution ``X`` of ``A X = B``,
 * ``lattice_solve``   -- coordinates of a vector in an HNF lattice basis.
 
 ``snf``, ``diagonal_basis``, ``kernel_basis`` and ``solve`` share one
-diagonal elimination.  It builds the column transform ``V`` and carries
-a right-hand-side matrix as extra columns through its row operations:
-``solve`` carries ``B``, all of its columns at once, and ``snf`` carries
-the identity, whose rows come back as ``U``.  Only ``snf`` then forces
+diagonal elimination; at run time only ``diagonal_basis``, ``solve``
+and the invariant factors of a group use it.  It builds the column
+transform ``V`` and carries a right-hand-side matrix as extra columns
+through its row operations: ``solve`` carries ``B``, all of its columns
+at once, and ``snf`` carries the identity, whose rows come back as
+``U``.  Only ``snf`` then forces
 the divisibility chain, by gcd/lcm steps on pairs of diagonal entries
 with Bezout transforms (Kannan-Bachem 1979).
 

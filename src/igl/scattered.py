@@ -314,7 +314,7 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
     a = s.bound
     rank = cb_rank(a).render()
     meta = {"cb_rank": rank}
-    tower_exprs = {t: t.to_expr() for t in s.labels}
+    tower_exprs = {t: t.to_expr() for t in dict.fromkeys(s.labels)}
     parts = []
     for k, t in enumerate(s.labels):
         base = tower_exprs[t]

@@ -21,7 +21,9 @@ through dense coefficient vectors rather than their term tuples,
 and injectivity, surjectivity and exactness are decided by presenting
 the kernel or cokernel group and taking its invariant factors, or by
 bringing two lattices to HNF once more, rather than by one comparison of
-canonical HNFs.
+canonical HNFs, and a map's image and kernel lattices come from two
+eliminations, a diagonal form and an HNF, rather than from one HNF of
+the stacked matrix.
 
 It also holds the helpers that only tests need: the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
@@ -51,7 +53,7 @@ from math import gcd, lcm
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
                          direct_sum, factor_through, kernel_with_inclusion)
 from igl.errors import SchemaError
-from igl.matrices import IntMatrix, column_hnf, gcdex, hstack, solve
+from igl.matrices import IntMatrix, _diagonal_form, column_hnf, gcdex, hstack, solve
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal, ScatteredSpace, stratum_multiplicity
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
@@ -839,6 +841,20 @@ def kernel(h: FgHom) -> FgGroup:
 
 def is_trivial(g: FgGroup) -> bool:
     return not g.invariant_factors
+
+
+def reference_lattices(h: FgHom) -> tuple[IntMatrix, IntMatrix]:
+    """The image and kernel lattices of ``h`` by the engine's former
+    route, two eliminations apart: the image is the column HNF of
+    ``[M | R_T]``; the kernel projects the integer kernel of ``[M | R_T]``
+    (the columns of ``V`` past the rank in a diagonal form ``U·[M | R_T]·V``)
+    onto the source coordinates, adds the source relations and brings
+    the sum to HNF."""
+    onto = hstack(h.matrix, h.target.relations)
+    diag, _, vc = _diagonal_form(onto)
+    proj = IntMatrix.from_cols([col[:h.source.generators] for col in vc[len(diag):]],
+                               rows=h.source.generators)
+    return column_hnf(onto), column_hnf(hstack(proj, h.source.relations))
 
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igl import abelian, cli
-from igl.abelian import (AmalgamPart, FgGroup, FgHom, amalgam_quotient, cokernel,
-                         factor_through, is_exact_pair, is_free, kernel_with_inclusion, snake,
-                         split_test)
+from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, amalgam_quotient,
+                         cokernel, factor_through, is_free, kernel_with_inclusion, lattices,
+                         snake, split_test)
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix, diagonal_basis, hstack, snf, solve
 from igl.valgroup import canonical_invariants
-from oracles import (checked_sequence, congruent_ref, divisible_elements_brute, has_divisible,
-                     is_trivial, kernel, kronecker_split_test, lattice_equal,
+from oracles import (checked_sequence, congruent_ref, dense_ses_payload, divisible_elements_brute,
+                     has_divisible, is_trivial, kernel, kronecker_split_test, lattice_equal,
                      minors_invariant_factors, of_direct_sum, random_amalgam_instance,
                      random_matrix, random_snake_input, random_unimodular_with_inverse,
-                     sub_quotient_sequence)
+                     reference_lattices, sub_quotient_sequence)
 
 
 def hom(src, tgt, rows):
@@ -338,9 +338,9 @@ def test_split_test_needs_no_smith_form(monkeypatch):
         assert res.splits == splits
         if splits:
             assert is_section(res.section, s)
-        # exactness at the middle runs kernel_basis; each generator of the
+        # exactness runs one column HNF per map; each generator of the
         # right term lifts through the projection by solve
-        assert is_exact_pair(s.inj, s.surj)
+        ShortExactSeq.__post_init__(s)
         onto = hstack(s.surj.matrix, s.right.relations)
         for j in range(s.right.generators):
             e = [int(i == j) for i in range(s.right.generators)]
@@ -536,14 +536,15 @@ def check_predicates(seed):
     maps, pairs = predicate_cases(seed)
     seen = set()
     for m in maps:
-        injective = abelian.is_injective(m)
-        surjective = abelian.is_surjective(m)
+        pair = lattices(m)
+        injective = abelian.injective(m, pair)
+        surjective = abelian.surjective(m, pair)
         assert injective == is_trivial(kernel(m))
         assert surjective == (cokernel(m).invariant_factors == ())
         seen |= {("injective", injective), ("surjective", surjective)}
     for a, b in pairs:
-        exact = is_exact_pair(a, b)
-        assert exact == lattice_equal(abelian.image_lattice(a), abelian.kernel_lattice(b))
+        exact = lattices(a).image == lattices(b).kernel
+        assert exact == lattice_equal(reference_lattices(a)[0], reference_lattices(b)[1])
         # exact: b∘a is zero and the homology ker b / im a is trivial
         zero = IntMatrix.zeros(b.target.generators, a.source.generators)
         homology = b.target.congruent(b.matrix @ a.matrix, zero) and is_trivial(
@@ -563,6 +564,57 @@ def test_predicate_cases_reach_both_answers():
     seen = set().union(*(check_predicates(seed) for seed in range(10)))
     assert seen == {(name, answer) for name in ("injective", "surjective", "exact")
                     for answer in (True, False)}
+
+
+def lattice_cases(seed):
+    """Well-defined maps: the rows, vertical maps and six-term maps of a
+    random snake ladder, and every map of a random amalgam's parts (whose
+    groups, complements among them, may have no generator)."""
+    rng = random.Random(seed)
+    top, bottom, f, g, h = random_snake_input(rng)
+    six = snake(top, bottom, f, g, h)
+    maps = [top.inj, top.surj, bottom.inj, bottom.surj, f, g, h, six.ker_fg, six.ker_gh,
+            six.connecting, six.coker_fg, six.coker_gh]
+    for p in random_amalgam_instance(rng, rng.randint(1, 3))[1]:
+        maps += [p.emb, p.proj, p.retract]
+    return maps
+
+
+def edge_maps():
+    """Maps from or to a group with no generator, and maps between groups
+    with no relator."""
+    z0, z, z2, z6 = FgGroup.free(0), FgGroup.free(1), FgGroup.free(2), FgGroup.cyclic(6)
+    z4z = FgGroup.from_invariants(4, 0)
+    return [hom(z0, z6, [[]]), hom(z0, z2, [[], []]), hom(z4z, z0, []), hom(z0, z0, []),
+            hom(z2, z, [[2, 3]]), hom(z2, z2, [[1, 2], [2, 4]]), hom(z, z2, [[0], [0]]),
+            hom(z2, z6, [[1, 3]]), hom(z4z, z6, [[3, 2]]), hom(z6, z4z, [[2], [0]])]
+
+
+def test_lattices_match_the_reference_route_on_edge_maps():
+    for m in edge_maps():
+        assert tuple(lattices(m)) == reference_lattices(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lattices_match_the_reference_route(seed):
+    for m in lattice_cases(seed):
+        assert tuple(lattices(m)) == reference_lattices(m)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_lattices_match_the_reference_route_on_dense_sequences(n):
+    s = cli.parse_ses(dense_ses_payload(n, 0)["ses"], "ses")
+    for m in (s.inj, s.surj):
+        assert tuple(lattices(m)) == reference_lattices(m)
+
+
+def test_kernel_basis_solves_every_source_relator():
+    for m in edge_maps() + [m for seed in range(40) for m in lattice_cases(seed)]:
+        grp, incl = kernel_with_inclusion(m)
+        assert incl.matrix @ grp.relations == m.source.relations
+        assert m.target.congruent(m.matrix @ incl.matrix,
+                                  IntMatrix.zeros(m.target.generators, grp.generators))
 
 
 @settings(max_examples=20, deadline=None)
