@@ -5,8 +5,8 @@ Usage, from the root of a checkout::
 
     python3 scripts/identity_sweep.py <rev> [slice ...]
 
-checks ``<rev>`` out with ``git worktree add`` under a temporary
-directory, and removes both at the end.  One corpus is written once and
+extracts ``src/`` of ``<rev>`` with ``git archive`` under a temporary
+directory, and removes it at the end.  One corpus is written once and
 read by both sides.  Its slices, all of them by default:
 
 * ``instances``: every file of ``instances/``, and the directory itself;
@@ -30,17 +30,31 @@ and JSON); ``selftest`` runs in both formats: 70,208 runs a side in all
 six slices.  Each side runs the whole list in its
 own interpreter, once under ``PYTHONHASHSEED=0`` and once under ``1``,
 and records every run's stdout, stderr and exit code, with
-``elapsed_ms`` and the human ``timing:`` line masked.  The script prints
-the runs and differences per slice, the count of runs per exit code and
-the first differences, and exits 1 on any difference: between the two
-sides, or between the two hash seeds of one side.  It needs the
-standard library and git only.
+``elapsed_ms`` and the human ``timing:`` line masked.
+
+A change that means to alter output names it in ``CHANGES``
+(``scripts/sweep_changes.txt``), one line per change::
+
+    <slice> <streams> <glob>
+
+``<streams>`` is a comma-separated subset of ``stdout``, ``stderr`` and
+``exit``, the streams that may change, and ``<glob>``, the rest of the
+line, an ``fnmatch`` pattern over the run's argv joined with spaces,
+its paths relative to the corpus (``decide malformed/*.json --format
+json``).  Blank lines and lines starting with ``#`` are skipped.  The
+script prints the runs and differences per slice, the count of runs per
+exit code and the first differences, and exits 1 on a difference
+between the two sides that no line names, on a line that names no
+difference (so a stale file fails the next change), and on any
+difference between the two hash seeds of one side, which no line
+excuses.  It needs the standard library and git only.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import fnmatch
 import json
 import os
 import re
@@ -53,8 +67,10 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CHANGES = ROOT / "scripts" / "sweep_changes.txt"
 SLICES = ("instances", "workloads", "malformed", "scattered", "mutations", "selftest")
 HASH_SEEDS = ("0", "1")
+STREAMS = ("exit", "stdout", "stderr")
 SHOWN = 10
 
 MASKS = [(re.compile(r'"elapsed_ms": [0-9.e+-]+'), '"elapsed_ms": _'),
@@ -254,6 +270,40 @@ def run_side(src: Path, jobs: Path, out: Path, seed: str) -> subprocess.Popen:
                              str(ROOT / "scripts")], env=side_env(src, seed), cwd=src.parent)
 
 
+def read_changes(text: str) -> list[tuple[str, frozenset[str], str]]:
+    """``(slice, streams, glob)`` of each line of a changes file; a line
+    that names no slice or stream, or has no glob, is a ``ValueError``."""
+    rules = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        slice_, streams, glob = (line.split(None, 2) + ["", ""])[:3]
+        named = frozenset(streams.split(","))
+        if slice_ not in SLICES or not named <= set(STREAMS) or not glob.strip():
+            raise ValueError(f"{CHANGES.name}:{number}: expected '<slice> "
+                             f"<stream>[,<stream>...] <glob>', got {line!r}")
+        rules.append((slice_, named, glob.strip()))
+    return rules
+
+
+def named_changes(diffs: list[tuple[str, str, frozenset[str]]],
+                  rules: list[tuple[str, frozenset[str], str]]):
+    """The differences that no rule names, and the rules that name no
+    difference.  A difference ``(slice, argv text, changed streams)`` is
+    named by a rule of its slice whose streams hold every changed one and
+    whose glob matches the argv."""
+    used = [False] * len(rules)
+    unnamed = []
+    for slice_, argv, changed in diffs:
+        hits = [i for i, (s, streams, glob) in enumerate(rules)
+                if s == slice_ and changed <= streams and fnmatch.fnmatchcase(argv, glob)]
+        for i in hits:
+            used[i] = True
+        if not hits:
+            unnamed.append((slice_, argv, changed))
+    return unnamed, [rule for rule, hit in zip(rules, used) if not hit]
+
+
 def show(argv: list[str], srcs: dict[str, Path], seed: str) -> None:
     """Run ``argv`` once more on both sides and print how the outputs differ."""
     texts = []
@@ -274,12 +324,22 @@ def main() -> int:
     if not set(args.slices) <= set(SLICES):
         ap.error(f"a slice is one of {', '.join(SLICES)}")
     slices = args.slices or list(SLICES)
+    try:
+        # a line of a slice that does not run names nothing here
+        rules = [rule for rule in read_changes(CHANGES.read_text(encoding="utf-8"))
+                 if rule[0] in slices]
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     tmp = Path(tempfile.mkdtemp(prefix="identity-sweep-"))
     base = tmp / "base"
     try:
-        if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                           str(base), args.rev]).returncode:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
+                                 stdout=subprocess.PIPE)
+        if archive.returncode:
             return 2
+        base.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         (tmp / "corpus").mkdir()
         runs = write_corpus(tmp / "corpus", slices)
         argvs = [argv for _, argv in runs]
@@ -297,8 +357,24 @@ def main() -> int:
         results = {key: json.loads(path.read_text(encoding="utf-8"))
                    for key, path in sides.items()}
         ref = results["base", HASH_SEEDS[0]]
-        diffs = [(slice_, argv, key, ref[i], got[i]) for key, got in results.items()
+        corpus_prefix = f"{tmp / 'corpus'}{os.sep}"
+
+        def text(argv: list[str]) -> str:
+            return " ".join(a.removeprefix(corpus_prefix) for a in argv)
+
+        def changed(want: list, got: list) -> frozenset[str]:
+            return frozenset(name for name, a, b in zip(STREAMS, want, got) if a != b)
+
+        # a side against itself under the other hash seed, and the change
+        # against the base under the first
+        seed_diffs = [(slice_, argv, side, changed(got[i], results[side, HASH_SEEDS[0]][i]))
+                      for (side, seed), got in results.items() if seed != HASH_SEEDS[0]
+                      for i, (slice_, argv) in enumerate(runs)
+                      if got[i] != results[side, HASH_SEEDS[0]][i]]
+        got = results["change", HASH_SEEDS[0]]
+        diffs = [(slice_, argv, changed(ref[i], got[i]))
                  for i, (slice_, argv) in enumerate(runs) if got[i] != ref[i]]
+        unnamed, stale = named_changes([(s, text(a), c) for s, a, c in diffs], rules)
         codes = Counter(str(code) for code, _, _ in ref)
         print(f"identity sweep of {args.rev} against {ROOT.name}: {len(argvs)} runs a side "
               f"under each of {len(HASH_SEEDS)} hash seeds ({len(argvs) * len(sides)} in all; "
@@ -308,20 +384,23 @@ def main() -> int:
         for slice_ in slices:
             print(f"  {slice_}: {per_slice[slice_]} runs a side, {per_diff[slice_]} differences")
         print("exit codes at the base: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
-        for _, argv, (side, seed), want, got in diffs[:SHOWN]:
-            what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), want, got)
-                    if a != b]
-            shown = " ".join(a.removeprefix(f"{tmp / 'corpus'}{os.sep}") for a in argv)
-            print(f"  differs ({side}, PYTHONHASHSEED={seed}; {', '.join(what)}): igl {shown}")
-        if diffs:
-            show(diffs[0][1], srcs, diffs[0][2][1])
-        print(f"{len(diffs)} differences")
-        return 1 if diffs else 0
+        for slice_, argv, side, what in seed_diffs[:SHOWN]:
+            print(f"  differs between hash seeds ({side}; {', '.join(sorted(what))}): "
+                  f"igl {text(argv)}")
+        for slice_, argv, what in unnamed[:SHOWN]:
+            print(f"  differs, named by no line ({slice_}; {', '.join(sorted(what))}): "
+                  f"igl {argv}")
+        for slice_, streams, glob in stale:
+            print(f"  stale line: {slice_} {','.join(sorted(streams))} {glob}")
+        if unnamed:
+            show({text(a): a for _, a, _ in diffs}[unnamed[0][1]], srcs, HASH_SEEDS[0])
+        elif seed_diffs:
+            show(seed_diffs[0][1], srcs, HASH_SEEDS[0])
+        print(f"{len(diffs)} differences, {len(unnamed)} named by no line of {CHANGES.name}, "
+              f"{len(stale)} stale lines, {len(seed_diffs)} hash-seed differences")
+        return 1 if unnamed or stale or seed_diffs else 0
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
 
 
 if __name__ == "__main__":
