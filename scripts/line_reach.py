@@ -91,7 +91,7 @@ KEPT: dict[tuple[str, str], str] = {
         "selftest's failing case: the built-in corpus is green, so only a fault reaches it",
     ("cli._run_case", 'return False, f"{report.verdict} [{report.expr}]"'):
         "selftest's failing case: the built-in corpus is green, so only a fault reaches it",
-    ("cli.main", 'print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()),'):
+    ("cli._failure", 'return 4, " ".join(f"internal error: {type(exc).__name__}: {exc}".split())'):
         "exit 4: a fault in igl, never an input, ends in one line; a test plants one",
     ("corpus._check_escape_limit_rejected", 'return "accepted"'):
         "selftest's failing case: escape_index refuses a limit stage",
@@ -280,12 +280,21 @@ def bad_paths(folder: Path) -> list[Path]:
                                                  "unit_free": True}}),
         "finite-and-opaque.json": _noeth({"finite": {"p": 2}, "opaque": {"label": "K"}},
                                          {"finite": {"p": 2, "r": 2}}),
+        "order-bits.json": _noeth({"finite": {"p": 3, "r": 4000}}, {"finite": {"p": 3, "r": 4000}}),
+        "characteristic-one.json": _noeth({"opaque": {"label": "K", "characteristic": 1}},
+                                          {"opaque": {"label": "L", "characteristic": 1}}),
         # a misspelt key: of the file, of a nested record and of a tree node
         "misspelt-field.json": {"v": 1, "kind": "krull", "varaint": "UFD"},
         "misspelt-key.json": {"v": 1, "kind": "group_diagram", "check": "group",
                               "group": {"generators": 2, "relator": [[2, 0]]}},
         "misspelt-node-key.json": {"v": 1, "kind": "prufer_tree", "root": {
             "id": "0", "children": [{"id": "P", "label": ["Z"], "branch": False}]}},
+        # a key that is no name, quoted beside its record's path, and a
+        # diagram term that the check does not name
+        "quoted-key.json": {"v": 1, "kind": "group_diagram", "check": "group",
+                            "group": {"generators": 2, "relator s": []}},
+        "unnamed-term.json": {"v": 1, "kind": "group_diagram", "check": "group",
+                              "group": {"generators": 1}, "ses": {}},
     }
     texts.update((name, json.dumps(payload).encode()) for name, payload in refused.items())
     for name, text in texts.items():

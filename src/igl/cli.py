@@ -1,6 +1,7 @@
-"""Batch front end: the instance schema; one table, ``KINDS``, that feeds
-each kind's parse to the decider and to the ``verify`` check of the layer
-owning that kind; rendering; argv; and the built-in corpus.  No freeness
+"""Batch front end: the instance schema, one table (``FIELDS``) read by one
+walker (``read``); one table, ``KINDS``, that feeds each kind's parse to
+the decider and to the ``verify`` check of the layer owning that kind;
+rendering; argv; and the built-in corpus.  No freeness
 rule, certificate step or check is written here.
 
 Commands::
@@ -23,12 +24,14 @@ the exit status and raises no ``SystemExit``.
 ``<path>`` is a UTF-8 JSON instance file (schema version ``"v": 1``) or a
 directory of them.  Exit codes: 2 for an argv that the table does not
 read (a usage line and ``igl: error: ...`` on stderr), for a path that
-cannot be read and for parse/schema errors (with a line diagnostic when
-the file does not even parse; ``verify`` too exits 2 on a malformed
-instance of any kind), 3 for precondition violations, 1 when ``verify``
-has a failing check or the ``selftest`` corpus is not green, 4 for an
-internal error (any other exception, reported in one line), 0 otherwise
-(help included) -- an ``Unknown`` verdict is a result, not an error.  A
+cannot be read and for parse/schema errors (``error: <file>: <path>:
+<problem>``, the JSON path of the value at fault; ``verify`` too exits 2
+on a malformed instance of any kind), 3 for precondition violations, 1
+when ``verify`` has a failing check or the ``selftest`` corpus is not
+green, 4 for an internal error (any other exception, reported in one
+line), 0 otherwise (help included) -- an ``Unknown`` verdict is a result,
+not an error.  Each file of a directory is taken on its own: a file that
+fails prints its line, and the run exits with the largest code.  A
 closed stdout ends the ``igl`` process silently by ``SIGPIPE``.
 ``verify``'s checks are comparisons, not ``assert`` statements, so its
 exit code is the same under ``python -O``.
@@ -40,12 +43,14 @@ import json
 import re
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import abelian, noeth, prufer, scattered, valgroup
 from .corpus import CASES
-from .errors import DiagramError, IglError, PreconditionError, SchemaError, read_flag
+from .errors import (ANY, ENUM, FLAG, INT, RECORD, RECORDS, SLOTS, STR, STRATA, VECTORS,
+                     DiagramError, Field, IglError, PreconditionError, SchemaError, unknown_key)
 from .matrices import IntMatrix
 from .valgroup import CertStep
 
@@ -139,355 +144,6 @@ def _emit(x, nl: str, out: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Payload parsing
-# ---------------------------------------------------------------------------
-
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaError(msg)
-
-
-def _flag(payload: dict, key: str, default: bool | None) -> bool | None:
-    return read_flag(payload, key, default, f"field {key!r}")
-
-
-def _is_int(x) -> bool:
-    # JSON true/false are Python bools, a subclass of int; the schema's
-    # integers never accept them
-    return type(x) is int
-
-
-def _is_int_vector(v, n: int) -> bool:
-    return isinstance(v, list) and len(v) == n and set(map(type, v)) <= {int}
-
-
-def load_payload(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: cannot read file ({exc})") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # a number past the int-from-str digit limit
-        raise SchemaError(f"{path}: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"{path}: nested too deeply for the JSON decoder") from exc
-    _expect(isinstance(payload, dict), f"{path}: the instance must be a JSON object")
-    return payload
-
-
-# record -> the keys it may hold.  A key outside its record's set is a schema
-# error (exit 2), so a misspelt optional key never silently takes its default.
-# A file holds the envelope's keys and its kind's; a ``group_diagram`` file
-# holds the one term that its ``check`` names.  Scattered ``labels`` keys are
-# strata, data that ``parse_scattered`` reads, not fields.
-KEYS = {
-    "envelope": ("v", "kind", "name", "source"),
-    "prufer_tree": ("root", "question", "locally_finite", "codim_finite",
-                    "t_finite_character"),
-    "noeth_local": ("k", "branches", "integrally_closed", "conductor_nonzero", "local"),
-    "scattered_space": ("bound", "labels"),
-    "valuation": ("tower", "group", "maximal_principal", "maximal_branched"),
-    "group_diagram": ("check",),
-    "krull": ("variant",),
-    "tree node": tuple(sorted(prufer.NODE_KEYS)),
-    "field description": ("finite", "opaque"),
-    "finite": ("p", "r"),
-    "opaque": ("label", "characteristic", "unit_free", "quotient_free", "summand"),
-    "branch": ("L", "e"),
-    "group": ("generators", "relators"),
-    "ses": ("left", "mid", "right", "inj", "surj"),
-    "snake": ("top", "bottom", "f", "g", "h"),
-    "amalgam": ("g", "parts"),
-    "amalgam part": ("group", "complement", "emb", "proj", "retract"),
-}
-_KEYS = {record: frozenset(keys) for record, keys in KEYS.items()}
-
-
-def _known_keys(rec: dict, keys: frozenset, where: str | None) -> None:
-    """Refuse the first key of ``rec``, in document order, that ``keys``
-    lacks, spelt as the record's other diagnostics spell its fields: under
-    ``where``, or as ``field 'x'`` for a file's own (``where`` is ``None``);
-    a key that is no name is quoted, so the message stays one line.  The
-    message is formatted only on failure."""
-    if keys.issuperset(rec):
-        return
-    key = next(k for k in rec if k not in keys)
-    if where is None:
-        raise SchemaError(f"field {key!r}: unknown key")
-    raise SchemaError(f"{where}.{key}: unknown key" if key.isidentifier()
-                      else f"{where}: unknown key {key!r}")
-
-
-def validate_envelope(payload: dict) -> str:
-    """The file's kind, read after its version; then its keys are checked,
-    before any other field (a ``group_diagram``'s by ``parse_diagram``,
-    once its check names its term)."""
-    _expect(_is_int(payload.get("v")) and payload["v"] == 1,
-            "field 'v': schema version must be 1")
-    kind = payload.get("kind")
-    _expect(isinstance(kind, str) and kind in KINDS,
-            f"field 'kind': expected one of {', '.join(KINDS)}")
-    if kind != "group_diagram":
-        _known_keys(payload, _FILE_KEYS[kind], None)
-    return kind
-
-
-_BEYOND_BOUND = f"characteristic is not below the supported bound {noeth.PRIME_BOUND}"
-
-
-def parse_field_desc(rec: dict, where: str) -> noeth.FieldDesc:
-    """A field description, its characteristic a prime below
-    ``noeth.PRIME_BOUND`` (or 0 for an opaque field) and a finite field's
-    order at most ``noeth.MAX_ORDER_BITS`` bits."""
-    _expect(isinstance(rec, dict), f"{where}: must be an object")
-    _known_keys(rec, _KEYS["field description"], where)
-    if len(rec) > 1:
-        raise SchemaError(f"{where}: a field description is 'finite' or 'opaque', not both")
-    if "finite" in rec:
-        f = rec["finite"]
-        _expect(isinstance(f, dict), f"{where}.finite: needs integer 'p'")
-        _known_keys(f, _KEYS["finite"], f"{where}.finite")
-        _expect(_is_int(f.get("p")), f"{where}.finite: needs integer 'p'")
-        _expect(_is_int(f.get("r", 1)), f"{where}.finite.r: must be an integer")
-        field = noeth.FiniteField(f["p"], f.get("r", 1))
-        _expect(field.p < noeth.PRIME_BOUND, _BEYOND_BOUND)
-        _expect(noeth._is_prime(field.p), f"{field.p} is not prime")
-        _expect(field.r >= 1, "field degree must be >= 1")
-        # a degree above the cap already exceeds it; testing it first
-        # spares computing p**r for a huge r
-        _expect(field.r <= noeth.MAX_ORDER_BITS
-                and field.order.bit_length() <= noeth.MAX_ORDER_BITS,
-                f"field order p^{field.r} has more than {noeth.MAX_ORDER_BITS} bits")
-        return field
-    if "opaque" in rec:
-        o = rec["opaque"]
-        _expect(isinstance(o, dict), f"{where}.opaque: needs string 'label'")
-        _known_keys(o, _KEYS["opaque"], f"{where}.opaque")
-        _expect(isinstance(o.get("label"), str), f"{where}.opaque: needs string 'label'")
-        _expect(_is_int(o.get("characteristic", 0)),
-                f"{where}.opaque.characteristic: must be an integer")
-        field = noeth.OpaqueField(
-            label=o["label"],
-            characteristic=o.get("characteristic", 0),
-            **{key: read_flag(o, key, None, f"{where}.opaque.{key}")
-               for key in ("unit_free", "quotient_free", "summand")})
-        _expect(field.characteristic < noeth.PRIME_BOUND, _BEYOND_BOUND)
-        _expect(field.characteristic == 0 or noeth._is_prime(field.characteristic),
-                "characteristic must be 0 or a prime")
-        return field
-    raise SchemaError(f"{where}: expected a 'finite' or 'opaque' field description")
-
-
-# A group with no relators is Z^generators, so a short file could set any
-# amount of work; the benchmark's largest group has 24 generators.
-MAX_GENERATORS = 4096
-
-
-def parse_group(rec: dict, where: str) -> abelian.FgGroup:
-    # a message is formatted only on failure: the relator check runs once
-    # per relator
-    if not isinstance(rec, dict):
-        raise SchemaError(f"{where}: must be an object")
-    _known_keys(rec, _KEYS["group"], where)
-    n = rec.get("generators")
-    if not (_is_int(n) and n >= 0):
-        raise SchemaError(f"{where}.generators: must be a nonnegative integer")
-    if n > MAX_GENERATORS:
-        raise SchemaError(f"{where}.generators: at most {MAX_GENERATORS} are supported")
-    relators = rec.get("relators", [])
-    if not isinstance(relators, list):
-        raise SchemaError(f"{where}.relators: must be a list of vectors")
-    for i, r in enumerate(relators):
-        if not _is_int_vector(r, n):
-            raise SchemaError(f"{where}.relators[{i}]: must be an integer vector of length {n}")
-    return abelian.FgGroup(n, IntMatrix.from_cols(relators, rows=n))
-
-
-def parse_matrix(rec, rows: int, cols: int, where: str) -> IntMatrix:
-    if not (isinstance(rec, list) and len(rec) == rows):
-        raise SchemaError(f"{where}: must be a matrix with {rows} rows")
-    for i, row in enumerate(rec):
-        if not _is_int_vector(row, cols):
-            raise SchemaError(f"{where}[{i}]: must be an integer row of length {cols}")
-    return IntMatrix.from_rows(rec, cols=cols)
-
-
-def _parse_hom(rec, src: abelian.FgGroup, tgt: abelian.FgGroup,
-               where: str) -> abelian.FgHom:
-    hom = abelian.FgHom(src, tgt, parse_matrix(rec, tgt.generators, src.generators, where))
-    try:
-        abelian.FgHom.__post_init__(hom)
-    except DiagramError as exc:
-        # the map is not well defined: name the matrix to fix
-        raise DiagramError(f"{where}: {exc}") from exc
-    return hom
-
-
-def parse_ses(rec: dict, where: str) -> abelian.ShortExactSeq:
-    _expect(isinstance(rec, dict), f"{where}: must be an object")
-    _known_keys(rec, _KEYS["ses"], where)
-    for key in KEYS["ses"]:
-        _expect(key in rec, f"{where}.{key}: missing")
-    left = parse_group(rec["left"], f"{where}.left")
-    mid = parse_group(rec["mid"], f"{where}.mid")
-    right = parse_group(rec["right"], f"{where}.right")
-    inj = _parse_hom(rec["inj"], left, mid, f"{where}.inj")
-    surj = _parse_hom(rec["surj"], mid, right, f"{where}.surj")
-    seq = abelian.ShortExactSeq(left, mid, right, inj, surj)
-    abelian.ShortExactSeq.__post_init__(seq)
-    return seq
-
-
-def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
-    _expect(isinstance(payload.get("bound"), str), "field 'bound': must be an ordinal string")
-    bound = scattered.parse_ordinal(payload["bound"])
-    labels_rec = payload.get("labels")
-    _expect(isinstance(labels_rec, dict), "field 'labels': must map strata to slot lists")
-    labels: dict[int, valgroup.ValueTower] = {}
-    # each distinct slot list is parsed once, as in ``tree_from_payload``:
-    # equal labels share one tower
-    towers: dict[tuple, valgroup.ValueTower] = {}
-    for key, slots in labels_rec.items():
-        # a message is formatted only on failure, as in ``parse_group``
-        if not (key.isascii() and key.isdigit()):
-            raise SchemaError(f"labels key {key!r}: must be a decimal stratum index")
-        if not (isinstance(slots, list) and slots):
-            raise SchemaError(f"labels[{key}]: must be a nonempty slot list")
-        if len(key) > scattered.MAX_DIGITS:
-            raise SchemaError(
-                f"labels key {key[:20]!r}: more than {scattered.MAX_DIGITS} digits")
-        stratum = int(key)
-        if stratum in labels:
-            raise SchemaError(f"labels key {key[:20]!r}: stratum {stratum} is already labelled")
-        names = tuple(slots)
-        try:
-            labels[stratum] = towers[names]
-        except KeyError:
-            labels[stratum] = towers[names] = valgroup.ValueTower.from_names(slots)
-        except TypeError:
-            # an unhashable slot is never a slot name: the parse names it
-            labels[stratum] = valgroup.ValueTower.from_names(slots)
-    return scattered.ScatteredSpace.interval(bound, labels)
-
-
-def parse_noeth(payload: dict) -> noeth.NoethInstance:
-    """Conductor data: every field as ``parse_field_desc`` reads it and each
-    exponent ``e >= 1``, branch by branch, then the flags, then the facts
-    that relate the fields: one shared characteristic, ``k`` embedding
-    into every finite ``L_i`` and no declaration that contradicts
-    another."""
-    _expect("k" in payload, "field 'k': missing residue field")
-    k = parse_field_desc(payload["k"], "k")
-    branches_rec = payload.get("branches")
-    _expect(isinstance(branches_rec, list) and branches_rec,
-            "field 'branches': must be a nonempty list")
-    branches = []
-    for i, b in enumerate(branches_rec):
-        _expect(isinstance(b, dict), f"branches[{i}]: needs 'L'")
-        _known_keys(b, _KEYS["branch"], f"branches[{i}]")
-        _expect("L" in b, f"branches[{i}]: needs 'L'")
-        e = b.get("e", 1)
-        _expect(_is_int(e), f"branches[{i}].e: must be an integer")
-        L = parse_field_desc(b["L"], f"branches[{i}].L")
-        _expect(e >= 1, "conductor exponents must be >= 1")
-        branches.append(noeth.Branch(L, e))
-    inst = noeth.NoethInstance(
-        residue=k, branches=tuple(branches),
-        integrally_closed=_flag(payload, "integrally_closed", False),
-        conductor_nonzero=_flag(payload, "conductor_nonzero", True),
-        local=_flag(payload, "local", True))
-    _expect(all(b.field.characteristic == k.characteristic for b in branches),
-            "residue fields of an extension share their characteristic")
-    if isinstance(k, noeth.FiniteField):
-        for b in branches:
-            # the characteristic is shared, so k embeds when its degree divides
-            if isinstance(b.field, noeth.FiniteField) and b.field.r % k.r != 0:
-                raise SchemaError(f"{k.label} does not embed into {b.field.label}")
-    elif k.unit_free is False:
-        # U(k) is a subgroup of every U(L_i), and subgroups of free
-        # groups are free
-        for i, b in enumerate(branches):
-            if isinstance(b.field, noeth.OpaqueField) and b.field.unit_free is True:
-                raise SchemaError(
-                    f"contradictory declarations: k.opaque.unit_free is false but "
-                    f"branches[{i}].L.opaque.unit_free is true, and U(k) is a "
-                    f"subgroup of U(L)")
-    return inst
-
-
-def parse_valuation(payload: dict) -> tuple:
-    tower_rec = payload.get("tower")
-    _expect(isinstance(tower_rec, list), "field 'tower': must be a list of slots")
-    tower = valgroup.ValueTower.from_names(tower_rec)
-    group = payload.get("group", "inv")
-    _expect(group in ("inv", "div"), "field 'group': must be 'inv' or 'div'")
-    return (tower, group, _flag(payload, "maximal_principal", None),
-            _flag(payload, "maximal_branched", True))
-
-
-def parse_prufer(payload: dict) -> tuple:
-    _expect(isinstance(payload.get("root"), dict), "field 'root': missing tree root")
-    locally_finite = _flag(payload, "locally_finite", True)
-    tree = prufer.tree_from_payload(payload["root"])
-    question = payload.get("question", "inv")
-    _expect(question in ("inv", "div", "strongly_discrete"),
-            "field 'question': must be 'inv', 'div' or 'strongly_discrete'")
-    return (tree, question, locally_finite, _flag(payload, "codim_finite", False),
-            _flag(payload, "t_finite_character", None))
-
-
-def parse_krull(payload: dict) -> str:
-    variant = payload.get("variant", "krull")
-    _expect(variant in ("krull", "dedekind", "UFD"),
-            "field 'variant': must be 'krull', 'dedekind' or 'UFD'")
-    return variant
-
-
-def parse_diagram(payload: dict) -> tuple:
-    """``(check, *terms)``, each term built and checked in document order."""
-    check = payload.get("check")
-    _expect(isinstance(check, str) and check in abelian.DIAGRAM_CHECKS,
-            "field 'check': must be 'group', 'ses', 'snake' or 'amalgam'")
-    _known_keys(payload, _DIAGRAM_KEYS[check], None)
-    if check == "group":
-        return check, parse_group(payload.get("group"), "group")
-    if check == "ses":
-        return check, parse_ses(payload.get("ses"), "ses")
-    if check == "snake":
-        rec = payload.get("snake")
-        _expect(isinstance(rec, dict), "field 'snake': must be an object")
-        _known_keys(rec, _KEYS["snake"], "snake")
-        top = parse_ses(rec.get("top"), "snake.top")
-        bottom = parse_ses(rec.get("bottom"), "snake.bottom")
-        return (check, top, bottom,
-                _parse_hom(rec.get("f"), top.left, bottom.left, "snake.f"),
-                _parse_hom(rec.get("g"), top.mid, bottom.mid, "snake.g"),
-                _parse_hom(rec.get("h"), top.right, bottom.right, "snake.h"))
-    # amalgam
-    rec = payload.get("amalgam")
-    _expect(isinstance(rec, dict), "field 'amalgam': must be an object")
-    _known_keys(rec, _KEYS["amalgam"], "amalgam")
-    g = parse_group(rec.get("g"), "amalgam.g")
-    raw_parts = rec.get("parts")
-    _expect(isinstance(raw_parts, list) and raw_parts, "amalgam.parts: must be a nonempty list")
-    parts = []
-    for i, p in enumerate(raw_parts):
-        _expect(isinstance(p, dict), f"amalgam.parts[{i}]: must be an object")
-        _known_keys(p, _KEYS["amalgam part"], f"amalgam.parts[{i}]")
-        grp = parse_group(p.get("group"), f"amalgam.parts[{i}].group")
-        comp = parse_group(p.get("complement"), f"amalgam.parts[{i}].complement")
-        emb = _parse_hom(p.get("emb"), g, grp, f"amalgam.parts[{i}].emb")
-        proj = _parse_hom(p.get("proj"), grp, comp, f"amalgam.parts[{i}].proj")
-        retract = _parse_hom(p.get("retract"), grp, g, f"amalgam.parts[{i}].retract")
-        parts.append(abelian.AmalgamPart(grp, emb, comp, proj, retract))
-    return check, g, parts
-
-
-# ---------------------------------------------------------------------------
 # Deciding and verifying: each kind's parse fed to its layer (``KINDS``)
 # ---------------------------------------------------------------------------
 
@@ -532,10 +188,315 @@ KINDS = {
               lambda p: noeth.check_krull(parse_krull(p))),
 }
 
-# a file's keys by kind, and a group_diagram's by its check: it holds one term
-_FILE_KEYS = {kind: _KEYS["envelope"] | _KEYS[kind] for kind in KINDS}
-_DIAGRAM_KEYS = {check: _FILE_KEYS["group_diagram"] | {check}
-                 for check in abelian.DIAGRAM_CHECKS}
+
+# ---------------------------------------------------------------------------
+# Payload parsing: one table of fields, one walker, and the facts that
+# relate fields
+# ---------------------------------------------------------------------------
+
+_PRIMES = (2, noeth.PRIME_BOUND - 1)
+_GROUP = Field(RECORD, True, record="group")
+_MAP = Field(VECTORS, True)  # a map's matrix: its groups give its shape
+_TRUE, _FALSE, _UNDECLARED = Field(FLAG, default=True), Field(FLAG, default=False), Field(FLAG)
+
+# record -> its fields, in the order they are read; a file holds the
+# envelope's and its kind's.  Each bound caps the work a short file can ask
+# for: a group with no relators is Z^generators (the benchmark's largest
+# has 24), a field's order p^r has at most as many bits as r may be large,
+# and an integer of an ordinal or a stratum ``scattered.MAX_DIGITS`` digits.
+FIELDS = {
+    "envelope": {"v": Field(INT, True, bound=(1, 1)),
+                 "kind": Field(ENUM, True, bound=tuple(KINDS)),
+                 "name": Field(ANY), "source": Field(ANY)},  # name: else the file's stem
+    "prufer_tree": {"root": Field(RECORD, True, record="tree node"),
+                    "question": Field(ENUM, False, "inv", ("inv", "div", "strongly_discrete")),
+                    "locally_finite": _TRUE, "codim_finite": _FALSE,
+                    "t_finite_character": _UNDECLARED},
+    "noeth_local": {"k": Field(RECORD, True, record="field description"),
+                    "branches": Field(RECORDS, True, bound=1, record="branch"),
+                    "integrally_closed": _FALSE, "conductor_nonzero": _TRUE, "local": _TRUE},
+    "scattered_space": {"bound": Field(STR, True, bound=scattered.MAX_DIGITS),
+                        "labels": Field(STRATA, True, bound=scattered.MAX_DIGITS)},
+    "valuation": {"tower": Field(SLOTS, True, bound=0),
+                  "group": Field(ENUM, False, "inv", ("inv", "div")),
+                  "maximal_principal": _UNDECLARED, "maximal_branched": _TRUE},
+    "group_diagram": {"check": Field(ENUM, True, bound=tuple(abelian.DIAGRAM_CHECKS)),
+                      **{term: Field(RECORD, "check", record=term)
+                         for term in abelian.DIAGRAM_CHECKS}},
+    "krull": {"variant": Field(ENUM, False, "krull", ("krull", "dedekind", "UFD"))},
+    "tree node": prufer.NODE_FIELDS,
+    "field description": {"finite": Field(RECORD, record="finite"),
+                          "opaque": Field(RECORD, record="opaque")},
+    "finite": {"p": Field(INT, True, bound=_PRIMES), "r": Field(INT, False, 1, (1, 4096))},
+    "opaque": {"label": Field(STR, True), "characteristic": Field(INT, False, 0, (0, _PRIMES[1])),
+               "unit_free": _UNDECLARED, "quotient_free": _UNDECLARED, "summand": _UNDECLARED},
+    "branch": {"L": Field(RECORD, True, record="field description"),
+               "e": Field(INT, False, 1, (1, None))},
+    "group": {"generators": Field(INT, True, bound=(0, 4096)),
+              "relators": Field(VECTORS, False, [], "generators")},
+    "ses": {"left": _GROUP, "mid": _GROUP, "right": _GROUP, "inj": _MAP, "surj": _MAP},
+    "snake": {"top": Field(RECORD, True, record="ses"), "bottom": Field(RECORD, True, record="ses"),
+              "f": _MAP, "g": _MAP, "h": _MAP},
+    "amalgam": {"g": _GROUP, "parts": Field(RECORDS, True, bound=1, record="amalgam part")},
+    "amalgam part": {"group": _GROUP, "complement": _GROUP, "emb": _MAP, "proj": _MAP,
+                     "retract": _MAP},
+}
+
+_ABSENT = object()
+_INTS, _LISTS = {int}, {list}
+
+
+def read(rec, record: str, where: str = "") -> list:
+    """The values of ``rec``'s fields, read against ``FIELDS[record]`` in
+    table order, an absent optional one's as its default: first that
+    ``rec`` is an object, then its keys, then each field.  A record, and
+    each item of a list of records, is left to its own read.  ``where`` is
+    the record's path.  A message is formatted only on failure, and the
+    keys are looked at only then, or when the fields read do not account
+    for every key."""
+    fields = FIELDS[record]
+    if type(rec) is not dict:
+        raise SchemaError(where, "must be an object")
+    values, absent = [], 0
+    try:
+        for key, field in fields.items():
+            value = rec.get(key, _ABSENT)
+            kind, ok = field.type, True
+            if value is _ABSENT:
+                required = field.required
+                if required is True or (required and rec[required] == key):
+                    raise SchemaError(_at(where, key), "missing")
+                value, absent = field.default, absent + 1
+            elif kind is RECORD or kind is ANY:  # a record is read on its own
+                if type(field.required) is str and rec[field.required] != key:
+                    raise unknown_key(where, key)  # a term that its check does not name
+            elif kind is FLAG:
+                ok = type(value) is bool or (value is None and field.default is None)
+            elif kind is INT:
+                low, top = field.bound
+                ok = type(value) is int and low <= value and (top is None or value <= top)
+            elif kind is ENUM:
+                ok = type(value) is str and value in field.bound
+            elif kind is VECTORS:
+                ok = type(value) is list
+                n = rec[field.bound] if field.bound else None  # a field of the record gives it
+                # every row at once; the row at fault is looked for only on failure
+                if ok and not (set(map(type, value)) <= _LISTS
+                               and set(map(type, chain.from_iterable(value))) <= _INTS
+                               and (n is None or set(map(len, value)) <= {n})):
+                    i = next(i for i, v in enumerate(value) if not (
+                        type(v) is list and (n is None or len(v) == n)
+                        and set(map(type, v)) <= _INTS))
+                    raise SchemaError(f"{_at(where, key)}[{i}]", "must be an integer vector"
+                                      + f" of length {n}" * (n is not None))
+            elif kind is SLOTS or kind is RECORDS:
+                ok = type(value) is list and len(value) >= field.bound
+            else:
+                ok = type(value) is (str if kind is STR else dict)
+            if not ok:
+                raise SchemaError(_at(where, key), field.expected())
+            values.append(value)
+    except SchemaError:
+        _unknown_keys(rec, record, where)  # a record's keys come before its fields
+        raise
+    # a file holds its kind's keys and the envelope's, which its own read reads
+    if len(rec) + absent != len(fields) and record != "envelope" and (
+            where or not rec.keys() - fields.keys() <= FIELDS["envelope"].keys()):
+        _unknown_keys(rec, record, where)
+    return values
+
+
+def _unknown_keys(rec: dict, record: str, where: str) -> None:
+    """Refuse the first key of ``rec``, in document order, that its record
+    lacks.  A file holds the envelope's keys and its kind's, which the
+    kind's read checks."""
+    fields, envelope = FIELDS[record], FIELDS["envelope"]
+    for key in rec:
+        if key not in fields and record != "envelope" and (where or key not in envelope):
+            raise unknown_key(where, key)
+
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def load_payload(path: Path) -> dict:
+    """The JSON object of an instance file; the command names the file."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read file ({exc})") from exc
+    except ValueError as exc:  # bad JSON, or a number past the int-from-str digit limit
+        raise SchemaError(str(exc)) from exc
+    except RecursionError as exc:
+        raise SchemaError("nested too deeply for the JSON decoder") from exc
+    if type(payload) is not dict:
+        raise SchemaError("the instance must be a JSON object")
+    return payload
+
+
+def validate_envelope(payload: dict) -> str:
+    """The file's kind, read after its version; the kind's parse reads the
+    file's keys and its other fields."""
+    return read(payload, "envelope")[1]
+
+
+def parse_field_desc(rec, where: str) -> noeth.FieldDesc:
+    """A field description, ``finite`` or ``opaque``: a finite field's
+    ``p`` is prime and its order has at most as many bits as its ``r`` may
+    be large, and an opaque field's characteristic is 0 or a prime."""
+    finite, opaque = read(rec, "field description", where)
+    if (finite is None) is (opaque is None):
+        raise SchemaError(where, "must hold 'finite' or 'opaque'"
+                          + ", not both" * (finite is not None))
+    if finite is None:
+        field = noeth.OpaqueField(*read(opaque, "opaque", f"{where}.opaque"))
+        if field.characteristic and not noeth._is_prime(field.characteristic):
+            raise SchemaError(f"{where}.opaque.characteristic", "must be 0 or a prime")
+        return field
+    field = noeth.FiniteField(*read(finite, "finite", f"{where}.finite"))
+    bits = FIELDS["finite"]["r"].bound[1]
+    if not noeth._is_prime(field.p):
+        raise SchemaError(f"{where}.finite.p", f"{field.p} is not prime")
+    if field.order.bit_length() > bits:  # r is within its bound: p**r is cheap
+        raise SchemaError(f"{where}.finite.r",
+                          f"field order {field.p}^{field.r} has more than {bits} bits")
+    return field
+
+
+def parse_group(rec, where: str) -> abelian.FgGroup:
+    n, relators = read(rec, "group", where)
+    return abelian.FgGroup(n, IntMatrix.from_cols(relators, rows=n))
+
+
+def parse_matrix(rec: list, rows: int, cols: int, where: str) -> IntMatrix:
+    """A map's matrix, its entries checked by ``read`` and its shape here."""
+    if len(rec) != rows:
+        raise SchemaError(where, f"must be a matrix with {rows} rows")
+    if not set(map(len, rec)) <= {cols}:
+        i = next(i for i, row in enumerate(rec) if len(row) != cols)
+        raise SchemaError(f"{where}[{i}]", f"must be an integer vector of length {cols}")
+    return IntMatrix.from_rows(rec, cols=cols)
+
+
+def _parse_hom(rec, src: abelian.FgGroup, tgt: abelian.FgGroup,
+               where: str) -> abelian.FgHom:
+    hom = abelian.FgHom(src, tgt, parse_matrix(rec, tgt.generators, src.generators, where))
+    try:
+        abelian.FgHom.__post_init__(hom)
+    except DiagramError as exc:
+        # the map is not well defined: name the matrix to fix
+        raise DiagramError(f"{where}: {exc}") from exc
+    return hom
+
+
+def parse_ses(rec, where: str) -> abelian.ShortExactSeq:
+    *groups, inj, surj = read(rec, "ses", where)
+    left, mid, right = (parse_group(g, f"{where}.{k}") for g, k in zip(groups, FIELDS["ses"]))
+    seq = abelian.ShortExactSeq(left, mid, right, _parse_hom(inj, left, mid, f"{where}.inj"),
+                                _parse_hom(surj, mid, right, f"{where}.surj"))
+    abelian.ShortExactSeq.__post_init__(seq)
+    return seq
+
+
+def parse_scattered(payload: dict) -> scattered.ScatteredSpace:
+    """The bound, then each ``labels`` key in document order: a decimal
+    stratum of at most the table's digits, named once, with a nonempty
+    slot list.  Each distinct slot list is parsed once, as in
+    ``tree_from_payload``: equal labels share one tower."""
+    text, labels_rec = read(payload, "scattered_space")
+    try:
+        bound = scattered.parse_ordinal(text)
+    except SchemaError as exc:
+        raise exc.under("bound") from None
+    digits = FIELDS["scattered_space"]["labels"].bound
+    labels: dict[int, valgroup.ValueTower] = {}
+    towers: dict[tuple, valgroup.ValueTower] = {}
+    for key, slots in labels_rec.items():
+        # a message is formatted only on failure
+        if not (key.isascii() and key.isdigit()):
+            raise SchemaError("labels", f"key {key!r} is not a decimal stratum index")
+        if len(key) > digits:
+            raise SchemaError("labels", f"key {key[:20]!r} has more than {digits} digits")
+        if not (type(slots) is list and slots):
+            raise SchemaError(f"labels.{key}", "must be a nonempty list of slots")
+        stratum = int(key)
+        if stratum in labels:
+            raise SchemaError("labels", f"key {key!r} names stratum {stratum}, already labelled")
+        names = tuple(slots)
+        try:
+            labels[stratum] = towers[names]
+        except (KeyError, TypeError):  # a new slot list, or an unhashable slot, which
+            # is never a slot name: the parse names it before anything is stored
+            labels[stratum] = towers[names] = valgroup.ValueTower.from_names(
+                slots, f"labels.{key}")
+    return scattered.ScatteredSpace.interval(bound, labels)
+
+
+def parse_noeth(payload: dict) -> noeth.NoethInstance:
+    """Conductor data: each field as ``parse_field_desc`` reads it, branch
+    by branch, then the facts that relate the fields, in each branch: one
+    shared characteristic, ``k`` embedding into a finite ``L`` and no
+    declaration that contradicts ``k``'s."""
+    k, branch_recs, *flags = read(payload, "noeth_local")
+    k = parse_field_desc(k, "k")
+    branches = []
+    for i, rec in enumerate(branch_recs):
+        L, e = read(rec, "branch", f"branches[{i}]")
+        branches.append(noeth.Branch(parse_field_desc(L, f"branches[{i}].L"), e))
+    for i, (L, _) in enumerate(branches):
+        if L.characteristic != k.characteristic:
+            raise SchemaError(f"branches[{i}].L", f"characteristic {L.characteristic} differs "
+                              f"from k's {k.characteristic}")
+        # the characteristic is shared, so k embeds when its degree divides
+        if type(k) is type(L) is noeth.FiniteField and L.r % k.r:
+            raise SchemaError(f"branches[{i}].L", f"{k.label} does not embed into {L.label}")
+        # U(k) is a subgroup of U(L), and subgroups of free groups are free
+        if type(k) is type(L) is noeth.OpaqueField and (k.unit_free, L.unit_free) == (False, True):
+            raise SchemaError(f"branches[{i}].L.opaque.unit_free",
+                              "contradictory declarations: true, but k.opaque.unit_free is "
+                              "false, and U(k) is a subgroup of U(L)")
+    return noeth.NoethInstance(k, tuple(branches), *flags)
+
+
+def parse_valuation(payload: dict) -> tuple:
+    tower, *rest = read(payload, "valuation")
+    return (valgroup.ValueTower.from_names(tower, "tower"), *rest)
+
+
+def parse_prufer(payload: dict) -> tuple:
+    root, *rest = read(payload, "prufer_tree")
+    return (prufer.tree_from_payload(root), *rest)
+
+
+def parse_krull(payload: dict) -> str:
+    return read(payload, "krull")[0]
+
+
+def parse_diagram(payload: dict) -> tuple:
+    """``(check, *terms)``, each term built and checked in document order."""
+    check = read(payload, "group_diagram")[0]
+    rec = payload[check]
+    if check == "group":
+        return check, parse_group(rec, "group")
+    if check == "ses":
+        return check, parse_ses(rec, "ses")
+    if check == "snake":
+        top, bottom, *maps = read(rec, "snake", "snake")
+        top, bottom = parse_ses(top, "snake.top"), parse_ses(bottom, "snake.bottom")
+        return (check, top, bottom, *(_parse_hom(m, src, tgt, f"snake.{name}") for m, src, tgt, name
+                                       in zip(maps, top[:3], bottom[:3], "fgh")))
+    g, part_recs = read(rec, "amalgam", "amalgam")
+    g = parse_group(g, "amalgam.g")
+    parts = []
+    for i, part in enumerate(part_recs):
+        where = f"amalgam.parts[{i}]"
+        grp, comp, emb, proj, retract = read(part, "amalgam part", where)
+        grp, comp = parse_group(grp, f"{where}.group"), parse_group(comp, f"{where}.complement")
+        parts.append(abelian.AmalgamPart(grp, _parse_hom(emb, g, grp, f"{where}.emb"), comp,
+                                         _parse_hom(proj, grp, comp, f"{where}.proj"),
+                                         _parse_hom(retract, grp, g, f"{where}.retract")))
+    return check, g, parts
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +520,9 @@ def render_report_human(r: Report, trace_full: bool) -> str:
     return "\n".join(lines)
 
 
-def _instances(path_arg: str):
-    """``(name, payload)`` of the instance file at the path, or of each
-    ``.json`` file of a directory in name order, loaded one at a time."""
+def _files(path_arg: str) -> list[Path]:
+    """The instance file at the path, or each ``.json`` file of a
+    directory in name order."""
     path = Path(path_arg)
     try:
         files = sorted(path.glob("*.json")) if path.is_dir() else [path]
@@ -569,9 +530,35 @@ def _instances(path_arg: str):
         raise SchemaError(f"{path}: cannot read ({exc})") from exc
     if not files:
         raise SchemaError(f"{path}: directory contains no .json instances")
-    for f in files:
-        payload = load_payload(f)
-        yield payload.get("name", f.stem), payload
+    return files
+
+
+def _failure(exc: Exception, file: Path | None = None) -> tuple[int, str]:
+    """The exit code of an error and its one stderr line, which names the
+    file of a schema error."""
+    if isinstance(exc, SchemaError):
+        return 2, f"error: {file}: {exc}" if file else f"error: {exc}"
+    if isinstance(exc, PreconditionError):
+        return 3, f"precondition violated: {exc}"
+    # a fault in igl, not in the input: one line, never a traceback
+    return 4, " ".join(f"internal error: {type(exc).__name__}: {exc}".split())
+
+
+def _each(path_arg: str, work) -> tuple[list, int]:
+    """``work(payload, name)`` of each instance file of the path, each on
+    its own: a file that fails prints its one stderr line instead.  The
+    results of the files that succeed, and the largest exit code among
+    those that fail (0 when none does)."""
+    results, code = [], 0
+    for f in _files(path_arg):
+        try:
+            payload = load_payload(f)
+            results.append(work(payload, payload.get("name", f.stem)))
+        except Exception as exc:
+            failed, line = _failure(exc, f)
+            print(line, file=sys.stderr)
+            code = max(code, failed)
+    return results, code
 
 
 # ---------------------------------------------------------------------------
@@ -580,30 +567,29 @@ def _instances(path_arg: str):
 
 def cmd_decide(path: str, format: str, trace: str) -> int:
     """decide each instance: verdict, group and certificate"""
-    reports = [decide_payload(payload, name) for name, payload in _instances(path)]
+    reports, code = _each(path, decide_payload)
     trace_full = trace == "full"
-    if format == "json":
-        if len(reports) == 1:
-            print(canonical_json(reports[0].to_dict(trace_full)))
-        else:
-            print(canonical_json([r.to_dict(trace_full) for r in reports]))
-    else:
+    if reports and format == "json":
+        out = [r.to_dict(trace_full) for r in reports]
+        print(canonical_json(out if len(out) > 1 else out[0]))
+    elif reports:
         print("\n\n".join(render_report_human(r, trace_full) for r in reports))
-    return 0
+    return code
 
 
 def cmd_expr(path: str) -> int:
     """print the group expression of each instance"""
-    for name, payload in _instances(path):
+    def expr(payload: dict, name: str) -> None:
         report = decide_payload(payload, name)
         print(report.expr if report.expr is not None else "(none)")
-    return 0
+    return _each(path, expr)[1]
 
 
 def cmd_verify(path: str, format: str) -> int:
     """replay the finitely generated sub-claims of each instance"""
-    all_results = [(name, verify_payload(payload, name))
-                   for name, payload in _instances(path)]
+    all_results, code = _each(path, lambda payload, name: (name, verify_payload(payload, name)))
+    if not all_results:
+        return code
     if format == "json":
         out = [{"name": n,
                 "checks": [{"check": c, "ok": ok, "detail": d} for c, ok, d in cs]}
@@ -614,7 +600,7 @@ def cmd_verify(path: str, format: str) -> int:
             print(f"instance: {n}")
             for c, ok, d in cs:
                 print(f"  {'pass' if ok else 'FAIL'}  {c}: {d}")
-    return 0 if all(ok for _, cs in all_results for _, ok, _ in cs) else 1
+    return max(code, 0 if all(ok for _, cs in all_results for _, ok, _ in cs) else 1)
 
 
 def _run_case(case) -> tuple[bool, str]:
@@ -812,17 +798,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return fn(*args, **options)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
-        # a fault in igl, not in the input: one line, never a traceback
-        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()),
-              file=sys.stderr)
-        return 4
+        code, line = _failure(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:  # pragma: no cover - console script shim

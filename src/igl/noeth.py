@@ -31,7 +31,7 @@ primes.  ``check_noeth`` and ``check_krull`` are ``verify``'s checks.
 The records here are named tuples that check nothing:
 ``cli.parse_field_desc``, ``cli.parse_noeth`` and ``cli.parse_krull``
 check each fact that an instance file supplies, once, with
-``_is_prime``, ``PRIME_BOUND`` and ``MAX_ORDER_BITS`` from here.
+``_is_prime`` and ``PRIME_BOUND`` from here.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# Finite field orders p^r are capped too, so that every unit order stays
-# small enough to compute with and to print.
-MAX_ORDER_BITS = 4096
 
 
 class FiniteField(namedtuple("FiniteField", "p r", defaults=(1,))):

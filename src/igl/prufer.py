@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import SchemaError, read_flag
+from .errors import ANY, FLAG, RECORDS, SLOTS, Field, SchemaError, unknown_key
 from .valgroup import (CertStep, Certificate, Check, Decision, GroupExpr, LexTower,
                        R, UNKNOWN, Z, ValueTower, Verdict, agree, direct_sum,
                        freeness_verdict, normal_invariant_factors, normal_sum,
@@ -71,64 +71,83 @@ class SpecTree(namedtuple("SpecTree", "root preorder parents")):
         return {n.node_id: n for n in self.nodes()}[node_id]
 
 
-# the keys a tree node may hold; ``cli.KEYS`` names this set
-NODE_KEYS = frozenset(("id", "label", "children", "branched"))
+# the fields of a tree node (``cli.FIELDS`` holds this record as "tree
+# node"): every node but the root has a label, and the root has none
+NODE_FIELDS = {"id": Field(ANY, True), "label": Field(SLOTS, True, bound=1),
+               "children": Field(RECORDS, False, [], 0, "tree node"),
+               "branched": Field(FLAG, default=True)}
 
 
 def tree_from_payload(payload: dict) -> SpecTree:
-    """Build a tree from the nested instance format
-    ``{id, label: [slot,...], children: [...], branched}`` (the root has no
-    label).  Records are checked in pre-order, so the first bad record in
-    document order is the one reported, and a node's keys before its
-    fields, once its id names it; this is the tree's only validation.  Each
-    distinct label is parsed once: nodes with equal labels share one
-    ``ValueTower``, held in a table that lives for this call only."""
+    """Build a tree from a ``prufer_tree`` file's ``root``, nested records
+    of ``NODE_FIELDS``.  Records are checked in pre-order, so the first bad
+    record in document order is the one reported, and a node's keys before
+    its fields, once its id names it; this is the tree's only validation.
+    A message is formatted only on failure, when a second walk finds the
+    failing record's path.  Each distinct label is parsed once: nodes with
+    equal labels share one ``ValueTower``, held in a table that lives for
+    this call only."""
     # pre-order pass: check each record and parse its label
     order: list[tuple[str, ValueTower | None, bool, list]] = []
     seen: set[str] = set()
     towers: dict[tuple, ValueTower] = {}
     stack: list[object] = [payload]
-    known_keys = NODE_KEYS.issuperset
-    while stack:
-        rec = stack.pop()
-        if not isinstance(rec, dict):
-            raise SchemaError("tree nodes must be objects")
-        if "id" not in rec:
-            raise SchemaError("tree node missing 'id'")
-        if not known_keys(rec):
-            key = next(k for k in rec if k not in NODE_KEYS)
-            raise SchemaError(f"node {rec['id']!r}: unknown key {key!r}")
-        # ids are compared as the strings the nodes keep, so 0 and "0" collide
-        node_id = str(rec["id"])
-        if node_id in seen:
-            raise SchemaError(f"duplicate node id {node_id!r}")
-        seen.add(node_id)
-        if rec is payload:
-            if "label" in rec:
-                raise SchemaError("the root (zero ideal) carries no edge label")
-            label = None
-        else:
-            raw = rec.get("label")
-            if not isinstance(raw, list) or not raw:
-                raise SchemaError(f"node {rec['id']!r}: 'label' must be a nonempty list of slots")
-            key = tuple(raw)
-            try:
-                label = towers[key]
-            except KeyError:
-                label = towers[key] = ValueTower.from_names(raw)
-            except TypeError:
-                # an unhashable slot is never a slot name: the parse names it
-                label = ValueTower.from_names(raw)
-        children = rec.get("children", [])
-        if not isinstance(children, list):
-            raise SchemaError(f"node {rec['id']!r}: 'children' must be a list of nodes")
-        branched = rec.get("branched", True)
-        if type(branched) is not bool:
-            # the message is formatted only here, where read_flag raises
-            read_flag(rec, "branched", True, f"node {rec['id']!r}: 'branched'")
-        order.append((node_id, label, branched, children))
-        stack.extend(reversed(children))
+    fields = NODE_FIELDS
+    known = frozenset(fields).issuperset
+    least, no_children, branched_default = (fields["label"].bound, fields["children"].default,
+                                            fields["branched"].default)
+    try:
+        while stack:
+            rec = stack.pop()
+            if not isinstance(rec, dict):
+                raise SchemaError("", "must be an object")
+            if "id" not in rec:
+                raise SchemaError("id", "missing")
+            if not known(rec):
+                raise unknown_key("", next(k for k in rec if k not in fields))
+            # ids are compared as the strings the nodes keep, so 0 and "0" collide
+            node_id = str(rec["id"])
+            if node_id in seen:
+                raise SchemaError("id", f"duplicate node id {node_id!r}")
+            seen.add(node_id)
+            if rec is payload:
+                if "label" in rec:
+                    raise SchemaError("label", "the root (zero ideal) carries no edge label")
+                label = None
+            else:
+                raw = rec.get("label")
+                if type(raw) is not list or len(raw) < least:
+                    raise SchemaError("label", "missing" if "label" not in rec
+                                      else fields["label"].expected())
+                key = tuple(raw)
+                try:
+                    label = towers[key]
+                except (KeyError, TypeError):  # a new label, or an unhashable slot,
+                    # which is never a slot name: the parse names it, storing nothing
+                    label = towers[key] = ValueTower.from_names(raw, "label")
+            children = rec.get("children", no_children)
+            if type(children) is not list:
+                raise SchemaError("children", fields["children"].expected())
+            branched = rec.get("branched", branched_default)
+            if type(branched) is not bool:
+                raise SchemaError("branched", fields["branched"].expected())
+            order.append((node_id, label, branched, children))
+            stack.extend(reversed(children))
+    except SchemaError as exc:
+        raise exc.under(_record_path(payload, len(order))) from None
     return _indexed(order)
+
+
+def _record_path(payload: dict, n: int) -> str:
+    """The path of the ``n``-th record of the tree in pre-order, the ones
+    before it parsed: the second walk, made when the parse fails."""
+    stack = [(payload, "root")]
+    for _ in range(n):
+        rec, path = stack.pop()
+        children = rec.get("children", [])
+        stack.extend((children[i], f"{path}.children[{i}]")
+                     for i in reversed(range(len(children))))
+    return stack[-1][1]
 
 
 def _indexed(order: list[tuple[str, ValueTower | None, bool, list]]) -> SpecTree:

@@ -184,7 +184,7 @@ class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels")):
         strata = range(bound.leading_exponent() + 1)
         for k in strata:
             if k not in labels:
-                raise SchemaError(f"missing label for occupied stratum {k}")
+                raise SchemaError("labels", f"missing label for occupied stratum {k}")
         return cls(bound, tuple(labels[k] for k in strata))
 
 

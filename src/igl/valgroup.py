@@ -490,11 +490,12 @@ class ValueTower(tuple):
     __slots__ = ()
 
     @classmethod
-    def from_names(cls, names: list[str]) -> "ValueTower":
+    def from_names(cls, names: list[str], where: str = "") -> "ValueTower":
+        """The tower of the slot names at the path ``where``."""
         slots = []
-        for n in names:
+        for i, n in enumerate(names):
             if not isinstance(n, str) or n not in _SLOTS:
-                raise SchemaError(f"unknown tower slot {n!r} (expected Z, Q or R)")
+                raise SchemaError(f"{where}[{i}]", f"unknown tower slot {n!r} (expected Z, Q or R)")
             slots.append(_SLOTS[n])
         return cls(slots)
 

@@ -400,7 +400,7 @@ def test_unknown_krull_variant_is_a_field_error(tmp_path, capsys):
     for cmd in ("decide", "verify"):
         assert main([cmd, path]) == 2
         assert capsys.readouterr() == (
-            "", "error: field 'variant': must be 'krull', 'dedekind' or 'UFD'\n")
+            "", f"error: {path}: variant: must be 'krull', 'dedekind' or 'UFD'\n")
 
 
 def test_verify_fails_a_corrupted_cut(tmp_path, capsys, monkeypatch):
@@ -595,7 +595,8 @@ def test_non_ascii_digit_label_key_exits_2(tmp_path, capsys):
                                 "labels": {"²": ["Z"]}}))
     for cmd in ("decide", "verify"):
         assert main([cmd, path]) == 2
-        assert "labels key" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {path}: labels: key '²' is not a decimal stratum index\n"
 
 
 @pytest.mark.parametrize("keys", [("0", "1", "01"), ("0", "01", "1")])
@@ -608,7 +609,7 @@ def test_label_keys_naming_one_stratum_twice_exit_2(tmp_path, capsys, keys):
     for cmd in ("decide", "verify"):
         assert main([cmd, path]) == 2
         assert capsys.readouterr().err == \
-            f"error: labels key {keys[2]!r}: stratum 1 is already labelled\n"
+            f"error: {path}: labels: key {keys[2]!r} names stratum 1, already labelled\n"
 
 
 def test_decide_snake_diagram(tmp_path, capsys):
@@ -788,12 +789,13 @@ def test_tree_refusals_at_parse_exit_2(tmp_path, capsys):
     root = YTREE["root"]
     labelled = dict(YTREE, root=dict(root, label=["Q"]))
     assert_schema_exit(tmp_path, capsys, labelled,
-                       "error: the root (zero ideal) carries no edge label")
+                       ": root.label: the root (zero ideal) carries no edge label\n")
     # the second "M1" comes before the malformed record after it
     p = root["children"][0]
     dup = dict(YTREE, root=dict(root, children=[dict(p, children=p["children"] + [
         {"id": "M1", "label": ["Z"]}, {"id": "M3", "label": []}])]))
-    assert_schema_exit(tmp_path, capsys, dup, "error: duplicate node id 'M1'")
+    assert_schema_exit(tmp_path, capsys, dup,
+                       ": root.children[0].children[2].id: duplicate node id 'M1'\n")
 
 
 def test_deeply_nested_tree_exits_2(tmp_path, capsys):
@@ -818,19 +820,22 @@ def test_oversized_integers_exit_2(tmp_path, capsys):
     # term's first 20 characters in the message
     for bound, term in ((f"w*{digits[:1001]}", "w*" + "1" * 18), (digits[:1001], "1" * 20)):
         assert_schema_exit(tmp_path, capsys, dict(scattered, bound=bound),
-                           f"error: ordinal term {term!r}: more than 1000 digits\n")
+                           f": bound: ordinal term {term!r}: more than 1000 digits\n")
     # a JSON number past the interpreter's int-from-str limit
     assert_schema_exit(tmp_path, capsys,
                        '{"v": 1, "kind": "krull", "n": %s}' % digits, "digits")
 
 
-@pytest.mark.parametrize("n", [cli.MAX_GENERATORS + 1, 10 ** 12])
+GENERATORS_CAP = cli.FIELDS["group"]["generators"].bound[1]
+
+
+@pytest.mark.parametrize("n", [GENERATORS_CAP + 1, 10 ** 12])
 def test_generators_above_the_cap_exit_2(tmp_path, capsys, n):
     # with no relators the group is Z^n, so the count alone sets the work;
     # it is refused before anything of that size is built
     payload = {"v": 1, "kind": "group_diagram", "check": "group", "group": {"generators": n}}
     assert_schema_exit(tmp_path, capsys, payload,
-                       f"group.generators: at most {cli.MAX_GENERATORS} are supported")
+                       f"group.generators: must be an integer from 0 to {GENERATORS_CAP}")
 
 
 def test_non_integer_extension_degree_exits_2(tmp_path, capsys):
@@ -850,7 +855,7 @@ def test_a_field_both_finite_and_opaque_exits_2(tmp_path, capsys, where):
     for cmd in ("decide", "verify"):
         assert main([cmd, str(p)]) == 2
         assert capsys.readouterr().err == \
-            f"error: {where}: a field description is 'finite' or 'opaque', not both\n"
+            f"error: {p}: {where}: must hold 'finite' or 'opaque', not both\n"
 
 
 def test_boolean_is_not_an_integer(tmp_path, capsys):
@@ -881,17 +886,18 @@ def test_malformed_group_diagram_exits_2(tmp_path, capsys):
     ses = dict(SES, ses=dict(SES["ses"], inj=[[1]]))
     assert_schema_exit(tmp_path, capsys, ses, "ses.inj")
     snake = {"v": 1, "kind": "group_diagram", "check": "snake", "snake": 5}
-    assert_schema_exit(tmp_path, capsys, snake, "field 'snake'")
+    assert_schema_exit(tmp_path, capsys, snake, ": snake: must be an object\n")
 
 
 def test_unhashable_values_exit_2(tmp_path, capsys):
     for bad in ([], {}):
-        assert_schema_exit(tmp_path, capsys, {"v": 1, "kind": bad}, "field 'kind'")
-        assert_schema_exit(tmp_path, capsys, dict(SES, check=bad), "field 'check'")
-        assert_schema_exit(tmp_path, capsys, dict(DVR, tower=["Z", bad]), "tower slot")
+        assert_schema_exit(tmp_path, capsys, {"v": 1, "kind": bad}, ": kind: must be ")
+        assert_schema_exit(tmp_path, capsys, dict(SES, check=bad), ": check: must be ")
+        assert_schema_exit(tmp_path, capsys, dict(DVR, tower=["Z", bad]),
+                           ": tower[1]: unknown tower slot")
         label = {"v": 1, "kind": "prufer_tree", "root": {"id": "0", "children": [
             {"id": "M", "label": [bad]}]}}
-        assert_schema_exit(tmp_path, capsys, label, "tower slot")
+        assert_schema_exit(tmp_path, capsys, label, ": root.children[0].label[0]: unknown tower slot")
 
 
 # one instance per family of boolean fields, with the key path of each field
@@ -926,7 +932,7 @@ def test_boolean_fields_accept_only_true_and_false(tmp_path, capsys):
                 assert_schema_exit(tmp_path, capsys, mutated(payload, path, bad), path[-1])
     # "false" used to be read as true: a nonzero conductor, exit 0
     assert_schema_exit(tmp_path, capsys, dict(CURVE, conductor_nonzero="false"),
-                       "field 'conductor_nonzero': must be true or false")
+                       ": conductor_nonzero: must be true or false\n")
 
 
 def test_null_keeps_the_default_only_where_undeclared_is_allowed(tmp_path, capsys):
@@ -1303,7 +1309,7 @@ def test_import_loads_no_argument_parser():
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 # one file of each kind, together holding every key of every record of
-# ``cli.KEYS``; each decides with exit 0
+# ``cli.FIELDS``; each decides with exit 0
 FULL_RECORDS = [
     {"v": 1, "kind": "prufer_tree", "name": "t", "source": "s", "question": "inv",
      "locally_finite": True, "codim_finite": False, "t_finite_character": None,
@@ -1377,7 +1383,7 @@ def test_every_misspelt_key_exits_2_naming_it(tmp_path, capsys):
                 assert out == "" and err.count("\n") == 1, (key, err)
                 assert "unknown key" in err and misspelt(key) in err, (key, err)
     # a diagram's term is a key of its file too, the one its check names
-    table = {k for keys in cli.KEYS.values() for k in keys} | set(abelian.DIAGRAM_CHECKS)
+    table = {k for fields in cli.FIELDS.values() for k in fields}
     assert seen == table - READ_FIRST
 
 
@@ -1385,13 +1391,21 @@ def test_every_misspelt_key_exits_2_naming_it(tmp_path, capsys):
     (mutated(json.loads((INSTANCES / "torsion_group.json").read_text(encoding="utf-8")),
              ("group",), {"generators": 2, "relator": [[2, 0], [0, 6]]}),
      "group.relator: unknown key"),
-    (dict(YTREE, questoin="div"), "field 'questoin': unknown key"),
-    (mutated(YTREE, ("root", "children", 0, "branch"), False), "node 'P': unknown key 'branch'"),
+    (dict(YTREE, questoin="div"), "questoin: unknown key"),
+    (mutated(YTREE, ("root", "children", 0, "branch"), False),
+     "root.children[0].branch: unknown key"),
+    (mutated(YTREE, ("root", "children", 0, "a b"), False),
+     "root.children[0]: unknown key 'a b'"),
     (mutated(CURVE, ("branches", 0, "L", "opaque", "unit free"), True),
      "branches[0].L.opaque: unknown key 'unit free'"),
-    (dict(SES, group={"generators": 1}), "field 'group': unknown key"),
-], ids=["group", "file", "tree-node", "quoted", "diagram-term"])
+    (dict(DVR, **{"a\nb": 1}), "unknown key 'a\\nb'"),
+    (dict(SES, group={"generators": 1}), "group: unknown key"),
+], ids=["group", "file", "tree-node", "quoted-tree-node", "quoted", "quoted-file",
+        "diagram-term"])
 def test_unknown_key_names_its_record(tmp_path, capsys, payload, message):
+    """A key that is a name is named in the path, any other is quoted
+    beside its record's path (a file's has none), so the line stays one."""
     for cmd in ("decide", "verify"):
-        assert main([cmd, str(write(tmp_path, payload))]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        path = write(tmp_path, payload)
+        assert main([cmd, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")

@@ -134,24 +134,26 @@ def test_nonlocal_reports_principal_group():
 
 
 def test_schema_validation():
-    assert refusal(cli.parse_field_desc, {"finite": {"p": 4}}, "k") == "4 is not prime"
-    assert refusal(parsed, finite(2), [(finite(3), 1)]) == \
-        "residue fields of an extension share their characteristic"
-    assert refusal(parsed, finite(2, 2), [(finite(2, 3), 1)]) == "F4 does not embed into F8"
-    assert refusal(parsed, finite(2), [(finite(2), 0)]) == "conductor exponents must be >= 1"
+    assert refusal(cli.parse_field_desc, {"finite": {"p": 4}}, "k") == "k.finite.p: 4 is not prime"
+    assert refusal(parsed, finite(2), [(finite(2), 1), (finite(3), 1)]) == \
+        "branches[1].L: characteristic 3 differs from k's 2"
+    assert refusal(parsed, finite(2, 2), [(finite(2, 3), 1)]) == \
+        "branches[0].L: F4 does not embed into F8"
+    assert refusal(parsed, finite(2), [(finite(2), 0)]) == "branches[0].e: must be an integer >= 1"
 
 
 def test_parse_reports_the_first_fault_in_document_order():
-    # a field's flags before its characteristic, a branch's field and
-    # exponent before the facts that relate the fields, and k first
+    # a record's fields before the facts that relate them: a field's flags
+    # before its characteristic, a branch's exponent before its field, and
+    # k first
     k_bad_flag = {"opaque": {"label": "K", "characteristic": 4, "unit_free": "no"}}
     assert refusal(cli.parse_noeth, {"k": k_bad_flag, "branches": [{"L": {"finite": {"p": 2}}}]}) \
         == "k.opaque.unit_free: must be true, false or null"
     branch = {"L": {"finite": {"p": 3}}, "e": 0}
     assert refusal(cli.parse_noeth, {"k": {"finite": {"p": 2}}, "branches": [branch]}) == \
-        "conductor exponents must be >= 1"
+        "branches[0].e: must be an integer >= 1"
     assert refusal(cli.parse_noeth, {"k": {"finite": {"p": 4}}, "branches": [branch]}) == \
-        "4 is not prime"
+        "k.finite.p: 4 is not prime"
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +413,8 @@ def test_residue_declared_unfree_beside_a_branch_declared_free_is_refused(char):
     branches = [(OpaqueField("L1", characteristic=char, unit_free=None), 1),
                 (OpaqueField("L2", characteristic=char, unit_free=True), 1)]
     assert refusal(parsed, k, branches) == (
-        "contradictory declarations: k.opaque.unit_free is false but "
-        "branches[1].L.opaque.unit_free is true, and U(k) is a subgroup of U(L)")
+        "branches[1].L.opaque.unit_free: contradictory declarations: true, but "
+        "k.opaque.unit_free is false, and U(k) is a subgroup of U(L)")
     # a branch not declared free, or a residue not declared unfree, is none
     parsed(k, branches[:1])
     parsed(k._replace(unit_free=None), branches)
@@ -429,7 +431,8 @@ def test_contradictory_unit_declarations_exit_2(tmp_path, capsys):
     for command in ("decide", "verify"):
         assert cli.main([command, str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: contradictory declarations: k.opaque.unit_free")
+        assert err.startswith(f"error: {path}: branches[0].L.opaque.unit_free: "
+                              "contradictory declarations: true, but k.opaque.unit_free")
 
 
 def test_case_c_grid_reports_read_their_verdict():
@@ -490,7 +493,7 @@ def test_krull_verdicts():
         assert rep.metadata["groups"] == {"Div": "Free", "Inv": "Free", "Princ": "Free"}
         assert rep.metadata["basis"] == "height-one primes"
     assert refusal(cli.parse_krull, {"variant": "noetherian"}) == \
-        "field 'variant': must be 'krull', 'dedekind' or 'UFD'"
+        "variant: must be 'krull', 'dedekind' or 'UFD'"
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +528,14 @@ def test_miller_rabin_on_large_inputs():
 
 def test_characteristic_cap():
     from igl.noeth import PRIME_BOUND
-    beyond = f"characteristic is not below the supported bound {PRIME_BOUND}"
-    assert refusal(cli.parse_field_desc, field_rec(FiniteField(PRIME_BOUND)), "k") == beyond
+    beyond = f"must be an integer from {{}} to {PRIME_BOUND - 1}"
+    assert refusal(cli.parse_field_desc, field_rec(FiniteField(PRIME_BOUND)), "k") == \
+        "k.finite.p: " + beyond.format(2)
     assert refusal(cli.parse_field_desc,
-                   field_rec(OpaqueField("K", characteristic=2**127 - 1)), "k") == beyond
+                   field_rec(OpaqueField("K", characteristic=2**127 - 1)), "k") == \
+        "k.opaque.characteristic: " + beyond.format(0)
     assert refusal(cli.parse_field_desc, field_rec(FiniteField(1000000007, 1000)), "k") == \
-        "field order p^1000 has more than 4096 bits"
+        "k.finite.r: field order 1000000007^1000 has more than 4096 bits"
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -219,26 +219,27 @@ def test_finitely_generated_maximal_flag():
 
 
 # a faulty record for each parse message, from a tag that tells two faults
-# of one kind apart, with the message of tag 1
+# of one kind apart, with the message of tag 1 for the record at path ``at``
 PARSE_FAULTS = [
-    (lambda tag: tag * 5, "tree nodes must be objects"),
-    (lambda tag: {"label": ["Z"] * tag}, "tree node missing 'id'"),
+    (lambda tag: tag * 5, "{at}: must be an object"),
+    (lambda tag: {"label": ["Z"] * tag}, "{at}.id: missing"),
     (lambda tag: {"id": f"d{tag}", "label": ["Z"], "children": [{"id": f"d{tag}", "label": ["Z"]}]},
-     "duplicate node id 'd1'"),
+     "{at}.children[0].id: duplicate node id 'd1'"),
     (lambda tag: {"id": tag - 1, "label": ["Z"], "children": [{"id": str(tag - 1), "label": ["Z"]}]},
-     "duplicate node id '0'"),
-    (lambda tag: {"id": f"e{tag}", "label": []},
-     "node 'e1': 'label' must be a nonempty list of slots"),
-    (lambda tag: {"id": f"s{tag}", "label": "Z"},
-     "node 's1': 'label' must be a nonempty list of slots"),
+     "{at}.children[0].id: duplicate node id '0'"),
+    (lambda tag: {"id": f"e{tag}", "label": []}, "{at}.label: must be a nonempty list of slots"),
+    (lambda tag: {"id": f"s{tag}", "label": "Z"}, "{at}.label: must be a nonempty list of slots"),
+    (lambda tag: {"id": f"m{tag}"}, "{at}.label: missing"),
     (lambda tag: {"id": f"x{tag}", "label": ["Z", f"X{tag}"]},
-     "unknown tower slot 'X1' (expected Z, Q or R)"),
+     "{at}.label[1]: unknown tower slot 'X1' (expected Z, Q or R)"),
     (lambda tag: {"id": f"h{tag}", "label": ["Z", [f"H{tag}"]]},
-     "unknown tower slot ['H1'] (expected Z, Q or R)"),
+     "{at}.label[1]: unknown tower slot ['H1'] (expected Z, Q or R)"),
     (lambda tag: {"id": f"c{tag}", "label": ["Z"], "children": {"id": tag}},
-     "node 'c1': 'children' must be a list of nodes"),
+     "{at}.children: must be a list of records"),
     (lambda tag: {"id": f"b{tag}", "label": ["Z"], "branched": "yes" * tag},
-     "node 'b1': 'branched': must be true or false"),
+     "{at}.branched: must be true or false"),
+    (lambda tag: {"id": f"k{tag}", "label": ["Z"], "branch": tag}, "{at}.branch: unknown key"),
+    (lambda tag: {"id": f"q{tag}", "label": ["Z"], "a b": tag}, "{at}: unknown key 'a b'"),
 ]
 
 
@@ -249,9 +250,9 @@ def test_tree_payload_parsing():
     assert slot_names(gamma_at(t, t.node("M"))) == ["Z", "Q", "Z"]
     with pytest.raises(SchemaError):
         tree_from_payload({"id": "0", "children": [{"id": "P", "label": []}]})
-    with pytest.raises(SchemaError, match="'children' must be a list"):
+    with pytest.raises(SchemaError, match=r"^root\.children: must be a list of records$"):
         tree_from_payload({"id": "0", "children": 5})
-    with pytest.raises(SchemaError, match=r"^the root \(zero ideal\) carries no edge label$"):
+    with pytest.raises(SchemaError, match=r"^root\.label: the root \(zero ideal\) carries no edge"):
         tree_from_payload({"id": "0", "label": ["Q"], "children": [{"id": "M", "label": ["Z"]}]})
     # records are checked in document order: the first bad one is reported
     with pytest.raises(SchemaError, match="'X'"):
@@ -267,42 +268,54 @@ def test_tree_payload_parsing():
             {"id": "b1", "label": ["Z"], "children": [second(2)]}]}
         with pytest.raises(SchemaError) as exc:
             tree_from_payload(root)
-        assert str(exc.value) == want, (first(1), second(2))
+        assert str(exc.value) == want.format(at="root.children[0].children[0].children[0]"), \
+            (first(1), second(2))
         root["label"] = ["Z"]
-        with pytest.raises(SchemaError, match=r"^the root \(zero ideal\) carries no edge label$"):
+        with pytest.raises(SchemaError, match=r"^root\.label: the root \(zero ideal\) carries"):
             tree_from_payload(root)
 
 
-@pytest.mark.parametrize("children, dup", [
+@pytest.mark.parametrize("children, at, dup", [
     # the first repeat in document order is named, not the first id repeated
     ([{"id": "A", "label": ["Z"], "children": [{"id": "B", "label": ["Z"]}]},
-      {"id": "B", "label": ["Z"]}, {"id": "A", "label": ["Z"]}], "B"),
+      {"id": "B", "label": ["Z"]}, {"id": "A", "label": ["Z"]}], "root.children[1]", "B"),
     # ids compare as the strings the nodes keep
-    ([{"id": 0, "label": ["Z"]}], "0"),
-    ([{"id": "1", "label": ["Z"]}, {"id": 1, "label": ["Z"]}], "1"),
+    ([{"id": 0, "label": ["Z"]}], "root.children[0]", "0"),
+    ([{"id": "1", "label": ["Z"]}, {"id": 1, "label": ["Z"]}], "root.children[1]", "1"),
     # a repeat is reported before a malformed record that comes later
     ([{"id": "A", "label": ["Z"]}, {"id": "A", "label": ["Z"]},
-      {"id": "C", "label": []}, {"id": "D", "label": ["X"]}], "A"),
+      {"id": "C", "label": []}, {"id": "D", "label": ["X"]}], "root.children[1]", "A"),
 ])
-def test_duplicate_ids_are_refused_at_parse(children, dup):
+def test_duplicate_ids_are_refused_at_parse(children, at, dup):
     with pytest.raises(SchemaError) as exc:
         tree_from_payload({"id": "0", "children": children})
-    assert str(exc.value) == f"duplicate node id {dup!r}"
+    assert str(exc.value) == f"{at}.id: duplicate node id {dup!r}"
 
 
-# each bad label with the message the parse gives it, whether or not an
-# earlier node has already put a tower in the parse's label table
+def test_a_record_met_twice_is_named_where_it_fails():
+    """The second walk counts records in pre-order, so a record object that
+    the tree holds twice is named at its second place, where it fails."""
+    leaf = {"id": "M", "label": ["Z"]}
+    with pytest.raises(SchemaError) as exc:
+        tree_from_payload({"id": "0", "children": [{"id": "P", "label": ["Z"],
+                                                    "children": [leaf]}, leaf]})
+    assert str(exc.value) == "root.children[1].id: duplicate node id 'M'"
+
+
+# each bad label with the message the parse gives it under its node's path,
+# whether or not an earlier node has already put a tower in the parse's
+# label table
 BAD_LABELS = [
-    ([[]], "unknown tower slot [] (expected Z, Q or R)"),
-    ([{}], "unknown tower slot {} (expected Z, Q or R)"),
-    ([1], "unknown tower slot 1 (expected Z, Q or R)"),
-    ([True], "unknown tower slot True (expected Z, Q or R)"),
-    ([None], "unknown tower slot None (expected Z, Q or R)"),
-    (["z"], "unknown tower slot 'z' (expected Z, Q or R)"),
-    (["Z", []], "unknown tower slot [] (expected Z, Q or R)"),
-    ([["Z"]], "unknown tower slot ['Z'] (expected Z, Q or R)"),
-    ("Z", "node 'B': 'label' must be a nonempty list of slots"),
-    ([], "node 'B': 'label' must be a nonempty list of slots"),
+    ([[]], "label[0]: unknown tower slot [] (expected Z, Q or R)"),
+    ([{}], "label[0]: unknown tower slot {} (expected Z, Q or R)"),
+    ([1], "label[0]: unknown tower slot 1 (expected Z, Q or R)"),
+    ([True], "label[0]: unknown tower slot True (expected Z, Q or R)"),
+    ([None], "label[0]: unknown tower slot None (expected Z, Q or R)"),
+    (["z"], "label[0]: unknown tower slot 'z' (expected Z, Q or R)"),
+    (["Z", []], "label[1]: unknown tower slot [] (expected Z, Q or R)"),
+    ([["Z"]], "label[0]: unknown tower slot ['Z'] (expected Z, Q or R)"),
+    ("Z", "label: must be a nonempty list of slots"),
+    ([], "label: must be a nonempty list of slots"),
 ]
 
 
@@ -312,6 +325,7 @@ def test_bad_labels_keep_their_diagnostics(tmp_path, capsys, label, message, war
     bad = {"id": "B", "label": label}
     children = [{"id": "A", "label": ["Z"]}, bad] if warm else [bad]
     root = {"id": "0", "children": children}
+    message = f"root.children[{int(warm)}].{message}"
     with pytest.raises(SchemaError) as exc:
         tree_from_payload(root)
     assert str(exc.value) == message
@@ -319,16 +333,16 @@ def test_bad_labels_keep_their_diagnostics(tmp_path, capsys, label, message, war
     path.write_text(json.dumps({"v": 1, "kind": "prufer_tree", "root": root}), encoding="utf-8")
     for cmd in ("decide", "verify"):
         assert main([cmd, str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_equal_labels_share_one_tower(monkeypatch):
     parsed = []
     from_names = ValueTower.from_names.__func__
 
-    def counted(cls, names):
+    def counted(cls, names, where=""):
         parsed.append(list(names))
-        return from_names(cls, names)
+        return from_names(cls, names, where)
     monkeypatch.setattr(ValueTower, "from_names", classmethod(counted))
     tree = tree_from_payload(caterpillar_payload(480, ("Z", "Q"))["root"])
     towers = {}

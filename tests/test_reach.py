@@ -3,14 +3,16 @@
 
 The function-level reading of the script: ``igl --help``, ``selftest``
 and ``decide`` (human, and json with the full trace), ``verify`` and
-``expr`` on every file of ``instances/`` run in this interpreter under
-the script's statement tracer.  The functions none of whose statements
+``expr`` on every file of ``instances/``, and ``decide`` on a directory
+of files that the parse refuses, run in this interpreter under the
+script's statement tracer.  The functions none of whose statements
 ran must be exactly those that the script's ``WHOLE`` table keeps, with
 the reason each stays.  The script holds every statement to an input of
 a larger corpus.  Code that only tests call belongs in ``tests/oracles.py``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from igl import cli
@@ -20,6 +22,15 @@ INSTANCES = str(ROOT / "instances")
 RUNS = [["--help"], ["selftest"], ["decide", INSTANCES],
         ["decide", INSTANCES, "--format", "json", "--trace", "full"],
         ["verify", INSTANCES], ["expr", INSTANCES]]
+
+# files that the parse refuses, each on its own: their messages need the
+# functions that only a refusal calls
+REFUSED = {
+    "node-key.json": {"v": 1, "kind": "prufer_tree", "root": {
+        "id": "0", "children": [{"id": "P", "label": ["Z"], "branch": False}]}},
+    "flag.json": {"v": 1, "kind": "valuation", "tower": ["Z"], "maximal_branched": 1},
+    "bound.json": {"v": 1, "kind": "scattered_space", "bound": "w+w", "labels": {}},
+}
 
 FIXTURE = '''\
 def sign(x):
@@ -41,14 +52,17 @@ def load(path: Path, name: str):
     return module
 
 
-def test_every_function_is_reached_by_an_input():
+def test_every_function_is_reached_by_an_input(tmp_path):
     script = load(ROOT / "scripts" / "line_reach.py", "line_reach")
+    for name, payload in REFUSED.items():
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
     table = {f: script.statements(f) for f in sorted(script.PACKAGE.glob("*.py"))}
     # a function with no statement would count as reached by no run
     assert [n for functions in table.values() for n, heads in functions.items() if not heads] == []
     codes = []
-    hit = script.traced(list(table), lambda: codes.extend(map(cli.main, RUNS)))
-    assert codes == [0] * len(RUNS)
+    runs = RUNS + [["decide", str(tmp_path)]]
+    hit = script.traced(list(table), lambda: codes.extend(map(cli.main, runs)))
+    assert codes == [0] * len(RUNS) + [2]
     dead = [r.function for r in script.unreached(table, hit) if r.whole]
     assert sorted(dead) == sorted(script.WHOLE)
 

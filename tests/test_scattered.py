@@ -323,9 +323,9 @@ def test_equal_labels_share_one_tower(monkeypatch):
     parsed = []
     from_names = ValueTower.from_names.__func__
 
-    def counted(cls, names):
+    def counted(cls, names, where=""):
         parsed.append(list(names))
-        return from_names(cls, names)
+        return from_names(cls, names, where)
     monkeypatch.setattr(ValueTower, "from_names", classmethod(counted))
     cycle = (["Z"], ["Z", "Q"], ["Z"], ["Q"])
     payload = {"v": 1, "kind": "scattered_space", "bound": "w^200*2+w^3",
@@ -337,14 +337,14 @@ def test_equal_labels_share_one_tower(monkeypatch):
 
 
 @pytest.mark.parametrize("labels,message", [
-    ({"0": ["Z"], "1": ["X"], "y": ["Z"]}, "unknown tower slot 'X' (expected Z, Q or R)"),
-    ({"0": ["Z"], "y": ["Z"], "1": ["X"]}, "labels key 'y': must be a decimal stratum index"),
-    ({"0": ["Z", "Q"], "1": ["Z", "W"]}, "unknown tower slot 'W' (expected Z, Q or R)"),
-    ({"0": ["X"], "1": ["X"]}, "unknown tower slot 'X' (expected Z, Q or R)"),
-    ({"0": ["Z"], "1": ["Z"], "01": ["X"]}, "labels key '01': stratum 1 is already labelled"),
-    ({"0": ["Z"], "1": ["Z", ["Z"]]}, "unknown tower slot ['Z'] (expected Z, Q or R)"),
-    ({"0": [{"Z": 1}], "1": ["Z"]}, "unknown tower slot {'Z': 1} (expected Z, Q or R)"),
-    ({"0": ["Z"], "1": []}, "labels[1]: must be a nonempty slot list"),
+    ({"0": ["Z"], "1": ["X"], "y": ["Z"]}, "labels.1[0]: unknown tower slot 'X' (expected Z, Q or R)"),
+    ({"0": ["Z"], "y": ["Z"], "1": ["X"]}, "labels: key 'y' is not a decimal stratum index"),
+    ({"0": ["Z", "Q"], "1": ["Z", "W"]}, "labels.1[1]: unknown tower slot 'W' (expected Z, Q or R)"),
+    ({"0": ["X"], "1": ["X"]}, "labels.0[0]: unknown tower slot 'X' (expected Z, Q or R)"),
+    ({"0": ["Z"], "1": ["Z"], "01": ["X"]}, "labels: key '01' names stratum 1, already labelled"),
+    ({"0": ["Z"], "1": ["Z", ["Z"]]}, "labels.1[1]: unknown tower slot ['Z'] (expected Z, Q or R)"),
+    ({"0": [{"Z": 1}], "1": ["Z"]}, "labels.0[0]: unknown tower slot {'Z': 1} (expected Z, Q or R)"),
+    ({"0": ["Z"], "1": []}, "labels.1: must be a nonempty list of slots"),
 ], ids=["bad-label-first", "bad-key-first", "after-a-parsed-tower", "repeated-bad-label",
         "duplicate-stratum", "unhashable-after-a-parsed-tower", "unhashable-first",
         "empty-after-a-parsed-tower"])
@@ -354,7 +354,7 @@ def test_first_bad_label_in_document_order_is_reported(tmp_path, capsys, labels,
                                 "labels": labels}), encoding="utf-8")
     for cmd in ("decide", "verify"):
         assert main([cmd, str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -75,30 +75,35 @@ def test_no_record_checks_itself():
     assert inits == {"cli.Report", "abelian.FgGroup"}
 
 
-# the functions outside ``cli.py`` that read outside input
-PARSES = {"prufer.tree_from_payload", "scattered.parse_ordinal", "scattered.parse_digits",
-          "scattered.ScatteredSpace.interval", "valgroup.ValueTower.from_names",
-          "errors.read_flag"}
+# the functions that raise a schema error: the walker of ``cli.FIELDS``
+# (``read`` and ``_unknown_keys``), the facts that relate fields, the readers of a
+# path and of a file, and the layers' parses of a tree, an ordinal, a
+# space's strata and a tower's slots
+PARSES = {"cli.read", "cli._unknown_keys", "cli.parse_field_desc", "cli.parse_matrix",
+          "cli.parse_noeth", "cli.parse_scattered", "cli.load_payload", "cli._files",
+          "prufer.tree_from_payload", "scattered.parse_ordinal", "scattered.parse_digits",
+          "scattered.ScatteredSpace.interval", "valgroup.ValueTower.from_names"}
 
 
 def _schema_raises(node, qualname: str):
-    """The qualified names of the functions under ``node`` that hold a
-    ``raise SchemaError``."""
+    """The qualified names of the functions under ``node`` that raise a
+    ``SchemaError``: built there, by ``unknown_key`` or placed by ``under``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             yield from _schema_raises(child, f"{qualname}.{child.name}")
-        elif isinstance(child, ast.Raise) and child.exc is not None and _named(
-                child.exc.func if isinstance(child.exc, ast.Call) else child.exc, "SchemaError"):
+        elif isinstance(child, ast.Raise) and child.exc is not None and any(_named(
+                child.exc.func if isinstance(child.exc, ast.Call) else child.exc, name)
+                for name in ("SchemaError", "unknown_key", "under")):
             yield qualname
         else:
             yield from _schema_raises(child, qualname)
 
 
 def test_only_the_parse_raises_a_schema_error():
-    """Outside ``cli.py``, a ``SchemaError`` is raised only by a function
-    that reads an instance file's data."""
+    """A ``SchemaError`` is raised only where outside input is read, and
+    every function that the list names raises one."""
     found = {qualname
-             for path in sorted(SRC.rglob("*.py")) if path.name != "cli.py"
+             for path in sorted(SRC.rglob("*.py"))
              for qualname in _schema_raises(ast.parse(path.read_text(encoding="utf-8")),
                                             path.stem)}
-    assert found - PARSES == set()
+    assert found == PARSES
