@@ -45,6 +45,7 @@ import sys
 import time
 from itertools import chain
 from json.encoder import encode_basestring
+from math import isfinite
 from pathlib import Path
 
 from . import abelian, noeth, prufer, scattered, valgroup
@@ -97,10 +98,11 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-# every scalar is written by a C routine, the same bytes as the stdlib
-# encoder: JSON's three constants are looked up, and a float keeps
-# ``json.dumps``, which owns the spellings of the non-finite ones
-_SCALARS = {str: encode_basestring, int: int.__repr__, float: json.dumps,
+# every scalar is written as the stdlib encoder writes it: a string by its
+# C routine, JSON's three constants are looked up, and a finite float is
+# its repr, while ``json.dumps`` owns the spellings of the non-finite ones
+_SCALARS = {str: encode_basestring, int: int.__repr__,
+            float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x),
             bool: {True: "true", False: "false"}.__getitem__,
             type(None): {None: "null"}.__getitem__}
 

@@ -21,17 +21,20 @@ and ``verify`` read of a derivative is its bound.
 * ``cb_rank`` and ``stratum_size`` read the rank and the size of every
   stratum straight off the normal-form digits of the bound, a size as a
   value: an integer, or the ``Ordinal`` of an infinite count, which
-  ``stratum_multiplicity`` renders for reports.  The derivative stays
-  the definition they are tested against: ``check_space``, ``verify``'s
-  checks of a space, compares its sizes with them as values.
+  ``stratum_multiplicity`` renders off the bound's shifted terms, with no
+  derivative built.  The derivative stays the definition they are tested
+  against: ``check_space``, ``verify``'s checks of a space, compares its
+  sizes with them as values.
 * ``decide_scattered`` uses the derived sequence to decide what the group
   of invertible ideals of a modeled one-dimensional domain looks like:
   scattered means the transfinite removal of locally-free stages
   exhausts the family, giving a direct sum over the maximal ideals.
   Strata with equal labels share one tower (the parser keeps one per
-  distinct slot list), each distinct tower's expression is built once,
-  the sum is one ``normal_sum`` of parts that are already normal, and a
-  stratum's freeness is its tower's ``ValueTower.is_free``.
+  distinct slot list), each distinct tower's expression, freeness
+  (``ValueTower.is_free``) and verdict text is read once, and the sum is
+  one ``normal_sum`` of parts that are already normal.  A stratum costs
+  the parse one label key, and decide and ``verify`` one pass each over
+  the bound's terms.
 * ``escape_index`` locates the first stage at which a finitely generated
   ideal blows up along the derived sequence; that stage can never be a
   limit ordinal, and traces claiming otherwise are rejected.
@@ -110,17 +113,22 @@ class Ordinal(tuple):
 
     # -- text -----------------------------------------------------------------
 
-    def render(self) -> str:
+    def render(self, shift: int = 0) -> str:
         """``w^e*c`` per term, with ``^1``, ``*1`` and a zero exponent's
-        ``w`` left out; ``0`` for zero."""
+        ``w`` left out; ``0`` for zero.  A ``shift`` renders the terms
+        ``w^(e-shift)*c`` with ``e >= shift``, the ``shift``-th derivative's
+        bound when ``shift`` is below the leading exponent."""
         bits = []
         for e, c in self:
-            if e == 0:
-                bits.append(str(c))
+            e -= shift
+            if e > 1:
+                bits.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
             elif e == 1:
                 bits.append("w" if c == 1 else f"w*{c}")
+            elif e == 0:
+                bits.append(str(c))
             else:
-                bits.append(f"w^{e}" if c == 1 else f"w^{e}*{c}")
+                break
         return "+".join(bits) or "0"
 
 
@@ -180,12 +188,11 @@ class ScatteredSpace(namedtuple("ScatteredSpace", "bound labels")):
     @classmethod
     def interval(cls, bound: Ordinal, labels: dict[int, ValueTower]) -> "ScatteredSpace":
         """``[0, bound]`` labelled by stratum; keys above the leading
-        exponent of ``bound`` are ignored."""
-        strata = range(bound.leading_exponent() + 1)
-        for k in strata:
-            if k not in labels:
-                raise SchemaError("labels", f"missing label for occupied stratum {k}")
-        return cls(bound, tuple(labels[k] for k in strata))
+        exponent of ``bound`` are ignored, and the first missing one is named."""
+        try:
+            return cls(bound, tuple(map(labels.__getitem__, range(bound.leading_exponent() + 1))))
+        except KeyError as missing:  # its text is the stratum
+            raise SchemaError("labels", f"missing label for occupied stratum {missing}") from None
 
 
 def cb_derivative(a: Ordinal) -> Ordinal | None:
@@ -204,7 +211,7 @@ def cb_derivative(a: Ordinal) -> Ordinal | None:
         return None
     if lead == 1:
         return Ordinal.from_int(a[0][1] - 1)
-    return Ordinal((e - 1, c) for e, c in a if e)
+    return Ordinal([(e - 1, c) for e, c in a if e])
 
 
 def cb_rank(a: Ordinal) -> Ordinal:
@@ -243,14 +250,14 @@ def stratum_size(a: Ordinal, k: int) -> int | Ordinal:
         return coeff + 1
     if k == lead:
         return coeff
-    return a if k == 0 else Ordinal((e - k, c) for e, c in a if e >= k)
+    return a if k == 0 else Ordinal([(e - k, c) for e, c in a if e >= k])
 
 
 def stratum_multiplicity(a: Ordinal, k: int) -> int | str:
     """``stratum_size`` as a report writes it: an integer, or the text of
-    the ordinal bound of the ``k``-th derivative."""
-    size = stratum_size(a, k)
-    return size if type(size) is int else size.render()
+    the ordinal bound of the ``k``-th derivative, rendered straight off
+    the terms of ``a`` shifted by ``k``."""
+    return a.render(k) if a and k < a[0][0] else stratum_size(a, k)
 
 
 def _derived_walk_fault(bound: Ordinal, rank: int) -> str | None:
@@ -314,10 +321,10 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
     a = s.bound
     rank = cb_rank(a).render()
     meta = {"cb_rank": rank}
-    tower_exprs = {t: t.to_expr() for t in dict.fromkeys(s.labels)}
+    exprs = {t: t.to_expr() for t in dict.fromkeys(s.labels)}
     parts = []
     for k, t in enumerate(s.labels):
-        base = tower_exprs[t]
+        base = exprs[t]
         times = stratum_multiplicity(a, k)
         parts.append(base if times == 1 or base is TRIVIAL else Repeated(base, times))
     expr = normal_sum(parts)
@@ -333,16 +340,16 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
         return Decision(verdict, (sum_step, step), expr, meta, text)
 
     # a tower is free or not, never undecided: its slots are Z, Q and R
-    free = {t: t.is_free() for t in tower_exprs}
-    if all(free.values()):
+    free, not_free = Verdict.FREE.value, Verdict.NOT_FREE.value
+    texts = {t: free if t.is_free() else not_free for t in exprs}
+    if not_free not in texts.values():
         return decided(Verdict.DIRECT_SUM_FREE, CertStep.make(
             "all-stage-groups-free",
             "every removed stage consists of maximal ideals with free value "
             "groups, so each stage splits off a free direct summand and the "
             "total group is free"))
 
-    verdicts = {k: (Verdict.FREE if free[t] else Verdict.NOT_FREE).value
-                for k, t in enumerate(s.labels)}
+    verdicts = dict(enumerate(map(texts.__getitem__, s.labels)))
     if a.is_finite():
         return decided(Verdict.DIRECT_SUM, CertStep.make(
             "finite-jaffard-sum",
@@ -351,15 +358,15 @@ def decide_scattered(s: ScatteredSpace) -> Decision:
             "freeness; the summand verdicts are recorded per stratum",
             strata=verdicts))
 
-    limit = s.labels[1:]
-    if s.labels[0] == (Z,) and (Q,) in limit and all(t in ((Z,), (Q,)) for t in limit):
+    # with stratum 0 a Z, the distinct towers tell what the limit strata hold
+    if s.labels[0] == (Z,) and (Q,) in texts and all(t in ((Z,), (Q,)) for t in texts):
         return decided(Verdict.OBSTRUCTED, CertStep.make(
             "divisible-quotient-obstruction",
             "the removal sequence ends in a surjection onto the rationals, "
             "every element of which is divisible; but an invertible ideal has "
             "a nonzero value at some discrete isolated point, so the group has "
             "no nonzero divisible elements and the decomposition fails",
-            limit_stratum=limit.index((Q,)) + 1))
+            limit_stratum=s.labels.index((Q,))))
     return decided(Verdict.UNKNOWN, CertStep.make(
         "stage-group-not-free",
         "some removed stage has a value group not certified free; the "

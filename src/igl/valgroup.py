@@ -213,25 +213,24 @@ def normalize(e: GroupExpr) -> GroupExpr:
 def normal_sum(parts) -> GroupExpr:
     """The normal form of the direct sum of ``parts``, each of which must
     already be a normal form: the sum is flattened and merged without
-    normalizing the parts again."""
+    normalizing the parts again.  Adjacent summands merge when both counts
+    are integers (at least 1) and their bases, compared only then, are equal."""
     flat: list[GroupExpr] = []
     for p in parts:
-        if p is TRIVIAL:
-            continue
-        if isinstance(p, DirectSum):
+        if type(p) is DirectSum:
             flat.extend(p.parts)
-        else:
+        elif p is not TRIVIAL:
             flat.append(p)
     merged: list[GroupExpr] = []
+    pb = pt = None  # the base and count of the last merged summand
     for p in flat:
-        if merged:
-            prev = merged[-1]
-            pb, pt = (prev.base, prev.times) if isinstance(prev, Repeated) else (prev, 1)
-            cb, ct = (p.base, p.times) if isinstance(p, Repeated) else (p, 1)
-            if (pb is cb or pb == cb) and isinstance(pt, int) and isinstance(ct, int):
-                merged[-1] = Repeated(pb, pt + ct) if pt + ct > 1 else pb
-                continue
-        merged.append(p)
+        cb, ct = p if type(p) is Repeated else (p, 1)
+        if type(ct) is int and type(pt) is int and (pb is cb or pb == cb):
+            pt += ct
+            merged[-1] = Repeated(pb, pt)
+        else:
+            merged.append(p)
+            pb, pt = cb, ct
     if not merged:
         return TRIVIAL
     if len(merged) == 1:
@@ -436,28 +435,31 @@ def _render_flags(o: Opaque) -> str:
 
 
 def _render_item(e: GroupExpr) -> str:
-    if type(e) is Atom:
+    # a summand of a normal form, never a sum: one test of its exact type
+    kind = type(e)
+    if kind is Atom:
         return e.text
-    if isinstance(e, Cyclic):
+    if kind is Repeated:
+        base, times = e
+        kind = type(base)
+        if kind is Atom:
+            text = base.text
+        elif kind is LexTower or kind is Opaque:
+            text = _render_item(base)
+        else:  # a sum, a repeat or a cyclic group is bracketed
+            text = "(" + render_normal(base) + ")"
+        return f"{text}^{times}" if type(times) is int else f"{text}^({times})"
+    if kind is LexTower:
+        return "lex(" + ";".join([render_normal(l) for l in e.levels]) + ")"
+    if kind is Cyclic:
         return f"Z/{e.order}"
-    if isinstance(e, Opaque):
-        return _render_flags(e)
-    if isinstance(e, LexTower):
-        return "lex(" + ";".join(render_normal(l) for l in e.levels) + ")"
-    # a Repeated: a normal form holds no sum as a summand
-    base = e.base
-    if isinstance(base, (DirectSum, Repeated, Cyclic)):
-        base_txt = "(" + render_normal(base) + ")"
-    else:
-        base_txt = _render_item(base)
-    mult = str(e.times) if isinstance(e.times, int) else f"({e.times})"
-    return f"{base_txt}^{mult}"
+    return _render_flags(e)
 
 
 def render_normal(e: GroupExpr) -> str:
     """Canonical text of an expression that is already a normal form."""
-    if isinstance(e, DirectSum):
-        return " ⊕ ".join(_render_item(p) for p in e.parts)
+    if type(e) is DirectSum:
+        return " ⊕ ".join([_render_item(p) for p in e.parts])
     return _render_item(e)
 
 

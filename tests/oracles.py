@@ -25,7 +25,9 @@ canonical HNFs, and a map's image and kernel lattices come from two
 eliminations, a diagonal form and an HNF, rather than from one HNF of
 the stacked matrix.
 
-It also holds the helpers that only tests need: the parser of the report
+It also holds the helpers that only tests need: ``normal_sum`` and
+``render_normal`` as first written (the references of the exact-type
+dispatch that replaced them), the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
 torsion and divisible predicates of the atom walk, direct-sum and
 sub-quotient sequences of finitely generated groups, the hand-built
@@ -56,11 +58,11 @@ from igl.errors import SchemaError
 from igl.matrices import IntMatrix, _diagonal_form, column_hnf, gcdex, hstack, solve
 from igl.prufer import PrimeNode, SpecTree
 from igl.scattered import Ordinal, ScatteredSpace, stratum_multiplicity
-from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, CertStep, Cyclic, Decision, DirectSum,
+from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, Atom, CertStep, Cyclic, Decision, DirectSum,
                           GroupExpr, LexTower, Opaque, Q, R, Repeated,
                           ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
-                          canonical_invariants, expr_invariant_factors, normalize,
-                          render_expr)
+                          _render_flags, canonical_invariants, expr_invariant_factors,
+                          normalize, render_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +706,65 @@ def has_divisible(e: GroupExpr) -> bool | None:
     """Three-valued: does the group contain a nonzero element divisible by
     every positive integer?  The per-atom rule, over the atom walk."""
     return _tri_or(_atom_divisible(a) for a, _ in _atoms(normalize(e)))
+
+
+# ---------------------------------------------------------------------------
+# Normal sums and their text, as first written
+# ---------------------------------------------------------------------------
+
+def reference_normal_sum(parts) -> GroupExpr:
+    """``valgroup.normal_sum`` as first written: each pair of adjacent
+    summands unpacked by ``isinstance``, and their bases compared before
+    their counts are tested."""
+    flat: list[GroupExpr] = []
+    for p in parts:
+        if p is TRIVIAL:
+            continue
+        if isinstance(p, DirectSum):
+            flat.extend(p.parts)
+        else:
+            flat.append(p)
+    merged: list[GroupExpr] = []
+    for p in flat:
+        if merged:
+            prev = merged[-1]
+            pb, pt = (prev.base, prev.times) if isinstance(prev, Repeated) else (prev, 1)
+            cb, ct = (p.base, p.times) if isinstance(p, Repeated) else (p, 1)
+            if (pb is cb or pb == cb) and isinstance(pt, int) and isinstance(ct, int):
+                merged[-1] = Repeated(pb, pt + ct) if pt + ct > 1 else pb
+                continue
+        merged.append(p)
+    if not merged:
+        return TRIVIAL
+    if len(merged) == 1:
+        return merged[0]
+    return DirectSum(tuple(merged))
+
+
+def _reference_render_item(e: GroupExpr) -> str:
+    if type(e) is Atom:
+        return e.text
+    if isinstance(e, Cyclic):
+        return f"Z/{e.order}"
+    if isinstance(e, Opaque):
+        return _render_flags(e)
+    if isinstance(e, LexTower):
+        return "lex(" + ";".join(reference_render_normal(l) for l in e.levels) + ")"
+    base = e.base
+    if isinstance(base, (DirectSum, Repeated, Cyclic)):
+        base_txt = "(" + reference_render_normal(base) + ")"
+    else:
+        base_txt = _reference_render_item(base)
+    mult = str(e.times) if isinstance(e.times, int) else f"({e.times})"
+    return f"{base_txt}^{mult}"
+
+
+def reference_render_normal(e: GroupExpr) -> str:
+    """``valgroup.render_normal`` as first written: each summand
+    dispatched through a chain of ``isinstance`` tests."""
+    if isinstance(e, DirectSum):
+        return " ⊕ ".join(_reference_render_item(p) for p in e.parts)
+    return _reference_render_item(e)
 
 
 # ---------------------------------------------------------------------------

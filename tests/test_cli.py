@@ -736,16 +736,24 @@ def test_equal_certificate_steps_are_written_once(tmp_path, capsys, monkeypatch)
 
 
 def test_json_constants_need_no_encoder(monkeypatch):
-    """``true``, ``false`` and ``null`` are written without the standard
-    library's encoder; a float still goes through it."""
+    """``true``, ``false``, ``null`` and a finite float are written without
+    the standard library's encoder; NaN and the infinities still go
+    through it, as it owns their spellings."""
     def refuse(*args, **kwargs):
         raise AssertionError("the JSON encoder ran")
 
     monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
-    assert canonical_json({"ok": [True, False], "expr": None}) == \
-        '{\n  "expr": null,\n  "ok": [\n    true,\n    false\n  ]\n}'
-    with pytest.raises(AssertionError):
-        canonical_json(1.5)
+    assert canonical_json({"ok": [True, False], "expr": None, "ms": 1.5}) == \
+        '{\n  "expr": null,\n  "ms": 1.5,\n  "ok": [\n    true,\n    false\n  ]\n}'
+    for x in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(AssertionError):
+            canonical_json(x)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.1, 1.5, 1e16, 1e-7, 5e-324, 1.7976931348623157e308,
+                               float("nan"), float("inf"), -float("inf")])
+def test_a_float_is_written_as_json_dumps_writes_it(x):
+    assert canonical_json([x]) == json.dumps([x], indent=2)
 
 
 @pytest.mark.parametrize("bad", [{1: "x"}, {"a": 1, 2: "b"}, {"a": {1.5}}, [b"x"], (object(),)])

@@ -289,6 +289,28 @@ wide_ordinals = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)),
     lambda ts: Ordinal(tuple(sorted(ts, reverse=True))))
 
 
+@settings(max_examples=200, deadline=None)
+@given(wide_ordinals)
+@example(parse_ordinal("w^40*5+w^39+7"))
+@example(fin(0))
+def test_multiplicity_is_the_rendered_iterated_derivative(bound):
+    """``stratum_multiplicity(a, k)``, read off the terms of ``a``, is what
+    ``k`` steps of ``cb_derivative`` leave, as a report writes it: no
+    points once nothing is left, ``n + 1`` in ``[0, n]``, and the bound's
+    text for an infinite interval; for every ``k`` up to two past the
+    top stratum."""
+    cur = bound
+    for k in range(bound.leading_exponent() + 3):
+        if cur is None:
+            expected = 0
+        elif cur.is_finite():
+            expected = cur.as_int() + 1
+        else:
+            expected = cur.render()
+        assert stratum_multiplicity(bound, k) == expected, (bound, k)
+        cur = None if cur is None else cb_derivative(cur)
+
+
 @st.composite
 def labelled_spaces(draw):
     """A bound from the grid (finite bounds, top strata of count 1) or

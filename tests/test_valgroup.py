@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igl.errors import SchemaError
@@ -9,10 +9,11 @@ from igl.valgroup import (Cyclic, DirectSum, LexTower, Opaque, Q, R,
                           Repeated, TRIVIAL, UNKNOWN, ValueTower, Verdict, Z,
                           ZPROD, canonical_invariants, div_of_valuation,
                           direct_sum, expr_invariant_factors, fg_expr, freeness_verdict,
-                          inv_of_valuation, normalize, render_expr,
-                          unbranched_valuation_verdict)
+                          inv_of_valuation, normal_sum, normalize, render_expr,
+                          render_normal, unbranched_valuation_verdict)
 from oracles import (divisible_ref, expr_rank, freeness_verdict_ref, has_divisible,
-                     has_torsion, invariant_factors_ref, parse_expr, torsion_ref)
+                     has_torsion, invariant_factors_ref, parse_expr, reference_normal_sum,
+                     reference_render_normal, torsion_ref)
 
 
 def verdict(e):
@@ -197,6 +198,53 @@ def test_unbranched_valuation_rule():
 def test_tower_slot_validation():
     with pytest.raises(SchemaError):
         ValueTower.from_names(["X"])
+
+
+# ---------------------------------------------------------------------------
+# normal sums and their text, against the references as first written
+# ---------------------------------------------------------------------------
+
+counts = st.one_of(st.integers(2, 5), st.sampled_from(["w", "w^2*3+w+1"]))
+
+
+def repeat(base, times):
+    """The normal form of ``times`` copies of the normal form ``base``."""
+    if type(base) is Repeated and type(base.times) is int and type(times) is int:
+        return Repeated(base.base, base.times * times)
+    return Repeated(base, times)
+
+
+# normal forms built as such: atoms, cyclic and opaque groups, towers and
+# sums of normal forms, and repeats of each, with integer and ordinal counts
+normal_forms = st.recursive(
+    st.sampled_from([Z, Q, R, ZPROD, UNKNOWN, Cyclic(2), Cyclic(6),
+                     Opaque("U(k)", is_free=True), Opaque("L*/K*", has_divisible=True)]),
+    lambda sub: st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(lambda xs: LexTower(tuple(xs))),
+        st.lists(sub, min_size=2, max_size=3).map(reference_normal_sum),
+        st.tuples(sub, counts).map(lambda t: repeat(*t))),
+    max_leaves=6)
+
+
+@st.composite
+def summands(draw):
+    """Normal forms over a pool of one to three bases, each alone or
+    repeated, with trivial parts between them: adjacent summands often
+    share a base."""
+    pool = st.sampled_from(draw(st.lists(normal_forms, min_size=1, max_size=3)))
+    part = st.one_of(st.just(TRIVIAL), pool, st.tuples(pool, counts).map(lambda t: repeat(*t)))
+    return draw(st.lists(part, max_size=8))
+
+
+@given(summands())
+@example([LexTower((Z, Q)), Repeated(LexTower((Z, Q)), 2), TRIVIAL, LexTower((Z, Q))])
+@example([Repeated(Cyclic(2), "w"), Cyclic(2), Repeated(Cyclic(2), 3), Repeated(Z, "w")])
+@settings(max_examples=400, deadline=None)
+def test_normal_sum_and_its_text_match_the_references(parts):
+    total = normal_sum(parts)
+    assert total == reference_normal_sum(parts)
+    for e in parts + [total]:
+        assert render_normal(e) == reference_render_normal(e)
 
 
 # ---------------------------------------------------------------------------
