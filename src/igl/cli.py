@@ -209,7 +209,7 @@ _TRUE, _FALSE, _UNDECLARED = Field(FLAG, default=True), Field(FLAG, default=Fals
 FIELDS = {
     "envelope": {"v": Field(INT, True, bound=(1, 1)),
                  "kind": Field(ENUM, True, bound=tuple(KINDS)),
-                 "name": Field(ANY), "source": Field(ANY)},  # name: else the file's stem
+                 "name": Field(STR), "source": Field(STR)},  # name: else the file's stem
     "prufer_tree": {"root": Field(RECORD, True, record="tree node"),
                     "question": Field(ENUM, False, "inv", ("inv", "div", "strongly_discrete")),
                     "locally_finite": _TRUE, "codim_finite": _FALSE,

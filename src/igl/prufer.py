@@ -20,17 +20,20 @@ The decision procedures follow a cut-and-sum recursion:
   whose invertible ideals form the value group itself).
 
 The parse walks the payload once, and its build loop fills the tree's
-index.  The recursion runs as one walk over the tree with an explicit stack
-(``_decompose``).  Every divided cut emits its prime and the free ranks
-of the quotient and of the step, summed as the walk leaves the quotient;
-``check_tree``, ``verify``'s checks of a tree, recounts the cut's total
-from the tree and checks that the two ranks add up to it.  The sum
-itself is built once: the root's normal form is one ``normal_sum`` over
-the summands of every subproblem, so deciding a tree is linear in its
-size.  Freeness is read once per edge in one pass, each distinct tower is
-built and rendered once per decision, and the steps met at every node
-are built from constants.  ``decide_tree`` answers an instance's
-question.
+index.  Freeness is read once per edge in one pass, and the gate of the
+recursion's hypothesis reads it at the branching points.  Past the gate
+the recursion runs as one walk over the tree with an explicit stack
+holding one entry per node (``_decompose``), and the same walk counts the
+maximal ideals and finds the first whose value group is not free.
+Every divided cut emits its prime and the free ranks of the quotient and
+of the step, summed as the walk leaves the quotient; ``check_tree``,
+``verify``'s checks of a tree, recounts the cut's total from the tree
+and checks that the two ranks add up to it.  The sum itself is built
+once: the root's normal form is one ``normal_sum`` over the summands of
+every subproblem, so deciding a tree is linear in its size.  Each
+distinct tower is built and rendered once per decision, and the steps
+met at every node are built from constants.  ``decide_tree`` answers an
+instance's question.
 """
 
 from __future__ import annotations
@@ -300,22 +303,33 @@ _DIVIDED_CUT = ("divided-cut", "the infimum of the maximal ideals is a divided p
                 "domain's group plus that value group")
 
 
-def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
+def _decompose(tree: SpecTree, free: dict[str, bool]
+               ) -> tuple[GroupExpr, list[CertStep], list[DividedCut], int, PrimeNode | None]:
     """The cut-and-sum recursion as one walk with an explicit stack on the
-    nodes of ``tree`` itself.  A subproblem is a sub-root with the nodes it
-    keeps below: the whole tree, one dependency class (one child of the
-    sub-root, walked down its unique-child spine) or the quotient tree at
-    a divided prime.  Value groups are measured from the sub-root through
-    the tree's parent map, as slot tuples that build no ``ValueTower``
-    (``_tower_below``).  Steps and cuts come out in pre-order.  A chain
-    appends its tower and adds its free rank to the innermost open cut.  A
-    divided cut pushes a close marker under its quotient; when the marker
-    pops, the cut records its quotient and step ranks (``None`` where a
-    ``Q`` or ``R`` slot makes a term not finitely generated), appends its
-    step tower after the quotient's summands and passes both ranks
-    outward, where they add up.  Each distinct tower is built, rendered
-    and ranked once per call.  The root's normal form is one
-    ``normal_sum`` over the summands in order."""
+    nodes of ``tree`` itself, with the number of maximal ideals and the
+    first of them, in pre-order, whose value group is not free (``free``,
+    the map of ``_free_at``).  The root's class sum comes first; then each
+    stack entry is a node with its sub-root: a child of the whole tree's
+    root or of a divided prime, the top of one dependency class, walked
+    down its unique-child spine to the only maximal ideal (a chain) or to
+    the infimum of the maximal ideals, a divided prime.  A value group is
+    measured from the sub-root, as a slot tuple that builds no
+    ``ValueTower``: a node whose parent is its sub-root takes its own
+    label, and a longer spine goes through ``_tower_below``.  Steps and
+    cuts come out in pre-order.  A chain appends its tower and adds its
+    free rank to the innermost open cut.  A divided cut pushes a close
+    marker under its classes; when the marker pops, the cut records its
+    quotient and step ranks (``None`` where a ``Q`` or ``R`` slot makes a
+    term not finitely generated), appends its step tower after the
+    quotient's summands and passes both ranks outward, where they add up.
+    Each distinct tower is built, rendered and ranked once per call, and
+    the steps met at every node are built straight from their constant
+    fields.  The root's normal form is one ``normal_sum`` over the
+    summands in order."""
+    new = tuple.__new__
+    sum_rule, sum_text = _CLASS_SUM
+    chain_rule, chain_text = _VALUATION_INV_ISO
+    cut_rule, cut_text = _DIVIDED_CUT
     steps: list[CertStep] = []
     cuts: list[DividedCut | None] = []
     summands: list[GroupExpr] = []
@@ -323,52 +337,56 @@ def _decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedC
     # the free ranks met so far inside each open cut's quotient, innermost
     # last; the bottom list holds the root's classes and is never read
     ranks: list[list[int | None]] = [[]]
-    # subproblems (sub-root, kept nodes) and close markers (the cut's
-    # place in ``cuts``, its prime, step tower and step rank)
-    todo: list[tuple] = [(tree.root, tree.root.children)]
+    leaves, bad = 0, None
+    root = tree.root
+    kids = root.children
+    if not kids:
+        steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
+    elif len(kids) > 1:
+        steps.append(new(CertStep, (sum_rule, sum_text, (("classes", str(len(kids))),))))
+    # (node, sub-root) entries and close markers (the cut's place in
+    # ``cuts``, its prime, step tower and step rank)
+    todo: list[tuple] = [(c, root) for c in reversed(kids)]
     while todo:
-        top = todo.pop()
-        if len(top) == 4:
-            at, prime, tower_expr, rank = top
+        entry = todo.pop()
+        if len(entry) == 4:
+            at, prime, tower_expr, rank = entry
             parts = ranks.pop()
             quotient = None if None in parts else sum(parts)
-            cuts[at] = DividedCut(prime, quotient, rank)
+            cuts[at] = new(DividedCut, (prime, quotient, rank))
             summands.append(tower_expr)
             ranks[-1] += (quotient, rank)
             continue
-        sub_root, kids = top
+        head, sub_root = entry
+        node, kids = head, head.children
+        while len(kids) == 1:
+            node = kids[0]
+            kids = node.children
+        slots = node.label if node is head else _tower_below(tree, node, sub_root)
+        known = towers.get(slots)
+        if known is None:
+            # a label is a ValueTower; the expression holds a plain tuple
+            tower_expr = slots[0] if len(slots) == 1 else LexTower(tuple(slots))
+            known = towers[slots] = (tower_expr, render_normal(tower_expr),
+                                     len(slots) if slots.count(Z) == len(slots) else None)
+        tower_expr, text, rank = known
         if not kids:
-            steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
-            continue
-        if len(kids) > 1:
-            steps.append(CertStep(*_CLASS_SUM, (("classes", str(len(kids))),)))
-            todo.extend((sub_root, (c,)) for c in reversed(kids))
-            continue
-        node = kids[0]
-        if len(node.children) == 1:
-            # the class goes on down its unique-child spine, which ends at
-            # the only maximal ideal (a chain) or at the infimum of the
-            # maximal ideals, a divided prime
-            todo.append((sub_root, node.children))
-            continue
-        slots = _tower_below(tree, node, sub_root)
-        if slots not in towers:
-            tower_expr = slots[0] if len(slots) == 1 else LexTower(slots)
-            towers[slots] = (tower_expr, render_normal(tower_expr),
-                             len(slots) if slots.count(Z) == len(slots) else None)
-        tower_expr, text, rank = towers[slots]
-        if not node.children:
-            steps.append(CertStep(*_VALUATION_INV_ISO,
-                                  (("maximal", node.node_id), ("value_group", text))))
+            leaves += 1
+            if bad is None and not free[node.node_id]:
+                bad = node
+            steps.append(new(CertStep, (chain_rule, chain_text,
+                                        (("maximal", node.node_id), ("value_group", text)))))
             summands.append(tower_expr)
             ranks[-1].append(rank)
             continue
-        steps.append(CertStep(*_DIVIDED_CUT, (("prime", node.node_id), ("value_group", text))))
+        steps.append(new(CertStep, (cut_rule, cut_text,
+                                    (("prime", node.node_id), ("value_group", text)))))
+        steps.append(new(CertStep, (sum_rule, sum_text, (("classes", str(len(kids))),))))
         ranks.append([])
         todo.append((len(cuts), node.node_id, tower_expr, rank))
         cuts.append(None)
-        todo.append((node, node.children))
-    return normal_sum(summands), steps, cuts
+        todo.extend([(c, node) for c in reversed(kids)])
+    return normal_sum(summands), steps, cuts, leaves, bad
 
 
 def decide_inv_free(tree: SpecTree) -> InvDecision:
@@ -377,31 +395,31 @@ def decide_inv_free(tree: SpecTree) -> InvDecision:
 
     Under the internal-gamma hypothesis the decision reduces to the
     leaves: the group is free exactly when every maximal ideal's value
-    group is free.  Both are read off one pre-order pass (``_free_at``);
-    a value group is free or not free, never undecided."""
+    group is free.  Both are read off one pre-order pass (``_free_at``),
+    the gate in front of the walk and the leaves inside it; a value group
+    is free or not free, never undecided."""
     free = _free_at(tree)
     gate_cert = _internal_gate(tree, free)
     if gate_cert:
         return InvDecision(Verdict.UNKNOWN, gate_cert, UNKNOWN)
-    leaves = tree.leaves()
-    expr, steps, cuts = _decompose(tree)
-    bad = next((leaf for leaf in leaves if not free[leaf.node_id]), None)
+    expr, steps, cuts, leaves, bad = _decompose(tree, free)
     if bad is not None:
         # the one root path walked in full: the witness trace of the first
         # maximal ideal whose value group is not free
         fv = freeness_verdict(gamma_at(tree, bad).to_expr())
-        steps = steps + [CertStep.make(
+        steps.append(CertStep.make(
             "leaf-gamma-not-free",
             "the decomposition shows the invertible group is free exactly "
             "when all maximal value groups are; this one is not",
-            maximal=bad.node_id)] + list(fv.certificate)
+            maximal=bad.node_id))
+        steps += fv.certificate
         verdict = Verdict.NOT_FREE
     else:
-        steps = steps + [CertStep.make(
+        steps.append(CertStep.make(
             "all-leaf-gammas-free",
             "every maximal ideal's value group is free, so the decomposition "
             "exhibits the invertible group as a direct sum of free groups",
-            leaves=len(leaves))]
+            leaves=leaves))
         verdict = Verdict.FREE
     return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts))
 

@@ -214,7 +214,8 @@ def normal_sum(parts) -> GroupExpr:
     """The normal form of the direct sum of ``parts``, each of which must
     already be a normal form: the sum is flattened and merged without
     normalizing the parts again.  Adjacent summands merge when both counts
-    are integers (at least 1) and their bases, compared only then, are equal."""
+    are integers (at least 1) and their bases, compared only then, are equal;
+    a run of merged summands becomes one ``Repeated`` when it ends."""
     flat: list[GroupExpr] = []
     for p in parts:
         if type(p) is DirectSum:
@@ -223,14 +224,20 @@ def normal_sum(parts) -> GroupExpr:
             flat.append(p)
     merged: list[GroupExpr] = []
     pb = pt = None  # the base and count of the last merged summand
+    run = False  # whether that summand has absorbed the ones after it
     for p in flat:
         cb, ct = p if type(p) is Repeated else (p, 1)
         if type(ct) is int and type(pt) is int and (pb is cb or pb == cb):
             pt += ct
-            merged[-1] = Repeated(pb, pt)
+            run = True
         else:
+            if run:
+                merged[-1] = Repeated(pb, pt)
+                run = False
             merged.append(p)
             pb, pt = cb, ct
+    if run:
+        merged[-1] = Repeated(pb, pt)
     if not merged:
         return TRIVIAL
     if len(merged) == 1:

@@ -27,7 +27,8 @@ the stacked matrix.
 
 It also holds the helpers that only tests need: ``normal_sum`` and
 ``render_normal`` as first written (the references of the exact-type
-dispatch that replaced them), the parser of the report
+dispatch that replaced them), ``decide_inv_free`` as first written (the
+reference of the one walk that replaced it), the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
 torsion and divisible predicates of the atom walk, direct-sum and
 sub-quotient sequences of finitely generated groups, the hand-built
@@ -56,13 +57,14 @@ from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice
                          direct_sum, factor_through, kernel_with_inclusion)
 from igl.errors import SchemaError
 from igl.matrices import IntMatrix, _diagonal_form, column_hnf, gcdex, hstack, solve
-from igl.prufer import PrimeNode, SpecTree
+from igl.prufer import (_CLASS_SUM, _DIVIDED_CUT, _VALUATION_INV_ISO, DividedCut, InvDecision,
+                        PrimeNode, SpecTree, _free_at, _internal_gate, _tower_below, gamma_at)
 from igl.scattered import Ordinal, ScatteredSpace, stratum_multiplicity
 from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, Atom, CertStep, Cyclic, Decision, DirectSum,
                           GroupExpr, LexTower, Opaque, Q, R, Repeated,
                           ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
                           _render_flags, canonical_invariants, expr_invariant_factors,
-                          normalize, render_expr)
+                          freeness_verdict, normalize, render_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -1243,6 +1245,92 @@ def tree_rank_oracle(tree: SpecTree) -> int:
             total += len(c.label) + rec(c)
         return total
     return rec(tree.root)
+
+
+# ---------------------------------------------------------------------------
+# The invertible decision of a tree, as first written
+# ---------------------------------------------------------------------------
+
+def _reference_decompose(tree: SpecTree) -> tuple[GroupExpr, list[CertStep], list[DividedCut]]:
+    """``prufer._decompose`` as first written: the stack holds subproblems
+    (sub-root, kept nodes), a dependency class is a subproblem of its own,
+    and every value group is measured through ``_tower_below``.  The sum
+    and its text are the references as first written."""
+    steps: list[CertStep] = []
+    cuts: list[DividedCut | None] = []
+    summands: list[GroupExpr] = []
+    towers: dict[tuple, tuple[GroupExpr, str, int | None]] = {}
+    ranks: list[list[int | None]] = [[]]
+    todo: list[tuple] = [(tree.root, tree.root.children)]
+    while todo:
+        top = todo.pop()
+        if len(top) == 4:
+            at, prime, tower_expr, rank = top
+            parts = ranks.pop()
+            quotient = None if None in parts else sum(parts)
+            cuts[at] = DividedCut(prime, quotient, rank)
+            summands.append(tower_expr)
+            ranks[-1] += (quotient, rank)
+            continue
+        sub_root, kids = top
+        if not kids:
+            steps.append(CertStep.make("field-trivial", "a field has trivial ideal groups"))
+            continue
+        if len(kids) > 1:
+            steps.append(CertStep(*_CLASS_SUM, (("classes", str(len(kids))),)))
+            todo.extend((sub_root, (c,)) for c in reversed(kids))
+            continue
+        node = kids[0]
+        if len(node.children) == 1:
+            todo.append((sub_root, node.children))
+            continue
+        slots = _tower_below(tree, node, sub_root)
+        if slots not in towers:
+            tower_expr = slots[0] if len(slots) == 1 else LexTower(slots)
+            towers[slots] = (tower_expr, reference_render_normal(tower_expr),
+                             len(slots) if slots.count(Z) == len(slots) else None)
+        tower_expr, text, rank = towers[slots]
+        if not node.children:
+            steps.append(CertStep(*_VALUATION_INV_ISO,
+                                  (("maximal", node.node_id), ("value_group", text))))
+            summands.append(tower_expr)
+            ranks[-1].append(rank)
+            continue
+        steps.append(CertStep(*_DIVIDED_CUT, (("prime", node.node_id), ("value_group", text))))
+        ranks.append([])
+        todo.append((len(cuts), node.node_id, tower_expr, rank))
+        cuts.append(None)
+        todo.append((node, node.children))
+    return reference_normal_sum(summands), steps, cuts
+
+
+def reference_decide_inv_free(tree: SpecTree) -> InvDecision:
+    """``prufer.decide_inv_free`` as first written: the leaves are one
+    ``tree.leaves()`` pass, and the first non-free one is a second scan
+    after the decomposition."""
+    free = _free_at(tree)
+    gate_cert = _internal_gate(tree, free)
+    if gate_cert:
+        return InvDecision(Verdict.UNKNOWN, gate_cert, UNKNOWN)
+    leaves = tree.leaves()
+    expr, steps, cuts = _reference_decompose(tree)
+    bad = next((leaf for leaf in leaves if not free[leaf.node_id]), None)
+    if bad is not None:
+        fv = freeness_verdict(gamma_at(tree, bad).to_expr())
+        steps = steps + [CertStep.make(
+            "leaf-gamma-not-free",
+            "the decomposition shows the invertible group is free exactly "
+            "when all maximal value groups are; this one is not",
+            maximal=bad.node_id)] + list(fv.certificate)
+        verdict = Verdict.NOT_FREE
+    else:
+        steps = steps + [CertStep.make(
+            "all-leaf-gammas-free",
+            "every maximal ideal's value group is free, so the decomposition "
+            "exhibits the invertible group as a direct sum of free groups",
+            leaves=len(leaves))]
+        verdict = Verdict.FREE
+    return InvDecision(verdict, tuple(steps), expr, cuts=tuple(cuts))
 
 
 # ---------------------------------------------------------------------------

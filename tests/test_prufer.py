@@ -4,7 +4,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igl import prufer, valgroup
@@ -17,8 +17,8 @@ from igl.valgroup import (GroupExpr, ValueTower, Verdict, div_of_valuation,
                           expr_invariant_factors, freeness_verdict,
                           render_expr)
 from oracles import (all_parent_vectors, caterpillar_payload, expr_rank, permuted_tree,
-                     random_tree, slot_names, standard_decomposition, tree_from_parents,
-                     tree_payload, tree_rank_oracle, walked_tree)
+                     random_tree, reference_decide_inv_free, slot_names, standard_decomposition,
+                     tree_from_parents, tree_payload, tree_rank_oracle, walked_tree)
 
 
 def zt(*names):
@@ -582,3 +582,96 @@ def test_all_z_caterpillar_decides_without_normalizing(monkeypatch):
     res = decide_inv_free(caterpillar(40))
     assert res.verdict is Verdict.FREE and len(res.cuts) == 39
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the one walk against the walk as first written
+# ---------------------------------------------------------------------------
+
+NOT_FREE_LABELS = (["Q"], ["R"], ["Z", "Q"], ["R", "Z"])
+
+
+def as_records(tree):
+    """The root record of a payload of ``tree``, its labels spelt as slot names."""
+    recs = {}
+    for n in tree.nodes():
+        rec = recs[n.node_id] = {"id": n.node_id}
+        if n.label is not None:
+            rec["label"] = slot_names(n.label)
+        parent = tree.parents[n.node_id]
+        if parent is not None:
+            recs[parent.node_id].setdefault("children", []).append(rec)
+    return recs[tree.root.node_id]
+
+
+def spined_records(rng, spine, gap, reach, width):
+    """The root record of a caterpillar of ``spine`` branching primes, each
+    with a leaf and the last with ``width`` (a broom when ``spine`` is 1),
+    every branching prime ``gap`` unbranched primes below the one before,
+    and every leaf ``reach`` primes below its branching prime.  Edges are
+    ``Z`` or ``Z, Z``."""
+    root = {"id": "0"}
+    count = [0]
+
+    def hang(parent, length):
+        for _ in range(length):
+            count[0] += 1
+            rec = {"id": f"p{count[0]}", "label": rng.choice((["Z"], ["Z"], ["Z", "Z"]))}
+            parent.setdefault("children", []).append(rec)
+            parent = rec
+        return parent
+
+    top = root
+    for i in range(spine):
+        top = hang(top, gap + 1)
+        for _ in range(width if i == spine - 1 else 1):
+            hang(top, reach)
+    return root
+
+
+@st.composite
+def inv_trees(draw):
+    """Trees from ``random_tree`` (some with ``Q`` edges), or caterpillars
+    and brooms with long unbranched spines; then, maybe, a ``Q`` or ``R``
+    slot on the last branching prime (the gate fails late), on a leaf or
+    on any prime."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        root = as_records(random_tree(rng, max_depth=5, max_nodes=24,
+                                      q_prob=draw(st.sampled_from([0.0, 0.05, 0.2])),
+                                      multi_slot_prob=0.3))
+    else:
+        root = spined_records(rng, draw(st.integers(1, 12)), draw(st.integers(0, 6)),
+                              draw(st.integers(1, 3)), draw(st.integers(2, 5)))
+    order, stack = [], [root]
+    while stack:
+        rec = stack.pop()
+        order.append(rec)
+        stack.extend(reversed(rec.get("children", [])))
+    where = draw(st.sampled_from([None, "last branching", "leaf", "any"]))
+    spots = {"last branching": [r for r in order[1:] if len(r.get("children", [])) >= 2][-1:],
+             "leaf": [r for r in order[1:] if not r.get("children")],
+             "any": order[1:]}.get(where)
+    if spots:
+        draw(st.sampled_from(spots))["label"] = draw(st.sampled_from(NOT_FREE_LABELS))
+    return tree_from_payload(root)
+
+
+@given(inv_trees())
+@example(caterpillar(40))
+@example(caterpillar(40, "Q"))
+@example(caterpillar(40, "Z", "R"))
+@example(walked_tree(PrimeNode("0", None)))
+@settings(max_examples=300, deadline=None)
+def test_one_walk_matches_the_walk_as_first_written(tree):
+    """The verdict, every certificate step with its inputs, the expression
+    and the cuts of ``decide_inv_free`` are those of the walk as first
+    written, types included."""
+    got, want = decide_inv_free(tree), reference_decide_inv_free(tree)
+    assert got.verdict is want.verdict
+    assert [(type(s), tuple(s)) for s in got.certificate] == \
+        [(type(s), tuple(s)) for s in want.certificate]
+    assert type(got.expr) is type(want.expr) and got.expr == want.expr
+    assert repr(got.expr) == repr(want.expr)
+    assert [(type(c), tuple(c)) for c in got.cuts] == [(type(c), tuple(c)) for c in want.cuts]
+    assert got == want

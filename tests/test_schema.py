@@ -100,3 +100,25 @@ def test_a_directory_run_gives_one_outcome_per_file(tmp_path, capsys):
         got = capsys.readouterr()
         assert timing.sub("_", got.out) == timing.sub("_", want.out), argv
         assert got.err == f"error: {bad}: tower: must be a list of slots\n", argv
+
+
+def test_the_envelope_name_and_source_are_strings(tmp_path, capsys):
+    """A file's ``name`` and ``source`` are echoed into its report, so each
+    is a string or absent; any other JSON value, ``null`` among them, is a
+    schema error naming the field."""
+    for key in ("name", "source"):
+        for value in ([], {"a": 1}, None, 0, True):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({"v": 1, "kind": "krull", key: value}), encoding="utf-8")
+            assert cli.main(["decide", str(path)]) == 2, (key, value)
+            assert capsys.readouterr().err == f"error: {path}: {key}: must be a string\n"
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"v": 1, "kind": "krull", "name": [], "source": {"a": 1}}),
+                    encoding="utf-8")
+    assert cli.main(["decide", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: name: must be a string\n"
+    path.write_text(json.dumps({"v": 1, "kind": "krull", "name": "n", "source": "s"}),
+                    encoding="utf-8")
+    assert cli.main(["decide", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "instance: n" in out and "source: s" in out

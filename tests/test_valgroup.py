@@ -239,6 +239,11 @@ def summands(draw):
 @given(summands())
 @example([LexTower((Z, Q)), Repeated(LexTower((Z, Q)), 2), TRIVIAL, LexTower((Z, Q))])
 @example([Repeated(Cyclic(2), "w"), Cyclic(2), Repeated(Cyclic(2), 3), Repeated(Z, "w")])
+# long runs, each one ``Repeated`` when it ends: 500 copies of Z, a run
+# headed by a repeat, and runs that a symbolic count breaks
+@example([Z] * 500)
+@example([Repeated(Z, 3)] + [Z] * 40 + [LexTower((Z, Z))] * 3)
+@example([Z] * 7 + [Repeated(Z, "w")] + [Z, Repeated(Z, 2), Z] + [Repeated(Z, "w")] * 2 + [Z])
 @settings(max_examples=400, deadline=None)
 def test_normal_sum_and_its_text_match_the_references(parts):
     total = normal_sum(parts)
