@@ -20,7 +20,9 @@ Usage, from the root of a checkout::
 writes ``BENCH_8.json`` at the root of this checkout.  With ``--append``
 the runs are added to an existing record of the same checkouts, so that
 one record can hold runs on several seeds, traced and untraced; every
-run names its seed and trace.  See the README for how to read it.
+run names its seed and trace, and appended rounds continue the numbering
+of the runs of the same workload, seed and trace.  See the README for how
+to read it.
 
 A checkout that holds a ``__pycache__`` under ``src/`` is refused before
 any run starts, since importing from cached bytecode would make its
@@ -105,13 +107,20 @@ def main(argv=None) -> int:
         if old["checkouts"] != record["checkouts"] or old["host"] != record["host"]:
             ap.error(f"--append: {out.name} holds other checkouts or another host")
         record["runs"] = old["runs"]
+    # appended rounds continue the numbering of the workload's runs at this
+    # seed and trace, so that runs pair by (checkout, round) and the
+    # checkout that goes first keeps alternating
+    done = {w: max((r["round"] for r in record["runs"] if r["workload"] == w
+                    and (r["seed"], r["trace"]) == (args.seed, args.trace)), default=0)
+            for w in args.workload}
     for rnd in range(1, args.rounds + 1):
         turn = list(checkouts.items())
         for workload in args.workload:
-            for label, path in turn if rnd % 2 else turn[::-1]:
-                print(f"round {rnd}: {workload} on {label}", file=sys.stderr, flush=True)
+            number = done[workload] + rnd
+            for label, path in turn if number % 2 else turn[::-1]:
+                print(f"round {number}: {workload} on {label}", file=sys.stderr, flush=True)
                 record["runs"].append({
-                    "round": rnd, "checkout": label, "workload": workload,
+                    "round": number, "checkout": label, "workload": workload,
                     "seed": args.seed, "trace": args.trace,
                     "result": run(path, workload, args.seed, seconds, args.trace)})
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

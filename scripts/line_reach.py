@@ -76,11 +76,8 @@ KEPT: dict[tuple[str, str], str] = {
     ("abelian.SnakeResult.verify_exact", 'return "six-term sequence not exact at ker f"'): _FAILS,
     ("abelian.SnakeResult.verify_exact", 'return f"six-term sequence not exact at {name}"'): _FAILS,
     ("abelian.SnakeResult.verify_exact", 'return "six-term sequence not exact at coker h"'): _FAILS,
-    ("abelian.amalgam_quotient", 'raise DiagramError("amalgam map has the wrong kernel")'):
-        "verify's amalgam check reports these two tests of psi; removing them changes its "
-        "detail, which waits for the sweep's --expect-changed (ROADMAP F2)",
-    ("abelian.amalgam_quotient", 'raise DiagramError("amalgam map is not surjective")'):
-        "the second of the two tests of psi that verify's amalgam check reports (ROADMAP F2)",
+    ("abelian.check_diagram", 'raise DiagramError("amalgam map has the wrong kernel")'): _FAILS,
+    ("abelian.check_diagram", 'raise DiagramError("amalgam map is not surjective")'): _FAILS,
     ("cli._emit", 'raise TypeError(f"Object of type {type(x).__name__} is not JSON '
                   'serializable")'):
         "canonical_json refuses what no report holds, as json.dumps does; tests check it",

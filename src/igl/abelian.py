@@ -23,14 +23,16 @@ Design notes.
   once, where it is parsed: the parse calls ``FgHom.__post_init__`` (the
   generator matrix carries the source relation lattice into the target
   relation lattice) on each map it reads and ``ShortExactSeq.__post_init__``
-  (exactness) on each sequence, and ``snake`` and ``amalgam_quotient``
-  check the ladder's squares and each part's conditions.  The maps that the
-  engine builds (kernel inclusions, factorizations, connecting maps,
-  sections) are well defined by construction and are not re-checked.
+  (exactness) on each sequence, and ``ladder_terms`` and
+  ``amalgam_quotient`` check the ladder's squares and each part's
+  conditions.  The maps that the engine builds (kernel inclusions,
+  factorizations, connecting maps, sections, the amalgam map) are well
+  defined by construction and are not re-checked.
 * ``decide`` builds and ``verify`` checks: what the engine guarantees
   (the six-term sequence of a ladder is exact, the section found splits
-  the projection) is tested by ``check_diagram``, not by the
-  construction that ``decide`` runs.
+  the projection, the amalgam map is an isomorphism) is tested by
+  ``check_diagram``, not by the construction that ``decide`` runs, and
+  ``decide`` builds no map that it does not report.
 * A map identity (a commuting square, a section, a left inverse, a zero
   composite) is one relation test: ``FgGroup.congruent`` compares two
   matrix products column by column modulo the target's relations.  No
@@ -292,10 +294,6 @@ class SnakeResult(namedtuple("SnakeResult", "ker_f ker_g ker_h coker_f coker_g c
 
     __slots__ = ()
 
-    def groups(self) -> tuple[FgGroup, ...]:
-        return (self.ker_f, self.ker_g, self.ker_h,
-                self.coker_f, self.coker_g, self.coker_h)
-
     def verify_exact(self) -> str | None:
         """The first position where the sequence is not exact, or ``None``.
         The snake lemma says there is none: ``snake`` does not call this,
@@ -320,31 +318,38 @@ def _lift_through(cols_matrix: IntMatrix, rel: IntMatrix, b: IntMatrix) -> IntMa
     return IntMatrix(cols_matrix.cols, b.cols, sol.entries[:cols_matrix.cols])
 
 
-def snake(top: ShortExactSeq, bottom: ShortExactSeq,
-          f: FgHom, g: FgHom, h: FgHom) -> SnakeResult:
-    """Six-term exact sequence of a commuting ladder of two exact rows.
+def ladder_terms(top: ShortExactSeq, bottom: ShortExactSeq, f: FgHom, g: FgHom,
+                 h: FgHom) -> tuple[list[tuple[FgGroup, FgHom]], list[FgGroup]]:
+    """The six terms of a commuting ladder of two exact rows: the kernels
+    of ``f``, ``g`` and ``h``, each with its inclusion, and their
+    cokernels.
 
     ``f``, ``g`` and ``h`` connect the rows, as the parse builds them.
     The input is rejected, with a diagnostic naming the failing square,
-    unless both squares commute.  The connecting map lifts the generators
-    of ``ker h`` through the top projection, pushes them down ``g``, and
-    pulls them back through the bottom inclusion, each lift one
-    elimination for all generators; the lift choice is deterministic and
-    irrelevant on classes.  The lemma makes the result exact, so it is
-    not re-checked here; ``SnakeResult.verify_exact`` is ``verify``'s
-    check of it.
+    unless both squares commute.  ``decide`` describes these terms, and
+    ``snake`` builds the maps between them.
     """
     if not bottom.mid.congruent(g.matrix @ top.inj.matrix, bottom.inj.matrix @ f.matrix):
         raise DiagramError("left square does not commute")
     if not bottom.right.congruent(h.matrix @ top.surj.matrix, bottom.surj.matrix @ g.matrix):
         raise DiagramError("right square does not commute")
+    return [kernel_with_inclusion(m) for m in (f, g, h)], [cokernel(m) for m in (f, g, h)]
 
-    kf, kf_incl = kernel_with_inclusion(f)
-    kg, kg_incl = kernel_with_inclusion(g)
-    kh, kh_incl = kernel_with_inclusion(h)
-    qf = cokernel(f)
-    qg = cokernel(g)
-    qh = cokernel(h)
+
+def snake(top: ShortExactSeq, bottom: ShortExactSeq,
+          f: FgHom, g: FgHom, h: FgHom) -> SnakeResult:
+    """Six-term exact sequence of a commuting ladder of two exact rows:
+    the terms of ``ladder_terms`` and the five maps between them.
+
+    The connecting map lifts the generators of ``ker h`` through the top
+    projection, pushes them down ``g``, and pulls them back through the
+    bottom inclusion, each lift one elimination for all generators; the
+    lift choice is deterministic and irrelevant on classes.  The lemma
+    makes the result exact, so it is not re-checked here;
+    ``SnakeResult.verify_exact`` is ``verify``'s check of it.
+    """
+    kernels, (qf, qg, qh) = ladder_terms(top, bottom, f, g, h)
+    (kf, kf_incl), (kg, kg_incl), (kh, kh_incl) = kernels
 
     ker_fg = factor_through(kf, top.inj.matrix @ kf_incl.matrix, kg_incl)
     ker_gh = factor_through(kg, top.surj.matrix @ kg_incl.matrix, kh_incl)
@@ -418,28 +423,14 @@ def split_test(s: ShortExactSeq) -> SplitResult:
 # ``complement``), ``retract`` the left inverse of ``emb``.
 AmalgamPart = namedtuple("AmalgamPart", "group emb complement proj retract")
 
-AmalgamResult = namedtuple("AmalgamResult", "quotient standard_form")
-
-
-def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
-    """Quotient of ``⊕ A_i`` by the diagonal copy of ``G``.
-
-    ``parts`` is nonempty, and each part's maps run between its group, its
-    complement and ``g``, as the parse builds them.  Each part must
-    certify ``A_i = B_i ⊕ emb_i(G)``, which is checked; the quotient is
-    then isomorphic to its standard form ``B_1 ⊕ … ⊕ B_n ⊕ G^{n-1}`` via
-    the map ``ψ`` whose components are the ``B``-projections and the
-    differences of each retraction but the last with the last one.
-    ``ψ`` is well defined on the sum by construction, its kernel is
-    checked to be the diagonal and its image everything, so it descends
-    to an isomorphism on the quotient; the result holds the quotient and
-    the standard form, not that map.
-    """
-    n = len(parts)
+def _check_parts(g: FgGroup, parts: list[AmalgamPart]) -> None:
+    """Each part must certify ``A_i = B_i ⊕ emb_i(G)``.  A left inverse
+    makes the embedding injective, so the embedding's lattices are taken
+    only when the retraction is not one, to tell the two faults apart."""
     for idx, p in enumerate(parts):
-        if not injective(p.emb, lattices(p.emb)):
-            raise DiagramError(f"part {idx}: embedding is not injective")
         if not g.congruent(p.retract.matrix @ p.emb.matrix, IntMatrix.identity(g.generators)):
+            if not injective(p.emb, lattices(p.emb)):
+                raise DiagramError(f"part {idx}: embedding is not injective")
             raise DiagramError(f"part {idx}: retraction is not a left inverse of the embedding")
         if not p.proj.target.congruent(p.proj.matrix @ p.emb.matrix,
                                        IntMatrix.zeros(p.proj.target.generators, g.generators)):
@@ -450,22 +441,39 @@ def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> AmalgamResult:
             raise DiagramError(f"part {idx}: (projection, retraction) is not an "
                                "internal direct-sum decomposition")
 
-    total = direct_sum([p.group for p in parts])
-    phi = FgHom(g, total, vstack(*[p.emb.matrix for p in parts]))
-    target = direct_sum([p.complement for p in parts] + [g] * (n - 1))
+
+def amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> tuple[int, ...]:
+    """Canonical invariant factors of the quotient of ``⊕ A_i`` by the
+    diagonal copy of ``G``.
+
+    ``parts`` is nonempty, and each part's maps run between its group, its
+    complement and ``g``, as the parse builds them.  Each part's
+    decomposition is checked; the checked decompositions make the quotient
+    isomorphic to its standard form ``B_1 ⊕ … ⊕ B_n ⊕ G^{n-1}``, whose
+    invariant factors are read off those of the complements and of ``g``.
+    No presentation of the quotient is built: ``amalgam_map`` is the
+    isomorphism, which ``verify``'s check builds and tests.
+    """
+    _check_parts(g, parts)
+    return canonical_invariants([d for p in parts for d in p.complement.invariant_factors]
+                                + list(g.invariant_factors) * (len(parts) - 1))
+
+
+def amalgam_map(g: FgGroup, parts: list[AmalgamPart]) -> FgHom:
+    """``ψ: ⊕ A_i → B_1 ⊕ … ⊕ B_n ⊕ G^{n-1}``: its components are the
+    ``B``-projections and the differences of each retraction but the last
+    with the last one.  It is well defined on the sum by construction;
+    when its kernel is the diagonal copy of ``G`` and its image
+    everything, it descends to an isomorphism from the quotient onto the
+    standard form."""
+    n = len(parts)
     m = block_diag(*[p.proj.matrix for p in parts])
     if n > 1:
         last = -parts[-1].retract.matrix
         m = vstack(m, hstack(block_diag(*[p.retract.matrix for p in parts[:-1]]),
                              vstack(*[last] * (n - 1))))
-    psi = FgHom(total, target, m)
-
-    onto = lattices(psi)
-    if lattices(phi).image.entries != onto.kernel.entries:
-        raise DiagramError("amalgam map has the wrong kernel")
-    if not surjective(psi, onto):
-        raise DiagramError("amalgam map is not surjective")
-    return AmalgamResult(cokernel(phi), target)
+    return FgHom(direct_sum([p.group for p in parts]),
+                 direct_sum([p.complement for p in parts] + [g] * (n - 1)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +485,7 @@ def decide_diagram(check: str, *parsed) -> Decision:
     holds: a group, a short exact sequence, a ladder's two rows and maps
     ``f``, ``g``, ``h`` (``snake``), or a group and its amalgam parts.  The
     group decided is free when it has no torsion factor."""
-    expr, metadata = None, {}
+    expr, metadata, text = None, {}, None
     if check == "group":
         (g,) = parsed
         free, expr, metadata = is_free(g), g.to_expr(), {"invariants": list(g.invariant_factors)}
@@ -499,7 +507,8 @@ def decide_diagram(check: str, *parsed) -> Decision:
                               "none exists",
                               splits=split.splits))
     elif check == "snake":
-        groups = snake(*parsed).groups()
+        kernels, cokernels = ladder_terms(*parsed)
+        groups = [grp for grp, _ in kernels] + cokernels
         terms = [grp.describe() for grp in groups]
         free, metadata = all(is_free(grp) for grp in groups), {"six_terms": terms}
         cert = (CertStep.make(
@@ -508,16 +517,17 @@ def decide_diagram(check: str, *parsed) -> Decision:
             "position",
             terms=" | ".join(terms)),)
     else:  # amalgam
-        res = amalgam_quotient(*parsed)
-        free, expr = is_free(res.quotient), res.quotient.to_expr()
+        invariants = amalgam_quotient(*parsed)
+        free, expr = all(d == 0 for d in invariants), fg_expr(invariants)
+        # the checked parts make the quotient its standard form: one text is both
+        text = render_normal(expr)
         cert = (CertStep.make(
             "units-amalgam",
             "the quotient of the sum by the diagonal copy is isomorphic to the "
             "complements plus one fewer copies of the diagonal group; the "
             "isomorphism was constructed and verified",
-            quotient=res.quotient.describe(),
-            standard_form=res.standard_form.describe()),)
-    return Decision(Verdict.FREE if free else Verdict.NOT_FREE, cert, expr, metadata)
+            quotient=text, standard_form=text),)
+    return Decision(Verdict.FREE if free else Verdict.NOT_FREE, cert, expr, metadata, text)
 
 
 # check -> the label of ``verify``'s one check of it
@@ -528,9 +538,11 @@ DIAGRAM_CHECKS = {"group": "group-well-formed", "ses": "sequence-exact-and-split
 def check_diagram(check: str, *parsed) -> list[Check]:
     """``verify``'s one check of a diagram, made by the engine calls of its
     decision.  The guarantees that ``decide`` takes on trust are tested
-    here: the section that ``split_test`` finds splits the projection, and
-    the six-term sequence that ``snake`` builds is exact at every position.
-    ``cli.verify_payload`` reports a ``DiagramError`` as the check failing."""
+    here: the section that ``split_test`` finds splits the projection, the
+    six-term sequence that ``snake`` builds is exact at every position,
+    and ``amalgam_map`` has the diagonal copy of ``G`` as its kernel and
+    is onto.  ``cli.verify_payload`` reports a ``DiagramError`` as the
+    check failing."""
     label = DIAGRAM_CHECKS[check]
     if check == "group":
         return [(label, True, parsed[0].describe())]
@@ -544,7 +556,15 @@ def check_diagram(check: str, *parsed) -> list[Check]:
     if check == "snake":
         fault = snake(*parsed).verify_exact()
         return [agree(label, fault, None, "six-term sequence exact", fault)]
-    amalgam_quotient(*parsed)
+    g, parts = parsed
+    _check_parts(g, parts)
+    psi = amalgam_map(g, parts)
+    phi = FgHom(g, psi.source, vstack(*[p.emb.matrix for p in parts]))
+    onto = lattices(psi)
+    if lattices(phi).image.entries != onto.kernel.entries:
+        raise DiagramError("amalgam map has the wrong kernel")
+    if not surjective(psi, onto):
+        raise DiagramError("amalgam map is not surjective")
     return [(label, True, "kernel and surjectivity verified")]
 
 

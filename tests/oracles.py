@@ -28,7 +28,9 @@ the stacked matrix.
 It also holds the helpers that only tests need: ``normal_sum`` and
 ``render_normal`` as first written (the references of the exact-type
 dispatch that replaced them), ``decide_inv_free`` as first written (the
-reference of the one walk that replaced it), the parser of the report
+reference of the one walk that replaced it), the ladder and amalgam
+branches of ``decide_diagram`` as first written (the references of the
+decisions that build only what they report), the parser of the report
 grammar (the round-trip oracle of ``render_expr``), the three-valued
 torsion and divisible predicates of the atom walk, direct-sum and
 sub-quotient sequences of finitely generated groups, the hand-built
@@ -39,10 +41,10 @@ built and normalized the first way (one ``Repeated`` per stratum), the
 dependency classes of a spectral
 tree, the slot names of a value tower, the free rank of an
 expression, the diagonal of a matrix, the dense ``group`` and
-``ses`` instances of the integer engine's growth tests (CI writes them
-too), and the ``argparse`` parser that the command line used before its
-command table, the reference of the argv reader, with the grid of argv
-read against it.
+``ses`` instances and the many-part ``amalgam`` instance of the integer
+engine's growth tests (CI writes them too), and the ``argparse`` parser
+that the command line used before its command table, the reference of
+the argv reader, with the grid of argv read against it.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, _sublattice_group,
-                         direct_sum, factor_through, kernel_with_inclusion)
-from igl.errors import SchemaError
-from igl.matrices import IntMatrix, _diagonal_form, column_hnf, gcdex, hstack, solve
+                         cokernel, direct_sum, factor_through, injective, is_free,
+                         is_isomorphism, kernel_with_inclusion, lattices, snake, surjective)
+from igl.errors import DiagramError, SchemaError
+from igl.matrices import (IntMatrix, _diagonal_form, block_diag, column_hnf, gcdex, hstack,
+                          solve, vstack)
 from igl.prufer import (_CLASS_SUM, _DIVIDED_CUT, _VALUATION_INV_ISO, DividedCut, InvDecision,
                         PrimeNode, SpecTree, _free_at, _internal_gate, _tower_below, gamma_at)
 from igl.scattered import Ordinal, ScatteredSpace, stratum_multiplicity
@@ -64,7 +68,7 @@ from igl.valgroup import (TRIVIAL, UNKNOWN, ZPROD, Atom, CertStep, Cyclic, Decis
                           GroupExpr, LexTower, Opaque, Q, R, Repeated,
                           ValueTower, Verdict, Z, _atom_divisible, _atom_torsion, _atoms,
                           _render_flags, canonical_invariants, expr_invariant_factors,
-                          freeness_verdict, normalize, render_expr)
+                          freeness_verdict, normalize, render_expr, render_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,6 +1114,75 @@ def cyclic_amalgam_parts(m: int, orders: list[int]) -> tuple[FgGroup, list[Amalg
 
 
 # ---------------------------------------------------------------------------
+# The ladder and amalgam decisions as first written
+# ---------------------------------------------------------------------------
+
+def reference_amalgam_quotient(g: FgGroup, parts: list[AmalgamPart]) -> tuple[FgGroup, FgGroup]:
+    """The quotient of ``⊕ A_i`` by the diagonal copy of ``G``, presented
+    as the cokernel of the diagonal map, and its standard form, after each
+    part's checks in their first order (injectivity first) and the two
+    lattice tests of ``ψ``."""
+    n = len(parts)
+    for idx, p in enumerate(parts):
+        if not injective(p.emb, lattices(p.emb)):
+            raise DiagramError(f"part {idx}: embedding is not injective")
+        if not g.congruent(p.retract.matrix @ p.emb.matrix, IntMatrix.identity(g.generators)):
+            raise DiagramError(f"part {idx}: retraction is not a left inverse of the embedding")
+        if not p.proj.target.congruent(p.proj.matrix @ p.emb.matrix,
+                                       IntMatrix.zeros(p.proj.target.generators, g.generators)):
+            raise DiagramError(f"part {idx}: projection does not kill the embedded copy")
+        combined = FgHom(p.group, direct_sum([p.complement, g]),
+                         vstack(p.proj.matrix, p.retract.matrix))
+        if not is_isomorphism(combined):
+            raise DiagramError(f"part {idx}: (projection, retraction) is not an "
+                               "internal direct-sum decomposition")
+    total = direct_sum([p.group for p in parts])
+    phi = FgHom(g, total, vstack(*[p.emb.matrix for p in parts]))
+    target = direct_sum([p.complement for p in parts] + [g] * (n - 1))
+    m = block_diag(*[p.proj.matrix for p in parts])
+    if n > 1:
+        last = -parts[-1].retract.matrix
+        m = vstack(m, hstack(block_diag(*[p.retract.matrix for p in parts[:-1]]),
+                             vstack(*[last] * (n - 1))))
+    psi = FgHom(total, target, m)
+    onto = lattices(psi)
+    if lattices(phi).image.entries != onto.kernel.entries:
+        raise DiagramError("amalgam map has the wrong kernel")
+    if not surjective(psi, onto):
+        raise DiagramError("amalgam map is not surjective")
+    return cokernel(phi), target
+
+
+def reference_decide_diagram(check: str, *parsed) -> Decision:
+    """``decide_diagram`` on a ``snake`` or ``amalgam`` diagram as first
+    written: the ladder's six terms read off the whole six-term sequence,
+    maps included, and the amalgam's quotient presented as a cokernel and
+    brought to invariant factors, with its text rendered as the report
+    renders it."""
+    if check == "snake":
+        groups = snake(*parsed)[:6]
+        terms = [grp.describe() for grp in groups]
+        cert = (CertStep.make(
+            "six-term-exact",
+            "the kernel-cokernel sequence of the ladder is exact at every "
+            "position",
+            terms=" | ".join(terms)),)
+        free = all(is_free(grp) for grp in groups)
+        return Decision(Verdict.FREE if free else Verdict.NOT_FREE, cert, None,
+                        {"six_terms": terms})
+    quotient, standard_form = reference_amalgam_quotient(*parsed)
+    cert = (CertStep.make(
+        "units-amalgam",
+        "the quotient of the sum by the diagonal copy is isomorphic to the "
+        "complements plus one fewer copies of the diagonal group; the "
+        "isomorphism was constructed and verified",
+        quotient=quotient.describe(),
+        standard_form=standard_form.describe()),)
+    return Decision(Verdict.FREE if is_free(quotient) else Verdict.NOT_FREE, cert,
+                    quotient.to_expr(), {}, render_normal(quotient.to_expr()))
+
+
+# ---------------------------------------------------------------------------
 # Random and exhaustive spectral trees
 # ---------------------------------------------------------------------------
 
@@ -1412,6 +1485,24 @@ def dense_ses_payload(n: int, seed: int, bound: int = 3) -> dict:
             "check": "ses",
             "ses": {"left": left, "mid": mid, "right": {"generators": 1, "relators": []},
                     "inj": inj, "surj": [[0] * n + [1]]}}
+
+
+def _group_record(g: FgGroup) -> dict:
+    return {"generators": g.generators,
+            "relators": [list(g.relations.col(j)) for j in range(g.relations.cols)]}
+
+
+def amalgam_payload(parts: int, seed: int) -> dict:
+    """An ``amalgam`` instance of ``parts`` parts, drawn by
+    ``random_amalgam_instance`` from ``random.Random(seed)``."""
+    g, drawn, _ = random_amalgam_instance(random.Random(seed), parts)
+    return {"v": 1, "kind": "group_diagram", "name": f"amalgam-{parts}-seed-{seed}",
+            "check": "amalgam",
+            "amalgam": {"g": _group_record(g), "parts": [
+                {"group": _group_record(p.group), "complement": _group_record(p.complement),
+                 **{key: [list(row) for row in getattr(p, key).matrix.entries]
+                    for key in ("emb", "proj", "retract")}}
+                for p in drawn]}}
 
 
 # ---------------------------------------------------------------------------

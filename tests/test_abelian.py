@@ -1,5 +1,7 @@
 import random
 import sys
+from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,16 @@ from hypothesis import strategies as st
 
 from igl import abelian, cli
 from igl.abelian import (AmalgamPart, FgGroup, FgHom, ShortExactSeq, amalgam_quotient,
-                         cokernel, factor_through, is_free, kernel_with_inclusion, lattices,
-                         snake, split_test)
+                         check_diagram, cokernel, decide_diagram, direct_sum, factor_through,
+                         is_free, kernel_with_inclusion, lattices, snake, split_test)
 from igl.errors import DiagramError
-from igl.matrices import IntMatrix, diagonal_basis, hstack, snf, solve
+from igl.matrices import IntMatrix, diagonal_basis, hstack, snf, solve, vstack
 from igl.valgroup import canonical_invariants
-from oracles import (checked_sequence, congruent_ref, dense_ses_payload, divisible_elements_brute,
-                     has_divisible, is_trivial, kernel, kronecker_split_test, lattice_equal,
-                     minors_invariant_factors, of_direct_sum, random_amalgam_instance,
-                     random_matrix, random_snake_input, random_unimodular_with_inverse,
+from oracles import (checked_sequence, congruent_ref, cyclic_amalgam_parts, dense_ses_payload,
+                     divisible_elements_brute, has_divisible, is_trivial, kernel,
+                     kronecker_split_test, lattice_equal, minors_invariant_factors,
+                     of_direct_sum, random_amalgam_instance, random_matrix, random_snake_input,
+                     random_unimodular_with_inverse, reference_decide_diagram,
                      reference_lattices, sub_quotient_sequence)
 
 
@@ -224,7 +227,7 @@ def test_snake_trivial_identity():
     z2 = FgGroup.free(2)
     row = checked_sequence(z, z2, z, hom(z, z2, [[1], [0]]), hom(z2, z, [[0, 1]]))
     res = snake(row, row, hom(z, z, [[1]]), hom(z2, z2, [[1, 0], [0, 1]]), hom(z, z, [[1]]))
-    assert all(is_trivial(g) for g in res.groups())
+    assert all(is_trivial(g) for g in res[:6])
 
 
 def test_snake_times_two():
@@ -234,7 +237,7 @@ def test_snake_times_two():
     f = hom(z, z, [[2]])
     g = hom(z2, z2, [[2, 0], [0, 2]])
     res = snake(row, row, f, g, f)
-    assert [grp.invariant_factors for grp in res.groups()] == [
+    assert [grp.invariant_factors for grp in res[:6]] == [
         (), (), (), (2,), (2, 2), (2,)]
 
 
@@ -442,10 +445,8 @@ def test_amalgam_diagonal_in_z():
     z = FgGroup.free(1)
     t = FgGroup.free(0)
     part = AmalgamPart(z, hom(z, z, [[1]]), t, hom(z, t, []), hom(z, z, [[1]]))
-    res = amalgam_quotient(z, [part, part])
-    assert res.quotient.invariant_factors == (0,)
-    res3 = amalgam_quotient(z, [part, part, part])
-    assert res3.quotient.invariant_factors == (0, 0)
+    assert amalgam_quotient(z, [part, part]) == (0,)
+    assert amalgam_quotient(z, [part, part, part]) == (0, 0)
 
 
 def test_amalgam_with_complements():
@@ -454,8 +455,7 @@ def test_amalgam_with_complements():
     b = FgGroup.free(1)
     part = AmalgamPart(a, hom(z, a, [[1], [0]]), b, hom(a, b, [[0, 1]]),
                        hom(a, z, [[1, 0]]))
-    res = amalgam_quotient(z, [part, part])
-    assert res.quotient.invariant_factors == (0, 0, 0)
+    assert amalgam_quotient(z, [part, part]) == (0, 0, 0)
 
 
 def test_amalgam_rejects_bad_retraction():
@@ -499,9 +499,40 @@ def test_amalgam_rejections_in_torsion(g, group, complement, emb, proj, retract,
     a = FgGroup.from_invariants(*group) if isinstance(group, tuple) else group
     part = AmalgamPart(a, hom(g, a, emb), complement, hom(a, complement, proj),
                        hom(a, g, retract))
-    with pytest.raises(DiagramError) as exc:
-        amalgam_quotient(g, [part, part])
-    assert str(exc.value) == message
+    for decide in (amalgam_quotient, partial(decide_diagram, "amalgam"),
+                   partial(reference_decide_diagram, "amalgam")):
+        with pytest.raises(DiagramError) as exc:
+            decide(g, [part, part])
+        assert str(exc.value) == message
+
+
+def assert_decides_as_first_written(check, *parsed):
+    """The decision against the decision as first written: a ``Decision``
+    compares its verdict, every certificate step with its inputs, the
+    expression, the metadata and the text."""
+    assert decide_diagram(check, *parsed) == reference_decide_diagram(check, *parsed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_ladder_decision_matches_the_first_written(seed):
+    assert_decides_as_first_written("snake", *random_snake_input(random.Random(seed)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6))
+def test_amalgam_decision_matches_the_first_written(seed, n_parts):
+    g, parts, _ = random_amalgam_instance(random.Random(seed), n_parts)
+    assert_decides_as_first_written("amalgam", g, parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.lists(st.integers(1, 12), min_size=1, max_size=4))
+def test_cyclic_amalgam_decision_matches_the_first_written(m, cofactors):
+    # each part Z/(c·m) = Z/c ⊕ Z/m needs gcd(m, c) = 1
+    orders = [m * c for c in cofactors if gcd(m, c) == 1]
+    if orders:
+        assert_decides_as_first_written("amalgam", *cyclic_amalgam_parts(m, orders))
 
 
 def scaled(h, k):
@@ -622,8 +653,12 @@ def test_kernel_basis_solves_every_source_relator():
 def test_amalgam_random(seed, n_parts):
     rng = random.Random(seed)
     g, parts, expected = random_amalgam_instance(rng, n_parts)
-    res = amalgam_quotient(g, parts)
-    assert res.quotient.invariant_factors == expected.invariant_factors
+    assert amalgam_quotient(g, parts) == expected.invariant_factors
+    # the quotient's own presentation, and the isomorphism verify builds
+    phi = FgHom(g, direct_sum([p.group for p in parts]), vstack(*[p.emb.matrix for p in parts]))
+    assert cokernel(phi).invariant_factors == expected.invariant_factors
+    assert check_diagram("amalgam", g, parts) == [
+        ("amalgam-isomorphism", True, "kernel and surjectivity verified")]
 
 
 def test_divisible_examples():

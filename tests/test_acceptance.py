@@ -69,8 +69,9 @@ def test_acceptance_3_amalgam_suite():
     for i in range(100):
         n = rng.randint(1, 4)
         g, parts, expected = random_amalgam_instance(rng, n)
-        res = abelian.amalgam_quotient(g, parts)  # verifies kernel + surjectivity
-        assert res.quotient.invariant_factors == expected.invariant_factors
+        assert abelian.amalgam_quotient(g, parts) == expected.invariant_factors
+        # builds the explicit map and verifies its kernel and surjectivity
+        assert abelian.check_diagram("amalgam", g, parts)[0][1]
     print("\nACCEPTANCE 3 amalgam suite: PASS (100 instances)")
 
 

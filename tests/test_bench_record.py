@@ -1,7 +1,9 @@
 """``scripts/bench_record.py`` records only checkouts without bytecode
-caches, and its runs leave none behind."""
+caches, its runs leave none behind, and appended runs continue the
+numbering of the rounds."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,25 @@ def test_runs_write_no_bytecode(monkeypatch):
     monkeypatch.setattr(script.subprocess, "run", fake_run)
     assert script.run(ROOT, "small_batch", 1, 0.0, 0) == {"metrics": {}}
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_appended_rounds_continue_the_numbering(tmp_path, monkeypatch):
+    script = load_script()
+    monkeypatch.setattr(script, "run", lambda *args: {"metrics": {}})
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 0}', encoding="utf-8")
+    checkouts = []
+    for label in ("parent", "change"):
+        (tmp_path / label / "bench").mkdir(parents=True)
+        (tmp_path / label / "bench" / "run.py").write_text("", encoding="utf-8")
+        checkouts += ["--checkout", f"{label}={tmp_path / label}"]
+    common = ["7", *checkouts, "--workload", "small_batch", "--rounds", "2"]
+    assert script.main(common) == 0
+    # another seed starts its own numbering; the first seed's continues
+    assert script.main([*common, "--append", "--seed", "2"]) == 0
+    assert script.main([*common, "--append"]) == 0
+    runs = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))["runs"]
+    assert [(r["seed"], r["round"], r["checkout"]) for r in runs] == [
+        (1, 1, "parent"), (1, 1, "change"), (1, 2, "change"), (1, 2, "parent"),
+        (2, 1, "parent"), (2, 1, "change"), (2, 2, "change"), (2, 2, "parent"),
+        (1, 3, "parent"), (1, 3, "change"), (1, 4, "change"), (1, 4, "parent")]

@@ -19,8 +19,9 @@ from igl.abelian import FgGroup
 from igl.cli import canonical_json, main
 from igl.errors import DiagramError
 from igl.matrices import IntMatrix
-from oracles import (argv_grid, caterpillar_payload, dense_group_payload, dense_ses_payload,
-                     diagonal, random_matrix, reference_parser, reference_snf, tree_payload)
+from oracles import (amalgam_payload, argv_grid, caterpillar_payload, dense_group_payload,
+                     dense_ses_payload, diagonal, random_matrix, reference_parser, reference_snf,
+                     tree_payload)
 
 DVR = {"v": 1, "kind": "valuation", "tower": ["Z"], "name": "dvr"}
 YTREE = {"v": 1, "kind": "prufer_tree",
@@ -300,9 +301,10 @@ def _corrupted_snake(monkeypatch):
 
 @pytest.mark.parametrize("name", ["snake_ladder.json", "snake_ladder_kernel.json"])
 def test_verify_fails_a_corrupted_connecting_map(capsys, monkeypatch, name):
-    """``decide`` takes the snake lemma on trust, and ``verify`` checks the
-    six-term sequence that ``snake`` built: a corrupted connecting map
-    fails ``ladder-and-six-term``, and ``verify`` exits 1."""
+    """``decide`` takes the snake lemma on trust and builds no map, and
+    ``verify`` checks the six-term sequence that ``snake`` built: a
+    corrupted connecting map fails ``ladder-and-six-term``, and ``verify``
+    exits 1."""
     _corrupted_snake(monkeypatch)
     path = str(Path(__file__).resolve().parent.parent / "instances" / name)
     assert main(["decide", path]) == 0
@@ -311,6 +313,51 @@ def test_verify_fails_a_corrupted_connecting_map(capsys, monkeypatch, name):
     assert json.loads(capsys.readouterr().out)["checks"] == [
         {"check": "ladder-and-six-term",
          "detail": "assertion failed: six-term sequence not exact at coker f", "ok": False}]
+
+
+def _corrupted_amalgam_map(monkeypatch, k):
+    """Make ``abelian.amalgam_map`` scale the block of its first part's
+    projection by ``k``."""
+    amalgam_map = abelian.amalgam_map
+
+    def corrupted(g, parts):
+        psi = amalgam_map(g, parts)
+        block = parts[0].proj.matrix
+        entries = tuple(tuple(k * x if i < block.rows and j < block.cols else x
+                              for j, x in enumerate(row))
+                        for i, row in enumerate(psi.matrix.entries))
+        return psi._replace(matrix=IntMatrix(psi.matrix.rows, psi.matrix.cols, entries))
+
+    monkeypatch.setattr(abelian, "amalgam_map", corrupted)
+
+
+@pytest.mark.parametrize("k,detail", [(0, "amalgam map has the wrong kernel"),
+                                      (2, "amalgam map is not surjective")],
+                         ids=["block-zero", "block-doubled"])
+def test_verify_fails_a_corrupted_amalgam_map(capsys, monkeypatch, k, detail):
+    """``decide`` reads an amalgam off its checked parts, and ``verify``
+    builds the isomorphism onto the standard form and tests it: a
+    corrupted block fails ``amalgam-isomorphism``, and ``verify`` exits 1."""
+    _corrupted_amalgam_map(monkeypatch, k)
+    path = str(Path(__file__).resolve().parent.parent / "instances" / "amalgam_two_planes.json")
+    assert main(["decide", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [
+        {"check": "amalgam-isomorphism", "detail": detail, "ok": False}]
+
+
+def test_decide_builds_no_map_of_a_diagram(capsys, monkeypatch):
+    """``decide`` describes a ladder's six terms and reads an amalgam off
+    its parts: neither the snake's maps nor the amalgam map is built."""
+    calls = []
+    for name in ("snake", "amalgam_map", "_lift_through", "factor_through"):
+        monkeypatch.setattr(abelian, name, _counting(calls, getattr(abelian, name)))
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    for name in ("snake_ladder.json", "snake_ladder_kernel.json", "amalgam_two_planes.json"):
+        assert main(["decide", str(instances / name)]) == 0
+    assert calls == []
+    capsys.readouterr()
 
 
 def test_verify_fails_a_section_that_does_not_split(capsys, monkeypatch):
@@ -1033,6 +1080,22 @@ def test_many_branch_verify_is_bounded(tmp_path, capsys):
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [(c["check"], c["ok"]) for c in checks] == \
             [("sequence-computed", True), ("amalgam-crosscheck", True)]
+
+
+def test_many_part_amalgam_is_bounded(tmp_path, capsys):
+    """A 512-part amalgam (1,278 generators in the sum) decides in 2 s, off
+    its checked parts, and verifies inside the sweeps' limit, where the
+    amalgam map is built and tested.  Presenting the quotient and bringing
+    it to invariant factors took 51 s."""
+    target = write(tmp_path, amalgam_payload(512, 1))
+    with time_limit("512-part decide", 2.0):
+        assert main(["decide", str(target), "--format", "json"]) == 0
+    capsys.readouterr()
+    with time_limit("512-part verify"):
+        assert main(["verify", str(target), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == [
+        {"check": "amalgam-isomorphism", "detail": "kernel and surjectivity verified",
+         "ok": True}]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

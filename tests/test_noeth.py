@@ -246,9 +246,9 @@ def test_seq_case_c_amalgam_crosscheck():
     proj = abelian.FgHom(grp, comp, IntMatrix.identity(1))
     retract = abelian.FgHom(grp, g, IntMatrix.from_rows([[0]], cols=1))
     part = abelian.AmalgamPart(grp, emb, comp, proj, retract)
-    res = abelian.amalgam_quotient(g, [part, part])
     quotient = unit_quotient_seq(inst(finite(2), [(finite(2, 2), 1), (finite(2, 2), 1)]))
-    assert res.quotient.invariant_factors == expr_invariant_factors(quotient)
+    assert abelian.amalgam_quotient(g, [part, part]) == expr_invariant_factors(quotient)
+    assert abelian.check_diagram("amalgam", g, [part, part])[0][1]
 
 
 def _finite_fields(limit):
@@ -291,9 +291,8 @@ def test_case_c_standard_form_amalgam_and_sequence_agree():
                     continue
                 standard = canonical_invariants([n // m for n in orders] + [m] * (b - 1))
                 g, parts = cyclic_amalgam_parts(m, orders)
-                amalgam = abelian.amalgam_quotient(g, parts)
-                assert amalgam.quotient.invariant_factors == standard == seq, (k, ls)
-                assert amalgam.standard_form.invariant_factors == standard, (k, ls)
+                assert abelian.amalgam_quotient(g, parts) == standard == seq, (k, ls)
+                assert abelian.check_diagram("amalgam", g, parts)[0][1], (k, ls)
                 summands += 1
     assert runs > summands > 100
     rng = random.Random(21)
